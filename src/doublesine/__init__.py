@@ -53,6 +53,7 @@ from .kernels import (
 )
 from .majorants import (
     Axis,
+    DoubleScanTable,
     Family,
     HorizonError,
     MajorantFamily,
@@ -125,6 +126,7 @@ __all__ = [
     "delta_rr",
     # majorants
     "Axis",
+    "DoubleScanTable",
     "Family",
     "HorizonError",
     "MajorantFamily",

@@ -1109,6 +1109,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # a library refusal (horizon, size guard, empty lattice) is bad input,
+        # never a failed verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

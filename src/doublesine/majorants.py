@@ -16,6 +16,18 @@ carries a power-decay hint the scan is completed by a closed-form bound
 on the unscanned tail; if that bound does not certify the scanned value
 as the true sup, the result is flagged as truncated.
 
+Scans evaluate ``|c|`` once per line and take block sums as differences
+of one cumulative sum.  The family-TWO window scan reports exactly
+rounded block sums (:func:`ksum`), as a per-block loop would, in one
+pass: for n nonnegative terms of total S, each cumsum estimate is
+within about ``n eps S`` of its block's sum, and the exactly rounded
+maximum's block lies within ``(2n + 3) eps S`` of the largest estimate.
+Only blocks within ``4 n eps S`` of it are re-summed, and the first one
+with the largest exact sum is the same value and argmax as the loop's.
+Double sups keep a :class:`DoubleScanTable` of the threshold-independent
+block sums, so a membership fit builds it once and queries it at every
+grid point.
+
 ``rhs`` returns the majorant value *without* any class constant C; the
 membership fitter divides observed left-hand sides by these values.
 
@@ -52,12 +64,13 @@ __all__ = [
     "single_block_sum",
     "single_sup_scan",
     "single_window_sum",
+    "DoubleScanTable",
     "double_sup_scan",
     "rhs",
 ]
 
-# Dense double-sup scans build a (2H+1)^2 prefix table; cap its size.
-_MAX_DENSE_CELLS = 2 * 10**7
+# Dense double-sup scans build a (2H+1)^2 float64 prefix table; cap its size.
+_MAX_DENSE_BYTES = 160_000_000
 
 
 class Family(Enum):
@@ -151,16 +164,28 @@ def averaging_window(m: int, lam: int) -> tuple[int, int]:
 
 # --- plain block sums (compensated) --------------------------------------
 
+def _abs_line(c: CoefficientSequence, fixed: int, lo: int, hi: int,
+              transpose: bool = False) -> np.ndarray:
+    """``|c_{j,fixed}|`` for j = lo..hi; with ``transpose``, ``|c_{fixed,k}|``."""
+    idx = np.arange(lo, hi + 1, dtype=np.int64)
+    vals = c.eval(fixed, idx) if transpose else c.eval(idx, fixed)
+    return np.abs(np.asarray(vals)).astype(np.float64, copy=False)
+
+
+def _line_sum(c: CoefficientSequence, fixed: int, lo: int, hi: int,
+              transpose: bool = False) -> float:
+    """Compensated sum of :func:`_abs_line`."""
+    return float(ksum(_abs_line(c, fixed, lo, hi, transpose)))
+
+
 def block_sum_row(c: CoefficientSequence, M: int, n: int) -> float:
     """``sum_{j=M}^{2M} |c_{jn}|`` (M+1 terms)."""
-    j = np.arange(M, 2 * M + 1, dtype=np.int64)
-    return float(ksum(np.abs(c.eval(j, n))))
+    return _line_sum(c, n, M, 2 * M)
 
 
 def block_sum_col(c: CoefficientSequence, m: int, N: int) -> float:
     """``sum_{k=N}^{2N} |c_{mk}|``."""
-    k = np.arange(N, 2 * N + 1, dtype=np.int64)
-    return float(ksum(np.abs(c.eval(m, k))))
+    return _line_sum(c, m, N, 2 * N, transpose=True)
 
 
 def block_sum_double(c: CoefficientSequence, M: int, N: int) -> float:
@@ -182,12 +207,20 @@ def single_window_sum(a: SingleSequence, lo: int, hi: int) -> float:
     return float(ksum(np.abs(a.eval(k))))
 
 
+def _window_double_sum(c: CoefficientSequence, jlo: int, jhi: int, klo: int, khi: int) -> float:
+    if c.separable_parts is not None:
+        a, b = c.separable_parts
+        return single_window_sum(a, jlo, jhi) * single_window_sum(b, klo, khi)
+    step = max(1, (1 << 22) // max(1, khi - klo + 1))
+    k = np.arange(klo, khi + 1, dtype=np.int64)
+    parts = []
+    for j0 in range(jlo, jhi + 1, step):
+        j = np.arange(j0, min(j0 + step, jhi + 1), dtype=np.int64)
+        parts.append(ksum(np.abs(c.eval(j[:, None], k[None, :]))))
+    return float(ksum(np.asarray(parts)))
+
+
 # --- scan machinery -------------------------------------------------------
-
-def _abs_values_row(c: CoefficientSequence, n: int, j_lo: int, j_hi: int) -> np.ndarray:
-    j = np.arange(j_lo, j_hi + 1, dtype=np.int64)
-    return np.abs(np.asarray(c.eval(j, n), dtype=np.float64))
-
 
 def _block_array(abs_vals: np.ndarray, lo: int, M_lo: int, M_hi: int) -> np.ndarray:
     """Block sums ``sum_{j=M}^{2M}`` for M in M_lo..M_hi.
@@ -226,18 +259,23 @@ def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValu
     return MajorantValue(value=sup, truncated=truncated, tail_bound=tail, argmax=(start + idx,))
 
 
-def _row_tail_bound(c: CoefficientSequence, n: int, horizon: int) -> float | None:
-    """Bound on row block sums past the horizon, at fixed column n."""
+def _row_tail_bound(c: CoefficientSequence, n: int, horizon: int,
+                    transpose: bool = False) -> float | None:
+    """Bound on row block sums past the horizon, at fixed column n (with
+    ``transpose``: on column block sums at fixed row n)."""
     if c.separable_parts is not None:
-        a, b = c.separable_parts
+        a, b = c.separable_parts[::-1] if transpose else c.separable_parts
         base = _single_tail_bound(a, horizon)
         if base is None:
             return None
         return base * float(abs(np.asarray(b.eval(n)).item()))
     hint = c.decay_hint
-    if hint is None or hint.p < 1.0:
+    if hint is None:
         return None
-    return 2.0 * hint.K * float(n) ** (-hint.q) * float(horizon + 1) ** (1.0 - hint.p)
+    p, q = (hint.q, hint.p) if transpose else (hint.p, hint.q)
+    if p < 1.0:
+        return None
+    return 2.0 * hint.K * float(n) ** (-q) * float(horizon + 1) ** (1.0 - p)
 
 
 def _row_sup_scan(c: CoefficientSequence, n: int, start: int, horizon: int,
@@ -245,23 +283,39 @@ def _row_sup_scan(c: CoefficientSequence, n: int, start: int, horizon: int,
     """Row sup scan; with ``transpose`` the roles of j and k swap."""
     if horizon < start:
         raise HorizonError(f"horizon {horizon} below scan start {start}")
-    if transpose:
-        cT = CoefficientSequence(
-            name=c.name + ".T",
-            eval=lambda j, k, _f=c.eval: _f(k, j),
-            separable_parts=(c.separable_parts[1], c.separable_parts[0])
-            if c.separable_parts is not None else None,
-            decay_hint=None if c.decay_hint is None else type(c.decay_hint)(
-                p=c.decay_hint.q, q=c.decay_hint.p, K=c.decay_hint.K),
-        )
-        return _row_sup_scan(cT, n, start, horizon)
-    abs_vals = _abs_values_row(c, n, start, 2 * horizon)
+    abs_vals = _abs_line(c, n, start, 2 * horizon, transpose)
     blocks = _block_array(abs_vals, start, start, horizon)
     idx = int(np.argmax(blocks))
     sup = float(blocks[idx])
-    tail = _row_tail_bound(c, n, horizon)
+    tail = _row_tail_bound(c, n, horizon, transpose)
     truncated = tail is None or tail > sup
     return MajorantValue(value=sup, truncated=truncated, tail_bound=tail, argmax=(start + idx,))
+
+
+def _bounded_max_scan(c: CoefficientSequence, fixed: int, M_lo: int, M_hi: int,
+                      transpose: bool = False) -> tuple[float, int]:
+    """Max of exactly rounded block sums over the bounded window M_lo..M_hi.
+
+    ``fixed`` is the frozen index: the column for row blocks, the row
+    for column blocks (``transpose=True``).  Returns the maximum and the
+    first block start attaining it.  ``|c|`` is evaluated once over
+    ``M_lo..2 M_hi``; only blocks whose cumsum estimate lies within
+    ``4 len eps sum`` of the largest estimate can hold the maximum (see
+    the module docstring), and only those are re-summed with
+    :func:`ksum`.  A window that is not finite re-sums every block.
+    """
+    vals = _abs_line(c, fixed, M_lo, 2 * M_hi, transpose)
+    total = float(np.sum(vals))
+    if math.isfinite(total):
+        approx = _block_array(vals, M_lo, M_lo, M_hi)
+        tol = 4.0 * len(vals) * np.finfo(np.float64).eps * total
+        cand = np.flatnonzero(approx >= approx.max() - tol)
+    else:
+        cand = np.arange(M_hi - M_lo + 1)
+    # block M = M_lo + i covers vals[i : 2 i + M_lo + 1]
+    exact = np.array([ksum(vals[i:2 * i + M_lo + 1]) for i in cand])
+    best = int(np.argmax(exact))
+    return float(exact[best]), M_lo + int(cand[best])
 
 
 def _double_tail_bound(c: CoefficientSequence, horizon: int) -> float | None:
@@ -289,141 +343,134 @@ def _double_tail_bound(c: CoefficientSequence, horizon: int) -> float | None:
     return max(4.0 * hint.K * far ** (1.0 - hint.p), 4.0 * hint.K * far ** (1.0 - hint.q))
 
 
+class DoubleScanTable:
+    """Double block sums of one sequence on ``1 <= M, N <= horizon``,
+    queried by :meth:`query` for ``sup over M + N >= threshold``.
+
+    Separable sequences keep the two factor block arrays and the suffix
+    maximum of the first; others keep the dense block matrix and its
+    row-wise suffix maximum.  The table is built on the first query and
+    belongs to its creator; nothing caches it across calls.
+    """
+
+    def __init__(self, c: CoefficientSequence, horizon: int):
+        self.c = c
+        self.horizon = horizon
+        self._blocks = self._fb = self._suffix = self._tail = None
+
+    def _build(self) -> None:
+        c, horizon = self.c, self.horizon
+        j = np.arange(1, 2 * horizon + 1, dtype=np.int64)
+        if c.separable_parts is not None:
+            a, b = c.separable_parts
+            self._blocks = _block_array(np.abs(np.asarray(a.eval(j), dtype=np.float64)),
+                                        1, 1, horizon)
+            self._fb = _block_array(np.abs(np.asarray(b.eval(j), dtype=np.float64)),
+                                    1, 1, horizon)
+            self._suffix = np.maximum.accumulate(self._blocks[::-1])[::-1]
+        else:
+            side = 2 * horizon + 1
+            needed = 8 * side * side
+            if needed > _MAX_DENSE_BYTES:
+                raise ValueError(
+                    f"dense double scan at sup_horizon {horizon} needs {needed} bytes for its "
+                    f"{side}x{side} prefix table, over the cap of {_MAX_DENSE_BYTES} bytes; "
+                    "lower sup_horizon or use a separable sequence")
+            grid = np.abs(np.asarray(c.eval(j[:, None], j[None, :]), dtype=np.float64))
+            pref = np.zeros((len(j) + 1, len(j) + 1))
+            np.cumsum(grid, axis=0, out=pref[1:, 1:])
+            np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
+            Ms = np.arange(1, horizon + 1, dtype=np.int64)
+            blocks = (pref[2 * Ms, :][:, 2 * Ms] - pref[Ms - 1, :][:, 2 * Ms]
+                      - pref[2 * Ms, :][:, Ms - 1] + pref[Ms - 1, :][:, Ms - 1])
+            self._blocks = blocks
+            self._suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+        self._tail = _double_tail_bound(c, horizon)
+
+    def query(self, threshold: int) -> MajorantValue:
+        """``sup over M + N >= threshold`` of the tabled double block sums."""
+        horizon = self.horizon
+        if threshold > 2 * horizon:
+            raise HorizonError(
+                f"horizon {horizon} below scan start: threshold {threshold} unreachable")
+        if self._blocks is None:
+            self._build()
+        # For each line index i, partners from threshold - i up are admissible.
+        idx = np.arange(1, horizon + 1, dtype=np.int64)
+        first = threshold - idx
+        lo = np.clip(first, 1, horizon)
+        if self.c.separable_parts is not None:
+            # lines are N: candidate fb[N] * max_{M >= lo} fa[M].  Past the
+            # horizon lo is clipped to it, which admits pairs below threshold.
+            cand = self._fb * self._suffix[lo - 1]
+            nidx = int(np.argmax(cand))
+            sup = float(cand[nidx])
+            # recover the M attaining the suffix max for the witness
+            mlo = int(lo[nidx])
+            argmax = (mlo + int(np.argmax(self._blocks[mlo - 1:])), nidx + 1)
+        else:
+            # lines are rows M; the first maximal row, then its first maximal N
+            best = np.where(first <= horizon, self._suffix[idx - 1, lo - 1], -np.inf)
+            mi = int(np.argmax(best))
+            nlo = int(lo[mi])
+            ni = nlo - 1 + int(np.argmax(self._blocks[mi, nlo - 1:]))
+            sup = float(self._blocks[mi, ni])
+            argmax = (mi + 1, ni + 1)
+        truncated = self._tail is None or self._tail > sup
+        return MajorantValue(value=sup, truncated=truncated, tail_bound=self._tail,
+                             argmax=argmax)
+
+
 def double_sup_scan(c: CoefficientSequence, threshold: int, horizon: int) -> MajorantValue:
     """``sup over M + N >= threshold`` of double block sums, scanned on
     ``1 <= M, N <= horizon``.
     """
-    if threshold > 2 * horizon:
-        raise HorizonError(f"horizon {horizon} below scan start: threshold {threshold} unreachable")
-    if c.separable_parts is not None:
-        a, b = c.separable_parts
-        ja = np.arange(1, 2 * horizon + 1, dtype=np.int64)
-        fa = _block_array(np.abs(np.asarray(a.eval(ja), dtype=np.float64)), 1, 1, horizon)
-        fb = _block_array(np.abs(np.asarray(b.eval(ja), dtype=np.float64)), 1, 1, horizon)
-        suff_fa = np.maximum.accumulate(fa[::-1])[::-1]
-        Ns = np.arange(1, horizon + 1, dtype=np.int64)
-        M_lo = np.clip(threshold - Ns, 1, horizon)
-        cand = fb * suff_fa[M_lo - 1]
-        nidx = int(np.argmax(cand))
-        sup = float(cand[nidx])
-        # recover the M attaining the suffix max for the witness
-        lo = int(M_lo[nidx])
-        midx = lo + int(np.argmax(fa[lo - 1:]))
-        argmax = (midx, nidx + 1)
-    else:
-        side = 2 * horizon + 1
-        if side * side > _MAX_DENSE_CELLS:
-            raise ValueError(
-                "dense double scan too large; lower sup_horizon or use a separable sequence")
-        j = np.arange(1, 2 * horizon + 1, dtype=np.int64)
-        grid = np.abs(np.asarray(c.eval(j[:, None], j[None, :]), dtype=np.float64))
-        pref = np.zeros((len(j) + 1, len(j) + 1))
-        np.cumsum(grid, axis=0, out=pref[1:, 1:])
-        np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
-        Ms = np.arange(1, horizon + 1, dtype=np.int64)
-        blocks = (pref[2 * Ms, :][:, 2 * Ms] - pref[Ms - 1, :][:, 2 * Ms]
-                  - pref[2 * Ms, :][:, Ms - 1] + pref[Ms - 1, :][:, Ms - 1])
-        mask = (Ms[:, None] + Ms[None, :]) >= threshold
-        blocks = np.where(mask, blocks, -np.inf)
-        flat = int(np.argmax(blocks))
-        mi, ni = divmod(flat, horizon)
-        sup = float(blocks[mi, ni])
-        argmax = (mi + 1, ni + 1)
-    tail = _double_tail_bound(c, horizon)
-    truncated = tail is None or tail > sup
-    return MajorantValue(value=sup, truncated=truncated, tail_bound=tail, argmax=argmax)
-
-
-def _window_row_sum(c: CoefficientSequence, n: int, lo: int, hi: int) -> float:
-    j = np.arange(lo, hi + 1, dtype=np.int64)
-    return float(ksum(np.abs(c.eval(j, n))))
-
-
-def _window_col_sum(c: CoefficientSequence, m: int, lo: int, hi: int) -> float:
-    k = np.arange(lo, hi + 1, dtype=np.int64)
-    return float(ksum(np.abs(c.eval(m, k))))
-
-
-def _window_double_sum(c: CoefficientSequence, jlo: int, jhi: int, klo: int, khi: int) -> float:
-    if c.separable_parts is not None:
-        a, b = c.separable_parts
-        return single_window_sum(a, jlo, jhi) * single_window_sum(b, klo, khi)
-    step = max(1, (1 << 22) // max(1, khi - klo + 1))
-    k = np.arange(klo, khi + 1, dtype=np.int64)
-    parts = []
-    for j0 in range(jlo, jhi + 1, step):
-        j = np.arange(j0, min(j0 + step, jhi + 1), dtype=np.int64)
-        parts.append(ksum(np.abs(c.eval(j[:, None], k[None, :]))))
-    return float(ksum(np.asarray(parts)))
-
-
-def _bounded_max_scan(c: CoefficientSequence, fixed: int, M_lo: int, M_hi: int,
-                      transpose: bool = False) -> tuple[float, int]:
-    """Max of block sums over the bounded window M_lo..M_hi.
-
-    ``fixed`` is the frozen index: the column for row blocks, the row
-    for column blocks (``transpose=True``).
-    """
-    if transpose:
-        vals = [block_sum_col(c, fixed, N) for N in range(M_lo, M_hi + 1)]
-    else:
-        vals = [block_sum_row(c, M, fixed) for M in range(M_lo, M_hi + 1)]
-    arr = np.asarray(vals)
-    idx = int(np.argmax(arr))
-    return float(arr[idx]), M_lo + idx
+    return DoubleScanTable(c, horizon).query(threshold)
 
 
 # --- the majorant dispatcher ----------------------------------------------
 
-def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int) -> MajorantValue:
+def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
+        table: DoubleScanTable | None = None) -> MajorantValue:
     """Evaluate the majorant of ``fam`` at (m, n), without the class constant.
 
     Row majorants carry the 1/m scale, column majorants 1/n, double
     majorants 1/(m n).  Callers enforce the per-axis domain rules
-    (``m >= lambda`` for rows of families ONE/TWO, and so on).
+    (``m >= lambda`` for rows of families ONE/TWO, and so on).  Double
+    sups of families TWO and THREE query ``table``, which lets repeated
+    calls on ``c`` at ``fam.sup_horizon`` share one
+    :class:`DoubleScanTable`; without it each call builds its own.
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    fam_b1 = compile_b(fam.b1)
-    fam_b2 = compile_b(fam.b2)
-    fam_b3 = compile_b(fam.b3)
 
     if fam.family is Family.ONE:
         if fam.axis is Axis.ROW:
             lo, hi = averaging_window(m, fam.lam)
-            return MajorantValue(value=_window_row_sum(c, n, lo, hi) / m)
+            return MajorantValue(value=_line_sum(c, n, lo, hi) / m)
         if fam.axis is Axis.COLUMN:
             lo, hi = averaging_window(n, fam.lam)
-            return MajorantValue(value=_window_col_sum(c, m, lo, hi) / n)
+            return MajorantValue(value=_line_sum(c, m, lo, hi, transpose=True) / n)
         jlo, jhi = averaging_window(m, fam.lam)
         klo, khi = averaging_window(n, fam.lam)
         return MajorantValue(value=_window_double_sum(c, jlo, jhi, klo, khi) / (m * n))
 
-    if fam.family is Family.TWO:
-        if fam.axis is Axis.ROW:
-            start = fam_b1(m)
-            sup, arg = _bounded_max_scan(c, n, start, fam.lam * start)
-            return MajorantValue(value=sup / m, argmax=(arg,))
-        if fam.axis is Axis.COLUMN:
-            start = fam_b2(n)
-            sup, arg = _bounded_max_scan(c, m, start, fam.lam * start, transpose=True)
-            return MajorantValue(value=sup / n, argmax=(arg,))
-        scan = double_sup_scan(c, fam_b3(m + n), fam.sup_horizon)
-        return MajorantValue(value=scan.value / (m * n), truncated=scan.truncated,
-                             tail_bound=None if scan.tail_bound is None
-                             else scan.tail_bound / (m * n),
-                             argmax=scan.argmax)
-
-    # family THREE
-    if fam.axis is Axis.ROW:
-        scan = _row_sup_scan(c, n, fam_b1(m), fam.sup_horizon)
-        scale = m
-    elif fam.axis is Axis.COLUMN:
-        scan = _row_sup_scan(c, m, fam_b2(n), fam.sup_horizon, transpose=True)
-        scale = n
-    else:
-        scan = double_sup_scan(c, fam_b3(m + n), fam.sup_horizon)
+    if fam.axis is Axis.DOUBLE:
+        if table is None:
+            table = DoubleScanTable(c, fam.sup_horizon)
+        elif table.c is not c or table.horizon != fam.sup_horizon:
+            raise ValueError("scan table belongs to another sequence or sup_horizon")
+        scan = table.query(compile_b(fam.b3)(m + n))
         scale = m * n
+    else:
+        # rows freeze the column n and scan j from b1(m); columns the reverse
+        transpose = fam.axis is Axis.COLUMN
+        fixed, start, scale = ((m, compile_b(fam.b2)(n), n) if transpose
+                               else (n, compile_b(fam.b1)(m), m))
+        if fam.family is Family.TWO:
+            sup, arg = _bounded_max_scan(c, fixed, start, fam.lam * start, transpose)
+            return MajorantValue(value=sup / scale, argmax=(arg,))
+        scan = _row_sup_scan(c, fixed, start, fam.sup_horizon, transpose)
     return MajorantValue(value=scan.value / scale, truncated=scan.truncated,
                          tail_bound=None if scan.tail_bound is None else scan.tail_bound / scale,
                          argmax=scan.argmax)

@@ -38,6 +38,7 @@ from .convergence import TailReport, classify_tail, loglog_slope
 from .differences import check_step, delta_r
 from .majorants import (
     Axis,
+    DoubleScanTable,
     MajorantFamily,
     MajorantValue,
     averaging_window,
@@ -204,6 +205,8 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
     growth: dict[str, float | None] = {}
     verdicts: dict[str, str] = {}
     any_truncated = False
+    # one double-sup table per fit, shared by every double-axis grid point
+    table = DoubleScanTable(c, fam.sup_horizon)
 
     for axis in (Axis.ROW, Axis.COLUMN, Axis.DOUBLE):
         fam_axis = replace(fam, axis=axis)
@@ -216,7 +219,7 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
             if not _axis_admissible(axis, m, n, fam.lam):
                 continue
             lhs_val = _LHS_FOR_AXIS[axis](c, r, m, n)
-            mv: MajorantValue = rhs(c, fam_axis, m, n)
+            mv: MajorantValue = rhs(c, fam_axis, m, n, table=table)
             ratio = _ratio(lhs_val, mv.value)
             truncated = mv.truncated and lhs_val > 0.0
             any_truncated = any_truncated or truncated

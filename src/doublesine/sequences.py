@@ -354,14 +354,27 @@ def compile_expression(expr: str, variables: tuple[str, ...]) -> tuple[Callable,
     return fn, used
 
 
+def _broadcast(values, *indices):
+    """Expression values at the broadcast shape of the indices.
+
+    Every operation of the expression language is elementwise, so only
+    an expression that omits an index (a constant, or ``1/k^2`` as a
+    double sequence) returns fewer values than requested.
+    """
+    shape = np.broadcast_shapes(*(np.shape(i) for i in indices))
+    return np.broadcast_to(np.asarray(values, dtype=np.float64), shape)
+
+
 def from_expression(name: str, expr: str) -> CoefficientSequence:
     """Double sequence ``c_{jk}`` defined by an expression in ``j, k``."""
-    fn, _ = compile_expression(expr, ("j", "k"))
+    fn, used = compile_expression(expr, ("j", "k"))
+    full = used == {"j", "k"}
 
     def eval_(j, k):
         jf = _int_index(j).astype(np.float64)
         kf = _int_index(k).astype(np.float64)
-        return fn(j=jf, k=kf)
+        values = fn(j=jf, k=kf)
+        return values if full else _broadcast(values, jf, kf)
 
     return CoefficientSequence(name=name, eval=eval_)
 
@@ -374,7 +387,8 @@ def single_from_expression(name: str, expr: str) -> SingleSequence:
 
     def eval_(k):
         kf = _int_index(k).astype(np.float64)
-        return fn(k=kf, n=kf)
+        values = fn(k=kf, n=kf)
+        return values if used else _broadcast(values, kf)
 
     return SingleSequence(name=name, eval=eval_)
 

@@ -77,6 +77,34 @@ class TestExitCodes:
         assert payload["results"]["eta"] is None
 
 
+class TestLibraryRefusals:
+    """A library ValueError is bad input: one line on stderr, status 2, no report."""
+
+    def refused(self, tmp_path, capsys, *argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+        return err
+
+    def test_dense_scan_guard_states_bytes(self, tmp_path, capsys):
+        # default --sup-horizon 4096: a (2*4096+1)^2 float64 prefix table
+        err = self.refused(tmp_path, capsys, "check-class", "--expr", "1/(j*k)^2")
+        assert "needs 537001992 bytes" in err and "cap of 160000000 bytes" in err
+
+    def test_horizon_below_scan_start(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, "check-class", "--preset",
+                           "oscillating_quadratic", "--grid", "dyadic:64",
+                           "--sup-horizon", "16")
+        assert "horizon 16 below scan start" in err
+
+    def test_no_rectangles_beyond_threshold(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, "uniform-tail", "--preset",
+                           "oscillating_quadratic", "--rect-cap", "16",
+                           "--thresholds", "64", "--grid-points", "2")
+        assert "no rectangles beyond threshold 64" in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

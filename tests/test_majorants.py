@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from doublesine import (
     Axis,
+    DoubleScanTable,
     ExpressionError,
     Family,
     HorizonError,
@@ -17,6 +18,8 @@ from doublesine import (
     block_sum_row,
     builtin,
     double_sup_scan,
+    from_expression,
+    from_table,
     rhs,
     scale,
     single_block_sum,
@@ -24,6 +27,9 @@ from doublesine import (
     single_sup_scan,
     single_window_sum,
 )
+from doublesine.majorants import _bounded_max_scan
+
+TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
 
 
 class TestWindows:
@@ -183,3 +189,124 @@ class TestRhs:
         fam = MajorantFamily(Family.THREE, Axis.ROW, lam=2)
         mv = rhs(zero_seq, fam, 4, 2)
         assert mv.value == 0.0
+
+
+# --- the family-TWO window scan against its per-block twin -------------------
+
+SCAN_SEQUENCES = {
+    "oscillating_quadratic": builtin("oscillating_quadratic"),
+    "mod3_log_product": builtin("mod3_log_product"),
+    "product_power": builtin("product_power", p=1.5, q=2.0),
+    "zero": builtin("zero"),
+    "twin": from_expression("twin", TWIN_EXPR),
+    "nonsep": from_expression("nonsep", "1/(j*k*(j+k))"),
+    "constant": from_expression("constant", "1"),
+}
+
+
+def per_block_max(c, fixed, M_lo, M_hi, transpose):
+    """The scan as one exactly rounded sum per block: max and first argmax."""
+    sums = []
+    for M in range(M_lo, M_hi + 1):
+        idx = np.arange(M, 2 * M + 1, dtype=np.int64)
+        vals = c.eval(fixed, idx) if transpose else c.eval(idx, fixed)
+        sums.append(math.fsum(np.abs(vals)))
+    arr = np.asarray(sums)
+    i = int(np.argmax(arr))
+    return float(arr[i]), M_lo + i
+
+
+def assert_same_scan(got, want):
+    (gv, ga), (wv, wa) = got, want
+    assert ga == wa
+    assert gv == wv or (math.isnan(gv) and math.isnan(wv))
+
+
+class TestBoundedWindowScan:
+    @given(st.sampled_from(sorted(SCAN_SEQUENCES)), st.integers(1, 40),
+           st.integers(1, 200), st.sampled_from((2, 3, 4)), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_block_loop(self, name, fixed, start, lam, transpose):
+        c = SCAN_SEQUENCES[name]
+        assert_same_scan(_bounded_max_scan(c, fixed, start, lam * start, transpose),
+                         per_block_max(c, fixed, start, lam * start, transpose))
+
+    @given(st.lists(st.sampled_from((0.1, 0.2, 0.3, 0.7)), min_size=40, max_size=240),
+           st.integers(1, 30), st.sampled_from((2, 3, 4)), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_near_ties_resolve_like_per_block_loop(self, values, start, lam, transpose):
+        # few distinct values: many blocks have equal or nearly equal sums
+        # whose cumsum estimates round differently
+        table = np.asarray(values)[:, None]
+        c = from_table("ties", table.T if transpose else table)
+        assert_same_scan(_bounded_max_scan(c, 1, start, lam * start, transpose),
+                         per_block_max(c, 1, start, lam * start, transpose))
+
+    @given(st.integers(1, 60), st.integers(0, 500), st.sampled_from((math.inf, math.nan)),
+           st.sampled_from((2, 3, 4)), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_window_matches_per_block_loop(self, start, pos, bad, lam, transpose):
+        rng = np.random.default_rng(pos)
+        table = rng.uniform(-1.0, 1.0, (2 * lam * start + 2, 1))
+        table[pos % len(table), 0] = bad
+        c = from_table("bad", table.T if transpose else table)
+        assert_same_scan(_bounded_max_scan(c, 1, start, lam * start, transpose),
+                         per_block_max(c, 1, start, lam * start, transpose))
+
+    def test_zero_window_ties_at_start(self, zero_seq):
+        assert _bounded_max_scan(zero_seq, 3, 5, 10) == (0.0, 5)
+
+    def test_rhs_scales_the_scan(self, mod3):
+        fam = MajorantFamily(Family.TWO, Axis.COLUMN, lam=3, b2="2*l")
+        mv = rhs(mod3, fam, 5, 7)
+        sup, arg = per_block_max(mod3, 5, 14, 42, transpose=True)
+        assert mv.value == sup / 7 and mv.argmax == (arg,)
+
+
+# --- the double scan table ----------------------------------------------------
+
+def dense_masked_scan(c, threshold, horizon):
+    """The dense double scan as one masked argmax over the whole block matrix."""
+    j = np.arange(1, 2 * horizon + 1, dtype=np.int64)
+    grid = np.abs(np.asarray(c.eval(j[:, None], j[None, :]), dtype=np.float64))
+    pref = np.zeros((len(j) + 1, len(j) + 1))
+    np.cumsum(grid, axis=0, out=pref[1:, 1:])
+    np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
+    Ms = np.arange(1, horizon + 1, dtype=np.int64)
+    blocks = (pref[2 * Ms, :][:, 2 * Ms] - pref[Ms - 1, :][:, 2 * Ms]
+              - pref[2 * Ms, :][:, Ms - 1] + pref[Ms - 1, :][:, Ms - 1])
+    blocks = np.where((Ms[:, None] + Ms[None, :]) >= threshold, blocks, -np.inf)
+    mi, ni = divmod(int(np.argmax(blocks)), horizon)
+    return float(blocks[mi, ni]), (mi + 1, ni + 1)
+
+
+class TestDoubleScanTable:
+    @pytest.mark.parametrize("expr", [TWIN_EXPR, "1/(j*k*(j+k))", "1", "mod(j*k, 3)"])
+    def test_dense_queries_match_masked_argmax(self, expr):
+        c = from_expression("c", expr)
+        horizon = 12
+        table = DoubleScanTable(c, horizon)
+        for threshold in range(1, 2 * horizon + 1):
+            mv = table.query(threshold)
+            assert (mv.value, mv.argmax) == dense_masked_scan(c, threshold, horizon)
+            assert mv == double_sup_scan(c, threshold, horizon)
+
+    def test_separable_queries_match_one_shot_scans(self, osc):
+        table = DoubleScanTable(osc, 40)
+        for threshold in range(1, 81):
+            assert table.query(threshold) == double_sup_scan(osc, threshold, 40)
+
+    def test_threshold_beyond_horizon_raises_before_building(self):
+        c = from_expression("c", "1/(j*k)")
+        # the dense table at this horizon would trip the size guard
+        with pytest.raises(HorizonError):
+            DoubleScanTable(c, 4096).query(8193)
+        with pytest.raises(ValueError, match="needs 537001992 bytes.*cap of 160000000 bytes"):
+            DoubleScanTable(c, 4096).query(8)
+
+    def test_rhs_rejects_a_foreign_table(self, osc, pp22):
+        fam = MajorantFamily(Family.THREE, Axis.DOUBLE, sup_horizon=64)
+        with pytest.raises(ValueError, match="another sequence"):
+            rhs(osc, fam, 4, 4, table=DoubleScanTable(pp22, 64))
+        with pytest.raises(ValueError, match="sup_horizon"):
+            rhs(osc, fam, 4, 4, table=DoubleScanTable(osc, 32))

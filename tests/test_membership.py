@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from doublesine import (
     Axis,
     Family,
+    HorizonError,
     MajorantFamily,
     SingleClass,
     Verdict,
@@ -13,9 +15,13 @@ from doublesine import (
     check_condition_22,
     check_membership,
     check_single_membership,
+    builtin,
+    double_sup_scan,
+    from_expression,
     from_table,
     single_from_values,
 )
+from doublesine.majorants import compile_b
 from doublesine.membership import lhs_col, lhs_double, lhs_row
 
 DYADIC = tuple(2 ** t for t in range(1, 7))
@@ -102,6 +108,82 @@ class TestCheckMembership:
     def test_empty_grid_rejected(self, osc):
         with pytest.raises(ValueError):
             check_membership(osc, 2, three_family(), ())
+
+
+# Family TWO, r = 2, dyadic:256, sup_horizon 512, frozen from the per-block
+# window loop and the per-point double scan that preceded the one-pass scan
+# and the shared double table: fitted constants (row, column, double) as
+# float reprs, and the SHA-256 of repr(report.rows).
+GOLDEN_TWO = {
+    "oscillating_quadratic": (
+        "2.9714104279187112", "2.9714104279187112", "2.168554105279747",
+        "416b09d07db76ab73090a27395e88847e05b13674aa93e901e64058d48ce4fa8"),
+    "mod3_log_product": (
+        "204.04563939455443", "204.04563939455443", "1927.4395306579454",
+        "42c6bd8043d29597bcbb4aa85049f11593a9ccf5a8add448610cb102fa322a62"),
+    "product_power(1.5,2)": (
+        "2.1890317514735402", "2.9718890925352754", "0.9075559408037165",
+        "34959a7c926254556fe02015f3e519c30089d881006a0eac82b8385a410713e6"),
+    "twin": (
+        "2.9714104279187112", "2.9714104279187112", "2.168554105280029",
+        "94d945204870906de2ef4babebcbdcf8f609079947486800f4ed8f7c85ca10cd"),
+}
+TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+
+
+def golden_sequence(name):
+    if name == "twin":
+        return from_expression("twin", TWIN_EXPR)
+    if name.startswith("product_power"):
+        return builtin("product_power", p=1.5, q=2.0)
+    return builtin(name)
+
+
+class TestFamilyTwoGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TWO))
+    def test_reports_are_unchanged(self, name):
+        dyadic = [2 ** t for t in range(1, 9)]
+        fam = MajorantFamily(Family.TWO, Axis.ROW, lam=2, sup_horizon=512)
+        report = check_membership(golden_sequence(name), 2, fam,
+                                  [(m, n) for m in dyadic for n in dyadic])
+        got = (repr(report.fitted_C_row), repr(report.fitted_C_col),
+               repr(report.fitted_C_double),
+               hashlib.sha256(repr(report.rows).encode()).hexdigest())
+        assert got == GOLDEN_TWO[name]
+        assert len(report.rows) == 192
+
+
+class TestSharedDoubleTable:
+    """One table per fit gives the rows that per-point scans give."""
+
+    @pytest.mark.parametrize("family", [Family.TWO, Family.THREE])
+    @pytest.mark.parametrize("seq, horizon", [
+        (builtin("oscillating_quadratic"), 24),
+        (from_expression("nonsep", "1/(j*k*(j+k))"), 24),
+    ])
+    def test_rows_match_per_point_scans(self, seq, horizon, family):
+        # thresholds m + n run past the horizon (up to 2 * horizon)
+        grid = [(m, n) for m in (2, 3, 8, 13, 24) for n in (2, 5, 11, 24)]
+        fam = MajorantFamily(family, Axis.ROW, lam=2, b1="1", b2="1",
+                             sup_horizon=horizon)
+        report = check_membership(seq, 2, fam, grid)
+        double = [row for row in report.rows if row.axis == "double"]
+        assert len(double) == len(grid)
+        assert any(row.m + row.n > horizon + 1 for row in double)
+        b3 = compile_b(fam.b3)
+        for row in double:
+            scan = double_sup_scan(seq, b3(row.m + row.n), horizon)
+            assert row.rhs == scan.value / (row.m * row.n)
+            assert row.truncated == (scan.truncated and row.lhs > 0.0)
+
+    @pytest.mark.parametrize("family", [Family.TWO, Family.THREE])
+    @pytest.mark.parametrize("seq", [builtin("oscillating_quadratic"),
+                                     from_expression("nonsep", "1/(j*k*(j+k))")])
+    def test_threshold_past_twice_the_horizon_still_raises(self, seq, family):
+        fam = MajorantFamily(family, Axis.ROW, lam=2, b1="1", b2="1",
+                             sup_horizon=16)
+        with pytest.raises(HorizonError):
+            check_membership(seq, 2, fam, ((4, 4), (16, 17)))
 
 
 class TestCondition22:

@@ -169,6 +169,16 @@ class TestExpressions:
         b = single_from_expression("b", "1/n")
         assert float(a.eval(4)) == float(b.eval(4)) == 0.25
 
+    def test_expressions_broadcast_over_missing_indices(self):
+        j = np.arange(1, 4)[:, None]
+        k = np.arange(1, 3)[None, :]
+        assert np.array_equal(from_expression("one", "1").eval(j, k), np.ones((3, 2)))
+        assert np.array_equal(from_expression("col", "1/k").eval(j, k),
+                              np.broadcast_to([[1.0, 0.5]], (3, 2)))
+        assert np.array_equal(single_from_expression("two", "2").eval(np.arange(1, 5)),
+                              np.full(4, 2.0))
+        assert from_expression("one", "1").eval(2, 3) == 1
+
     def test_single_rejects_both_indices(self):
         with pytest.raises(ExpressionError):
             single_from_expression("a", "k + n")
