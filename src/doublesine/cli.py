@@ -4,9 +4,15 @@ Every subcommand resolves its options from three layers with strict
 precedence: explicit command line flags, then an INI config file
 (``--config``), then built-in defaults.  The fully resolved option set
 is recorded in the JSON report so a run can be reproduced from its own
-output.  Exit status: 0 when all asserted verdicts pass, 1 on a
-numerical verdict failure (the witness is printed), 2 on a config or
-schema violation.
+output.  Options are declared once, in ``_OPTIONS``, under the config
+section that holds their key; ``--help`` lists them by section.
+
+Exit status: 0 when all asserted verdicts pass, 1 on a numerical
+verdict failure (the witness is printed), 2 on bad input.  Bad input is
+either a flag or config value the front end rejects itself (one
+``config error: ...`` line on stderr) or a library refusal such as a
+scan horizon below its start, a size guard or a singular abscissa (one
+``error: ...`` line); neither writes a report.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import configparser
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +43,6 @@ from .convergence import (
 from .differences import delta_r, delta_rr
 from .kernels import (
     Rect,
-    SingularityError,
     assert_admissible,
     kernel_bound_check,
     rect_sum_direct,
@@ -70,76 +76,106 @@ __all__ = ["main"]
 
 
 class ConfigError(ValueError):
-    """Invalid flag/config combination; maps to exit status 2."""
+    """A flag or config value the front end rejects itself; exit status 2."""
 
 
-# Config twin section for each flag destination; flags not listed here
-# live in the [cli] section.
-_FLAG_SECTIONS = {
-    "preset": "sequences",
-    "p": "sequences",
-    "q": "sequences",
-    "expr": "sequences",
-    "seq_file": "sequences",
-    "seq_name": "sequences",
-    "family": "majorants",
-    "lam": "majorants",
-    "b1": "majorants",
-    "b2": "majorants",
-    "b3": "majorants",
-    "b": "majorants",
-    "sup_horizon": "majorants",
-    "r": "membership",
-    "grid": "membership",
-    "max_row_c": "membership",
-    "max_col_c": "membership",
-    "max_double_c": "membership",
-    "max_c": "membership",
-    "single_class": "membership",
-    "gm_beta": "membership",
-    "horizon": "membership",
-    "s_max": "membership",
-    "decay_factor": "membership",
-    "rect": "kernels_summation",
-    "x": "kernels_summation",
-    "y": "kernels_summation",
-    "method": "kernels_summation",
-    "tol": "kernels_summation",
-    "k_max": "kernels_summation",
-    "kernel_points": "kernels_summation",
-    "cases_1d": "kernels_summation",
-    "cases_2d": "kernels_summation",
-    "table_size": "kernels_summation",
-    "delta_grid": "kernels_summation",
-    "schedule": "convergence",
-    "expect": "convergence",
-    "thresholds": "convergence",
-    "grid_points": "convergence",
-    "rect_cap": "convergence",
-    "doublings": "convergence",
-    "min_start": "convergence",
-    "band": "convergence",
-    "decay_ratio": "convergence",
-    "which": "convergence",
-    "epsilon": "convergence",
-    "c_const": "convergence",
-    "cap": "convergence",
-    "verify_range": "convergence",
-    "sum_horizon": "convergence",
-    "cross_check_max": "convergence",
-    "cross_check_tol": "convergence",
+_EXPECT_CHOICES = ("decaying", "flat", "growing", "inconclusive", "not-decaying")
+
+# Every option, declared once under the config-file section that holds its
+# key.  The flag is --<dest> with dashes unless an entry names it.
+_OPTIONS: dict[str, dict[str, dict]] = {
+    "cli": {
+        "config": dict(help="INI config file; flags override it"),
+        "out_dir": dict(default=".", help="directory for report files"),
+        "json_name": dict(flag="--json", help="JSON report filename (default <command>.json)"),
+        "csv_name": dict(flag="--csv", help="CSV detail filename (default <command>.csv)"),
+        "seed": dict(type=int, default=0, help="seed for randomized checks"),
+        "threads": dict(type=int, default=1,
+                        help="worker cap (reductions stay deterministic)"),
+    },
+    "sequences": {
+        "preset": dict(help="builtin sequence, e.g. oscillating_quadratic or "
+                            "product_power(2,2)"),
+        "p": dict(type=float, help="first exponent for product_power"),
+        "q": dict(type=float, help="second exponent for product_power"),
+        "expr": dict(help="coefficient expression in j, k (or k/n for "
+                          "single-sequence checks)"),
+        "seq_file": dict(help="sequence definition file (name = expr)"),
+        "seq_name": dict(help="name to pick from --seq-file"),
+    },
+    "majorants": {
+        "family": dict(choices=[f.value for f in Family], default="three",
+                       help="majorant family"),
+        "lam": dict(type=int, default=2, help="window/block dilation"),
+        "b1": dict(default="l", help="row block-start map (expression in l)"),
+        "b2": dict(default="l", help="column block-start map"),
+        "b3": dict(default="l", help="double block-start map"),
+        "b": dict(default="l", help="block-start map for SBVS2"),
+        "sup_horizon": dict(type=int, default=4096,
+                            help="horizon of the sup scans (default %(default)s)"),
+    },
+    "membership": {
+        "r": dict(type=int, default=2, help="difference step"),
+        "grid": dict(default="dyadic:64",
+                     help="dyadic:LIMIT, comma values, or MxN pairs"),
+        "max_row_c": dict(type=float, help="assert fitted row C <= this"),
+        "max_col_c": dict(type=float, help="assert fitted column C <= this"),
+        "max_double_c": dict(type=float, help="assert fitted double C <= this"),
+        "single_class": dict(choices=[k.value for k in SingleClass],
+                             help="check a single-sequence class instead"),
+        "gm_beta": dict(default="star", help="GM majorant: 'star' or an expression in n"),
+        "horizon": dict(type=int, default=4096, help="sup scan horizon for single classes"),
+        "max_c": dict(type=float, help="assert fitted single C <= this"),
+        "s_max": dict(type=int, default=4096, help="largest scale"),
+        "decay_factor": dict(type=float, default=100.0,
+                             help="decaying needs last value < first / this"),
+    },
+    "kernels_summation": {
+        "rect": dict(help="m:Mxn:N, e.g. 1:10x1:10 (required; may come from the "
+                          "config file)"),
+        "x": dict(type=float, help="abscissa in (0, pi) (required)"),
+        "y": dict(type=float, help="ordinate in (0, pi) (required)"),
+        "method": dict(choices=["direct", "parts", "separable", "all"], default="all",
+                       help="partial-sum method"),
+        "tol": dict(type=float, default=1e-9, help="relative tolerance"),
+        "cases_1d": dict(type=int, default=1000, help="random row-sum cases"),
+        "cases_2d": dict(type=int, default=200, help="random rectangle-sum cases"),
+        "table_size": dict(type=int, default=30, help="side of the random tables"),
+        "delta_grid": dict(type=int, default=200, help="side of the difference check"),
+        "kernel_points": dict(type=int, default=10000,
+                              help="abscissae per half of (0, pi)"),
+        "k_max": dict(type=int, default=512, help="largest kernel index"),
+    },
+    "convergence": {
+        "schedule": dict(help="comma list of scales (default %(default)s; None: "
+                               "dyadic up to --s-max)"),
+        "expect": dict(choices=_EXPECT_CHOICES, help="assert this verdict"),
+        "grid_points": dict(type=int, default=21, help="interior (x, y) points per axis"),
+        "thresholds": dict(default="8,16,32,64,128", help="comma list of thresholds"),
+        "rect_cap": dict(type=int, default=4096, help="largest rectangle corner"),
+        "doublings": dict(type=int, default=4, help="corner doublings per rectangle start"),
+        "min_start": dict(type=int, default=1, help="smallest rectangle start"),
+        "band": dict(type=float, default=0.05,
+                     help="largest relative rise per step of a decaying series"),
+        "decay_ratio": dict(type=float, default=4.0,
+                            help="decaying needs last value <= first / this"),
+        "which": dict(type=int, choices=[1, 2, 3],
+                      help="quantity family to evaluate (required; may come from "
+                           "the config file)"),
+        "c_const": dict(type=float, help="class constant C (lemma 3: fitted when "
+                                         "omitted; eta: required)"),
+        "epsilon": dict(type=float, help="smallness level (required)"),
+        "cap": dict(type=int, default=1 << 14, help="largest eta searched"),
+        "verify_range": dict(type=int, help="check pairs up to this (default 2 cap)"),
+        "sum_horizon": dict(type=int, default=1 << 16, help="horizon of the tail sums"),
+        "cross_check_max": dict(type=int, default=100,
+                                help="cross-check factored vs direct sums up to "
+                                     "this scale"),
+        "cross_check_tol": dict(type=float, default=1e-10,
+                                help="cross-check relative tolerance"),
+    },
 }
-
-_COMMANDS = (
-    "check-class",
-    "condition-22",
-    "partial-sum",
-    "uniform-tail",
-    "lemma",
-    "eta",
-    "remark2",
-    "verify-identities",
-)
+_SECTION = {dest: section for section, opts in _OPTIONS.items() for dest in opts}
 
 
 # --- option parsing helpers --------------------------------------------------
@@ -228,50 +264,31 @@ def _parse_preset(args) -> CoefficientSequence:
         name = base.strip()
     if name not in BUILTIN_NAMES:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-    try:
-        return builtin(name, p=p, q=q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return builtin(name, p=p, q=q)
 
 
-def _resolve_sequence(args) -> CoefficientSequence:
-    """Sequence from --expr / --seq-file / --preset (first match wins)."""
+def _resolve_sequence(args, single: bool = False):
+    """The one sequence given by --expr, --seq-file or --preset.
+
+    With ``single`` the result is a single sequence; presets then
+    contribute their first separable factor.
+    """
     chosen = [k for k in ("expr", "seq_file", "preset") if getattr(args, k, None)]
     if len(chosen) > 1:
         raise ConfigError(f"choose one sequence source, got {', '.join(chosen)}")
     if args.expr:
-        try:
-            return from_expression("expr", args.expr)
-        except ExpressionError as exc:
-            raise ConfigError(str(exc)) from None
+        return (single_from_expression if single else from_expression)("expr", args.expr)
     if args.seq_file:
-        table = _load_sequence_file(args)
-        seq = table[args.seq_name]
-        if not isinstance(seq, CoefficientSequence):
-            raise ConfigError(f"{args.seq_name!r} is a single sequence; "
-                              "this command needs a double sequence")
-        return seq
-    if args.preset:
-        return _parse_preset(args)
-    raise ConfigError("no sequence given; use --preset, --expr, or --seq-file")
-
-
-def _resolve_single(args) -> SingleSequence:
-    """Single sequence; presets contribute their first separable factor."""
-    if args.expr:
-        try:
-            return single_from_expression("expr", args.expr)
-        except ExpressionError as exc:
-            raise ConfigError(str(exc)) from None
-    if args.seq_file:
-        table = _load_sequence_file(args)
-        seq = table[args.seq_name]
-        if not isinstance(seq, SingleSequence):
-            raise ConfigError(f"{args.seq_name!r} is a double sequence; "
-                              "single-class checks need a single sequence")
+        seq = _load_sequence_file(args)[args.seq_name]
+        if not isinstance(seq, SingleSequence if single else CoefficientSequence):
+            kind, need = (("double", "single-class checks need a single sequence")
+                          if single else ("single", "this command needs a double sequence"))
+            raise ConfigError(f"{args.seq_name!r} is a {kind} sequence; {need}")
         return seq
     if args.preset:
         c = _parse_preset(args)
+        if not single:
+            return c
         if c.separable_parts is None:
             raise ConfigError(f"preset {args.preset!r} has no single-sequence factor")
         return c.separable_parts[0]
@@ -301,9 +318,6 @@ def _expect_matches(verdict: Verdict, expect: str) -> bool:
     if expect == "not-decaying":
         return verdict is not Verdict.DECAYING
     return verdict.value == expect
-
-
-_EXPECT_CHOICES = ("decaying", "flat", "growing", "inconclusive", "not-decaying")
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -358,19 +372,13 @@ def _run_check_class(args):
 
 
 def _run_check_class_single(args):
-    a = _resolve_single(args)
-    try:
-        klass = SingleClass(args.single_class)
-    except ValueError:
-        raise ConfigError(f"unknown single class {args.single_class!r}") from None
+    a = _resolve_sequence(args, single=True)
+    klass = SingleClass(args.single_class)
     grid = _parse_grid_values(args.grid)
     beta = args.gm_beta if klass is SingleClass.GM else None
-    try:
-        report = check_single_membership(a, klass, grid, lam=args.lam, r=args.r,
-                                         horizon=args.horizon, b=args.b, beta=beta,
-                                         target_C=args.max_c)
-    except (ValueError, ExpressionError) as exc:
-        raise ConfigError(str(exc)) from None
+    report = check_single_membership(a, klass, grid, lam=args.lam, r=args.r,
+                                     horizon=args.horizon, b=args.b, beta=beta,
+                                     target_C=args.max_c)
     passed, witness = True, []
     if args.max_c is not None and report.verdict != "pass":
         passed = False
@@ -396,11 +404,8 @@ def _run_condition_22(args):
     c = _resolve_sequence(args)
     schedule = (_parse_int_list(args.schedule, "schedule")
                 if args.schedule is not None else None)
-    try:
-        report = check_condition_22(c, S=args.s_max, schedule=schedule,
-                                    decay_factor=args.decay_factor)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    report = check_condition_22(c, S=args.s_max, schedule=schedule,
+                                decay_factor=args.decay_factor)
     passed, witness = True, []
     if args.expect is not None and not _expect_matches(report.verdict, args.expect):
         passed = False
@@ -438,11 +443,8 @@ def _run_partial_sum(args):
             raise ConfigError(f"sequence {c.name!r} is not separable")
         methods.remove("separable")
     if "parts" in methods:
-        try:
-            assert_admissible(args.x, args.r)
-            assert_admissible(args.y, args.r)
-        except SingularityError as exc:
-            raise ConfigError(str(exc)) from None
+        assert_admissible(args.x, args.r)
+        assert_admissible(args.y, args.r)
     values = {}
     for method in methods:
         if method == "direct":
@@ -476,18 +478,15 @@ def _run_partial_sum(args):
 
 
 def _probe_from_args(args) -> ProbeConfig:
-    try:
-        return ProbeConfig(
-            xy_grid=interior_grid(args.grid_points),
-            thresholds=_parse_int_list(args.thresholds, "thresholds"),
-            rect_cap=args.rect_cap,
-            min_start=args.min_start,
-            doublings=args.doublings,
-            band=args.band,
-            decay_ratio=args.decay_ratio,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ProbeConfig(
+        xy_grid=interior_grid(args.grid_points),
+        thresholds=_parse_int_list(args.thresholds, "thresholds"),
+        rect_cap=args.rect_cap,
+        min_start=args.min_start,
+        doublings=args.doublings,
+        band=args.band,
+        decay_ratio=args.decay_ratio,
+    )
 
 
 def _run_uniform_tail(args):
@@ -584,11 +583,8 @@ def _run_lemma3(args, c):
     passed, witness = True, []
     min_slack, min_at = math.inf, None
     for m, n in grid:
-        try:
-            res = lemma3_check(c, C, args.lam, m, n, b1=args.b1, b2=args.b2,
-                               b3=args.b3, sup_horizon=args.sup_horizon)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        res = lemma3_check(c, C, args.lam, m, n, b1=args.b1, b2=args.b2,
+                           b3=args.b3, sup_horizon=args.sup_horizon)
         rows_out.append([res.m, res.n, res.lhs, res.rhs, res.slack, res.truncated])
         results_rows.append({"m": res.m, "n": res.n, "lhs": res.lhs,
                              "rhs": res.rhs, "slack": res.slack,
@@ -631,8 +627,6 @@ def _run_eta(args):
             "error": str(exc),
         }
         return results, None, False, witness
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     t7 = theorem7_bound_check(c, args.epsilon, found.eta, args.c_const, probe)
     if t7.slack >= 0.0:
         passed = False
@@ -670,10 +664,7 @@ def _run_eta(args):
 
 def _run_remark2(args):
     schedule = _parse_int_list(args.schedule, "schedule")
-    try:
-        report = remark2_divergence(schedule=schedule)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    report = remark2_divergence(schedule=schedule)
     passed, witness = True, []
     if report.verdict is not Verdict.GROWING:
         passed = False
@@ -857,44 +848,58 @@ def _run_verify_identities(args):
     return results, (header, rows), passed, witness
 
 
-_HANDLERS = {
-    "check-class": _run_check_class,
-    "condition-22": _run_condition_22,
-    "partial-sum": _run_partial_sum,
-    "uniform-tail": _run_uniform_tail,
-    "lemma": _run_lemma,
-    "eta": _run_eta,
-    "remark2": _run_remark2,
-    "verify-identities": _run_verify_identities,
+class _Command(NamedTuple):
+    """A subcommand: handler, help line, options taken, defaults over the registry's."""
+
+    run: Callable
+    help: str
+    options: tuple[str, ...]
+    defaults: dict = {}
+
+
+_COMMON = ("config", "out_dir", "json_name", "csv_name", "seed", "threads")
+_SEQUENCE = ("preset", "p", "q", "expr", "seq_file", "seq_name")
+_BLOCKS = ("lam", "b1", "b2", "b3", "sup_horizon")
+_PROBE = ("grid_points", "thresholds", "rect_cap", "doublings", "min_start", "band",
+          "decay_ratio")
+
+_COMMANDS = {
+    "check-class": _Command(
+        _run_check_class, "fit class-membership constants",
+        _COMMON + _SEQUENCE + ("r", "family", *_BLOCKS, "grid", "max_row_c", "max_col_c",
+                               "max_double_c", "single_class", "gm_beta", "b", "horizon",
+                               "max_c")),
+    "condition-22": _Command(
+        _run_condition_22, "weighted anti-diagonal decay probe",
+        _COMMON + _SEQUENCE + ("s_max", "schedule", "decay_factor", "expect")),
+    "partial-sum": _Command(
+        _run_partial_sum, "one rectangle partial sum, several ways",
+        _COMMON + _SEQUENCE + ("rect", "x", "y", "r", "method", "tol")),
+    "uniform-tail": _Command(
+        _run_uniform_tail, "sup of |rect sums| beyond thresholds",
+        _COMMON + _SEQUENCE + _PROBE + ("expect",)),
+    "lemma": _Command(
+        _run_lemma, "tail-quantity schedules and the sandwich check",
+        _COMMON + _SEQUENCE + ("which", "schedule", "grid", "band", "decay_ratio", "expect",
+                               "c_const", *_BLOCKS, "sum_horizon"),
+        dict(schedule="4,8,16,32,64", sup_horizon=1 << 14)),
+    "eta": _Command(
+        _run_eta, "threshold search plus the envelope check",
+        _COMMON + _SEQUENCE + ("epsilon", "c_const", "lam", "cap", "verify_range",
+                               "sup_horizon", "sum_horizon", *_PROBE),
+        dict(sup_horizon=1 << 14)),
+    "remark2": _Command(
+        _run_remark2, "divergence schedule for the residue preset",
+        _COMMON + ("schedule", "cross_check_max", "cross_check_tol"),
+        dict(schedule="10,100,1000,10000")),
+    "verify-identities": _Command(
+        _run_verify_identities, "randomized exact-identity checks",
+        _COMMON + ("cases_1d", "cases_2d", "table_size", "delta_grid", "kernel_points",
+                   "k_max", "tol")),
 }
 
 
-# --- parser construction ------------------------------------------------------
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="INI config file; flags override it")
-    parser.add_argument("--out-dir", default=".", help="directory for report files")
-    parser.add_argument("--json", dest="json_name",
-                        help="JSON report filename (default <command>.json)")
-    parser.add_argument("--csv", dest="csv_name",
-                        help="CSV detail filename (default <command>.csv)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (reductions stay deterministic)")
-
-
-def _add_sequence(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset",
-                        help="builtin sequence, e.g. oscillating_quadratic or "
-                             "product_power(2,2)")
-    parser.add_argument("--p", type=float, help="first exponent for product_power")
-    parser.add_argument("--q", type=float, help="second exponent for product_power")
-    parser.add_argument("--expr", help="coefficient expression in j, k (or k/n "
-                                       "for single-sequence checks)")
-    parser.add_argument("--seq-file", help="sequence definition file (name = expr)")
-    parser.add_argument("--seq-name", help="name to pick from --seq-file")
-
+# --- parser construction and config file plumbing -----------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -902,127 +907,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks for double sine series with "
                     "generalized-monotone coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-class", help="fit class-membership constants")
-    _add_common(p)
-    _add_sequence(p)
-    p.add_argument("--r", type=int, default=2, help="difference step")
-    p.add_argument("--family", choices=[f.value for f in Family], default="three")
-    p.add_argument("--lam", type=int, default=2, help="window/block dilation")
-    p.add_argument("--b1", default="l", help="row block-start map (expression in l)")
-    p.add_argument("--b2", default="l", help="column block-start map")
-    p.add_argument("--b3", default="l", help="double block-start map")
-    p.add_argument("--sup-horizon", type=int, default=4096)
-    p.add_argument("--grid", default="dyadic:64",
-                   help="dyadic:LIMIT, comma values, or MxN pairs")
-    p.add_argument("--max-row-c", type=float, help="assert fitted row C <= this")
-    p.add_argument("--max-col-c", type=float, help="assert fitted column C <= this")
-    p.add_argument("--max-double-c", type=float, help="assert fitted double C <= this")
-    p.add_argument("--single-class", choices=[k.value for k in SingleClass],
-                   help="check a single-sequence class instead")
-    p.add_argument("--gm-beta", default="star",
-                   help="GM majorant: 'star' or an expression in n")
-    p.add_argument("--b", default="l", help="block-start map for SBVS2")
-    p.add_argument("--horizon", type=int, default=4096,
-                   help="sup scan horizon for single classes")
-    p.add_argument("--max-c", type=float, help="assert fitted single C <= this")
-
-    p = sub.add_parser("condition-22", help="weighted anti-diagonal decay probe")
-    _add_common(p)
-    _add_sequence(p)
-    p.add_argument("--s-max", type=int, default=4096, help="largest scale")
-    p.add_argument("--schedule", help="comma list of scales (default dyadic)")
-    p.add_argument("--decay-factor", type=float, default=100.0)
-    p.add_argument("--expect", choices=_EXPECT_CHOICES)
-
-    p = sub.add_parser("partial-sum", help="one rectangle partial sum, several ways")
-    _add_common(p)
-    _add_sequence(p)
-    p.add_argument("--rect", help="m:Mxn:N, e.g. 1:10x1:10 (required; may come "
-                                  "from the config file)")
-    p.add_argument("--x", type=float, help="abscissa in (0, pi) (required)")
-    p.add_argument("--y", type=float, help="ordinate in (0, pi) (required)")
-    p.add_argument("--r", type=int, default=2, help="step for the by-parts method")
-    p.add_argument("--method", choices=["direct", "parts", "separable", "all"],
-                   default="all")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="cross-method relative tolerance")
-
-    p = sub.add_parser("uniform-tail", help="sup of |rect sums| beyond thresholds")
-    _add_common(p)
-    _add_sequence(p)
-    p.add_argument("--grid-points", type=int, default=21,
-                   help="interior (x, y) points per axis")
-    p.add_argument("--thresholds", default="8,16,32,64,128")
-    p.add_argument("--rect-cap", type=int, default=4096)
-    p.add_argument("--doublings", type=int, default=4)
-    p.add_argument("--min-start", type=int, default=1)
-    p.add_argument("--band", type=float, default=0.05)
-    p.add_argument("--decay-ratio", type=float, default=4.0)
-    p.add_argument("--expect", choices=_EXPECT_CHOICES)
-
-    p = sub.add_parser("lemma", help="tail-quantity schedules and the sandwich check")
-    _add_common(p)
-    _add_sequence(p)
-    p.add_argument("--which", type=int, choices=[1, 2, 3],
-                   help="quantity family to evaluate (required; may come "
-                        "from the config file)")
-    p.add_argument("--schedule", default="4,8,16,32,64",
-                   help="diagonal scales for --which 1/2")
-    p.add_argument("--grid", default="dyadic:64", help="(m, n) grid for --which 3")
-    p.add_argument("--band", type=float, default=0.05)
-    p.add_argument("--decay-ratio", type=float, default=4.0)
-    p.add_argument("--expect", choices=_EXPECT_CHOICES, default=None)
-    p.add_argument("--c-const", type=float,
-                   help="class constant for --which 3 (fitted when omitted)")
-    p.add_argument("--lam", type=int, default=2)
-    p.add_argument("--b1", default="l")
-    p.add_argument("--b2", default="l")
-    p.add_argument("--b3", default="l")
-    p.add_argument("--sup-horizon", type=int, default=1 << 14)
-    p.add_argument("--sum-horizon", type=int, default=1 << 16)
-
-    p = sub.add_parser("eta", help="threshold search plus the envelope check")
-    _add_common(p)
-    _add_sequence(p)
-    p.add_argument("--epsilon", type=float,
-                   help="smallness level (required; may come from the config file)")
-    p.add_argument("--c-const", type=float,
-                   help="class constant C in the smallness bounds (required)")
-    p.add_argument("--lam", type=int, default=2)
-    p.add_argument("--cap", type=int, default=1 << 14)
-    p.add_argument("--verify-range", type=int)
-    p.add_argument("--sup-horizon", type=int, default=1 << 14)
-    p.add_argument("--sum-horizon", type=int, default=1 << 16)
-    p.add_argument("--grid-points", type=int, default=21)
-    p.add_argument("--thresholds", default="8,16,32,64,128")
-    p.add_argument("--rect-cap", type=int, default=4096)
-    p.add_argument("--doublings", type=int, default=4)
-    p.add_argument("--min-start", type=int, default=1)
-    p.add_argument("--band", type=float, default=0.05)
-    p.add_argument("--decay-ratio", type=float, default=4.0)
-
-    p = sub.add_parser("remark2", help="divergence schedule for the residue preset")
-    _add_common(p)
-    p.add_argument("--schedule", default="10,100,1000,10000")
-    p.add_argument("--cross-check-max", type=int, default=100,
-                   help="cross-check factored vs direct sums up to this scale")
-    p.add_argument("--cross-check-tol", type=float, default=1e-10)
-
-    p = sub.add_parser("verify-identities", help="randomized exact-identity checks")
-    _add_common(p)
-    p.add_argument("--cases-1d", type=int, default=1000)
-    p.add_argument("--cases-2d", type=int, default=200)
-    p.add_argument("--table-size", type=int, default=30)
-    p.add_argument("--delta-grid", type=int, default=200)
-    p.add_argument("--kernel-points", type=int, default=10000)
-    p.add_argument("--k-max", type=int, default=512)
-    p.add_argument("--tol", type=float, default=1e-9)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help,
+                           description=f"{command.help}; options are listed under "
+                                       "the config-file section that holds their key")
+        for section, options in _OPTIONS.items():
+            dests = [d for d in command.options if d in options]
+            if not dests:
+                continue
+            group = p.add_argument_group(f"[{section}]")
+            for dest in dests:
+                spec = dict(options[dest])
+                flag = spec.pop("flag", "--" + dest.replace("_", "-"))
+                if dest in command.defaults:
+                    spec["default"] = command.defaults[dest]
+                group.add_argument(flag, dest=dest, **spec)
     return parser
 
-
-# --- config file plumbing -----------------------------------------------------
 
 def _subparser_for(parser: argparse.ArgumentParser, command: str):
     for action in parser._actions:
@@ -1031,19 +932,12 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str):
     raise KeyError(command)
 
 
-def _coerce(action: argparse.Action, raw: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean {raw!r} for --{action.dest.replace('_', '-')}")
-    value = raw if action.type is None else action.type(raw)
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(
-            f"bad value {value!r} for --{action.dest.replace('_', '-')}; "
-            f"choices: {sorted(action.choices)}")
+def _coerce(dest: str, raw: str):
+    spec = _OPTIONS[_SECTION[dest]][dest]
+    value = spec.get("type", str)(raw)
+    if "choices" in spec and value not in spec["choices"]:
+        raise ConfigError(f"bad value {value!r} for --{dest.replace('_', '-')}; "
+                          f"choices: {sorted(spec['choices'])}")
     return value
 
 
@@ -1054,34 +948,27 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
             cfg.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    sub_parser = _subparser_for(parser, command)
-    actions = {a.dest: a for a in sub_parser._actions
-               if a.dest not in ("help", "config")}
-    known = {(_FLAG_SECTIONS.get(dest, "cli"), dest) for dest in actions}
+    options = set(_COMMANDS[command].options) - {"config"}
     overrides = {}
     for section in cfg.sections():
         for key, raw in cfg.items(section):
             dest = key.replace("-", "_")
-            if (section, dest) not in known:
+            if dest not in options or _SECTION[dest] != section:
                 raise ConfigError(
                     f"config key [{section}] {key} does not match any "
                     f"{command} option")
             try:
-                overrides[dest] = _coerce(actions[dest], raw)
+                overrides[dest] = _coerce(dest, raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad config value [{section}] {key} = {raw!r}: "
                                   f"{exc}") from None
-    sub_parser.set_defaults(**overrides)
+    _subparser_for(parser, command).set_defaults(**overrides)
 
 
-def _resolved_config(parser: argparse.ArgumentParser, command: str, args) -> dict:
-    sub_parser = _subparser_for(parser, command)
+def _resolved_config(command: str, args) -> dict:
     resolved: dict[str, dict] = {}
-    for action in sub_parser._actions:
-        if action.dest in ("help",):
-            continue
-        section = _FLAG_SECTIONS.get(action.dest, "cli")
-        resolved.setdefault(section, {})[action.dest] = getattr(args, action.dest, None)
+    for dest in _COMMANDS[command].options:
+        resolved.setdefault(_SECTION[dest], {})[dest] = getattr(args, dest)
     return resolved
 
 
@@ -1099,13 +986,9 @@ def main(argv=None) -> int:
                     config_path = tok.split("=", 1)[1]
             if config_path is not None:
                 _apply_config(parser, command, config_path)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            # argparse exits 2 on bad usage, matching the config-error status;
-            # propagate --help's status 0 unchanged.
-            raise SystemExit(exc.code)
-        results, csv_payload, passed, witness = _HANDLERS[args.command](args)
+        # argparse exits 2 on bad usage, matching the config-error status
+        args = parser.parse_args(argv)
+        results, csv_payload, passed, witness = _COMMANDS[args.command].run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -1121,7 +1004,7 @@ def main(argv=None) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "config": _resolved_config(parser, args.command, args),
+        "config": _resolved_config(args.command, args),
         "results": results,
         "pass": passed,
     }

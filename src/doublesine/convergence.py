@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import delta_r
+from .differences import delta_0r, delta_r, delta_r0, delta_rr
 from .kernels import Rect, rect_sum_direct
 from .majorants import HorizonError, compile_b, double_sup_scan, single_window_sum
 from .sequences import CoefficientSequence, SingleSequence, builtin
@@ -206,7 +206,7 @@ def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
 def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
     """``sup_{k >= n} k |b_k|`` scanned to H with a tail certificate."""
     k = np.arange(n, H + 1, dtype=np.int64)
-    vals = k.astype(np.float64) * np.abs(np.asarray(b.eval(k), dtype=np.float64))
+    vals = k.astype(np.float64) * np.abs(np.asarray(b.eval(k)))
     scanned = float(np.max(vals))
     hint = b.decay_hint
     tail = None
@@ -251,11 +251,7 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
     parts = []
     for j0 in range(m, horizon + 1, chunk):
         j = np.arange(j0, min(j0 + chunk, horizon + 1), dtype=np.int64)
-        d = (np.asarray(c.eval(j[:, None], k[None, :]))
-             - np.asarray(c.eval(j[:, None] + 2, k[None, :]))
-             - np.asarray(c.eval(j[:, None], k[None, :] + 2))
-             + np.asarray(c.eval(j[:, None] + 2, k[None, :] + 2)))
-        parts.append(ksum(np.abs(d)))
+        parts.append(ksum(np.abs(delta_rr(c, 2, j[:, None], k[None, :]))))
     value = m * n * float(ksum(np.asarray(parts)))
     hint = c.decay_hint
     if hint is not None:
@@ -306,12 +302,8 @@ def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
         chunk = max(1, (1 << 22) // max(1, len(sup_idx)))
         for j0 in range(lo_sum, sum_horizon + 1, chunk):
             j = np.arange(j0, min(j0 + chunk, sum_horizon + 1), dtype=np.int64)
-            if swap:
-                d = (np.asarray(c.eval(sup_idx[None, :], j[:, None]))
-                     - np.asarray(c.eval(sup_idx[None, :], j[:, None] + 2)))
-            else:
-                d = (np.asarray(c.eval(j[:, None], sup_idx[None, :]))
-                     - np.asarray(c.eval(j[:, None] + 2, sup_idx[None, :])))
+            d = (delta_0r(c, 2, sup_idx[None, :], j[:, None]) if swap
+                 else delta_r0(c, 2, j[:, None], sup_idx[None, :]))
             sums += np.abs(d).sum(axis=0)
         value = scale * float(np.max(sup_idx.astype(np.float64) * sums))
         hint = c.decay_hint
@@ -669,10 +661,8 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     a, b = c.separable_parts
     H = max(sup_horizon, verify_range + 1, cap + 2)
     idx = np.arange(1, H + 1, dtype=np.int64)
-    a_abs = np.abs(np.asarray(a.eval(idx), dtype=np.float64))
-    b_abs = np.abs(np.asarray(b.eval(idx), dtype=np.float64))
-    wa = idx.astype(np.float64) * a_abs          # m |a_m|
-    wb = idx.astype(np.float64) * b_abs
+    wa = idx.astype(np.float64) * np.abs(np.asarray(a.eval(idx)))   # m |a_m|
+    wb = idx.astype(np.float64) * np.abs(np.asarray(b.eval(idx)))
     suffmax_wa = np.maximum.accumulate(wa[::-1])[::-1]
     suffmax_wb = np.maximum.accumulate(wb[::-1])[::-1]
 
@@ -686,10 +676,8 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
 
     # suffix sums of |d2| for conditions (2)-(4)
     j2 = np.arange(1, sum_horizon + 1, dtype=np.int64)
-    d2a = np.abs(np.asarray(a.eval(j2), dtype=np.float64)
-                 - np.asarray(a.eval(j2 + 2), dtype=np.float64))
-    d2b = np.abs(np.asarray(b.eval(j2), dtype=np.float64)
-                 - np.asarray(b.eval(j2 + 2), dtype=np.float64))
+    d2a = np.abs(delta_r(a, 2, j2))
+    d2b = np.abs(delta_r(b, 2, j2))
     suff_d2a = np.concatenate([np.cumsum(d2a[::-1])[::-1], [0.0]])
     suff_d2b = np.concatenate([np.cumsum(d2b[::-1])[::-1], [0.0]])
 

@@ -168,7 +168,12 @@ def _abs_line(c: CoefficientSequence, fixed: int, lo: int, hi: int,
               transpose: bool = False) -> np.ndarray:
     """``|c_{j,fixed}|`` for j = lo..hi; with ``transpose``, ``|c_{fixed,k}|``."""
     idx = np.arange(lo, hi + 1, dtype=np.int64)
-    vals = c.eval(fixed, idx) if transpose else c.eval(idx, fixed)
+    return _abs_f64(c.eval(fixed, idx) if transpose else c.eval(idx, fixed))
+
+
+def _abs_f64(vals) -> np.ndarray:
+    """``|vals|`` as float64; the modulus is taken before the cast, so
+    complex values keep their imaginary part."""
     return np.abs(np.asarray(vals)).astype(np.float64, copy=False)
 
 
@@ -250,8 +255,7 @@ def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValu
     if horizon < start:
         raise HorizonError(f"horizon {horizon} below scan start {start}")
     k = np.arange(start, 2 * horizon + 1, dtype=np.int64)
-    abs_vals = np.abs(np.asarray(a.eval(k), dtype=np.float64))
-    blocks = _block_array(abs_vals, start, start, horizon)
+    blocks = _block_array(_abs_f64(a.eval(k)), start, start, horizon)
     idx = int(np.argmax(blocks))
     sup = float(blocks[idx])
     tail = _single_tail_bound(a, horizon)
@@ -363,10 +367,8 @@ class DoubleScanTable:
         j = np.arange(1, 2 * horizon + 1, dtype=np.int64)
         if c.separable_parts is not None:
             a, b = c.separable_parts
-            self._blocks = _block_array(np.abs(np.asarray(a.eval(j), dtype=np.float64)),
-                                        1, 1, horizon)
-            self._fb = _block_array(np.abs(np.asarray(b.eval(j), dtype=np.float64)),
-                                    1, 1, horizon)
+            self._blocks = _block_array(_abs_f64(a.eval(j)), 1, 1, horizon)
+            self._fb = _block_array(_abs_f64(b.eval(j)), 1, 1, horizon)
             self._suffix = np.maximum.accumulate(self._blocks[::-1])[::-1]
         else:
             side = 2 * horizon + 1
@@ -376,7 +378,7 @@ class DoubleScanTable:
                     f"dense double scan at sup_horizon {horizon} needs {needed} bytes for its "
                     f"{side}x{side} prefix table, over the cap of {_MAX_DENSE_BYTES} bytes; "
                     "lower sup_horizon or use a separable sequence")
-            grid = np.abs(np.asarray(c.eval(j[:, None], j[None, :]), dtype=np.float64))
+            grid = _abs_f64(c.eval(j[:, None], j[None, :]))
             pref = np.zeros((len(j) + 1, len(j) + 1))
             np.cumsum(grid, axis=0, out=pref[1:, 1:])
             np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .convergence import TailReport, classify_tail, loglog_slope
-from .differences import check_step, delta_r
+from .differences import check_step, delta_0r, delta_r, delta_r0, delta_rr
 from .majorants import (
     Axis,
     DoubleScanTable,
@@ -67,18 +67,14 @@ __all__ = [
 
 def lhs_row(c: CoefficientSequence, r: int, m: int, n: int) -> float:
     """``sum_{j=m}^{2m-1} |c_{jn} - c_{j+r,n}|``."""
-    check_step(r)
     j = np.arange(m, 2 * m, dtype=np.int64)
-    d = np.asarray(c.eval(j, n)) - np.asarray(c.eval(j + r, n))
-    return float(ksum(np.abs(d)))
+    return float(ksum(np.abs(delta_r0(c, r, j, n))))
 
 
 def lhs_col(c: CoefficientSequence, r: int, m: int, n: int) -> float:
     """``sum_{k=n}^{2n-1} |c_{mk} - c_{m,k+r}|``."""
-    check_step(r)
     k = np.arange(n, 2 * n, dtype=np.int64)
-    d = np.asarray(c.eval(m, k)) - np.asarray(c.eval(m, k + r))
-    return float(ksum(np.abs(d)))
+    return float(ksum(np.abs(delta_0r(c, r, m, k))))
 
 
 def lhs_double(c: CoefficientSequence, r: int, m: int, n: int) -> float:
@@ -100,11 +96,7 @@ def lhs_double(c: CoefficientSequence, r: int, m: int, n: int) -> float:
     parts = []
     for j0 in range(m, 2 * m, chunk):
         j = np.arange(j0, min(j0 + chunk, 2 * m), dtype=np.int64)
-        d = (np.asarray(c.eval(j[:, None], k[None, :]))
-             - np.asarray(c.eval(j[:, None] + r, k[None, :]))
-             - np.asarray(c.eval(j[:, None], k[None, :] + r))
-             + np.asarray(c.eval(j[:, None] + r, k[None, :] + r)))
-        parts.append(ksum(np.abs(d)))
+        parts.append(ksum(np.abs(delta_rr(c, r, j[:, None], k[None, :]))))
     return float(ksum(np.asarray(parts)))
 
 
@@ -291,7 +283,7 @@ def check_condition_22(c: CoefficientSequence, S: int = 4096,
         j = np.arange(1, s, dtype=np.int64)
         k = s - j
         weights = j.astype(np.float64) * k.astype(np.float64)
-        t = float(np.max(weights * np.abs(np.asarray(c.eval(j, k), dtype=np.float64))))
+        t = float(np.max(weights * np.abs(np.asarray(c.eval(j, k)))))
         values.append(t)
     return TailReport(schedule=tuple(int(s) for s in schedule), values=tuple(values),
                       verdict=classify_tail(values, decay_factor=decay_factor),

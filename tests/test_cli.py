@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from doublesine.cli import main
+from doublesine.cli import build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -161,6 +161,12 @@ class TestSequenceSources:
         assert run(tmp_path, "check-class", "--preset", "product_power(2,2)",
                    "--grid", "dyadic:8") == 0
 
+    def test_single_class_two_sources_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "check-class", "--single-class", "sbvs",
+                   "--expr", "1/k^2", "--preset", "oscillating_quadratic") == 2
+        assert "choose one sequence source" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_single_class_mode(self, tmp_path):
         assert run(tmp_path, "check-class", "--preset", "oscillating_quadratic",
                    "--single-class", "mvbvs", "--grid", "4,8,16") == 0
@@ -277,3 +283,111 @@ class TestTruncatedScanSemantics:
         payload = load_json(tmp_path, "check-class.json")
         assert payload["results"]["truncated"] is True
         assert payload["results"]["fitted_C_row"] <= 4.0
+
+
+_CLI_DEFAULTS = {"config": None, "csv_name": None, "json_name": None, "out_dir": ".",
+                 "seed": 0, "threads": 1}
+_SEQUENCE_DEFAULTS = {"expr": None, "p": None, "preset": None, "q": None,
+                      "seq_file": None, "seq_name": None}
+_PROBE_DEFAULTS = {"band": 0.05, "decay_ratio": 4.0, "doublings": 4, "grid_points": 21,
+                   "min_start": 1, "rect_cap": 4096, "thresholds": "8,16,32,64,128"}
+
+# Each command's resolved config at defaults, section -> key -> value.
+# Frozen: moving an option to another section or changing a default fails here.
+DEFAULT_CONFIG = {
+    "check-class": {
+        "cli": _CLI_DEFAULTS, "sequences": _SEQUENCE_DEFAULTS,
+        "majorants": {"b": "l", "b1": "l", "b2": "l", "b3": "l", "family": "three",
+                      "lam": 2, "sup_horizon": 4096},
+        "membership": {"gm_beta": "star", "grid": "dyadic:64", "horizon": 4096,
+                       "max_c": None, "max_col_c": None, "max_double_c": None,
+                       "max_row_c": None, "r": 2, "single_class": None},
+    },
+    "condition-22": {
+        "cli": _CLI_DEFAULTS, "sequences": _SEQUENCE_DEFAULTS,
+        "convergence": {"expect": None, "schedule": None},
+        "membership": {"decay_factor": 100.0, "s_max": 4096},
+    },
+    "partial-sum": {
+        "cli": _CLI_DEFAULTS, "sequences": _SEQUENCE_DEFAULTS,
+        "kernels_summation": {"method": "all", "rect": None, "tol": 1e-09, "x": None,
+                              "y": None},
+        "membership": {"r": 2},
+    },
+    "uniform-tail": {
+        "cli": _CLI_DEFAULTS, "sequences": _SEQUENCE_DEFAULTS,
+        "convergence": {**_PROBE_DEFAULTS, "expect": None},
+    },
+    "lemma": {
+        "cli": _CLI_DEFAULTS, "sequences": _SEQUENCE_DEFAULTS,
+        "convergence": {"band": 0.05, "c_const": None, "decay_ratio": 4.0, "expect": None,
+                        "schedule": "4,8,16,32,64", "sum_horizon": 65536, "which": None},
+        "majorants": {"b1": "l", "b2": "l", "b3": "l", "lam": 2, "sup_horizon": 16384},
+        "membership": {"grid": "dyadic:64"},
+    },
+    "eta": {
+        "cli": _CLI_DEFAULTS, "sequences": _SEQUENCE_DEFAULTS,
+        "convergence": {**_PROBE_DEFAULTS, "c_const": None, "cap": 16384, "epsilon": None,
+                        "sum_horizon": 65536, "verify_range": None},
+        "majorants": {"lam": 2, "sup_horizon": 16384},
+    },
+    "remark2": {
+        "cli": _CLI_DEFAULTS,
+        "convergence": {"cross_check_max": 100, "cross_check_tol": 1e-10,
+                        "schedule": "10,100,1000,10000"},
+    },
+    "verify-identities": {
+        "cli": _CLI_DEFAULTS,
+        "kernels_summation": {"cases_1d": 1000, "cases_2d": 200, "delta_grid": 200,
+                              "k_max": 512, "kernel_points": 10000, "table_size": 30,
+                              "tol": 1e-09},
+    },
+}
+
+# The fewest flags that let each command run quickly and write a report.
+_RUN_WITH = {
+    "check-class": {"preset": "zero"},
+    "condition-22": {"preset": "zero"},
+    "partial-sum": {"preset": "zero", "rect": "1:2x1:2", "x": 1.0, "y": 1.0},
+    "uniform-tail": {"preset": "zero", "grid_points": 3},
+    "lemma": {"preset": "zero", "which": 1},
+    "eta": {"preset": "zero", "epsilon": 0.1, "c_const": 1.0},
+    "remark2": {},
+    "verify-identities": {"cases_1d": 5, "cases_2d": 2, "delta_grid": 8,
+                          "kernel_points": 10, "k_max": 8},
+}
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize("command", sorted(DEFAULT_CONFIG))
+    def test_defaults_and_sections_are_frozen(self, tmp_path, command):
+        expected = DEFAULT_CONFIG[command]
+        args = vars(build_parser().parse_args([command]))
+        assert args.pop("command") == command
+        assert args == {k: v for keys in expected.values() for k, v in keys.items()}
+
+        given = {**_RUN_WITH[command], "out_dir": str(tmp_path)}
+        argv = [tok for dest, value in _RUN_WITH[command].items()
+                for tok in ("--" + dest.replace("_", "-"), str(value))]
+        assert run(tmp_path, command, *argv) in (0, 1)
+        config = load_json(tmp_path, f"{command}.json")["config"]
+        assert config == {section: {k: given.get(k, v) for k, v in keys.items()}
+                          for section, keys in expected.items()}
+
+
+class TestHelp:
+    def test_options_listed_under_their_config_sections(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-class", "--help"])
+        assert exc.value.code == 0
+        heading, listed_under = None, {}
+        for line in capsys.readouterr().out.splitlines():
+            if line and not line[0].isspace() and line.endswith(":"):
+                heading = line[:-1]
+            elif line.lstrip().startswith("--"):
+                listed_under[line.split()[0]] = heading
+        flags = {"json_name": "--json", "csv_name": "--csv"}
+        for section, keys in DEFAULT_CONFIG["check-class"].items():
+            for key in keys:
+                flag = flags.get(key, "--" + key.replace("_", "-"))
+                assert listed_under[flag] == f"[{section}]", flag

@@ -27,7 +27,9 @@ from doublesine import (
     single_sup_scan,
     single_window_sum,
 )
+from doublesine.convergence import eta_search, lemma2_quantities
 from doublesine.majorants import _bounded_max_scan
+from doublesine.membership import check_condition_22
 
 TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
 
@@ -310,3 +312,26 @@ class TestDoubleScanTable:
             rhs(osc, fam, 4, 4, table=DoubleScanTable(pp22, 64))
         with pytest.raises(ValueError, match="sup_horizon"):
             rhs(osc, fam, 4, 4, table=DoubleScanTable(osc, 32))
+
+
+class TestComplexMagnitudes:
+    """``|c|`` is taken before any cast to float64, so ``1j * c`` scans like ``c``."""
+
+    @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+    def test_imaginary_twin_matches_real(self, osc):
+        def scans(t):
+            c = scale(osc, t)
+            return {
+                "single_sup_scan": single_sup_scan(c.separable_parts[0], 1, 16),
+                "dense double_sup_scan": double_sup_scan(
+                    from_table("t", t * np.ones((8, 8))), 2, 4),
+                "factored double_sup_scan": double_sup_scan(c, 3, 64),
+                "lemma2_quantities": lemma2_quantities(c, 4, 8, sup_horizon=256,
+                                                       sum_horizon=256),
+                "eta_search": eta_search(c, epsilon=0.2, C=16.0),
+                "check_condition_22": check_condition_22(c, S=64),
+            }
+
+        real, imag = scans(1), scans(1j)
+        assert imag == real
+        assert imag["dense double_sup_scan"].value == 25.0  # 5 x 5 block of |1j|
