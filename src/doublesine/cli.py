@@ -176,6 +176,9 @@ _OPTIONS: dict[str, dict[str, dict]] = {
     },
 }
 _SECTION = {dest: section for section, opts in _OPTIONS.items() for dest in opts}
+# A config key may also spell an option as its flag does: json for json_name.
+_FLAG_DEST = {spec["flag"].lstrip("-").replace("-", "_"): dest
+              for opts in _OPTIONS.values() for dest, spec in opts.items() if "flag" in spec}
 
 
 # --- option parsing helpers --------------------------------------------------
@@ -942,7 +945,8 @@ def _coerce(dest: str, raw: str):
 
 
 def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
-    cfg = configparser.ConfigParser()
+    # "" cannot name a section, so [DEFAULT] is read as an ordinary one
+    cfg = configparser.ConfigParser(default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg.read_file(fh)
@@ -953,6 +957,7 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
     for section in cfg.sections():
         for key, raw in cfg.items(section):
             dest = key.replace("-", "_")
+            dest = _FLAG_DEST.get(dest, dest)
             if dest not in options or _SECTION[dest] != section:
                 raise ConfigError(
                     f"config key [{section}] {key} does not match any "

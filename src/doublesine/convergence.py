@@ -8,9 +8,9 @@ The quantities here are the ones a regular-convergence argument runs on:
   ``m sup_{k>=n} k sum_{j>=m} |d20 c_{jk}|`` and its transpose;
 * :func:`lemma3_check` -- a pointwise sandwich: ``m n c_{mn}`` must stay
   below a constant multiple of block sums of the sequence;
-* :func:`uniform_tail_probe` -- samples rectangle partial sums
-  ``sum_{j=m}^{M} sum_{k=n}^{N} c_{jk} sin jx sin ky`` over rectangles
-  beyond a moving threshold ``m + n > t`` and watches the sup decay;
+* :func:`uniform_tail_probe` -- evaluates the rectangle partial sums
+  ``sum_{j=m}^{M} sum_{k=n}^{N} c_{jk} sin jx sin ky`` of any sequence on
+  one lattice and watches their sup beyond a moving ``m + n > t`` decay;
 * :func:`eta_search` -- finds the smallest threshold past which four
   smallness conditions hold, the gateway to the uniform tail bound;
 * :func:`theorem7_bound_check` -- compares sampled rectangle sums beyond
@@ -27,14 +27,14 @@ every result records whether it is certified or merely truncated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .differences import delta_0r, delta_r, delta_r0, delta_rr
-from .kernels import Rect, rect_sum_direct
-from .majorants import HorizonError, compile_b, double_sup_scan, single_window_sum
+from .kernels import Rect, rect_sum_direct  # noqa: F401  (re-exported: the probes' oracle)
+from .majorants import _MAX_DENSE_BYTES, compile_b, double_sup_scan
 from .sequences import CoefficientSequence, SingleSequence, builtin
 from .summing import ksum, sine_prefix
 
@@ -424,16 +424,6 @@ class ProbeConfig:
             raise ValueError("bad probe geometry")
 
 
-def _dyadic_starts(cap: int, min_start: int) -> list[int]:
-    out = []
-    v = 1
-    while v <= cap:
-        if v >= min_start:
-            out.append(v)
-        v *= 2
-    return out
-
-
 def _corners_from(start: int, cap: int, doublings: int) -> list[int]:
     out = []
     v = start
@@ -454,97 +444,72 @@ def _transition_index(x: float) -> int:
     return max(1, math.ceil(1.0 / d))
 
 
-def _rect_arrays(starts_m: list[int], starts_n: list[int], threshold: int,
-                 cap: int, doublings: int) -> tuple[np.ndarray, ...]:
-    ms, Ms, ns, Ns = [], [], [], []
-    for m in starts_m:
-        for n in starts_n:
-            if m + n <= threshold:
-                continue
-            for M in _corners_from(m, cap, doublings):
-                for N in _corners_from(n, cap, doublings):
-                    ms.append(m)
-                    Ms.append(M)
-                    ns.append(n)
-                    Ns.append(N)
-    return (np.asarray(ms, dtype=np.int64), np.asarray(Ms, dtype=np.int64),
-            np.asarray(ns, dtype=np.int64), np.asarray(Ns, dtype=np.int64))
-
-
-def _per_xy_max_separable(c: CoefficientSequence, rect_arrays, xy_grid, cap: int):
-    """Per grid point: max |rect sum| over the rectangles, via prefix sums."""
-    a, b = c.separable_parts
-    idx = np.arange(1, cap + 1, dtype=np.int64)
-    a_vals = np.asarray(a.eval(idx), dtype=np.float64)
-    b_vals = np.asarray(b.eval(idx), dtype=np.float64)
-    prefix_x: dict[float, np.ndarray] = {}
-    prefix_y: dict[float, np.ndarray] = {}
-    ms, Ms, ns, Ns = rect_arrays
-    out = []
-    for x, y in xy_grid:
-        if x not in prefix_x:
-            prefix_x[x] = sine_prefix(a_vals, x)
-        if y not in prefix_y:
-            prefix_y[y] = sine_prefix(b_vals, y)
-        U, V = prefix_x[x], prefix_y[y]
-        vals = np.abs((U[Ms] - U[ms - 1]) * (V[Ns] - V[ns - 1]))
-        i = int(np.argmax(vals))
-        out.append((x, y, float(vals[i]),
-                    Rect(int(ms[i]), int(Ms[i]), int(ns[i]), int(Ns[i]))))
-    return out
-
-
-def _per_xy_max_generic(c: CoefficientSequence, rect_arrays, xy_grid):
-    ms, Ms, ns, Ns = rect_arrays
-    cells = int(np.sum((Ms - ms + 1) * (Ns - ns + 1))) * len(xy_grid)
-    _guard_generic(cells)
-    out = []
-    for x, y in xy_grid:
-        best, wrect = -1.0, None
-        for i in range(len(ms)):
-            rect = Rect(int(ms[i]), int(Ms[i]), int(ns[i]), int(Ns[i]))
-            val = abs(rect_sum_direct(c, rect, x, y))
-            if val > best:
-                best, wrect = val, rect
-        out.append((x, y, best, wrect))
-    return out
-
-
-def _per_xy_max(c: CoefficientSequence, rect_arrays, xy_grid, cap: int):
-    if c.separable_parts is not None:
-        return _per_xy_max_separable(c, rect_arrays, xy_grid, cap)
-    return _per_xy_max_generic(c, rect_arrays, xy_grid)
-
-
-def _probe_arrays(probe: ProbeConfig, threshold: int,
-                  min_start: int | None = None, per_pair: bool = False):
-    """Rectangle corner arrays for one threshold of the probe lattice."""
-    lo = probe.min_start if min_start is None else min_start
-    lattice = _dyadic_starts(probe.rect_cap, lo)
+def _probe_arrays(probe: ProbeConfig, min_start: int | None = None):
+    """Corner arrays ``m, M, n, N`` of every lattice rectangle, ordered by
+    m, n, M, N, and the interval index ``(j_iv, k_iv, lo, hi)``: rectangle
+    i spans ``lo[j_iv[i]]..hi[j_iv[i]]`` in j and likewise in k.  Starts
+    lie in ``[min_start, rect_cap]``; ``min_start`` (default the probe's)
+    is a start itself when given.  No threshold applies."""
+    first = probe.min_start if min_start is None else min_start
+    dyadic = {1 << e for e in range(probe.rect_cap.bit_length())}
     structured = {v for x, y in probe.xy_grid
                   for t in (_transition_index(x), _transition_index(y))
-                  for v in (t, t + 1, 2 * t) if lo <= v <= probe.rect_cap}
-    extra = {lo} if min_start is not None and lo <= probe.rect_cap else set()
-    starts = sorted(set(lattice) | structured | extra)
-    thr = 1 if per_pair else threshold
-    arrays = _rect_arrays(starts, starts, thr, probe.rect_cap, probe.doublings)
-    if arrays[0].size == 0:
-        raise ValueError(f"no rectangles beyond threshold {threshold}")
-    return arrays
+                  for v in (t, t + 1, 2 * t)}
+    given = {first} if min_start is not None else set()
+    starts = sorted(v for v in dyadic | structured | given if first <= v <= probe.rect_cap)
+    lo, hi = np.array([(m, M) for m in starts
+                       for M in _corners_from(m, probe.rect_cap, probe.doublings)],
+                      dtype=np.int64).reshape(-1, 2).T
+    j_iv, k_iv = np.divmod(np.arange(len(lo) ** 2), len(lo))
+    # stable: the rectangles of one start pair keep their (M, N) order
+    order = np.argsort(lo[j_iv] * (probe.rect_cap + 1) + lo[k_iv], kind="stable")
+    j_iv, k_iv = j_iv[order], k_iv[order]
+    return lo[j_iv], hi[j_iv], lo[k_iv], hi[k_iv], (j_iv, k_iv, lo, hi)
 
 
-def _probe_sup(c: CoefficientSequence, threshold: int, probe: ProbeConfig,
-               min_start: int | None = None, per_pair: bool = False):
-    """Sup of |rect sum| over the probe's lattice beyond one threshold.
+def _abs_rect_sums(c: CoefficientSequence, probe: ProbeConfig, index):
+    """Yield ``(x, y, |rect sums|)`` per grid point, one per lattice rectangle.
 
-    With ``per_pair`` the threshold is ignored and ``min_start`` bounds
-    both start indices from below (used by the fixed-eta check).
+    On ``1..rect_cap``, ``c_jk = sum_i A[j, i] B[k, i]``: one column per
+    factor of a separable sequence, else the dense table and the identity.
+    Sine-prefix differences of ``A`` (once per distinct x) and of ``B``
+    (once per distinct y) over the intervals multiply into all the sums.
+    """
+    j_iv, k_iv, lo, hi = index
+    cap = probe.rect_cap
+    idx = np.arange(1, cap + 1, dtype=np.int64)
+    if c.separable_parts is not None:
+        A, B = (np.asarray(f.eval(idx))[:, None] for f in c.separable_parts)
+    else:
+        needed = 8 * cap * (3 * cap + 1)   # table, identity, one prefix table
+        if needed > _MAX_DENSE_BYTES:
+            raise ValueError(f"dense probe at rect_cap {cap} needs {needed} bytes for its "
+                             f"{cap}x{cap} tables, over the cap of {_MAX_DENSE_BYTES} bytes; "
+                             "lower rect_cap or use a separable sequence")
+        A, B = np.asarray(c.eval(idx[:, None], idx[None, :])), np.eye(cap)
+
+    def interval_sums(factor: np.ndarray, t: float) -> np.ndarray:
+        P = sine_prefix(factor, t)
+        return P[hi] - P[lo - 1]
+
+    sums_x = {x: interval_sums(A, x) for x in dict.fromkeys(x for x, _ in probe.xy_grid)}
+    sums_y = {y: interval_sums(B, y) for y in dict.fromkeys(y for _, y in probe.xy_grid)}
+    for x, y in probe.xy_grid:
+        yield x, y, np.abs(sums_x[x] @ sums_y[y].T)[j_iv, k_iv]
+
+
+def _probe_sup(c: CoefficientSequence, probe: ProbeConfig, min_start: int):
+    """Sup of |rect sum| over the probe lattice with both starts >= ``min_start``.
+
     Returns (sup, witness_rect, witness_xy, number of rectangles).
     """
-    arrays = _probe_arrays(probe, threshold, min_start, per_pair)
-    per_xy = _per_xy_max(c, arrays, probe.xy_grid, probe.rect_cap)
-    x, y, sup, wrect = max(per_xy, key=lambda row: row[2])
-    return sup, wrect, (x, y), int(arrays[0].size)
+    ms, Ms, ns, Ns, index = _probe_arrays(probe, min_start)
+    if ms.size == 0:
+        raise ValueError(f"no rectangles with starts >= {min_start} up to {probe.rect_cap}")
+    sup, i, xy = max(((float(np.max(vals)), int(np.argmax(vals)), (x, y))
+                      for x, y, vals in _abs_rect_sums(c, probe, index)),
+                     key=lambda row: row[0])
+    return sup, Rect(int(ms[i]), int(Ms[i]), int(ns[i]), int(Ns[i])), xy, int(ms.size)
 
 
 @dataclass(frozen=True)
@@ -564,17 +529,20 @@ class ProbeTraceRow:
 def uniform_tail_trace(c: CoefficientSequence,
                        probe: ProbeConfig) -> tuple[TailReport, tuple[ProbeTraceRow, ...]]:
     """Like :func:`uniform_tail_probe`, also returning the full trace."""
-    values = []
-    trace: list[ProbeTraceRow] = []
-    for t in probe.thresholds:
-        arrays = _probe_arrays(probe, t)
-        per_xy = _per_xy_max(c, arrays, probe.xy_grid, probe.rect_cap)
-        best = -1.0
-        for x, y, val, rect in per_xy:
-            trace.append(ProbeTraceRow(threshold=t, x=x, y=y, m=rect.m, M=rect.M,
-                                       n=rect.n, N=rect.N, abs_sum=val))
-            best = max(best, val)
-        values.append(best)
+    ms, Ms, ns, Ns, index = _probe_arrays(probe)
+    admitted = [np.flatnonzero(ms + ns > t) for t in probe.thresholds]
+    for t, keep in zip(probe.thresholds, admitted):
+        if keep.size == 0:
+            raise ValueError(f"no rectangles beyond threshold {t}")
+    trace = []
+    for x, y, vals in _abs_rect_sums(c, probe, index):
+        for t, keep in zip(probe.thresholds, admitted):
+            i = keep[np.argmax(vals[keep])]
+            trace.append(ProbeTraceRow(threshold=t, x=x, y=y, m=int(ms[i]), M=int(Ms[i]),
+                                       n=int(ns[i]), N=int(Ns[i]), abs_sum=float(vals[i])))
+    trace.sort(key=lambda row: row.threshold)   # stable: grid order within a threshold
+    values = [max(-1.0, *(row.abs_sum for row in trace if row.threshold == t))
+              for t in probe.thresholds]
     verdict = classify_probe(values, band=probe.band, decay_ratio=probe.decay_ratio)
     report = TailReport(schedule=tuple(probe.thresholds), values=tuple(values),
                         verdict=verdict, fit=loglog_slope(probe.thresholds, values))
@@ -585,7 +553,10 @@ def uniform_tail_probe(c: CoefficientSequence, probe: ProbeConfig) -> TailReport
     """Sup of |rectangle sums| beyond each threshold of the schedule.
 
     For a uniformly regularly convergent series the values decay; a
-    divergence point in the grid keeps them from falling.
+    divergence point in the grid keeps them from falling.  The lattice
+    and its sums are built once per probe from the prefix sums of a
+    separable sequence's factors or else of its dense table on
+    ``1..rect_cap``, which is refused past the dense scans' byte cap.
     """
     report, _ = uniform_tail_trace(c, probe)
     return report
@@ -785,7 +756,7 @@ def theorem7_bound_check(c: CoefficientSequence, epsilon: float, eta: int, C: fl
     """
     bound = (1.0 + 2.0 * math.pi * C + 2.0 * math.pi
              + 1.5 * math.pi ** 2 * C + math.pi ** 2) * epsilon
-    sup, wrect, wxy, n_rects = _probe_sup(c, 0, probe, min_start=eta + 1, per_pair=True)
+    sup, wrect, wxy, n_rects = _probe_sup(c, probe, eta + 1)
     return Theorem7Result(epsilon=epsilon, C=C, eta=eta, bound=bound,
                           worst_abs=sup, slack=sup - bound,
                           witness_rect=wrect, witness_xy=wxy, n_rects=n_rects)

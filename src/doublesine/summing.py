@@ -34,13 +34,16 @@ def ksum(values: Iterable | np.ndarray) -> float | complex:
 def sine_prefix(values: np.ndarray, x: float) -> np.ndarray:
     """Prefix sums ``P[J] = sum_{j=1}^{J} values[j-1] * sin(j x)``.
 
-    ``values`` holds the sequence entries for indices ``1..len(values)``.
-    Returns an array of length ``len(values) + 1`` with ``P[0] = 0`` so a
-    rectangle sum over ``j = m..M`` is ``P[M] - P[m-1]``.
+    ``values`` holds the entries for indices ``1..len(values)`` along its
+    first axis; the columns of a 2-D factor are summed separately.  The
+    result has one more row, ``P[0] = 0``, so a sum over ``j = m..M`` is
+    ``P[M] - P[m-1]``; no other array of that size is allocated.
     """
+    values = np.asarray(values)
     j = np.arange(1, len(values) + 1, dtype=np.float64)
-    terms = np.asarray(values) * np.sin(j * x)
-    out = np.empty(len(values) + 1, dtype=terms.dtype)
-    out[0] = 0.0
-    np.cumsum(terms, out=out[1:])
+    sines = np.sin(j * x).reshape((-1,) + (1,) * (values.ndim - 1))
+    out = np.zeros((len(values) + 1,) + values.shape[1:],
+                   dtype=np.result_type(values, sines))
+    np.multiply(values, sines, out=out[1:])
+    np.cumsum(out[1:], axis=0, out=out[1:])
     return out

@@ -6,6 +6,9 @@ import pytest
 
 from doublesine.cli import build_parser, main
 
+# The expression twin of the oscillating preset: not separable to the CLI.
+TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+
 
 def run(tmp_path, *argv):
     code = main([*argv, "--out-dir", str(tmp_path)])
@@ -104,6 +107,29 @@ class TestLibraryRefusals:
                            "--thresholds", "64", "--grid-points", "2")
         assert "no rectangles beyond threshold 64" in err
 
+    def test_dense_probe_guard_states_bytes(self, tmp_path, capsys):
+        # default --rect-cap 4096: coefficient, identity and prefix tables
+        err = self.refused(tmp_path, capsys, "uniform-tail", "--expr", TWIN_EXPR,
+                           "--grid-points", "3")
+        assert "needs 402685952 bytes" in err and "cap of 160000000 bytes" in err
+
+
+class TestDenseProbe:
+    ARGS = ("uniform-tail", "--expr", TWIN_EXPR, "--rect-cap", "256", "--grid-points", "9")
+
+    def test_non_separable_probe_runs_at_cap_256(self, tmp_path):
+        assert run(tmp_path, *self.ARGS) == 0
+        payload = load_json(tmp_path, "uniform-tail.json")
+        assert payload["results"]["verdict"] == "decaying"
+
+    def test_reruns_are_byte_identical(self, tmp_path):
+        reports = []
+        for _ in range(2):
+            assert run(tmp_path, *self.ARGS) == 0
+            reports.append(((tmp_path / "uniform-tail.json").read_bytes(),
+                            (tmp_path / "uniform-tail.csv").read_bytes()))
+        assert reports[0] == reports[1]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
@@ -130,6 +156,24 @@ class TestConfigFile:
         cfg.write_text("[cli]\nr = 2\n")  # r belongs to [membership]
         assert run(tmp_path, "check-class", "--preset", "zero",
                    "--config", str(cfg)) == 2
+
+    def test_default_section_keys_are_its_own(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[DEFAULT]\nr = 3\n[sequences]\npreset = zero\n")
+        assert run(tmp_path, "check-class", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "[DEFAULT] r does not match" in err and "[sequences]" not in err
+
+    def test_report_names_by_flag_or_dest(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[sequences]\npreset = zero\n[cli]\njson = a.json\ncsv = b.csv\n")
+        assert run(tmp_path, "condition-22", "--config", str(cfg), "--s-max", "16") == 0
+        assert (tmp_path / "a.json").exists() and (tmp_path / "b.csv").exists()
+        assert load_json(tmp_path, "a.json")["config"]["cli"]["json_name"] == "a.json"
+        # reports record the dest, so a config written from one reruns
+        cfg.write_text("[sequences]\npreset = zero\n[cli]\njson_name = c.json\n")
+        assert run(tmp_path, "condition-22", "--config", str(cfg), "--s-max", "16") == 0
+        assert (tmp_path / "c.json").exists()
 
 
 class TestSequenceSources:

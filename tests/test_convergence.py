@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from doublesine import (
     classify_probe,
     classify_tail,
     double_sup_scan,
+    builtin,
     eta_search,
+    from_expression,
     from_table,
     interior_grid,
     ksum,
@@ -25,6 +28,7 @@ from doublesine import (
     uniform_tail_probe,
     uniform_tail_trace,
 )
+from doublesine.convergence import _probe_arrays
 
 # Closed forms for the oscillating preset, step 2: within each parity the
 # terms telescope, so sum_{j>=m} |a_j - a_{j+2}| = a_m + a_{m+1}.
@@ -200,6 +204,79 @@ class TestProbes:
         row = max(trace, key=lambda r: r.abs_sum)
         val = rect_sum_direct(osc, Rect(row.m, row.M, row.n, row.N), row.x, row.y)
         assert abs(val) == pytest.approx(row.abs_sum, rel=1e-10)
+
+
+TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+    return [from_expression("nonsep", "1/(j*k*(j+k))"), from_expression("twin", TWIN_EXPR),
+            from_expression("one", "1"), from_table("complex", table)]
+
+
+class TestProbeOracle:
+    """The lattice product against brute-force direct sums over the same lattice."""
+
+    PROBE = ProbeConfig(xy_grid=((0.7, 1.9), (2.3, 0.4), (0.7, 0.4)), thresholds=(4, 8, 16),
+                        rect_cap=24, doublings=2)
+
+    @pytest.mark.parametrize("c", _oracle_inputs(), ids=lambda c: c.name)
+    def test_trace_matches_direct_sums(self, c):
+        report, trace = uniform_tail_trace(c, self.PROBE)
+        ms, Ms, ns, Ns, _ = _probe_arrays(self.PROBE)
+        rects = [Rect(*map(int, r)) for r in zip(ms, Ms, ns, Ns)]
+        direct = {xy: [abs(rect_sum_direct(c, r, *xy)) for r in rects]
+                  for xy in self.PROBE.xy_grid}
+        close = dict(rel=1e-12, abs=1e-14)
+        rows = iter(trace)
+        for t, value in zip(report.schedule, report.values):
+            best = []
+            for xy in self.PROBE.xy_grid:
+                row = next(rows)
+                assert (row.threshold, (row.x, row.y)) == (t, xy)
+                assert row.m + row.n > t
+                expected = max(v for r, v in zip(rects, direct[xy]) if r.m + r.n > t)
+                assert row.abs_sum == pytest.approx(expected, **close)
+                witness = Rect(row.m, row.M, row.n, row.N)
+                assert row.abs_sum == pytest.approx(direct[xy][rects.index(witness)], **close)
+                best.append(expected)
+            assert value == pytest.approx(max(best), **close)
+
+    def test_twin_matches_preset_at_cap_1024(self):
+        probe = ProbeConfig(xy_grid=interior_grid(9), rect_cap=1024, doublings=3)
+        twin_report, twin_trace = uniform_tail_trace(from_expression("twin", TWIN_EXPR), probe)
+        report, trace = uniform_tail_trace(builtin("oscillating_quadratic"), probe)
+        assert np.allclose(twin_report.values, report.values, rtol=0.0, atol=1e-10)
+        assert np.allclose([r.abs_sum for r in twin_trace], [r.abs_sum for r in trace],
+                           rtol=0.0, atol=1e-10)
+
+    # sha256 of repr(uniform_tail_trace(...)) at the geometries of
+    # uniform-tail-osc.cfg and uniform-tail-mod3.cfg, frozen from the
+    # per-threshold separable probe this path replaced.
+    GEOMETRIES = {
+        "osc-cfg": dict(xy_grid=interior_grid(9), thresholds=(8, 16, 32, 64, 128),
+                        rect_cap=1024, doublings=3),
+        "mod3-cfg": dict(xy_grid=interior_grid(5), thresholds=(8, 16, 32, 64),
+                         rect_cap=512, doublings=2),
+    }
+    FROZEN = {
+        ("oscillating_quadratic", "osc-cfg"):
+            "c183997c5dcd03df312c96713d643f991c3d7df416685a49929aed1f698c0ebb",
+        ("oscillating_quadratic", "mod3-cfg"):
+            "c039ede85e09bab3c8795173c373f5214d2b12b3eac48f33a020ecdb6da010e9",
+        ("mod3_log_product", "osc-cfg"):
+            "7a22c4cbe46bd3aa3b9b0405eba24d4425707493af9fb34e1327d20c0ed9d272",
+        ("mod3_log_product", "mod3-cfg"):
+            "b41107c7b3ad0fe1b9726c7737d77f012738f0a391874bf185182202c3002b62",
+    }
+
+    @pytest.mark.parametrize("name, geometry", sorted(FROZEN))
+    def test_separable_traces_are_frozen(self, name, geometry):
+        probe = ProbeConfig(**self.GEOMETRIES[geometry])
+        text = repr(uniform_tail_trace(builtin(name), probe))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FROZEN[name, geometry]
 
 
 class TestRemark2:
