@@ -406,9 +406,6 @@ class ProbeConfig:
     doublings: int = 4
     band: float = 0.05
     decay_ratio: float = 4.0
-    eta_epsilon: float = 0.05
-    sup_horizon: int = 1 << 14
-    sum_horizon: int = 1 << 16
 
     def __post_init__(self):
         if not self.xy_grid:

@@ -19,6 +19,15 @@ turns a rectangle sum of ``c_{jk} sin jx sin ky`` into a mixed-difference
 core plus four boundary strips and four corner blocks (nine terms; the
 strips have width r); that expansion is :func:`rect_sum_parts`.
 
+:func:`kernel_bound_check` compares ``|D(k, +-2, x)|`` with the envelope
+``pi/(4x)`` (mirrored about pi/2) for every ``k <= k_max``.  Since
+``|cos| <= 1``, no order at a point can beat the bound
+``1/|2 sin(r x/2)| - envelope(x)``; rounded division and subtraction are
+monotone, so that holds for the computed floats too.  Points are visited
+in descending bound and the scan stops once the bound drops below the
+worst slack found, which skips nearly every point and returns exactly
+what the exhaustive scan does.
+
 All reductions are compensated and performed in a fixed order, so
 results are reproducible bit for bit.
 """
@@ -49,6 +58,7 @@ __all__ = [
 ]
 
 SINGULARITY_FLOOR = 1e-12
+_BLOCK_CELLS = 1 << 22  # coefficients read at once by rect_sum_direct
 
 
 class SingularityError(ValueError):
@@ -126,14 +136,18 @@ def rect_sum_direct(c: CoefficientSequence, rect: Rect, x: float, y: float):
     """Plain double sum ``sum_{j=m}^{M} sum_{k=n}^{N} c_{jk} sin jx sin ky``.
 
     Rows are processed with ascending j, each row compensated over
-    ascending k, and the row totals compensated again.
+    ascending k, and the row totals compensated again.  Coefficients are
+    read in blocks of whole rows (about 4M cells each); the compensated
+    sums are exactly rounded, so the blocking does not change the result.
     """
     ks = np.arange(rect.n, rect.N + 1, dtype=np.int64)
     sin_ky = np.sin(ks * y)
+    chunk = max(1, _BLOCK_CELLS // len(ks))
     rows = []
-    for j in range(rect.m, rect.M + 1):
-        inner = ksum(np.asarray(c.eval(j, ks)) * sin_ky)
-        rows.append(math.sin(j * x) * inner)
+    for j0 in range(rect.m, rect.M + 1, chunk):
+        js = np.arange(j0, min(j0 + chunk, rect.M + 1), dtype=np.int64)
+        block = np.asarray(c.eval(js[:, None], ks[None, :])) * sin_ky
+        rows.extend(math.sin(j * x) * ksum(row) for j, row in zip(js.tolist(), block))
     return ksum(np.asarray(rows))
 
 
@@ -213,27 +227,55 @@ def kernel_bound_check(r: int, x_grid: np.ndarray, k_max: int = 512) -> KernelBo
     """Check ``|D(k, +-r, x)| <= envelope(x)`` over a grid and k <= k_max.
 
     The envelope is specific to step 2, so ``|r|`` must be 2.  The grid
-    must stay inside (0, pi) away from the endpoints.  Returns the worst
-    (most positive) slack ``|D| - envelope`` with its witness; a
-    negative worst slack means the bound held everywhere.
+    must be finite and stay inside (0, pi) away from the endpoints, and
+    ``k_max >= 0``.  Returns the worst (most positive) slack
+    ``|D| - envelope`` with its witness, the first point in (step +2, then
+    -2; grid order) that attains it; a negative worst slack means the
+    bound held everywhere.
+
+    Only points whose bound ``1/|2 sin(r x/2)| - envelope(x)`` reaches
+    the worst slack found so far are evaluated, in descending bound (see
+    the module docstring): every point attaining the worst slack has a
+    bound at least that large, so all of them are visited.
     """
     if abs(int(r)) != 2:
         raise ValueError("the envelope bound applies to steps +-2 only")
     xs = np.asarray(x_grid, dtype=np.float64)
-    if xs.size == 0:
-        raise ValueError("empty x grid")
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("x grid must be a non-empty one-dimensional array")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("grid points must be finite")
     if np.any(xs <= 0.0) or np.any(xs >= math.pi):
         raise ValueError("grid must lie strictly inside (0, pi)")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     ks = np.arange(0, k_max + 1, dtype=np.int64)
-    worst = -math.inf
-    wx, wk, wr = xs[0], 0, 2
+    steps = (2, -2)
+    n = xs.size
+    # denominators as _check_denominator computes them, in (step, point) order
+    sines = np.fromiter((math.sin(0.5 * sgn * x) for sgn in steps for x in xs.tolist()),
+                        dtype=np.float64, count=len(steps) * n)
+    singular = np.flatnonzero(np.abs(sines) < SINGULARITY_FLOOR)
+    if singular.size:
+        p = int(singular[0])
+        _check_denominator(steps[p // n], float(xs[p % n]))
     env = _envelope(xs)
-    for sgn in (2, -2):
-        for i, x in enumerate(xs):
-            vals = np.abs(_kernel_row(ks, sgn, float(x)))
-            idx = int(np.argmax(vals))
-            slack = float(vals[idx] - env[i])
-            if slack > worst:
-                worst, wx, wk, wr = slack, float(x), int(ks[idx]), sgn
-    return KernelBoundReport(worst_slack=worst, witness_x=wx, witness_k=wk,
-                             witness_r=wr, n_points=int(xs.size), k_max=int(k_max))
+    # the bound 1/|2 sin| - env on each (step, point)'s slack, negated so an
+    # ascending stable sort visits it in descending order; built in place
+    neg_bound = np.abs(sines, out=sines)
+    neg_bound *= 2.0
+    np.divide(-1.0, neg_bound, out=neg_bound)
+    neg_bound.reshape(len(steps), n)[:] += env
+    worst, witness = -math.inf, (0, 0)
+    for p in np.argsort(neg_bound, kind="stable"):
+        if -neg_bound[p] < worst:
+            break
+        vals = np.abs(_kernel_row(ks, steps[p // n], float(xs[p % n])))
+        idx = int(np.argmax(vals))
+        slack = float(vals[idx] - env[p % n])
+        if slack > worst or (slack == worst and p < witness[0]):
+            worst, witness = slack, (int(p), idx)
+    p, idx = witness
+    return KernelBoundReport(worst_slack=worst, witness_x=float(xs[p % n]),
+                             witness_k=int(ks[idx]), witness_r=steps[p // n],
+                             n_points=n, k_max=int(k_max))

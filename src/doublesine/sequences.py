@@ -128,7 +128,7 @@ def separable(a: SingleSequence, b: SingleSequence, name: str | None = None) -> 
 
 def _int_index(i) -> np.ndarray:
     arr = np.asarray(i)
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         rounded = np.rint(arr)
         if not np.all(np.abs(arr - rounded) < 1e-9):
             raise ValueError("sequence indices must be integers")
@@ -212,41 +212,46 @@ def builtin(name: str, p: float = 1.0, q: float = 1.0) -> CoefficientSequence:
     raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(BUILTIN_NAMES)}")
 
 
+def _border_index(i, size: int) -> np.ndarray:
+    """Index into a table of ``size`` entries with a zero border at 0 and
+    ``size + 1``: indices outside ``1..size`` land on the border."""
+    return np.minimum(np.maximum(_int_index(i), 0), size + 1)
+
+
 def from_table(name: str, values: np.ndarray) -> CoefficientSequence:
     """Sequence backed by a finite table; zero outside the table.
 
     ``values[j-1, k-1]`` supplies ``c_{jk}`` for in-range indices.  Handy
-    for randomised identity tests; complex tables are allowed.
+    for randomised identity tests; complex tables are allowed.  The table
+    is copied once into an array with a zero border (row and column 0 and
+    one past the end), so indices are clipped into that border and every
+    evaluation is a single read.
     """
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError("table must be two-dimensional")
     J, K = arr.shape
-    zero = np.zeros((), dtype=arr.dtype)
+    padded = np.zeros((J + 2, K + 2), dtype=arr.dtype)
+    padded[1:-1, 1:-1] = arr
 
     def eval_(j, k):
-        ji = _int_index(j)
-        ki = _int_index(k)
-        ji, ki = np.broadcast_arrays(ji, ki)
-        inside = (ji >= 1) & (ji <= J) & (ki >= 1) & (ki <= K)
-        vals = arr[np.clip(ji, 1, J) - 1, np.clip(ki, 1, K) - 1]
-        return np.where(inside, vals, zero)
+        return padded[_border_index(j, J), _border_index(k, K)]
 
     return CoefficientSequence(name=name, eval=eval_)
 
 
 def single_from_values(name: str, values: np.ndarray) -> SingleSequence:
-    """Single sequence backed by a finite table; zero outside."""
+    """Single sequence backed by a finite table; zero outside (a zero border,
+    as in :func:`from_table`)."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError("table must be one-dimensional")
     K = arr.shape[0]
-    zero = np.zeros((), dtype=arr.dtype)
+    padded = np.zeros(K + 2, dtype=arr.dtype)
+    padded[1:-1] = arr
 
     def eval_(k):
-        ki = _int_index(k)
-        inside = (ki >= 1) & (ki <= K)
-        return np.where(inside, arr[np.clip(ki, 1, K) - 1], zero)
+        return padded[_border_index(k, K)]
 
     return SingleSequence(name=name, eval=eval_)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from doublesine.cli import build_parser, main
 
 # The expression twin of the oscillating preset: not separable to the CLI.
 TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def run(tmp_path, *argv):
@@ -275,6 +277,50 @@ class TestVerifyIdentities:
                                "difference_decompositions", "kernel_envelope",
                                "sine_parity"}
         assert all(stats["failures"] == 0 for stats in checks.values())
+
+
+    # The `checks` block of the shipped sweep, seed 0: every worst value,
+    # witness and failure count.
+    SHIPPED_CHECKS = {
+        "row_sum_by_parts": {
+            "cases": 1000, "failures": 0, "tolerance": 1e-09,
+            "worst_rel_err": 7.627684424659744e-14,
+            "worst_case": {"case": 992, "r": 2, "n": 18, "m": 47,
+                           "x": 3.0134850117827856},
+        },
+        "rect_sum_by_parts": {
+            "cases": 200, "failures": 0, "tolerance": 1e-09,
+            "worst_rel_err": 5.135306521238778e-14,
+            "worst_case": {"case": 177, "rect": [13, 30, 8, 23],
+                           "x": 3.0436095803506316, "y": 0.6677825280482635},
+        },
+        "difference_decompositions": {
+            "grid": 200, "failures": 0, "tolerance": 1.7763568394002505e-15,
+            "worst_mixed_err": 9.877444373878135e-16,
+            "worst_single_err": 3.799645460034426e-16,
+        },
+        "kernel_envelope": {
+            "points": 20000, "k_max": 512, "failures": 0,
+            "worst_slack": -4.999383273074365e-05,
+            "witness": {"x": 1.5706392628686097, "k": 1, "r": -2},
+        },
+        "sine_parity": {
+            "k_max": 512, "failures": 0, "tolerance": 5.12e-09,
+            "worst_abs_err": 2.7439516068539773e-13,
+        },
+    }
+
+    def test_shipped_config_report_is_frozen(self, tmp_path):
+        assert run(tmp_path, "verify-identities", "--config",
+                   str(CONFIGS / "verify-identities.cfg")) == 0
+        checks = load_json(tmp_path, "verify-identities.json")["results"]["checks"]
+        assert checks == self.SHIPPED_CHECKS
+
+    def test_negative_k_max_is_two(self, tmp_path, capsys):
+        assert run(tmp_path, "verify-identities", "--cases-1d", "2", "--cases-2d", "1",
+                   "--delta-grid", "4", "--kernel-points", "4", "--k-max", "-1") == 2
+        assert capsys.readouterr().err == "error: k_max must be >= 0, got -1\n"
+        assert not any(tmp_path.iterdir())
 
 
 class TestLemmaAndRemark2:

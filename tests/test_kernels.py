@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublesine import (
+    BUILTIN_NAMES,
     Rect,
     SingularityError,
     assert_admissible,
+    builtin,
     dirichlet_conj,
+    from_expression,
     from_table,
     kernel_bound_check,
     ksum,
@@ -19,6 +22,8 @@ from doublesine import (
     row_sum_by_parts,
     single_from_values,
 )
+from doublesine import kernels
+from doublesine.kernels import _envelope, _kernel_row
 
 
 def safe_x(rng: np.random.Generator, r: int, gap: float = 0.05) -> float:
@@ -26,6 +31,32 @@ def safe_x(rng: np.random.Generator, r: int, gap: float = 0.05) -> float:
         x = float(rng.uniform(gap, math.pi - gap))
         if all(abs(x - 2.0 * l * math.pi / r) >= gap for l in range(r + 1)):
             return x
+
+
+def rect_sum_rows(c, rect, x, y):
+    """Oracle of ``rect_sum_direct``: one coefficient read per row."""
+    ks = np.arange(rect.n, rect.N + 1, dtype=np.int64)
+    sin_ky = np.sin(ks * y)
+    rows = [math.sin(j * x) * ksum(np.asarray(c.eval(j, ks)) * sin_ky)
+            for j in range(rect.m, rect.M + 1)]
+    return ksum(np.asarray(rows))
+
+
+def kernel_bound_points(r, x_grid, k_max):
+    """Oracle of ``kernel_bound_check``: every order at every point, in
+    (step +r, then -r; grid order), keeping the first worst slack."""
+    xs = np.asarray(x_grid, dtype=np.float64)
+    ks = np.arange(0, k_max + 1, dtype=np.int64)
+    env = _envelope(xs)
+    worst, wx, wk, wr = -math.inf, float(xs[0]), 0, 2
+    for sgn in (2, -2):
+        for i, x in enumerate(xs):
+            vals = np.abs(_kernel_row(ks, sgn, float(x)))
+            idx = int(np.argmax(vals))
+            slack = float(vals[idx] - env[i])
+            if slack > worst:
+                worst, wx, wk, wr = slack, float(x), int(ks[idx]), sgn
+    return worst, wx, wk, wr
 
 
 class TestRect:
@@ -172,3 +203,109 @@ class TestKernelBound:
             kernel_bound_check(2, np.array([0.0, 1.0]), k_max=4)
         with pytest.raises(ValueError):
             kernel_bound_check(2, np.array([math.pi]), k_max=4)
+
+    def test_k_max_and_grid_validated(self):
+        for grid in ([math.nan], [0.5, math.nan], [math.inf], [-math.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                kernel_bound_check(2, np.array(grid), k_max=4)
+        with pytest.raises(ValueError, match="k_max"):
+            kernel_bound_check(2, np.array([1.0]), k_max=-1)
+        with pytest.raises(ValueError):
+            kernel_bound_check(2, np.array([]), k_max=4)
+        with pytest.raises(ValueError):
+            kernel_bound_check(2, np.ones((2, 2)), k_max=4)
+
+
+def report_tuple(report):
+    return (report.worst_slack, report.witness_x, report.witness_k, report.witness_r)
+
+
+class TestKernelBoundOracle:
+    """The pruned envelope scan equals the exhaustive per-point scan exactly."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60),
+           st.one_of(st.just(0), st.integers(0, 80)),
+           st.sampled_from(["uniform", "rounded", "mirrored", "repeated"]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_exhaustive_scan(self, seed, points, k_max, kind):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(1e-3, math.pi - 1e-3, size=points)
+        if kind == "rounded":
+            # few distinct values: exact ties in bound, slack and witness
+            xs = np.clip(np.round(xs, 1), 0.1, 3.1)
+        elif kind == "mirrored":
+            # x and pi - x share the envelope and |sin x|
+            xs = np.concatenate([xs, math.pi - xs])
+        elif kind == "repeated":
+            xs = rng.choice(xs, size=2 * points)
+        report = kernel_bound_check(2, xs, k_max=k_max)
+        assert report_tuple(report) == kernel_bound_points(2, xs, k_max)
+        assert report.n_points == xs.size and report.k_max == k_max
+
+    @pytest.mark.parametrize("grid", [[1.0], [math.pi / 2], [0.3, 0.3], [2.9, 0.3]])
+    @pytest.mark.parametrize("k_max", [0, 1, 7])
+    def test_small_grids(self, grid, k_max):
+        for r in (2, -2):
+            report = kernel_bound_check(r, np.array(grid), k_max=k_max)
+            assert report_tuple(report) == kernel_bound_points(r, grid, k_max)
+
+    def test_shipped_grid(self):
+        left = np.linspace(0.0, 0.5 * math.pi, 1002)[1:-1]
+        right = np.linspace(0.5 * math.pi, math.pi, 1002)[1:-1]
+        grid = np.concatenate([left, right])
+        report = kernel_bound_check(2, grid, k_max=128)
+        assert report_tuple(report) == kernel_bound_points(2, grid, 128)
+
+    def test_singular_point_message(self):
+        grid = np.array([1.0, 2.0, 1e-13, 3e-13])
+        with pytest.raises(SingularityError) as expected:
+            kernel_bound_points(2, grid, 4)
+        with pytest.raises(SingularityError) as got:
+            kernel_bound_check(2, grid, k_max=4)
+        assert str(got.value) == str(expected.value)
+        assert "1e-13" in str(got.value)
+
+
+class TestRectSumDirectOracle:
+    """Reading the rectangle in row blocks equals reading it row by row exactly."""
+
+    SEQUENCES = {
+        **{name: builtin(name) for name in BUILTIN_NAMES},
+        "product_power(1.5,0.5)": builtin("product_power", p=1.5, q=0.5),
+        "nonsep": from_expression("nonsep", "1/(j*k*(j+k))"),
+        "const": from_expression("const", "1"),
+    }
+
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_tables(self, seed, complex_table):
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(-1.0, 1.0, size=(12, 17))
+        if complex_table:
+            table = table + 1j * rng.uniform(-1.0, 1.0, size=table.shape)
+        c = from_table("t", table)
+        # rectangles may run past the table, where it reads 0
+        m = int(rng.integers(1, 15))
+        M = int(rng.integers(m, 16))
+        n = int(rng.integers(1, 20))
+        N = int(rng.integers(n, 21))
+        rect, x, y = Rect(m, M, n, N), safe_x(rng, 2), safe_x(rng, 2)
+        assert rect_sum_direct(c, rect, x, y) == rect_sum_rows(c, rect, x, y)
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    @pytest.mark.parametrize("bounds", [(1, 1, 1, 1), (5, 5, 3, 40), (1, 40, 7, 7),
+                                        (3, 50, 2, 61)])
+    def test_sequences(self, name, bounds):
+        c = self.SEQUENCES[name]
+        rect = Rect(*bounds)
+        for x, y in ((0.7, 1.9), (2.3, 0.4)):
+            assert rect_sum_direct(c, rect, x, y) == rect_sum_rows(c, rect, x, y)
+
+    @pytest.mark.parametrize("cells", [1, 20, 45, 100, 1 << 22])
+    def test_row_blocks(self, monkeypatch, osc, cells):
+        # 20 columns: blocks of 1, 1, 2, 5 rows, and every row at once
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", cells)
+        twin = from_expression("twin", "(2+alternating(j))/j^2*(2+alternating(k))/k^2")
+        for c in (osc, twin):
+            rect = Rect(3, 40, 5, 24)
+            assert rect_sum_direct(c, rect, 0.9, 1.3) == rect_sum_rows(c, rect, 0.9, 1.3)

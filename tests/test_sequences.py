@@ -105,6 +105,64 @@ class TestTables:
         assert float(a.eval(1)) == 5.0 and float(a.eval(2)) == 7.0
         assert float(a.eval(3)) == 0.0 and float(a.eval(0)) == 0.0
 
+    def test_zero_border(self):
+        table = np.arange(1.0, 13.0).reshape(3, 4)
+        c = from_table("t", table)
+        j = np.array([-5, -1, 0, 1, 3, 4, 9])
+        got = np.asarray(c.eval(j[:, None], np.arange(-2, 8)[None, :]))
+        assert got.shape == (7, 10)
+        assert np.count_nonzero(got) == 8
+        np.testing.assert_array_equal(got[3:5, 3:7], table[[0, 2]])
+        a = single_from_values("a", np.array([5.0, 7.0]))
+        np.testing.assert_array_equal(a.eval(np.array([-3, 0, 1, 2, 3, 100])),
+                                      [0.0, 0.0, 5.0, 7.0, 0.0, 0.0])
+
+    def test_float_indices(self):
+        c = from_table("t", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        a = single_from_values("a", np.array([5.0, 7.0]))
+        assert c.eval(2.0, 1.0) == 3.0 and a.eval(np.float64(2.0)) == 7.0
+        np.testing.assert_array_equal(c.eval(np.array([1.0, 2.0, 3.0]), 2), [2.0, 4.0, 0.0])
+        for bad in (1.5, np.array([1.0, 2.25])):
+            with pytest.raises(ValueError, match="integers"):
+                c.eval(bad, 1)
+            with pytest.raises(ValueError, match="integers"):
+                a.eval(bad)
+
+    def test_dtype_kept(self):
+        c = from_table("t", np.array([[1 + 2j, 3j]]))
+        assert np.asarray(c.eval(np.arange(0, 4)[:, None], np.arange(0, 4)[None, :])).dtype \
+            == np.complex128
+        assert c.eval(5, 5) == 0j and np.iscomplexobj(c.eval(5, 5))
+        ints = from_table("t", np.array([[1, 2]], dtype=np.int32))
+        assert np.asarray(ints.eval(np.array([1, 2]), 2)).dtype == np.int32
+        assert np.asarray(single_from_values("a", np.array([1j])).eval(3)).dtype == np.complex128
+
+    def test_bool_indices_refused(self):
+        # np.rint of a bool is float16, where the 1e-9 tolerance rounds to 0
+        c = from_table("t", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        for bad in (True, np.array([False, True])):
+            with pytest.raises(ValueError, match="integers"):
+                c.eval(bad, 1)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_masked_lookup(self, seed, complex_table):
+        rng = np.random.default_rng(seed)
+        J, K = (int(v) for v in rng.integers(1, 8, size=2))
+        table = rng.standard_normal((J, K))
+        if complex_table:
+            table = table + 1j * rng.standard_normal((J, K))
+        c = from_table("t", table)
+        j = rng.integers(-3, J + 4, size=9)
+        k = rng.integers(-3, K + 4, size=6)
+        inside = ((j >= 1) & (j <= J))[:, None] & ((k >= 1) & (k <= K))[None, :]
+        expected = np.where(inside, table[np.clip(j, 1, J)[:, None] - 1,
+                                          np.clip(k, 1, K)[None, :] - 1], 0)
+        np.testing.assert_array_equal(c.eval(j[:, None], k[None, :]), expected)
+        for jj, kk in zip(j.tolist(), k.tolist()):
+            assert c.eval(jj, kk) == (table[jj - 1, kk - 1]
+                                      if 1 <= jj <= J and 1 <= kk <= K else 0.0)
+
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_table_round_trip(self, values):
