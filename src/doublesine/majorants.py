@@ -28,6 +28,24 @@ Double sups keep a :class:`DoubleScanTable` of the threshold-independent
 block sums, so a membership fit builds it once and queries it at every
 grid point.
 
+The same table keeps, per (fixed index, axis), the family-THREE row or
+column line ``|c|`` over ``1..2 sup_horizon``, so every grid point that
+shares the fixed index reads one evaluation.  A sup scan from ``start``
+slices that line and computes its exact blocks (one cumsum from
+``start``, as an exhaustive scan would) for ``M = start..M1``, with
+``M1 = 2 start`` doubling up to the horizon.  ``np.cumsum`` is
+sequential, so these blocks are bit-identical to the exhaustive scan's.
+It stops once the largest exact block so far exceeds, strictly, the
+suffix maximum past ``M1`` of the line's shared estimates (blocks of
+one cumsum from 1) plus a tolerance.  For n nonnegative terms of total
+S both a per-start block and a shared estimate lie within about
+``(2n + 1) eps S`` of the true block sum, so ``8 n eps S`` bounds their
+difference: no block past ``M1`` can reach the maximum, and the value
+and first argmax are the exhaustive scan's.  A line whose total is not
+finite is scanned in full.  Lines live in the table, are evicted least
+recently used past ``_MAX_LINE_BYTES``, and nothing caches them across
+calls.
+
 ``rhs`` returns the majorant value *without* any class constant C; the
 membership fitter divides observed left-hand sides by these values.
 
@@ -71,6 +89,9 @@ __all__ = [
 
 # Dense double-sup scans build a (2H+1)^2 float64 prefix table; cap its size.
 _MAX_DENSE_BYTES = 160_000_000
+# Family-THREE lines kept by one DoubleScanTable (about 24 sup_horizon bytes
+# each); past this the least recently used are dropped and rebuilt on demand.
+_MAX_LINE_BYTES = 32_000_000
 
 
 class Family(Enum):
@@ -250,17 +271,55 @@ def _single_tail_bound(a: SingleSequence, horizon: int) -> float | None:
     return 2.0 * hint.K * float(horizon + 1) ** (1.0 - hint.p)
 
 
-def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValue:
-    """``sup_{M >= start} sum_{k=M}^{2M} |a_k|`` scanned up to ``horizon``."""
+class _SupLine:
+    """``|c|`` along one line for indices ``lo..2 horizon``, with what a
+    pruned sup scan needs: the suffix maxima of its block estimates
+    (one cumsum from ``lo``; None when the total is not finite), their
+    tolerance, and the tail bound past the horizon."""
+
+    __slots__ = ("lo", "horizon", "vals", "suffix", "tol", "tail", "nbytes")
+
+    def __init__(self, vals: np.ndarray, lo: int, horizon: int, tail: float | None):
+        self.lo, self.horizon, self.vals, self.tail = lo, horizon, vals, tail
+        total = float(np.sum(vals))
+        self.suffix = None
+        self.tol = 0.0
+        if math.isfinite(total):
+            est = _block_array(vals, lo, lo, horizon)
+            self.suffix = np.maximum.accumulate(est[::-1])[::-1]
+            self.tol = 8.0 * len(vals) * np.finfo(np.float64).eps * total
+        self.nbytes = vals.nbytes + (0 if self.suffix is None else self.suffix.nbytes)
+
+
+def _sup_scan(line: _SupLine, start: int) -> MajorantValue:
+    """``sup_{M >= start}`` of the line's block sums up to its horizon,
+    scanned exactly only as far as the suffix bound requires (see the
+    module docstring); equal to the exhaustive scan bit for bit."""
+    horizon = line.horizon
     if horizon < start:
         raise HorizonError(f"horizon {horizon} below scan start {start}")
-    k = np.arange(start, 2 * horizon + 1, dtype=np.int64)
-    blocks = _block_array(_abs_f64(a.eval(k)), start, start, horizon)
-    idx = int(np.argmax(blocks))
-    sup = float(blocks[idx])
-    tail = _single_tail_bound(a, horizon)
-    truncated = tail is None or tail > sup
-    return MajorantValue(value=sup, truncated=truncated, tail_bound=tail, argmax=(start + idx,))
+    vals = line.vals[start - line.lo:]
+    M1 = horizon if line.suffix is None else min(2 * start, horizon)
+    while True:
+        blocks = _block_array(vals[:2 * M1 - start + 1], start, start, M1)
+        idx = int(np.argmax(blocks))
+        sup = float(blocks[idx])
+        if M1 == horizon or line.suffix[M1 + 1 - line.lo] + line.tol < sup:
+            break
+        M1 = min(2 * M1, horizon)
+    truncated = line.tail is None or line.tail > sup
+    return MajorantValue(value=sup, truncated=truncated, tail_bound=line.tail,
+                         argmax=(start + idx,))
+
+
+def _single_line(a: SingleSequence, lo: int, horizon: int) -> _SupLine:
+    k = np.arange(lo, 2 * horizon + 1, dtype=np.int64)
+    return _SupLine(_abs_f64(a.eval(k)), lo, horizon, _single_tail_bound(a, horizon))
+
+
+def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValue:
+    """``sup_{M >= start} sum_{k=M}^{2M} |a_k|`` scanned up to ``horizon``."""
+    return _sup_scan(_single_line(a, start, horizon), start)
 
 
 def _row_tail_bound(c: CoefficientSequence, n: int, horizon: int,
@@ -280,20 +339,6 @@ def _row_tail_bound(c: CoefficientSequence, n: int, horizon: int,
     if p < 1.0:
         return None
     return 2.0 * hint.K * float(n) ** (-q) * float(horizon + 1) ** (1.0 - p)
-
-
-def _row_sup_scan(c: CoefficientSequence, n: int, start: int, horizon: int,
-                  transpose: bool = False) -> MajorantValue:
-    """Row sup scan; with ``transpose`` the roles of j and k swap."""
-    if horizon < start:
-        raise HorizonError(f"horizon {horizon} below scan start {start}")
-    abs_vals = _abs_line(c, n, start, 2 * horizon, transpose)
-    blocks = _block_array(abs_vals, start, start, horizon)
-    idx = int(np.argmax(blocks))
-    sup = float(blocks[idx])
-    tail = _row_tail_bound(c, n, horizon, transpose)
-    truncated = tail is None or tail > sup
-    return MajorantValue(value=sup, truncated=truncated, tail_bound=tail, argmax=(start + idx,))
 
 
 def _bounded_max_scan(c: CoefficientSequence, fixed: int, M_lo: int, M_hi: int,
@@ -355,12 +400,35 @@ class DoubleScanTable:
     maximum of the first; others keep the dense block matrix and its
     row-wise suffix maximum.  The table is built on the first query and
     belongs to its creator; nothing caches it across calls.
+
+    :meth:`line` keeps the family-THREE row and column lines of the same
+    sequence and horizon, one per (fixed index, axis), each with the
+    suffix bound its pruned scans stop on.  At most ``_MAX_LINE_BYTES``
+    of lines are held; the least recently used go first, which changes
+    no result.
     """
 
     def __init__(self, c: CoefficientSequence, horizon: int):
         self.c = c
         self.horizon = horizon
         self._blocks = self._fb = self._suffix = self._tail = None
+        self._lines: dict[tuple[int, bool], _SupLine] = {}
+        self._line_bytes = 0
+
+    def line(self, fixed: int, transpose: bool = False) -> _SupLine:
+        """The line ``|c_{j,fixed}|`` for j = 1..2 horizon (with
+        ``transpose``, ``|c_{fixed,k}|``), built on first use."""
+        key = (fixed, transpose)
+        line = self._lines.pop(key, None)
+        if line is None:
+            c, horizon = self.c, self.horizon
+            line = _SupLine(_abs_line(c, fixed, 1, 2 * horizon, transpose), 1, horizon,
+                            _row_tail_bound(c, fixed, horizon, transpose))
+            self._line_bytes += line.nbytes
+        self._lines[key] = line  # most recently used last
+        while self._line_bytes > _MAX_LINE_BYTES and len(self._lines) > 1:
+            self._line_bytes -= self._lines.pop(next(iter(self._lines))).nbytes
+        return line
 
     def _build(self) -> None:
         c, horizon = self.c, self.horizon
@@ -439,12 +507,18 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
     Row majorants carry the 1/m scale, column majorants 1/n, double
     majorants 1/(m n).  Callers enforce the per-axis domain rules
     (``m >= lambda`` for rows of families ONE/TWO, and so on).  Double
-    sups of families TWO and THREE query ``table``, which lets repeated
-    calls on ``c`` at ``fam.sup_horizon`` share one
-    :class:`DoubleScanTable`; without it each call builds its own.
+    sups of families TWO and THREE, and family-THREE rows and columns,
+    read ``table``, which lets repeated calls on ``c`` at
+    ``fam.sup_horizon`` share one :class:`DoubleScanTable`; without it
+    each call builds its own.  A table of another sequence or horizon is
+    refused.
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
+    if table is None:
+        table = DoubleScanTable(c, fam.sup_horizon)
+    elif table.c is not c or table.horizon != fam.sup_horizon:
+        raise ValueError("scan table belongs to another sequence or sup_horizon")
 
     if fam.family is Family.ONE:
         if fam.axis is Axis.ROW:
@@ -458,10 +532,6 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
         return MajorantValue(value=_window_double_sum(c, jlo, jhi, klo, khi) / (m * n))
 
     if fam.axis is Axis.DOUBLE:
-        if table is None:
-            table = DoubleScanTable(c, fam.sup_horizon)
-        elif table.c is not c or table.horizon != fam.sup_horizon:
-            raise ValueError("scan table belongs to another sequence or sup_horizon")
         scan = table.query(compile_b(fam.b3)(m + n))
         scale = m * n
     else:
@@ -472,7 +542,7 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
         if fam.family is Family.TWO:
             sup, arg = _bounded_max_scan(c, fixed, start, fam.lam * start, transpose)
             return MajorantValue(value=sup / scale, argmax=(arg,))
-        scan = _row_sup_scan(c, fixed, start, fam.sup_horizon, transpose)
+        scan = _sup_scan(table.line(fixed, transpose), start)
     return MajorantValue(value=scan.value / scale, truncated=scan.truncated,
                          tail_bound=None if scan.tail_bound is None else scan.tail_bound / scale,
                          argmax=scan.argmax)

@@ -41,10 +41,11 @@ from .majorants import (
     DoubleScanTable,
     MajorantFamily,
     MajorantValue,
+    _single_line,
+    _sup_scan,
     averaging_window,
     compile_b,
     rhs,
-    single_sup_scan,
     single_window_sum,
 )
 from .sequences import CoefficientSequence, SingleSequence, compile_expression
@@ -348,6 +349,9 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
     else:
         beta_fn = beta
     fb = compile_b(b)
+    # the sup classes scan one |a| line, shared by every grid point
+    line = (_single_line(a, 1, horizon)
+            if klass in (SingleClass.SBVS, SingleClass.SBVS2) else None)
 
     rows: list[RatioRow] = []
     best: float | None = None
@@ -366,12 +370,8 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
         truncated = False
         if klass is SingleClass.MVBVS:
             rhs_val = beta_star(a, n, lam)
-        elif klass is SingleClass.SBVS:
-            scan = single_sup_scan(a, max(1, n // lam), horizon)
-            rhs_val = scan.value / n
-            truncated = scan.truncated
-        elif klass is SingleClass.SBVS2:
-            scan = single_sup_scan(a, fb(n), horizon)
+        elif line is not None:
+            scan = _sup_scan(line, max(1, n // lam) if klass is SingleClass.SBVS else fb(n))
             rhs_val = scan.value / n
             truncated = scan.truncated
         else:

@@ -127,8 +127,14 @@ def separable(a: SingleSequence, b: SingleSequence, name: str | None = None) -> 
 
 
 def _int_index(i) -> np.ndarray:
+    """Indices as int64.  Bool is refused; real floats must be integral
+    within 1e-9, tested in float64 so that float16 keeps the tolerance."""
     arr = np.asarray(i)
+    if arr.dtype.kind == "b":
+        raise ValueError("sequence indices must be integers, not booleans")
     if arr.dtype.kind not in "iu":
+        if arr.dtype.kind == "f":
+            arr = arr.astype(np.float64)
         rounded = np.rint(arr)
         if not np.all(np.abs(arr - rounded) < 1e-9):
             raise ValueError("sequence indices must be integers")

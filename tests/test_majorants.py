@@ -27,8 +27,17 @@ from doublesine import (
     single_sup_scan,
     single_window_sum,
 )
+from doublesine import majorants
 from doublesine.convergence import eta_search, lemma2_quantities
-from doublesine.majorants import _bounded_max_scan
+from doublesine.majorants import (
+    MajorantValue,
+    _abs_line,
+    _block_array,
+    _bounded_max_scan,
+    _row_tail_bound,
+    _single_tail_bound,
+    _sup_scan,
+)
 from doublesine.membership import check_condition_22
 
 TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
@@ -307,11 +316,184 @@ class TestDoubleScanTable:
             DoubleScanTable(c, 4096).query(8)
 
     def test_rhs_rejects_a_foreign_table(self, osc, pp22):
-        fam = MajorantFamily(Family.THREE, Axis.DOUBLE, sup_horizon=64)
-        with pytest.raises(ValueError, match="another sequence"):
-            rhs(osc, fam, 4, 4, table=DoubleScanTable(pp22, 64))
-        with pytest.raises(ValueError, match="sup_horizon"):
-            rhs(osc, fam, 4, 4, table=DoubleScanTable(osc, 32))
+        # family-THREE rows and columns read the table's lines
+        for family, axis in [(Family.TWO, Axis.DOUBLE), *((Family.THREE, a) for a in Axis)]:
+            fam = MajorantFamily(family, axis, sup_horizon=64)
+            with pytest.raises(ValueError, match="another sequence"):
+                rhs(osc, fam, 4, 4, table=DoubleScanTable(pp22, 64))
+            with pytest.raises(ValueError, match="sup_horizon"):
+                rhs(osc, fam, 4, 4, table=DoubleScanTable(osc, 32))
+
+
+# --- the pruned family-THREE scan against the exhaustive scan ----------------
+
+def exhaustive_scan(vals, start, horizon, tail):
+    """Every block ``M = start..horizon`` from one cumsum of ``vals`` (the
+    line from ``start`` to ``2 horizon``): max, first argmax, tail verdict."""
+    blocks = _block_array(vals, start, start, horizon)
+    idx = int(np.argmax(blocks))
+    sup = float(blocks[idx])
+    return MajorantValue(value=sup, truncated=tail is None or tail > sup, tail_bound=tail,
+                         argmax=(start + idx,))
+
+
+def exhaustive_row_scan(c, fixed, start, horizon, transpose):
+    return exhaustive_scan(_abs_line(c, fixed, start, 2 * horizon, transpose), start,
+                           horizon, _row_tail_bound(c, fixed, horizon, transpose))
+
+
+def assert_same_sup(got, want):
+    """``==`` on every field, with NaN equal to NaN."""
+    if math.isnan(want.value):
+        assert math.isnan(got.value)
+        got, want = (MajorantValue(0.0, g.truncated, g.tail_bound, g.argmax)
+                     for g in (got, want))
+    assert got == want
+
+
+def line_table(values, transpose):
+    """A table sequence whose line at fixed index 1 is ``values``."""
+    table = np.asarray(values)[:, None]
+    return from_table("line", table.T if transpose else table)
+
+
+SUP_SEQUENCES = {
+    **SCAN_SEQUENCES,
+    "product_power(0.5,0.7)": builtin("product_power", p=0.5, q=0.7),
+    "product_power(1.3,2.2)": builtin("product_power", p=1.3, q=2.2),
+    "complex": from_table("complex", np.exp(1j * np.arange(1, 2501)).reshape(50, 50)
+                          * (1.0 + np.arange(50))[:, None] ** -1.5),
+}
+
+SINGLE_SEQUENCES = {
+    **{f"{name}[{i}]": c.separable_parts[i] for name, c in SUP_SEQUENCES.items()
+       if c.separable_parts is not None for i in (0, 1)},
+    "ones": single_from_values("ones", np.ones(700)),
+    "complex": single_from_values("complex", np.exp(1j * np.arange(1, 701)) / np.arange(1, 701)),
+    "inf": single_from_values("inf", np.r_[np.ones(20), math.inf, np.ones(20)]),
+    "nan": single_from_values("nan", np.r_[np.ones(90), math.nan, np.ones(20)]),
+}
+
+
+class TestPrunedSupScan:
+    @given(st.sampled_from(sorted(SUP_SEQUENCES)), st.integers(1, 40), st.integers(1, 300),
+           st.data(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exhaustive_scan(self, name, fixed, horizon, data, transpose):
+        c = SUP_SEQUENCES[name]
+        table = DoubleScanTable(c, horizon)
+        starts = data.draw(st.lists(st.one_of(st.sampled_from((1, horizon)),
+                                              st.integers(1, horizon)),
+                                    min_size=1, max_size=4))
+        for start in starts:  # later starts read the cached line
+            assert_same_sup(_sup_scan(table.line(fixed, transpose), start),
+                            exhaustive_row_scan(c, fixed, start, horizon, transpose))
+
+    @given(st.lists(st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.7)), min_size=2, max_size=120),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_near_ties_resolve_like_exhaustive_scan(self, values, transpose):
+        # few distinct values: many blocks have equal or nearly equal sums
+        # whose per-start and shared cumsum estimates round differently
+        horizon = len(values) // 2
+        c = line_table(values, transpose)
+        line = DoubleScanTable(c, horizon).line(1, transpose)
+        for start in range(1, horizon + 1):
+            assert_same_sup(_sup_scan(line, start),
+                            exhaustive_row_scan(c, 1, start, horizon, transpose))
+
+    def test_tolerance_covers_rounding(self):
+        # from start 4 the exact blocks reach 4.299999999999999 at M = 15 and
+        # 4.3 at M = 18, whose shared estimate 4.299999999999997 lies below
+        # both: without the tolerance the scan would stop at M1 = 16
+        values = [0.7, 0.2, 0.7, 0.0, 0.0, 0.0, 0.2, 0.7, 0.1, 0.3, 0.1, 0.3, 0.2, 0.2, 0.7,
+                  0.2, 0.3, 0.1, 0.2, 0.1, 0.2, 0.3, 0.2, 0.7, 0.3, 0.0, 0.3, 0.3, 0.1, 0.3,
+                  0.2, 0.2, 0.0, 0.0, 0.1, 0.7]
+        c = line_table(values, False)
+        line = DoubleScanTable(c, 18).line(1)
+        assert line.suffix[16] < 4.299999999999999 < 4.3
+        assert _sup_scan(line, 4) == exhaustive_row_scan(c, 1, 4, 18, False)
+        assert _sup_scan(line, 4).argmax == (18,)
+
+    @given(st.integers(1, 120), st.integers(0, 10 ** 6), st.sampled_from((math.inf, math.nan)),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf blocks
+    def test_non_finite_line_matches_exhaustive_scan(self, horizon, seed, bad, transpose):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, 2 * horizon)
+        values[seed % len(values)] = bad
+        c = line_table(values, transpose)
+        line = DoubleScanTable(c, horizon).line(1, transpose)
+        assert line.suffix is None
+        for start in {1, 1 + seed % horizon, horizon}:
+            assert_same_sup(_sup_scan(line, start),
+                            exhaustive_row_scan(c, 1, start, horizon, transpose))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_increasing_and_tied_blocks(self, transpose):
+        one = from_expression("one", "1")
+        line = DoubleScanTable(one, 64).line(3, transpose)
+        assert _sup_scan(line, 5) == MajorantValue(65.0, True, None, (64,))
+        zero = builtin("zero")
+        assert _sup_scan(DoubleScanTable(zero, 64).line(3, transpose), 5) \
+            == MajorantValue(0.0, False, 0.0, (5,))
+
+    def test_horizon_one(self, osc):
+        assert_same_sup(_sup_scan(DoubleScanTable(osc, 1).line(2), 1),
+                        exhaustive_row_scan(osc, 2, 1, 1, False))
+        with pytest.raises(HorizonError, match="horizon 1 below scan start 2"):
+            _sup_scan(DoubleScanTable(osc, 1).line(2), 2)
+
+    @given(st.sampled_from(sorted(SINGLE_SEQUENCES)), st.integers(1, 300), st.data())
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf blocks
+    def test_single_scan_matches_exhaustive_scan(self, name, horizon, data):
+        a = SINGLE_SEQUENCES[name]
+        start = data.draw(st.one_of(st.sampled_from((1, horizon)), st.integers(1, horizon)))
+        k = np.arange(start, 2 * horizon + 1, dtype=np.int64)
+        want = exhaustive_scan(np.abs(np.asarray(a.eval(k))).astype(np.float64), start,
+                               horizon, _single_tail_bound(a, horizon))
+        assert_same_sup(single_sup_scan(a, start, horizon), want)
+
+    def test_pruning_reads_a_prefix(self, osc, monkeypatch):
+        # decaying blocks: the sup at the start is certified within two rounds
+        seen = []
+        block_array = majorants._block_array
+        monkeypatch.setattr(majorants, "_block_array",
+                            lambda vals, lo, M_lo, M_hi: seen.append(M_hi - M_lo + 1)
+                            or block_array(vals, lo, M_lo, M_hi))
+        line = DoubleScanTable(osc, 4096).line(2)
+        seen.clear()
+        assert _sup_scan(line, 8) == exhaustive_row_scan(osc, 2, 8, 4096, False)
+        assert sum(seen) <= 64
+
+
+class TestLineCache:
+    def test_one_line_per_fixed_index_and_axis(self, osc):
+        table = DoubleScanTable(osc, 64)
+        assert table.line(3) is table.line(3)
+        assert table.line(3) is not table.line(3, transpose=True)
+        assert len(table._lines) == 2
+
+    def test_byte_cap_evicts_least_recently_used(self, osc, monkeypatch):
+        table = DoubleScanTable(osc, 64)
+        monkeypatch.setattr(majorants, "_MAX_LINE_BYTES", 2 * table.line(1).nbytes)
+        first, second = table.line(2), table.line(3)
+        assert list(table._lines) == [(2, False), (3, False)]
+        table.line(2)
+        table.line(4)  # evicts 3, the least recently used
+        assert list(table._lines) == [(2, False), (4, False)]
+        assert table.line(2) is first and table.line(3) is not second
+        assert table._line_bytes == 2 * first.nbytes
+
+    def test_cap_below_one_line_keeps_the_line_in_use(self, osc, monkeypatch):
+        monkeypatch.setattr(majorants, "_MAX_LINE_BYTES", 1)
+        table = DoubleScanTable(osc, 64)
+        for fixed in (1, 2, 1):
+            line = table.line(fixed)
+            assert list(table._lines.values()) == [line]
+            assert_same_sup(_sup_scan(line, 3), exhaustive_row_scan(osc, fixed, 3, 64, False))
 
 
 class TestComplexMagnitudes:

@@ -21,7 +21,8 @@ from doublesine import (
     from_table,
     single_from_values,
 )
-from doublesine.majorants import compile_b
+from doublesine import majorants
+from doublesine.majorants import compile_b, single_sup_scan
 from doublesine.membership import lhs_col, lhs_double, lhs_row
 
 DYADIC = tuple(2 ** t for t in range(1, 7))
@@ -153,6 +154,45 @@ class TestFamilyTwoGolden:
         assert len(report.rows) == 192
 
 
+# Family THREE, r = 1, 2, 3, dyadic:128, sup_horizon 4096: SHA-256 of
+# repr(report.rows), frozen from the exhaustive per-point row and column
+# scans that preceded the shared, pruned lines.
+GOLDEN_THREE = {
+    ("oscillating_quadratic", 1): "fde03527d890635ced62db72568cfa3317c19d3a89b4bace183388c49c4d68e2",
+    ("oscillating_quadratic", 2): "6618f2bedd8e56088f60c222e85639cef509a9e579b384806887a92449feffef",
+    ("oscillating_quadratic", 3): "eb783fbf97c6c4df4735c152d81c9c9d13019dfa8390ec006b2a14099a48a883",
+    ("mod3_log_product", 1): "c2b16f0a0af3cd4a5dd276dc61049d2412a16ee0ad38402098a1dd4aee4dd94d",
+    ("mod3_log_product", 2): "84b38cc9774aa178df921f782049e89dfdf151b391fb5fb9ba4d38714bae9482",
+    ("mod3_log_product", 3): "229b434dd18c99fa16c6b500ddcc43afe6a3eef4b223a057788c66cf060765f8",
+    ("product_power(1.3,2.2)", 1): "e65742f1344a6e3b82a805f3eb77023769e6fb52a8f21398c1f9b207aa6c8a7b",
+    ("product_power(1.3,2.2)", 2): "33790344a64377f2b373af8d2ed933581de11516f233e3c16a76f2056c65e528",
+    ("product_power(1.3,2.2)", 3): "3c9b3b28bad4eb6ab10e6d7a7d12bd795e53edf0fda3f47a4232fa66919fd8d7",
+}
+
+
+def family_three_rows_hash(name, r):
+    c = (builtin("product_power", p=1.3, q=2.2) if name.startswith("product_power")
+         else builtin(name))
+    dyadic = [2 ** t for t in range(1, 8)]
+    report = check_membership(c, r, MajorantFamily(Family.THREE, Axis.ROW, lam=2),
+                              [(m, n) for m in dyadic for n in dyadic])
+    assert len(report.rows) == 147
+    return hashlib.sha256(repr(report.rows).encode()).hexdigest()
+
+
+class TestFamilyThreeGolden:
+    @pytest.mark.parametrize("name, r", sorted(GOLDEN_THREE))
+    def test_reports_are_unchanged(self, name, r):
+        assert family_three_rows_hash(name, r) == GOLDEN_THREE[name, r]
+
+    @pytest.mark.parametrize("name, r", [("oscillating_quadratic", 2),
+                                         ("product_power(1.3,2.2)", 3)])
+    def test_a_one_line_cache_changes_nothing(self, name, r, monkeypatch):
+        # 24 sup_horizon bytes hold one line: every other row misses
+        monkeypatch.setattr(majorants, "_MAX_LINE_BYTES", 24 * 4096)
+        assert family_three_rows_hash(name, r) == GOLDEN_THREE[name, r]
+
+
 class TestSharedDoubleTable:
     """One table per fit gives the rows that per-point scans give."""
 
@@ -212,6 +252,23 @@ class TestCondition22:
 
 
 class TestSingleMembership:
+    @pytest.mark.parametrize("klass, b", [(SingleClass.SBVS, "l"), (SingleClass.SBVS2, "l"),
+                                          (SingleClass.SBVS2, "3*l")])
+    @pytest.mark.parametrize("a", [builtin("mod3_log_product").separable_parts[0],
+                                   builtin("product_power", p=0.5, q=0.7).separable_parts[0],
+                                   single_from_values("t", np.r_[np.ones(40), 0.5 * np.ones(40)])])
+    def test_sup_classes_share_one_line_with_per_point_scans(self, a, klass, b):
+        grid = (1, 2, 3, 5, 8, 13, 21)
+        report = check_single_membership(a, klass, grid, lam=3, horizon=64, b=b)
+        fb = compile_b(b)
+        rows = {row.m: row for row in report.rows}
+        assert len(rows) == (len(grid) - 2 if klass is SingleClass.SBVS else len(grid))
+        for n, row in rows.items():
+            start = max(1, n // 3) if klass is SingleClass.SBVS else fb(n)
+            scan = single_sup_scan(a, start, 64)
+            assert row.rhs == scan.value / n
+            assert row.truncated == (scan.truncated and row.lhs > 0.0)
+
     def test_mvbvs_constant_grows_for_oscillating_factor(self, osc):
         a, _ = osc.separable_parts
         small = check_single_membership(a, SingleClass.MVBVS, (4, 8, 16))

@@ -138,11 +138,24 @@ class TestTables:
         assert np.asarray(single_from_values("a", np.array([1j])).eval(3)).dtype == np.complex128
 
     def test_bool_indices_refused(self):
-        # np.rint of a bool is float16, where the 1e-9 tolerance rounds to 0
         c = from_table("t", np.array([[1.0, 2.0], [3.0, 4.0]]))
-        for bad in (True, np.array([False, True])):
-            with pytest.raises(ValueError, match="integers"):
+        a = builtin("oscillating_quadratic").separable_parts[0]
+        for bad in (True, np.array([False, True]), np.bool_(True)):
+            with pytest.raises(ValueError, match="integers, not booleans"):
                 c.eval(bad, 1)
+            with pytest.raises(ValueError, match="integers, not booleans"):
+                a.eval(bad)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_integrality_is_tested_in_float64(self, dtype):
+        a = builtin("oscillating_quadratic").separable_parts[0]
+        c = from_table("t", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert a.eval(dtype(2.0)) == 0.75
+        np.testing.assert_array_equal(a.eval(np.array([1, 2, 2048], dtype=dtype)),
+                                      a.eval(np.array([1, 2, 2048])))
+        assert c.eval(dtype(2.0), dtype(1.0)) == 3.0
+        with pytest.raises(ValueError, match="must be integers$"):
+            a.eval(dtype(2.5))
 
     @given(st.integers(0, 2 ** 31 - 1), st.booleans())
     @settings(max_examples=50, deadline=None)
