@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import delta_0r, delta_r, delta_r0, delta_rr
+from .differences import _row_blocks, delta_r, delta_r0_grid, delta_rr_grid
 from .kernels import Rect, rect_sum_direct  # noqa: F401  (re-exported: the probes' oracle)
 from .majorants import _MAX_DENSE_BYTES, compile_b, double_sup_scan
 from .sequences import CoefficientSequence, SingleSequence, builtin
@@ -220,10 +220,13 @@ def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
 
 
 def _guard_generic(cells: int) -> None:
+    """Refuse a generic scan over more than ``_MAX_GENERIC_CELLS`` cells."""
     if cells > _MAX_GENERIC_CELLS:
         raise ValueError(
-            "generic (non-separable) scan too large; lower the horizons or "
-            "supply a separable sequence")
+            f"generic (non-separable) scan over {cells} cells ({8 * cells} bytes of "
+            f"float64 differences, read in row blocks) is over the cap of "
+            f"{_MAX_GENERIC_CELLS} cells ({8 * _MAX_GENERIC_CELLS} bytes); lower the "
+            "horizons or supply a separable sequence")
 
 
 def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
@@ -246,12 +249,8 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
             return Measurement(value=value, bounded=True, tail_bound=tail)
         return Measurement(value=value, bounded=False)
     _guard_generic((horizon - m + 1) * (horizon - n + 1))
-    k = np.arange(n, horizon + 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, len(k)))
-    parts = []
-    for j0 in range(m, horizon + 1, chunk):
-        j = np.arange(j0, min(j0 + chunk, horizon + 1), dtype=np.int64)
-        parts.append(ksum(np.abs(delta_rr(c, 2, j[:, None], k[None, :]))))
+    parts = [ksum(np.abs(delta_rr_grid(c, 2, j0, j1, n, horizon)))
+             for j0, j1 in _row_blocks(m, horizon, horizon - n + 1)]
     value = m * n * float(ksum(np.asarray(parts)))
     hint = c.decay_hint
     if hint is not None:
@@ -294,16 +293,14 @@ def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
         qb = one_sided(b, a, n, m, n)
         return qa, qb
 
-    _guard_generic((sum_horizon - m + 1) * (sup_horizon - n + 1))
+    _guard_generic(max((sum_horizon - m + 1) * (sup_horizon - n + 1),
+                       (sum_horizon - n + 1) * (sup_horizon - m + 1)))
 
     def one_sided_generic(swap: bool, lo_sum: int, lo_sup: int, scale: int) -> Measurement:
         sup_idx = np.arange(lo_sup, sup_horizon + 1, dtype=np.int64)
         sums = np.zeros(len(sup_idx))
-        chunk = max(1, (1 << 22) // max(1, len(sup_idx)))
-        for j0 in range(lo_sum, sum_horizon + 1, chunk):
-            j = np.arange(j0, min(j0 + chunk, sum_horizon + 1), dtype=np.int64)
-            d = (delta_0r(c, 2, sup_idx[None, :], j[:, None]) if swap
-                 else delta_r0(c, 2, j[:, None], sup_idx[None, :]))
+        for j0, j1 in _row_blocks(lo_sum, sum_horizon, len(sup_idx)):
+            d = delta_r0_grid(c, 2, j0, j1, lo_sup, sup_horizon, transpose=swap)
             sums += np.abs(d).sum(axis=0)
         value = scale * float(np.max(sup_idx.astype(np.float64) * sums))
         hint = c.decay_hint

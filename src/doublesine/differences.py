@@ -14,6 +14,13 @@ For a double sequence ``c`` the three operators are
 Differences are evaluated on demand from the sequence callable, one
 closed form per call; nothing is cached and no cancellation guard is
 applied.  Index arguments broadcast like the underlying evaluators.
+
+Scans over a rectangle of indices take the differences block by block
+(:func:`_row_blocks`): :func:`delta_rr_grid` and :func:`delta_r0_grid`
+evaluate ``c`` once per block, on the block widened by the step, and
+slice the shifted terms out of that one table.  They combine the terms
+in the same order as :func:`delta_rr` and :func:`delta_r0`, so for an
+evaluator that acts elementwise the values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +29,11 @@ import numpy as np
 
 from .sequences import CoefficientSequence, SingleSequence
 
-__all__ = ["check_step", "delta_r", "delta_r0", "delta_0r", "delta_rr"]
+__all__ = ["check_step", "delta_r", "delta_r0", "delta_0r", "delta_rr",
+           "delta_rr_grid", "delta_r0_grid"]
+
+# Cells of one row block in a blocked scan (before widening by the step).
+_ROW_BLOCK_CELLS = 1 << 22
 
 
 def check_step(r) -> int:
@@ -61,3 +72,39 @@ def delta_rr(c: CoefficientSequence, r: int, j, k):
     j = np.asarray(j)
     k = np.asarray(k)
     return c.eval(j, k) - c.eval(j + r, k) - c.eval(j, k + r) + c.eval(j + r, k + r)
+
+
+def _row_blocks(lo: int, hi: int, width: int):
+    """Row ranges ``(j0, j1)``, inclusive, that cover ``lo..hi`` in order,
+    each ``_ROW_BLOCK_CELLS // width`` rows long (at least one row) but
+    the last."""
+    chunk = max(1, _ROW_BLOCK_CELLS // max(1, width))
+    for j0 in range(lo, hi + 1, chunk):
+        yield j0, min(j0 + chunk, hi + 1) - 1
+
+
+def _span(lo: int, hi: int) -> np.ndarray:
+    return np.arange(lo, hi + 1, dtype=np.int64)
+
+
+def delta_rr_grid(c: CoefficientSequence, r: int, j0: int, j1: int, k0: int, k1: int):
+    """``delta_rr(c, r, j[:, None], k[None, :])`` for ``j = j0..j1``,
+    ``k = k0..k1``, from one evaluation of ``c`` on ``j0..j1 + r`` by
+    ``k0..k1 + r``."""
+    r = check_step(r)
+    t = c.eval(_span(j0, j1 + r)[:, None], _span(k0, k1 + r)[None, :])
+    return t[:-r, :-r] - t[r:, :-r] - t[:-r, r:] + t[r:, r:]
+
+
+def delta_r0_grid(c: CoefficientSequence, r: int, j0: int, j1: int, k0: int, k1: int,
+                  transpose: bool = False):
+    """``delta_r0(c, r, j[:, None], k[None, :])`` for ``j = j0..j1``,
+    ``k = k0..k1``, from one evaluation of ``c`` on ``j0..j1 + r`` by
+    ``k0..k1``.  With ``transpose`` the sequence takes its indices the
+    other way round, ``delta_0r(c, r, k[None, :], j[:, None])``: the
+    difference still runs down the rows, along ``j``."""
+    r = check_step(r)
+    j = _span(j0, j1 + r)[:, None]
+    k = _span(k0, k1)[None, :]
+    t = c.eval(k, j) if transpose else c.eval(j, k)
+    return t[:-r] - t[r:]

@@ -66,7 +66,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sequences import CoefficientSequence, SingleSequence, compile_expression
-from .summing import ksum
+from .summing import _cumsum_rows, ksum
 
 __all__ = [
     "Family",
@@ -448,7 +448,7 @@ class DoubleScanTable:
                     "lower sup_horizon or use a separable sequence")
             grid = _abs_f64(c.eval(j[:, None], j[None, :]))
             pref = np.zeros((len(j) + 1, len(j) + 1))
-            np.cumsum(grid, axis=0, out=pref[1:, 1:])
+            _cumsum_rows(grid, pref[1:, 1:])
             np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
             Ms = np.arange(1, horizon + 1, dtype=np.int64)
             blocks = (pref[2 * Ms, :][:, 2 * Ms] - pref[Ms - 1, :][:, 2 * Ms]

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .convergence import TailReport, classify_tail, loglog_slope
-from .differences import check_step, delta_0r, delta_r, delta_r0, delta_rr
+from .differences import _row_blocks, check_step, delta_0r, delta_r, delta_r0, delta_rr_grid
 from .majorants import (
     Axis,
     DoubleScanTable,
@@ -92,12 +92,8 @@ def lhs_double(c: CoefficientSequence, r: int, m: int, n: int) -> float:
         left = float(ksum(np.abs(delta_r(a, r, j))))
         right = float(ksum(np.abs(delta_r(b, r, k))))
         return left * right
-    k = np.arange(n, 2 * n, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, len(k)))
-    parts = []
-    for j0 in range(m, 2 * m, chunk):
-        j = np.arange(j0, min(j0 + chunk, 2 * m), dtype=np.int64)
-        parts.append(ksum(np.abs(delta_rr(c, r, j[:, None], k[None, :]))))
+    parts = [ksum(np.abs(delta_rr_grid(c, r, j0, j1, n, 2 * n - 1)))
+             for j0, j1 in _row_blocks(m, 2 * m - 1, n)]
     return float(ksum(np.asarray(parts)))
 
 

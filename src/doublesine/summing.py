@@ -1,8 +1,26 @@
-"""Deterministic compensated summation helpers.
+"""Deterministic summation helpers.
 
 Every reduction in this package that feeds a reported number goes through
 one of these helpers (or an explicitly ordered ``numpy`` cumulative sum),
 so that repeated runs produce bit-identical output.
+
+:func:`ksum` returns the exact sum of its float64 inputs rounded once, so
+its result does not depend on the order of the values.  Long inputs are
+reduced by error-free extraction (Rump, Ogita and Oishi, "Accurate
+floating-point summation, Part I", SIAM J. Sci. Comput. 31(1), 2008):
+within a block of n values, for ``sigma`` a power of two with
+``max |p_i| <= 2^-M sigma`` and ``2^M >= n + 2``, each
+``q_i = (sigma + p_i) - sigma`` and ``p_i - q_i`` are computed without
+error, every ``q_i`` is a multiple of ``2^-53 sigma`` and their sum stays
+below ``sigma`` in magnitude.  So ``np.sum(q)`` is exact in any order,
+and the block's exact sum is that of the extracted ``np.sum(q)`` values
+plus the leftovers ``p - q``.  A few passes leave few nonzero leftovers;
+:func:`math.fsum` rounds the short list of extracted sums and leftovers
+once, which is the correctly rounded sum of the input, the same float
+``math.fsum`` returns on the whole input.  Non-finite input, magnitudes
+that would push ``sigma`` out of ``2^-900..2^1000`` and a zero result
+are left to :func:`math.fsum` on the whole input, so NaN, infinities,
+its ``ValueError``/``OverflowError`` and the sign of zero are unchanged.
 """
 
 from __future__ import annotations
@@ -14,21 +32,93 @@ import numpy as np
 
 __all__ = ["ksum", "sine_prefix"]
 
+# Below this many values math.fsum over a list is the faster reduction.
+_SMALL = 512
+# Values extracted at once; bounds the working memory of one reduction.
+_BLOCK = 1 << 15
+# Extraction passes per block before the leftovers go to math.fsum.
+_PASSES = 6
+# Range of sigma within which extraction neither overflows nor underflows.
+_SIGMA_EXP_MIN, _SIGMA_EXP_MAX = -900, 1000
+# Narrower tables take np.cumsum along axis 0; wider ones carry a row.
+_MIN_ROW_CARRY_WIDTH = 64
+
+
+def _extracted_parts(flat: np.ndarray) -> list[float] | None:
+    """Floats whose exact sum is the exact sum of the finite float64
+    vector ``flat``; None when ``flat`` is not finite or out of range."""
+    parts: list[float] = []
+    for start in range(0, len(flat), _BLOCK):
+        p = flat[start:start + _BLOCK]
+        M = (len(p) + 1).bit_length()  # smallest M with 2^M >= len(p) + 2
+        for i in range(_PASSES):
+            top = max(float(p.max()), -float(p.min()))
+            if top == 0.0:
+                break
+            if not math.isfinite(top):
+                return None
+            exp = M + math.frexp(top)[1]  # top <= 2^frexp(top)[1]
+            if not _SIGMA_EXP_MIN <= exp <= _SIGMA_EXP_MAX:
+                return None
+            sigma = math.ldexp(1.0, exp)
+            q = np.add(p, sigma)
+            q -= sigma
+            # the first pass must not write to the caller's array
+            p = p - q if i == 0 else np.subtract(p, q, out=p)
+            parts.append(float(np.sum(q)))
+        else:
+            parts.extend(p[p != 0.0].tolist())
+    return parts
+
+
+def _fsum(flat: np.ndarray) -> float:
+    """``math.fsum(flat)`` for a real 1-D array."""
+    if flat.dtype.kind != "f" or flat.dtype.itemsize > 8:
+        return math.fsum(flat)
+    flat = flat.astype(np.float64, copy=False)
+    if len(flat) >= _SMALL:
+        parts = _extracted_parts(flat)
+        if parts is not None:
+            total = math.fsum(parts)
+            if total != 0.0:
+                return total
+    return math.fsum(flat.tolist())
+
 
 def ksum(values: Iterable | np.ndarray) -> float | complex:
     """Exactly rounded sum of a sequence of floats or complex numbers.
 
-    Wraps :func:`math.fsum`; complex input is summed component-wise.
-    The reduction order is the iteration order of ``values``, which the
-    callers keep fixed (ascending index, row-major for 2-D blocks).
+    Equal, bit for bit, to :func:`math.fsum` over the values (complex
+    input is summed component-wise), so the result does not depend on
+    the order of the values.  float16/32/64 input of at least ``_SMALL``
+    values is reduced by blockwise error-free extraction (see the module
+    docstring); non-finite input, magnitudes near overflow or underflow
+    and a zero sum fall back to ``math.fsum``, as does every other dtype.
     """
     arr = np.asarray(values)
     if arr.size == 0:
         return 0.0
     flat = arr.reshape(-1)
     if np.iscomplexobj(flat):
-        return complex(math.fsum(flat.real), math.fsum(flat.imag))
-    return math.fsum(flat)
+        return complex(_fsum(flat.real), _fsum(flat.imag))
+    return _fsum(flat)
+
+
+def _cumsum_rows(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.cumsum(grid, axis=0, out=out)``, bit for bit.
+
+    Row i of the prefix is row i - 1 plus ``grid[i]``, the same sequential
+    sum ``np.cumsum`` forms per column; carrying whole rows reads a
+    C-ordered table in memory order, which is several times faster once
+    the table is wider than ``_MIN_ROW_CARRY_WIDTH``.  ``out`` may be
+    ``grid`` itself.
+    """
+    if grid.ndim != 2 or grid.shape[1] < _MIN_ROW_CARRY_WIDTH or len(grid) == 0:
+        return np.cumsum(grid, axis=0, out=out)
+    out[0] = grid[0]
+    for i in range(1, len(grid)):
+        np.add(out[i - 1], grid[i], out=out[i])
+    return out
 
 
 def sine_prefix(values: np.ndarray, x: float) -> np.ndarray:
@@ -45,5 +135,5 @@ def sine_prefix(values: np.ndarray, x: float) -> np.ndarray:
     out = np.zeros((len(values) + 1,) + values.shape[1:],
                    dtype=np.result_type(values, sines))
     np.multiply(values, sines, out=out[1:])
-    np.cumsum(out[1:], axis=0, out=out[1:])
+    _cumsum_rows(out[1:], out[1:])
     return out

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from doublesine import (
+    CoefficientSequence,
     EtaCapError,
     ProbeConfig,
     Rect,
@@ -91,6 +92,19 @@ class TestLemmaQuantities:
         qa_s, qb_s = lemma2_quantities(osc, 4, 4, sup_horizon=128, sum_horizon=256)
         assert qa_d.value == pytest.approx(qa_s.value, rel=1e-10)
         assert qb_d.value == pytest.approx(qb_s.value, rel=1e-10)
+
+    def test_generic_guard_covers_both_orientations(self):
+        def never(j, k):
+            raise AssertionError("evaluated past the size guard")
+
+        c = CoefficientSequence(name="never", eval=never)
+        cap = r"over the cap of 50000000 cells \(400000000 bytes\)"
+        # m = 1, n = sup_horizon: the first orientation covers 65536 cells,
+        # the swapped one (65536 - 4096 + 1) * 4096
+        with pytest.raises(ValueError, match=r"over 251662336 cells \(2013298688 bytes .*" + cap):
+            lemma2_quantities(c, 1, 4096, sup_horizon=4096, sum_horizon=1 << 16)
+        with pytest.raises(ValueError, match=r"over 4294967296 cells \(34359738368 bytes .*" + cap):
+            lemma1_quantity(c, 1, 1)
 
     def test_lemma3_terms_match_direct_evaluation(self, osc):
         C, lam, m, n = 4.0, 2, 8, 8
