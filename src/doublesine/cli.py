@@ -324,7 +324,8 @@ def _expect_matches(verdict: Verdict, expect: str) -> bool:
 
 
 # --- subcommand handlers ------------------------------------------------------
-# Each returns (results dict, csv header+rows or None, passed, witness lines).
+# Each returns (results dict, csv header+rows or None, witness lines); the
+# run passes when there is no witness.
 
 def _run_check_class(args):
     if args.single_class is not None:
@@ -338,17 +339,15 @@ def _run_check_class(args):
     # Truncated sup scans understate the majorant and so inflate the
     # fitted constant: a cap that holds anyway is certified, while a cap
     # exceeded only at a truncated point is undecided at this horizon.
-    passed, witness = True, []
+    witness = []
     for label, fitted, cap in (("row", report.fitted_C_row, args.max_row_c),
                                ("column", report.fitted_C_col, args.max_col_c),
                                ("double", report.fitted_C_double, args.max_double_c)):
         if cap is None:
             continue
         if fitted is None:
-            passed = False
             witness.append(f"{label} axis: no admissible grid points, cannot assert C <= {cap}")
         elif fitted > cap:
-            passed = False
             w = report.worst_witness[label]
             worst_truncated = any(row.axis == label and row.truncated
                                   and row.ratio == fitted for row in report.rows)
@@ -371,7 +370,7 @@ def _run_check_class(args):
     header = ["m", "n", "axis", "lhs", "rhs", "ratio", "truncated"]
     rows = [[row.m, row.n, row.axis, row.lhs, row.rhs, row.ratio, row.truncated]
             for row in report.rows]
-    return results, (header, rows), passed, witness
+    return results, (header, rows), witness
 
 
 def _run_check_class_single(args):
@@ -382,9 +381,8 @@ def _run_check_class_single(args):
     report = check_single_membership(a, klass, grid, lam=args.lam, r=args.r,
                                      horizon=args.horizon, b=args.b, beta=beta,
                                      target_C=args.max_c)
-    passed, witness = True, []
+    witness = []
     if args.max_c is not None and report.verdict != "pass":
-        passed = False
         witness.append(f"single class {klass.value}: verdict {report.verdict!r} "
                        f"against C <= {args.max_c!r}; worst {report.worst_witness}")
     results = {
@@ -400,7 +398,7 @@ def _run_check_class_single(args):
     }
     header = ["n", "lhs", "rhs", "ratio", "truncated"]
     rows = [[row.m, row.lhs, row.rhs, row.ratio, row.truncated] for row in report.rows]
-    return results, (header, rows), passed, witness
+    return results, (header, rows), witness
 
 
 def _run_condition_22(args):
@@ -409,9 +407,8 @@ def _run_condition_22(args):
                 if args.schedule is not None else None)
     report = check_condition_22(c, S=args.s_max, schedule=schedule,
                                 decay_factor=args.decay_factor)
-    passed, witness = True, []
+    witness = []
     if args.expect is not None and not _expect_matches(report.verdict, args.expect):
-        passed = False
         witness.append(f"expected {args.expect!r}, got {report.verdict.value!r}; "
                        f"values {list(report.values)}")
     results = {
@@ -425,7 +422,7 @@ def _run_condition_22(args):
     bounded = report.bounded or tuple(True for _ in report.schedule)
     header = ["scale", "value", "bounded_flag"]
     rows = [[s, v, b] for s, v, b in zip(report.schedule, report.values, bounded)]
-    return results, (header, rows), passed, witness
+    return results, (header, rows), witness
 
 
 def _require(args, *dests: str) -> None:
@@ -460,9 +457,8 @@ def _run_partial_sum(args):
     ref = values.get("direct", next(iter(values.values())))
     max_diff = max((abs(v - ref) for v in values.values()), default=0.0)
     limit = args.tol * (1.0 + abs(ref))
-    passed, witness = True, []
+    witness = []
     if max_diff > limit:
-        passed = False
         witness.append(f"methods disagree by {max_diff!r} > {limit!r} on "
                        f"rect {args.rect} at (x, y) = ({args.x!r}, {args.y!r}): {values}")
     results = {
@@ -477,7 +473,7 @@ def _run_partial_sum(args):
     }
     header = ["method", "value"]
     rows = [[method, values[method]] for method in methods]
-    return results, (header, rows), passed, witness
+    return results, (header, rows), witness
 
 
 def _probe_from_args(args) -> ProbeConfig:
@@ -496,9 +492,8 @@ def _run_uniform_tail(args):
     c = _resolve_sequence(args)
     probe = _probe_from_args(args)
     report, trace = uniform_tail_trace(c, probe)
-    passed, witness = True, []
+    witness = []
     if args.expect is not None and not _expect_matches(report.verdict, args.expect):
-        passed = False
         worst = max(trace, key=lambda row: row.abs_sum)
         witness.append(f"expected {args.expect!r}, got {report.verdict.value!r}; "
                        f"worst |rect sum| {worst.abs_sum!r} at rect "
@@ -516,7 +511,7 @@ def _run_uniform_tail(args):
     }
     header = ["m0", "x", "y", "m", "M", "n", "N", "abs_sum"]
     rows = [[t.threshold, t.x, t.y, t.m, t.M, t.n, t.N, t.abs_sum] for t in trace]
-    return results, (header, rows), passed, witness
+    return results, (header, rows), witness
 
 
 def _run_lemma(args):
@@ -539,13 +534,12 @@ def _run_lemma_decay(args, c):
         series["row_tail"] = [qa for qa, _ in pairs]
         series["col_tail"] = [qb for _, qb in pairs]
     verdicts = {}
-    passed, witness = True, []
+    witness = []
     for name, quantities in series.items():
         values = [q.upper for q in quantities]
         verdict = classify_probe(values, band=args.band, decay_ratio=args.decay_ratio)
         verdicts[name] = verdict.value
         if args.expect is not None and not _expect_matches(verdict, args.expect):
-            passed = False
             witness.append(f"{name}: expected {args.expect!r}, got {verdict.value!r}; "
                            f"values {values}")
     results = {
@@ -561,7 +555,7 @@ def _run_lemma_decay(args, c):
     rows = []
     for name in sorted(series):
         rows.extend([s, q.upper, q.bounded] for s, q in zip(schedule, series[name]))
-    return results, (header, rows), passed, witness
+    return results, (header, rows), witness
 
 
 def _fit_double_class_constant(c, args, grid) -> float:
@@ -583,7 +577,7 @@ def _run_lemma3(args, c):
         raise ConfigError(f"no grid points with m, n >= lambda = {args.lam}")
     C = args.c_const if args.c_const is not None else _fit_double_class_constant(c, args, grid)
     rows_out, results_rows = [], []
-    passed, witness = True, []
+    witness = []
     min_slack, min_at = math.inf, None
     for m, n in grid:
         res = lemma3_check(c, C, args.lam, m, n, b1=args.b1, b2=args.b2,
@@ -595,7 +589,6 @@ def _run_lemma3(args, c):
         if res.slack < min_slack:
             min_slack, min_at = res.slack, (res.m, res.n)
         if res.slack < 0.0:
-            passed = False
             witness.append(f"sandwich violated at (m, n) = ({res.m}, {res.n}): "
                            f"lhs {res.lhs!r} > rhs {res.rhs!r}")
     results = {
@@ -608,14 +601,14 @@ def _run_lemma3(args, c):
         "points": results_rows,
     }
     header = ["m", "n", "lhs", "rhs", "slack", "truncated"]
-    return results, (header, rows_out), passed, witness
+    return results, (header, rows_out), witness
 
 
 def _run_eta(args):
     _require(args, "epsilon", "c_const")
     c = _resolve_sequence(args)
     probe = _probe_from_args(args)
-    passed, witness = True, []
+    witness = []
     try:
         found = eta_search(c, epsilon=args.epsilon, C=args.c_const, lam=args.lam,
                            cap=args.cap, verify_range=args.verify_range,
@@ -629,10 +622,9 @@ def _run_eta(args):
             "eta": None,
             "error": str(exc),
         }
-        return results, None, False, witness
+        return results, None, witness
     t7 = theorem7_bound_check(c, args.epsilon, found.eta, args.c_const, probe)
     if t7.slack >= 0.0:
-        passed = False
         witness.append(f"uniform envelope violated: worst |rect sum| {t7.worst_abs!r} "
                        f">= bound {t7.bound!r} at rect {t7.witness_rect} and "
                        f"(x, y) = {t7.witness_xy}")
@@ -662,15 +654,14 @@ def _run_eta(args):
     header = ["condition", "worst", "bound", "margin", "certified"]
     rows = [[cond.name, cond.worst, cond.bound, cond.margin, cond.certified]
             for cond in found.conditions]
-    return results, (header, rows), passed, witness
+    return results, (header, rows), witness
 
 
 def _run_remark2(args):
     schedule = _parse_int_list(args.schedule, "schedule")
     report = remark2_divergence(schedule=schedule)
-    passed, witness = True, []
+    witness = []
     if report.verdict is not Verdict.GROWING:
-        passed = False
         witness.append(f"divergence run verdict {report.verdict.value!r}; values "
                        f"{list(report.values)} vs lower bounds "
                        f"{list(report.reference_values or ())}")
@@ -687,7 +678,6 @@ def _run_remark2(args):
         cross_checks.append({"scale": M, "direct": direct,
                              "product": product_value, "abs_diff": err})
         if err > limit:
-            passed = False
             witness.append(f"direct vs factored mismatch at scale {M}: "
                            f"{direct!r} vs {product_value!r} (diff {err!r})")
     results = {
@@ -702,7 +692,7 @@ def _run_remark2(args):
     }
     header = ["scale", "value", "bounded_flag"]
     rows = [[s, v, True] for s, v in zip(report.schedule, report.values)]
-    return results, (header, rows), passed, witness
+    return results, (header, rows), witness
 
 
 # --- randomized identity checks ----------------------------------------------
@@ -833,10 +823,9 @@ def _run_verify_identities(args):
         "kernel_envelope": _identity_kernel_bounds(args.kernel_points, args.k_max),
         "sine_parity": _identity_sine_parity(args.k_max),
     }
-    passed, witness = True, []
+    witness = []
     for name, stats in checks.items():
         if stats["failures"]:
-            passed = False
             witness.append(f"{name}: {stats['failures']} failure(s); detail {stats}")
     results = {"seed": args.seed, "checks": checks}
     header = ["check", "cases", "failures", "worst"]
@@ -848,7 +837,7 @@ def _run_verify_identities(args):
                                               stats.get("worst_mixed_err"))))
         rows.append([name, stats.get("cases", stats.get("points", stats.get("grid", 0))),
                      stats["failures"], worst])
-    return results, (header, rows), passed, witness
+    return results, (header, rows), witness
 
 
 class _Command(NamedTuple):
@@ -993,7 +982,7 @@ def main(argv=None) -> int:
                 _apply_config(parser, command, config_path)
         # argparse exits 2 on bad usage, matching the config-error status
         args = parser.parse_args(argv)
-        results, csv_payload, passed, witness = _COMMANDS[args.command].run(args)
+        results, csv_payload, witness = _COMMANDS[args.command].run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -1003,6 +992,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    passed = not witness
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / (args.json_name or f"{args.command}.json")

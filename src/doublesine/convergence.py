@@ -32,9 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import _row_blocks, delta_r, delta_r0_grid, delta_rr_grid
+from .differences import _blocked_sum, _row_blocks, delta_r, delta_r0_grid, delta_rr_grid
 from .kernels import Rect, rect_sum_direct  # noqa: F401  (re-exported: the probes' oracle)
-from .majorants import _MAX_DENSE_BYTES, compile_b, double_sup_scan
+from .majorants import _MAX_DENSE_BYTES, HorizonError, compile_b, double_sup_scan
 from .sequences import CoefficientSequence, SingleSequence, builtin
 from .summing import ksum, sine_prefix
 
@@ -190,16 +190,27 @@ def _sum_from(n: int, p: float) -> float | None:
     return float(n) ** (-p) + float(n) ** (1.0 - p) / (p - 1.0)
 
 
+def _d2_tail(a: SingleSequence, H: int) -> float | None:
+    """Bound on ``sum_{j > H} |a_j - a_{j+2}|`` from the decay hint."""
+    hint = a.decay_hint
+    base = None if hint is None else _tail_sum_beyond(H, hint.p)
+    return None if base is None else 2.0 * hint.K * base
+
+
+def _weight_tail(b: SingleSequence, H: int) -> float | None:
+    """Bound on ``sup_{k > H} k |b_k|`` from the decay hint:
+    ``k |b_k| <= K k^(1-p)`` is nonincreasing for p >= 1."""
+    hint = b.decay_hint
+    if hint is None or hint.p < 1.0:
+        return None
+    return hint.K * float(H + 1) ** (1.0 - hint.p)
+
+
 def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
     """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus a tail certificate."""
     j = np.arange(m, H + 1, dtype=np.int64)
     scanned = float(ksum(np.abs(delta_r(a, 2, j))))
-    hint = a.decay_hint
-    tail = None
-    if hint is not None:
-        base = _tail_sum_beyond(H, hint.p)
-        if base is not None:
-            tail = 2.0 * hint.K * base
+    tail = _d2_tail(a, H)
     return Measurement(value=scanned, bounded=tail is not None, tail_bound=tail)
 
 
@@ -208,11 +219,7 @@ def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
     k = np.arange(n, H + 1, dtype=np.int64)
     vals = k.astype(np.float64) * np.abs(np.asarray(b.eval(k)))
     scanned = float(np.max(vals))
-    hint = b.decay_hint
-    tail = None
-    if hint is not None and hint.p >= 1.0:
-        # k |b_k| <= K k^(1-p) is nonincreasing for p >= 1
-        tail = hint.K * float(H + 1) ** (1.0 - hint.p)
+    tail = _weight_tail(b, H)
     if tail is not None and tail <= scanned:
         return Measurement(value=scanned, bounded=True, tail_bound=0.0)
     return Measurement(value=scanned, bounded=tail is not None,
@@ -249,9 +256,8 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
             return Measurement(value=value, bounded=True, tail_bound=tail)
         return Measurement(value=value, bounded=False)
     _guard_generic((horizon - m + 1) * (horizon - n + 1))
-    parts = [ksum(np.abs(delta_rr_grid(c, 2, j0, j1, n, horizon)))
-             for j0, j1 in _row_blocks(m, horizon, horizon - n + 1)]
-    value = m * n * float(ksum(np.asarray(parts)))
+    value = m * n * _blocked_sum(m, horizon, horizon - n + 1, lambda j0, j1: np.abs(
+        delta_rr_grid(c, 2, j0, j1, n, horizon)))
     hint = c.decay_hint
     if hint is not None:
         beyond_j = _tail_sum_beyond(horizon, hint.p)
@@ -271,10 +277,14 @@ def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
 
     First: ``m sup_{k>=n} k sum_{j>=m} |d20 c_{jk}|``.  Second, with the
     roles of the indices swapped: ``n sup_{j>=m} j sum_{k>=n} |d02 c_{jk}|``.
-    Sups are scanned to ``sup_horizon``, inner sums to ``sum_horizon``.
+    Sups are scanned to ``sup_horizon``, inner sums to ``sum_horizon``;
+    a sup that would start past ``sup_horizon`` raises
+    :class:`~doublesine.majorants.HorizonError`.
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
+    if sup_horizon < max(m, n):
+        raise HorizonError(f"horizon {sup_horizon} below scan start {max(m, n)}")
     if c.separable_parts is not None:
         a, b = c.separable_parts
 
@@ -346,18 +356,23 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
 
     The sequence must be nonnegative on the touched ranges; slack is
     RHS - m n c_{mn} and should be >= 0 for members of the step-2 class.
+    The window sums are read in row blocks (:func:`_blocked_sum`).
     """
     if m < lam or n < lam:
         raise ValueError(f"need m, n >= lambda = {lam}")
     fb1, fb2, fb3 = compile_b(b1), compile_b(b2), compile_b(b3)
 
     def window_sum(jlo, jhi, klo, khi) -> float:
-        j = np.arange(jlo, jhi + 1, dtype=np.int64)
         k = np.arange(klo, khi + 1, dtype=np.int64)
-        vals = np.asarray(c.eval(j[:, None], k[None, :]), dtype=np.float64)
-        if np.any(vals < 0.0):
-            raise ValueError("lemma3_check needs nonnegative coefficients")
-        return float(ksum(vals))
+
+        def block(j0, j1):
+            j = np.arange(j0, j1 + 1, dtype=np.int64)
+            vals = np.asarray(c.eval(j[:, None], k[None, :]), dtype=np.float64)
+            if np.any(vals < 0.0):
+                raise ValueError("lemma3_check needs nonnegative coefficients")
+            return vals
+
+        return _blocked_sum(jlo, jhi, len(k), block)
 
     scan = double_sup_scan(c, fb3(m + n), sup_horizon)
     term1 = C * scan.value
@@ -468,26 +483,33 @@ def _abs_rect_sums(c: CoefficientSequence, probe: ProbeConfig, index):
     factor of a separable sequence, else the dense table and the identity.
     Sine-prefix differences of ``A`` (once per distinct x) and of ``B``
     (once per distinct y) over the intervals multiply into all the sums.
+    For the identity those differences are exactly ``sin(k y)`` for ``k``
+    in the interval and 0 elsewhere, so that matrix is built directly,
+    without a prefix table per y.
     """
     j_iv, k_iv, lo, hi = index
     cap = probe.rect_cap
     idx = np.arange(1, cap + 1, dtype=np.int64)
-    if c.separable_parts is not None:
-        A, B = (np.asarray(f.eval(idx))[:, None] for f in c.separable_parts)
-    else:
-        needed = 8 * cap * (3 * cap + 1)   # table, identity, one prefix table
-        if needed > _MAX_DENSE_BYTES:
-            raise ValueError(f"dense probe at rect_cap {cap} needs {needed} bytes for its "
-                             f"{cap}x{cap} tables, over the cap of {_MAX_DENSE_BYTES} bytes; "
-                             "lower rect_cap or use a separable sequence")
-        A, B = np.asarray(c.eval(idx[:, None], idx[None, :])), np.eye(cap)
 
     def interval_sums(factor: np.ndarray, t: float) -> np.ndarray:
         P = sine_prefix(factor, t)
         return P[hi] - P[lo - 1]
 
+    ys = dict.fromkeys(y for _, y in probe.xy_grid)
+    if c.separable_parts is not None:
+        A, B = (np.asarray(f.eval(idx))[:, None] for f in c.separable_parts)
+        sums_y = {y: interval_sums(B, y) for y in ys}
+    else:
+        needed = 8 * cap * (2 * cap + 1)   # the table and one prefix table
+        if needed > _MAX_DENSE_BYTES:
+            raise ValueError(f"dense probe at rect_cap {cap} needs {needed} bytes for its "
+                             f"{cap}x{cap} tables, over the cap of {_MAX_DENSE_BYTES} bytes; "
+                             "lower rect_cap or use a separable sequence")
+        A = np.asarray(c.eval(idx[:, None], idx[None, :]))
+        inside = (lo[:, None] <= idx) & (idx <= hi[:, None])
+        ks = idx.astype(np.float64)
+        sums_y = {y: np.where(inside, np.sin(ks * y), 0.0) for y in ys}
     sums_x = {x: interval_sums(A, x) for x in dict.fromkeys(x for x, _ in probe.xy_grid)}
-    sums_y = {y: interval_sums(B, y) for y in dict.fromkeys(y for _, y in probe.xy_grid)}
     for x, y in probe.xy_grid:
         yield x, y, np.abs(sums_x[x] @ sums_y[y].T)[j_iv, k_iv]
 
@@ -630,14 +652,7 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     wb = idx.astype(np.float64) * np.abs(np.asarray(b.eval(idx)))
     suffmax_wa = np.maximum.accumulate(wa[::-1])[::-1]
     suffmax_wb = np.maximum.accumulate(wb[::-1])[::-1]
-
-    def weight_tail(s: SingleSequence) -> float | None:
-        hint = s.decay_hint
-        if hint is None or hint.p < 1.0:
-            return None
-        return hint.K * float(H + 1) ** (1.0 - hint.p)
-
-    tail_wa, tail_wb = weight_tail(a), weight_tail(b)
+    tail_wa, tail_wb = _weight_tail(a, H), _weight_tail(b, H)
 
     # suffix sums of |d2| for conditions (2)-(4)
     j2 = np.arange(1, sum_horizon + 1, dtype=np.int64)
@@ -645,15 +660,7 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     d2b = np.abs(delta_r(b, 2, j2))
     suff_d2a = np.concatenate([np.cumsum(d2a[::-1])[::-1], [0.0]])
     suff_d2b = np.concatenate([np.cumsum(d2b[::-1])[::-1], [0.0]])
-
-    def d2_tail(s: SingleSequence) -> float | None:
-        hint = s.decay_hint
-        if hint is None:
-            return None
-        base = _tail_sum_beyond(sum_horizon, hint.p)
-        return None if base is None else 2.0 * hint.K * base
-
-    tail_d2a, tail_d2b = d2_tail(a), d2_tail(b)
+    tail_d2a, tail_d2b = _d2_tail(a, sum_horizon), _d2_tail(b, sum_horizon)
 
     def cond1(eta: int) -> tuple[float, tuple[int, int], bool]:
         sa = float(suffmax_wa[eta])              # sup over m >= eta+1 of m|a_m|

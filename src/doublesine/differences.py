@@ -21,6 +21,10 @@ evaluate ``c`` once per block, on the block widened by the step, and
 slice the shifted terms out of that one table.  They combine the terms
 in the same order as :func:`delta_rr` and :func:`delta_r0`, so for an
 evaluator that acts elementwise the values are the same bit for bit.
+Rectangle sums read in row blocks (block differences, lemma 1, the
+dense family-ONE and lemma 3 windows) reduce them with
+:func:`_blocked_sum`: an exactly rounded sum per block, then of the
+parts.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .sequences import CoefficientSequence, SingleSequence
+from .summing import ksum
 
 __all__ = ["check_step", "delta_r", "delta_r0", "delta_0r", "delta_rr",
            "delta_rr_grid", "delta_r0_grid"]
@@ -81,6 +86,14 @@ def _row_blocks(lo: int, hi: int, width: int):
     chunk = max(1, _ROW_BLOCK_CELLS // max(1, width))
     for j0 in range(lo, hi + 1, chunk):
         yield j0, min(j0 + chunk, hi + 1) - 1
+
+
+def _blocked_sum(lo: int, hi: int, width: int, block) -> float:
+    """``ksum`` of ``ksum(block(j0, j1))`` over the row blocks
+    ``_row_blocks(lo, hi, width)``; ``block`` returns the values of rows
+    ``j0..j1`` (inclusive) of a rectangle ``width`` columns wide."""
+    parts = [ksum(block(j0, j1)) for j0, j1 in _row_blocks(lo, hi, width)]
+    return float(ksum(np.asarray(parts)))
 
 
 def _span(lo: int, hi: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differences import check_step, delta_0r, delta_r, delta_r0, delta_rr
+from .differences import _row_blocks, check_step, delta_0r, delta_r, delta_r0, delta_rr
 from .sequences import CoefficientSequence, SingleSequence
 from .summing import ksum
 
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 SINGULARITY_FLOOR = 1e-12
-_BLOCK_CELLS = 1 << 22  # coefficients read at once by rect_sum_direct
 
 
 class SingularityError(ValueError):
@@ -137,15 +136,15 @@ def rect_sum_direct(c: CoefficientSequence, rect: Rect, x: float, y: float):
 
     Rows are processed with ascending j, each row compensated over
     ascending k, and the row totals compensated again.  Coefficients are
-    read in blocks of whole rows (about 4M cells each); the compensated
-    sums are exactly rounded, so the blocking does not change the result.
+    read in the row blocks of :func:`~doublesine.differences._row_blocks`;
+    every row is summed on its own, so the blocking does not change the
+    result.
     """
     ks = np.arange(rect.n, rect.N + 1, dtype=np.int64)
     sin_ky = np.sin(ks * y)
-    chunk = max(1, _BLOCK_CELLS // len(ks))
     rows = []
-    for j0 in range(rect.m, rect.M + 1, chunk):
-        js = np.arange(j0, min(j0 + chunk, rect.M + 1), dtype=np.int64)
+    for j0, j1 in _row_blocks(rect.m, rect.M, len(ks)):
+        js = np.arange(j0, j1 + 1, dtype=np.int64)
         block = np.asarray(c.eval(js[:, None], ks[None, :])) * sin_ky
         rows.extend(math.sin(j * x) * ksum(row) for j, row in zip(js.tolist(), block))
     return ksum(np.asarray(rows))

@@ -65,6 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .differences import _blocked_sum
 from .sequences import CoefficientSequence, SingleSequence, compile_expression
 from .summing import _cumsum_rows, ksum
 
@@ -223,8 +224,7 @@ def block_sum_double(c: CoefficientSequence, M: int, N: int) -> float:
 
 def single_block_sum(a: SingleSequence, M: int) -> float:
     """``sum_{k=M}^{2M} |a_k|``."""
-    k = np.arange(M, 2 * M + 1, dtype=np.int64)
-    return float(ksum(np.abs(a.eval(k))))
+    return single_window_sum(a, M, 2 * M)
 
 
 def single_window_sum(a: SingleSequence, lo: int, hi: int) -> float:
@@ -237,13 +237,9 @@ def _window_double_sum(c: CoefficientSequence, jlo: int, jhi: int, klo: int, khi
     if c.separable_parts is not None:
         a, b = c.separable_parts
         return single_window_sum(a, jlo, jhi) * single_window_sum(b, klo, khi)
-    step = max(1, (1 << 22) // max(1, khi - klo + 1))
     k = np.arange(klo, khi + 1, dtype=np.int64)
-    parts = []
-    for j0 in range(jlo, jhi + 1, step):
-        j = np.arange(j0, min(j0 + step, jhi + 1), dtype=np.int64)
-        parts.append(ksum(np.abs(c.eval(j[:, None], k[None, :]))))
-    return float(ksum(np.asarray(parts)))
+    return _blocked_sum(jlo, jhi, len(k), lambda j0, j1: np.abs(
+        c.eval(np.arange(j0, j1 + 1, dtype=np.int64)[:, None], k[None, :])))
 
 
 # --- scan machinery -------------------------------------------------------

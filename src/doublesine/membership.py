@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .convergence import TailReport, classify_tail, loglog_slope
-from .differences import _row_blocks, check_step, delta_0r, delta_r, delta_r0, delta_rr_grid
+from .differences import _blocked_sum, check_step, delta_0r, delta_r, delta_r0, delta_rr_grid
 from .majorants import (
     Axis,
     DoubleScanTable,
@@ -92,9 +92,8 @@ def lhs_double(c: CoefficientSequence, r: int, m: int, n: int) -> float:
         left = float(ksum(np.abs(delta_r(a, r, j))))
         right = float(ksum(np.abs(delta_r(b, r, k))))
         return left * right
-    parts = [ksum(np.abs(delta_rr_grid(c, r, j0, j1, n, 2 * n - 1)))
-             for j0, j1 in _row_blocks(m, 2 * m - 1, n)]
-    return float(ksum(np.asarray(parts)))
+    return _blocked_sum(m, 2 * m - 1, n,
+                        lambda j0, j1: np.abs(delta_rr_grid(c, r, j0, j1, n, 2 * n - 1)))
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,30 @@ _LHS_FOR_AXIS: dict[Axis, Callable] = {
 }
 
 
-def _ratio(lhs: float, rhs_val: float) -> float:
+def _ratio_row(m: int, n: int, axis: str, lhs: float, rhs_val: float,
+               truncated: bool) -> RatioRow:
+    """One grid point; a truncated majorant only matters where ``lhs > 0``."""
     if rhs_val > 0.0:
-        return lhs / rhs_val
-    return 0.0 if lhs == 0.0 else math.inf
+        ratio = lhs / rhs_val
+    else:
+        ratio = 0.0 if lhs == 0.0 else math.inf
+    return RatioRow(m=m, n=n, axis=axis, lhs=lhs, rhs=rhs_val, ratio=ratio,
+                    truncated=truncated and lhs > 0.0)
+
+
+def _fit(rows: list[RatioRow], target_C: float | None) -> tuple[RatioRow | None, str | None]:
+    """The first row with the largest ratio (None without rows), as a loop
+    taking a row only when its ratio is strictly larger; and the verdict
+    against ``target_C`` (None without one): ``fail`` when a certified
+    row exceeds it, ``inconclusive`` when only truncated rows do or there
+    are no rows, else ``pass``."""
+    best = max(rows, key=lambda row: row.ratio, default=None)
+    if target_C is None:
+        return best, None
+    over = [row.truncated for row in rows if row.ratio > target_C]
+    if not all(over):
+        return best, "fail"
+    return best, "inconclusive" if over or best is None else "pass"
 
 
 def _axis_admissible(axis: Axis, m: int, n: int, lam: int) -> bool:
@@ -193,51 +212,27 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
     witness: dict[str, dict | None] = {}
     growth: dict[str, float | None] = {}
     verdicts: dict[str, str] = {}
-    any_truncated = False
     # one double-sup table per fit, shared by every double-axis grid point
     table = DoubleScanTable(c, fam.sup_horizon)
 
     for axis in (Axis.ROW, Axis.COLUMN, Axis.DOUBLE):
         fam_axis = replace(fam, axis=axis)
-        best: float | None = None
-        best_row: RatioRow | None = None
-        pts: list[tuple[int, int, float]] = []
-        hard_fail: RatioRow | None = None
-        unknown = False
+        axis_rows = []
         for m, n in grid:
             if not _axis_admissible(axis, m, n, fam.lam):
                 continue
             lhs_val = _LHS_FOR_AXIS[axis](c, r, m, n)
             mv: MajorantValue = rhs(c, fam_axis, m, n, table=table)
-            ratio = _ratio(lhs_val, mv.value)
-            truncated = mv.truncated and lhs_val > 0.0
-            any_truncated = any_truncated or truncated
-            row = RatioRow(m=m, n=n, axis=axis.value, lhs=lhs_val,
-                           rhs=mv.value, ratio=ratio, truncated=truncated)
-            rows.append(row)
-            pts.append((m, n, ratio))
-            if best is None or ratio > best:
-                best, best_row = ratio, row
-            if target_C is not None and ratio > target_C:
-                if truncated:
-                    unknown = True
-                elif hard_fail is None:
-                    hard_fail = row
-        fitted[axis] = best
-        witness[axis.value] = None if best_row is None else {
-            "m": best_row.m, "n": best_row.n, "lhs": best_row.lhs,
-            "rhs": best_row.rhs, "ratio": best_row.ratio,
+            axis_rows.append(_ratio_row(m, n, axis.value, lhs_val, mv.value, mv.truncated))
+        best, verdict = _fit(axis_rows, target_C)
+        fitted[axis] = None if best is None else best.ratio
+        witness[axis.value] = None if best is None else {
+            "m": best.m, "n": best.n, "lhs": best.lhs, "rhs": best.rhs, "ratio": best.ratio,
         }
-        growth[axis.value] = _growth_slope(pts)
-        if target_C is not None:
-            if hard_fail is not None:
-                verdicts[axis.value] = "fail"
-            elif unknown:
-                verdicts[axis.value] = "inconclusive"
-            elif best is None:
-                verdicts[axis.value] = "inconclusive"
-            else:
-                verdicts[axis.value] = "pass"
+        growth[axis.value] = _growth_slope([(row.m, row.n, row.ratio) for row in axis_rows])
+        if verdict is not None:
+            verdicts[axis.value] = verdict
+        rows.extend(axis_rows)
 
     return MembershipReport(
         r=r,
@@ -248,7 +243,7 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
         fitted_C_double=fitted[Axis.DOUBLE],
         worst_witness=witness,
         growth_fit=growth,
-        truncation_flags=any_truncated,
+        truncation_flags=any(row.truncated for row in rows),
         rows=tuple(rows),
         target_C=target_C,
         verdicts=verdicts or None,
@@ -350,11 +345,6 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
             if klass in (SingleClass.SBVS, SingleClass.SBVS2) else None)
 
     rows: list[RatioRow] = []
-    best: float | None = None
-    best_row: RatioRow | None = None
-    any_truncated = False
-    hard_fail = False
-    unknown = False
     for n in grid:
         if klass in (SingleClass.MVBVS, SingleClass.SBVS) and n < lam:
             continue
@@ -372,27 +362,11 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
             truncated = scan.truncated
         else:
             rhs_val = float(beta_fn(n))
-        ratio = _ratio(lhs_val, rhs_val)
-        truncated = truncated and lhs_val > 0.0
-        any_truncated = any_truncated or truncated
-        row = RatioRow(m=n, n=0, axis="single", lhs=lhs_val, rhs=rhs_val,
-                       ratio=ratio, truncated=truncated)
-        rows.append(row)
-        if best is None or ratio > best:
-            best, best_row = ratio, row
-        if target_C is not None and ratio > target_C:
-            if truncated:
-                unknown = True
-            else:
-                hard_fail = True
-    verdict = None
-    if target_C is not None:
-        verdict = ("fail" if hard_fail
-                   else "inconclusive" if (unknown or best is None) else "pass")
+        rows.append(_ratio_row(n, 0, "single", lhs_val, rhs_val, truncated))
+    best, verdict = _fit(rows, target_C)
     return SingleMembershipReport(
-        klass=klass, r=r, grid=grid, fitted_C=best,
-        worst_witness=None if best_row is None else {
-            "n": best_row.m, "lhs": best_row.lhs, "rhs": best_row.rhs,
-            "ratio": best_row.ratio},
-        truncation_flags=any_truncated, rows=tuple(rows),
+        klass=klass, r=r, grid=grid, fitted_C=None if best is None else best.ratio,
+        worst_witness=None if best is None else {
+            "n": best.m, "lhs": best.lhs, "rhs": best.rhs, "ratio": best.ratio},
+        truncation_flags=any(row.truncated for row in rows), rows=tuple(rows),
         target_C=target_C, verdict=verdict)

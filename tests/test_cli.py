@@ -103,6 +103,12 @@ class TestLibraryRefusals:
                            "--sup-horizon", "16")
         assert "horizon 16 below scan start" in err
 
+    def test_lemma2_sup_past_horizon(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, "lemma", "--which", "2", "--preset",
+                           "oscillating_quadratic", "--schedule", "64",
+                           "--sup-horizon", "16")
+        assert err == "error: horizon 16 below scan start 64\n"
+
     def test_no_rectangles_beyond_threshold(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "uniform-tail", "--preset",
                            "oscillating_quadratic", "--rect-cap", "16",
@@ -110,10 +116,10 @@ class TestLibraryRefusals:
         assert "no rectangles beyond threshold 64" in err
 
     def test_dense_probe_guard_states_bytes(self, tmp_path, capsys):
-        # default --rect-cap 4096: coefficient, identity and prefix tables
+        # default --rect-cap 4096: the coefficient table and one prefix table
         err = self.refused(tmp_path, capsys, "uniform-tail", "--expr", TWIN_EXPR,
                            "--grid-points", "3")
-        assert "needs 402685952 bytes" in err and "cap of 160000000 bytes" in err
+        assert "needs 268468224 bytes" in err and "cap of 160000000 bytes" in err
 
 
 class TestDenseProbe:

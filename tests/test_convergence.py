@@ -7,6 +7,7 @@ import pytest
 from doublesine import (
     CoefficientSequence,
     EtaCapError,
+    HorizonError,
     ProbeConfig,
     Rect,
     Verdict,
@@ -25,11 +26,12 @@ from doublesine import (
     loglog_slope,
     rect_sum_direct,
     remark2_divergence,
+    single_from_values,
     theorem7_bound_check,
     uniform_tail_probe,
     uniform_tail_trace,
 )
-from doublesine.convergence import _probe_arrays
+from doublesine.convergence import _d2_tail, _probe_arrays, _weight_tail
 
 # Closed forms for the oscillating preset, step 2: within each parity the
 # terms telescope, so sum_{j>=m} |a_j - a_{j+2}| = a_m + a_{m+1}.
@@ -106,6 +108,26 @@ class TestLemmaQuantities:
         with pytest.raises(ValueError, match=r"over 4294967296 cells \(34359738368 bytes .*" + cap):
             lemma1_quantity(c, 1, 1)
 
+    @pytest.mark.parametrize("c", [builtin("oscillating_quadratic"),
+                                   from_expression("nonsep", "1/(j*k*(j+k))")],
+                             ids=["separable", "generic"])
+    def test_lemma2_sup_past_horizon_is_refused(self, c):
+        with pytest.raises(HorizonError, match="horizon 16 below scan start 64"):
+            lemma2_quantities(c, 64, 64, sup_horizon=16, sum_horizon=1 << 16)
+        with pytest.raises(HorizonError, match="horizon 16 below scan start 17"):
+            lemma2_quantities(c, 17, 2, sup_horizon=16, sum_horizon=32)
+        # m past sum_horizon and n past sup_horizon: both guard factors negative
+        with pytest.raises(HorizonError, match="horizon 8 below scan start 40"):
+            lemma2_quantities(c, 40, 40, sup_horizon=8, sum_horizon=32)
+
+    def test_lemma2_horizon_refused_before_the_size_guard(self):
+        def never(j, k):
+            raise AssertionError("evaluated past a refused horizon")
+
+        c = CoefficientSequence(name="never", eval=never)
+        with pytest.raises(HorizonError):
+            lemma2_quantities(c, 1, 4097, sup_horizon=4096, sum_horizon=1 << 20)
+
     def test_lemma3_terms_match_direct_evaluation(self, osc):
         C, lam, m, n = 4.0, 2, 8, 8
         res = lemma3_check(osc, C, lam, m, n)
@@ -124,6 +146,15 @@ class TestLemmaQuantities:
         assert res.lhs == pytest.approx(m * n * osc(m, n), rel=1e-13)
         assert res.slack == pytest.approx(res.rhs - res.lhs, rel=1e-13)
 
+    def test_lemma3_one_block_windows_are_frozen(self, osc):
+        # sha256 of the reprs, frozen from the unblocked window sums; every
+        # window here is one row block, where the blocked sum is the same
+        nonsep = from_expression("nonsep", "1/(j*k*(j+k))")
+        results = [repr(lemma3_check(c, 1.5, 2, m, n, sup_horizon=64)) for c in (osc, nonsep)
+                   for m, n in ((2, 2), (3, 5), (8, 4), (16, 16))]
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == "20041bd4305a8d4e6273aeff3edfc38b15a9fbf6d45dfb331176b1f254d3dea0"
+
     def test_lemma3_requires_nonnegative(self):
         c = from_table("neg", -np.ones((16, 16)))
         with pytest.raises(ValueError):
@@ -132,6 +163,25 @@ class TestLemmaQuantities:
     def test_lemma3_domain(self, osc):
         with pytest.raises(ValueError):
             lemma3_check(osc, 4.0, 2, 1, 4)
+
+
+class TestTailBounds:
+    """The hint bounds shared by the lemma scans and the eta search."""
+
+    def test_closed_forms(self, osc):
+        a, _ = osc.separable_parts   # |a_k| <= 3 / k^2
+        # sup_{k > 99} k |a_k| <= 3 / 100; sum_{j > 100} |a_j - a_{j+2}| <= 2 * 3 / 100
+        assert _weight_tail(a, 99) == pytest.approx(0.03, rel=1e-15)
+        assert _d2_tail(a, 100) == pytest.approx(0.06, rel=1e-15)
+
+    def test_exponent_limits(self, pp11):
+        a, _ = pp11.separable_parts  # p = 1: k |a_k| <= 1, but sum k^-1 diverges
+        assert _weight_tail(a, 99) == 1.0
+        assert _d2_tail(a, 100) is None
+        slow = builtin("product_power", p=0.5, q=0.5).separable_parts[0]
+        assert _weight_tail(slow, 99) is None
+        hintless = single_from_values("t", np.ones(8))
+        assert _weight_tail(hintless, 99) is None and _d2_tail(hintless, 100) is None
 
 
 class TestEtaSearch:
@@ -291,6 +341,24 @@ class TestProbeOracle:
         probe = ProbeConfig(**self.GEOMETRIES[geometry])
         text = repr(uniform_tail_trace(builtin(name), probe))
         assert hashlib.sha256(text.encode()).hexdigest() == self.FROZEN[name, geometry]
+
+    # sha256 of repr(uniform_tail_trace(...)) on dense expressions, frozen
+    # from the probe that took the sine prefixes of an identity factor
+    DENSE_FROZEN = {
+        ("1/(j*k*(j+k))", 32): "e6a8ba2eae72e5a5b39984c74863c1b658b31aa4698cb627d19e92210a310bb1",
+        ("1/(j*k*(j+k))", 256): "1aa57fabf542b203484af3fb3caaf909ff8da5595970e28a94979815cb523846",
+        (TWIN_EXPR, 32): "58f2caea35256ae799fcdb2262711169bff679f9961fa5ae87d859cbe3366422",
+        (TWIN_EXPR, 256): "e35eb53eac3a62860a4fd2de3687e8902c6731049abceaa9dc59daf4180eb958",
+        ("sign(j-k)*alternating(j*k)/(j+k)^2", 32): "924eed46de48a3ef338732716949b29962024038099e48e4d1dc328ba219db9a",
+        ("sign(j-k)*alternating(j*k)/(j+k)^2", 256): "478b6a78f1dec2d094b8170a4ea64d281ce037f83973ff7a79749163f45ebed1",
+    }
+
+    @pytest.mark.parametrize("expr, cap", sorted(DENSE_FROZEN))
+    def test_dense_traces_are_frozen(self, expr, cap):
+        probe = ProbeConfig(xy_grid=interior_grid(3), thresholds=(4, 8, 16),
+                            rect_cap=cap, doublings=3)
+        text = repr(uniform_tail_trace(from_expression("dense", expr), probe))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DENSE_FROZEN[expr, cap]
 
 
 class TestRemark2:

@@ -22,7 +22,7 @@ from doublesine import (
     row_sum_by_parts,
     single_from_values,
 )
-from doublesine import kernels
+from doublesine import differences
 from doublesine.kernels import _envelope, _kernel_row
 
 
@@ -304,7 +304,7 @@ class TestRectSumDirectOracle:
     @pytest.mark.parametrize("cells", [1, 20, 45, 100, 1 << 22])
     def test_row_blocks(self, monkeypatch, osc, cells):
         # 20 columns: blocks of 1, 1, 2, 5 rows, and every row at once
-        monkeypatch.setattr(kernels, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", cells)
         twin = from_expression("twin", "(2+alternating(j))/j^2*(2+alternating(k))/k^2")
         for c in (osc, twin):
             rect = Rect(3, 40, 5, 24)

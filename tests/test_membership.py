@@ -19,9 +19,10 @@ from doublesine import (
     double_sup_scan,
     from_expression,
     from_table,
+    ksum,
     single_from_values,
 )
-from doublesine import majorants
+from doublesine import differences, majorants
 from doublesine.majorants import compile_b, single_sup_scan
 from doublesine.membership import lhs_col, lhs_double, lhs_row
 
@@ -315,3 +316,76 @@ class TestSingleMembership:
         a, _ = osc.separable_parts
         report = check_single_membership(a, SingleClass.MVBVS, (256,), target_C=1.0)
         assert report.verdict == "fail"
+
+
+# --- results frozen before the fit and the row-block reduction were shared ------
+
+SINGLES = {
+    "mod3": builtin("mod3_log_product").separable_parts[0],
+    "osc": builtin("oscillating_quadratic").separable_parts[0],
+    "pp05": builtin("product_power", p=0.5, q=0.7).separable_parts[0],
+    "steps": single_from_values("steps", np.r_[np.ones(40), 0.5 * np.ones(40)]),
+}
+SINGLE_GRID = (1, 2, 3, 4, 5, 8, 13, 16, 21, 64)
+
+# sha256 of repr([repr(report) for each of SINGLES, by name]), frozen from the
+# per-class fit loop that check_single_membership kept before it shared _fit.
+SINGLE_FROZEN = {
+    ("mvbvs", None): "0138cfefbeb41b03b2f9530a4ad12d246d8d93a4e347c197e2b75b7e2ac9430f",
+    ("mvbvs", 0.5): "db281244b69154671840a9fe5b93fa93d256225f567de3b59088daee94be6cf1",
+    ("mvbvs", 3.0): "b169353d805ee95e1af0ccc60347af023ac89d6f5a92b8f8d7d6e9b2e0ac1754",
+    ("sbvs", None): "47bbc57529afde3be27e6d0326119e0ff9411a31b57ce9d57a1deeb3c57cf7d8",
+    ("sbvs", 0.5): "0db6a323ab056ba45a0b772f15954df07bedbfc5212750334096ed5c4e6d041d",
+    ("sbvs", 3.0): "3608b2fb88aac91b5f5c2986dcd31ef8b781336046776ca8cafbac00b40abe74",
+    ("sbvs2", None): "f88f2a58b0a266766162b6930ba6330e5ae8b2748b5bb3085cca4e1910b26823",
+    ("sbvs2", 0.5): "01f691c001a8589b3993b4f9563b86b21209811c1133c4293630b70c05a00ac2",
+    ("sbvs2", 3.0): "e6e0db68c5c6aa65666157e44a74129dc25d735d9cfff70881fb9246558f16b0",
+    ("gm", None): "c217673c85ba83c3eee1f635711844b2cfaddbb8c7fd782c233c80a75d232084",
+    ("gm", 0.5): "72e5edc93529d271e7b0c327e022d1d973b4e5d57ca3671f4cc481b1f2c224d9",
+    ("gm", 3.0): "072573d1f8b5852f76997bb99e1fa9b49311c0b682f851a345eb6a59cac9992c",
+}
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("klass, target", sorted(SINGLE_FROZEN, key=str))
+def test_single_membership_is_frozen(klass, target):
+    kw = dict(lam=2, horizon=128, target_C=target)
+    if klass == "gm":
+        kw.update(r=2, beta="1/n^2")
+    reports = [repr(check_single_membership(SINGLES[name], SingleClass(klass), SINGLE_GRID, **kw))
+               for name in sorted(SINGLES)]
+    assert _sha(reports) == SINGLE_FROZEN[klass, target]
+
+
+class TestDenseFamilyOne:
+    """Family ONE on a non-separable sequence: the double majorant is a
+    window sum over ``floor(m/2)..2m`` by ``floor(n/2)..2n``, read in row
+    blocks."""
+
+    NONSEP = from_expression("nonsep", "1/(j*k*(j+k))")
+    FAM = MajorantFamily(Family.ONE, Axis.ROW, lam=2, sup_horizon=64)
+    GRID = tuple((m, n) for m in (2, 3, 5, 8, 13) for n in (2, 4, 7, 16))
+
+    def test_default_blocks_are_frozen(self):
+        # sha256 of repr(report) from the fit before the window sum shared
+        # the row-block reducer (every window here is one block)
+        report = check_membership(self.NONSEP, 2, self.FAM, self.GRID)
+        assert _sha(report) == "284a305336008d572ecee5e807ac30ef077b0f8b062d6a41bb7176b1e20af2b1"
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_forced_row_blocks_match_twin(self, monkeypatch, rows):
+        c = self.NONSEP
+        for m, n in self.GRID:
+            jlo, jhi = majorants.averaging_window(m, 2)
+            klo, khi = majorants.averaging_window(n, 2)
+            monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", rows * (khi - klo + 1))
+            report = check_membership(c, 2, self.FAM, [(m, n)])
+            (row,) = [row for row in report.rows if row.axis == "double"]
+            k = np.arange(klo, khi + 1)[None, :]
+            parts = [ksum(np.abs(c.eval(np.arange(j0, min(j0 + rows, jhi + 1))[:, None], k)))
+                     for j0 in range(jlo, jhi + 1, rows)]
+            assert row.rhs == float(ksum(np.asarray(parts))) / (m * n)
+            assert row.lhs == lhs_double(c, 2, m, n)
