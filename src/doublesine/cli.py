@@ -765,15 +765,11 @@ def _identity_differences(rng: np.random.Generator, grid: int):
     j = np.arange(1, grid + 1, dtype=np.int64)[:, None]
     k = np.arange(1, grid + 1, dtype=np.int64)[None, :]
     eps = float(np.finfo(np.float64).eps)
-
-    def d11(jj, kk):
-        return (np.asarray(c.eval(jj, kk)) - np.asarray(c.eval(jj + 1, kk))
-                - np.asarray(c.eval(jj, kk + 1)) + np.asarray(c.eval(jj + 1, kk + 1)))
-
     d22 = np.asarray(delta_rr(c, 2, j, k))
-    recon = d11(j, k) + d11(j + 1, k) + d11(j, k + 1) + d11(j + 1, k + 1)
-    pieces = np.stack([np.abs(d11(j, k)), np.abs(d11(j + 1, k)),
-                       np.abs(d11(j, k + 1)), np.abs(d11(j + 1, k + 1))])
+    d11 = [np.asarray(delta_rr(c, 1, j + dj, k + dk))
+           for dj, dk in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    recon = d11[0] + d11[1] + d11[2] + d11[3]
+    pieces = np.abs(np.stack(d11))
     scale_22 = np.maximum(1.0, pieces.max(axis=0))
     err_22 = float(np.max(np.abs(d22 - recon) / scale_22))
 

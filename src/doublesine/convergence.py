@@ -236,25 +236,34 @@ def _guard_generic(cells: int) -> None:
             "horizons or supply a separable sequence")
 
 
+def _product(x: Measurement, y: Measurement, sx, sy) -> Measurement:
+    """``(sx x) (sy y)`` of two certified measurements: when both are
+    bounded, the missed part is at most
+    ``sx sy (x t_y + t_x y + t_x t_y)``."""
+    value = (sx * x.value) * (sy * y.value)
+    if not (x.bounded and y.bounded):
+        return Measurement(value=value, bounded=False)
+    tx, ty = x.tail_bound, y.tail_bound
+    return Measurement(value=value, bounded=True,
+                       tail_bound=(sx * sy) * (x.value * ty + tx * y.value + tx * ty))
+
+
 def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
                     horizon: int = 1 << 16) -> Measurement:
     """``m n sum_{j>=m} sum_{k>=n} |d22 c_{jk}|`` with step-2 differences.
 
     Scanned up to ``horizon`` in both indices; a power-decay hint closes
-    the tail, otherwise the result is flagged unbounded.
+    the tail, otherwise the result is flagged unbounded.  A scan that
+    would start past ``horizon`` raises
+    :class:`~doublesine.majorants.HorizonError`.
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
+    if horizon < max(m, n):
+        raise HorizonError(f"horizon {horizon} below scan start {max(m, n)}")
     if c.separable_parts is not None:
         a, b = c.separable_parts
-        sa = _d2_scan(a, m, horizon)
-        sb = _d2_scan(b, n, horizon)
-        value = (m * sa.value) * (n * sb.value)
-        if sa.bounded and sb.bounded:
-            ta, tb = sa.tail_bound, sb.tail_bound
-            tail = m * n * (sa.value * tb + ta * sb.value + ta * tb)
-            return Measurement(value=value, bounded=True, tail_bound=tail)
-        return Measurement(value=value, bounded=False)
+        return _product(_d2_scan(a, m, horizon), _d2_scan(b, n, horizon), m, n)
     _guard_generic((horizon - m + 1) * (horizon - n + 1))
     value = m * n * _blocked_sum(m, horizon, horizon - n + 1, lambda j0, j1: np.abs(
         delta_rr_grid(c, 2, j0, j1, n, horizon)))
@@ -285,50 +294,35 @@ def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
         raise ValueError("indices must be >= 1")
     if sup_horizon < max(m, n):
         raise HorizonError(f"horizon {sup_horizon} below scan start {max(m, n)}")
+    return (_one_sided(c, m, n, sup_horizon, sum_horizon),
+            _one_sided(c.T, n, m, sup_horizon, sum_horizon))
+
+
+def _one_sided(c: CoefficientSequence, m: int, n: int, sup_horizon: int,
+               sum_horizon: int) -> Measurement:
+    """``m sup_{k>=n} k sum_{j>=m} |d20 c_{jk}|``; on ``c.T`` with m and n
+    exchanged it is the second quantity of :func:`lemma2_quantities`."""
     if c.separable_parts is not None:
         a, b = c.separable_parts
-
-        def one_sided(first: SingleSequence, second: SingleSequence,
-                      lo_sum: int, lo_sup: int, scale: int) -> Measurement:
-            inner = _d2_scan(first, lo_sum, sum_horizon)
-            outer = _weight_sup_scan(second, lo_sup, sup_horizon)
-            value = scale * inner.value * outer.value
-            if inner.bounded and outer.bounded:
-                ti, to = inner.tail_bound, outer.tail_bound
-                tail = scale * (inner.value * to + ti * outer.value + ti * to)
-                return Measurement(value=value, bounded=True, tail_bound=tail)
-            return Measurement(value=value, bounded=False)
-
-        qa = one_sided(a, b, m, n, m)
-        qb = one_sided(b, a, n, m, n)
-        return qa, qb
-
+        return _product(_d2_scan(a, m, sum_horizon), _weight_sup_scan(b, n, sup_horizon), m, 1)
+    # both orientations' sizes, so the first call refuses before any work
     _guard_generic(max((sum_horizon - m + 1) * (sup_horizon - n + 1),
                        (sum_horizon - n + 1) * (sup_horizon - m + 1)))
-
-    def one_sided_generic(swap: bool, lo_sum: int, lo_sup: int, scale: int) -> Measurement:
-        sup_idx = np.arange(lo_sup, sup_horizon + 1, dtype=np.int64)
-        sums = np.zeros(len(sup_idx))
-        for j0, j1 in _row_blocks(lo_sum, sum_horizon, len(sup_idx)):
-            d = delta_r0_grid(c, 2, j0, j1, lo_sup, sup_horizon, transpose=swap)
-            sums += np.abs(d).sum(axis=0)
-        value = scale * float(np.max(sup_idx.astype(np.float64) * sums))
-        hint = c.decay_hint
-        if hint is not None:
-            p_sum, p_sup = (hint.q, hint.p) if swap else (hint.p, hint.q)
-            beyond_sum = _tail_sum_beyond(sum_horizon, p_sum)
-            from_sum = _sum_from(lo_sum, p_sum)
-            if beyond_sum is not None and from_sum is not None and p_sup >= 1.0:
-                # unscanned j tail at scanned k, plus the whole k > horizon range
-                part1 = 2.0 * hint.K * beyond_sum * float(lo_sup) ** (1.0 - p_sup)
-                part2 = 2.0 * hint.K * from_sum * float(sup_horizon + 1) ** (1.0 - p_sup)
-                return Measurement(value=value, bounded=True,
-                                   tail_bound=scale * (part1 + part2))
-        return Measurement(value=value, bounded=False)
-
-    qa = one_sided_generic(False, m, n, m)
-    qb = one_sided_generic(True, n, m, n)
-    return qa, qb
+    sup_idx = np.arange(n, sup_horizon + 1, dtype=np.int64)
+    sums = np.zeros(len(sup_idx))
+    for j0, j1 in _row_blocks(m, sum_horizon, len(sup_idx)):
+        sums += np.abs(delta_r0_grid(c, 2, j0, j1, n, sup_horizon)).sum(axis=0)
+    value = m * float(np.max(sup_idx.astype(np.float64) * sums))
+    hint = c.decay_hint
+    if hint is not None:
+        beyond_sum = _tail_sum_beyond(sum_horizon, hint.p)
+        from_sum = _sum_from(m, hint.p)
+        if beyond_sum is not None and from_sum is not None and hint.q >= 1.0:
+            # unscanned j tail at scanned k, plus the whole k > horizon range
+            part1 = 2.0 * hint.K * beyond_sum * float(n) ** (1.0 - hint.q)
+            part2 = 2.0 * hint.K * from_sum * float(sup_horizon + 1) ** (1.0 - hint.q)
+            return Measurement(value=value, bounded=True, tail_bound=m * (part1 + part2))
+    return Measurement(value=value, bounded=False)
 
 
 @dataclass(frozen=True)

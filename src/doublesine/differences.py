@@ -109,15 +109,10 @@ def delta_rr_grid(c: CoefficientSequence, r: int, j0: int, j1: int, k0: int, k1:
     return t[:-r, :-r] - t[r:, :-r] - t[:-r, r:] + t[r:, r:]
 
 
-def delta_r0_grid(c: CoefficientSequence, r: int, j0: int, j1: int, k0: int, k1: int,
-                  transpose: bool = False):
+def delta_r0_grid(c: CoefficientSequence, r: int, j0: int, j1: int, k0: int, k1: int):
     """``delta_r0(c, r, j[:, None], k[None, :])`` for ``j = j0..j1``,
     ``k = k0..k1``, from one evaluation of ``c`` on ``j0..j1 + r`` by
-    ``k0..k1``.  With ``transpose`` the sequence takes its indices the
-    other way round, ``delta_0r(c, r, k[None, :], j[:, None])``: the
-    difference still runs down the rows, along ``j``."""
+    ``k0..k1``.  On ``c.T`` it gives ``delta_0r(c, r, k[None, :], j[:, None])``."""
     r = check_step(r)
-    j = _span(j0, j1 + r)[:, None]
-    k = _span(k0, k1)[None, :]
-    t = c.eval(k, j) if transpose else c.eval(j, k)
+    t = c.eval(_span(j0, j1 + r)[:, None], _span(k0, k1)[None, :])
     return t[:-r] - t[r:]

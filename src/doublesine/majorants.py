@@ -28,13 +28,16 @@ Double sups keep a :class:`DoubleScanTable` of the threshold-independent
 block sums, so a membership fit builds it once and queries it at every
 grid point.
 
-The same table keeps, per (fixed index, axis), the family-THREE row or
-column line ``|c|`` over ``1..2 sup_horizon``, so every grid point that
-shares the fixed index reads one evaluation.  A sup scan from ``start``
-slices that line and computes its exact blocks (one cumsum from
-``start``, as an exhaustive scan would) for ``M = start..M1``, with
-``M1 = 2 start`` doubling up to the horizon.  ``np.cumsum`` is
-sequential, so these blocks are bit-identical to the exhaustive scan's.
+Columns run as rows of the transpose ``c.T``, whose row lines
+(:meth:`~doublesine.sequences.CoefficientSequence.row`) carry their own
+tail hints.  The table keeps, per (fixed index, orientation), the
+family-THREE line ``|c|`` over ``1..2 sup_horizon``, so every grid
+point that shares the fixed index reads one evaluation.  A sup scan
+from ``start`` slices that line and computes its exact blocks (one
+cumsum from ``start``, as an exhaustive scan would) for
+``M = start..M1``, with ``M1 = 2 start`` doubling up to the horizon.
+``np.cumsum`` is sequential, so these blocks are bit-identical to the
+exhaustive scan's.
 It stops once the largest exact block so far exceeds, strictly, the
 suffix maximum past ``M1`` of the line's shared estimates (blocks of
 one cumsum from 1) plus a tolerance.  For n nonnegative terms of total
@@ -186,11 +189,9 @@ def averaging_window(m: int, lam: int) -> tuple[int, int]:
 
 # --- plain block sums (compensated) --------------------------------------
 
-def _abs_line(c: CoefficientSequence, fixed: int, lo: int, hi: int,
-              transpose: bool = False) -> np.ndarray:
-    """``|c_{j,fixed}|`` for j = lo..hi; with ``transpose``, ``|c_{fixed,k}|``."""
-    idx = np.arange(lo, hi + 1, dtype=np.int64)
-    return _abs_f64(c.eval(fixed, idx) if transpose else c.eval(idx, fixed))
+def _abs_line(c: CoefficientSequence, fixed: int, lo: int, hi: int) -> np.ndarray:
+    """``|c_{j,fixed}|`` for j = lo..hi (a column line is a row line of ``c.T``)."""
+    return _abs_f64(c.eval(np.arange(lo, hi + 1, dtype=np.int64), fixed))
 
 
 def _abs_f64(vals) -> np.ndarray:
@@ -199,10 +200,9 @@ def _abs_f64(vals) -> np.ndarray:
     return np.abs(np.asarray(vals)).astype(np.float64, copy=False)
 
 
-def _line_sum(c: CoefficientSequence, fixed: int, lo: int, hi: int,
-              transpose: bool = False) -> float:
+def _line_sum(c: CoefficientSequence, fixed: int, lo: int, hi: int) -> float:
     """Compensated sum of :func:`_abs_line`."""
-    return float(ksum(_abs_line(c, fixed, lo, hi, transpose)))
+    return float(ksum(_abs_line(c, fixed, lo, hi)))
 
 
 def block_sum_row(c: CoefficientSequence, M: int, n: int) -> float:
@@ -212,7 +212,7 @@ def block_sum_row(c: CoefficientSequence, M: int, n: int) -> float:
 
 def block_sum_col(c: CoefficientSequence, m: int, N: int) -> float:
     """``sum_{k=N}^{2N} |c_{mk}|``."""
-    return _line_sum(c, m, N, 2 * N, transpose=True)
+    return _line_sum(c.T, m, N, 2 * N)
 
 
 def block_sum_double(c: CoefficientSequence, M: int, N: int) -> float:
@@ -318,38 +318,19 @@ def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValu
     return _sup_scan(_single_line(a, start, horizon), start)
 
 
-def _row_tail_bound(c: CoefficientSequence, n: int, horizon: int,
-                    transpose: bool = False) -> float | None:
-    """Bound on row block sums past the horizon, at fixed column n (with
-    ``transpose``: on column block sums at fixed row n)."""
-    if c.separable_parts is not None:
-        a, b = c.separable_parts[::-1] if transpose else c.separable_parts
-        base = _single_tail_bound(a, horizon)
-        if base is None:
-            return None
-        return base * float(abs(np.asarray(b.eval(n)).item()))
-    hint = c.decay_hint
-    if hint is None:
-        return None
-    p, q = (hint.q, hint.p) if transpose else (hint.p, hint.q)
-    if p < 1.0:
-        return None
-    return 2.0 * hint.K * float(n) ** (-q) * float(horizon + 1) ** (1.0 - p)
+def _bounded_max_scan(c: CoefficientSequence, fixed: int, M_lo: int,
+                      M_hi: int) -> tuple[float, int]:
+    """Max of exactly rounded row block sums at column ``fixed`` over the
+    bounded window M_lo..M_hi (column blocks: the rows of ``c.T``).
 
-
-def _bounded_max_scan(c: CoefficientSequence, fixed: int, M_lo: int, M_hi: int,
-                      transpose: bool = False) -> tuple[float, int]:
-    """Max of exactly rounded block sums over the bounded window M_lo..M_hi.
-
-    ``fixed`` is the frozen index: the column for row blocks, the row
-    for column blocks (``transpose=True``).  Returns the maximum and the
-    first block start attaining it.  ``|c|`` is evaluated once over
-    ``M_lo..2 M_hi``; only blocks whose cumsum estimate lies within
-    ``4 len eps sum`` of the largest estimate can hold the maximum (see
-    the module docstring), and only those are re-summed with
-    :func:`ksum`.  A window that is not finite re-sums every block.
+    Returns the maximum and the first block start attaining it.
+    ``|c|`` is evaluated once over ``M_lo..2 M_hi``; only blocks whose
+    cumsum estimate lies within ``4 len eps sum`` of the largest estimate
+    can hold the maximum (see the module docstring), and only those are
+    re-summed with :func:`ksum`.  A window that is not finite re-sums
+    every block.
     """
-    vals = _abs_line(c, fixed, M_lo, 2 * M_hi, transpose)
+    vals = _abs_line(c, fixed, M_lo, 2 * M_hi)
     total = float(np.sum(vals))
     if math.isfinite(total):
         approx = _block_array(vals, M_lo, M_lo, M_hi)
@@ -369,18 +350,9 @@ def _double_tail_bound(c: CoefficientSequence, horizon: int) -> float | None:
     Blocks satisfy ``sum sum |c| <= 4 K M^{1-p} N^{1-q}``; for p, q >= 1
     the factor at the small index is at most 1, so blocks past the
     horizon in either coordinate are bounded by
-    ``4 K (horizon+1)^{1-min(p,q)}``-style terms.
+    ``4 K (horizon+1)^{1-min(p,q)}``-style terms.  A separable
+    sequence's hint is the product of its factor hints.
     """
-    if c.separable_parts is not None:
-        a, b = c.separable_parts
-        ha, hb = a.decay_hint, b.decay_hint
-        if ha is None or hb is None or ha.p < 1.0 or hb.p < 1.0:
-            return None
-        full_a = 2.0 * ha.K          # sup over all M >= 1 of 2 K M^(1-p), p >= 1
-        full_b = 2.0 * hb.K
-        tail_a = _single_tail_bound(a, horizon)
-        tail_b = _single_tail_bound(b, horizon)
-        return max(tail_a * full_b, full_a * tail_b)
     hint = c.decay_hint
     if hint is None or hint.p < 1.0 or hint.q < 1.0:
         return None
@@ -397,11 +369,11 @@ class DoubleScanTable:
     row-wise suffix maximum.  The table is built on the first query and
     belongs to its creator; nothing caches it across calls.
 
-    :meth:`line` keeps the family-THREE row and column lines of the same
-    sequence and horizon, one per (fixed index, axis), each with the
-    suffix bound its pruned scans stop on.  At most ``_MAX_LINE_BYTES``
-    of lines are held; the least recently used go first, which changes
-    no result.
+    :meth:`line` keeps the family-THREE row lines of the sequence and of
+    its transpose ``c.T`` (the column lines) at the same horizon, one per
+    (fixed index, orientation), each with the suffix bound its pruned
+    scans stop on.  At most ``_MAX_LINE_BYTES`` of lines are held; the
+    least recently used go first, which changes no result.
     """
 
     def __init__(self, c: CoefficientSequence, horizon: int):
@@ -411,15 +383,17 @@ class DoubleScanTable:
         self._lines: dict[tuple[int, bool], _SupLine] = {}
         self._line_bytes = 0
 
-    def line(self, fixed: int, transpose: bool = False) -> _SupLine:
-        """The line ``|c_{j,fixed}|`` for j = 1..2 horizon (with
-        ``transpose``, ``|c_{fixed,k}|``), built on first use."""
-        key = (fixed, transpose)
+    def line(self, fixed: int, src: CoefficientSequence | None = None) -> _SupLine:
+        """The line ``|src_{j,fixed}|`` for j = 1..2 horizon, built on first
+        use; ``src`` is the table's sequence (the default) or its
+        transpose ``c.T``, whose rows are the sequence's columns."""
+        src = self.c if src is None else src
+        if src is not self.c and src is not self.c.T:
+            raise ValueError("line source is neither the table's sequence nor its transpose")
+        key = (fixed, src is not self.c)
         line = self._lines.pop(key, None)
         if line is None:
-            c, horizon = self.c, self.horizon
-            line = _SupLine(_abs_line(c, fixed, 1, 2 * horizon, transpose), 1, horizon,
-                            _row_tail_bound(c, fixed, horizon, transpose))
+            line = _single_line(src.row(fixed), 1, self.horizon)
             self._line_bytes += line.nbytes
         self._lines[key] = line  # most recently used last
         while self._line_bytes > _MAX_LINE_BYTES and len(self._lines) > 1:
@@ -516,29 +490,28 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
     elif table.c is not c or table.horizon != fam.sup_horizon:
         raise ValueError("scan table belongs to another sequence or sup_horizon")
 
-    if fam.family is Family.ONE:
-        if fam.axis is Axis.ROW:
-            lo, hi = averaging_window(m, fam.lam)
-            return MajorantValue(value=_line_sum(c, n, lo, hi) / m)
-        if fam.axis is Axis.COLUMN:
-            lo, hi = averaging_window(n, fam.lam)
-            return MajorantValue(value=_line_sum(c, m, lo, hi, transpose=True) / n)
-        jlo, jhi = averaging_window(m, fam.lam)
-        klo, khi = averaging_window(n, fam.lam)
-        return MajorantValue(value=_window_double_sum(c, jlo, jhi, klo, khi) / (m * n))
-
     if fam.axis is Axis.DOUBLE:
+        if fam.family is Family.ONE:
+            jlo, jhi = averaging_window(m, fam.lam)
+            klo, khi = averaging_window(n, fam.lam)
+            return MajorantValue(value=_window_double_sum(c, jlo, jhi, klo, khi) / (m * n))
         scan = table.query(compile_b(fam.b3)(m + n))
         scale = m * n
     else:
-        # rows freeze the column n and scan j from b1(m); columns the reverse
-        transpose = fam.axis is Axis.COLUMN
-        fixed, start, scale = ((m, compile_b(fam.b2)(n), n) if transpose
-                               else (n, compile_b(fam.b1)(m), m))
+        # a column majorant is the row majorant of c.T with m and n exchanged
+        src, b = c, fam.b1
+        if fam.axis is Axis.COLUMN:
+            src, b, m, n = c.T, fam.b2, n, m
+        # rows freeze the column n and scan j from b(m)
+        if fam.family is Family.ONE:
+            lo, hi = averaging_window(m, fam.lam)
+            return MajorantValue(value=_line_sum(src, n, lo, hi) / m)
+        start = compile_b(b)(m)
         if fam.family is Family.TWO:
-            sup, arg = _bounded_max_scan(c, fixed, start, fam.lam * start, transpose)
-            return MajorantValue(value=sup / scale, argmax=(arg,))
-        scan = _sup_scan(table.line(fixed, transpose), start)
+            sup, arg = _bounded_max_scan(src, n, start, fam.lam * start)
+            return MajorantValue(value=sup / m, argmax=(arg,))
+        scan = _sup_scan(table.line(n, src), start)
+        scale = m
     return MajorantValue(value=scan.value / scale, truncated=scan.truncated,
                          tail_bound=None if scan.tail_bound is None else scan.tail_bound / scale,
                          argmax=scan.argmax)

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .convergence import TailReport, classify_tail, loglog_slope
-from .differences import _blocked_sum, check_step, delta_0r, delta_r, delta_r0, delta_rr_grid
+from .differences import _blocked_sum, check_step, delta_r, delta_r0, delta_rr_grid
 from .majorants import (
     Axis,
     DoubleScanTable,
@@ -73,9 +73,8 @@ def lhs_row(c: CoefficientSequence, r: int, m: int, n: int) -> float:
 
 
 def lhs_col(c: CoefficientSequence, r: int, m: int, n: int) -> float:
-    """``sum_{k=n}^{2n-1} |c_{mk} - c_{m,k+r}|``."""
-    k = np.arange(n, 2 * n, dtype=np.int64)
-    return float(ksum(np.abs(delta_0r(c, r, m, k))))
+    """``sum_{k=n}^{2n-1} |c_{mk} - c_{m,k+r}|``: :func:`lhs_row` of ``c.T``."""
+    return lhs_row(c.T, r, n, m)
 
 
 def lhs_double(c: CoefficientSequence, r: int, m: int, n: int) -> float:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -91,6 +92,9 @@ class CoefficientSequence:
     ``eval(j, k)`` broadcasts its integer arguments.  When the sequence
     factors as ``a_j * b_k`` the two factors are kept in
     ``separable_parts`` so block scans can run on one index at a time.
+    Column scans run as row scans of the transpose :attr:`T`, and a
+    row scan reads the line :meth:`row`; this class alone knows how a
+    sequence factors into those views.
     """
 
     name: str
@@ -100,6 +104,39 @@ class CoefficientSequence:
 
     def __call__(self, j, k):
         return self.eval(j, k)
+
+    @cached_property
+    def T(self) -> CoefficientSequence:
+        """The transpose ``c_{kj}``: factors ``(b, a)``, hint with p and q
+        exchanged.  Built once per sequence; its own ``T`` is ``self``."""
+        c_eval, hint = self.eval, self.decay_hint
+        t = CoefficientSequence(
+            name=f"{self.name}.T",
+            eval=lambda j, k: c_eval(k, j),
+            separable_parts=None if self.separable_parts is None else self.separable_parts[::-1],
+            decay_hint=None if hint is None else PowerDecay2D(p=hint.q, q=hint.p, K=hint.K),
+        )
+        t.__dict__["T"] = self
+        return t
+
+    def row(self, n: int) -> SingleSequence:
+        """The line ``j -> c_{jn}`` at a fixed second index ``n``.
+
+        Its hint is the first factor's with K scaled by ``|b_n|`` when
+        the sequence is separable, else ``K n^-q / j^p`` from the
+        sequence's own hint.
+        """
+        hint = None
+        if self.separable_parts is not None:
+            a, b = self.separable_parts
+            if a.decay_hint is not None:
+                b_n = float(abs(np.asarray(b.eval(n)).item()))
+                hint = replace(a.decay_hint, K=a.decay_hint.K * b_n)
+        elif self.decay_hint is not None:
+            h = self.decay_hint
+            hint = PowerDecay(p=h.p, K=h.K * float(n) ** (-h.q))
+        c_eval = self.eval
+        return SingleSequence(f"{self.name}[:,{n}]", lambda j: c_eval(j, n), hint)
 
     @property
     def is_separable(self) -> bool:

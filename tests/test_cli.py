@@ -109,6 +109,12 @@ class TestLibraryRefusals:
                            "--sup-horizon", "16")
         assert err == "error: horizon 16 below scan start 64\n"
 
+    def test_lemma1_start_past_horizon(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, "lemma", "--which", "1", "--expr",
+                           "1/(j*k*(j+k))", "--schedule", "4,8,16,32,64",
+                           "--sum-horizon", "16", "--expect", "decaying")
+        assert err == "error: horizon 16 below scan start 32\n"
+
     def test_no_rectangles_beyond_threshold(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "uniform-tail", "--preset",
                            "oscillating_quadratic", "--rect-cap", "16",

@@ -128,6 +128,24 @@ class TestLemmaQuantities:
         with pytest.raises(HorizonError):
             lemma2_quantities(c, 1, 4097, sup_horizon=4096, sum_horizon=1 << 20)
 
+    @pytest.mark.parametrize("c", [builtin("oscillating_quadratic"),
+                                   from_expression("nonsep", "1/(j*k*(j+k))")],
+                             ids=["separable", "generic"])
+    def test_lemma1_start_past_horizon_is_refused(self, c):
+        with pytest.raises(HorizonError, match="horizon 16 below scan start 32"):
+            lemma1_quantity(c, 32, 32, horizon=16)
+        with pytest.raises(HorizonError, match="horizon 16 below scan start 17"):
+            lemma1_quantity(c, 2, 17, horizon=16)
+        assert lemma1_quantity(c, 16, 16, horizon=16).value > 0.0  # one row and column
+
+    def test_lemma1_horizon_refused_before_the_size_guard(self):
+        def never(j, k):
+            raise AssertionError("evaluated past a refused horizon")
+
+        c = CoefficientSequence(name="never", eval=never)
+        with pytest.raises(HorizonError):
+            lemma1_quantity(c, 1, 1 << 17)
+
     def test_lemma3_terms_match_direct_evaluation(self, osc):
         C, lam, m, n = 4.0, 2, 8, 8
         res = lemma3_check(osc, C, lam, m, n)

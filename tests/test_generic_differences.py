@@ -155,7 +155,7 @@ def test_grid_operators_match_pointwise(j0, r, rows, k0, cols, transpose):
     k = np.arange(k0, k0 + cols + 1)[None, :]
     rr = delta_rr_grid(c, r, j0, j0 + rows, k0, k0 + cols)
     assert np.array_equal(rr, delta_rr(c, r, j, k))
-    r0 = delta_r0_grid(c, r, j0, j0 + rows, k0, k0 + cols, transpose=transpose)
+    r0 = delta_r0_grid(c.T if transpose else c, r, j0, j0 + rows, k0, k0 + cols)
     assert np.array_equal(r0, delta_0r(c, r, k, j) if transpose else delta_r0(c, r, j, k))
     assert r0.flags.c_contiguous
 

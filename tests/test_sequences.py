@@ -9,6 +9,8 @@ from doublesine import (
     BUILTIN_NAMES,
     CoefficientSequence,
     ExpressionError,
+    PowerDecay,
+    PowerDecay2D,
     SingleSequence,
     builtin,
     compile_expression,
@@ -260,6 +262,84 @@ class TestExpressions:
         c = from_expression("c", "(2 + alternating(j))/(j^2) * (2 + alternating(k))/(k^2)")
         expected = (2 + (-1) ** j) / j ** 2 * (2 + (-1) ** k) / k ** 2
         assert c(j, k) == pytest.approx(expected, rel=1e-13)
+
+
+def _table(shape, complex_values):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape)
+    return values + 1j * rng.standard_normal(shape) if complex_values else values
+
+
+VIEW_SEQUENCES = {
+    **{name: builtin(name) for name in BUILTIN_NAMES},
+    "product_power(0.5,2.5)": builtin("product_power", p=0.5, q=2.5),
+    "-2.5*osc": scale(builtin("oscillating_quadratic"), -2.5),
+    "-0.5*mod3": scale(builtin("mod3_log_product"), -0.5),
+    "1j*product_power": scale(builtin("product_power", p=1.5, q=1.0), 1j),
+    "table": from_table("table", _table((5, 7), False)),
+    "complex table": from_table("complex table", _table((6, 4), True)),
+    "one": from_expression("one", "1"),
+    "1/k^2": from_expression("1/k^2", "1/k^2"),
+    "nonsep": from_expression("nonsep", "1/(j*k*(j+k))"),
+    "hinted twin": CoefficientSequence(  # a non-separable sequence with a hint
+        "hinted twin", from_expression("t", "(2+alternating(j))*(2+alternating(k))/(j^2*k^3)").eval,
+        decay_hint=PowerDecay2D(p=2.0, q=3.0, K=9.0)),
+}
+
+
+def _assert_hint_bounds(values, hint, j, k=None):
+    """``|values| <= K / (j^p k^q)`` (``K / j^p`` for a line), up to rounding."""
+    bound = hint.K * np.asarray(j, dtype=np.float64) ** -hint.p
+    if k is not None:
+        bound = bound * np.asarray(k, dtype=np.float64) ** -hint.q
+    assert np.all(np.abs(np.asarray(values)) <= bound * (1.0 + 1e-12))
+
+
+class TestViews:
+    """``c.T`` and ``c.row(n)`` read ``c.eval`` with the indices swapped or
+    fixed, and their hints bound what they read."""
+
+    @given(st.sampled_from(sorted(VIEW_SEQUENCES)),
+           st.lists(st.integers(1, 60), min_size=1, max_size=6),
+           st.lists(st.integers(1, 60), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_views_read_the_sequence(self, name, js, ks):
+        c = VIEW_SEQUENCES[name]
+        j, k = np.asarray(js)[:, None], np.asarray(ks)[None, :]
+        values = np.asarray(c.eval(j, k))
+        np.testing.assert_array_equal(np.asarray(c.T.eval(k.T, j.T)), values.T)
+        np.testing.assert_array_equal(np.asarray(c.T.T.eval(j, k)), values)
+        for col, n in enumerate(ks):
+            np.testing.assert_array_equal(np.asarray(c.row(n).eval(j[:, 0])), values[:, col])
+        for row, m in enumerate(js):
+            np.testing.assert_array_equal(np.asarray(c.T.row(m).eval(k[0])), values[row])
+        if c.decay_hint is not None:
+            _assert_hint_bounds(values, c.decay_hint, j, k)
+            _assert_hint_bounds(values.T, c.T.decay_hint, k.T, j.T)
+        for n, line in [(n, c.row(n)) for n in ks] + [(m, c.T.row(m)) for m in js]:
+            if line.decay_hint is not None:
+                _assert_hint_bounds(line.eval(np.arange(1, 61)), line.decay_hint,
+                                    np.arange(1, 61))
+
+    @pytest.mark.parametrize("name", sorted(VIEW_SEQUENCES))
+    def test_transpose_is_built_once(self, name):
+        c = VIEW_SEQUENCES[name]
+        assert c.T is c.T and c.T.T is c
+        assert c.T.is_separable == c.is_separable
+        if c.is_separable:
+            assert c.T.separable_parts == c.separable_parts[::-1]
+
+    def test_line_hints(self, osc):
+        a, b = osc.separable_parts
+        assert osc.row(3).decay_hint == PowerDecay(p=2.0, K=3.0 * float(b.eval(3)))
+        nonsep = from_expression("nonsep", "1/(j*k)")
+        assert nonsep.row(4).decay_hint is None
+        hinted = VIEW_SEQUENCES["hinted twin"]
+        assert hinted.row(2).decay_hint == PowerDecay(p=2.0, K=9.0 / 8.0)
+        assert hinted.T.row(2).decay_hint == PowerDecay(p=3.0, K=9.0 / 4.0)
+        pp = builtin("product_power", p=1.5, q=2.0)
+        assert pp.T.decay_hint == PowerDecay2D(p=2.0, q=1.5, K=1.0)
+        assert pp.T.row(4).decay_hint == PowerDecay(p=2.0, K=4.0 ** -1.5)
 
 
 class TestSequenceFile:
