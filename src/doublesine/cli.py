@@ -50,7 +50,7 @@ from .kernels import (
     rect_sum_separable,
     row_sum_by_parts,
 )
-from .majorants import Axis, Family, MajorantFamily
+from .majorants import Axis, DoubleScanTable, Family, MajorantFamily
 from .membership import (
     SingleClass,
     check_condition_22,
@@ -579,9 +579,10 @@ def _run_lemma3(args, c):
     rows_out, results_rows = [], []
     witness = []
     min_slack, min_at = math.inf, None
+    table = DoubleScanTable(c, args.sup_horizon)  # one double-sup table for every point
     for m, n in grid:
         res = lemma3_check(c, C, args.lam, m, n, b1=args.b1, b2=args.b2,
-                           b3=args.b3, sup_horizon=args.sup_horizon)
+                           b3=args.b3, sup_horizon=args.sup_horizon, table=table)
         rows_out.append([res.m, res.n, res.lhs, res.rhs, res.slack, res.truncated])
         results_rows.append({"m": res.m, "n": res.n, "lhs": res.lhs,
                              "rhs": res.rhs, "slack": res.slack,

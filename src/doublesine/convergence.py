@@ -34,7 +34,7 @@ import numpy as np
 
 from .differences import _blocked_sum, _row_blocks, delta_r, delta_r0_grid, delta_rr_grid
 from .kernels import Rect, rect_sum_direct  # noqa: F401  (re-exported: the probes' oracle)
-from .majorants import _MAX_DENSE_BYTES, HorizonError, compile_b, double_sup_scan
+from .majorants import _MAX_DENSE_BYTES, DoubleScanTable, HorizonError, _scan_table, compile_b
 from .sequences import CoefficientSequence, SingleSequence, builtin
 from .summing import ksum, sine_prefix
 
@@ -340,7 +340,8 @@ class Lemma3Result:
 
 def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
                  b1: str = "l", b2: str = "l", b3: str = "l",
-                 sup_horizon: int = 4096) -> Lemma3Result:
+                 sup_horizon: int = 4096, *,
+                 table: DoubleScanTable | None = None) -> Lemma3Result:
     """Evaluate the four-term majorant sandwich at (m, n).
 
     RHS = C * (double block sup past b3(m+n))
@@ -350,10 +351,15 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
 
     The sequence must be nonnegative on the touched ranges; slack is
     RHS - m n c_{mn} and should be >= 0 for members of the step-2 class.
-    The window sums are read in row blocks (:func:`_blocked_sum`).
+    The window sums are read in row blocks (:func:`_blocked_sum`).  The
+    double sup is a query of ``table``, a :class:`DoubleScanTable` of
+    ``c`` at ``sup_horizon`` that grid points may share (a table of
+    another sequence or horizon is refused); without it the call builds
+    its own.
     """
     if m < lam or n < lam:
         raise ValueError(f"need m, n >= lambda = {lam}")
+    table = _scan_table(c, sup_horizon, table)
     fb1, fb2, fb3 = compile_b(b1), compile_b(b2), compile_b(b3)
 
     def window_sum(jlo, jhi, klo, khi) -> float:
@@ -368,7 +374,7 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
 
         return _blocked_sum(jlo, jhi, len(k), block)
 
-    scan = double_sup_scan(c, fb3(m + n), sup_horizon)
+    scan = table.query(fb3(m + n))
     term1 = C * scan.value
     term2 = 2.0 * C * window_sum(fb1(m), 2 * lam * fb1(m), n, 2 * n + 1)
     term3 = 2.0 * C * window_sum(m, 2 * m + 1, fb2(n), 2 * lam * fb2(n))

@@ -30,11 +30,14 @@ grid point.
 
 Columns run as rows of the transpose ``c.T``, whose row lines
 (:meth:`~doublesine.sequences.CoefficientSequence.row`) carry their own
-tail hints.  The table keeps, per (fixed index, orientation), the
-family-THREE line ``|c|`` over ``1..2 sup_horizon``, so every grid
-point that shares the fixed index reads one evaluation.  A sup scan
-from ``start`` slices that line and computes its exact blocks (one
-cumsum from ``start``, as an exhaustive scan would) for
+tail hints.  The table keeps, per (fixed index, orientation), one line:
+the signed values ``c_{j,fixed}`` for ``j = 1..reach``.  A membership
+fit reserves each line's reach up front (the largest index any of its
+grid points reads), so every row and column read of the fit (left-hand
+sides, family ONE windows, family TWO window scans, family THREE sups
+over ``1..2 sup_horizon``) slices one evaluation and takes the modulus
+of its slice.  A sup scan from ``start`` computes its exact
+blocks (one cumsum from ``start``, as an exhaustive scan would) for
 ``M = start..M1``, with ``M1 = 2 start`` doubling up to the horizon.
 ``np.cumsum`` is sequential, so these blocks are bit-identical to the
 exhaustive scan's.
@@ -47,7 +50,9 @@ difference: no block past ``M1`` can reach the maximum, and the value
 and first argmax are the exhaustive scan's.  A line whose total is not
 finite is scanned in full.  Lines live in the table, are evicted least
 recently used past ``_MAX_LINE_BYTES``, and nothing caches them across
-calls.
+calls.  Within one table, double sups are kept per threshold and a
+separable sequence's family ONE factor windows per window, since many
+grid points share them.
 
 ``rhs`` returns the majorant value *without* any class constant C; the
 membership fitter divides observed left-hand sides by these values.
@@ -93,8 +98,9 @@ __all__ = [
 
 # Dense double-sup scans build a (2H+1)^2 float64 prefix table; cap its size.
 _MAX_DENSE_BYTES = 160_000_000
-# Family-THREE lines kept by one DoubleScanTable (about 24 sup_horizon bytes
-# each); past this the least recently used are dropped and rebuilt on demand.
+# Lines kept by one DoubleScanTable (a family-THREE line of a real sequence
+# takes about 24 sup_horizon bytes); past this the least recently used are
+# dropped and rebuilt on demand.
 _MAX_LINE_BYTES = 32_000_000
 
 
@@ -200,19 +206,14 @@ def _abs_f64(vals) -> np.ndarray:
     return np.abs(np.asarray(vals)).astype(np.float64, copy=False)
 
 
-def _line_sum(c: CoefficientSequence, fixed: int, lo: int, hi: int) -> float:
-    """Compensated sum of :func:`_abs_line`."""
-    return float(ksum(_abs_line(c, fixed, lo, hi)))
-
-
 def block_sum_row(c: CoefficientSequence, M: int, n: int) -> float:
     """``sum_{j=M}^{2M} |c_{jn}|`` (M+1 terms)."""
-    return _line_sum(c, n, M, 2 * M)
+    return float(ksum(_abs_line(c, n, M, 2 * M)))
 
 
 def block_sum_col(c: CoefficientSequence, m: int, N: int) -> float:
     """``sum_{k=N}^{2N} |c_{mk}|``."""
-    return _line_sum(c.T, m, N, 2 * N)
+    return float(ksum(_abs_line(c.T, m, N, 2 * N)))
 
 
 def block_sum_double(c: CoefficientSequence, M: int, N: int) -> float:
@@ -233,15 +234,6 @@ def single_window_sum(a: SingleSequence, lo: int, hi: int) -> float:
     return float(ksum(np.abs(a.eval(k))))
 
 
-def _window_double_sum(c: CoefficientSequence, jlo: int, jhi: int, klo: int, khi: int) -> float:
-    if c.separable_parts is not None:
-        a, b = c.separable_parts
-        return single_window_sum(a, jlo, jhi) * single_window_sum(b, klo, khi)
-    k = np.arange(klo, khi + 1, dtype=np.int64)
-    return _blocked_sum(jlo, jhi, len(k), lambda j0, j1: np.abs(
-        c.eval(np.arange(j0, j1 + 1, dtype=np.int64)[:, None], k[None, :])))
-
-
 # --- scan machinery -------------------------------------------------------
 
 def _block_array(abs_vals: np.ndarray, lo: int, M_lo: int, M_hi: int) -> np.ndarray:
@@ -250,7 +242,9 @@ def _block_array(abs_vals: np.ndarray, lo: int, M_lo: int, M_hi: int) -> np.ndar
     ``abs_vals`` holds ``|c_j|`` for j = lo..lo + len - 1 and must cover
     ``2*M_hi``.
     """
-    cs = np.concatenate([[0.0], np.cumsum(abs_vals)])
+    cs = np.empty(len(abs_vals) + 1)
+    cs[0] = 0.0
+    np.cumsum(abs_vals, out=cs[1:])
     Ms = np.arange(M_lo, M_hi + 1, dtype=np.int64)
     return cs[2 * Ms - lo + 1] - cs[Ms - lo]
 
@@ -267,27 +261,35 @@ def _single_tail_bound(a: SingleSequence, horizon: int) -> float | None:
     return 2.0 * hint.K * float(horizon + 1) ** (1.0 - hint.p)
 
 
-class _SupLine:
-    """``|c|`` along one line for indices ``lo..2 horizon``, with what a
-    pruned sup scan needs: the suffix maxima of its block estimates
-    (one cumsum from ``lo``; None when the total is not finite), their
-    tolerance, and the tail bound past the horizon."""
+class _Line:
+    """The values ``v_j`` of one line for ``j = lo, lo + 1, ...``, signed,
+    and, once :meth:`prepare` has run, what a pruned sup scan up to
+    ``horizon`` needs: the suffix maxima of the block estimates of
+    ``|v|`` over ``lo..2 horizon`` (one cumsum from ``lo``; None when
+    their total is not finite), their tolerance, and the tail bound past
+    the horizon."""
 
-    __slots__ = ("lo", "horizon", "vals", "suffix", "tol", "tail", "nbytes")
+    __slots__ = ("lo", "vals", "horizon", "suffix", "tol", "tail", "nbytes")
 
-    def __init__(self, vals: np.ndarray, lo: int, horizon: int, tail: float | None):
-        self.lo, self.horizon, self.vals, self.tail = lo, horizon, vals, tail
-        total = float(np.sum(vals))
-        self.suffix = None
+    def __init__(self, vals: np.ndarray, lo: int):
+        self.lo, self.vals = lo, vals
+        self.horizon = self.suffix = self.tail = None
         self.tol = 0.0
+        self.nbytes = vals.nbytes
+
+    def prepare(self, horizon: int, tail: float | None) -> _Line:
+        head = _abs_f64(self.vals[:2 * horizon - self.lo + 1])
+        self.horizon, self.tail = horizon, tail
+        total = float(np.sum(head))
         if math.isfinite(total):
-            est = _block_array(vals, lo, lo, horizon)
+            est = _block_array(head, self.lo, self.lo, horizon)
             self.suffix = np.maximum.accumulate(est[::-1])[::-1]
-            self.tol = 8.0 * len(vals) * np.finfo(np.float64).eps * total
-        self.nbytes = vals.nbytes + (0 if self.suffix is None else self.suffix.nbytes)
+            self.tol = 8.0 * len(head) * np.finfo(np.float64).eps * total
+            self.nbytes += self.suffix.nbytes
+        return self
 
 
-def _sup_scan(line: _SupLine, start: int) -> MajorantValue:
+def _sup_scan(line: _Line, start: int) -> MajorantValue:
     """``sup_{M >= start}`` of the line's block sums up to its horizon,
     scanned exactly only as far as the suffix bound requires (see the
     module docstring); equal to the exhaustive scan bit for bit."""
@@ -297,7 +299,7 @@ def _sup_scan(line: _SupLine, start: int) -> MajorantValue:
     vals = line.vals[start - line.lo:]
     M1 = horizon if line.suffix is None else min(2 * start, horizon)
     while True:
-        blocks = _block_array(vals[:2 * M1 - start + 1], start, start, M1)
+        blocks = _block_array(_abs_f64(vals[:2 * M1 - start + 1]), start, start, M1)
         idx = int(np.argmax(blocks))
         sup = float(blocks[idx])
         if M1 == horizon or line.suffix[M1 + 1 - line.lo] + line.tol < sup:
@@ -308,9 +310,9 @@ def _sup_scan(line: _SupLine, start: int) -> MajorantValue:
                          argmax=(start + idx,))
 
 
-def _single_line(a: SingleSequence, lo: int, horizon: int) -> _SupLine:
+def _single_line(a: SingleSequence, lo: int, horizon: int) -> _Line:
     k = np.arange(lo, 2 * horizon + 1, dtype=np.int64)
-    return _SupLine(_abs_f64(a.eval(k)), lo, horizon, _single_tail_bound(a, horizon))
+    return _Line(np.asarray(a.eval(k)), lo).prepare(horizon, _single_tail_bound(a, horizon))
 
 
 def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValue:
@@ -318,19 +320,17 @@ def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValu
     return _sup_scan(_single_line(a, start, horizon), start)
 
 
-def _bounded_max_scan(c: CoefficientSequence, fixed: int, M_lo: int,
-                      M_hi: int) -> tuple[float, int]:
-    """Max of exactly rounded row block sums at column ``fixed`` over the
-    bounded window M_lo..M_hi (column blocks: the rows of ``c.T``).
+def _bounded_max_scan(vals: np.ndarray, M_lo: int, M_hi: int) -> tuple[float, int]:
+    """Max of exactly rounded block sums ``sum_{j=M}^{2M} |c_j|`` over the
+    bounded window M_lo..M_hi, from ``vals``, the values ``|c_j|`` for
+    ``j = M_lo..2 M_hi``.
 
-    Returns the maximum and the first block start attaining it.
-    ``|c|`` is evaluated once over ``M_lo..2 M_hi``; only blocks whose
-    cumsum estimate lies within ``4 len eps sum`` of the largest estimate
-    can hold the maximum (see the module docstring), and only those are
-    re-summed with :func:`ksum`.  A window that is not finite re-sums
-    every block.
+    Returns the maximum and the first block start attaining it.  Only
+    blocks whose cumsum estimate lies within ``4 len eps sum`` of the
+    largest estimate can hold the maximum (see the module docstring),
+    and only those are re-summed with :func:`ksum`.  A window that is
+    not finite re-sums every block.
     """
-    vals = _abs_line(c, fixed, M_lo, 2 * M_hi)
     total = float(np.sum(vals))
     if math.isfinite(total):
         approx = _block_array(vals, M_lo, M_lo, M_hi)
@@ -342,6 +342,25 @@ def _bounded_max_scan(c: CoefficientSequence, fixed: int, M_lo: int,
     exact = np.array([ksum(vals[i:2 * i + M_lo + 1]) for i in cand])
     best = int(np.argmax(exact))
     return float(exact[best]), M_lo + int(cand[best])
+
+
+def _row_view(c: CoefficientSequence, fam: MajorantFamily, m: int,
+              n: int) -> tuple[CoefficientSequence, str, int, int]:
+    """``(source, b, m, n)`` of the row or column majorant of ``fam`` at
+    (m, n): a column majorant is the row majorant of ``c.T`` with m and n
+    exchanged, which freezes the second index n and scans j from b(m)."""
+    if fam.axis is Axis.COLUMN:
+        return c.T, fam.b2, n, m
+    return c, fam.b1, m, n
+
+
+def _row_reach(fam: MajorantFamily, b: str, m: int) -> int:
+    """The largest index the row majorant of ``fam`` at m reads on its line."""
+    if fam.family is Family.ONE:
+        return averaging_window(m, fam.lam)[1]
+    if fam.family is Family.TWO:
+        return 2 * fam.lam * compile_b(b)(m)
+    return 2 * fam.sup_horizon
 
 
 def _double_tail_bound(c: CoefficientSequence, horizon: int) -> float | None:
@@ -362,43 +381,85 @@ def _double_tail_bound(c: CoefficientSequence, horizon: int) -> float | None:
 
 class DoubleScanTable:
     """Double block sums of one sequence on ``1 <= M, N <= horizon``,
-    queried by :meth:`query` for ``sup over M + N >= threshold``.
+    queried by :meth:`query` for ``sup over M + N >= threshold``, and the
+    row and column lines a membership fit reads.
 
     Separable sequences keep the two factor block arrays and the suffix
     maximum of the first; others keep the dense block matrix and its
     row-wise suffix maximum.  The table is built on the first query and
-    belongs to its creator; nothing caches it across calls.
+    belongs to its creator; nothing caches it across calls.  Query
+    results are kept per threshold, and :meth:`window_sum` keeps a
+    separable sequence's factor sums per window.
 
-    :meth:`line` keeps the family-THREE row lines of the sequence and of
-    its transpose ``c.T`` (the column lines) at the same horizon, one per
-    (fixed index, orientation), each with the suffix bound its pruned
-    scans stop on.  At most ``_MAX_LINE_BYTES`` of lines are held; the
-    least recently used go first, which changes no result.
+    :meth:`line` keeps the row lines of the sequence and of its
+    transpose ``c.T`` (the column lines), one per (fixed index,
+    orientation), each evaluated once over ``1..reach`` with the reach
+    :meth:`reserve` recorded for it; a family-THREE line also keeps the
+    suffix bound its pruned scans stop on.  At most ``_MAX_LINE_BYTES``
+    of lines are held; the least recently used go first, which changes
+    no result.
     """
 
     def __init__(self, c: CoefficientSequence, horizon: int):
         self.c = c
         self.horizon = horizon
         self._blocks = self._fb = self._suffix = self._tail = None
-        self._lines: dict[tuple[int, bool], _SupLine] = {}
+        self._lines: dict[tuple[int, bool], _Line] = {}
         self._line_bytes = 0
+        self._reach: dict[tuple[int, bool], int] = {}
+        self._queries: dict[int, MajorantValue] = {}
+        self._windows: dict[tuple[int, int, int], float] = {}
 
-    def line(self, fixed: int, src: CoefficientSequence | None = None) -> _SupLine:
-        """The line ``|src_{j,fixed}|`` for j = 1..2 horizon, built on first
-        use; ``src`` is the table's sequence (the default) or its
-        transpose ``c.T``, whose rows are the sequence's columns."""
-        src = self.c if src is None else src
-        if src is not self.c and src is not self.c.T:
+    def _key(self, fixed: int, src: CoefficientSequence | None) -> tuple[int, bool]:
+        if src is not None and src is not self.c and src is not self.c.T:
             raise ValueError("line source is neither the table's sequence nor its transpose")
-        key = (fixed, src is not self.c)
+        return fixed, src is not None and src is not self.c
+
+    def reserve(self, fixed: int, src: CoefficientSequence | None, reach: int) -> None:
+        """Make the line :meth:`line` builds for ``(fixed, src)`` cover
+        ``1..reach``, so that one evaluation serves every later read."""
+        key = self._key(fixed, src)
+        self._reach[key] = max(reach, self._reach.get(key, 0))
+
+    def line(self, fixed: int, src: CoefficientSequence | None = None,
+             reach: int | None = None) -> _Line:
+        """The signed line ``src_{j,fixed}`` from j = 1 to at least
+        ``reach`` and the reach reserved for it; ``src`` is the table's
+        sequence (the default) or its transpose ``c.T``, whose rows are
+        the sequence's columns.  Without ``reach`` the line covers
+        ``1..2 horizon`` and is ready for sup scans.  A line shorter
+        than the read is evaluated anew."""
+        key = self._key(fixed, src)
+        src = self.c.T if key[1] else self.c
+        scan = reach is None
+        reach = 2 * self.horizon if scan else reach
         line = self._lines.pop(key, None)
-        if line is None:
-            line = _single_line(src.row(fixed), 1, self.horizon)
-            self._line_bytes += line.nbytes
+        if line is not None:
+            self._line_bytes -= line.nbytes
+        if line is None or len(line.vals) < reach:
+            j = np.arange(1, max(reach, self._reach.get(key, 0)) + 1, dtype=np.int64)
+            line = _Line(np.asarray(src.eval(j, fixed)), 1)
+        if scan and line.horizon is None:
+            line.prepare(self.horizon, _single_tail_bound(src.row(fixed), self.horizon))
+        self._line_bytes += line.nbytes
         self._lines[key] = line  # most recently used last
         while self._line_bytes > _MAX_LINE_BYTES and len(self._lines) > 1:
             self._line_bytes -= self._lines.pop(next(iter(self._lines))).nbytes
         return line
+
+    def window_sum(self, jlo: int, jhi: int, klo: int, khi: int) -> float:
+        """``sum_{j=jlo}^{jhi} sum_{k=klo}^{khi} |c_{jk}|``: the product of
+        the factor sums, each kept per window, for a separable sequence,
+        else read in row blocks (:func:`_blocked_sum`)."""
+        c = self.c
+        if c.separable_parts is None:
+            k = np.arange(klo, khi + 1, dtype=np.int64)
+            return _blocked_sum(jlo, jhi, len(k), lambda j0, j1: np.abs(
+                c.eval(np.arange(j0, j1 + 1, dtype=np.int64)[:, None], k[None, :])))
+        for part, lo, hi in ((0, jlo, jhi), (1, klo, khi)):
+            if (part, lo, hi) not in self._windows:
+                self._windows[part, lo, hi] = single_window_sum(c.separable_parts[part], lo, hi)
+        return self._windows[0, jlo, jhi] * self._windows[1, klo, khi]
 
     def _build(self) -> None:
         c, horizon = self.c, self.horizon
@@ -433,6 +494,12 @@ class DoubleScanTable:
         if threshold > 2 * horizon:
             raise HorizonError(
                 f"horizon {horizon} below scan start: threshold {threshold} unreachable")
+        if threshold not in self._queries:
+            self._queries[threshold] = self._scan(threshold)
+        return self._queries[threshold]
+
+    def _scan(self, threshold: int) -> MajorantValue:
+        horizon = self.horizon
         if self._blocks is None:
             self._build()
         # For each line index i, partners from threshold - i up are admissible.
@@ -461,6 +528,17 @@ class DoubleScanTable:
                              argmax=argmax)
 
 
+def _scan_table(c: CoefficientSequence, horizon: int,
+                table: DoubleScanTable | None) -> DoubleScanTable:
+    """``table``, or a new one when None; a table of another sequence or
+    horizon is refused."""
+    if table is None:
+        return DoubleScanTable(c, horizon)
+    if table.c is not c or table.horizon != horizon:
+        raise ValueError("scan table belongs to another sequence or sup_horizon")
+    return table
+
+
 def double_sup_scan(c: CoefficientSequence, threshold: int, horizon: int) -> MajorantValue:
     """``sup over M + N >= threshold`` of double block sums, scanned on
     ``1 <= M, N <= horizon``.
@@ -476,40 +554,36 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
 
     Row majorants carry the 1/m scale, column majorants 1/n, double
     majorants 1/(m n).  Callers enforce the per-axis domain rules
-    (``m >= lambda`` for rows of families ONE/TWO, and so on).  Double
-    sups of families TWO and THREE, and family-THREE rows and columns,
-    read ``table``, which lets repeated calls on ``c`` at
-    ``fam.sup_horizon`` share one :class:`DoubleScanTable`; without it
-    each call builds its own.  A table of another sequence or horizon is
-    refused.
+    (``m >= lambda`` for rows of families ONE/TWO, and so on).  Every
+    family reads ``table``: rows and columns its lines, double sups its
+    block table, family ONE double windows its factor sums.  Repeated
+    calls on ``c`` at ``fam.sup_horizon`` share one
+    :class:`DoubleScanTable` that way; without it each call builds its
+    own.  A table of another sequence or horizon is refused.
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    if table is None:
-        table = DoubleScanTable(c, fam.sup_horizon)
-    elif table.c is not c or table.horizon != fam.sup_horizon:
-        raise ValueError("scan table belongs to another sequence or sup_horizon")
+    table = _scan_table(c, fam.sup_horizon, table)
 
     if fam.axis is Axis.DOUBLE:
         if fam.family is Family.ONE:
             jlo, jhi = averaging_window(m, fam.lam)
             klo, khi = averaging_window(n, fam.lam)
-            return MajorantValue(value=_window_double_sum(c, jlo, jhi, klo, khi) / (m * n))
+            return MajorantValue(value=table.window_sum(jlo, jhi, klo, khi) / (m * n))
         scan = table.query(compile_b(fam.b3)(m + n))
         scale = m * n
     else:
-        # a column majorant is the row majorant of c.T with m and n exchanged
-        src, b = c, fam.b1
-        if fam.axis is Axis.COLUMN:
-            src, b, m, n = c.T, fam.b2, n, m
-        # rows freeze the column n and scan j from b(m)
-        if fam.family is Family.ONE:
-            lo, hi = averaging_window(m, fam.lam)
-            return MajorantValue(value=_line_sum(src, n, lo, hi) / m)
-        start = compile_b(b)(m)
-        if fam.family is Family.TWO:
-            sup, arg = _bounded_max_scan(src, n, start, fam.lam * start)
+        src, b, m, n = _row_view(c, fam, m, n)
+        if fam.family is not Family.THREE:
+            vals = table.line(n, src, _row_reach(fam, b, m)).vals
+            if fam.family is Family.ONE:
+                lo, hi = averaging_window(m, fam.lam)
+                return MajorantValue(value=float(ksum(_abs_f64(vals[lo - 1:hi]))) / m)
+            start = compile_b(b)(m)
+            sup, arg = _bounded_max_scan(_abs_f64(vals[start - 1:2 * fam.lam * start]), start,
+                                         fam.lam * start)
             return MajorantValue(value=sup / m, argmax=(arg,))
+        start = compile_b(b)(m)
         scan = _sup_scan(table.line(n, src), start)
         scale = m
     return MajorantValue(value=scan.value / scale, truncated=scan.truncated,

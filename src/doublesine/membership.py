@@ -14,6 +14,17 @@ and truncation bookkeeping.  Ratio conventions: 0/0 counts as 0, and a
 positive left-hand side over a vanishing majorant is reported as an
 infinite ratio with its witness.
 
+A fit evaluates each line once.  It refuses grid indices below 1, then
+sizes one signed line per (fixed index, orientation) in its
+:class:`~doublesine.majorants.DoubleScanTable`, long enough for every
+read on it: ``lhs_row`` and ``lhs_col`` are ``ksum`` of ``|v_j -
+v_{j+r}|`` over slices of that line (columns are the lines of ``c.T``),
+and the row and column majorants read slices of it too.  The separable
+``lhs_double`` factor sums are kept per m and per n, and the table keeps
+its double sups per threshold.  ``ksum`` is exactly rounded and the
+evaluators act elementwise, so each row equals the per-point public
+functions' bit for bit.
+
 :func:`check_condition_22` tracks the weighted anti-diagonal maxima
 ``T(s) = max_{j+k=s} jk |c_{jk}|``, whose decay is the zero-limit
 condition the convergence results assume.
@@ -30,17 +41,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .convergence import TailReport, classify_tail, loglog_slope
-from .differences import _blocked_sum, check_step, delta_r, delta_r0, delta_rr_grid
+from .differences import _blocked_sum, _span, check_step, delta_r, delta_rr_grid
 from .majorants import (
     Axis,
     DoubleScanTable,
     MajorantFamily,
     MajorantValue,
+    _row_reach,
+    _row_view,
     _single_line,
     _sup_scan,
     averaging_window,
@@ -66,15 +80,39 @@ __all__ = [
 ]
 
 
+def _variation(v: np.ndarray, r: int, m: int) -> float:
+    """``sum_{i<m} |v_i - v_{i+r}|`` over the first ``m + r`` values of ``v``."""
+    return float(ksum(np.abs(v[:m] - v[r:m + r])))
+
+
 def lhs_row(c: CoefficientSequence, r: int, m: int, n: int) -> float:
     """``sum_{j=m}^{2m-1} |c_{jn} - c_{j+r,n}|``."""
-    j = np.arange(m, 2 * m, dtype=np.int64)
-    return float(ksum(np.abs(delta_r0(c, r, j, n))))
+    r = check_step(r)
+    return _variation(np.asarray(c.eval(_span(m, 2 * m - 1 + r), n)), r, m)
 
 
 def lhs_col(c: CoefficientSequence, r: int, m: int, n: int) -> float:
     """``sum_{k=n}^{2n-1} |c_{mk} - c_{m,k+r}|``: :func:`lhs_row` of ``c.T``."""
     return lhs_row(c.T, r, n, m)
+
+
+def _factor_variation(c: CoefficientSequence, r: int) -> Callable[[int, int], float]:
+    """``(part, i) -> sum_{j=i}^{2i-1} |f_j - f_{j+r}|`` for the factor
+    ``f`` of a separable ``c`` (part 0 is ``a``, part 1 is ``b``)."""
+    def variation(part: int, i: int) -> float:
+        f = c.separable_parts[part]
+        return _variation(np.asarray(f.eval(_span(i, 2 * i - 1 + r))), r, i)
+    return variation
+
+
+def _lhs_double(c: CoefficientSequence, r: int, m: int, n: int,
+                factor: Callable[[int, int], float]) -> float:
+    """:func:`lhs_double` with a separable sequence's factor sums read
+    from ``factor`` (see :func:`_factor_variation`)."""
+    if c.separable_parts is not None:
+        return factor(0, m) * factor(1, n)
+    return _blocked_sum(m, 2 * m - 1, n,
+                        lambda j0, j1: np.abs(delta_rr_grid(c, r, j0, j1, n, 2 * n - 1)))
 
 
 def lhs_double(c: CoefficientSequence, r: int, m: int, n: int) -> float:
@@ -83,16 +121,8 @@ def lhs_double(c: CoefficientSequence, r: int, m: int, n: int) -> float:
     For separable sequences the mixed difference factors, so the double
     sum is the product of two single-index difference blocks.
     """
-    check_step(r)
-    if c.separable_parts is not None:
-        a, b = c.separable_parts
-        j = np.arange(m, 2 * m, dtype=np.int64)
-        k = np.arange(n, 2 * n, dtype=np.int64)
-        left = float(ksum(np.abs(delta_r(a, r, j))))
-        right = float(ksum(np.abs(delta_r(b, r, k))))
-        return left * right
-    return _blocked_sum(m, 2 * m - 1, n,
-                        lambda j0, j1: np.abs(delta_rr_grid(c, r, j0, j1, n, 2 * n - 1)))
+    r = check_step(r)
+    return _lhs_double(c, r, m, n, _factor_variation(c, r))
 
 
 @dataclass(frozen=True)
@@ -133,13 +163,6 @@ class MembershipReport:
     rows: tuple[RatioRow, ...]
     target_C: float | None = None
     verdicts: dict | None = None
-
-
-_LHS_FOR_AXIS: dict[Axis, Callable] = {
-    Axis.ROW: lhs_row,
-    Axis.COLUMN: lhs_col,
-    Axis.DOUBLE: lhs_double,
-}
 
 
 def _ratio_row(m: int, n: int, axis: str, lhs: float, rhs_val: float,
@@ -202,26 +225,42 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
     second for columns, both for the double axis).  ``fam.axis`` is
     ignored; all three axes are evaluated.
     """
-    check_step(r)
+    r = check_step(r)
     grid = tuple((int(m), int(n)) for m, n in grid)
     if not grid:
         raise ValueError("empty grid")
+    if any(m < 1 or n < 1 for m, n in grid):
+        raise ValueError("indices must be >= 1")
+    fams = {axis: replace(fam, axis=axis) for axis in Axis}
+    points = {axis: [(m, n) for m, n in grid if _axis_admissible(axis, m, n, fam.lam)]
+              for axis in Axis}
+    # one table per fit, shared by every grid point; each row and column
+    # line is sized here for all its reads, the left-hand side's 2m - 1 + r
+    # and the majorant's, and so evaluated once
+    table = DoubleScanTable(c, fam.sup_horizon)
+    for axis in (Axis.ROW, Axis.COLUMN):
+        for m, n in points[axis]:
+            src, b, i, fixed = _row_view(c, fams[axis], m, n)
+            table.reserve(fixed, src, max(2 * i - 1 + r, _row_reach(fams[axis], b, i)))
+    # the separable double-axis factor sums, kept per m and per n
+    factor = lru_cache(maxsize=None)(_factor_variation(c, r))
+
+    def lhs(axis: Axis, m: int, n: int) -> float:
+        if axis is Axis.DOUBLE:
+            return _lhs_double(c, r, m, n, factor)
+        src, _, i, fixed = _row_view(c, fams[axis], m, n)
+        return _variation(table.line(fixed, src, 2 * i - 1 + r).vals[i - 1:], r, i)
+
     rows: list[RatioRow] = []
     fitted: dict[Axis, float | None] = {}
     witness: dict[str, dict | None] = {}
     growth: dict[str, float | None] = {}
     verdicts: dict[str, str] = {}
-    # one double-sup table per fit, shared by every double-axis grid point
-    table = DoubleScanTable(c, fam.sup_horizon)
-
-    for axis in (Axis.ROW, Axis.COLUMN, Axis.DOUBLE):
-        fam_axis = replace(fam, axis=axis)
+    for axis in Axis:
         axis_rows = []
-        for m, n in grid:
-            if not _axis_admissible(axis, m, n, fam.lam):
-                continue
-            lhs_val = _LHS_FOR_AXIS[axis](c, r, m, n)
-            mv: MajorantValue = rhs(c, fam_axis, m, n, table=table)
+        for m, n in points[axis]:
+            lhs_val = lhs(axis, m, n)
+            mv: MajorantValue = rhs(c, fams[axis], m, n, table=table)
             axis_rows.append(_ratio_row(m, n, axis.value, lhs_val, mv.value, mv.truncated))
         best, verdict = _fit(axis_rows, target_C)
         fitted[axis] = None if best is None else best.ratio

@@ -103,6 +103,13 @@ class TestLibraryRefusals:
                            "--sup-horizon", "16")
         assert "horizon 16 below scan start" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_grid_index_below_one_refused_before_evaluation(self, tmp_path, capsys):
+        # checked up front: no divide-by-zero warning from evaluating c at 0
+        err = self.refused(tmp_path, capsys, "check-class", "--preset",
+                           "oscillating_quadratic", "--grid", "2x0", "--r", "1")
+        assert err == "error: indices must be >= 1\n"
+
     def test_lemma2_sup_past_horizon(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "lemma", "--which", "2", "--preset",
                            "oscillating_quadratic", "--schedule", "64",

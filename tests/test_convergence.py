@@ -6,6 +6,7 @@ import pytest
 
 from doublesine import (
     CoefficientSequence,
+    DoubleScanTable,
     EtaCapError,
     HorizonError,
     ProbeConfig,
@@ -172,6 +173,23 @@ class TestLemmaQuantities:
                    for m, n in ((2, 2), (3, 5), (8, 4), (16, 16))]
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
         assert digest == "20041bd4305a8d4e6273aeff3edfc38b15a9fbf6d45dfb331176b1f254d3dea0"
+
+    @pytest.mark.parametrize("expr", [None, "1/(j*k*(j+k))"])
+    def test_lemma3_shared_table_gives_the_same_results(self, osc, expr):
+        c = osc if expr is None else from_expression("c", expr)
+        table = DoubleScanTable(c, 64)
+        points = [(2, 2), (3, 5), (8, 4), (4, 8), (16, 16), (2, 2), (5, 3)]
+        for b3 in ("l", "l+3"):
+            shared = [lemma3_check(c, 1.5, 2, m, n, b3=b3, sup_horizon=64, table=table)
+                      for m, n in points]
+            alone = [lemma3_check(c, 1.5, 2, m, n, b3=b3, sup_horizon=64) for m, n in points]
+            assert repr(shared) == repr(alone)
+
+    def test_lemma3_refuses_a_table_of_another_sequence_or_horizon(self, osc):
+        for table in (DoubleScanTable(builtin("mod3_log_product"), 64),
+                      DoubleScanTable(osc, 32)):
+            with pytest.raises(ValueError, match="another sequence or sup_horizon"):
+                lemma3_check(osc, 1.5, 2, 4, 4, sup_horizon=64, table=table)
 
     def test_lemma3_requires_nonnegative(self):
         c = from_table("neg", -np.ones((16, 16)))

@@ -33,6 +33,7 @@ from doublesine import majorants
 from doublesine.convergence import eta_search, lemma2_quantities
 from doublesine.majorants import (
     MajorantValue,
+    _abs_line,
     _block_array,
     _bounded_max_scan,
     _single_tail_bound,
@@ -227,6 +228,11 @@ def per_block_max(c, fixed, M_lo, M_hi, transpose):
     return float(arr[i]), M_lo + i
 
 
+def window_scan(c, fixed, M_lo, M_hi):
+    """``_bounded_max_scan`` on the window ``|c_{j,fixed}|``, j = M_lo..2 M_hi."""
+    return _bounded_max_scan(_abs_line(c, fixed, M_lo, 2 * M_hi), M_lo, M_hi)
+
+
 def assert_same_scan(got, want):
     (gv, ga), (wv, wa) = got, want
     assert ga == wa
@@ -239,7 +245,7 @@ class TestBoundedWindowScan:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_block_loop(self, name, fixed, start, lam, transpose):
         c = SCAN_SEQUENCES[name]
-        assert_same_scan(_bounded_max_scan(c.T if transpose else c, fixed, start, lam * start),
+        assert_same_scan(window_scan(c.T if transpose else c, fixed, start, lam * start),
                          per_block_max(c, fixed, start, lam * start, transpose))
 
     @given(st.lists(st.sampled_from((0.1, 0.2, 0.3, 0.7)), min_size=40, max_size=240),
@@ -250,7 +256,7 @@ class TestBoundedWindowScan:
         # whose cumsum estimates round differently
         table = np.asarray(values)[:, None]
         c = from_table("ties", table.T if transpose else table)
-        assert_same_scan(_bounded_max_scan(c.T if transpose else c, 1, start, lam * start),
+        assert_same_scan(window_scan(c.T if transpose else c, 1, start, lam * start),
                          per_block_max(c, 1, start, lam * start, transpose))
 
     @given(st.integers(1, 60), st.integers(0, 500), st.sampled_from((math.inf, math.nan)),
@@ -261,11 +267,11 @@ class TestBoundedWindowScan:
         table = rng.uniform(-1.0, 1.0, (2 * lam * start + 2, 1))
         table[pos % len(table), 0] = bad
         c = from_table("bad", table.T if transpose else table)
-        assert_same_scan(_bounded_max_scan(c.T if transpose else c, 1, start, lam * start),
+        assert_same_scan(window_scan(c.T if transpose else c, 1, start, lam * start),
                          per_block_max(c, 1, start, lam * start, transpose))
 
     def test_zero_window_ties_at_start(self, zero_seq):
-        assert _bounded_max_scan(zero_seq, 3, 5, 10) == (0.0, 5)
+        assert window_scan(zero_seq, 3, 5, 10) == (0.0, 5)
 
     def test_rhs_scales_the_scan(self, mod3):
         fam = MajorantFamily(Family.TWO, Axis.COLUMN, lam=3, b2="2*l")

@@ -1,11 +1,17 @@
+import dataclasses
 import hashlib
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublesine import (
     Axis,
+    CoefficientSequence,
     Family,
     HorizonError,
     MajorantFamily,
@@ -20,6 +26,8 @@ from doublesine import (
     from_expression,
     from_table,
     ksum,
+    rhs,
+    scale,
     single_from_values,
 )
 from doublesine import differences, majorants
@@ -110,6 +118,17 @@ class TestCheckMembership:
     def test_empty_grid_rejected(self, osc):
         with pytest.raises(ValueError):
             check_membership(osc, 2, three_family(), ())
+
+    @pytest.mark.parametrize("bad", [(2, 0), (0, 2), (-3, 4)])
+    def test_bad_indices_refused_before_any_evaluation(self, bad):
+        def never(j, k):
+            raise AssertionError("evaluated before the grid was checked")
+
+        c = CoefficientSequence(name="never", eval=never)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^indices must be >= 1$"):
+                check_membership(c, 1, three_family(), [(4, 4), bad])
 
 
 # Family TWO, r = 2, dyadic:256, sup_horizon 512, frozen from the per-block
@@ -225,6 +244,90 @@ class TestSharedDoubleTable:
                              sup_horizon=16)
         with pytest.raises(HorizonError):
             check_membership(seq, 2, fam, ((4, 4), (16, 17)))
+
+
+def counted(c):
+    """``c`` with an evaluator that counts its line reads: calls with one
+    scalar index, keyed by (orientation, fixed index)."""
+    lines = Counter()
+
+    def eval_(j, k):
+        if np.ndim(j) != np.ndim(k):
+            lines["column" if np.ndim(j) == 0 else "row", int(j if np.ndim(j) == 0 else k)] += 1
+        return c.eval(j, k)
+
+    return dataclasses.replace(c, eval=eval_), lines
+
+
+FIT_SEQUENCES = {
+    "oscillating_quadratic": builtin("oscillating_quadratic"),
+    "mod3_log_product": builtin("mod3_log_product"),
+    "product_power(1.5,2)": builtin("product_power", p=1.5, q=2.0),
+    "-2.5*oscillating_quadratic": scale(builtin("oscillating_quadratic"), -2.5),
+    "1j*mod3_log_product": scale(builtin("mod3_log_product"), 1j),
+    "nonsep": from_expression("nonsep", "1/(j*k*(j+k))"),
+    "complex table": from_table("complex", np.exp(1j * np.arange(1, 1201)).reshape(30, 40)
+                                * (1.0 + np.arange(30))[:, None] ** -1.5),
+}
+LHS = {Axis.ROW: lhs_row, Axis.COLUMN: lhs_col, Axis.DOUBLE: lhs_double}
+
+
+class TestBatchedFit:
+    """The fit reads each line once and memoizes shared sums; every row is
+    the per-point public left-hand side over the table-less majorant."""
+
+    @given(st.sampled_from(sorted(FIT_SEQUENCES)), st.sampled_from(list(Family)),
+           st.integers(1, 5), st.integers(2, 3), st.sampled_from(("l", "2*l", "l+3")),
+           st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)), min_size=1,
+                    max_size=8).flatmap(lambda g: st.permutations(g + g[:2])))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_per_point_oracle(self, name, family, r, lam, b, grid):
+        # repeated points (g[:2] twice) and points with m or n below lambda
+        c = FIT_SEQUENCES[name]
+        fam = MajorantFamily(family, Axis.ROW, lam=lam, b1=b, b2=b, b3=b, sup_horizon=48)
+        report = check_membership(c, r, fam, grid)
+        want = []
+        for axis in Axis:
+            for m, n in grid:
+                if ((axis is not Axis.COLUMN and m < lam)
+                        or (axis is not Axis.ROW and n < lam)):
+                    continue
+                lhs = LHS[axis](c, r, m, n)
+                mv = rhs(c, dataclasses.replace(fam, axis=axis), m, n)
+                want.append((m, n, axis.value, lhs, mv.value, mv.truncated and lhs > 0.0))
+        got = [(row.m, row.n, row.axis, row.lhs, row.rhs, row.truncated)
+               for row in report.rows]
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("name", ["oscillating_quadratic", "nonsep"])
+    def test_each_line_is_evaluated_once_per_fit(self, name, family):
+        c, lines = counted(FIT_SEQUENCES[name])
+        # with lambda = 2 and r = 5 the left-hand side reads furthest on
+        # family ONE lines (2m - 1 + r > 2m), the majorant on the others
+        grid = [(m, n) for m in (1, 2, 3, 8, 16, 5) for n in (2, 16, 7, 3, 1)] + [
+            (40, 2), (2, 40)]
+        fam = MajorantFamily(family, Axis.ROW, lam=2, b1="l+3", b2="2*l", sup_horizon=96)
+        want = check_membership(FIT_SEQUENCES[name], 5, fam, grid)
+        assert repr(check_membership(c, 5, fam, grid).rows) == repr(want.rows)
+        fixed = ({("row", n) for m, n in grid if m >= 2}
+                 | {("column", m) for m, n in grid if n >= 2})
+        assert set(lines) == fixed
+        assert max(lines.values()) == 1
+
+    def test_one_double_scan_per_threshold(self, osc, monkeypatch):
+        thresholds = []
+        scan = majorants.DoubleScanTable._scan
+        monkeypatch.setattr(majorants.DoubleScanTable, "_scan",
+                            lambda self, t: thresholds.append(t) or scan(self, t))
+        grid = [(m, n) for m in range(2, 12) for n in range(2, 12)]
+        fam = MajorantFamily(Family.TWO, Axis.ROW, lam=2, b3="l+3", sup_horizon=64)
+        report = check_membership(osc, 2, fam, grid)
+        assert sorted(thresholds) == sorted({m + n + 3 for m, n in grid})
+        for row in report.rows:
+            if row.axis == "double":
+                assert row.rhs == double_sup_scan(osc, row.m + row.n + 3, 64).value / (
+                    row.m * row.n)
 
 
 class TestCondition22:
