@@ -11,8 +11,10 @@ Exit status: 0 when all asserted verdicts pass, 1 on a numerical
 verdict failure (the witness is printed), 2 on bad input.  Bad input is
 either a flag or config value the front end rejects itself (one
 ``config error: ...`` line on stderr) or a library refusal such as a
-scan horizon below its start, a size guard or a singular abscissa (one
-``error: ...`` line); neither writes a report.
+scan horizon below its start, a size guard, a singular abscissa or a
+float overflow in a sum (one ``error: ...`` line); neither writes a
+report.  An output directory or report file that cannot be written
+also exits 2 with one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -983,15 +985,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # a library refusal (horizon, size guard, empty lattice) is bad input,
-        # never a failed verdict
+    except (ValueError, OverflowError) as exc:
+        # a library refusal (horizon, size guard, empty lattice) or a float
+        # overflow of the input's sums is bad input, never a failed verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     passed = not witness
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / (args.json_name or f"{args.command}.json")
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -1000,13 +1001,18 @@ def main(argv=None) -> int:
         "results": results,
         "pass": passed,
     }
-    write_json(json_path, to_jsonable(payload))
     written = [str(json_path)]
-    if csv_payload is not None:
-        header, rows = csv_payload
-        csv_path = out_dir / (args.csv_name or f"{args.command}.csv")
-        write_csv(csv_path, header, rows)
-        written.append(str(csv_path))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_json(json_path, to_jsonable(payload))
+        if csv_payload is not None:
+            header, rows = csv_payload
+            csv_path = out_dir / (args.csv_name or f"{args.command}.csv")
+            write_csv(csv_path, header, rows)
+            written.append(str(csv_path))
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
 
     status = "PASS" if passed else "FAIL"
     print(f"{args.command}: {status} ({', '.join(written)})")

@@ -32,9 +32,10 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import _blocked_sum, _row_blocks, delta_r, delta_r0_grid, delta_rr_grid
+from .differences import _blocked_sum, _row_blocks, delta_r, delta_r0_grid
 from .kernels import Rect, rect_sum_direct  # noqa: F401  (re-exported: the probes' oracle)
-from .majorants import _MAX_DENSE_BYTES, DoubleScanTable, HorizonError, _scan_table, compile_b
+from .majorants import (_MAX_DENSE_BYTES, DoubleScanTable, HorizonError, _rect_abs_sum,
+                        _scan_table, compile_b)
 from .sequences import CoefficientSequence, SingleSequence, builtin
 from .summing import ksum, sine_prefix
 
@@ -265,8 +266,7 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
         a, b = c.separable_parts
         return _product(_d2_scan(a, m, horizon), _d2_scan(b, n, horizon), m, n)
     _guard_generic((horizon - m + 1) * (horizon - n + 1))
-    value = m * n * _blocked_sum(m, horizon, horizon - n + 1, lambda j0, j1: np.abs(
-        delta_rr_grid(c, 2, j0, j1, n, horizon)))
+    value = m * n * _rect_abs_sum(c, 2, m, horizon, n, horizon)
     hint = c.decay_hint
     if hint is not None:
         beyond_j = _tail_sum_beyond(horizon, hint.p)
@@ -634,7 +634,14 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     Conditions (3) and (4) place the sup inside the sum, which is the
     form the uniform bound's proof consumes; the companion lemma report
     in :func:`lemma2_quantities` uses the sup-outside form instead.
-    Raises :class:`EtaCapError` when the scan passes the cap.
+
+    For ``c = a_j b_k`` each condition is a product of one-index arrays
+    built once per factor.  All candidates are tested at once; the first
+    that passes reports each condition's first worst tested pair in
+    (m, n) order.  A NaN fails a condition.  Candidates run up to
+    ``min(cap, verify_range - 1)``, so every tested point lies past eta,
+    and a ``verify_range`` at or below ``max(1, lam)`` is refused.
+    Raises :class:`EtaCapError` when no candidate passes.
     """
     if epsilon <= 0 or C <= 0:
         raise ValueError("epsilon and C must be positive")
@@ -645,91 +652,66 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
                          "supply separable parts or use the lemma quantities directly")
     if verify_range > sum_horizon:
         raise ValueError("verify_range must not exceed sum_horizon")
-    a, b = c.separable_parts
+    first = max(1, lam)
+    if verify_range <= first:
+        raise ValueError(f"verify_range {verify_range} must exceed max(1, lambda) = {first}")
     H = max(sup_horizon, verify_range + 1, cap + 2)
     idx = np.arange(1, H + 1, dtype=np.int64)
-    wa = idx.astype(np.float64) * np.abs(np.asarray(a.eval(idx)))   # m |a_m|
-    wb = idx.astype(np.float64) * np.abs(np.asarray(b.eval(idx)))
-    suffmax_wa = np.maximum.accumulate(wa[::-1])[::-1]
-    suffmax_wb = np.maximum.accumulate(wb[::-1])[::-1]
-    tail_wa, tail_wb = _weight_tail(a, H), _weight_tail(b, H)
+    # per factor (rows): m |f_m|, its suffix maxima, the suffix sums of |d2 f|
+    parts = c.separable_parts
+    weights = np.array([idx.astype(np.float64) * np.abs(np.asarray(f.eval(idx))) for f in parts])
+    sups = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
+    d2 = np.abs([delta_r(f, 2, np.arange(1, sum_horizon + 1, dtype=np.int64)) for f in parts])
+    sums = np.cumsum(d2[:, ::-1], axis=1)[:, ::-1]
+    tail_w = [_weight_tail(f, H) for f in parts]
+    tail_d2 = [_d2_tail(f, sum_horizon) for f in parts]
 
-    # suffix sums of |d2| for conditions (2)-(4)
-    j2 = np.arange(1, sum_horizon + 1, dtype=np.int64)
-    d2a = np.abs(delta_r(a, 2, j2))
-    d2b = np.abs(delta_r(b, 2, j2))
-    suff_d2a = np.concatenate([np.cumsum(d2a[::-1])[::-1], [0.0]])
-    suff_d2b = np.concatenate([np.cumsum(d2b[::-1])[::-1], [0.0]])
-    tail_d2a, tail_d2b = _d2_tail(a, sum_horizon), _d2_tail(b, sum_horizon)
-
-    def cond1(eta: int) -> tuple[float, tuple[int, int], bool]:
-        sa = float(suffmax_wa[eta])              # sup over m >= eta+1 of m|a_m|
-        sb = float(suffmax_wb[eta])
-        certified = tail_wa is not None and tail_wb is not None
-        if certified:
-            sa, sb = max(sa, tail_wa), max(sb, tail_wb)
-        ma = eta + 1 + int(np.argmax(wa[eta:]))
-        nb = eta + 1 + int(np.argmax(wb[eta:]))
-        return sa * sb, (ma, nb), certified
-
-    def conds234(m: int, n: int):
-        sa = float(suff_d2a[m - 1])
-        sb = float(suff_d2b[n - 1])
-        sup_b = float(suffmax_wb[n - 1])
-        sup_a = float(suffmax_wa[m - 1])
-        cert = None not in (tail_d2a, tail_d2b, tail_wa, tail_wb)
-        if cert:
-            sa_u, sb_u = sa + tail_d2a, sb + tail_d2b
-            sup_a_u, sup_b_u = max(sup_a, tail_wa), max(sup_b, tail_wb)
-        else:
-            sa_u, sb_u, sup_a_u, sup_b_u = sa, sb, sup_a, sup_b
-        q2 = (m * sa_u) * (n * sb_u)
-        q3 = m * sa_u * sup_b_u
-        q4 = n * sb_u * sup_a_u
-        return q2, q3, q4, cert
-
+    # (1) at every candidate eta = first..last, and the factors of (2)-(4) on
+    # m = 1..verify_range; tails count only when all of a condition's are known
+    last = min(cap, verify_range - 1)
+    cert1 = None not in tail_w
+    cert = cert1 and None not in tail_d2
+    sup1 = np.maximum(sups[:, first:last + 1], np.array(tail_w if cert1 else [0.0, 0.0])[:, None])
+    v1 = sup1[0] * sup1[1]
+    tw, td = (np.array(tail_w)[:, None], np.array(tail_d2)[:, None]) if cert else (0.0, 0.0)
+    S = idx[:verify_range] * (sums[:, :verify_range] + td)    # m sum_{j>=m} |d2 f|
+    W = np.maximum(sups[:, :verify_range], tw)
     bound2 = 16.0 * C * epsilon
     bound34 = 4.0 * C * epsilon
-
-    def passes(eta: int):
-        v1, w1, cert1 = cond1(eta)
-        if v1 >= epsilon:
-            return None
-        pts = _test_points(eta, verify_range)
-        worst = {"2": (-1.0, None), "3": (-1.0, None), "4": (-1.0, None)}
-        cert_all = cert1
-        for m in pts:
-            for n in pts:
-                q2, q3, q4, cert = conds234(m, n)
-                cert_all = cert_all and cert
-                if q2 >= bound2 or q3 >= bound34 or q4 >= bound34:
-                    return None
-                for key, q in (("2", q2), ("3", q3), ("4", q4)):
-                    if q > worst[key][0]:
-                        worst[key] = (q, (m, n))
-        conds = (
-            EtaCondition("mn|c_mn| < eps", v1, epsilon, epsilon - v1, w1, cert1),
-            EtaCondition("weighted d22 tail < 16 C eps", worst["2"][0], bound2,
-                         bound2 - worst["2"][0], worst["2"][1], cert_all),
-            EtaCondition("row-sum sup tail < 4 C eps", worst["3"][0], bound34,
-                         bound34 - worst["3"][0], worst["3"][1], cert_all),
-            EtaCondition("col-sum sup tail < 4 C eps", worst["4"][0], bound34,
-                         bound34 - worst["4"][0], worst["4"][1], cert_all),
-        )
-        return EtaSearchResult(eta=eta, epsilon=epsilon, C=C, cap=cap,
-                               verify_range=verify_range,
-                               tested_points=tuple(pts), conditions=conds)
-
-    # condition (1) gives a cheap lower bound on eta: scan its sup once
-    eta = max(1, lam)
-    while eta <= cap and cond1(eta)[0] >= epsilon:
-        eta += 1
-    while eta <= cap:
-        result = passes(eta)
-        if result is not None:
-            return result
-        eta += 1
-    raise EtaCapError(f"no eta found up to cap {cap} for epsilon {epsilon}")
+    # (2)-(4) at every candidate: S and W are nonnegative and a rounded
+    # product is monotone in each factor, so a condition holds at every
+    # tested pair exactly when it holds at the factors' maxima over the
+    # tested points, eta + 1 and the points of D past it
+    D = np.array(_test_points(0, verify_range))          # 1, 2, 4, ..., verify_range
+    at = np.searchsorted(D, np.arange(first + 1, last + 2))   # first point of D >= eta + 1
+    SW = np.array([S, W])                                 # (array, factor, m - 1)
+    past = np.maximum.accumulate(SW[..., D[::-1] - 1], axis=-1)[..., ::-1]
+    s, w = np.maximum(SW[..., first:last + 1], past[..., at])
+    passed = np.flatnonzero((v1 < epsilon) & (s[0] * s[1] < bound2)
+                            & (s[0] * w[1] < bound34) & (w[0] * s[1] < bound34))
+    if not passed.size:
+        where = f"up to cap {cap}" if last == cap else \
+            f"below verify_range {verify_range} (cap {cap})"
+        raise EtaCapError(f"no eta found {where} for epsilon {epsilon}")
+    i = int(passed[0])
+    eta = first + i
+    pts = _test_points(eta, verify_range)
+    cols = np.array(pts) - 1
+    s, w = S[:, cols], W[:, cols]
+    witness1 = tuple(eta + 1 + int(np.argmax(wf[eta:])) for wf in weights)
+    conds = [EtaCondition("mn|c_mn| < eps", float(v1[i]), epsilon,
+                          epsilon - float(v1[i]), witness1, cert1)]
+    for name, x, y, bound in (("weighted d22 tail < 16 C eps", s[0], s[1], bound2),
+                              ("row-sum sup tail < 4 C eps", s[0], w[1], bound34),
+                              ("col-sum sup tail < 4 C eps", w[0], s[1], bound34)):
+        q = np.multiply.outer(x, y)
+        mi, ni = divmod(int(np.argmax(q)), len(pts))
+        worst = float(q[mi, ni])
+        conds.append(EtaCondition(name, worst, bound, bound - worst, (pts[mi], pts[ni]),
+                                  cert))
+    return EtaSearchResult(eta=eta, epsilon=epsilon, C=C, cap=cap,
+                           verify_range=verify_range,
+                           tested_points=tuple(pts), conditions=tuple(conds))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ evaluator that acts elementwise the values are the same bit for bit.
 Rectangle sums read in row blocks (block differences, lemma 1, the
 dense family-ONE and lemma 3 windows) reduce them with
 :func:`_blocked_sum`: an exactly rounded sum per block, then of the
-parts.
+parts.  Along one evaluated line, :func:`_variation` is the exactly
+rounded sum of ``|v_i - v_{i+r}|``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ def _blocked_sum(lo: int, hi: int, width: int, block) -> float:
 
 def _span(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=np.int64)
+
+
+def _variation(v: np.ndarray, r: int, m: int) -> float:
+    """``sum_{i<m} |v_i - v_{i+r}|`` over the first ``m + r`` values of ``v``."""
+    return float(ksum(np.abs(v[:m] - v[r:m + r])))
 
 
 def delta_rr_grid(c: CoefficientSequence, r: int, j0: int, j1: int, k0: int, k1: int):

@@ -54,6 +54,11 @@ calls.  Within one table, double sups are kept per threshold and a
 separable sequence's family ONE factor windows per window, since many
 grid points share them.
 
+The double left-hand sides of a fit, family ONE double windows and
+lemma 1's dense tail are rectangle sums of ``|d_rr c|`` or ``|c|``, all
+taken by :func:`_rect_abs_sum`, which writes the product rule for
+separable sequences once.
+
 ``rhs`` returns the majorant value *without* any class constant C; the
 membership fitter divides observed left-hand sides by these values.
 
@@ -73,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .differences import _blocked_sum
+from .differences import _blocked_sum, _span, _variation, delta_rr_grid
 from .sequences import CoefficientSequence, SingleSequence, compile_expression
 from .summing import _cumsum_rows, ksum
 
@@ -232,6 +237,36 @@ def single_window_sum(a: SingleSequence, lo: int, hi: int) -> float:
     """``sum_{k=lo}^{hi} |a_k|``."""
     k = np.arange(lo, hi + 1, dtype=np.int64)
     return float(ksum(np.abs(a.eval(k))))
+
+
+def _rect_abs_sum(c: CoefficientSequence, r: int, jlo: int, jhi: int, klo: int, khi: int,
+                  memo: dict | None = None) -> float:
+    """``sum_{j=jlo}^{jhi} sum_{k=klo}^{khi} |d_rr c_{jk}|``, or of ``|c_{jk}|`` at r = 0.
+
+    For ``c = a_j b_k`` the step-r mixed difference is
+    ``(a_j - a_{j+r})(b_k - b_{k+r})``, so the sum is the product of two
+    exactly rounded factor sums, each :func:`_variation` of one
+    evaluation of the factor on ``lo..hi + r``.  At r = 0 a factor sum is
+    :func:`single_window_sum`, looked up in this module's namespace, where
+    the benchmark's tracer (``bench/spans.py``) counts it as a scan.
+    ``memo``, a dict the caller keeps for one ``c`` and ``r``, holds the
+    factor sums under ``(part, lo, hi)``.  Any other sequence is read in
+    row blocks (:func:`_blocked_sum`).
+    """
+    if c.separable_parts is None:
+        if r == 0:
+            k = _span(klo, khi)
+            block = lambda j0, j1: np.abs(c.eval(_span(j0, j1)[:, None], k[None, :]))  # noqa: E731
+        else:
+            block = lambda j0, j1: np.abs(delta_rr_grid(c, r, j0, j1, klo, khi))  # noqa: E731
+        return _blocked_sum(jlo, jhi, khi - klo + 1, block)
+    memo = {} if memo is None else memo
+    for part, lo, hi in ((0, jlo, jhi), (1, klo, khi)):
+        if (part, lo, hi) not in memo:
+            f = c.separable_parts[part]
+            memo[part, lo, hi] = (single_window_sum(f, lo, hi) if r == 0 else _variation(
+                np.asarray(f.eval(_span(lo, hi + r))), r, hi - lo + 1))
+    return memo[0, jlo, jhi] * memo[1, klo, khi]
 
 
 # --- scan machinery -------------------------------------------------------
@@ -448,18 +483,9 @@ class DoubleScanTable:
         return line
 
     def window_sum(self, jlo: int, jhi: int, klo: int, khi: int) -> float:
-        """``sum_{j=jlo}^{jhi} sum_{k=klo}^{khi} |c_{jk}|``: the product of
-        the factor sums, each kept per window, for a separable sequence,
-        else read in row blocks (:func:`_blocked_sum`)."""
-        c = self.c
-        if c.separable_parts is None:
-            k = np.arange(klo, khi + 1, dtype=np.int64)
-            return _blocked_sum(jlo, jhi, len(k), lambda j0, j1: np.abs(
-                c.eval(np.arange(j0, j1 + 1, dtype=np.int64)[:, None], k[None, :])))
-        for part, lo, hi in ((0, jlo, jhi), (1, klo, khi)):
-            if (part, lo, hi) not in self._windows:
-                self._windows[part, lo, hi] = single_window_sum(c.separable_parts[part], lo, hi)
-        return self._windows[0, jlo, jhi] * self._windows[1, klo, khi]
+        """``sum_{j=jlo}^{jhi} sum_{k=klo}^{khi} |c_{jk}|``
+        (:func:`_rect_abs_sum` at r = 0, its factor sums kept per window)."""
+        return _rect_abs_sum(self.c, 0, jlo, jhi, klo, khi, self._windows)
 
     def _build(self) -> None:
         c, horizon = self.c, self.horizon

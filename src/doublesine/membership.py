@@ -19,11 +19,13 @@ sizes one signed line per (fixed index, orientation) in its
 :class:`~doublesine.majorants.DoubleScanTable`, long enough for every
 read on it: ``lhs_row`` and ``lhs_col`` are ``ksum`` of ``|v_j -
 v_{j+r}|`` over slices of that line (columns are the lines of ``c.T``),
-and the row and column majorants read slices of it too.  The separable
-``lhs_double`` factor sums are kept per m and per n, and the table keeps
-its double sups per threshold.  ``ksum`` is exactly rounded and the
-evaluators act elementwise, so each row equals the per-point public
-functions' bit for bit.
+and the row and column majorants read slices of it too.  ``lhs_double``
+is the rectangle reducer :func:`~doublesine.majorants._rect_abs_sum`; a
+fit hands it one dict, so a separable sequence's factor sums are
+evaluated once per m and once per n, and the table keeps its double
+sups per threshold.  ``ksum`` is exactly rounded and the evaluators act
+elementwise, so each row equals the per-point public functions' bit for
+bit.
 
 :func:`check_condition_22` tracks the weighted anti-diagonal maxima
 ``T(s) = max_{j+k=s} jk |c_{jk}|``, whose decay is the zero-limit
@@ -41,18 +43,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .convergence import TailReport, classify_tail, loglog_slope
-from .differences import _blocked_sum, _span, check_step, delta_r, delta_rr_grid
+from .differences import _span, _variation, check_step, delta_r
 from .majorants import (
     Axis,
     DoubleScanTable,
     MajorantFamily,
     MajorantValue,
+    _rect_abs_sum,
     _row_reach,
     _row_view,
     _single_line,
@@ -80,11 +81,6 @@ __all__ = [
 ]
 
 
-def _variation(v: np.ndarray, r: int, m: int) -> float:
-    """``sum_{i<m} |v_i - v_{i+r}|`` over the first ``m + r`` values of ``v``."""
-    return float(ksum(np.abs(v[:m] - v[r:m + r])))
-
-
 def lhs_row(c: CoefficientSequence, r: int, m: int, n: int) -> float:
     """``sum_{j=m}^{2m-1} |c_{jn} - c_{j+r,n}|``."""
     r = check_step(r)
@@ -96,33 +92,11 @@ def lhs_col(c: CoefficientSequence, r: int, m: int, n: int) -> float:
     return lhs_row(c.T, r, n, m)
 
 
-def _factor_variation(c: CoefficientSequence, r: int) -> Callable[[int, int], float]:
-    """``(part, i) -> sum_{j=i}^{2i-1} |f_j - f_{j+r}|`` for the factor
-    ``f`` of a separable ``c`` (part 0 is ``a``, part 1 is ``b``)."""
-    def variation(part: int, i: int) -> float:
-        f = c.separable_parts[part]
-        return _variation(np.asarray(f.eval(_span(i, 2 * i - 1 + r))), r, i)
-    return variation
-
-
-def _lhs_double(c: CoefficientSequence, r: int, m: int, n: int,
-                factor: Callable[[int, int], float]) -> float:
-    """:func:`lhs_double` with a separable sequence's factor sums read
-    from ``factor`` (see :func:`_factor_variation`)."""
-    if c.separable_parts is not None:
-        return factor(0, m) * factor(1, n)
-    return _blocked_sum(m, 2 * m - 1, n,
-                        lambda j0, j1: np.abs(delta_rr_grid(c, r, j0, j1, n, 2 * n - 1)))
-
-
 def lhs_double(c: CoefficientSequence, r: int, m: int, n: int) -> float:
-    """``sum_{j=m}^{2m-1} sum_{k=n}^{2n-1} |d_rr c_{jk}|``.
-
-    For separable sequences the mixed difference factors, so the double
-    sum is the product of two single-index difference blocks.
-    """
-    r = check_step(r)
-    return _lhs_double(c, r, m, n, _factor_variation(c, r))
+    """``sum_{j=m}^{2m-1} sum_{k=n}^{2n-1} |d_rr c_{jk}|``
+    (:func:`~doublesine.majorants._rect_abs_sum`, a product of two
+    single-index difference blocks for a separable sequence)."""
+    return _rect_abs_sum(c, check_step(r), m, 2 * m - 1, n, 2 * n - 1)
 
 
 @dataclass(frozen=True)
@@ -243,11 +217,11 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
             src, b, i, fixed = _row_view(c, fams[axis], m, n)
             table.reserve(fixed, src, max(2 * i - 1 + r, _row_reach(fams[axis], b, i)))
     # the separable double-axis factor sums, kept per m and per n
-    factor = lru_cache(maxsize=None)(_factor_variation(c, r))
+    factor_sums: dict[tuple[int, int, int], float] = {}
 
     def lhs(axis: Axis, m: int, n: int) -> float:
         if axis is Axis.DOUBLE:
-            return _lhs_double(c, r, m, n, factor)
+            return _rect_abs_sum(c, r, m, 2 * m - 1, n, 2 * n - 1, factor_sums)
         src, _, i, fixed = _row_view(c, fams[axis], m, n)
         return _variation(table.line(fixed, src, 2 * i - 1 + r).vals[i - 1:], r, i)
 
@@ -370,6 +344,8 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
     grid = tuple(int(n) for n in grid)
     if not grid:
         raise ValueError("empty grid")
+    if any(n < 1 for n in grid):
+        raise ValueError("indices must be >= 1")
     if beta is None or beta == "star":
         beta_fn = lambda n: beta_star(a, n, lam)  # noqa: E731
     elif isinstance(beta, str):
@@ -385,8 +361,6 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
     rows: list[RatioRow] = []
     for n in grid:
         if klass in (SingleClass.MVBVS, SingleClass.SBVS) and n < lam:
-            continue
-        if n < 1:
             continue
         hi = 2 * n if klass is SingleClass.MVBVS else 2 * n - 1
         k = np.arange(n, hi + 1, dtype=np.int64)

@@ -110,6 +110,32 @@ class TestLibraryRefusals:
                            "oscillating_quadratic", "--grid", "2x0", "--r", "1")
         assert err == "error: indices must be >= 1\n"
 
+    def test_single_class_grid_index_below_one(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, "check-class", "--single-class", "gm",
+                           "--preset", "oscillating_quadratic", "--grid", "0,-3,4")
+        assert err == "error: indices must be >= 1\n"
+
+    def test_eta_verify_range_at_or_below_lambda(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, "eta", "--preset", "oscillating_quadratic",
+                           "--epsilon", "0.2", "--c-const", "16", "--verify-range", "-5",
+                           "--rect-cap", "64", "--grid-points", "3")
+        assert err == "error: verify_range -5 must exceed max(1, lambda) = 2\n"
+
+    def test_overflowing_sum(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, "check-class", "--expr", "1e308", "--grid", "2x2",
+                           "--sup-horizon", "8", "--family", "one")
+        assert "overflow" in err
+
+    def test_unwritable_report(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["condition-22", "--preset", "oscillating_quadratic", "--s-max", "16",
+                     "--out-dir", str(blocker / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
     def test_lemma2_sup_past_horizon(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "lemma", "--which", "2", "--preset",
                            "oscillating_quadratic", "--schedule", "64",

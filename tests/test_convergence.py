@@ -27,6 +27,7 @@ from doublesine import (
     loglog_slope,
     rect_sum_direct,
     remark2_divergence,
+    separable,
     single_from_values,
     theorem7_bound_check,
     uniform_tail_probe,
@@ -246,6 +247,56 @@ class TestEtaSearch:
     def test_verify_range_guard(self, osc):
         with pytest.raises(ValueError):
             eta_search(osc, epsilon=0.2, C=16.0, sum_horizon=1024, verify_range=2048)
+
+    @pytest.mark.parametrize("verify_range, lam", [(-5, 2), (1, 1), (2, 2), (3, 3)])
+    def test_verify_range_at_or_below_lambda_is_refused(self, osc, verify_range, lam):
+        with pytest.raises(ValueError, match=f"verify_range {verify_range} must exceed"):
+            eta_search(osc, epsilon=0.2, C=16.0, lam=lam, verify_range=verify_range)
+
+    @pytest.mark.parametrize("verify_range", [3, 4, 6, 7, 8, 9, 64])
+    def test_tested_points_lie_past_eta(self, osc, verify_range):
+        # eta = 6 at the default verify_range; candidates stop at verify_range - 1
+        if verify_range <= 6:
+            with pytest.raises(EtaCapError, match=f"below verify_range {verify_range} "):
+                eta_search(osc, epsilon=0.2, C=16.0, verify_range=verify_range)
+            return
+        res = eta_search(osc, epsilon=0.2, C=16.0, verify_range=verify_range)
+        assert res.eta == 6 and min(res.tested_points) == 7
+        assert max(res.tested_points) == verify_range
+        # condition (1) is a sup over all of m, n > eta; (2)-(4) are read at tested pairs
+        assert all(m in res.tested_points and n in res.tested_points
+                   for cond in res.conditions[1:] for m, n in [cond.witness])
+
+    def test_a_nan_condition_fails(self, osc):
+        a, _ = osc.separable_parts
+        values = 3.0 / np.arange(1.0, 9000.0) ** 2
+        values[4] = math.nan                      # b_5
+        c = separable(a, single_from_values("nan at 5", values))
+        res = eta_search(c, epsilon=0.2, C=16.0, cap=64, sup_horizon=4096, sum_horizon=8192)
+        # every sum or sup over m <= 5 reads b_5, so eta >= 5
+        assert res.eta == 6 and min(res.tested_points) == 7
+        assert all(math.isfinite(cond.worst) for cond in res.conditions)
+
+    # sha256 of the reprs of eta_search results and EtaCapError texts over
+    # this grid, frozen from the search that walked the tested pairs in a
+    # Python double loop
+    FROZEN_GRID = "347951d0c0ddc2f82736be354b122f0ab48024f45f89d2d27f331986e0645c42"
+
+    def test_results_over_a_grid_are_frozen(self):
+        out = []
+        for c in (builtin("oscillating_quadratic"), builtin("mod3_log_product"),
+                  builtin("product_power", p=2.0, q=1.5)):
+            for eps in (0.2, 0.05, 0.01):
+                for C in (1.0, 16.0):
+                    for cap, verify_range, lam in ((64, None, 2), (256, 300, 3), (40, 2048, 2)):
+                        try:
+                            out.append(repr(eta_search(c, eps, C, lam=lam, cap=cap,
+                                                       verify_range=verify_range,
+                                                       sup_horizon=4096, sum_horizon=8192)))
+                        except EtaCapError as exc:
+                            out.append(f"EtaCapError: {exc}")
+        assert sum(text.startswith("EtaSearchResult") for text in out) == 26
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == self.FROZEN_GRID
 
 
 class TestTheorem7:

@@ -21,7 +21,9 @@ from doublesine import (
     builtin,
     double_sup_scan,
     from_expression,
+    delta_rr,
     from_table,
+    ksum,
     rhs,
     scale,
     single_block_sum,
@@ -36,12 +38,72 @@ from doublesine.majorants import (
     _abs_line,
     _block_array,
     _bounded_max_scan,
+    _rect_abs_sum,
     _single_tail_bound,
     _sup_scan,
 )
 from doublesine.membership import check_condition_22
 
 TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+
+
+_RNG = np.random.default_rng(11)
+# read term by term by the reducer's row blocks, so equal bit for bit
+RECT_DENSE = {
+    "real table": from_table("real", _RNG.normal(size=(48, 48))),
+    "complex table": from_table("complex", _RNG.normal(size=(48, 48))
+                                + 1j * _RNG.normal(size=(48, 48))),
+    "1/(j*k*(j+k))": from_expression("dense", "1/(j*k*(j+k))"),
+}
+# a product of two rounded factor sums: equal to within rounding
+RECT_SEPARABLE = {
+    "oscillating_quadratic": builtin("oscillating_quadratic"),
+    "mod3_log_product": builtin("mod3_log_product"),
+    "product_power(2,1.5)": builtin("product_power", p=2.0, q=1.5),
+    "scaled": scale(builtin("oscillating_quadratic"), -2.5),
+}
+RECTS = st.tuples(st.integers(0, 3), st.integers(1, 60), st.integers(0, 40),
+                  st.integers(1, 60), st.integers(0, 40))
+
+
+def brute_rect_abs_sum(c, r, jlo, jhi, klo, khi):
+    """``ksum`` of ``|delta_rr c|`` (or ``|c|`` at r = 0) over the whole rectangle."""
+    j = np.arange(jlo, jhi + 1)[:, None]
+    k = np.arange(klo, khi + 1)[None, :]
+    return float(ksum(np.abs(c.eval(j, k) if r == 0 else delta_rr(c, r, j, k))))
+
+
+class TestRectAbsSum:
+    """The one reducer of rectangle sums of ``|delta_rr c|`` and ``|c|``
+    against the brute-force sum of its terms."""
+
+    @given(st.sampled_from(sorted(RECT_DENSE)), RECTS)
+    @settings(max_examples=200, deadline=None)
+    def test_dense_is_the_brute_force_sum(self, name, rect):
+        r, jlo, dj, klo, dk = rect
+        c = RECT_DENSE[name]
+        assert _rect_abs_sum(c, r, jlo, jlo + dj, klo, klo + dk) == \
+            brute_rect_abs_sum(c, r, jlo, jlo + dj, klo, klo + dk)
+
+    @given(st.sampled_from(sorted(RECT_SEPARABLE)), RECTS)
+    @settings(max_examples=200, deadline=None)
+    def test_separable_is_the_product_of_factor_sums(self, name, rect):
+        r, jlo, dj, klo, dk = rect
+        c = RECT_SEPARABLE[name]
+        memo = {}
+        got = _rect_abs_sum(c, r, jlo, jlo + dj, klo, klo + dk, memo)
+        assert got == pytest.approx(brute_rect_abs_sum(c, r, jlo, jlo + dj, klo, klo + dk),
+                                    rel=1e-12, abs=0.0)
+        assert set(memo) == {(0, jlo, jlo + dj), (1, klo, klo + dk)}
+        a, b = c.separable_parts
+        if r == 0:
+            assert memo[0, jlo, jlo + dj] == single_window_sum(a, jlo, jlo + dj)
+        assert _rect_abs_sum(c, r, jlo, jlo + dj, klo, klo + dk, memo) == got
+
+    def test_window_sum_reads_the_reducer_at_step_zero(self, osc):
+        table = DoubleScanTable(osc, 16)
+        assert table.window_sum(2, 9, 3, 5) == _rect_abs_sum(osc, 0, 2, 9, 3, 5)
+        assert set(table._windows) == {(0, 2, 9), (1, 3, 5)}
 
 
 class TestWindows:

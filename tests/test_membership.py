@@ -420,6 +420,15 @@ class TestSingleMembership:
         report = check_single_membership(a, SingleClass.MVBVS, (256,), target_C=1.0)
         assert report.verdict == "fail"
 
+    @pytest.mark.parametrize("klass", list(SingleClass))
+    def test_grid_index_below_one_refused_before_evaluation(self, osc, klass):
+        a, _ = osc.separable_parts
+        calls = []
+        spy = dataclasses.replace(a, eval=lambda k: calls.append(k) or a.eval(k))
+        with pytest.raises(ValueError, match="indices must be >= 1"):
+            check_single_membership(spy, klass, (0, -3, 4), horizon=64)
+        assert calls == []
+
 
 # --- results frozen before the fit and the row-block reduction were shared ------
 
