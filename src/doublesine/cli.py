@@ -59,7 +59,7 @@ from .membership import (
     check_membership,
     check_single_membership,
 )
-from .reports import SCHEMA_VERSION, to_jsonable, write_csv, write_json
+from .reports import SCHEMA_VERSION, write_csv, write_json
 from .sequences import (
     BUILTIN_NAMES,
     CoefficientSequence,
@@ -275,8 +275,8 @@ def _parse_preset(args) -> CoefficientSequence:
 def _resolve_sequence(args, single: bool = False):
     """The one sequence given by --expr, --seq-file or --preset.
 
-    With ``single`` the result is a single sequence; presets then
-    contribute their first separable factor.
+    With ``single`` the result is a single sequence; presets, all
+    separable, then contribute their first factor.
     """
     chosen = [k for k in ("expr", "seq_file", "preset") if getattr(args, k, None)]
     if len(chosen) > 1:
@@ -292,11 +292,7 @@ def _resolve_sequence(args, single: bool = False):
         return seq
     if args.preset:
         c = _parse_preset(args)
-        if not single:
-            return c
-        if c.separable_parts is None:
-            raise ConfigError(f"preset {args.preset!r} has no single-sequence factor")
-        return c.separable_parts[0]
+        return c.separable_parts[0] if single else c
     raise ConfigError("no sequence given; use --preset, --expr, or --seq-file")
 
 
@@ -528,8 +524,8 @@ def _run_lemma_decay(args, c):
     schedule = _parse_int_list(args.schedule, "schedule")
     series: dict[str, list] = {}
     if args.which == 1:
-        ms = [(lemma1_quantity(c, m, m, horizon=args.sum_horizon),) for m in schedule]
-        series["mixed_tail"] = [q[0] for q in ms]
+        series["mixed_tail"] = [lemma1_quantity(c, m, m, horizon=args.sum_horizon)
+                                for m in schedule]
     else:
         pairs = [lemma2_quantities(c, m, m, sup_horizon=args.sup_horizon,
                                    sum_horizon=args.sum_horizon) for m in schedule]
@@ -1004,7 +1000,7 @@ def main(argv=None) -> int:
     written = [str(json_path)]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(json_path, to_jsonable(payload))
+        write_json(json_path, payload)
         if csv_payload is not None:
             header, rows = csv_payload
             csv_path = out_dir / (args.csv_name or f"{args.command}.csv")

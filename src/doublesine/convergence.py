@@ -175,44 +175,16 @@ def loglog_slope(schedule, values) -> float | None:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-# --- tail-bound helpers ----------------------------------------------------
-
-def _tail_sum_beyond(H: int, p: float) -> float | None:
-    """Bound on ``sum_{j > H} j^{-p}`` (integral comparison); needs p > 1."""
-    if p <= 1.0:
-        return None
-    return float(H) ** (1.0 - p) / (p - 1.0)
-
-
-def _sum_from(n: int, p: float) -> float | None:
-    """Bound on ``sum_{j >= n} j^{-p}``; needs p > 1."""
-    if p <= 1.0:
-        return None
-    return float(n) ** (-p) + float(n) ** (1.0 - p) / (p - 1.0)
-
-
-def _d2_tail(a: SingleSequence, H: int) -> float | None:
-    """Bound on ``sum_{j > H} |a_j - a_{j+2}|`` from the decay hint."""
-    hint = a.decay_hint
-    base = None if hint is None else _tail_sum_beyond(H, hint.p)
-    return None if base is None else 2.0 * hint.K * base
-
-
-def _weight_tail(b: SingleSequence, H: int) -> float | None:
-    """Bound on ``sup_{k > H} k |b_k|`` from the decay hint:
-    ``k |b_k| <= K k^(1-p)`` is nonincreasing for p >= 1."""
-    hint = b.decay_hint
-    if hint is None or hint.p < 1.0:
-        return None
-    return hint.K * float(H + 1) ** (1.0 - hint.p)
-
+# --- factor scans ----------------------------------------------------------
 
 def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
-    """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus a tail certificate."""
+    """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus a tail certificate: twice the
+    hint's tail past H, since ``|a_j - a_{j+2}| <= |a_j| + |a_{j+2}|``."""
     j = np.arange(m, H + 1, dtype=np.int64)
     scanned = float(ksum(np.abs(delta_r(a, 2, j))))
-    tail = _d2_tail(a, H)
-    return Measurement(value=scanned, bounded=tail is not None, tail_bound=tail)
+    tail = None if a.decay_hint is None else a.decay_hint.integral_tail(H)
+    return Measurement(value=scanned, bounded=tail is not None,
+                       tail_bound=None if tail is None else 2.0 * tail)
 
 
 def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
@@ -220,7 +192,7 @@ def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
     k = np.arange(n, H + 1, dtype=np.int64)
     vals = k.astype(np.float64) * np.abs(np.asarray(b.eval(k)))
     scanned = float(np.max(vals))
-    tail = _weight_tail(b, H)
+    tail = None if b.decay_hint is None else b.decay_hint.weighted_sup(H)
     if tail is not None and tail <= scanned:
         return Measurement(value=scanned, bounded=True, tail_bound=0.0)
     return Measurement(value=scanned, bounded=tail is not None,
@@ -267,16 +239,9 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
         return _product(_d2_scan(a, m, horizon), _d2_scan(b, n, horizon), m, n)
     _guard_generic((horizon - m + 1) * (horizon - n + 1))
     value = m * n * _rect_abs_sum(c, 2, m, horizon, n, horizon)
-    hint = c.decay_hint
-    if hint is not None:
-        beyond_j = _tail_sum_beyond(horizon, hint.p)
-        from_n = _sum_from(n, hint.q)
-        from_m = _sum_from(m, hint.p)
-        beyond_k = _tail_sum_beyond(horizon, hint.q)
-        if None not in (beyond_j, from_n, from_m, beyond_k):
-            tail = 4.0 * hint.K * (beyond_j * from_n + from_m * beyond_k)
-            return Measurement(value=value, bounded=True, tail_bound=m * n * tail)
-    return Measurement(value=value, bounded=False)
+    tail = None if c.decay_hint is None else c.decay_hint.d22_tail(m, n, horizon)
+    return Measurement(value=value, bounded=tail is not None,
+                       tail_bound=None if tail is None else m * n * tail)
 
 
 def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
@@ -313,16 +278,9 @@ def _one_sided(c: CoefficientSequence, m: int, n: int, sup_horizon: int,
     for j0, j1 in _row_blocks(m, sum_horizon, len(sup_idx)):
         sums += np.abs(delta_r0_grid(c, 2, j0, j1, n, sup_horizon)).sum(axis=0)
     value = m * float(np.max(sup_idx.astype(np.float64) * sums))
-    hint = c.decay_hint
-    if hint is not None:
-        beyond_sum = _tail_sum_beyond(sum_horizon, hint.p)
-        from_sum = _sum_from(m, hint.p)
-        if beyond_sum is not None and from_sum is not None and hint.q >= 1.0:
-            # unscanned j tail at scanned k, plus the whole k > horizon range
-            part1 = 2.0 * hint.K * beyond_sum * float(n) ** (1.0 - hint.q)
-            part2 = 2.0 * hint.K * from_sum * float(sup_horizon + 1) ** (1.0 - hint.q)
-            return Measurement(value=value, bounded=True, tail_bound=m * (part1 + part2))
-    return Measurement(value=value, bounded=False)
+    tail = None if c.decay_hint is None else c.decay_hint.d20_tail(m, n, sup_horizon, sum_horizon)
+    return Measurement(value=value, bounded=tail is not None,
+                       tail_bound=None if tail is None else m * tail)
 
 
 @dataclass(frozen=True)
@@ -663,8 +621,9 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     sups = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
     d2 = np.abs([delta_r(f, 2, np.arange(1, sum_horizon + 1, dtype=np.int64)) for f in parts])
     sums = np.cumsum(d2[:, ::-1], axis=1)[:, ::-1]
-    tail_w = [_weight_tail(f, H) for f in parts]
-    tail_d2 = [_d2_tail(f, sum_horizon) for f in parts]
+    hints = [f.decay_hint for f in parts]
+    tail_w = [None if h is None else h.weighted_sup(H) for h in hints]
+    tail_d2 = [None if h is None else h.integral_tail(sum_horizon) for h in hints]
 
     # (1) at every candidate eta = first..last, and the factors of (2)-(4) on
     # m = 1..verify_range; tails count only when all of a condition's are known
@@ -673,7 +632,8 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     cert = cert1 and None not in tail_d2
     sup1 = np.maximum(sups[:, first:last + 1], np.array(tail_w if cert1 else [0.0, 0.0])[:, None])
     v1 = sup1[0] * sup1[1]
-    tw, td = (np.array(tail_w)[:, None], np.array(tail_d2)[:, None]) if cert else (0.0, 0.0)
+    # |d2 f| tails: |f_j - f_{j+2}| <= |f_j| + |f_{j+2}|
+    tw, td = (np.array(tail_w)[:, None], 2.0 * np.array(tail_d2)[:, None]) if cert else (0.0, 0.0)
     S = idx[:verify_range] * (sums[:, :verify_range] + td)    # m sum_{j>=m} |d2 f|
     W = np.maximum(sups[:, :verify_range], tw)
     bound2 = 16.0 * C * epsilon

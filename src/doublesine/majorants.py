@@ -78,8 +78,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .differences import _blocked_sum, _span, _variation, delta_rr_grid
-from .sequences import CoefficientSequence, SingleSequence, compile_expression
+from .differences import _blocked_sum, _row_blocks, _span, _variation, delta_rr_grid
+from .sequences import CoefficientSequence, PowerDecay, SingleSequence, compile_expression
 from .summing import _cumsum_rows, ksum
 
 __all__ = [
@@ -284,25 +284,13 @@ def _block_array(abs_vals: np.ndarray, lo: int, M_lo: int, M_hi: int) -> np.ndar
     return cs[2 * Ms - lo + 1] - cs[Ms - lo]
 
 
-def _single_tail_bound(a: SingleSequence, horizon: int) -> float | None:
-    """Bound on ``sup_{M > horizon} sum_{k=M}^{2M} |a_k|`` from the hint.
-
-    ``sum_{k=M}^{2M} |a_k| <= K (M+1) M^{-p} <= 2 K M^{1-p}``, which is
-    nonincreasing in M for p >= 1.
-    """
-    hint = a.decay_hint
-    if hint is None or hint.p < 1.0:
-        return None
-    return 2.0 * hint.K * float(horizon + 1) ** (1.0 - hint.p)
-
-
 class _Line:
     """The values ``v_j`` of one line for ``j = lo, lo + 1, ...``, signed,
     and, once :meth:`prepare` has run, what a pruned sup scan up to
     ``horizon`` needs: the suffix maxima of the block estimates of
     ``|v|`` over ``lo..2 horizon`` (one cumsum from ``lo``; None when
-    their total is not finite), their tolerance, and the tail bound past
-    the horizon."""
+    their total is not finite), their tolerance, and the hint's block
+    bound past the horizon."""
 
     __slots__ = ("lo", "vals", "horizon", "suffix", "tol", "tail", "nbytes")
 
@@ -312,9 +300,9 @@ class _Line:
         self.tol = 0.0
         self.nbytes = vals.nbytes
 
-    def prepare(self, horizon: int, tail: float | None) -> _Line:
+    def prepare(self, horizon: int, hint: PowerDecay | None) -> _Line:
         head = _abs_f64(self.vals[:2 * horizon - self.lo + 1])
-        self.horizon, self.tail = horizon, tail
+        self.horizon, self.tail = horizon, None if hint is None else hint.block_sup(horizon)
         total = float(np.sum(head))
         if math.isfinite(total):
             est = _block_array(head, self.lo, self.lo, horizon)
@@ -347,7 +335,7 @@ def _sup_scan(line: _Line, start: int) -> MajorantValue:
 
 def _single_line(a: SingleSequence, lo: int, horizon: int) -> _Line:
     k = np.arange(lo, 2 * horizon + 1, dtype=np.int64)
-    return _Line(np.asarray(a.eval(k)), lo).prepare(horizon, _single_tail_bound(a, horizon))
+    return _Line(np.asarray(a.eval(k)), lo).prepare(horizon, a.decay_hint)
 
 
 def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValue:
@@ -398,31 +386,17 @@ def _row_reach(fam: MajorantFamily, b: str, m: int) -> int:
     return 2 * fam.sup_horizon
 
 
-def _double_tail_bound(c: CoefficientSequence, horizon: int) -> float | None:
-    """Bound on double block sums with ``max(M, N) > horizon``.
-
-    Blocks satisfy ``sum sum |c| <= 4 K M^{1-p} N^{1-q}``; for p, q >= 1
-    the factor at the small index is at most 1, so blocks past the
-    horizon in either coordinate are bounded by
-    ``4 K (horizon+1)^{1-min(p,q)}``-style terms.  A separable
-    sequence's hint is the product of its factor hints.
-    """
-    hint = c.decay_hint
-    if hint is None or hint.p < 1.0 or hint.q < 1.0:
-        return None
-    far = float(horizon + 1)
-    return max(4.0 * hint.K * far ** (1.0 - hint.p), 4.0 * hint.K * far ** (1.0 - hint.q))
-
-
 class DoubleScanTable:
     """Double block sums of one sequence on ``1 <= M, N <= horizon``,
     queried by :meth:`query` for ``sup over M + N >= threshold``, and the
     row and column lines a membership fit reads.
 
     Separable sequences keep the two factor block arrays and the suffix
-    maximum of the first; others keep the dense block matrix and its
-    row-wise suffix maximum.  The table is built on the first query and
-    belongs to its creator; nothing caches it across calls.  Query
+    maximum of the first; others keep the dense block matrix, from a
+    prefix table filled one row block at a time, and its row-wise suffix
+    maximum.  Which of the two is decided once, when the table is built
+    on the first query.  The table belongs to its creator; nothing caches
+    it across calls.  Query
     results are kept per threshold, and :meth:`window_sum` keeps a
     separable sequence's factor sums per window.
 
@@ -438,7 +412,7 @@ class DoubleScanTable:
     def __init__(self, c: CoefficientSequence, horizon: int):
         self.c = c
         self.horizon = horizon
-        self._blocks = self._fb = self._suffix = self._tail = None
+        self._search = self._tail = None
         self._lines: dict[tuple[int, bool], _Line] = {}
         self._line_bytes = 0
         self._reach: dict[tuple[int, bool], int] = {}
@@ -475,7 +449,7 @@ class DoubleScanTable:
             j = np.arange(1, max(reach, self._reach.get(key, 0)) + 1, dtype=np.int64)
             line = _Line(np.asarray(src.eval(j, fixed)), 1)
         if scan and line.horizon is None:
-            line.prepare(self.horizon, _single_tail_bound(src.row(fixed), self.horizon))
+            line.prepare(self.horizon, src.row(fixed).decay_hint)
         self._line_bytes += line.nbytes
         self._lines[key] = line  # most recently used last
         while self._line_bytes > _MAX_LINE_BYTES and len(self._lines) > 1:
@@ -487,32 +461,64 @@ class DoubleScanTable:
         (:func:`_rect_abs_sum` at r = 0, its factor sums kept per window)."""
         return _rect_abs_sum(self.c, 0, jlo, jhi, klo, khi, self._windows)
 
-    def _build(self) -> None:
+    def _build(self):
+        """The table's search, factored or dense as chosen here once: given
+        ``first``, each line's smallest admissible partner, and ``lo``, that
+        clipped to ``1..horizon``, it returns the sup and its pair."""
         c, horizon = self.c, self.horizon
-        j = np.arange(1, 2 * horizon + 1, dtype=np.int64)
-        if c.separable_parts is not None:
-            a, b = c.separable_parts
-            self._blocks = _block_array(_abs_f64(a.eval(j)), 1, 1, horizon)
-            self._fb = _block_array(_abs_f64(b.eval(j)), 1, 1, horizon)
-            self._suffix = np.maximum.accumulate(self._blocks[::-1])[::-1]
-        else:
-            side = 2 * horizon + 1
-            needed = 8 * side * side
-            if needed > _MAX_DENSE_BYTES:
-                raise ValueError(
-                    f"dense double scan at sup_horizon {horizon} needs {needed} bytes for its "
-                    f"{side}x{side} prefix table, over the cap of {_MAX_DENSE_BYTES} bytes; "
-                    "lower sup_horizon or use a separable sequence")
-            grid = _abs_f64(c.eval(j[:, None], j[None, :]))
-            pref = np.zeros((len(j) + 1, len(j) + 1))
-            _cumsum_rows(grid, pref[1:, 1:])
-            np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
-            Ms = np.arange(1, horizon + 1, dtype=np.int64)
-            blocks = (pref[2 * Ms, :][:, 2 * Ms] - pref[Ms - 1, :][:, 2 * Ms]
-                      - pref[2 * Ms, :][:, Ms - 1] + pref[Ms - 1, :][:, Ms - 1])
-            self._blocks = blocks
-            self._suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
-        self._tail = _double_tail_bound(c, horizon)
+        self._tail = None if c.decay_hint is None else c.decay_hint.block_sup(horizon)
+        if c.separable_parts is None:
+            blocks = self._dense_blocks()
+            suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+
+            def search(first, lo):
+                # lines are rows M; the first maximal row, then its first maximal N
+                best = np.where(first <= horizon, suffix[np.arange(horizon), lo - 1], -np.inf)
+                mi = int(np.argmax(best))
+                ni = int(lo[mi]) - 1 + int(np.argmax(blocks[mi, lo[mi] - 1:]))
+                return float(blocks[mi, ni]), (mi + 1, ni + 1)
+            return search
+
+        j = _span(1, 2 * horizon)
+        fa, fb = (_block_array(_abs_f64(f.eval(j)), 1, 1, horizon) for f in c.separable_parts)
+        suffix = np.maximum.accumulate(fa[::-1])[::-1]
+
+        def search(first, lo):
+            # lines are N: candidate fb[N] * max_{M >= lo} fa[M].  Past the
+            # horizon lo is clipped to it, which admits pairs below threshold.
+            cand = fb * suffix[lo - 1]
+            nidx = int(np.argmax(cand))
+            # recover the M attaining the suffix max for the witness
+            mlo = int(lo[nidx])
+            return float(cand[nidx]), (mlo + int(np.argmax(fa[mlo - 1:])), nidx + 1)
+        return search
+
+    def _dense_blocks(self) -> np.ndarray:
+        """The dense block matrix from the prefix table of ``|c|`` on ``1..2 horizon``,
+        whose rows are evaluated one row block at a time and carried down in
+        place: the values of two whole-table cumsums, without the ``|c|`` grid."""
+        horizon = self.horizon
+        side = 2 * horizon + 1
+        needed = 8 * side * side
+        if needed > _MAX_DENSE_BYTES:
+            raise ValueError(
+                f"dense double scan at sup_horizon {horizon} needs {needed} bytes for its "
+                f"{side}x{side} prefix table, over the cap of {_MAX_DENSE_BYTES} bytes; "
+                "lower sup_horizon or use a separable sequence")
+        k = _span(1, 2 * horizon)
+        pref = np.zeros((side, side))
+        for j0, j1 in _row_blocks(1, 2 * horizon, 2 * horizon):
+            rows = pref[j0 - 1:j1 + 1, 1:]    # the block and the prefix row above it
+            rows[1:] = _abs_f64(self.c.eval(_span(j0, j1)[:, None], k[None, :]))
+            _cumsum_rows(rows, rows)
+        np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
+        Ms = _span(1, horizon)
+        lo, hi = Ms - 1, 2 * Ms
+        blocks = pref[np.ix_(hi, hi)]
+        blocks -= pref[np.ix_(lo, hi)]
+        blocks -= pref[np.ix_(hi, lo)]
+        blocks += pref[np.ix_(lo, lo)]
+        return blocks
 
     def query(self, threshold: int) -> MajorantValue:
         """``sup over M + N >= threshold`` of the tabled double block sums."""
@@ -525,33 +531,13 @@ class DoubleScanTable:
         return self._queries[threshold]
 
     def _scan(self, threshold: int) -> MajorantValue:
-        horizon = self.horizon
-        if self._blocks is None:
-            self._build()
+        if self._search is None:
+            self._search = self._build()
         # For each line index i, partners from threshold - i up are admissible.
-        idx = np.arange(1, horizon + 1, dtype=np.int64)
-        first = threshold - idx
-        lo = np.clip(first, 1, horizon)
-        if self.c.separable_parts is not None:
-            # lines are N: candidate fb[N] * max_{M >= lo} fa[M].  Past the
-            # horizon lo is clipped to it, which admits pairs below threshold.
-            cand = self._fb * self._suffix[lo - 1]
-            nidx = int(np.argmax(cand))
-            sup = float(cand[nidx])
-            # recover the M attaining the suffix max for the witness
-            mlo = int(lo[nidx])
-            argmax = (mlo + int(np.argmax(self._blocks[mlo - 1:])), nidx + 1)
-        else:
-            # lines are rows M; the first maximal row, then its first maximal N
-            best = np.where(first <= horizon, self._suffix[idx - 1, lo - 1], -np.inf)
-            mi = int(np.argmax(best))
-            nlo = int(lo[mi])
-            ni = nlo - 1 + int(np.argmax(self._blocks[mi, nlo - 1:]))
-            sup = float(self._blocks[mi, ni])
-            argmax = (mi + 1, ni + 1)
-        truncated = self._tail is None or self._tail > sup
-        return MajorantValue(value=sup, truncated=truncated, tail_bound=self._tail,
-                             argmax=argmax)
+        first = threshold - _span(1, self.horizon)
+        sup, argmax = self._search(first, np.clip(first, 1, self.horizon))
+        return MajorantValue(value=sup, truncated=self._tail is None or self._tail > sup,
+                             tail_bound=self._tail, argmax=argmax)
 
 
 def _scan_table(c: CoefficientSequence, horizon: int,

@@ -3,7 +3,9 @@
 Reports carry a schema version and are byte-reproducible: keys are
 sorted, floats use shortest round-trip repr, no timestamps or machine
 identifiers are embedded, and non-finite floats are stringified so the
-JSON stays portable.
+JSON stays portable.  A writer unlinks an existing report before writing
+it anew, since overwriting a file in place can cost a flush of its old
+blocks; a report path that is a symlink or a hard link gets a new file.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def to_jsonable(obj):
 
 def write_json(path: str | Path, payload: dict) -> None:
     text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2)
+    Path(path).unlink(missing_ok=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -68,6 +71,7 @@ def _cell(value) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
+    Path(path).unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

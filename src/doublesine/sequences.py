@@ -54,19 +54,79 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PowerDecay:
-    """Certified bound ``|a_k| <= K / k^p`` valid for every k >= 1."""
+    """Certified bound ``|a_k| <= K / k^p`` valid for every k >= 1.
+
+    Its methods are the tail bounds it implies, None where p is too small;
+    the hint classes alone read p, q and K.
+    """
 
     p: float
     K: float
+
+    def weighted_sup(self, H: int) -> float | None:
+        """``sup_{k > H} k |a_k| <= K (H+1)^{1-p}``; ``k^{1-p}`` falls for p >= 1."""
+        return None if self.p < 1.0 else self.K * float(H + 1) ** (1.0 - self.p)
+
+    def block_sup(self, H: int) -> float | None:
+        """``sup_{M > H} sum_{k=M}^{2M} |a_k|``: M + 1 <= 2M terms, twice the weighted sup."""
+        w = self.weighted_sup(H)
+        return None if w is None else 2.0 * w
+
+    def integral_tail(self, H: int) -> float | None:
+        """``sum_{k > H} |a_k| <= K H^{1-p} / (p-1)`` by integral comparison (p > 1)."""
+        return None if self.p <= 1.0 else self.K * (float(H) ** (1.0 - self.p) / (self.p - 1.0))
+
+    def sum_from(self, n: int) -> float | None:
+        """``sum_{k >= n} |a_k| <= K (n^{-p} + n^{1-p} / (p-1))`` (p > 1)."""
+        if self.p <= 1.0:
+            return None
+        return self.K * (float(n) ** (-self.p) + float(n) ** (1.0 - self.p) / (self.p - 1.0))
 
 
 @dataclass(frozen=True)
 class PowerDecay2D:
-    """Certified bound ``|c_{jk}| <= K / (j^p k^q)`` for all j, k >= 1."""
+    """Certified bound ``|c_{jk}| <= K / (j^p k^q)`` for all j, k >= 1.
+
+    Its tail bounds are K times products of bounds of its unit-K
+    :attr:`marginals`, None where one of those is.
+    """
 
     p: float
     q: float
     K: float
+
+    @property
+    def marginals(self) -> tuple[PowerDecay, PowerDecay]:
+        return PowerDecay(self.p, 1.0), PowerDecay(self.q, 1.0)
+
+    def block_sup(self, H: int) -> float | None:
+        """Double block sums ``sum_{j=M}^{2M} sum_{k=N}^{2N} |c_{jk}|`` with
+        ``max(M, N) > H``: a marginal's block bound past H times 2, the
+        other's at any index."""
+        bounds = [f.block_sup(H) for f in self.marginals]
+        return None if None in bounds else max(2.0 * self.K * bound for bound in bounds)
+
+    def d22_tail(self, m: int, n: int, H: int) -> float | None:
+        """``sum |d22 c_{jk}|`` over ``j >= m, k >= n`` outside ``[m, H] x [n, H]``:
+        four terms per difference, on ``j > H, k >= n`` and ``j >= m, k > H``."""
+        a, b = self.marginals
+        parts = (a.integral_tail(H), b.sum_from(n), a.sum_from(m), b.integral_tail(H))
+        if None in parts:
+            return None
+        beyond_j, from_n, from_m, beyond_k = parts
+        return 4.0 * self.K * (beyond_j * from_n + from_m * beyond_k)
+
+    def d20_tail(self, m: int, n: int, sup_horizon: int, sum_horizon: int) -> float | None:
+        """What ``sup_{k>=n} k sum_{j>=m} |d20 c_{jk}|`` misses with k scanned to
+        ``sup_horizon`` and j to ``sum_horizon``: two terms per difference, the
+        j tail at scanned k plus all of ``k > sup_horizon``."""
+        a, b = self.marginals
+        parts = (a.integral_tail(sum_horizon), b.weighted_sup(n - 1), a.sum_from(m),
+                 b.weighted_sup(sup_horizon))
+        if None in parts:
+            return None
+        beyond_sum, at_n, from_m, past_sup = parts
+        return 2.0 * self.K * beyond_sum * at_n + 2.0 * self.K * from_m * past_sup
 
 
 @dataclass(frozen=True)
@@ -301,20 +361,13 @@ def single_from_values(name: str, values: np.ndarray) -> SingleSequence:
 
 def scale(c: CoefficientSequence, t: float) -> CoefficientSequence:
     """Scalar multiple ``t * c`` with hints rescaled accordingly."""
-    hint = None
-    if c.decay_hint is not None:
-        hint = replace(c.decay_hint, K=abs(t) * c.decay_hint.K)
+    hint = None if c.decay_hint is None else replace(c.decay_hint, K=abs(t) * c.decay_hint.K)
     parts = None
     if c.separable_parts is not None:
         a, b = c.separable_parts
-        a_hint = None
-        if a.decay_hint is not None:
-            a_hint = replace(a.decay_hint, K=abs(t) * a.decay_hint.K)
-        a_eval = a.eval
-        parts = (
-            SingleSequence(f"{t:g}*{a.name}", lambda k, _f=a_eval: t * _f(k), a_hint),
-            b,
-        )
+        a_hint = None if a.decay_hint is None else replace(a.decay_hint,
+                                                           K=abs(t) * a.decay_hint.K)
+        parts = (SingleSequence(f"{t:g}*{a.name}", lambda k, _f=a.eval: t * _f(k), a_hint), b)
     c_eval = c.eval
     return CoefficientSequence(
         name=f"{t:g}*{c.name}",

@@ -526,3 +526,96 @@ class TestHelp:
             for key in keys:
                 flag = flags.get(key, "--" + key.replace("_", "-"))
                 assert listed_under[flag] == f"[{section}]", flag
+
+
+OSC = ("--preset", "oscillating_quadratic")
+
+
+class TestExitContract:
+    """Status 1 prints a witness and writes the report with ``"pass": false``;
+    status 2 prints one ``config error:`` line and writes nothing."""
+
+    @pytest.mark.parametrize("argv, report, witness", [
+        (("check-class", *OSC, "--grid", "1x1", "--max-row-c", "1"), "check-class",
+         "row axis: no admissible grid points"),
+        (("check-class", *OSC, "--single-class", "mvbvs", "--max-c", "1e-9"), "check-class",
+         "single class mvbvs: verdict 'fail'"),
+        (("condition-22", *OSC, "--expect", "growing"), "condition-22",
+         "expected 'growing', got 'decaying'"),
+        (("uniform-tail", *OSC, "--grid-points", "3", "--rect-cap", "256",
+          "--expect", "growing"), "uniform-tail", "expected 'growing', got 'decaying'"),
+        (("lemma", *OSC, "--which", "1", "--expect", "growing"), "lemma",
+         "mixed_tail: expected 'growing'"),
+        (("lemma", *OSC, "--which", "2", "--expect", "growing"), "lemma",
+         "row_tail: expected 'growing'"),
+        (("partial-sum", *OSC, "--rect", "1:300x1:300", "--x", "1.0", "--y", "1.3",
+          "--tol", "0"), "partial-sum", "methods disagree by"),
+        (("lemma", *OSC, "--which", "3", "--grid", "dyadic:64", "--c-const", "1e-12",
+          "--sup-horizon", "256"), "lemma", "sandwich violated at (m, n)"),
+        (("verify-identities", "--tol", "0"), "verify-identities", "row_sum_by_parts: "),
+        (("remark2", "--schedule", "1,2", "--cross-check-tol", "0"), "remark2",
+         "direct vs factored mismatch at scale 1"),
+    ])
+    def test_failed_verdict_is_one(self, tmp_path, capsys, argv, report, witness):
+        assert run(tmp_path, *argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{argv[0]}: FAIL")
+        assert f"  witness: {witness}" in out
+        assert load_json(tmp_path, f"{report}.json")["pass"] is False
+
+    def refused(self, tmp_path, capsys, *argv):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        return err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("condition-22", *OSC, "--schedule", "4,x"), "bad schedule '4,x'"),
+        (("check-class", *OSC, "--grid", "2x"), "bad grid pair '2x'"),
+        (("check-class", "--preset", "product_power(1,2,3)"),
+         "expected one or two exponents"),
+        (("check-class", "--preset", "product_power(1"), "bad preset spec"),
+        (("check-class",), "no sequence given"),
+        (("check-class", *OSC, "--config=/nonexistent.cfg"),
+         "cannot read config '/nonexistent.cfg'"),
+        (("condition-22", *OSC, "--schedule", ","), "empty schedule ','"),
+        (("check-class", *OSC, "--grid", "dyadic:1"), "dyadic grid limit 1 below start 2"),
+        (("check-class", *OSC, "--grid", ","), "empty grid ','"),
+        (("check-class", "--seq-file", "/nonexistent.txt"),
+         "cannot load sequence file '/nonexistent.txt'"),
+        (("partial-sum", "--expr", "1/(j*k*(j+k))", "--method", "separable", "--rect",
+          "1:4x1:4", "--x", "1", "--y", "1"), "sequence 'expr' is not separable"),
+        (("lemma", *OSC, "--which", "3", "--grid", "1x1"),
+         "no grid points with m, n >= lambda = 2"),
+    ])
+    def test_bad_flag_is_two(self, tmp_path, capsys, argv, reason):
+        assert reason in self.refused(tmp_path, capsys, *argv)
+
+    @pytest.mark.parametrize("entry, reason", [
+        ("[membership]\nr = two\n", "bad config value [membership] r = 'two'"),
+        ("[majorants]\nfamily = four\n", "bad value 'four' for --family"),
+    ])
+    def test_bad_config_value_is_two(self, tmp_path, capsys, entry, reason):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(entry)
+        assert reason in self.refused(tmp_path, capsys, "check-class", *OSC, "--config", str(cfg))
+
+    def test_single_sequence_for_a_double_command_is_two(self, tmp_path, capsys):
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text("a = 1/k^2\n")
+        err = self.refused(tmp_path, capsys, "check-class", "--seq-file", str(seqs))
+        assert "'a' is a single sequence; this command needs a double sequence" in err
+
+    def test_empty_sequence_file_is_two(self, tmp_path, capsys):
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text("# nothing here\n\n")
+        err = self.refused(tmp_path, capsys, "check-class", "--seq-file", str(seqs))
+        assert "defines nothing" in err
+
+    def test_unknown_sequence_name_is_two(self, tmp_path, capsys):
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text("a = 1/(j^2*k^2)\n")
+        err = self.refused(tmp_path, capsys, "check-class", "--seq-file", str(seqs),
+                           "--seq-name", "b")
+        assert "no sequence 'b' in file; available: ['a']" in err

@@ -33,7 +33,7 @@ from doublesine import (
     uniform_tail_probe,
     uniform_tail_trace,
 )
-from doublesine.convergence import _d2_tail, _probe_arrays, _weight_tail
+from doublesine.convergence import _d2_scan, _probe_arrays, _weight_sup_scan
 
 # Closed forms for the oscillating preset, step 2: within each parity the
 # terms telescope, so sum_{j>=m} |a_j - a_{j+2}| = a_m + a_{m+1}.
@@ -208,17 +208,18 @@ class TestTailBounds:
     def test_closed_forms(self, osc):
         a, _ = osc.separable_parts   # |a_k| <= 3 / k^2
         # sup_{k > 99} k |a_k| <= 3 / 100; sum_{j > 100} |a_j - a_{j+2}| <= 2 * 3 / 100
-        assert _weight_tail(a, 99) == pytest.approx(0.03, rel=1e-15)
-        assert _d2_tail(a, 100) == pytest.approx(0.06, rel=1e-15)
+        assert a.decay_hint.weighted_sup(99) == pytest.approx(0.03, rel=1e-15)
+        assert _d2_scan(a, 1, 100).tail_bound == pytest.approx(0.06, rel=1e-15)
 
     def test_exponent_limits(self, pp11):
         a, _ = pp11.separable_parts  # p = 1: k |a_k| <= 1, but sum k^-1 diverges
-        assert _weight_tail(a, 99) == 1.0
-        assert _d2_tail(a, 100) is None
+        assert a.decay_hint.weighted_sup(99) == 1.0
+        assert a.decay_hint.integral_tail(100) is None and not _d2_scan(a, 1, 100).bounded
         slow = builtin("product_power", p=0.5, q=0.5).separable_parts[0]
-        assert _weight_tail(slow, 99) is None
+        assert slow.decay_hint.weighted_sup(99) is None
         hintless = single_from_values("t", np.ones(8))
-        assert _weight_tail(hintless, 99) is None and _d2_tail(hintless, 100) is None
+        assert not _weight_sup_scan(hintless, 1, 99).bounded
+        assert not _d2_scan(hintless, 1, 100).bounded
 
 
 class TestEtaSearch:

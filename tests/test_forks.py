@@ -11,7 +11,7 @@ from pathlib import Path
 
 import doublesine
 
-MAX_FORKS = 10
+MAX_FORKS = 8
 
 
 def separable_forks(source: str) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from doublesine import (
     single_sup_scan,
     single_window_sum,
 )
-from doublesine import majorants
+from doublesine import differences, majorants
 from doublesine.convergence import eta_search, lemma2_quantities
 from doublesine.majorants import (
     MajorantValue,
@@ -39,7 +40,6 @@ from doublesine.majorants import (
     _block_array,
     _bounded_max_scan,
     _rect_abs_sum,
-    _single_tail_bound,
     _sup_scan,
 )
 from doublesine.membership import check_condition_22
@@ -370,6 +370,32 @@ class TestDoubleScanTable:
             assert (mv.value, mv.argmax) == dense_masked_scan(c, threshold, horizon)
             assert mv == double_sup_scan(c, threshold, horizon)
 
+    # sha256 of the query reprs below, frozen on the build that held the whole
+    # |c| grid and took two whole-table cumsums; the streamed build must give
+    # the same bits for any row-block size
+    DENSE_FROZEN = "7d5590c14d2abd9810ee8437e97a93e744afb638f3933d62ca84c3478e20cf1d"
+
+    @pytest.mark.parametrize("block_cells", [None, 1000])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf blocks
+    def test_dense_queries_are_frozen(self, block_cells, monkeypatch):
+        if block_cells is not None:
+            monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(5)
+        bad = rng.random((20, 20))
+        bad[3, 5] = np.inf
+        seqs = [from_expression("dense", e) for e in
+                ("1/(j*k*(j+k))", TWIN_EXPR, "sign(j-k)*alternating(j*k)/(j+k)^2")]
+        seqs += [from_table("complex", rng.normal(size=(30, 30))
+                            + 1j * rng.normal(size=(30, 30))), from_table("inf", bad)]
+        out = []
+        for c in seqs:
+            for H in (7, 64, 300):
+                table = DoubleScanTable(c, H)
+                out.extend(repr(table.query(t)) for t in sorted(
+                    {2, 3, 5, H // 2, H, H + 1, H + 2, 3 * H // 2, 2 * H - 1, 2 * H}))
+        assert len(out) == 145
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == self.DENSE_FROZEN
+
     def test_separable_queries_match_one_shot_scans(self, osc):
         table = DoubleScanTable(osc, 40)
         for threshold in range(1, 81):
@@ -407,6 +433,11 @@ class TestDoubleScanTable:
 
 # --- the pruned family-THREE scan against the exhaustive scan ----------------
 
+def block_tail(a, horizon):
+    """The block bound past ``horizon`` of the hint of ``a``, if any."""
+    return None if a.decay_hint is None else a.decay_hint.block_sup(horizon)
+
+
 def exhaustive_scan(vals, start, horizon, tail):
     """Every block ``M = start..horizon`` from one cumsum of ``vals`` (the
     line from ``start`` to ``2 horizon``): max, first argmax, tail verdict."""
@@ -423,7 +454,7 @@ def exhaustive_row_scan(c, fixed, start, horizon, transpose):
     idx = np.arange(start, 2 * horizon + 1, dtype=np.int64)
     vals = c.eval(fixed, idx) if transpose else c.eval(idx, fixed)
     return exhaustive_scan(np.abs(np.asarray(vals)).astype(np.float64), start, horizon,
-                           _single_tail_bound((c.T if transpose else c).row(fixed), horizon))
+                           block_tail((c.T if transpose else c).row(fixed), horizon))
 
 
 def assert_same_sup(got, want):
@@ -540,7 +571,7 @@ class TestPrunedSupScan:
         start = data.draw(st.one_of(st.sampled_from((1, horizon)), st.integers(1, horizon)))
         k = np.arange(start, 2 * horizon + 1, dtype=np.int64)
         want = exhaustive_scan(np.abs(np.asarray(a.eval(k))).astype(np.float64), start,
-                               horizon, _single_tail_bound(a, horizon))
+                               horizon, block_tail(a, horizon))
         assert_same_sup(single_sup_scan(a, start, horizon), want)
 
     def test_pruning_reads_a_prefix(self, osc, monkeypatch):
