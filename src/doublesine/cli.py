@@ -417,9 +417,8 @@ def _run_condition_22(args):
         "fit": report.fit,
         "expect": args.expect,
     }
-    bounded = report.bounded or tuple(True for _ in report.schedule)
     header = ["scale", "value", "bounded_flag"]
-    rows = [[s, v, b] for s, v, b in zip(report.schedule, report.values, bounded)]
+    rows = [[s, v, b] for s, v, b in zip(report.schedule, report.values, report.bounded)]
     return results, (header, rows), witness
 
 
@@ -556,11 +555,11 @@ def _run_lemma_decay(args, c):
     return results, (header, rows), witness
 
 
-def _fit_double_class_constant(c, args, grid) -> float:
+def _fit_double_class_constant(c, args, grid, table) -> float:
     fam = MajorantFamily(Family.TWO, Axis.ROW, lam=args.lam,
                          b1=args.b1, b2=args.b2, b3=args.b3,
                          sup_horizon=args.sup_horizon)
-    report = check_membership(c, 2, fam, grid)
+    report = check_membership(c, 2, fam, grid, table=table)
     fitted = [v for v in (report.fitted_C_row, report.fitted_C_col,
                           report.fitted_C_double) if v is not None]
     if not fitted or not all(math.isfinite(v) for v in fitted):
@@ -573,11 +572,12 @@ def _run_lemma3(args, c):
             if m >= args.lam and n >= args.lam]
     if not grid:
         raise ConfigError(f"no grid points with m, n >= lambda = {args.lam}")
-    C = args.c_const if args.c_const is not None else _fit_double_class_constant(c, args, grid)
+    table = DoubleScanTable(c, args.sup_horizon)  # the command's one table, fit and points
+    C = (args.c_const if args.c_const is not None
+         else _fit_double_class_constant(c, args, grid, table))
     rows_out, results_rows = [], []
     witness = []
     min_slack, min_at = math.inf, None
-    table = DoubleScanTable(c, args.sup_horizon)  # one double-sup table for every point
     for m, n in grid:
         res = lemma3_check(c, C, args.lam, m, n, b1=args.b1, b2=args.b2,
                            b3=args.b3, sup_horizon=args.sup_horizon, table=table)

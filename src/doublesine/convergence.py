@@ -33,9 +33,9 @@ from enum import Enum
 import numpy as np
 
 from .differences import _blocked_sum, _row_blocks, delta_r, delta_r0_grid
-from .kernels import Rect, rect_sum_direct  # noqa: F401  (re-exported: the probes' oracle)
-from .majorants import (_MAX_DENSE_BYTES, DoubleScanTable, HorizonError, _rect_abs_sum,
-                        _scan_table, compile_b)
+from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
+from .majorants import (DoubleScanTable, HorizonError, _dense_cap, _rect_abs_sum, _scan_table,
+                        compile_b)
 from .sequences import CoefficientSequence, SingleSequence, builtin
 from .summing import ksum, sine_prefix
 
@@ -457,12 +457,8 @@ def _abs_rect_sums(c: CoefficientSequence, probe: ProbeConfig, index):
     if c.separable_parts is not None:
         A, B = (np.asarray(f.eval(idx))[:, None] for f in c.separable_parts)
         sums_y = {y: interval_sums(B, y) for y in ys}
-    else:
-        needed = 8 * cap * (2 * cap + 1)   # the table and one prefix table
-        if needed > _MAX_DENSE_BYTES:
-            raise ValueError(f"dense probe at rect_cap {cap} needs {needed} bytes for its "
-                             f"{cap}x{cap} tables, over the cap of {_MAX_DENSE_BYTES} bytes; "
-                             "lower rect_cap or use a separable sequence")
+    else:  # the dense table and one prefix table, capped
+        _dense_cap("probe", "rect_cap", cap, 8 * cap * (2 * cap + 1), f"{cap}x{cap} tables")
         A = np.asarray(c.eval(idx[:, None], idx[None, :]))
         inside = (lo[:, None] <= idx) & (idx <= hi[:, None])
         ks = idx.astype(np.float64)
@@ -719,14 +715,11 @@ def remark2_divergence(schedule: tuple[int, ...] = (10, 100, 1000, 10000)) -> Ta
     if schedule[0] < 0:
         raise ValueError("scales must be >= 0")
     c = builtin("mod3_log_product")
-    a, _ = c.separable_parts
     x0 = 2.0 * math.pi / 3.0
     values, bounds = [], []
     for M in schedule:
         J = 3 * M + 2
-        j = np.arange(1, J + 1, dtype=np.int64)
-        u = float(ksum(np.asarray(a.eval(j)) * np.sin(j * x0)))
-        values.append(u * u)
+        values.append(rect_sum_separable(c, Rect(1, J, 1, J), x0, x0))
         l = np.arange(0, M + 1, dtype=np.float64)
         minorant = float(ksum(2.0 / ((3.0 * l + 1.0) * np.log(3.0 * l + 3.0))))
         bounds.append(math.sin(x0) ** 2 * minorant ** 2)

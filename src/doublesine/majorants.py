@@ -25,8 +25,8 @@ maximum's block lies within ``(2n + 3) eps S`` of the largest estimate.
 Only blocks within ``4 n eps S`` of it are re-summed, and the first one
 with the largest exact sum is the same value and argmax as the loop's.
 Double sups keep a :class:`DoubleScanTable` of the threshold-independent
-block sums, so a membership fit builds it once and queries it at every
-grid point.
+block sums.  One table serves a whole command: a membership fit and the
+lemma 3 points that follow it query the same table at every grid point.
 
 Columns run as rows of the transpose ``c.T``, whose row lines
 (:meth:`~doublesine.sequences.CoefficientSequence.row`) carry their own
@@ -48,16 +48,15 @@ S both a per-start block and a shared estimate lie within about
 ``(2n + 1) eps S`` of the true block sum, so ``8 n eps S`` bounds their
 difference: no block past ``M1`` can reach the maximum, and the value
 and first argmax are the exhaustive scan's.  A line whose total is not
-finite is scanned in full.  Lines live in the table, are evicted least
-recently used past ``_MAX_LINE_BYTES``, and nothing caches them across
-calls.  Within one table, double sups are kept per threshold and a
-separable sequence's family ONE factor windows per window, since many
-grid points share them.
+finite is scanned in full.  Lines live in the table and are evicted
+least recently used past ``_MAX_LINE_BYTES``.  Within one table, double
+sups are kept per threshold.
 
 The double left-hand sides of a fit, family ONE double windows and
 lemma 1's dense tail are rectangle sums of ``|d_rr c|`` or ``|c|``, all
 taken by :func:`_rect_abs_sum`, which writes the product rule for
-separable sequences once.
+separable sequences once.  Only the table memoizes factor sums, in
+:meth:`DoubleScanTable.rect_abs_sum`, one dict per step r.
 
 ``rhs`` returns the majorant value *without* any class constant C; the
 membership fitter divides observed left-hand sides by these values.
@@ -101,7 +100,7 @@ __all__ = [
     "rhs",
 ]
 
-# Dense double-sup scans build a (2H+1)^2 float64 prefix table; cap its size.
+# _dense_cap refuses dense paths (double scans, probes) whose float64 tables pass this.
 _MAX_DENSE_BYTES = 160_000_000
 # Lines kept by one DoubleScanTable (a family-THREE line of a real sequence
 # takes about 24 sup_horizon bytes); past this the least recently used are
@@ -193,6 +192,13 @@ def compile_b(expr: str):
     return b
 
 
+def _dense_cap(what: str, knob: str, value: int, needed: int, tables: str) -> None:
+    if needed > _MAX_DENSE_BYTES:
+        raise ValueError(f"dense {what} at {knob} {value} needs {needed} bytes for its "
+                         f"{tables}, over the cap of {_MAX_DENSE_BYTES} bytes; "
+                         f"lower {knob} or use a separable sequence")
+
+
 def averaging_window(m: int, lam: int) -> tuple[int, int]:
     """Window ``floor(m/lam)..ceil(lam*m)`` with the lower end clamped to 1."""
     return max(1, m // lam), int(math.ceil(lam * m))
@@ -249,9 +255,10 @@ def _rect_abs_sum(c: CoefficientSequence, r: int, jlo: int, jhi: int, klo: int, 
     evaluation of the factor on ``lo..hi + r``.  At r = 0 a factor sum is
     :func:`single_window_sum`, looked up in this module's namespace, where
     the benchmark's tracer (``bench/spans.py``) counts it as a scan.
-    ``memo``, a dict the caller keeps for one ``c`` and ``r``, holds the
-    factor sums under ``(part, lo, hi)``.  Any other sequence is read in
-    row blocks (:func:`_blocked_sum`).
+    ``memo``, a dict kept for one ``c`` and ``r`` (by
+    :meth:`DoubleScanTable.rect_abs_sum`), holds the factor sums under
+    ``(part, lo, hi)``.  Any other sequence is read in row blocks
+    (:func:`_blocked_sum`).
     """
     if c.separable_parts is None:
         if r == 0:
@@ -395,10 +402,10 @@ class DoubleScanTable:
     maximum of the first; others keep the dense block matrix, from a
     prefix table filled one row block at a time, and its row-wise suffix
     maximum.  Which of the two is decided once, when the table is built
-    on the first query.  The table belongs to its creator; nothing caches
-    it across calls.  Query
-    results are kept per threshold, and :meth:`window_sum` keeps a
-    separable sequence's factor sums per window.
+    on the first query.  One table serves a command (a fit and the lemma
+    3 points after it); nothing caches it across commands.  Query
+    results are kept per threshold, and :meth:`rect_abs_sum` keeps a
+    separable sequence's factor sums per step and window.
 
     :meth:`line` keeps the row lines of the sequence and of its
     transpose ``c.T`` (the column lines), one per (fixed index,
@@ -417,7 +424,7 @@ class DoubleScanTable:
         self._line_bytes = 0
         self._reach: dict[tuple[int, bool], int] = {}
         self._queries: dict[int, MajorantValue] = {}
-        self._windows: dict[tuple[int, int, int], float] = {}
+        self._factor_sums: dict[int, dict[tuple[int, int, int], float]] = {}
 
     def _key(self, fixed: int, src: CoefficientSequence | None) -> tuple[int, bool]:
         if src is not None and src is not self.c and src is not self.c.T:
@@ -456,10 +463,10 @@ class DoubleScanTable:
             self._line_bytes -= self._lines.pop(next(iter(self._lines))).nbytes
         return line
 
-    def window_sum(self, jlo: int, jhi: int, klo: int, khi: int) -> float:
-        """``sum_{j=jlo}^{jhi} sum_{k=klo}^{khi} |c_{jk}|``
-        (:func:`_rect_abs_sum` at r = 0, its factor sums kept per window)."""
-        return _rect_abs_sum(self.c, 0, jlo, jhi, klo, khi, self._windows)
+    def rect_abs_sum(self, r: int, jlo: int, jhi: int, klo: int, khi: int) -> float:
+        """``sum_{j=jlo}^{jhi} sum_{k=klo}^{khi} |d_rr c_{jk}|``, or of ``|c_{jk}|``
+        at r = 0 (:func:`_rect_abs_sum`, its factor sums kept per step r)."""
+        return _rect_abs_sum(self.c, r, jlo, jhi, klo, khi, self._factor_sums.setdefault(r, {}))
 
     def _build(self):
         """The table's search, factored or dense as chosen here once: given
@@ -499,12 +506,8 @@ class DoubleScanTable:
         place: the values of two whole-table cumsums, without the ``|c|`` grid."""
         horizon = self.horizon
         side = 2 * horizon + 1
-        needed = 8 * side * side
-        if needed > _MAX_DENSE_BYTES:
-            raise ValueError(
-                f"dense double scan at sup_horizon {horizon} needs {needed} bytes for its "
-                f"{side}x{side} prefix table, over the cap of {_MAX_DENSE_BYTES} bytes; "
-                "lower sup_horizon or use a separable sequence")
+        _dense_cap("double scan", "sup_horizon", horizon, 8 * side * side,
+                   f"{side}x{side} prefix table")
         k = _span(1, 2 * horizon)
         pref = np.zeros((side, side))
         for j0, j1 in _row_blocks(1, 2 * horizon, 2 * horizon):
@@ -568,8 +571,8 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
     majorants 1/(m n).  Callers enforce the per-axis domain rules
     (``m >= lambda`` for rows of families ONE/TWO, and so on).  Every
     family reads ``table``: rows and columns its lines, double sups its
-    block table, family ONE double windows its factor sums.  Repeated
-    calls on ``c`` at ``fam.sup_horizon`` share one
+    block table, family ONE double windows its step-0 factor sums.
+    Repeated calls on ``c`` at ``fam.sup_horizon`` share one
     :class:`DoubleScanTable` that way; without it each call builds its
     own.  A table of another sequence or horizon is refused.
     """
@@ -581,7 +584,7 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
         if fam.family is Family.ONE:
             jlo, jhi = averaging_window(m, fam.lam)
             klo, khi = averaging_window(n, fam.lam)
-            return MajorantValue(value=table.window_sum(jlo, jhi, klo, khi) / (m * n))
+            return MajorantValue(value=table.rect_abs_sum(0, jlo, jhi, klo, khi) / (m * n))
         scan = table.query(compile_b(fam.b3)(m + n))
         scale = m * n
     else:

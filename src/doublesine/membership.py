@@ -20,12 +20,12 @@ sizes one signed line per (fixed index, orientation) in its
 read on it: ``lhs_row`` and ``lhs_col`` are ``ksum`` of ``|v_j -
 v_{j+r}|`` over slices of that line (columns are the lines of ``c.T``),
 and the row and column majorants read slices of it too.  ``lhs_double``
-is the rectangle reducer :func:`~doublesine.majorants._rect_abs_sum`; a
-fit hands it one dict, so a separable sequence's factor sums are
-evaluated once per m and once per n, and the table keeps its double
-sups per threshold.  ``ksum`` is exactly rounded and the evaluators act
-elementwise, so each row equals the per-point public functions' bit for
-bit.
+is the table's :meth:`~doublesine.majorants.DoubleScanTable.rect_abs_sum`
+at step r, so a separable sequence's factor sums are evaluated once per
+m and once per n, and the table keeps its double sups per threshold.  A
+command passes one table to the fit and to the calls after it.  ``ksum``
+is exactly rounded and the evaluators act elementwise, so each row
+equals the per-point public functions' bit for bit.
 
 :func:`check_condition_22` tracks the weighted anti-diagonal maxima
 ``T(s) = max_{j+k=s} jk |c_{jk}|``, whose decay is the zero-limit
@@ -56,6 +56,7 @@ from .majorants import (
     _rect_abs_sum,
     _row_reach,
     _row_view,
+    _scan_table,
     _single_line,
     _sup_scan,
     averaging_window,
@@ -191,13 +192,15 @@ def _growth_slope(points: list[tuple[int, int, float]]) -> float | None:
 
 
 def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
-                     grid, target_C: float | None = None) -> MembershipReport:
+                     grid, target_C: float | None = None, *,
+                     table: DoubleScanTable | None = None) -> MembershipReport:
     """Fit class constants for all three axes of ``fam`` over a grid.
 
     ``grid`` is an iterable of (m, n) pairs; each axis only uses the
     pairs satisfying its domain rule (first index >= lambda for rows,
     second for columns, both for the double axis).  ``fam.axis`` is
-    ignored; all three axes are evaluated.
+    ignored; all three axes are evaluated.  ``table`` is shared as in
+    :func:`~doublesine.majorants.rhs`; it changes no result.
     """
     r = check_step(r)
     grid = tuple((int(m), int(n)) for m, n in grid)
@@ -208,20 +211,18 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
     fams = {axis: replace(fam, axis=axis) for axis in Axis}
     points = {axis: [(m, n) for m, n in grid if _axis_admissible(axis, m, n, fam.lam)]
               for axis in Axis}
-    # one table per fit, shared by every grid point; each row and column
-    # line is sized here for all its reads, the left-hand side's 2m - 1 + r
-    # and the majorant's, and so evaluated once
-    table = DoubleScanTable(c, fam.sup_horizon)
+    # one table shared by every grid point; each row and column line is
+    # sized here for all its reads, the left-hand side's 2m - 1 + r and the
+    # majorant's, and so evaluated once
+    table = _scan_table(c, fam.sup_horizon, table)
     for axis in (Axis.ROW, Axis.COLUMN):
         for m, n in points[axis]:
             src, b, i, fixed = _row_view(c, fams[axis], m, n)
             table.reserve(fixed, src, max(2 * i - 1 + r, _row_reach(fams[axis], b, i)))
-    # the separable double-axis factor sums, kept per m and per n
-    factor_sums: dict[tuple[int, int, int], float] = {}
 
     def lhs(axis: Axis, m: int, n: int) -> float:
         if axis is Axis.DOUBLE:
-            return _rect_abs_sum(c, r, m, 2 * m - 1, n, 2 * n - 1, factor_sums)
+            return table.rect_abs_sum(r, m, 2 * m - 1, n, 2 * n - 1)
         src, _, i, fixed = _row_view(c, fams[axis], m, n)
         return _variation(table.line(fixed, src, 2 * i - 1 + r).vals[i - 1:], r, i)
 

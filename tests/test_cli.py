@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from doublesine import majorants
 from doublesine.cli import build_parser, main
 
 # The expression twin of the oscillating preset: not separable to the CLI.
@@ -378,6 +379,19 @@ class TestLemmaAndRemark2:
                    "--which", "3", "--grid", "dyadic:16", "--c-const", "4") == 0
         payload = load_json(tmp_path, "lemma.json")
         assert payload["results"]["min_slack"] >= 0.0
+
+    def test_lemma3_fit_shares_the_points_table(self, tmp_path, monkeypatch):
+        builds = []
+        build = majorants.DoubleScanTable._build
+        monkeypatch.setattr(majorants.DoubleScanTable, "_build",
+                            lambda self: builds.append(self) or build(self))
+        argv = ("lemma", "--which", "3", "--expr", "1/(j*k*(j+k))", "--sup-horizon", "64",
+                "--grid", "dyadic:8")
+        code = run(tmp_path, *argv)
+        assert len(builds) == 1
+        fitted = load_json(tmp_path, "lemma.json")["results"]
+        assert run(tmp_path, *argv, "--c-const", repr(fitted["C"])) == code
+        assert load_json(tmp_path, "lemma.json")["results"] == fitted
 
     def test_remark2(self, tmp_path):
         assert run(tmp_path, "remark2", "--schedule", "10,100") == 0

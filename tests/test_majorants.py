@@ -100,10 +100,10 @@ class TestRectAbsSum:
             assert memo[0, jlo, jlo + dj] == single_window_sum(a, jlo, jlo + dj)
         assert _rect_abs_sum(c, r, jlo, jlo + dj, klo, klo + dk, memo) == got
 
-    def test_window_sum_reads_the_reducer_at_step_zero(self, osc):
+    def test_table_rect_abs_sum_reads_the_reducer_at_step_zero(self, osc):
         table = DoubleScanTable(osc, 16)
-        assert table.window_sum(2, 9, 3, 5) == _rect_abs_sum(osc, 0, 2, 9, 3, 5)
-        assert set(table._windows) == {(0, 2, 9), (1, 3, 5)}
+        assert table.rect_abs_sum(0, 2, 9, 3, 5) == _rect_abs_sum(osc, 0, 2, 9, 3, 5)
+        assert set(table._factor_sums[0]) == {(0, 2, 9), (1, 3, 5)}
 
 
 class TestWindows:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from doublesine import (
     Axis,
     CoefficientSequence,
+    DoubleScanTable,
     Family,
     HorizonError,
     MajorantFamily,
@@ -244,6 +245,26 @@ class TestSharedDoubleTable:
                              sup_horizon=16)
         with pytest.raises(HorizonError):
             check_membership(seq, 2, fam, ((4, 4), (16, 17)))
+
+    def test_table_of_another_sequence_or_horizon_is_refused(self, osc):
+        fam = MajorantFamily(Family.TWO, Axis.ROW, lam=2, sup_horizon=32)
+        for table in (DoubleScanTable(builtin("mod3_log_product"), 32),
+                      DoubleScanTable(osc, 16)):
+            with pytest.raises(ValueError, match="another sequence or sup_horizon"):
+                check_membership(osc, 2, fam, [(4, 4)], table=table)
+
+    @pytest.mark.parametrize("name", ["oscillating_quadratic", "nonsep"])
+    def test_shared_table_gives_the_private_tables_reports(self, name):
+        c = FIT_SEQUENCES[name]
+        grid = [(m, n) for m in (2, 3, 8, 13) for n in (2, 5, 11)]
+        table = DoubleScanTable(c, 24)
+        for _ in range(2):  # the second pass reads warm memos
+            for family in Family:
+                fam = MajorantFamily(family, Axis.ROW, lam=2, b3="l+1", sup_horizon=24)
+                for r in (1, 2):
+                    assert repr(check_membership(c, r, fam, grid, table=table)) == \
+                        repr(check_membership(c, r, fam, grid))
+        assert set(table._factor_sums) == {0, 1, 2}
 
 
 def counted(c):
