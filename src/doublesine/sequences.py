@@ -16,7 +16,9 @@ Three families of constructors are provided:
 * :func:`from_expression` / :func:`parse_sequence_file` compile a small
   arithmetic expression language (variables ``j``, ``k``; functions
   ``ln``, ``pow``, ``mod``, ``abs``, ``sign``, ``alternating``; both
-  ``^`` and ``**`` denote powers) into sequence evaluators.
+  ``^`` and ``**`` denote powers) into sequence evaluators; a double
+  sequence whose product factors each use one index also gets its two
+  factors.
 
 Evaluators accept scalar ints or integer ``numpy`` arrays and broadcast,
 so callers can evaluate whole index blocks in one call.  All presets are
@@ -428,6 +430,29 @@ def _validate(node: ast.AST, variables: tuple[str, ...]) -> set[str]:
     return used
 
 
+def _parse(expr: str, variables: tuple[str, ...]) -> tuple[ast.Expression, set[str]]:
+    """The validated tree of an expression and the variables it uses."""
+    try:
+        tree = ast.parse(expr.replace("^", "**"), mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse expression {expr!r}: {exc.msg}") from exc
+    return tree, _validate(tree, variables)
+
+
+def _evaluator(tree: ast.Expression) -> Callable:
+    """``fn(**variables)`` evaluating a validated tree with numpy."""
+    code = compile(tree, "<sequence-expression>", "eval")
+    env = {"__builtins__": {}}
+    env.update(_FUNCTIONS)
+
+    def fn(**kwargs):
+        scope = dict(env)
+        scope.update(kwargs)
+        return eval(code, scope)  # noqa: S307 - ast-whitelisted in _validate
+
+    return fn
+
+
 def compile_expression(expr: str, variables: tuple[str, ...]) -> tuple[Callable, set[str]]:
     """Compile an expression into ``fn(**variables)``.
 
@@ -438,21 +463,63 @@ def compile_expression(expr: str, variables: tuple[str, ...]) -> tuple[Callable,
     parsing; the grammar has no string literals, making the textual
     rewrite unambiguous.
     """
-    try:
-        tree = ast.parse(expr.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse expression {expr!r}: {exc.msg}") from exc
-    used = _validate(tree, variables)
-    code = compile(tree, "<sequence-expression>", "eval")
-    env = {"__builtins__": {}}
-    env.update(_FUNCTIONS)
+    tree, used = _parse(expr, variables)
+    return _evaluator(tree), used
 
-    def fn(**kwargs):
-        scope = dict(env)
-        scope.update(kwargs)
-        return eval(code, scope)  # noqa: S307 - ast-whitelisted above
 
-    return fn, used
+def _integer_power(node: ast.AST) -> bool:
+    """Whether an exponent is a signed integral number, such as 2 or -3.0."""
+    while isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and (isinstance(node.value, int)
+                                               or float(node.value).is_integer())
+
+
+def _product_factors(node: ast.AST, divide: bool = False) -> list[tuple[ast.AST, bool]]:
+    """The factors of a ``*``/``/`` chain as ``(factor, is_divisor)`` pairs.
+
+    Unary minus is a constant factor -1.  A divisor that is a product
+    contributes each of its factors as a divisor.  An integer power of a
+    product is the product of its factors' powers; any other power stays
+    one factor, since ``((j-5)*(k-5))^0.5`` is real where its factors are not.
+    """
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        return (_product_factors(node.left, divide)
+                + _product_factors(node.right, divide != isinstance(node.op, ast.Div)))
+    if isinstance(node, ast.UnaryOp):
+        sign = [(ast.Constant(-1), divide)] if isinstance(node.op, ast.USub) else []
+        return sign + _product_factors(node.operand, divide)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _integer_power(node.right):
+        inner = _product_factors(node.left)
+        if len(inner) > 1:
+            return [(ast.BinOp(f, ast.Pow(), node.right), divide != d) for f, d in inner]
+    return [(node, divide)]
+
+
+def _factor_sequence(name: str, index: str, factors: list[tuple[ast.AST, bool]]) -> SingleSequence:
+    """The single sequence of a product of factors in one index, left to right."""
+    body = None
+    for node, divide in factors:
+        if body is None:
+            body = ast.BinOp(ast.Constant(1), ast.Div(), node) if divide else node
+        else:
+            body = ast.BinOp(body, ast.Div() if divide else ast.Mult(), node)
+    fn = _evaluator(ast.fix_missing_locations(ast.Expression(body)))
+    return SingleSequence(name, lambda n: fn(**{index: _int_index(n).astype(np.float64)}))
+
+
+def _split_product(name: str, tree: ast.Expression) -> tuple[SingleSequence, SingleSequence] | None:
+    """Factors ``(a, b)`` with ``c_{jk} = a_j b_k`` of an expression in both
+    indices, or None if one of its product factors mixes them.  Constant
+    factors join ``a``."""
+    groups: dict[str, list] = {"j": [], "k": []}
+    for node, divide in _product_factors(tree.body):
+        used = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)} & groups.keys()
+        if len(used) > 1:
+            return None
+        groups[used.pop() if used else "j"].append((node, divide))
+    return (_factor_sequence(f"{name}.j", "j", groups["j"]),
+            _factor_sequence(f"{name}.k", "k", groups["k"]))
 
 
 def _broadcast(values, *indices):
@@ -467,8 +534,15 @@ def _broadcast(values, *indices):
 
 
 def from_expression(name: str, expr: str) -> CoefficientSequence:
-    """Double sequence ``c_{jk}`` defined by an expression in ``j, k``."""
-    fn, used = compile_expression(expr, ("j", "k"))
+    """Double sequence ``c_{jk}`` defined by an expression in ``j, k``.
+
+    An expression in both indices whose product factors each use at most
+    one of them, such as ``(2+alternating(j))/j^2*(2+alternating(k))/k^2``,
+    also gets ``separable_parts`` (see :func:`_split_product`); ``eval``
+    stays the whole expression either way.
+    """
+    tree, used = _parse(expr, ("j", "k"))
+    fn = _evaluator(tree)
     full = used == {"j", "k"}
 
     def eval_(j, k):
@@ -477,7 +551,8 @@ def from_expression(name: str, expr: str) -> CoefficientSequence:
         values = fn(j=jf, k=kf)
         return values if full else _broadcast(values, jf, kf)
 
-    return CoefficientSequence(name=name, eval=eval_)
+    parts = _split_product(name, tree) if full else None
+    return CoefficientSequence(name=name, eval=eval_, separable_parts=parts)
 
 
 def single_from_expression(name: str, expr: str) -> SingleSequence:

@@ -1,6 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
-from doublesine import builtin
+from doublesine import builtin, from_expression
+
+# The expression twin of the oscillating preset; it factors like the preset.
+TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+
+
+def dense_twin():
+    """The twin with its factors dropped: every query takes the dense path."""
+    return replace(from_expression("twin", TWIN_EXPR), separable_parts=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,18 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from doublesine import majorants
+from doublesine import builtin, cli, majorants
 from doublesine.cli import build_parser, main
 
-# The expression twin of the oscillating preset: not separable to the CLI.
-TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+from conftest import TWIN_EXPR
+
+# no product factorisation, so the dense scan and probe paths
+NONSEP_EXPR = "1/(j*k*(j+k))"
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
@@ -95,7 +98,7 @@ class TestLibraryRefusals:
 
     def test_dense_scan_guard_states_bytes(self, tmp_path, capsys):
         # default --sup-horizon 4096: a (2*4096+1)^2 float64 prefix table
-        err = self.refused(tmp_path, capsys, "check-class", "--expr", "1/(j*k)^2")
+        err = self.refused(tmp_path, capsys, "check-class", "--expr", NONSEP_EXPR)
         assert "needs 537001992 bytes" in err and "cap of 160000000 bytes" in err
 
     def test_horizon_below_scan_start(self, tmp_path, capsys):
@@ -157,13 +160,13 @@ class TestLibraryRefusals:
 
     def test_dense_probe_guard_states_bytes(self, tmp_path, capsys):
         # default --rect-cap 4096: the coefficient table and one prefix table
-        err = self.refused(tmp_path, capsys, "uniform-tail", "--expr", TWIN_EXPR,
+        err = self.refused(tmp_path, capsys, "uniform-tail", "--expr", NONSEP_EXPR,
                            "--grid-points", "3")
         assert "needs 268468224 bytes" in err and "cap of 160000000 bytes" in err
 
 
 class TestDenseProbe:
-    ARGS = ("uniform-tail", "--expr", TWIN_EXPR, "--rect-cap", "256", "--grid-points", "9")
+    ARGS = ("uniform-tail", "--expr", NONSEP_EXPR, "--rect-cap", "256", "--grid-points", "9")
 
     def test_non_separable_probe_runs_at_cap_256(self, tmp_path):
         assert run(tmp_path, *self.ARGS) == 0
@@ -177,6 +180,58 @@ class TestDenseProbe:
             reports.append(((tmp_path / "uniform-tail.json").read_bytes(),
                             (tmp_path / "uniform-tail.csv").read_bytes()))
         assert reports[0] == reports[1]
+
+
+class TestFactoredExpression:
+    """The twin factors, so it runs at CLI defaults where a dense expression is
+    refused, and reports what the preset reports without its decay hints."""
+
+    COMMANDS = (
+        ("check-class",),
+        ("uniform-tail",),
+        ("lemma", "--which", "1"),
+        ("lemma", "--which", "2"),
+        ("lemma", "--which", "3"),
+        ("eta", "--epsilon", "0.2", "--c-const", "16"),
+        ("partial-sum", "--method", "separable", "--rect", "3:40x5:24",
+         "--x", "0.9", "--y", "1.3"),
+    )
+
+    @staticmethod
+    def hintless(name, **kw):
+        c = builtin(name, **kw)
+        parts = tuple(replace(f, decay_hint=None) for f in c.separable_parts)
+        return replace(c, separable_parts=parts, decay_hint=None)
+
+    def results(self, tmp_path, argv):
+        code = run(tmp_path, *argv)
+        results = load_json(tmp_path, f"{argv[0]}.json")["results"]
+        results.pop("sequence")
+        return code, results
+
+    def assert_close(self, got, want, path=""):
+        if isinstance(want, dict):
+            assert got.keys() == want.keys(), path
+            for key in want:
+                self.assert_close(got[key], want[key], f"{path}.{key}")
+        elif isinstance(want, list):
+            assert len(got) == len(want), path
+            for i, (g, w) in enumerate(zip(got, want)):
+                self.assert_close(g, w, f"{path}[{i}]")
+        elif isinstance(want, float):
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), path
+        else:
+            assert got == want, path
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_twin_reports_the_preset(self, tmp_path, monkeypatch, command):
+        preset_code, _ = self.results(tmp_path, (*command, "--preset", "oscillating_quadratic"))
+        code, results = self.results(tmp_path, (*command, "--expr", TWIN_EXPR))
+        assert code == preset_code
+        # expressions carry no decay hint, so compare with the preset's scans alone
+        monkeypatch.setattr(cli, "builtin", self.hintless)
+        _, hintless = self.results(tmp_path, (*command, "--preset", "oscillating_quadratic"))
+        self.assert_close(results, hintless)
 
 
 class TestConfigFile:

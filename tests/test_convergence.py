@@ -35,6 +35,8 @@ from doublesine import (
 )
 from doublesine.convergence import _d2_scan, _probe_arrays, _weight_sup_scan
 
+from conftest import TWIN_EXPR, dense_twin
+
 # Closed forms for the oscillating preset, step 2: within each parity the
 # terms telescope, so sum_{j>=m} |a_j - a_{j+2}| = a_m + a_{m+1}.
 A4_TAIL = 3.0 / 16.0 + 1.0 / 25.0  # = 0.2275
@@ -358,13 +360,11 @@ class TestProbes:
         assert abs(val) == pytest.approx(row.abs_sum, rel=1e-10)
 
 
-TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
-
-
 def _oracle_inputs():
     rng = np.random.default_rng(7)
     table = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-    return [from_expression("nonsep", "1/(j*k*(j+k))"), from_expression("twin", TWIN_EXPR),
+    return [from_expression("nonsep", "1/(j*k*(j+k))"), dense_twin(),
+            from_expression("factored twin", TWIN_EXPR),
             from_expression("one", "1"), from_table("complex", table)]
 
 
@@ -398,7 +398,7 @@ class TestProbeOracle:
 
     def test_twin_matches_preset_at_cap_1024(self):
         probe = ProbeConfig(xy_grid=interior_grid(9), rect_cap=1024, doublings=3)
-        twin_report, twin_trace = uniform_tail_trace(from_expression("twin", TWIN_EXPR), probe)
+        twin_report, twin_trace = uniform_tail_trace(dense_twin(), probe)
         report, trace = uniform_tail_trace(builtin("oscillating_quadratic"), probe)
         assert np.allclose(twin_report.values, report.values, rtol=0.0, atol=1e-10)
         assert np.allclose([r.abs_sum for r in twin_trace], [r.abs_sum for r in trace],
@@ -445,7 +445,8 @@ class TestProbeOracle:
     def test_dense_traces_are_frozen(self, expr, cap):
         probe = ProbeConfig(xy_grid=interior_grid(3), thresholds=(4, 8, 16),
                             rect_cap=cap, doublings=3)
-        text = repr(uniform_tail_trace(from_expression("dense", expr), probe))
+        c = dense_twin() if expr == TWIN_EXPR else from_expression("dense", expr)
+        text = repr(uniform_tail_trace(c, probe))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DENSE_FROZEN[expr, cap]
 
 

@@ -25,7 +25,7 @@ from doublesine import (
 from doublesine import differences
 from doublesine.membership import lhs_double
 
-TWIN = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+from conftest import dense_twin
 
 
 def _complex_table():
@@ -34,7 +34,7 @@ def _complex_table():
 
 
 SEQUENCES = {
-    "twin": from_expression("twin", TWIN),
+    "twin": dense_twin(),
     "nonsep": from_expression("nonsep", "1/(j*k*(j+k))"),
     "complex": from_table("complex", _complex_table()),
     "one": from_expression("one", "1"),

@@ -25,6 +25,8 @@ from doublesine import (
 from doublesine import differences
 from doublesine.kernels import _envelope, _kernel_row
 
+from conftest import dense_twin
+
 
 def safe_x(rng: np.random.Generator, r: int, gap: float = 0.05) -> float:
     while True:
@@ -305,7 +307,6 @@ class TestRectSumDirectOracle:
     def test_row_blocks(self, monkeypatch, osc, cells):
         # 20 columns: blocks of 1, 1, 2, 5 rows, and every row at once
         monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", cells)
-        twin = from_expression("twin", "(2+alternating(j))/j^2*(2+alternating(k))/k^2")
-        for c in (osc, twin):
+        for c in (osc, dense_twin()):
             rect = Rect(3, 40, 5, 24)
             assert rect_sum_direct(c, rect, 0.9, 1.3) == rect_sum_rows(c, rect, 0.9, 1.3)

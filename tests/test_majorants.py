@@ -44,7 +44,7 @@ from doublesine.majorants import (
 )
 from doublesine.membership import check_condition_22
 
-TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+from conftest import TWIN_EXPR, dense_twin
 
 
 _RNG = np.random.default_rng(11)
@@ -272,7 +272,7 @@ SCAN_SEQUENCES = {
     "mod3_log_product": builtin("mod3_log_product"),
     "product_power": builtin("product_power", p=1.5, q=2.0),
     "zero": builtin("zero"),
-    "twin": from_expression("twin", TWIN_EXPR),
+    "twin": dense_twin(),
     "nonsep": from_expression("nonsep", "1/(j*k*(j+k))"),
     "constant": from_expression("constant", "1"),
 }
@@ -362,7 +362,7 @@ def dense_masked_scan(c, threshold, horizon):
 class TestDoubleScanTable:
     @pytest.mark.parametrize("expr", [TWIN_EXPR, "1/(j*k*(j+k))", "1", "mod(j*k, 3)"])
     def test_dense_queries_match_masked_argmax(self, expr):
-        c = from_expression("c", expr)
+        c = dense_twin() if expr == TWIN_EXPR else from_expression("c", expr)
         horizon = 12
         table = DoubleScanTable(c, horizon)
         for threshold in range(1, 2 * horizon + 1):
@@ -383,8 +383,8 @@ class TestDoubleScanTable:
         rng = np.random.default_rng(5)
         bad = rng.random((20, 20))
         bad[3, 5] = np.inf
-        seqs = [from_expression("dense", e) for e in
-                ("1/(j*k*(j+k))", TWIN_EXPR, "sign(j-k)*alternating(j*k)/(j+k)^2")]
+        seqs = [from_expression("dense", "1/(j*k*(j+k))"), dense_twin(),
+                from_expression("dense", "sign(j-k)*alternating(j*k)/(j+k)^2")]
         seqs += [from_table("complex", rng.normal(size=(30, 30))
                             + 1j * rng.normal(size=(30, 30))), from_table("inf", bad)]
         out = []
@@ -408,13 +408,13 @@ class TestDoubleScanTable:
     def test_factored_queries_past_the_horizon_match_the_dense_twin(self, osc):
         horizon = 16
         factored = DoubleScanTable(osc, horizon)
-        dense = DoubleScanTable(from_expression("twin", TWIN_EXPR), horizon)
+        dense = DoubleScanTable(dense_twin(), horizon)
         for threshold in range(horizon + 2, 2 * horizon + 1):
             assert factored.query(threshold).value == pytest.approx(
                 dense.query(threshold).value, rel=1e-12, abs=0.0), threshold
 
     def test_threshold_beyond_horizon_raises_before_building(self):
-        c = from_expression("c", "1/(j*k)")
+        c = from_expression("c", "1/(j*k*(j+k))")
         # the dense table at this horizon would trip the size guard
         with pytest.raises(HorizonError):
             DoubleScanTable(c, 4096).query(8193)

@@ -35,6 +35,8 @@ from doublesine import differences, majorants
 from doublesine.majorants import compile_b, single_sup_scan
 from doublesine.membership import lhs_col, lhs_double, lhs_row
 
+from conftest import dense_twin
+
 DYADIC = tuple(2 ** t for t in range(1, 7))
 PAIRS = tuple((m, n) for m in DYADIC for n in DYADIC)
 
@@ -150,12 +152,11 @@ GOLDEN_TWO = {
         "2.9714104279187112", "2.9714104279187112", "2.168554105280029",
         "94d945204870906de2ef4babebcbdcf8f609079947486800f4ed8f7c85ca10cd"),
 }
-TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
 
 
 def golden_sequence(name):
     if name == "twin":
-        return from_expression("twin", TWIN_EXPR)
+        return dense_twin()
     if name.startswith("product_power"):
         return builtin("product_power", p=1.5, q=2.0)
     return builtin(name)

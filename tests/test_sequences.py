@@ -23,6 +23,8 @@ from doublesine import (
     single_from_values,
 )
 
+from conftest import TWIN_EXPR
+
 
 class TestPresets:
     def test_names(self):
@@ -251,6 +253,9 @@ class TestExpressions:
         assert np.array_equal(single_from_expression("two", "2").eval(np.arange(1, 5)),
                               np.full(4, 2.0))
         assert from_expression("one", "1").eval(2, 3) == 1
+        # one index: no factors, so the dense path
+        assert from_expression("one", "1").separable_parts is None
+        assert from_expression("col", "1/k^2").separable_parts is None
 
     def test_single_rejects_both_indices(self):
         with pytest.raises(ExpressionError):
@@ -281,6 +286,7 @@ VIEW_SEQUENCES = {
     "one": from_expression("one", "1"),
     "1/k^2": from_expression("1/k^2", "1/k^2"),
     "nonsep": from_expression("nonsep", "1/(j*k*(j+k))"),
+    "factored twin": from_expression("twin", TWIN_EXPR),
     "hinted twin": CoefficientSequence(  # a non-separable sequence with a hint
         "hinted twin", from_expression("t", "(2+alternating(j))*(2+alternating(k))/(j^2*k^3)").eval,
         decay_hint=PowerDecay2D(p=2.0, q=3.0, K=9.0)),
@@ -332,14 +338,83 @@ class TestViews:
     def test_line_hints(self, osc):
         a, b = osc.separable_parts
         assert osc.row(3).decay_hint == PowerDecay(p=2.0, K=3.0 * float(b.eval(3)))
-        nonsep = from_expression("nonsep", "1/(j*k)")
-        assert nonsep.row(4).decay_hint is None
+        for expr in ("1/(j*k)", "1/(j*k*(j+k))"):  # factored or not, no hint
+            assert from_expression("c", expr).row(4).decay_hint is None
         hinted = VIEW_SEQUENCES["hinted twin"]
         assert hinted.row(2).decay_hint == PowerDecay(p=2.0, K=9.0 / 8.0)
         assert hinted.T.row(2).decay_hint == PowerDecay(p=3.0, K=9.0 / 4.0)
         pp = builtin("product_power", p=1.5, q=2.0)
         assert pp.T.decay_hint == PowerDecay2D(p=2.0, q=1.5, K=1.0)
         assert pp.T.row(4).decay_hint == PowerDecay(p=2.0, K=4.0 ** -1.5)
+
+
+# Atoms in one index.  The integer ones are exact, so a product of two is
+# exact below 2^53; the constants are powers of two, so they scale exactly.
+_INT_ATOMS = ("{}", "({}+1)", "({}-1)", "(2+alternating({}))", "sign({}-2)")
+_REAL_ATOMS = _INT_ATOMS + ("ln({}+1)", "{}^0.5")
+_SCALES = ("2", "0.5", "4", "0.25")
+
+
+@st.composite
+def product_expressions(draw):
+    """A j-only, a k-only and a constant factor under ``*``, ``/``, an integer
+    power of a product or a product divisor, with an optional unary minus.
+    The whole expression and the product of its factors round at most four
+    times between them, so they agree within 4 ulp."""
+    shape = draw(st.sampled_from(("chain", "power", "divisor")))
+    atoms = _REAL_ATOMS if shape == "chain" else _INT_ATOMS
+    x, y = (draw(st.sampled_from(atoms)).format(i) for i in draw(st.permutations("jk")))
+    scale = draw(st.sampled_from(_SCALES))
+    if shape == "chain":
+        ops = draw(st.lists(st.sampled_from("*/"), min_size=2, max_size=2))
+        expr = f"{x}{ops[0]}{y}{ops[1]}{scale}"
+    elif shape == "power":
+        expr = f"{scale}*({x}*{y})^{draw(st.sampled_from((2, 3, -1, -2)))}"
+    else:
+        expr = f"{scale}/({x}*{y})"
+    return f"-({expr})" if draw(st.booleans()) else expr
+
+
+_INDICES = st.lists(st.integers(1, 2 ** 20), min_size=1, max_size=6)
+
+
+class TestProductFactoring:
+    """``from_expression`` factors a product whose factors each use one index;
+    ``eval`` stays the whole expression."""
+
+    @given(product_expressions(), _INDICES, _INDICES)
+    @settings(max_examples=300, deadline=None)
+    def test_factors_multiply_to_the_expression(self, expr, js, ks):
+        c = from_expression("c", expr)
+        assert c.separable_parts is not None, expr
+        a, b = c.separable_parts
+        j, k = np.asarray(js)[:, None], np.asarray(ks)[None, :]
+        with np.errstate(all="ignore"):
+            whole = np.asarray(c.eval(j, k))
+            factored = np.asarray(a.eval(j)) * np.asarray(b.eval(k))
+        assert whole.shape == factored.shape
+        finite = np.isfinite(whole)
+        np.testing.assert_array_equal(np.isnan(factored), np.isnan(whole), err_msg=expr)
+        np.testing.assert_array_equal(factored[np.isinf(whole)], whole[np.isinf(whole)],
+                                      err_msg=expr)
+        w, f = whole[finite], factored[finite]
+        ulps = np.abs(w - f) / np.spacing(np.maximum(np.abs(w), np.abs(f)))
+        assert np.all(ulps <= 4.0), (expr, float(ulps.max()))
+
+    @pytest.mark.parametrize("expr", ["(j*k)^2", "-3/(j/k)^-2", "1/(j^2*k^3)", "-(j*k)",
+                                      "ln(j+1)*alternating(k)/2", "+j*-k"])
+    def test_products_factor(self, expr):
+        assert from_expression("c", expr).is_separable
+
+    @pytest.mark.parametrize("expr", ["1/(j+k)", "mod(j*k, 3)", "ln(j*k)", "1/(j*k*(j+k))",
+                                      "(j*k)^0.5", "j*k + 1", "((j-5)*(k-5))^0.5",
+                                      "(j*k)^k", "pow(j*k, 2)"])
+    def test_mixed_factors_stay_dense(self, expr):
+        assert from_expression("c", expr).separable_parts is None
+
+    def test_constants_join_the_j_factor(self):
+        a, b = from_expression("c", "-3*k/(2*j)").separable_parts
+        assert float(a.eval(3)) == -0.5 and float(b.eval(5)) == 5.0
 
 
 class TestSequenceFile:
@@ -355,6 +430,14 @@ class TestSequenceFile:
         assert isinstance(table["double_one"], CoefficientSequence)
         assert isinstance(table["single_one"], SingleSequence)
         assert table["double_one"](2, 4) == pytest.approx(1.0 / 8.0)
+
+    def test_product_lines_factor(self, tmp_path):
+        path = tmp_path / "seqs.txt"
+        path.write_text("c = 1/(j^2*k^3)\nd = 1/(j*k*(j+k))\n")
+        table = parse_sequence_file(path)
+        assert table["c"].is_separable and not table["d"].is_separable
+        a, b = table["c"].separable_parts
+        assert float(a.eval(2) * b.eval(3)) == table["c"](2, 3) == 1.0 / 108.0
 
     def test_parse_file_bad_line(self, tmp_path):
         path = tmp_path / "seqs.txt"
