@@ -14,191 +14,17 @@ The package provides:
 * deterministic JSON / CSV report writers and a command line interface.
 """
 
-from .differences import (
-    check_step,
-    delta_0r,
-    delta_r,
-    delta_r0,
-    delta_r0_grid,
-    delta_rr,
-    delta_rr_grid,
-)
-from .convergence import (
-    EtaCapError,
-    EtaCondition,
-    EtaSearchResult,
-    Lemma3Result,
-    Measurement,
-    ProbeConfig,
-    ProbeTraceRow,
-    TailReport,
-    Theorem7Result,
-    Verdict,
-    classify_probe,
-    classify_tail,
-    eta_search,
-    interior_grid,
-    lemma1_quantity,
-    lemma2_quantities,
-    lemma3_check,
-    loglog_slope,
-    remark2_divergence,
-    theorem7_bound_check,
-    uniform_tail_probe,
-    uniform_tail_trace,
-)
-from .kernels import (
-    KernelBoundReport,
-    Rect,
-    SingularityError,
-    assert_admissible,
-    dirichlet_conj,
-    kernel_bound_check,
-    rect_sum_direct,
-    rect_sum_parts,
-    rect_sum_separable,
-    row_sum_by_parts,
-)
-from .majorants import (
-    Axis,
-    DoubleScanTable,
-    Family,
-    HorizonError,
-    MajorantFamily,
-    MajorantValue,
-    averaging_window,
-    block_sum_col,
-    block_sum_double,
-    block_sum_row,
-    double_sup_scan,
-    rhs,
-    single_block_sum,
-    single_sup_scan,
-    single_window_sum,
-)
-from .membership import (
-    MembershipReport,
-    RatioRow,
-    SingleClass,
-    SingleMembershipReport,
-    beta_star,
-    check_condition_22,
-    check_membership,
-    check_single_membership,
-)
-from .reports import SCHEMA_VERSION, to_jsonable, write_csv, write_json
-from .sequences import (
-    BUILTIN_NAMES,
-    CoefficientSequence,
-    ExpressionError,
-    PowerDecay,
-    PowerDecay2D,
-    SingleSequence,
-    builtin,
-    compile_expression,
-    from_expression,
-    from_table,
-    parse_sequence_file,
-    scale,
-    separable,
-    single_from_expression,
-    single_from_values,
-)
-from .summing import ksum, sine_prefix
+from . import convergence, differences, kernels, majorants, membership, reports, sequences, summing
+from .convergence import *  # noqa: F401,F403
+from .differences import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .majorants import *  # noqa: F401,F403
+from .membership import *  # noqa: F401,F403
+from .reports import *  # noqa: F401,F403
+from .sequences import *  # noqa: F401,F403
+from .summing import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # sequences
-    "BUILTIN_NAMES",
-    "CoefficientSequence",
-    "ExpressionError",
-    "PowerDecay",
-    "PowerDecay2D",
-    "SingleSequence",
-    "builtin",
-    "compile_expression",
-    "from_expression",
-    "from_table",
-    "parse_sequence_file",
-    "scale",
-    "separable",
-    "single_from_expression",
-    "single_from_values",
-    # differences
-    "check_step",
-    "delta_r",
-    "delta_r0",
-    "delta_0r",
-    "delta_rr",
-    "delta_r0_grid",
-    "delta_rr_grid",
-    # majorants
-    "Axis",
-    "DoubleScanTable",
-    "Family",
-    "HorizonError",
-    "MajorantFamily",
-    "MajorantValue",
-    "averaging_window",
-    "block_sum_row",
-    "block_sum_col",
-    "block_sum_double",
-    "single_block_sum",
-    "single_window_sum",
-    "single_sup_scan",
-    "double_sup_scan",
-    "rhs",
-    # membership
-    "MembershipReport",
-    "RatioRow",
-    "SingleClass",
-    "SingleMembershipReport",
-    "beta_star",
-    "check_condition_22",
-    "check_membership",
-    "check_single_membership",
-    # kernels / summation
-    "KernelBoundReport",
-    "Rect",
-    "SingularityError",
-    "assert_admissible",
-    "dirichlet_conj",
-    "kernel_bound_check",
-    "rect_sum_direct",
-    "rect_sum_parts",
-    "rect_sum_separable",
-    "row_sum_by_parts",
-    # convergence
-    "EtaCapError",
-    "EtaCondition",
-    "EtaSearchResult",
-    "Lemma3Result",
-    "Measurement",
-    "ProbeConfig",
-    "ProbeTraceRow",
-    "TailReport",
-    "Theorem7Result",
-    "Verdict",
-    "classify_probe",
-    "classify_tail",
-    "eta_search",
-    "interior_grid",
-    "lemma1_quantity",
-    "lemma2_quantities",
-    "lemma3_check",
-    "loglog_slope",
-    "remark2_divergence",
-    "theorem7_bound_check",
-    "uniform_tail_probe",
-    "uniform_tail_trace",
-    # reports
-    "SCHEMA_VERSION",
-    "to_jsonable",
-    "write_json",
-    "write_csv",
-    # summing
-    "ksum",
-    "sine_prefix",
-]
+_MODULES = (sequences, differences, majorants, membership, kernels, convergence, reports, summing)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import _blocked_sum, _row_blocks, delta_r, delta_r0_grid
+from .differences import _blocked_sum, _row_blocks, _span, _variation, delta_r0_grid
 from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
 from .majorants import (DoubleScanTable, HorizonError, _dense_cap, _rect_abs_sum, _scan_table,
                         compile_b)
@@ -124,18 +124,18 @@ class Measurement:
         return self.value + (self.tail_bound or 0.0)
 
 
-def classify_tail(values, *, decay_factor: float = 100.0, flat_rtol: float = 1e-12) -> Verdict:
-    """Verdict for weighted-tail scans such as ``sup_{j+k=s} jk |c_{jk}|``.
+def _verdict(values, decaying, flat_rtol: float) -> Verdict:
+    """The verdict both classifiers share, given their decay rule.
 
-    decaying: the last three values strictly decrease and the final
-    value is below the first divided by ``decay_factor``.  growing:
-    strictly increasing across the schedule.  flat: all values within
-    relative ``flat_rtol`` of the first.  Anything else is inconclusive.
+    Fewer than two values are inconclusive.  Otherwise: decaying when
+    ``decaying(v)`` holds for the list of floats; growing when strictly
+    increasing across the schedule; flat when all values lie within
+    relative ``flat_rtol`` of the first; anything else is inconclusive.
     """
     v = [float(x) for x in values]
     if len(v) < 2:
         return Verdict.INCONCLUSIVE
-    if len(v) >= 3 and v[-3] > v[-2] > v[-1] and v[-1] < v[0] / decay_factor:
+    if decaying(v):
         return Verdict.DECAYING
     if all(b > a for a, b in zip(v, v[1:])):
         return Verdict.GROWING
@@ -143,6 +143,17 @@ def classify_tail(values, *, decay_factor: float = 100.0, flat_rtol: float = 1e-
     if all(abs(x - v[0]) <= flat_rtol * ref for x in v):
         return Verdict.FLAT
     return Verdict.INCONCLUSIVE
+
+
+def classify_tail(values, *, decay_factor: float = 100.0, flat_rtol: float = 1e-12) -> Verdict:
+    """Verdict for weighted-tail scans such as ``sup_{j+k=s} jk |c_{jk}|``.
+
+    decaying: the last three values strictly decrease and the final
+    value is below the first divided by ``decay_factor``.  growing,
+    flat and inconclusive as in :func:`_verdict`.
+    """
+    return _verdict(values, lambda v: len(v) >= 3 and v[-3] > v[-2] > v[-1]
+                    and v[-1] < v[0] / decay_factor, flat_rtol)
 
 
 def classify_probe(values, *, band: float = 0.05, decay_ratio: float = 4.0,
@@ -150,20 +161,11 @@ def classify_probe(values, *, band: float = 0.05, decay_ratio: float = 4.0,
     """Verdict for sup-style probes, tolerant of local wiggle.
 
     decaying: every step grows by at most ``band`` (relatively) and the
-    final value is below the first divided by ``decay_ratio``.
+    final value is below the first divided by ``decay_ratio``.  growing,
+    flat and inconclusive as in :func:`_verdict`.
     """
-    v = [float(x) for x in values]
-    if len(v) < 2:
-        return Verdict.INCONCLUSIVE
-    steps_ok = all(b <= a * (1.0 + band) for a, b in zip(v, v[1:]))
-    if steps_ok and v[-1] <= v[0] / decay_ratio:
-        return Verdict.DECAYING
-    if all(b > a for a, b in zip(v, v[1:])):
-        return Verdict.GROWING
-    ref = max(abs(v[0]), 1e-300)
-    if all(abs(x - v[0]) <= flat_rtol * ref for x in v):
-        return Verdict.FLAT
-    return Verdict.INCONCLUSIVE
+    return _verdict(values, lambda v: all(b <= a * (1.0 + band) for a, b in zip(v, v[1:]))
+                    and v[-1] <= v[0] / decay_ratio, flat_rtol)
 
 
 def loglog_slope(schedule, values) -> float | None:
@@ -180,8 +182,7 @@ def loglog_slope(schedule, values) -> float | None:
 def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
     """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus a tail certificate: twice the
     hint's tail past H, since ``|a_j - a_{j+2}| <= |a_j| + |a_{j+2}|``."""
-    j = np.arange(m, H + 1, dtype=np.int64)
-    scanned = float(ksum(np.abs(delta_r(a, 2, j))))
+    scanned = _variation(np.asarray(a.eval(_span(m, H + 2))), 2, H - m + 1)
     tail = None if a.decay_hint is None else a.decay_hint.integral_tail(H)
     return Measurement(value=scanned, bounded=tail is not None,
                        tail_bound=None if tail is None else 2.0 * tail)
@@ -611,11 +612,14 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
         raise ValueError(f"verify_range {verify_range} must exceed max(1, lambda) = {first}")
     H = max(sup_horizon, verify_range + 1, cap + 2)
     idx = np.arange(1, H + 1, dtype=np.int64)
-    # per factor (rows): m |f_m|, its suffix maxima, the suffix sums of |d2 f|
+    # per factor (rows), from one evaluation on 1..max(H, sum_horizon + 2):
+    # m |f_m|, its suffix maxima, the suffix sums of |d2 f|
     parts = c.separable_parts
-    weights = np.array([idx.astype(np.float64) * np.abs(np.asarray(f.eval(idx))) for f in parts])
+    vals = [np.asarray(f.eval(_span(1, max(H, sum_horizon + 2)))) for f in parts]
+    weights = np.array([idx.astype(np.float64) * np.abs(v[:H]) for v in vals])
+    d2 = np.abs([v[:sum_horizon] - v[2:sum_horizon + 2] for v in vals])
+    del vals    # not kept alive next to the suffix arrays
     sups = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
-    d2 = np.abs([delta_r(f, 2, np.arange(1, sum_horizon + 1, dtype=np.int64)) for f in parts])
     sums = np.cumsum(d2[:, ::-1], axis=1)[:, ::-1]
     hints = [f.decay_hint for f in parts]
     tail_w = [None if h is None else h.weighted_sup(H) for h in hints]

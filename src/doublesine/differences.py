@@ -11,21 +11,21 @@ For a double sequence ``c`` the three operators are
     delta_rr(c, r, j, k)  =  delta_r0(delta_0r(c))
                           =  c_{jk} - c_{j+r,k} - c_{j,k+r} + c_{j+r,k+r}.
 
-Differences are evaluated on demand from the sequence callable, one
-closed form per call; nothing is cached and no cancellation guard is
-applied.  Index arguments broadcast like the underlying evaluators.
-
-Scans over a rectangle of indices take the differences block by block
-(:func:`_row_blocks`): :func:`delta_rr_grid` and :func:`delta_r0_grid`
-evaluate ``c`` once per block, on the block widened by the step, and
-slice the shifted terms out of that one table.  They combine the terms
-in the same order as :func:`delta_rr` and :func:`delta_r0`, so for an
-evaluator that acts elementwise the values are the same bit for bit.
+The pointwise operators above are the public reference, evaluating the
+sequence once per term (index arguments broadcast; nothing is cached,
+no cancellation guard): tests compare the table forms against them and
+the CLI identity sweep checks their decompositions.  Library code reads
+every difference from one evaluation of the sequence on the span
+widened by the step, slicing the shifted terms out of it in the
+pointwise operators' order, so for an evaluator that acts elementwise
+the values are the same bit for bit: :func:`_variation` (the exactly
+rounded sum of ``|v_i - v_{i+r}|`` along a line), :func:`_mixed` (on a
+table), and :func:`delta_rr_grid` and :func:`delta_r0_grid`, which
+rectangle scans call once per row block (:func:`_row_blocks`).
 Rectangle sums read in row blocks (block differences, lemma 1, the
 dense family-ONE and lemma 3 windows) reduce them with
 :func:`_blocked_sum`: an exactly rounded sum per block, then of the
-parts.  Along one evaluated line, :func:`_variation` is the exactly
-rounded sum of ``|v_i - v_{i+r}|``.
+parts.
 """
 
 from __future__ import annotations
@@ -106,13 +106,18 @@ def _variation(v: np.ndarray, r: int, m: int) -> float:
     return float(ksum(np.abs(v[:m] - v[r:m + r])))
 
 
+def _mixed(t: np.ndarray, r: int) -> np.ndarray:
+    """``t_{ij} - t_{i+r,j} - t_{i,j+r} + t_{i+r,j+r}`` over all but the
+    last r rows and columns of an evaluated table ``t``."""
+    return t[:-r, :-r] - t[r:, :-r] - t[:-r, r:] + t[r:, r:]
+
+
 def delta_rr_grid(c: CoefficientSequence, r: int, j0: int, j1: int, k0: int, k1: int):
     """``delta_rr(c, r, j[:, None], k[None, :])`` for ``j = j0..j1``,
     ``k = k0..k1``, from one evaluation of ``c`` on ``j0..j1 + r`` by
     ``k0..k1 + r``."""
     r = check_step(r)
-    t = c.eval(_span(j0, j1 + r)[:, None], _span(k0, k1 + r)[None, :])
-    return t[:-r, :-r] - t[r:, :-r] - t[:-r, r:] + t[r:, r:]
+    return _mixed(c.eval(_span(j0, j1 + r)[:, None], _span(k0, k1 + r)[None, :]), r)
 
 
 def delta_r0_grid(c: CoefficientSequence, r: int, j0: int, j1: int, k0: int, k1: int):

@@ -17,7 +17,10 @@ The single-index identity (step r >= 1, m >= n >= 1, arbitrary a)
 is implemented by :func:`row_sum_by_parts`.  Applying it in both indices
 turns a rectangle sum of ``c_{jk} sin jx sin ky`` into a mixed-difference
 core plus four boundary strips and four corner blocks (nine terms; the
-strips have width r); that expansion is :func:`rect_sum_parts`.
+strips have width r); that expansion is :func:`rect_sum_parts`.  Each
+sum reads one evaluation of its sequence on the span widened by r, and
+slices the differences, strips and corners out of it; both get their
+kernels from one helper, :func:`_by_parts_kernels`.
 
 :func:`kernel_bound_check` compares ``|D(k, +-2, x)|`` with the envelope
 ``pi/(4x)`` (mirrored about pi/2) for every ``k <= k_max``.  Since
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differences import _row_blocks, check_step, delta_0r, delta_r, delta_r0, delta_rr
+from .differences import _mixed, _row_blocks, _span, check_step
 from .sequences import CoefficientSequence, SingleSequence
 from .summing import ksum
 
@@ -113,22 +116,29 @@ def _kernel_row(ks: np.ndarray, r: int, x: float) -> np.ndarray:
     return np.cos((ks + 0.5 * r) * x) / (2.0 * s)
 
 
+def _by_parts_kernels(lo: int, hi: int, r: int, x: float):
+    """The kernels of the step-r summation by parts over ``lo..hi``:
+    ``D(k, r, x)`` on ``lo..hi``, then ``D(k, -r, x)`` on the lower strip
+    ``lo..lo+r-1`` and on the upper strip ``hi+1..hi+r``.  The ``+r`` row
+    comes first, so a singular ``x`` is reported for step ``+r``."""
+    return (_kernel_row(_span(lo, hi), r, x), _kernel_row(_span(lo, lo + r - 1), -r, x),
+            _kernel_row(_span(hi + 1, hi + r), -r, x))
+
+
 def row_sum_by_parts(a: SingleSequence, n: int, m: int, r: int, x: float):
     """``sum_{k=n}^{m} a_k sin kx`` via the step-r summation by parts.
 
     Exact rearrangement of the direct sum; the two boundary sums have r
-    terms each.  ``x`` must avoid the singular abscissae of step r.
+    terms each.  ``a`` is evaluated once, on ``n..m+r``, and the
+    differences and strips are slices of that line.  ``x`` must avoid
+    the singular abscissae of step r.
     """
     r = check_step(r)
     if not (1 <= n <= m):
         raise ValueError("need 1 <= n <= m")
-    ks = np.arange(n, m + 1, dtype=np.int64)
-    main = -delta_r(a, r, ks) * _kernel_row(ks, r, x)
-    upper_idx = np.arange(m + 1, m + r + 1, dtype=np.int64)
-    upper = a.eval(upper_idx) * _kernel_row(upper_idx, -r, x)
-    lower_idx = np.arange(n, n + r, dtype=np.int64)
-    lower = -a.eval(lower_idx) * _kernel_row(lower_idx, -r, x)
-    return ksum(np.concatenate([np.atleast_1d(main), np.atleast_1d(upper), np.atleast_1d(lower)]))
+    v = np.asarray(a.eval(_span(n, m + r)))
+    D, D_lower, D_upper = _by_parts_kernels(n, m, r, x)
+    return ksum(np.concatenate([-(v[:-r] - v[r:]) * D, v[-r:] * D_upper, -v[:r] * D_lower]))
 
 
 def rect_sum_direct(c: CoefficientSequence, rect: Rect, x: float, y: float):
@@ -170,35 +180,25 @@ def rect_sum_parts(c: CoefficientSequence, rect: Rect, x: float, y: float, r: in
 
     Exact rearrangement of :func:`rect_sum_direct` for any step
     r in {1, 2, 3, ...}; both abscissae must avoid the singular points
-    of step r.  Blocks are accumulated in a fixed order: the mixed-
+    of step r.  ``c`` is evaluated once, on ``m..M+r`` by ``n..N+r``
+    (the cells the nine blocks read), and every block is a slice of that
+    table.  Blocks are accumulated in a fixed order: the mixed-
     difference core, then the j strips, k strips, and corners.
     """
     r = check_step(r)
-    m, M, n, N = rect.m, rect.M, rect.n, rect.N
-    jm = np.arange(m, M + 1, dtype=np.int64)
-    kn = np.arange(n, N + 1, dtype=np.int64)
-    jU = np.arange(M + 1, M + r + 1, dtype=np.int64)   # upper j strip
-    jL = np.arange(m, m + r, dtype=np.int64)           # lower j strip
-    kU = np.arange(N + 1, N + r + 1, dtype=np.int64)
-    kL = np.arange(n, n + r, dtype=np.int64)
-
-    Dj = _kernel_row(jm, r, x)
-    DjU = _kernel_row(jU, -r, x)
-    DjL = _kernel_row(jL, -r, x)
-    Dk = _kernel_row(kn, r, y)
-    DkU = _kernel_row(kU, -r, y)
-    DkL = _kernel_row(kL, -r, y)
-
+    Dj, DjL, DjU = _by_parts_kernels(rect.m, rect.M, r, x)
+    Dk, DkL, DkU = _by_parts_kernels(rect.n, rect.N, r, y)
+    t = np.asarray(c.eval(_span(rect.m, rect.M + r)[:, None], _span(rect.n, rect.N + r)[None, :]))
     blocks = [
-        delta_rr(c, r, jm[:, None], kn[None, :]) * Dj[:, None] * Dk[None, :],
-        -delta_0r(c, r, jU[:, None], kn[None, :]) * DjU[:, None] * Dk[None, :],
-        delta_0r(c, r, jL[:, None], kn[None, :]) * DjL[:, None] * Dk[None, :],
-        -delta_r0(c, r, jm[:, None], kU[None, :]) * Dj[:, None] * DkU[None, :],
-        np.asarray(c.eval(jU[:, None], kU[None, :])) * DjU[:, None] * DkU[None, :],
-        -np.asarray(c.eval(jL[:, None], kU[None, :])) * DjL[:, None] * DkU[None, :],
-        delta_r0(c, r, jm[:, None], kL[None, :]) * Dj[:, None] * DkL[None, :],
-        -np.asarray(c.eval(jU[:, None], kL[None, :])) * DjU[:, None] * DkL[None, :],
-        np.asarray(c.eval(jL[:, None], kL[None, :])) * DjL[:, None] * DkL[None, :],
+        _mixed(t, r) * Dj[:, None] * Dk[None, :],
+        -(t[-r:, :-r] - t[-r:, r:]) * DjU[:, None] * Dk[None, :],
+        (t[:r, :-r] - t[:r, r:]) * DjL[:, None] * Dk[None, :],
+        -(t[:-r, -r:] - t[r:, -r:]) * Dj[:, None] * DkU[None, :],
+        t[-r:, -r:] * DjU[:, None] * DkU[None, :],
+        -t[:r, -r:] * DjL[:, None] * DkU[None, :],
+        (t[:-r, :r] - t[r:, :r]) * Dj[:, None] * DkL[None, :],
+        -t[-r:, :r] * DjU[:, None] * DkL[None, :],
+        t[:r, :r] * DjL[:, None] * DkL[None, :],
     ]
     return ksum(np.concatenate([b.reshape(-1) for b in blocks]))
 

@@ -47,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .convergence import TailReport, classify_tail, loglog_slope
-from .differences import _span, _variation, check_step, delta_r
+from .differences import _span, _variation, check_step
 from .majorants import (
     Axis,
     DoubleScanTable,
@@ -65,7 +65,6 @@ from .majorants import (
     single_window_sum,
 )
 from .sequences import CoefficientSequence, SingleSequence, compile_expression
-from .summing import ksum
 
 __all__ = [
     "lhs_row",
@@ -364,8 +363,7 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
         if klass in (SingleClass.MVBVS, SingleClass.SBVS) and n < lam:
             continue
         hi = 2 * n if klass is SingleClass.MVBVS else 2 * n - 1
-        k = np.arange(n, hi + 1, dtype=np.int64)
-        lhs_val = float(ksum(np.abs(delta_r(a, r, k))))
+        lhs_val = _variation(np.asarray(a.eval(_span(n, hi + r))), r, hi - n + 1)
         truncated = False
         if klass is SingleClass.MVBVS:
             rhs_val = beta_star(a, n, lam)

@@ -394,6 +394,11 @@ _FUNCTIONS: dict[str, Callable] = {
     "alternating": _alternating,
 }
 
+# Deepest expression tree accepted, in AST nodes from the root: compiling
+# a tree and splitting a product recurse once per level, well inside
+# Python's recursion limit of about 1000 at this depth.
+_MAX_DEPTH = 200
+
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.Mod)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
 
@@ -431,11 +436,23 @@ def _validate(node: ast.AST, variables: tuple[str, ...]) -> set[str]:
 
 
 def _parse(expr: str, variables: tuple[str, ...]) -> tuple[ast.Expression, set[str]]:
-    """The validated tree of an expression and the variables it uses."""
+    """The validated tree of an expression and the variables it uses.
+
+    A tree nested deeper than ``_MAX_DEPTH`` is refused, measured level
+    by level before anything recurses on it.
+    """
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {expr!r}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ExpressionError("expression is nested too deeply to parse") from exc
+    level, depth = [tree], 0
+    while level:
+        depth += 1
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(f"expression is nested deeper than {_MAX_DEPTH} levels")
+        level = [child for node in level for child in ast.iter_child_nodes(node)]
     return tree, _validate(tree, variables)
 
 
@@ -510,10 +527,14 @@ def _factor_sequence(name: str, index: str, factors: list[tuple[ast.AST, bool]])
 
 def _split_product(name: str, tree: ast.Expression) -> tuple[SingleSequence, SingleSequence] | None:
     """Factors ``(a, b)`` with ``c_{jk} = a_j b_k`` of an expression in both
-    indices, or None if one of its product factors mixes them.  Constant
-    factors join ``a``."""
+    indices, or None if one of its product factors mixes them or it has
+    more than ``_MAX_DEPTH`` factors (each factor sequence chains its
+    factors, nesting one level per factor).  Constant factors join ``a``."""
+    factors = _product_factors(tree.body)
+    if len(factors) > _MAX_DEPTH:
+        return None
     groups: dict[str, list] = {"j": [], "k": []}
-    for node, divide in _product_factors(tree.body):
+    for node, divide in factors:
         used = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)} & groups.keys()
         if len(used) > 1:
             return None

@@ -158,6 +158,13 @@ class TestLibraryRefusals:
                            "--thresholds", "64", "--grid-points", "2")
         assert "no rectangles beyond threshold 64" in err
 
+    @pytest.mark.parametrize("factors", [2000, 6000])
+    def test_deeply_nested_expression(self, tmp_path, capsys, factors):
+        chain = "*".join(["j"] * (factors - 1) + ["k"])
+        err = self.refused(tmp_path, capsys, "partial-sum", "--expr", chain,
+                           "--rect", "1:4x1:4", "--x", "0.5", "--y", "0.5")
+        assert "nested" in err
+
     def test_dense_probe_guard_states_bytes(self, tmp_path, capsys):
         # default --rect-cap 4096: the coefficient table and one prefix table
         err = self.refused(tmp_path, capsys, "uniform-tail", "--expr", NONSEP_EXPR,

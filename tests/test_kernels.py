@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -136,8 +137,8 @@ class TestRectSums:
         assert rect_sum_direct(osc, rect, x, y) == pytest.approx(brute, rel=1e-13)
 
     def test_parts_matches_direct_on_preset(self, osc):
-        rect = Rect(2, 9, 3, 7)
-        for r in (1, 2, 3):
+        # the second rectangle is one row tall: for r > 1 its strips overlap the core
+        for rect, r in itertools.product((Rect(2, 9, 3, 7), Rect(4, 4, 2, 3)), (1, 2, 3)):
             x, y = 0.71, 2.3
             d = rect_sum_direct(osc, rect, x, y)
             p = rect_sum_parts(osc, rect, x, y, r=r)

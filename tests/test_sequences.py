@@ -22,6 +22,7 @@ from doublesine import (
     single_from_expression,
     single_from_values,
 )
+from doublesine import majorants
 
 from conftest import TWIN_EXPR
 
@@ -260,6 +261,24 @@ class TestExpressions:
     def test_single_rejects_both_indices(self):
         with pytest.raises(ExpressionError):
             single_from_expression("a", "k + n")
+
+    @pytest.mark.parametrize("factors", [2000, 6000])
+    def test_deep_expressions_are_refused(self, factors):
+        # 2000 factors parse and meet the depth cap; 6000 overflow the parser
+        def chain(*names):
+            return "*".join(names * (factors // len(names)))
+        for build, expr in ((lambda e: from_expression("c", e), chain("j", "k")),
+                            (lambda e: single_from_expression("a", e), chain("k")),
+                            (majorants.compile_b, chain("l"))):
+            with pytest.raises(ExpressionError, match="nested"):
+                build(expr)
+
+    def test_long_balanced_product_stays_dense(self):
+        # shallow, but its factor chains would nest one level per factor
+        def balanced(n):
+            return "1" if n == 1 else f"({balanced(n // 2)})*({balanced(n - n // 2)})"
+        c = from_expression("c", f"{balanced(256)}*j*k")
+        assert c.separable_parts is None and c.eval(2, 3) == 6.0
 
     @given(st.integers(1, 30), st.integers(1, 30))
     @settings(max_examples=50, deadline=None)
