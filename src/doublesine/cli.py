@@ -13,8 +13,9 @@ either a flag or config value the front end rejects itself (one
 ``config error: ...`` line on stderr) or a library refusal such as a
 scan horizon below its start, a size guard, a singular abscissa or a
 float overflow in a sum (one ``error: ...`` line); neither writes a
-report.  An output directory or report file that cannot be written
-also exits 2 with one ``error: ...`` line.
+report.  An output directory or report file that cannot be written,
+or a run out of memory, also exits 2 with one ``error: ...`` line.  Any
+other exception is an internal error: status 3, with its traceback.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import configparser
 import math
 import sys
+import traceback
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -58,6 +60,7 @@ from .membership import (
     check_condition_22,
     check_membership,
     check_single_membership,
+    _fit,
 )
 from .reports import SCHEMA_VERSION, write_csv, write_json
 from .sequences import (
@@ -334,9 +337,9 @@ def _run_check_class(args):
                          sup_horizon=args.sup_horizon)
     grid = _parse_grid_pairs(args.grid)
     report = check_membership(c, args.r, fam, grid)
-    # Truncated sup scans understate the majorant and so inflate the
-    # fitted constant: a cap that holds anyway is certified, while a cap
-    # exceeded only at a truncated point is undecided at this horizon.
+    # Each asserted cap gets the fit's verdict: truncated sup scans
+    # understate the majorant and so inflate the fitted constant, so a cap
+    # exceeded only at truncated points is undecided at this horizon.
     witness = []
     for label, fitted, cap in (("row", report.fitted_C_row, args.max_row_c),
                                ("column", report.fitted_C_col, args.max_col_c),
@@ -345,13 +348,13 @@ def _run_check_class(args):
             continue
         if fitted is None:
             witness.append(f"{label} axis: no admissible grid points, cannot assert C <= {cap}")
-        elif fitted > cap:
-            w = report.worst_witness[label]
-            worst_truncated = any(row.axis == label and row.truncated
-                                  and row.ratio == fitted for row in report.rows)
+            continue
+        _, verdict = _fit([row for row in report.rows if row.axis == label], cap)
+        if verdict != "pass":
             note = ("; worst scan truncated, raise --sup-horizon to decide"
-                    if worst_truncated else "")
-            witness.append(f"{label} axis: fitted C = {fitted!r} exceeds {cap!r} at {w}{note}")
+                    if verdict == "inconclusive" else "")
+            witness.append(f"{label} axis: fitted C = {fitted!r} exceeds {cap!r} at "
+                           f"{report.worst_witness[label]}{note}")
     results = {
         "sequence": c.name,
         "r": report.r,
@@ -962,6 +965,18 @@ def _resolved_config(command: str, args) -> dict:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except MemoryError as exc:
+        # a resource limit, like a size guard, is no verdict on the input
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
+
+
+def _main(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     command = next((tok for tok in argv if not tok.startswith("-")), None)

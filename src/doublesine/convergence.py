@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import _blocked_sum, _row_blocks, _span, _variation, delta_r0_grid
+from .differences import _blocked_sum, _row_blocks, _span, delta_r0_grid
 from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
 from .majorants import (DoubleScanTable, HorizonError, _dense_cap, _rect_abs_sum, _scan_table,
                         compile_b)
@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 _MAX_GENERIC_CELLS = 5 * 10**7
+# Terms of a factor's step-2 scan taken from one evaluation (64 kB of float64).
+_D2_BLOCK = 1 << 13
 
 
 class Verdict(str, Enum):
@@ -180,12 +182,21 @@ def loglog_slope(schedule, values) -> float | None:
 # --- factor scans ----------------------------------------------------------
 
 def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
-    """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus a tail certificate: twice the
-    hint's tail past H, since ``|a_j - a_{j+2}| <= |a_j| + |a_{j+2}|``."""
-    scanned = _variation(np.asarray(a.eval(_span(m, H + 2))), 2, H - m + 1)
-    tail = None if a.decay_hint is None else a.decay_hint.integral_tail(H)
-    return Measurement(value=scanned, bounded=tail is not None,
-                       tail_bound=None if tail is None else 2.0 * tail)
+    """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus the hint's tail certificate past H.
+
+    The terms are taken ``_D2_BLOCK`` at a time, each block from one
+    evaluation of ``a``, into one array summed once by ``ksum``: the
+    :func:`~doublesine.differences._variation` of one evaluation, bit for
+    bit, with the evaluator's temporaries bounded by a block, not by H.
+    """
+    terms = np.empty(max(H - m + 1, 0))
+    for lo in range(m, H + 1, _D2_BLOCK):
+        hi = min(lo + _D2_BLOCK - 1, H)
+        v = np.asarray(a.eval(_span(lo, hi + 2)))
+        np.abs(v[:-2] - v[2:], out=terms[lo - m:hi - m + 1])
+    scanned = float(ksum(terms))
+    tail = None if a.decay_hint is None else a.decay_hint.d2_tail(H)
+    return Measurement(value=scanned, bounded=tail is not None, tail_bound=tail)
 
 
 def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
@@ -366,8 +377,8 @@ class ProbeConfig:
     ``ceil(1/x)`` and ``ceil(1/y)`` for each grid point), and the
     corners ``M, N`` double away from the starts up to ``rect_cap``.
     ``thresholds`` is the schedule of lower bounds ``m + n > t``.
-    ``min_start`` excludes starts at or below it (class domain
-    restrictions); 1 means no exclusion beyond the natural m, n >= 1.
+    ``min_start`` is the smallest start kept, starts below it are
+    excluded (class domain restrictions); 1 keeps every m, n >= 1.
     """
 
     xy_grid: tuple[tuple[float, float], ...]
@@ -623,7 +634,7 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     sums = np.cumsum(d2[:, ::-1], axis=1)[:, ::-1]
     hints = [f.decay_hint for f in parts]
     tail_w = [None if h is None else h.weighted_sup(H) for h in hints]
-    tail_d2 = [None if h is None else h.integral_tail(sum_horizon) for h in hints]
+    tail_d2 = [None if h is None else h.d2_tail(sum_horizon) for h in hints]
 
     # (1) at every candidate eta = first..last, and the factors of (2)-(4) on
     # m = 1..verify_range; tails count only when all of a condition's are known
@@ -632,8 +643,7 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     cert = cert1 and None not in tail_d2
     sup1 = np.maximum(sups[:, first:last + 1], np.array(tail_w if cert1 else [0.0, 0.0])[:, None])
     v1 = sup1[0] * sup1[1]
-    # |d2 f| tails: |f_j - f_{j+2}| <= |f_j| + |f_{j+2}|
-    tw, td = (np.array(tail_w)[:, None], 2.0 * np.array(tail_d2)[:, None]) if cert else (0.0, 0.0)
+    tw, td = (np.array(tail_w)[:, None], np.array(tail_d2)[:, None]) if cert else (0.0, 0.0)
     S = idx[:verify_range] * (sums[:, :verify_range] + td)    # m sum_{j>=m} |d2 f|
     W = np.maximum(sups[:, :verify_range], tw)
     bound2 = 16.0 * C * epsilon

@@ -27,16 +27,16 @@ with the largest exact sum is the same value and argmax as the loop's.
 Double sups keep a :class:`DoubleScanTable` of the threshold-independent
 block sums.  One table serves a whole command: a membership fit and the
 lemma 3 points that follow it query the same table at every grid point.
+The table holds only double sups, kept per threshold, and factor sums.
 
 Columns run as rows of the transpose ``c.T``, whose row lines
 (:meth:`~doublesine.sequences.CoefficientSequence.row`) carry their own
-tail hints.  The table keeps, per (fixed index, orientation), one line:
-the signed values ``c_{j,fixed}`` for ``j = 1..reach``.  A membership
-fit reserves each line's reach up front (the largest index any of its
-grid points reads), so every row and column read of the fit (left-hand
-sides, family ONE windows, family TWO window scans, family THREE sups
-over ``1..2 sup_horizon``) slices one evaluation and takes the modulus
-of its slice.  A sup scan from ``start`` computes its exact
+tail hints.  A line is the signed values ``c_{j,fixed}`` for ``j =
+1..reach``, evaluated by :func:`_row_line`; a membership fit evaluates
+each line once, reads it at every grid point on it (left-hand sides,
+family ONE windows, family TWO window scans, family THREE sups over
+``1..2 sup_horizon``) and drops it before the next, and :func:`rhs`
+evaluates its own line.  A sup scan from ``start`` computes its exact
 blocks (one cumsum from ``start``, as an exhaustive scan would) for
 ``M = start..M1``, with ``M1 = 2 start`` doubling up to the horizon.
 ``np.cumsum`` is sequential, so these blocks are bit-identical to the
@@ -48,9 +48,7 @@ S both a per-start block and a shared estimate lie within about
 ``(2n + 1) eps S`` of the true block sum, so ``8 n eps S`` bounds their
 difference: no block past ``M1`` can reach the maximum, and the value
 and first argmax are the exhaustive scan's.  A line whose total is not
-finite is scanned in full.  Lines live in the table and are evicted
-least recently used past ``_MAX_LINE_BYTES``.  Within one table, double
-sups are kept per threshold.
+finite is scanned in full.
 
 The double left-hand sides of a fit, family ONE double windows and
 lemma 1's dense tail are rectangle sums of ``|d_rr c|`` or ``|c|``, all
@@ -102,10 +100,6 @@ __all__ = [
 
 # _dense_cap refuses dense paths (double scans, probes) whose float64 tables pass this.
 _MAX_DENSE_BYTES = 160_000_000
-# Lines kept by one DoubleScanTable (a family-THREE line of a real sequence
-# takes about 24 sup_horizon bytes); past this the least recently used are
-# dropped and rebuilt on demand.
-_MAX_LINE_BYTES = 32_000_000
 
 
 class Family(Enum):
@@ -299,13 +293,12 @@ class _Line:
     their total is not finite), their tolerance, and the hint's block
     bound past the horizon."""
 
-    __slots__ = ("lo", "vals", "horizon", "suffix", "tol", "tail", "nbytes")
+    __slots__ = ("lo", "vals", "horizon", "suffix", "tol", "tail")
 
     def __init__(self, vals: np.ndarray, lo: int):
         self.lo, self.vals = lo, vals
         self.horizon = self.suffix = self.tail = None
         self.tol = 0.0
-        self.nbytes = vals.nbytes
 
     def prepare(self, horizon: int, hint: PowerDecay | None) -> _Line:
         head = _abs_f64(self.vals[:2 * horizon - self.lo + 1])
@@ -315,8 +308,12 @@ class _Line:
             est = _block_array(head, self.lo, self.lo, horizon)
             self.suffix = np.maximum.accumulate(est[::-1])[::-1]
             self.tol = 8.0 * len(head) * np.finfo(np.float64).eps * total
-            self.nbytes += self.suffix.nbytes
         return self
+
+
+def _check_horizon(horizon: int, start: int) -> None:
+    if horizon < start:
+        raise HorizonError(f"horizon {horizon} below scan start {start}")
 
 
 def _sup_scan(line: _Line, start: int) -> MajorantValue:
@@ -324,8 +321,7 @@ def _sup_scan(line: _Line, start: int) -> MajorantValue:
     scanned exactly only as far as the suffix bound requires (see the
     module docstring); equal to the exhaustive scan bit for bit."""
     horizon = line.horizon
-    if horizon < start:
-        raise HorizonError(f"horizon {horizon} below scan start {start}")
+    _check_horizon(horizon, start)
     vals = line.vals[start - line.lo:]
     M1 = horizon if line.suffix is None else min(2 * start, horizon)
     while True:
@@ -375,28 +371,58 @@ def _bounded_max_scan(vals: np.ndarray, M_lo: int, M_hi: int) -> tuple[float, in
 
 
 def _row_view(c: CoefficientSequence, fam: MajorantFamily, m: int,
-              n: int) -> tuple[CoefficientSequence, str, int, int]:
-    """``(source, b, m, n)`` of the row or column majorant of ``fam`` at
-    (m, n): a column majorant is the row majorant of ``c.T`` with m and n
-    exchanged, which freezes the second index n and scans j from b(m)."""
+              n: int) -> tuple[CoefficientSequence, int, int, int | None, int]:
+    """``(source, m, n, start, reach)`` of the row or column majorant of
+    ``fam`` at (m, n).  A column majorant is the row majorant of ``c.T``
+    with m and n exchanged, which freezes the second index n and scans j
+    from ``start = b(m)``: None for family ONE, which has no scan, and
+    refused past the horizon for family THREE.  ``reach`` is the largest
+    index the majorant reads on its line."""
+    src, b = (c.T, fam.b2) if fam.axis is Axis.COLUMN else (c, fam.b1)
     if fam.axis is Axis.COLUMN:
-        return c.T, fam.b2, n, m
-    return c, fam.b1, m, n
-
-
-def _row_reach(fam: MajorantFamily, b: str, m: int) -> int:
-    """The largest index the row majorant of ``fam`` at m reads on its line."""
+        m, n = n, m
     if fam.family is Family.ONE:
-        return averaging_window(m, fam.lam)[1]
+        return src, m, n, None, averaging_window(m, fam.lam)[1]
+    start = compile_b(b)(m)
     if fam.family is Family.TWO:
-        return 2 * fam.lam * compile_b(b)(m)
-    return 2 * fam.sup_horizon
+        return src, m, n, start, 2 * fam.lam * start
+    _check_horizon(fam.sup_horizon, start)
+    return src, m, n, start, 2 * fam.sup_horizon
+
+
+def _row_line(src: CoefficientSequence, fixed: int, reach: int, fam: MajorantFamily) -> _Line:
+    """The signed line ``src_{j,fixed}`` for j = 1..reach (a column line is
+    a row line of ``c.T``), prepared for the sup scans of family THREE,
+    whose reach covers ``2 sup_horizon``."""
+    line = _Line(np.asarray(src.eval(_span(1, reach), fixed)), 1)
+    if fam.family is Family.THREE:
+        line.prepare(fam.sup_horizon, src.row(fixed).decay_hint)
+    return line
+
+
+def _row_rhs(fam: MajorantFamily, line: _Line, m: int, start: int | None) -> MajorantValue:
+    """The row majorant of ``fam`` at m read from its line (:func:`_row_line`),
+    with ``start`` and a line reaching as far as :func:`_row_view` says."""
+    if fam.family is Family.ONE:
+        lo, hi = averaging_window(m, fam.lam)
+        return MajorantValue(value=float(ksum(_abs_f64(line.vals[lo - 1:hi]))) / m)
+    if fam.family is Family.TWO:
+        sup, arg = _bounded_max_scan(_abs_f64(line.vals[start - 1:2 * fam.lam * start]), start,
+                                     fam.lam * start)
+        return MajorantValue(value=sup / m, argmax=(arg,))
+    return _scaled(_sup_scan(line, start), m)
+
+
+def _scaled(scan: MajorantValue, scale: int) -> MajorantValue:
+    return MajorantValue(value=scan.value / scale, truncated=scan.truncated,
+                         tail_bound=None if scan.tail_bound is None else scan.tail_bound / scale,
+                         argmax=scan.argmax)
 
 
 class DoubleScanTable:
     """Double block sums of one sequence on ``1 <= M, N <= horizon``,
     queried by :meth:`query` for ``sup over M + N >= threshold``, and the
-    row and column lines a membership fit reads.
+    factor sums of :meth:`rect_abs_sum`.
 
     Separable sequences keep the two factor block arrays and the suffix
     maximum of the first; others keep the dense block matrix, from a
@@ -406,62 +432,14 @@ class DoubleScanTable:
     3 points after it); nothing caches it across commands.  Query
     results are kept per threshold, and :meth:`rect_abs_sum` keeps a
     separable sequence's factor sums per step and window.
-
-    :meth:`line` keeps the row lines of the sequence and of its
-    transpose ``c.T`` (the column lines), one per (fixed index,
-    orientation), each evaluated once over ``1..reach`` with the reach
-    :meth:`reserve` recorded for it; a family-THREE line also keeps the
-    suffix bound its pruned scans stop on.  At most ``_MAX_LINE_BYTES``
-    of lines are held; the least recently used go first, which changes
-    no result.
     """
 
     def __init__(self, c: CoefficientSequence, horizon: int):
         self.c = c
         self.horizon = horizon
         self._search = self._tail = None
-        self._lines: dict[tuple[int, bool], _Line] = {}
-        self._line_bytes = 0
-        self._reach: dict[tuple[int, bool], int] = {}
         self._queries: dict[int, MajorantValue] = {}
         self._factor_sums: dict[int, dict[tuple[int, int, int], float]] = {}
-
-    def _key(self, fixed: int, src: CoefficientSequence | None) -> tuple[int, bool]:
-        if src is not None and src is not self.c and src is not self.c.T:
-            raise ValueError("line source is neither the table's sequence nor its transpose")
-        return fixed, src is not None and src is not self.c
-
-    def reserve(self, fixed: int, src: CoefficientSequence | None, reach: int) -> None:
-        """Make the line :meth:`line` builds for ``(fixed, src)`` cover
-        ``1..reach``, so that one evaluation serves every later read."""
-        key = self._key(fixed, src)
-        self._reach[key] = max(reach, self._reach.get(key, 0))
-
-    def line(self, fixed: int, src: CoefficientSequence | None = None,
-             reach: int | None = None) -> _Line:
-        """The signed line ``src_{j,fixed}`` from j = 1 to at least
-        ``reach`` and the reach reserved for it; ``src`` is the table's
-        sequence (the default) or its transpose ``c.T``, whose rows are
-        the sequence's columns.  Without ``reach`` the line covers
-        ``1..2 horizon`` and is ready for sup scans.  A line shorter
-        than the read is evaluated anew."""
-        key = self._key(fixed, src)
-        src = self.c.T if key[1] else self.c
-        scan = reach is None
-        reach = 2 * self.horizon if scan else reach
-        line = self._lines.pop(key, None)
-        if line is not None:
-            self._line_bytes -= line.nbytes
-        if line is None or len(line.vals) < reach:
-            j = np.arange(1, max(reach, self._reach.get(key, 0)) + 1, dtype=np.int64)
-            line = _Line(np.asarray(src.eval(j, fixed)), 1)
-        if scan and line.horizon is None:
-            line.prepare(self.horizon, src.row(fixed).decay_hint)
-        self._line_bytes += line.nbytes
-        self._lines[key] = line  # most recently used last
-        while self._line_bytes > _MAX_LINE_BYTES and len(self._lines) > 1:
-            self._line_bytes -= self._lines.pop(next(iter(self._lines))).nbytes
-        return line
 
     def rect_abs_sum(self, r: int, jlo: int, jhi: int, klo: int, khi: int) -> float:
         """``sum_{j=jlo}^{jhi} sum_{k=klo}^{khi} |d_rr c_{jk}|``, or of ``|c_{jk}|``
@@ -569,38 +547,22 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
 
     Row majorants carry the 1/m scale, column majorants 1/n, double
     majorants 1/(m n).  Callers enforce the per-axis domain rules
-    (``m >= lambda`` for rows of families ONE/TWO, and so on).  Every
-    family reads ``table``: rows and columns its lines, double sups its
-    block table, family ONE double windows its step-0 factor sums.
-    Repeated calls on ``c`` at ``fam.sup_horizon`` share one
-    :class:`DoubleScanTable` that way; without it each call builds its
-    own.  A table of another sequence or horizon is refused.
+    (``m >= lambda`` for rows of families ONE/TWO, and so on).  Rows and
+    columns evaluate their own line (:func:`_row_line`).  Double
+    majorants read ``table``: double sups its block table, family ONE
+    double windows its step-0 factor sums.  Repeated calls on ``c`` at
+    ``fam.sup_horizon`` share one :class:`DoubleScanTable` that way;
+    without it each call builds its own.  A table of another sequence or
+    horizon is refused on every axis.
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
     table = _scan_table(c, fam.sup_horizon, table)
-
-    if fam.axis is Axis.DOUBLE:
-        if fam.family is Family.ONE:
-            jlo, jhi = averaging_window(m, fam.lam)
-            klo, khi = averaging_window(n, fam.lam)
-            return MajorantValue(value=table.rect_abs_sum(0, jlo, jhi, klo, khi) / (m * n))
-        scan = table.query(compile_b(fam.b3)(m + n))
-        scale = m * n
-    else:
-        src, b, m, n = _row_view(c, fam, m, n)
-        if fam.family is not Family.THREE:
-            vals = table.line(n, src, _row_reach(fam, b, m)).vals
-            if fam.family is Family.ONE:
-                lo, hi = averaging_window(m, fam.lam)
-                return MajorantValue(value=float(ksum(_abs_f64(vals[lo - 1:hi]))) / m)
-            start = compile_b(b)(m)
-            sup, arg = _bounded_max_scan(_abs_f64(vals[start - 1:2 * fam.lam * start]), start,
-                                         fam.lam * start)
-            return MajorantValue(value=sup / m, argmax=(arg,))
-        start = compile_b(b)(m)
-        scan = _sup_scan(table.line(n, src), start)
-        scale = m
-    return MajorantValue(value=scan.value / scale, truncated=scan.truncated,
-                         tail_bound=None if scan.tail_bound is None else scan.tail_bound / scale,
-                         argmax=scan.argmax)
+    if fam.axis is not Axis.DOUBLE:
+        src, m, n, start, reach = _row_view(c, fam, m, n)
+        return _row_rhs(fam, _row_line(src, n, reach, fam), m, start)
+    if fam.family is Family.ONE:
+        jlo, jhi = averaging_window(m, fam.lam)
+        klo, khi = averaging_window(n, fam.lam)
+        return MajorantValue(value=table.rect_abs_sum(0, jlo, jhi, klo, khi) / (m * n))
+    return _scaled(table.query(compile_b(fam.b3)(m + n)), m * n)

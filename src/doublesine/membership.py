@@ -14,18 +14,19 @@ and truncation bookkeeping.  Ratio conventions: 0/0 counts as 0, and a
 positive left-hand side over a vanishing majorant is reported as an
 infinite ratio with its witness.
 
-A fit evaluates each line once.  It refuses grid indices below 1, then
-sizes one signed line per (fixed index, orientation) in its
-:class:`~doublesine.majorants.DoubleScanTable`, long enough for every
-read on it: ``lhs_row`` and ``lhs_col`` are ``ksum`` of ``|v_j -
-v_{j+r}|`` over slices of that line (columns are the lines of ``c.T``),
-and the row and column majorants read slices of it too.  ``lhs_double``
-is the table's :meth:`~doublesine.majorants.DoubleScanTable.rect_abs_sum`
-at step r, so a separable sequence's factor sums are evaluated once per
-m and once per n, and the table keeps its double sups per threshold.  A
-command passes one table to the fit and to the calls after it.  ``ksum``
-is exactly rounded and the evaluators act elementwise, so each row
-equals the per-point public functions' bit for bit.
+A fit refuses grid indices below 1, then walks each row and column axis
+line by line (columns are the lines of ``c.T``).  It takes each point's
+scan start in grid order, so refusals come in grid order; it evaluates
+each line once, on ``1..reach`` for the furthest read of its points,
+reads every point's ``lhs_row`` or ``lhs_col`` (``ksum`` of ``|v_j -
+v_{j+r}|``) and majorant from slices of it, and drops it before the
+next.  ``lhs_double`` is the table's
+:meth:`~doublesine.majorants.DoubleScanTable.rect_abs_sum` at step r, so
+a separable sequence's factor sums are evaluated once per m and once per
+n, and the table keeps its double sups per threshold.  A command passes
+one table to the fit and to the calls after it.  ``ksum`` is exactly
+rounded and the evaluators act elementwise, so each row equals the
+per-point public functions' bit for bit.
 
 :func:`check_condition_22` tracks the weighted anti-diagonal maxima
 ``T(s) = max_{j+k=s} jk |c_{jk}|``, whose decay is the zero-limit
@@ -54,7 +55,8 @@ from .majorants import (
     MajorantFamily,
     MajorantValue,
     _rect_abs_sum,
-    _row_reach,
+    _row_line,
+    _row_rhs,
     _row_view,
     _scan_table,
     _single_line,
@@ -190,6 +192,26 @@ def _growth_slope(points: list[tuple[int, int, float]]) -> float | None:
     return loglog_slope(xs, ys)
 
 
+def _line_rows(c: CoefficientSequence, r: int, fam: MajorantFamily,
+               points: list[tuple[int, int]]) -> list[RatioRow]:
+    """The rows of the row or column axis ``fam.axis`` at ``points``, in
+    their order, reading each line once (see the module docstring)."""
+    lines: dict[int, tuple[CoefficientSequence, list]] = {}
+    for pos, (m, n) in enumerate(points):
+        src, i, fixed, start, reach = _row_view(c, fam, m, n)
+        lines.setdefault(fixed, (src, []))[1].append((pos, i, start, reach))
+    rows: list[RatioRow | None] = [None] * len(points)
+    for fixed, (src, reads) in lines.items():
+        line = _row_line(src, fixed, max(max(2 * i - 1 + r, reach) for _, i, _, reach in reads),
+                         fam)
+        for pos, i, start, _ in reads:
+            mv = _row_rhs(fam, line, i, start)
+            rows[pos] = _ratio_row(*points[pos], fam.axis.value,
+                                   _variation(line.vals[i - 1:], r, i), mv.value, mv.truncated)
+        del line  # one line alive at a time
+    return rows
+
+
 def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
                      grid, target_C: float | None = None, *,
                      table: DoubleScanTable | None = None) -> MembershipReport:
@@ -210,32 +232,21 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
     fams = {axis: replace(fam, axis=axis) for axis in Axis}
     points = {axis: [(m, n) for m, n in grid if _axis_admissible(axis, m, n, fam.lam)]
               for axis in Axis}
-    # one table shared by every grid point; each row and column line is
-    # sized here for all its reads, the left-hand side's 2m - 1 + r and the
-    # majorant's, and so evaluated once
-    table = _scan_table(c, fam.sup_horizon, table)
-    for axis in (Axis.ROW, Axis.COLUMN):
-        for m, n in points[axis]:
-            src, b, i, fixed = _row_view(c, fams[axis], m, n)
-            table.reserve(fixed, src, max(2 * i - 1 + r, _row_reach(fams[axis], b, i)))
-
-    def lhs(axis: Axis, m: int, n: int) -> float:
-        if axis is Axis.DOUBLE:
-            return table.rect_abs_sum(r, m, 2 * m - 1, n, 2 * n - 1)
-        src, _, i, fixed = _row_view(c, fams[axis], m, n)
-        return _variation(table.line(fixed, src, 2 * i - 1 + r).vals[i - 1:], r, i)
-
+    table = _scan_table(c, fam.sup_horizon, table)  # shared by every double point
     rows: list[RatioRow] = []
     fitted: dict[Axis, float | None] = {}
     witness: dict[str, dict | None] = {}
     growth: dict[str, float | None] = {}
     verdicts: dict[str, str] = {}
     for axis in Axis:
-        axis_rows = []
-        for m, n in points[axis]:
-            lhs_val = lhs(axis, m, n)
-            mv: MajorantValue = rhs(c, fams[axis], m, n, table=table)
-            axis_rows.append(_ratio_row(m, n, axis.value, lhs_val, mv.value, mv.truncated))
+        if axis is not Axis.DOUBLE:
+            axis_rows = _line_rows(c, r, fams[axis], points[axis])
+        else:
+            axis_rows = []
+            for m, n in points[axis]:
+                lhs_val = table.rect_abs_sum(r, m, 2 * m - 1, n, 2 * n - 1)
+                mv: MajorantValue = rhs(c, fams[axis], m, n, table=table)
+                axis_rows.append(_ratio_row(m, n, axis.value, lhs_val, mv.value, mv.truncated))
         best, verdict = _fit(axis_rows, target_C)
         fitted[axis] = None if best is None else best.ratio
         witness[axis.value] = None if best is None else {

@@ -78,6 +78,12 @@ class PowerDecay:
         """``sum_{k > H} |a_k| <= K H^{1-p} / (p-1)`` by integral comparison (p > 1)."""
         return None if self.p <= 1.0 else self.K * (float(H) ** (1.0 - self.p) / (self.p - 1.0))
 
+    def d2_tail(self, H: int) -> float | None:
+        """``sum_{j > H} |a_j - a_{j+2}|``: twice :meth:`integral_tail`,
+        since ``|a_j - a_{j+2}| <= |a_j| + |a_{j+2}|`` (p > 1)."""
+        tail = self.integral_tail(H)
+        return None if tail is None else 2.0 * tail
+
     def sum_from(self, n: int) -> float | None:
         """``sum_{k >= n} |a_k| <= K (n^{-p} + n^{1-p} / (p-1))`` (p > 1)."""
         if self.p <= 1.0:

@@ -107,6 +107,13 @@ class TestLibraryRefusals:
                            "--sup-horizon", "16")
         assert "horizon 16 below scan start" in err
 
+    def test_horizon_refusal_comes_in_grid_order(self, tmp_path, capsys):
+        # line n = 2 holds (8, 2) and (32, 2), but (64, 4) comes first in the grid
+        err = self.refused(tmp_path, capsys, "check-class", "--preset",
+                           "oscillating_quadratic", "--grid", "8x2,64x4,32x2",
+                           "--sup-horizon", "16")
+        assert err == "error: horizon 16 below scan start 64\n"
+
     @pytest.mark.filterwarnings("error")
     def test_grid_index_below_one_refused_before_evaluation(self, tmp_path, capsys):
         # checked up front: no divide-by-zero warning from evaluating c at 0
@@ -170,6 +177,56 @@ class TestLibraryRefusals:
         err = self.refused(tmp_path, capsys, "uniform-tail", "--expr", NONSEP_EXPR,
                            "--grid-points", "3")
         assert "needs 268468224 bytes" in err and "cap of 160000000 bytes" in err
+
+
+class TestUnexpectedErrors:
+    """Running out of memory is status 2 like a size guard; any other
+    exception escaping a handler is an internal error, status 3."""
+
+    def raising(self, monkeypatch, exc):
+        def run(args):
+            raise exc
+        monkeypatch.setitem(cli._COMMANDS, "condition-22",
+                            cli._COMMANDS["condition-22"]._replace(run=run))
+
+    def test_out_of_memory_is_two(self, tmp_path, capsys, monkeypatch):
+        self.raising(monkeypatch, MemoryError("Unable to allocate 128. MiB"))
+        assert run(tmp_path, "condition-22", "--preset", "zero") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: Unable to allocate 128. MiB\n"
+        assert captured.out == "" and not any(tmp_path.iterdir())
+
+    def test_internal_error_is_three(self, tmp_path, capsys, monkeypatch):
+        self.raising(monkeypatch, RuntimeError("broken invariant"))
+        assert run(tmp_path, "condition-22", "--preset", "zero") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: broken invariant" in err
+        assert not any(tmp_path.iterdir())
+
+
+class TestCapVerdicts:
+    """A cap is judged by the fit's rule: a certified row over it fails it
+    at any horizon, so the truncation note is printed only when every row
+    over the cap is truncated."""
+
+    ARGS = ("check-class", "--preset", "oscillating_quadratic", "--r", "2", "--family",
+            "three", "--grid", "dyadic:16", "--sup-horizon", "16")
+    WORST = "row axis: fitted C = 2.5898784115188334 exceeds"
+    NOTE = "; worst scan truncated, raise --sup-horizon to decide"
+
+    def witness(self, tmp_path, capsys, cap):
+        assert run(tmp_path, *self.ARGS, "--max-row-c", cap) == 1
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if "witness" in line]
+        assert self.WORST in line
+        return line
+
+    def test_certified_row_over_the_cap_fails_without_note(self, tmp_path, capsys):
+        # the certified row at ratio 1.780 already exceeds 1.7
+        assert not self.witness(tmp_path, capsys, "1.7").endswith(self.NOTE)
+
+    def test_only_truncated_rows_over_the_cap_are_undecided(self, tmp_path, capsys):
+        # only the truncated worst row (2.590) exceeds 2.0
+        assert self.witness(tmp_path, capsys, "2.0").endswith(self.NOTE)
 
 
 class TestDenseProbe:

@@ -33,7 +33,8 @@ from doublesine import (
     uniform_tail_probe,
     uniform_tail_trace,
 )
-from doublesine.convergence import _d2_scan, _probe_arrays, _weight_sup_scan
+from doublesine.convergence import _D2_BLOCK, _d2_scan, _probe_arrays, _weight_sup_scan
+from doublesine.differences import _variation
 
 from conftest import TWIN_EXPR, dense_twin
 
@@ -224,6 +225,28 @@ class TestTailBounds:
         assert not _d2_scan(hintless, 1, 100).bounded
 
 
+_D2_LEN = 3 * _D2_BLOCK + 16
+D2_FACTORS = {
+    "oscillating_quadratic": builtin("oscillating_quadratic").separable_parts[0],
+    "mod3_log_product": builtin("mod3_log_product").separable_parts[0],
+    "complex": single_from_values("complex", np.exp(1j * np.arange(1, _D2_LEN + 1))
+                                  / np.arange(1, _D2_LEN + 1)),
+    "nan": single_from_values("nan", np.r_[np.ones(_D2_BLOCK + 3), math.nan,
+                                           np.ones(_D2_LEN - _D2_BLOCK - 4)]),
+}
+
+
+class TestD2Scan:
+    @pytest.mark.parametrize("name", sorted(D2_FACTORS))
+    @pytest.mark.parametrize("m, H", [(1, 3 * _D2_BLOCK + 5), (4, _D2_BLOCK + 3),
+                                      (3, _D2_BLOCK + 3), (7, 2 * _D2_BLOCK), (2, 40),
+                                      (10, 9), (10, 3)])
+    def test_blocks_sum_like_one_evaluation(self, name, m, H):
+        a = D2_FACTORS[name]
+        want = _variation(np.asarray(a.eval(np.arange(m, H + 3))), 2, H - m + 1)
+        assert repr(_d2_scan(a, m, H).value) == repr(want)
+
+
 class TestEtaSearch:
     def test_epsilon_02(self, osc):
         res = eta_search(osc, epsilon=0.2, C=16.0)
@@ -395,6 +418,11 @@ class TestProbeOracle:
                 assert row.abs_sum == pytest.approx(direct[xy][rects.index(witness)], **close)
                 best.append(expected)
             assert value == pytest.approx(max(best), **close)
+
+    def test_min_start_is_the_smallest_start_kept(self):
+        probe = ProbeConfig(xy_grid=((1.0, 1.0),), rect_cap=64, min_start=4)
+        ms, _, ns, _, _ = _probe_arrays(probe)
+        assert np.unique(ms).tolist() == np.unique(ns).tolist() == [4, 8, 16, 32, 64]
 
     def test_twin_matches_preset_at_cap_1024(self):
         probe = ProbeConfig(xy_grid=interior_grid(9), rect_cap=1024, doublings=3)

@@ -40,6 +40,7 @@ from doublesine.majorants import (
     _block_array,
     _bounded_max_scan,
     _rect_abs_sum,
+    _row_line,
     _sup_scan,
 )
 from doublesine.membership import check_condition_22
@@ -422,7 +423,7 @@ class TestDoubleScanTable:
             DoubleScanTable(c, 4096).query(8)
 
     def test_rhs_rejects_a_foreign_table(self, osc, pp22):
-        # family-THREE rows and columns read the table's lines
+        # refused on every axis, also rows and columns, which read no table
         for family, axis in [(Family.TWO, Axis.DOUBLE), *((Family.THREE, a) for a in Axis)]:
             fam = MajorantFamily(family, axis, sup_horizon=64)
             with pytest.raises(ValueError, match="another sequence"):
@@ -466,6 +467,13 @@ def assert_same_sup(got, want):
     assert got == want
 
 
+def scan_line(c, fixed, horizon, transpose=False):
+    """The line at ``fixed`` prepared for sup scans up to ``horizon``, as a
+    family-THREE fit builds it."""
+    return _row_line(c.T if transpose else c, fixed, 2 * horizon,
+                     MajorantFamily(Family.THREE, Axis.ROW, sup_horizon=horizon))
+
+
 def line_table(values, transpose):
     """A table sequence whose line at fixed index 1 is ``values``."""
     table = np.asarray(values)[:, None]
@@ -499,12 +507,12 @@ class TestPrunedSupScan:
     @settings(max_examples=200, deadline=None)
     def test_matches_exhaustive_scan(self, name, fixed, horizon, data, transpose):
         c = SUP_SEQUENCES[name]
-        table = DoubleScanTable(c, horizon)
+        line = scan_line(c, fixed, horizon, transpose)
         starts = data.draw(st.lists(st.one_of(st.sampled_from((1, horizon)),
                                               st.integers(1, horizon)),
                                     min_size=1, max_size=4))
-        for start in starts:  # later starts read the cached line
-            assert_same_sup(_sup_scan(table.line(fixed, c.T if transpose else c), start),
+        for start in starts:  # later starts read the same line
+            assert_same_sup(_sup_scan(line, start),
                             exhaustive_row_scan(c, fixed, start, horizon, transpose))
 
     @given(st.lists(st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.7)), min_size=2, max_size=120),
@@ -515,7 +523,7 @@ class TestPrunedSupScan:
         # whose per-start and shared cumsum estimates round differently
         horizon = len(values) // 2
         c = line_table(values, transpose)
-        line = DoubleScanTable(c, horizon).line(1, c.T if transpose else c)
+        line = scan_line(c, 1, horizon, transpose)
         for start in range(1, horizon + 1):
             assert_same_sup(_sup_scan(line, start),
                             exhaustive_row_scan(c, 1, start, horizon, transpose))
@@ -528,7 +536,7 @@ class TestPrunedSupScan:
                   0.2, 0.3, 0.1, 0.2, 0.1, 0.2, 0.3, 0.2, 0.7, 0.3, 0.0, 0.3, 0.3, 0.1, 0.3,
                   0.2, 0.2, 0.0, 0.0, 0.1, 0.7]
         c = line_table(values, False)
-        line = DoubleScanTable(c, 18).line(1)
+        line = scan_line(c, 1, 18)
         assert line.suffix[16] < 4.299999999999999 < 4.3
         assert _sup_scan(line, 4) == exhaustive_row_scan(c, 1, 4, 18, False)
         assert _sup_scan(line, 4).argmax == (18,)
@@ -542,7 +550,7 @@ class TestPrunedSupScan:
         values = rng.uniform(-1.0, 1.0, 2 * horizon)
         values[seed % len(values)] = bad
         c = line_table(values, transpose)
-        line = DoubleScanTable(c, horizon).line(1, c.T if transpose else c)
+        line = scan_line(c, 1, horizon, transpose)
         assert line.suffix is None
         for start in {1, 1 + seed % horizon, horizon}:
             assert_same_sup(_sup_scan(line, start),
@@ -551,17 +559,17 @@ class TestPrunedSupScan:
     @pytest.mark.parametrize("transpose", [False, True])
     def test_increasing_and_tied_blocks(self, transpose):
         one = from_expression("one", "1")
-        line = DoubleScanTable(one, 64).line(3, one.T if transpose else one)
+        line = scan_line(one, 3, 64, transpose)
         assert _sup_scan(line, 5) == MajorantValue(65.0, True, None, (64,))
         zero = builtin("zero")
-        assert _sup_scan(DoubleScanTable(zero, 64).line(3, zero.T if transpose else zero), 5) \
+        assert _sup_scan(scan_line(zero, 3, 64, transpose), 5) \
             == MajorantValue(0.0, False, 0.0, (5,))
 
     def test_horizon_one(self, osc):
-        assert_same_sup(_sup_scan(DoubleScanTable(osc, 1).line(2), 1),
+        assert_same_sup(_sup_scan(scan_line(osc, 2, 1), 1),
                         exhaustive_row_scan(osc, 2, 1, 1, False))
         with pytest.raises(HorizonError, match="horizon 1 below scan start 2"):
-            _sup_scan(DoubleScanTable(osc, 1).line(2), 2)
+            _sup_scan(scan_line(osc, 2, 1), 2)
 
     @given(st.sampled_from(sorted(SINGLE_SEQUENCES)), st.integers(1, 300), st.data())
     @settings(max_examples=100, deadline=None)
@@ -581,43 +589,10 @@ class TestPrunedSupScan:
         monkeypatch.setattr(majorants, "_block_array",
                             lambda vals, lo, M_lo, M_hi: seen.append(M_hi - M_lo + 1)
                             or block_array(vals, lo, M_lo, M_hi))
-        line = DoubleScanTable(osc, 4096).line(2)
+        line = scan_line(osc, 2, 4096)
         seen.clear()
         assert _sup_scan(line, 8) == exhaustive_row_scan(osc, 2, 8, 4096, False)
         assert sum(seen) <= 64
-
-
-class TestLineCache:
-    def test_one_line_per_fixed_index_and_axis(self, osc):
-        table = DoubleScanTable(osc, 64)
-        assert table.line(3) is table.line(3)
-        assert table.line(3) is table.line(3, osc)
-        assert table.line(3) is not table.line(3, osc.T)
-        assert len(table._lines) == 2
-
-    def test_line_source_is_the_sequence_or_its_transpose(self, osc):
-        table = DoubleScanTable(osc, 64)
-        with pytest.raises(ValueError, match="neither the table's sequence nor its transpose"):
-            table.line(3, builtin("oscillating_quadratic"))
-
-    def test_byte_cap_evicts_least_recently_used(self, osc, monkeypatch):
-        table = DoubleScanTable(osc, 64)
-        monkeypatch.setattr(majorants, "_MAX_LINE_BYTES", 2 * table.line(1).nbytes)
-        first, second = table.line(2), table.line(3)
-        assert list(table._lines) == [(2, False), (3, False)]
-        table.line(2)
-        table.line(4)  # evicts 3, the least recently used
-        assert list(table._lines) == [(2, False), (4, False)]
-        assert table.line(2) is first and table.line(3) is not second
-        assert table._line_bytes == 2 * first.nbytes
-
-    def test_cap_below_one_line_keeps_the_line_in_use(self, osc, monkeypatch):
-        monkeypatch.setattr(majorants, "_MAX_LINE_BYTES", 1)
-        table = DoubleScanTable(osc, 64)
-        for fixed in (1, 2, 1):
-            line = table.line(fixed)
-            assert list(table._lines.values()) == [line]
-            assert_same_sup(_sup_scan(line, 3), exhaustive_row_scan(osc, fixed, 3, 64, False))
 
 
 class TestComplexMagnitudes:

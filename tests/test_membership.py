@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -207,13 +208,6 @@ class TestFamilyThreeGolden:
     def test_reports_are_unchanged(self, name, r):
         assert family_three_rows_hash(name, r) == GOLDEN_THREE[name, r]
 
-    @pytest.mark.parametrize("name, r", [("oscillating_quadratic", 2),
-                                         ("product_power(1.3,2.2)", 3)])
-    def test_a_one_line_cache_changes_nothing(self, name, r, monkeypatch):
-        # 24 sup_horizon bytes hold one line: every other row misses
-        monkeypatch.setattr(majorants, "_MAX_LINE_BYTES", 24 * 4096)
-        assert family_three_rows_hash(name, r) == GOLDEN_THREE[name, r]
-
 
 class TestSharedDoubleTable:
     """One table per fit gives the rows that per-point scans give."""
@@ -336,6 +330,19 @@ class TestBatchedFit:
                  | {("column", m) for m, n in grid if n >= 2})
         assert set(lines) == fixed
         assert max(lines.values()) == 1
+
+    def test_one_line_alive_at_a_time(self, osc):
+        # the membership-osc-r2 fit: each family-THREE line at H = 4096 takes
+        # a few hundred kB; holding the grid's 24 lines at once took 2.75 MB
+        dyadic = [2 ** t for t in range(1, 13)]
+        tracemalloc.start()
+        try:
+            check_membership(osc, 2, three_family(sup_horizon=4096),
+                             [(m, n) for m in dyadic for n in dyadic])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_500_000
 
     def test_one_double_scan_per_threshold(self, osc, monkeypatch):
         thresholds = []

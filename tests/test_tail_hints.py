@@ -61,14 +61,18 @@ class TestOracle:
                 assert_bounds(hint.block_sup(H), K * block(P, H + 1))
                 if p == 1.0:
                     assert hint.integral_tail(H) is None and hint.sum_from(H) is None
+                    assert hint.d2_tail(H) is None
                     continue
                 assert_bounds(hint.integral_tail(H), K * mpmath.zeta(P, H + 1))
+                # |a_j - a_{j+2}| <= |a_j| + |a_{j+2}| on j > H
+                assert_bounds(hint.d2_tail(H), K * (mpmath.zeta(P, H + 1) + mpmath.zeta(P, H + 3)))
                 assert_bounds(hint.sum_from(H), K * mpmath.zeta(P, H))
 
     def test_small_exponents_certify_nothing(self):
         hint = PowerDecay(0.5, 1.0)
         assert hint.weighted_sup(10) is None and hint.block_sup(10) is None
         assert hint.integral_tail(10) is None and hint.sum_from(10) is None
+        assert hint.d2_tail(10) is None
 
     @pytest.mark.parametrize("p, q", [(1.0, 2.0), (1.5, 1.5), (2.0, 3.7), (6.0, 1.01)])
     def test_double_bounds(self, p, q):
