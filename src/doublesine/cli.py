@@ -1,11 +1,13 @@
 """Command line front end: config-driven experiments with JSON/CSV reports.
 
 Every subcommand resolves its options from three layers with strict
-precedence: explicit command line flags, then an INI config file
-(``--config``), then built-in defaults.  The fully resolved option set
-is recorded in the JSON report so a run can be reproduced from its own
-output.  Options are declared once, in ``_OPTIONS``, under the config
-section that holds their key; ``--help`` lists them by section.
+precedence: explicit command line flags, then an INI config file, then
+built-in defaults.  Argparse finds ``--config`` in every spelling it
+accepts (``--config=P``, or a prefix such as ``--conf P``), and the
+file's values become the command's defaults.  The fully resolved option
+set is recorded in the JSON report so a run can be reproduced from its
+own output.  Options are declared once, in ``_OPTIONS``, under the
+config section that holds their key; ``--help`` lists them by section.
 
 Exit status: 0 when all asserted verdicts pass, 1 on a numerical
 verdict failure (the witness is printed), 2 on bad input.  Bad input is
@@ -60,6 +62,7 @@ from .membership import (
     check_condition_22,
     check_membership,
     check_single_membership,
+    _certified_over,
     _fit,
 )
 from .reports import SCHEMA_VERSION, write_csv, write_json
@@ -96,7 +99,7 @@ _OPTIONS: dict[str, dict[str, dict]] = {
         "csv_name": dict(flag="--csv", help="CSV detail filename (default <command>.csv)"),
         "seed": dict(type=int, default=0, help="seed for randomized checks"),
         "threads": dict(type=int, default=1,
-                        help="worker cap (reductions stay deterministic)"),
+                        help="echoed into the report; no command reads it"),
     },
     "sequences": {
         "preset": dict(help="builtin sequence, e.g. oscillating_quadratic or "
@@ -318,10 +321,11 @@ def _load_sequence_file(args) -> dict:
     return table
 
 
-def _expect_matches(verdict: Verdict, expect: str) -> bool:
+def _unexpected(verdict: Verdict, expect: str | None) -> bool:
+    """Whether ``--expect``, when given, rejects ``verdict``."""
     if expect == "not-decaying":
-        return verdict is not Verdict.DECAYING
-    return verdict.value == expect
+        return verdict is Verdict.DECAYING
+    return expect is not None and verdict.value != expect
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -349,12 +353,16 @@ def _run_check_class(args):
         if fitted is None:
             witness.append(f"{label} axis: no admissible grid points, cannot assert C <= {cap}")
             continue
-        _, verdict = _fit([row for row in report.rows if row.axis == label], cap)
-        if verdict != "pass":
-            note = ("; worst scan truncated, raise --sup-horizon to decide"
-                    if verdict == "inconclusive" else "")
-            witness.append(f"{label} axis: fitted C = {fitted!r} exceeds {cap!r} at "
-                           f"{report.worst_witness[label]}{note}")
+        axis_rows = [row for row in report.rows if row.axis == label]
+        _, verdict = _fit(axis_rows, cap)
+        if verdict == "pass":
+            continue
+        first = _certified_over(axis_rows, cap)  # None: every row over the cap is truncated
+        note = ("; worst scan truncated, raise --sup-horizon to decide" if first is None else
+                f"; first certified row over the cap ({first.m}, {first.n}) at ratio "
+                f"{first.ratio!r}")
+        witness.append(f"{label} axis: fitted C = {fitted!r} exceeds {cap!r} at "
+                       f"{report.worst_witness[label]}{note}")
     results = {
         "sequence": c.name,
         "r": report.r,
@@ -388,7 +396,7 @@ def _run_check_class_single(args):
                        f"against C <= {args.max_c!r}; worst {report.worst_witness}")
     results = {
         "sequence": a.name,
-        "single_class": klass.value,
+        "single_class": klass,
         "r": report.r,
         "lam": args.lam,
         "fitted_C": report.fitted_C,
@@ -409,14 +417,14 @@ def _run_condition_22(args):
     report = check_condition_22(c, S=args.s_max, schedule=schedule,
                                 decay_factor=args.decay_factor)
     witness = []
-    if args.expect is not None and not _expect_matches(report.verdict, args.expect):
+    if _unexpected(report.verdict, args.expect):
         witness.append(f"expected {args.expect!r}, got {report.verdict.value!r}; "
                        f"values {list(report.values)}")
     results = {
         "sequence": c.name,
-        "schedule": list(report.schedule),
-        "values": list(report.values),
-        "verdict": report.verdict.value,
+        "schedule": report.schedule,
+        "values": report.values,
+        "verdict": report.verdict,
         "fit": report.fit,
         "expect": args.expect,
     }
@@ -463,7 +471,7 @@ def _run_partial_sum(args):
                        f"rect {args.rect} at (x, y) = ({args.x!r}, {args.y!r}): {values}")
     results = {
         "sequence": c.name,
-        "rect": {"m": rect.m, "M": rect.M, "n": rect.n, "N": rect.N},
+        "rect": rect,
         "x": args.x,
         "y": args.y,
         "r": args.r,
@@ -493,7 +501,7 @@ def _run_uniform_tail(args):
     probe = _probe_from_args(args)
     report, trace = uniform_tail_trace(c, probe)
     witness = []
-    if args.expect is not None and not _expect_matches(report.verdict, args.expect):
+    if _unexpected(report.verdict, args.expect):
         worst = max(trace, key=lambda row: row.abs_sum)
         witness.append(f"expected {args.expect!r}, got {report.verdict.value!r}; "
                        f"worst |rect sum| {worst.abs_sum!r} at rect "
@@ -501,9 +509,9 @@ def _run_uniform_tail(args):
                        f"(x, y) = ({worst.x!r}, {worst.y!r})")
     results = {
         "sequence": c.name,
-        "thresholds": list(report.schedule),
-        "values": list(report.values),
-        "verdict": report.verdict.value,
+        "thresholds": report.schedule,
+        "values": report.values,
+        "verdict": report.verdict,
         "fit": report.fit,
         "expect": args.expect,
         "grid_points": args.grid_points,
@@ -533,28 +541,23 @@ def _run_lemma_decay(args, c):
                                    sum_horizon=args.sum_horizon) for m in schedule]
         series["row_tail"] = [qa for qa, _ in pairs]
         series["col_tail"] = [qb for _, qb in pairs]
-    verdicts = {}
-    witness = []
-    for name, quantities in series.items():
-        values = [q.upper for q in quantities]
-        verdict = classify_probe(values, band=args.band, decay_ratio=args.decay_ratio)
-        verdicts[name] = verdict.value
-        if args.expect is not None and not _expect_matches(verdict, args.expect):
-            witness.append(f"{name}: expected {args.expect!r}, got {verdict.value!r}; "
-                           f"values {values}")
+    upper = {name: [q.upper for q in qs] for name, qs in series.items()}
+    verdicts = {name: classify_probe(values, band=args.band, decay_ratio=args.decay_ratio)
+                for name, values in upper.items()}
+    witness = [f"{name}: expected {args.expect!r}, got {verdict.value!r}; values {upper[name]}"
+               for name, verdict in verdicts.items() if _unexpected(verdict, args.expect)]
     results = {
         "sequence": c.name,
         "which": args.which,
-        "schedule": list(schedule),
-        "series": {name: [q.upper for q in qs] for name, qs in series.items()},
+        "schedule": schedule,
+        "series": upper,
         "bounded": {name: [q.bounded for q in qs] for name, qs in series.items()},
         "verdicts": verdicts,
         "expect": args.expect,
     }
     header = ["scale", "value", "bounded_flag"]
-    rows = []
-    for name in sorted(series):
-        rows.extend([s, q.upper, q.bounded] for s, q in zip(schedule, series[name]))
+    rows = [[s, q.upper, q.bounded] for name in sorted(series)
+            for s, q in zip(schedule, series[name])]
     return results, (header, rows), witness
 
 
@@ -578,16 +581,14 @@ def _run_lemma3(args, c):
     table = DoubleScanTable(c, args.sup_horizon)  # the command's one table, fit and points
     C = (args.c_const if args.c_const is not None
          else _fit_double_class_constant(c, args, grid, table))
-    rows_out, results_rows = [], []
+    header = ["m", "n", "lhs", "rhs", "slack", "truncated"]
+    points = []
     witness = []
     min_slack, min_at = math.inf, None
     for m, n in grid:
         res = lemma3_check(c, C, args.lam, m, n, b1=args.b1, b2=args.b2,
                            b3=args.b3, sup_horizon=args.sup_horizon, table=table)
-        rows_out.append([res.m, res.n, res.lhs, res.rhs, res.slack, res.truncated])
-        results_rows.append({"m": res.m, "n": res.n, "lhs": res.lhs,
-                             "rhs": res.rhs, "slack": res.slack,
-                             "truncated": res.truncated})
+        points.append({key: getattr(res, key) for key in header})
         if res.slack < min_slack:
             min_slack, min_at = res.slack, (res.m, res.n)
         if res.slack < 0.0:
@@ -599,24 +600,21 @@ def _run_lemma3(args, c):
         "C": C,
         "lam": args.lam,
         "min_slack": min_slack,
-        "min_slack_at": list(min_at) if min_at else None,
-        "points": results_rows,
+        "min_slack_at": min_at,
+        "points": points,
     }
-    header = ["m", "n", "lhs", "rhs", "slack", "truncated"]
-    return results, (header, rows_out), witness
+    return results, (header, [[point[key] for key in header] for point in points]), witness
 
 
 def _run_eta(args):
     _require(args, "epsilon", "c_const")
     c = _resolve_sequence(args)
     probe = _probe_from_args(args)
-    witness = []
     try:
         found = eta_search(c, epsilon=args.epsilon, C=args.c_const, lam=args.lam,
                            cap=args.cap, verify_range=args.verify_range,
                            sup_horizon=args.sup_horizon, sum_horizon=args.sum_horizon)
     except EtaCapError as exc:
-        witness.append(str(exc))
         results = {
             "sequence": c.name,
             "epsilon": args.epsilon,
@@ -624,8 +622,9 @@ def _run_eta(args):
             "eta": None,
             "error": str(exc),
         }
-        return results, None, witness
+        return results, None, [str(exc)]
     t7 = theorem7_bound_check(c, args.epsilon, found.eta, args.c_const, probe)
+    witness = []
     if t7.slack >= 0.0:
         witness.append(f"uniform envelope violated: worst |rect sum| {t7.worst_abs!r} "
                        f">= bound {t7.bound!r} at rect {t7.witness_rect} and "
@@ -637,20 +636,13 @@ def _run_eta(args):
         "eta": found.eta,
         "cap": found.cap,
         "verify_range": found.verify_range,
-        "tested_points": list(found.tested_points),
-        "conditions": [
-            {"name": cond.name, "worst": cond.worst, "bound": cond.bound,
-             "margin": cond.margin, "witness": list(cond.witness),
-             "certified": cond.certified}
-            for cond in found.conditions
-        ],
+        "tested_points": found.tested_points,
+        "conditions": found.conditions,
         "envelope_bound": t7.bound,
         "worst_abs": t7.worst_abs,
         "slack": t7.slack,
-        "witness_rect": None if t7.witness_rect is None else
-            {"m": t7.witness_rect.m, "M": t7.witness_rect.M,
-             "n": t7.witness_rect.n, "N": t7.witness_rect.N},
-        "witness_xy": None if t7.witness_xy is None else list(t7.witness_xy),
+        "witness_rect": t7.witness_rect,
+        "witness_xy": t7.witness_xy,
         "n_rects": t7.n_rects,
     }
     header = ["condition", "worst", "bound", "margin", "certified"]
@@ -686,10 +678,10 @@ def _run_remark2(args):
         "sequence": c.name,
         "x": x0,
         "y": x0,
-        "schedule": list(report.schedule),
-        "values": list(report.values),
-        "lower_bounds": list(report.reference_values or ()),
-        "verdict": report.verdict.value,
+        "schedule": report.schedule,
+        "values": report.values,
+        "lower_bounds": report.reference_values or (),
+        "verdict": report.verdict,
         "cross_checks": cross_checks,
     }
     header = ["scale", "value", "bounded_flag"]
@@ -891,35 +883,34 @@ _COMMANDS = {
 
 # --- parser construction and config file plumbing -----------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None,
+                 config: dict | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names
+    one; ``config`` values replace that command's defaults."""
     parser = argparse.ArgumentParser(
         prog="doublesine",
         description="Numerical checks for double sine series with "
                     "generalized-monotone coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help,
-                           description=f"{command.help}; options are listed under "
+    for name, cmd in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=cmd.help,
+                           description=f"{cmd.help}; options are listed under "
                                        "the config-file section that holds their key")
+        defaults = {**cmd.defaults, **(config or {})}
         for section, options in _OPTIONS.items():
-            dests = [d for d in command.options if d in options]
+            dests = [d for d in cmd.options if d in options]
             if not dests:
                 continue
             group = p.add_argument_group(f"[{section}]")
             for dest in dests:
                 spec = dict(options[dest])
                 flag = spec.pop("flag", "--" + dest.replace("_", "-"))
-                if dest in command.defaults:
-                    spec["default"] = command.defaults[dest]
+                if dest in defaults:
+                    spec["default"] = defaults[dest]
                 group.add_argument(flag, dest=dest, **spec)
     return parser
-
-
-def _subparser_for(parser: argparse.ArgumentParser, command: str):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise KeyError(command)
 
 
 def _coerce(dest: str, raw: str):
@@ -931,7 +922,7 @@ def _coerce(dest: str, raw: str):
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+def _read_config(command: str, path: str) -> dict:
     # "" cannot name a section, so [DEFAULT] is read as an ordinary one
     cfg = configparser.ConfigParser(default_section="")
     try:
@@ -940,7 +931,7 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     options = set(_COMMANDS[command].options) - {"config"}
-    overrides = {}
+    values = {}
     for section in cfg.sections():
         for key, raw in cfg.items(section):
             dest = key.replace("-", "_")
@@ -950,11 +941,11 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
                     f"config key [{section}] {key} does not match any "
                     f"{command} option")
             try:
-                overrides[dest] = _coerce(dest, raw)
+                values[dest] = _coerce(dest, raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad config value [{section}] {key} = {raw!r}: "
                                   f"{exc}") from None
-    _subparser_for(parser, command).set_defaults(**overrides)
+    return values
 
 
 def _resolved_config(command: str, args) -> dict:
@@ -978,20 +969,14 @@ def main(argv=None) -> int:
 
 def _main(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # the top-level parser takes no option but --help, so the first word is the command
     command = next((tok for tok in argv if not tok.startswith("-")), None)
     try:
-        if command in _COMMANDS:
-            config_path = None
-            for i, tok in enumerate(argv):
-                if tok == "--config" and i + 1 < len(argv):
-                    config_path = argv[i + 1]
-                elif tok.startswith("--config="):
-                    config_path = tok.split("=", 1)[1]
-            if config_path is not None:
-                _apply_config(parser, command, config_path)
         # argparse exits 2 on bad usage, matching the config-error status
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
+        if args.config is not None:
+            config = _read_config(args.command, args.config)
+            args = build_parser(args.command, config).parse_args(argv)
         results, csv_payload, witness = _COMMANDS[args.command].run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -1017,9 +1002,8 @@ def _main(argv) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(json_path, payload)
         if csv_payload is not None:
-            header, rows = csv_payload
             csv_path = out_dir / (args.csv_name or f"{args.command}.csv")
-            write_csv(csv_path, header, rows)
+            write_csv(csv_path, *csv_payload)
             written.append(str(csv_path))
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .differences import _blocked_sum, _row_blocks, _span, delta_r0_grid
 from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
-from .majorants import (DoubleScanTable, HorizonError, _dense_cap, _rect_abs_sum, _scan_table,
+from .majorants import (DoubleScanTable, _check_horizon, _dense_cap, _rect_abs_sum, _scan_table,
                         compile_b)
 from .sequences import CoefficientSequence, SingleSequence, builtin
 from .summing import ksum, sine_prefix
@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _MAX_GENERIC_CELLS = 5 * 10**7
+_FLAT_RTOL = 1e-12
 # Terms of a factor's step-2 scan taken from one evaluation (64 kB of float64).
 _D2_BLOCK = 1 << 13
 
@@ -126,13 +127,13 @@ class Measurement:
         return self.value + (self.tail_bound or 0.0)
 
 
-def _verdict(values, decaying, flat_rtol: float) -> Verdict:
+def _verdict(values, decaying) -> Verdict:
     """The verdict both classifiers share, given their decay rule.
 
     Fewer than two values are inconclusive.  Otherwise: decaying when
     ``decaying(v)`` holds for the list of floats; growing when strictly
     increasing across the schedule; flat when all values lie within
-    relative ``flat_rtol`` of the first; anything else is inconclusive.
+    relative ``_FLAT_RTOL`` of the first; anything else is inconclusive.
     """
     v = [float(x) for x in values]
     if len(v) < 2:
@@ -142,12 +143,12 @@ def _verdict(values, decaying, flat_rtol: float) -> Verdict:
     if all(b > a for a, b in zip(v, v[1:])):
         return Verdict.GROWING
     ref = max(abs(v[0]), 1e-300)
-    if all(abs(x - v[0]) <= flat_rtol * ref for x in v):
+    if all(abs(x - v[0]) <= _FLAT_RTOL * ref for x in v):
         return Verdict.FLAT
     return Verdict.INCONCLUSIVE
 
 
-def classify_tail(values, *, decay_factor: float = 100.0, flat_rtol: float = 1e-12) -> Verdict:
+def classify_tail(values, *, decay_factor: float = 100.0) -> Verdict:
     """Verdict for weighted-tail scans such as ``sup_{j+k=s} jk |c_{jk}|``.
 
     decaying: the last three values strictly decrease and the final
@@ -155,11 +156,10 @@ def classify_tail(values, *, decay_factor: float = 100.0, flat_rtol: float = 1e-
     flat and inconclusive as in :func:`_verdict`.
     """
     return _verdict(values, lambda v: len(v) >= 3 and v[-3] > v[-2] > v[-1]
-                    and v[-1] < v[0] / decay_factor, flat_rtol)
+                    and v[-1] < v[0] / decay_factor)
 
 
-def classify_probe(values, *, band: float = 0.05, decay_ratio: float = 4.0,
-                   flat_rtol: float = 1e-12) -> Verdict:
+def classify_probe(values, *, band: float = 0.05, decay_ratio: float = 4.0) -> Verdict:
     """Verdict for sup-style probes, tolerant of local wiggle.
 
     decaying: every step grows by at most ``band`` (relatively) and the
@@ -167,7 +167,7 @@ def classify_probe(values, *, band: float = 0.05, decay_ratio: float = 4.0,
     flat and inconclusive as in :func:`_verdict`.
     """
     return _verdict(values, lambda v: all(b <= a * (1.0 + band) for a, b in zip(v, v[1:]))
-                    and v[-1] <= v[0] / decay_ratio, flat_rtol)
+                    and v[-1] <= v[0] / decay_ratio)
 
 
 def loglog_slope(schedule, values) -> float | None:
@@ -244,8 +244,7 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    if horizon < max(m, n):
-        raise HorizonError(f"horizon {horizon} below scan start {max(m, n)}")
+    _check_horizon(horizon, max(m, n))
     if c.separable_parts is not None:
         a, b = c.separable_parts
         return _product(_d2_scan(a, m, horizon), _d2_scan(b, n, horizon), m, n)
@@ -269,8 +268,7 @@ def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
     """
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    if sup_horizon < max(m, n):
-        raise HorizonError(f"horizon {sup_horizon} below scan start {max(m, n)}")
+    _check_horizon(sup_horizon, max(m, n))
     return (_one_sided(c, m, n, sup_horizon, sum_horizon),
             _one_sided(c.T, n, m, sup_horizon, sum_horizon))
 

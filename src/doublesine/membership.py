@@ -161,10 +161,16 @@ def _fit(rows: list[RatioRow], target_C: float | None) -> tuple[RatioRow | None,
     best = max(rows, key=lambda row: row.ratio, default=None)
     if target_C is None:
         return best, None
-    over = [row.truncated for row in rows if row.ratio > target_C]
-    if not all(over):
+    if _certified_over(rows, target_C) is not None:
         return best, "fail"
+    over = any(row.ratio > target_C for row in rows)
     return best, "inconclusive" if over or best is None else "pass"
+
+
+def _certified_over(rows: list[RatioRow], target_C: float) -> RatioRow | None:
+    """The first certified row whose ratio exceeds ``target_C``, which fails
+    the cap at any horizon; None when there is no such row."""
+    return next((row for row in rows if row.ratio > target_C and not row.truncated), None)
 
 
 def _axis_admissible(axis: Axis, m: int, n: int, lam: int) -> bool:

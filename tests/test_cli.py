@@ -228,6 +228,11 @@ class TestCapVerdicts:
         # only the truncated worst row (2.590) exceeds 2.0
         assert self.witness(tmp_path, capsys, "2.0").endswith(self.NOTE)
 
+    def test_failing_cap_names_the_certified_row_that_decides_it(self, tmp_path, capsys):
+        line = self.witness(tmp_path, capsys, "1.7")
+        assert line.endswith("; first certified row over the cap (4, 2) at ratio "
+                             "1.780184916568486")
+
 
 class TestDenseProbe:
     ARGS = ("uniform-tail", "--expr", NONSEP_EXPR, "--rect-cap", "256", "--grid-points", "9")
@@ -310,6 +315,21 @@ class TestConfigFile:
         assert run(tmp_path, "check-class", "--config", str(cfg), "--r", "3") == 0
         p2 = load_json(tmp_path, "check-class.json")
         assert p2["config"]["membership"]["r"] == 3
+
+    @pytest.mark.parametrize("spelling", ["--config {}", "--config={}", "--conf {}"])
+    def test_every_spelling_applies_the_file(self, tmp_path, spelling):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[sequences]\npreset = zero\n[membership]\nr = 3\ngrid = dyadic:8\n"
+                       "[majorants]\nfamily = two\n")
+        argv = [tok.format(cfg) for tok in spelling.split()]
+        assert run(tmp_path, "check-class", *argv) == 0
+        config = load_json(tmp_path, "check-class.json")["config"]
+        assert config["cli"]["config"] == str(cfg)
+        assert (config["membership"]["r"], config["majorants"]["family"]) == (3, "two")
+        # a flag beats the file, for a typed option and a choices option alike
+        assert run(tmp_path, "check-class", *argv, "--r", "1", "--family", "three") == 0
+        config = load_json(tmp_path, "check-class.json")["config"]
+        assert (config["membership"]["r"], config["majorants"]["family"]) == (1, "three")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
