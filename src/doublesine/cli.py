@@ -45,6 +45,7 @@ from .convergence import (
     remark2_divergence,
     theorem7_bound_check,
     uniform_tail_trace,
+    _remark2_squares,
 )
 from .differences import delta_r, delta_rr
 from .kernels import (
@@ -660,13 +661,11 @@ def _run_remark2(args):
                        f"{list(report.values)} vs lower bounds "
                        f"{list(report.reference_values or ())}")
     cross_checks = []
-    c = builtin("mod3_log_product")
-    x0 = 2.0 * math.pi / 3.0
-    for M, product_value in zip(report.schedule, report.values):
+    c, x0, squares = _remark2_squares(report.schedule)
+    for M, square, product_value in zip(report.schedule, squares, report.values):
         if M > args.cross_check_max:
             continue
-        J = 3 * M + 2
-        direct = float(rect_sum_direct(c, Rect(1, J, 1, J), x0, x0))
+        direct = float(rect_sum_direct(c, square, x0, x0))
         err = abs(direct - product_value)
         limit = args.cross_check_tol * (1.0 + abs(direct))
         cross_checks.append({"scale": M, "direct": direct,
@@ -685,7 +684,7 @@ def _run_remark2(args):
         "cross_checks": cross_checks,
     }
     header = ["scale", "value", "bounded_flag"]
-    rows = [[s, v, True] for s, v in zip(report.schedule, report.values)]
+    rows = list(zip(report.schedule, report.values, report.bounded))
     return results, (header, rows), witness
 
 
@@ -704,10 +703,22 @@ def _sample_x(rng: np.random.Generator, r: int) -> float:
             return x
 
 
-def _identity_row_sums(rng: np.random.Generator, cases: int, tol: float):
-    worst, worst_case = 0.0, None
-    failures = 0
+def _by_parts_check(cases: int, tol: float, draw):
+    """Worst relative error of ``draw(i) -> (direct, by_parts, where)`` over the cases."""
+    worst, worst_case, failures = 0.0, None, 0
     for i in range(cases):
+        direct, parts, where = draw(i)
+        rel = abs(parts - direct) / (1.0 + abs(direct))
+        if rel > worst:
+            worst, worst_case = rel, {"case": i, **where}
+        if rel > tol:
+            failures += 1
+    return ({"cases": cases, "failures": failures, "worst_rel_err": worst,
+             "worst_case": worst_case, "tolerance": tol}, cases, worst)
+
+
+def _identity_row_sums(rng: np.random.Generator, cases: int, tol: float):
+    def draw(i):
         r = int(rng.integers(1, 4))
         n = int(rng.integers(1, 21))
         length = int(rng.integers(1, 65))
@@ -717,20 +728,12 @@ def _identity_row_sums(rng: np.random.Generator, cases: int, tol: float):
         x = _sample_x(rng, r)
         k = np.arange(n, m + 1, dtype=np.int64)
         direct = float(ksum(values[k - 1] * np.sin(k * x)))
-        parts = float(row_sum_by_parts(a, n, m, r, x))
-        rel = abs(parts - direct) / (1.0 + abs(direct))
-        if rel > worst:
-            worst, worst_case = rel, {"case": i, "r": r, "n": n, "m": m, "x": x}
-        if rel > tol:
-            failures += 1
-    return {"cases": cases, "failures": failures, "worst_rel_err": worst,
-            "worst_case": worst_case, "tolerance": tol}
+        return direct, float(row_sum_by_parts(a, n, m, r, x)), {"r": r, "n": n, "m": m, "x": x}
+    return _by_parts_check(cases, tol, draw)
 
 
 def _identity_rect_sums(rng: np.random.Generator, cases: int, size: int, tol: float):
-    worst, worst_case = 0.0, None
-    failures = 0
-    for i in range(cases):
+    def draw(i):
         table = rng.uniform(-1.0, 1.0, size=(size, size)) \
             + 1j * rng.uniform(-1.0, 1.0, size=(size, size))
         c = from_table(f"table{i}", table)
@@ -740,16 +743,9 @@ def _identity_rect_sums(rng: np.random.Generator, cases: int, size: int, tol: fl
         N = int(rng.integers(n, size + 1))
         rect = Rect(m, M, n, N)
         x, y = _sample_x(rng, 2), _sample_x(rng, 2)
-        direct = rect_sum_direct(c, rect, x, y)
-        parts = rect_sum_parts(c, rect, x, y, r=2)
-        rel = abs(parts - direct) / (1.0 + abs(direct))
-        if rel > worst:
-            worst, worst_case = rel, {"case": i, "rect": [m, M, n, N],
-                                      "x": x, "y": y}
-        if rel > tol:
-            failures += 1
-    return {"cases": cases, "failures": failures, "worst_rel_err": worst,
-            "worst_case": worst_case, "tolerance": tol}
+        return (rect_sum_direct(c, rect, x, y), rect_sum_parts(c, rect, x, y, r=2),
+                {"rect": [m, M, n, N], "x": x, "y": y})
+    return _by_parts_check(cases, tol, draw)
 
 
 def _identity_differences(rng: np.random.Generator, grid: int):
@@ -776,20 +772,21 @@ def _identity_differences(rng: np.random.Generator, grid: int):
                                          np.abs(np.asarray(delta_r(a, 1, kk + 1)))))
     err_2 = float(np.max(np.abs(d2 - recon1) / scale_2))
     limit = 8.0 * eps
-    return {"grid": grid, "worst_mixed_err": err_22, "worst_single_err": err_2,
-            "tolerance": limit,
-            "failures": int(err_22 > limit) + int(err_2 > limit)}
+    return ({"grid": grid, "worst_mixed_err": err_22, "worst_single_err": err_2,
+             "tolerance": limit, "failures": int(err_22 > limit) + int(err_2 > limit)},
+            d22.size + d2.size, max(err_22, err_2))
 
 
 def _identity_kernel_bounds(points: int, k_max: int):
     left = np.linspace(0.0, 0.5 * math.pi, points + 2)[1:-1]
     right = np.linspace(0.5 * math.pi, math.pi, points + 2)[1:-1]
-    report = kernel_bound_check(2, np.concatenate([left, right]), k_max=k_max)
-    return {"points": 2 * points, "k_max": k_max,
-            "worst_slack": report.worst_slack,
-            "witness": {"x": report.witness_x, "k": report.witness_k,
-                        "r": report.witness_r},
-            "failures": int(report.worst_slack > 0.0)}
+    report = kernel_bound_check(np.concatenate([left, right]), k_max=k_max)
+    return ({"points": 2 * points, "k_max": k_max,
+             "worst_slack": report.worst_slack,
+             "witness": {"x": report.witness_x, "k": report.witness_k,
+                         "r": report.witness_r},
+             "failures": int(report.worst_slack > 0.0)},
+            2 * report.n_points * (report.k_max + 1), report.worst_slack)
 
 
 def _identity_sine_parity(k_max: int):
@@ -799,8 +796,8 @@ def _identity_sine_parity(k_max: int):
     rhs_val = ((-1.0) ** (j + 1.0)) * np.sin(j * xs[None, :])
     worst = float(np.max(np.abs(lhs - rhs_val)))
     tol = 1e-11 * k_max
-    return {"k_max": k_max, "worst_abs_err": worst, "tolerance": tol,
-            "failures": int(worst > tol)}
+    return ({"k_max": k_max, "worst_abs_err": worst, "tolerance": tol,
+             "failures": int(worst > tol)}, lhs.size, worst)
 
 
 def _run_verify_identities(args):
@@ -813,21 +810,13 @@ def _run_verify_identities(args):
         "kernel_envelope": _identity_kernel_bounds(args.kernel_points, args.k_max),
         "sine_parity": _identity_sine_parity(args.k_max),
     }
-    witness = []
-    for name, stats in checks.items():
-        if stats["failures"]:
-            witness.append(f"{name}: {stats['failures']} failure(s); detail {stats}")
-    results = {"seed": args.seed, "checks": checks}
-    header = ["check", "cases", "failures", "worst"]
-    rows = []
-    for name, stats in checks.items():
-        worst = stats.get("worst_rel_err",
-                          stats.get("worst_slack",
-                                    stats.get("worst_abs_err",
-                                              stats.get("worst_mixed_err"))))
-        rows.append([name, stats.get("cases", stats.get("points", stats.get("grid", 0))),
-                     stats["failures"], worst])
-    return results, (header, rows), witness
+    results = {"seed": args.seed,
+               "checks": {name: entry for name, (entry, _, _) in checks.items()}}
+    witness = [f"{name}: {entry['failures']} failure(s); detail {entry}"
+               for name, entry in results["checks"].items() if entry["failures"]]
+    rows = [[name, cases, entry["failures"], worst]
+            for name, (entry, cases, worst) in checks.items()]
+    return results, (["check", "cases", "failures", "worst"], rows), witness
 
 
 class _Command(NamedTuple):

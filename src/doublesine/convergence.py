@@ -713,6 +713,13 @@ def theorem7_bound_check(c: CoefficientSequence, epsilon: float, eta: int, C: fl
                           witness_rect=wrect, witness_xy=wxy, n_rects=n_rects)
 
 
+def _remark2_squares(schedule) -> tuple[CoefficientSequence, float, list[Rect]]:
+    """The residue preset, its divergence point ``x = y = 2 pi / 3`` and the
+    square ``(1..3M+2) x (1..3M+2)`` at each scale M of ``schedule``."""
+    sides = [3 * M + 2 for M in schedule]
+    return builtin("mod3_log_product"), 2.0 * math.pi / 3.0, [Rect(1, J, 1, J) for J in sides]
+
+
 def remark2_divergence(schedule: tuple[int, ...] = (10, 100, 1000, 10000)) -> TailReport:
     """Partial sums of the residue-modulated preset at its divergence point.
 
@@ -726,12 +733,10 @@ def remark2_divergence(schedule: tuple[int, ...] = (10, 100, 1000, 10000)) -> Ta
         raise ValueError("schedule must be strictly increasing and nonempty")
     if schedule[0] < 0:
         raise ValueError("scales must be >= 0")
-    c = builtin("mod3_log_product")
-    x0 = 2.0 * math.pi / 3.0
+    c, x0, squares = _remark2_squares(schedule)
     values, bounds = [], []
-    for M in schedule:
-        J = 3 * M + 2
-        values.append(rect_sum_separable(c, Rect(1, J, 1, J), x0, x0))
+    for M, square in zip(schedule, squares):
+        values.append(rect_sum_separable(c, square, x0, x0))
         l = np.arange(0, M + 1, dtype=np.float64)
         minorant = float(ksum(2.0 / ((3.0 * l + 1.0) * np.log(3.0 * l + 3.0))))
         bounds.append(math.sin(x0) ** 2 * minorant ** 2)

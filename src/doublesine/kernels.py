@@ -222,12 +222,12 @@ def _envelope(x: np.ndarray) -> np.ndarray:
                     math.pi / (4.0 * (math.pi - x)))
 
 
-def kernel_bound_check(r: int, x_grid: np.ndarray, k_max: int = 512) -> KernelBoundReport:
-    """Check ``|D(k, +-r, x)| <= envelope(x)`` over a grid and k <= k_max.
+def kernel_bound_check(x_grid: np.ndarray, k_max: int = 512) -> KernelBoundReport:
+    """Check ``|D(k, +-2, x)| <= envelope(x)`` over a grid and k <= k_max.
 
-    The envelope is specific to step 2, so ``|r|`` must be 2.  The grid
-    must be finite and stay inside (0, pi) away from the endpoints, and
-    ``k_max >= 0``.  Returns the worst (most positive) slack
+    The envelope is specific to step 2, so both steps +2 and -2 are
+    checked.  The grid must be finite and stay inside (0, pi) away from
+    the endpoints, and ``k_max >= 0``.  Returns the worst (most positive) slack
     ``|D| - envelope`` with its witness, the first point in (step +2, then
     -2; grid order) that attains it; a negative worst slack means the
     bound held everywhere.
@@ -237,8 +237,6 @@ def kernel_bound_check(r: int, x_grid: np.ndarray, k_max: int = 512) -> KernelBo
     the module docstring): every point attaining the worst slack has a
     bound at least that large, so all of them are visited.
     """
-    if abs(int(r)) != 2:
-        raise ValueError("the envelope bound applies to steps +-2 only")
     xs = np.asarray(x_grid, dtype=np.float64)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("x grid must be a non-empty one-dimensional array")

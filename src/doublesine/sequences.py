@@ -206,10 +206,6 @@ class CoefficientSequence:
         c_eval = self.eval
         return SingleSequence(f"{self.name}[:,{n}]", lambda j: c_eval(j, n), hint)
 
-    @property
-    def is_separable(self) -> bool:
-        return self.separable_parts is not None
-
 
 def separable(a: SingleSequence, b: SingleSequence, name: str | None = None) -> CoefficientSequence:
     """Product sequence ``c_{jk} = a_j * b_k``.

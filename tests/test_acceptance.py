@@ -126,7 +126,7 @@ def test_criterion_3_kernel_envelope_never_violated():
     lower = np.linspace(0.0, math.pi / 2.0, 10001)[1:]
     upper = np.linspace(math.pi / 2.0, math.pi, 10001)[:-1]
     for grid in (lower, upper):
-        report = kernel_bound_check(2, grid, k_max=512)
+        report = kernel_bound_check(grid, k_max=512)
         assert report.k_max == 512
         assert report.n_points == 10000
         assert report.worst_slack <= 0.0

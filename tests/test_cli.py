@@ -463,6 +463,30 @@ class TestVerifyIdentities:
                                "sine_parity"}
         assert all(stats["failures"] == 0 for stats in checks.values())
 
+    def test_csv_rows_carry_each_checks_own_count_and_worst(self, tmp_path):
+        assert run(tmp_path, "verify-identities", "--cases-1d", "30",
+                   "--cases-2d", "5", "--delta-grid", "30",
+                   "--kernel-points", "100", "--k-max", "32") == 0
+        checks = load_json(tmp_path, "verify-identities.json")["results"]["checks"]
+        diff = checks["difference_decompositions"]
+        worst = {
+            "row_sum_by_parts": checks["row_sum_by_parts"]["worst_rel_err"],
+            "rect_sum_by_parts": checks["rect_sum_by_parts"]["worst_rel_err"],
+            "difference_decompositions": max(diff["worst_mixed_err"],
+                                             diff["worst_single_err"]),
+            "kernel_envelope": checks["kernel_envelope"]["worst_slack"],
+            "sine_parity": checks["sine_parity"]["worst_abs_err"],
+        }
+        # value comparisons: cases; a 30 x 30 mixed grid plus 30 single
+        # differences; 2 steps x 200 abscissae x orders 0..32; 99 x 32 terms
+        cases = {"row_sum_by_parts": 30, "rect_sum_by_parts": 5,
+                 "difference_decompositions": 30 * 30 + 30,
+                 "kernel_envelope": 2 * 200 * 33, "sine_parity": 99 * 32}
+        rows = load_csv(tmp_path, "verify-identities.csv")
+        assert rows[0] == ["check", "cases", "failures", "worst"]
+        assert rows[1:] == [[name, str(cases[name]), "0", repr(worst[name])]
+                            for name in cases]
+
 
     # The `checks` block of the shipped sweep, seed 0: every worst value,
     # witness and failure count.
@@ -537,6 +561,14 @@ class TestLemmaAndRemark2:
         payload = load_json(tmp_path, "remark2.json")
         assert payload["results"]["verdict"] == "growing"
         assert len(payload["results"]["cross_checks"]) == 2
+
+    def test_remark2_bounded_flag_follows_the_report(self, tmp_path, monkeypatch):
+        divergence = cli.remark2_divergence
+        monkeypatch.setattr(cli, "remark2_divergence", lambda schedule: replace(
+            divergence(schedule=schedule), bounded=(True, False)))
+        assert run(tmp_path, "remark2", "--schedule", "10,100") == 0
+        rows = load_csv(tmp_path, "remark2.csv")
+        assert [row[2] for row in rows[1:]] == ["true", "false"]
 
 
 class TestRequiredFlagsViaConfig:

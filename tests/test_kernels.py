@@ -45,9 +45,9 @@ def rect_sum_rows(c, rect, x, y):
     return ksum(np.asarray(rows))
 
 
-def kernel_bound_points(r, x_grid, k_max):
+def kernel_bound_points(x_grid, k_max):
     """Oracle of ``kernel_bound_check``: every order at every point, in
-    (step +r, then -r; grid order), keeping the first worst slack."""
+    (step +2, then -2; grid order), keeping the first worst slack."""
     xs = np.asarray(x_grid, dtype=np.float64)
     ks = np.arange(0, k_max + 1, dtype=np.int64)
     env = _envelope(xs)
@@ -193,30 +193,26 @@ class TestKernelBound:
     def test_envelope_holds_on_modest_grid(self):
         left = np.linspace(0.0, math.pi / 2, 402)[1:-1]
         right = np.linspace(math.pi / 2, math.pi, 402)[1:-1]
-        report = kernel_bound_check(2, np.concatenate([left, right]), k_max=128)
+        report = kernel_bound_check(np.concatenate([left, right]), k_max=128)
         assert report.worst_slack < 0.0
         assert report.n_points == 800
 
-    def test_envelope_only_for_step_two(self):
-        with pytest.raises(ValueError):
-            kernel_bound_check(3, np.array([1.0]), k_max=4)
-
     def test_grid_must_be_interior(self):
         with pytest.raises(ValueError):
-            kernel_bound_check(2, np.array([0.0, 1.0]), k_max=4)
+            kernel_bound_check(np.array([0.0, 1.0]), k_max=4)
         with pytest.raises(ValueError):
-            kernel_bound_check(2, np.array([math.pi]), k_max=4)
+            kernel_bound_check(np.array([math.pi]), k_max=4)
 
     def test_k_max_and_grid_validated(self):
         for grid in ([math.nan], [0.5, math.nan], [math.inf], [-math.inf, 1.0]):
             with pytest.raises(ValueError, match="finite"):
-                kernel_bound_check(2, np.array(grid), k_max=4)
+                kernel_bound_check(np.array(grid), k_max=4)
         with pytest.raises(ValueError, match="k_max"):
-            kernel_bound_check(2, np.array([1.0]), k_max=-1)
+            kernel_bound_check(np.array([1.0]), k_max=-1)
         with pytest.raises(ValueError):
-            kernel_bound_check(2, np.array([]), k_max=4)
+            kernel_bound_check(np.array([]), k_max=4)
         with pytest.raises(ValueError):
-            kernel_bound_check(2, np.ones((2, 2)), k_max=4)
+            kernel_bound_check(np.ones((2, 2)), k_max=4)
 
 
 def report_tuple(report):
@@ -241,30 +237,29 @@ class TestKernelBoundOracle:
             xs = np.concatenate([xs, math.pi - xs])
         elif kind == "repeated":
             xs = rng.choice(xs, size=2 * points)
-        report = kernel_bound_check(2, xs, k_max=k_max)
-        assert report_tuple(report) == kernel_bound_points(2, xs, k_max)
+        report = kernel_bound_check(xs, k_max=k_max)
+        assert report_tuple(report) == kernel_bound_points(xs, k_max)
         assert report.n_points == xs.size and report.k_max == k_max
 
     @pytest.mark.parametrize("grid", [[1.0], [math.pi / 2], [0.3, 0.3], [2.9, 0.3]])
     @pytest.mark.parametrize("k_max", [0, 1, 7])
     def test_small_grids(self, grid, k_max):
-        for r in (2, -2):
-            report = kernel_bound_check(r, np.array(grid), k_max=k_max)
-            assert report_tuple(report) == kernel_bound_points(r, grid, k_max)
+        report = kernel_bound_check(np.array(grid), k_max=k_max)
+        assert report_tuple(report) == kernel_bound_points(grid, k_max)
 
     def test_shipped_grid(self):
         left = np.linspace(0.0, 0.5 * math.pi, 1002)[1:-1]
         right = np.linspace(0.5 * math.pi, math.pi, 1002)[1:-1]
         grid = np.concatenate([left, right])
-        report = kernel_bound_check(2, grid, k_max=128)
-        assert report_tuple(report) == kernel_bound_points(2, grid, 128)
+        report = kernel_bound_check(grid, k_max=128)
+        assert report_tuple(report) == kernel_bound_points(grid, 128)
 
     def test_singular_point_message(self):
         grid = np.array([1.0, 2.0, 1e-13, 3e-13])
         with pytest.raises(SingularityError) as expected:
-            kernel_bound_points(2, grid, 4)
+            kernel_bound_points(grid, 4)
         with pytest.raises(SingularityError) as got:
-            kernel_bound_check(2, grid, k_max=4)
+            kernel_bound_check(grid, k_max=4)
         assert str(got.value) == str(expected.value)
         assert "1e-13" in str(got.value)
 

@@ -50,7 +50,7 @@ FROZEN = {
     "uniform-tail-mod3.json": "72f6a8b314d94feb849a969cf29b4a61c15755d3f6cfb12e54fdd261eb6176cf",
     "uniform-tail-osc.csv": "3c41d83bb2ffcfbc9177112ee7befd3711e21ed8f42297b91d33e63b4bbe250b",
     "uniform-tail-osc.json": "54d51e39220b8cc3ae347018dab12cc935d6b6b87acbf01c4bfaf4c8452c7533",
-    "verify-identities.csv": "4cb8602b444f23ebd6fa9155f43a9f41697328c3aa61ac925373fdb14b56d126",
+    "verify-identities.csv": "feab9f50f06d4ede71289d64ddfb7fe74f940de65977ea006716cb5ee1dd92c7",
     "verify-identities.json": "4c06ac117d43bae8954b0ae4af0e02803251a03bbd6ef0c5c20f22db47e3bf2a",
 }
 
