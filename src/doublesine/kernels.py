@@ -227,10 +227,10 @@ def kernel_bound_check(x_grid: np.ndarray, k_max: int = 512) -> KernelBoundRepor
 
     The envelope is specific to step 2, so both steps +2 and -2 are
     checked.  The grid must be finite and stay inside (0, pi) away from
-    the endpoints, and ``k_max >= 0``.  Returns the worst (most positive) slack
-    ``|D| - envelope`` with its witness, the first point in (step +2, then
-    -2; grid order) that attains it; a negative worst slack means the
-    bound held everywhere.
+    the endpoints, and ``k_max >= 0``.  Returns the worst (most
+    positive) slack ``|D| - envelope`` with its witness, the first point
+    in (step +2, then -2; grid order) that attains it; a negative worst
+    slack means the bound held everywhere.
 
     Only points whose bound ``1/|2 sin(r x/2)| - envelope(x)`` reaches
     the worst slack found so far are evaluated, in descending bound (see
