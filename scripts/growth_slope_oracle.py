@@ -72,37 +72,46 @@ def double_sup(B: np.ndarray, suffix_sup: np.ndarray, threshold: int) -> float:
     return float(np.max(B[1:HORIZON + 1] * suffix_sup[M_lo]))
 
 
-def main() -> None:
+def oracle() -> dict:
+    """The oracle's findings: ``sup_beyond_start`` (grid starts whose sup
+    lies past M = m), ``sup_past_4096`` (whether any sup escapes the 4096
+    scan window), and per step r in (1, 2) a dict of ``row``, ``double``
+    and ``slope``, all plain Python values."""
     top = DYADIC[-1]
     a = a_vals(2 * HORIZON + 4)
     B = block_sums(a, HORIZON)
     suffix_sup = np.maximum.accumulate(B[::-1])[::-1]
-
-    # Where does the sup over M >= m actually sit for grid starts?
-    beyond = [m for m in DYADIC if suffix_sup[m] != B[m]]
-    print(f"grid starts whose sup lies past M = m: {beyond or 'none'}")
-    past_4096 = bool(np.any(suffix_sup[1:4097] > np.array(
-        [B[m:4097].max() for m in range(1, 4097)])))
-    print(f"any sup escaping the 4096 scan window: {past_4096}")
+    found = {
+        "sup_beyond_start": [m for m in DYADIC if suffix_sup[m] != B[m]],
+        "sup_past_4096": bool(np.any(suffix_sup[1:4097] > np.array(
+            [B[m:4097].max() for m in range(1, 4097)]))),
+    }
 
     thresholds = sorted({m + n for m in DYADIC for n in DYADIC})
     dsup = {T: double_sup(B, suffix_sup, T) for T in thresholds}
 
     for r in (1, 2):
         L = lhs_blocks(a, r, top)
-        ratios = {m: L[m] * m / suffix_sup[m] for m in DYADIC}
-
-        fit_row = max(ratios.values())
-        fit_double = max(L[m] * L[n] * (m * n) / dsup[m + n]
-                         for m in DYADIC for n in DYADIC)
-
+        ratios = {m: float(L[m] * m / suffix_sup[m]) for m in DYADIC}
         sizes = np.array(DYADIC, dtype=np.float64)
         running = np.maximum.accumulate([ratios[m] for m in DYADIC])
-        slope = float(np.polyfit(np.log(sizes), np.log(running), 1)[0])
+        found[r] = {
+            "row": max(ratios.values()),
+            "double": float(max(L[m] * L[n] * (m * n) / dsup[m + n]
+                                for m in DYADIC for n in DYADIC)),
+            "slope": float(np.polyfit(np.log(sizes), np.log(running), 1)[0]),
+        }
+    return found
 
-        print(f"r={r}  fitted_C_row    {fit_row!r}")
-        print(f"r={r}  fitted_C_double {fit_double!r}")
-        print(f"r={r}  growth slope    {slope!r}")
+
+def main() -> None:
+    found = oracle()
+    print(f"grid starts whose sup lies past M = m: {found['sup_beyond_start'] or 'none'}")
+    print(f"any sup escaping the 4096 scan window: {found['sup_past_4096']}")
+    for r in (1, 2):
+        print(f"r={r}  fitted_C_row    {found[r]['row']!r}")
+        print(f"r={r}  fitted_C_double {found[r]['double']!r}")
+        print(f"r={r}  growth slope    {found[r]['slope']!r}")
 
 
 if __name__ == "__main__":

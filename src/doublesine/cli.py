@@ -50,7 +50,6 @@ from .convergence import (
 from .differences import delta_r, delta_rr
 from .kernels import (
     Rect,
-    assert_admissible,
     kernel_bound_check,
     rect_sum_direct,
     rect_sum_parts,
@@ -237,8 +236,6 @@ def _parse_grid_pairs(spec: str) -> tuple[tuple[int, int], ...]:
                 pairs.append((int(m_s), int(n_s)))
             except ValueError:
                 raise ConfigError(f"bad grid pair {tok!r}; expected MxN") from None
-        if not pairs:
-            raise ConfigError(f"empty grid {spec!r}")
         return tuple(pairs)
     vals = _parse_grid_values(spec)
     return tuple((m, n) for m in vals for n in vals)
@@ -451,9 +448,6 @@ def _run_partial_sum(args):
         if args.method == "separable":
             raise ConfigError(f"sequence {c.name!r} is not separable")
         methods.remove("separable")
-    if "parts" in methods:
-        assert_admissible(args.x, args.r)
-        assert_admissible(args.y, args.r)
     values = {}
     for method in methods:
         if method == "direct":

@@ -148,13 +148,20 @@ def _verdict(values, decaying) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0:  # NaN too
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
 def classify_tail(values, *, decay_factor: float = 100.0) -> Verdict:
     """Verdict for weighted-tail scans such as ``sup_{j+k=s} jk |c_{jk}|``.
 
     decaying: the last three values strictly decrease and the final
     value is below the first divided by ``decay_factor``.  growing,
-    flat and inconclusive as in :func:`_verdict`.
+    flat and inconclusive as in :func:`_verdict`.  A ``decay_factor``
+    that is not > 0 is refused.
     """
+    _check_positive("decay_factor", decay_factor)
     return _verdict(values, lambda v: len(v) >= 3 and v[-3] > v[-2] > v[-1]
                     and v[-1] < v[0] / decay_factor)
 
@@ -164,8 +171,10 @@ def classify_probe(values, *, band: float = 0.05, decay_ratio: float = 4.0) -> V
 
     decaying: every step grows by at most ``band`` (relatively) and the
     final value is below the first divided by ``decay_ratio``.  growing,
-    flat and inconclusive as in :func:`_verdict`.
+    flat and inconclusive as in :func:`_verdict`.  A ``decay_ratio``
+    that is not > 0 is refused.
     """
+    _check_positive("decay_ratio", decay_ratio)
     return _verdict(values, lambda v: all(b <= a * (1.0 + band) for a, b in zip(v, v[1:]))
                     and v[-1] <= v[0] / decay_ratio)
 
@@ -347,10 +356,8 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
     term2 = 2.0 * C * window_sum(fb1(m), 2 * lam * fb1(m), n, 2 * n + 1)
     term3 = 2.0 * C * window_sum(m, 2 * m + 1, fb2(n), 2 * lam * fb2(n))
     term4 = 8.0 * window_sum(m, 2 * m + 1, n, 2 * n + 1)
-    cmn = float(np.asarray(c.eval(m, n)))
-    if cmn < 0.0:
-        raise ValueError("lemma3_check needs nonnegative coefficients")
-    lhs = m * n * cmn
+    # term 4's window holds (m, n), so its sign is checked there
+    lhs = m * n * float(np.asarray(c.eval(m, n)))
     rhs_total = term1 + term2 + term3 + term4
     return Lemma3Result(m=m, n=n, lhs=lhs, rhs=rhs_total, slack=rhs_total - lhs,
                         terms=(term1, term2, term3, term4), truncated=scan.truncated)

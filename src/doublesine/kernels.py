@@ -91,8 +91,14 @@ def _check_denominator(r: int, x: float) -> float:
     return s
 
 
+def _kernel_step(r) -> None:
+    if r == 0 or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"kernel step must be a nonzero integer, got {r!r}")
+
+
 def assert_admissible(x: float, r: int) -> None:
     """Raise :class:`SingularityError` if x sits in a singular band for step r."""
+    _kernel_step(r)
     _check_denominator(r, x)
     _check_denominator(-r, x)
 
@@ -104,8 +110,7 @@ def dirichlet_conj(k: int, r: int, x: float) -> float:
     """
     if k < 0:
         raise ValueError(f"kernel order must be >= 0, got {k}")
-    if r == 0 or not isinstance(r, (int, np.integer)):
-        raise ValueError(f"kernel step must be a nonzero integer, got {r!r}")
+    _kernel_step(r)
     s = _check_denominator(r, x)
     return math.cos((k + 0.5 * r) * x) / (2.0 * s)
 

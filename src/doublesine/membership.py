@@ -123,8 +123,7 @@ class MembershipReport:
     the witness dict of the sup.  ``growth_fit`` maps axis name to the
     log-log slope of the running fitted constant over square subgrids,
     when defined.  ``truncation_flags`` is True when any majorant was
-    truncated without a certifying tail bound.  ``verdicts`` appears
-    when a target constant was supplied.
+    truncated without a certifying tail bound.
     """
 
     r: int
@@ -137,8 +136,6 @@ class MembershipReport:
     growth_fit: dict
     truncation_flags: bool
     rows: tuple[RatioRow, ...]
-    target_C: float | None = None
-    verdicts: dict | None = None
 
 
 def _ratio_row(m: int, n: int, axis: str, lhs: float, rhs_val: float,
@@ -219,8 +216,7 @@ def _line_rows(c: CoefficientSequence, r: int, fam: MajorantFamily,
 
 
 def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
-                     grid, target_C: float | None = None, *,
-                     table: DoubleScanTable | None = None) -> MembershipReport:
+                     grid, *, table: DoubleScanTable | None = None) -> MembershipReport:
     """Fit class constants for all three axes of ``fam`` over a grid.
 
     ``grid`` is an iterable of (m, n) pairs; each axis only uses the
@@ -243,7 +239,6 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
     fitted: dict[Axis, float | None] = {}
     witness: dict[str, dict | None] = {}
     growth: dict[str, float | None] = {}
-    verdicts: dict[str, str] = {}
     for axis in Axis:
         if axis is not Axis.DOUBLE:
             axis_rows = _line_rows(c, r, fams[axis], points[axis])
@@ -253,14 +248,12 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
                 lhs_val = table.rect_abs_sum(r, m, 2 * m - 1, n, 2 * n - 1)
                 mv: MajorantValue = rhs(c, fams[axis], m, n, table=table)
                 axis_rows.append(_ratio_row(m, n, axis.value, lhs_val, mv.value, mv.truncated))
-        best, verdict = _fit(axis_rows, target_C)
+        best, _ = _fit(axis_rows, None)
         fitted[axis] = None if best is None else best.ratio
         witness[axis.value] = None if best is None else {
             "m": best.m, "n": best.n, "lhs": best.lhs, "rhs": best.rhs, "ratio": best.ratio,
         }
         growth[axis.value] = _growth_slope([(row.m, row.n, row.ratio) for row in axis_rows])
-        if verdict is not None:
-            verdicts[axis.value] = verdict
         rows.extend(axis_rows)
 
     return MembershipReport(
@@ -274,8 +267,6 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
         growth_fit=growth,
         truncation_flags=any(row.truncated for row in rows),
         rows=tuple(rows),
-        target_C=target_C,
-        verdicts=verdicts or None,
     )
 
 
@@ -342,7 +333,7 @@ def beta_star(a: SingleSequence, n: int, lam: int = 2) -> float:
 
 def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
                             lam: int = 2, r: int = 1, horizon: int = 4096,
-                            b: str = "l", beta=None,
+                            b: str = "l", beta: str | None = None,
                             target_C: float | None = None) -> SingleMembershipReport:
     """Fit the class constant of a single sequence over a grid of n.
 
@@ -350,8 +341,8 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
     window average; ``SBVS`` compares ``sum_{k=n}^{2n-1} |d1 a_k|``
     against ``(1/n) sup_{M >= floor(n/lam)}`` of blocks; ``SBVS2`` scans
     the sup from ``b(n)``; ``GM`` uses step ``r`` differences against a
-    user majorant ``beta`` ("star", an expression in n, or a callable;
-    default "star" is the window average).
+    user majorant ``beta`` ("star", the default, is the window average;
+    else an expression in n).
     """
     if klass is not SingleClass.GM:
         r = 1
@@ -365,11 +356,9 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
         raise ValueError("indices must be >= 1")
     if beta is None or beta == "star":
         beta_fn = lambda n: beta_star(a, n, lam)  # noqa: E731
-    elif isinstance(beta, str):
+    else:
         expr_fn, _ = compile_expression(beta, ("n",))
         beta_fn = lambda n: float(expr_fn(n=float(n)))  # noqa: E731
-    else:
-        beta_fn = beta
     fb = compile_b(b)
     # the sup classes scan one |a| line, shared by every grid point
     line = (_single_line(a, 1, horizon)

@@ -25,17 +25,14 @@ SCHEMA_VERSION = 1
 
 
 def to_jsonable(obj):
-    """Recursively convert report objects to plain JSON-ready data."""
+    """Recursively convert report objects to plain JSON-ready data; a
+    complex value becomes its string, and any type without a rule here raises."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return to_jsonable(float(obj))
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, complex):
+        return str(obj)
     if isinstance(obj, Enum):
         return to_jsonable(obj.value)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -45,11 +42,7 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [to_jsonable(v) for v in items]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if callable(obj):
-        return getattr(obj, "__name__", "<callable>")
-    return str(obj)
+    raise TypeError(f"no report form for {type(obj).__name__} value {obj!r}")
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -459,7 +459,8 @@ def _parse(expr: str, variables: tuple[str, ...]) -> tuple[ast.Expression, set[s
 
 
 def _evaluator(tree: ast.Expression) -> Callable:
-    """``fn(**variables)`` evaluating a validated tree with numpy."""
+    """``fn(**variables)`` evaluating a validated tree with numpy.  Python
+    number arithmetic that divides by zero raises :class:`ExpressionError`."""
     code = compile(tree, "<sequence-expression>", "eval")
     env = {"__builtins__": {}}
     env.update(_FUNCTIONS)
@@ -467,7 +468,11 @@ def _evaluator(tree: ast.Expression) -> Callable:
     def fn(**kwargs):
         scope = dict(env)
         scope.update(kwargs)
-        return eval(code, scope)  # noqa: S307 - ast-whitelisted in _validate
+        try:
+            return eval(code, scope)  # noqa: S307 - ast-whitelisted in _validate
+        except ZeroDivisionError as exc:
+            raise ExpressionError(f"expression {ast.unparse(tree)!r} divides by zero: "
+                                  f"{exc}") from None
 
     return fn
 

@@ -3,12 +3,14 @@
 Run ``pytest -v tests/test_acceptance.py`` for one pass/fail line per
 criterion.  Frozen reference numbers were recomputed independently by
 ``scripts/growth_slope_oracle.py`` (membership fits and the growth
-slope) and by direct high-precision partial sums (divergence schedule);
-the tests compare the library against those values and then assert the
-criterion bounds themselves.
+slope; one more test re-runs it) and by direct high-precision partial
+sums (divergence schedule); the tests compare the library against those
+values and then assert the criterion bounds themselves.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,18 @@ def test_criterion_3_kernel_envelope_never_violated():
         assert report.k_max == 512
         assert report.n_points == 10000
         assert report.worst_slack <= 0.0
+
+
+def test_oracle_reproduces_its_frozen_values():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "growth_slope_oracle.py"
+    spec = importlib.util.spec_from_file_location("growth_slope_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    found = oracle.oracle()
+    assert found[2]["row"] == ORACLE_R2_ROW_FIT
+    assert found[2]["double"] == ORACLE_R2_DOUBLE_FIT
+    assert found[1]["row"] == ORACLE_R1_ROW_FIT
+    assert found[1]["slope"] == ORACLE_R1_GROWTH_SLOPE
 
 
 def test_criterion_4_oscillating_fit_constants_and_step1_growth():

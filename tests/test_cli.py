@@ -14,6 +14,8 @@ from conftest import TWIN_EXPR
 # no product factorisation, so the dense scan and probe paths
 NONSEP_EXPR = "1/(j*k*(j+k))"
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+OSC = ("--preset", "oscillating_quadratic")
+RECT = ("--rect", "1:4x1:4", "--x", "0.5", "--y", "0.5")
 
 
 def run(tmp_path, *argv):
@@ -177,6 +179,42 @@ class TestLibraryRefusals:
         err = self.refused(tmp_path, capsys, "uniform-tail", "--expr", NONSEP_EXPR,
                            "--grid-points", "3")
         assert "needs 268468224 bytes" in err and "cap of 160000000 bytes" in err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("partial-sum", *OSC, *RECT, "--r", "0"), "difference step must be >= 1, got 0"),
+        (("partial-sum", "--expr", "(1/0)*j*k", *RECT),
+         "expression '1 / 0 * j * k' divides by zero: division by zero"),
+        (("partial-sum", "--expr", "j*k*(1 % 0)", *RECT), "integer modulo by zero"),
+        (("partial-sum", "--expr", "j*k*0**-1", *RECT),
+         "0.0 cannot be raised to a negative power"),
+        (("check-class", *OSC, "--b1", "1/0", "--grid", "dyadic:8"),
+         "expression '1 / 0' divides by zero"),
+        (("lemma", *OSC, "--which", "3", "--b3", "1/0", "--grid", "dyadic:8"),
+         "expression '1 / 0' divides by zero"),
+        (("check-class", *OSC, "--single-class", "gm", "--gm-beta", "1/(n-2)", "--grid", "2,4"),
+         "expression '1 / (n - 2)' divides by zero: float division by zero"),
+        (("check-class", *OSC, "--single-class", "sbvs2", "--b", "1/(l-2)", "--grid", "2,4"),
+         "expression '1 / (l - 2)' divides by zero: float division by zero"),
+        (("condition-22", *OSC, "--decay-factor", "0"), "decay_factor must be > 0, got 0.0"),
+        (("condition-22", *OSC, "--decay-factor", "-1"), "decay_factor must be > 0, got -1.0"),
+        (("condition-22", *OSC, "--decay-factor", "nan", "--expect", "decaying"),
+         "decay_factor must be > 0, got nan"),
+        (("uniform-tail", *OSC, "--decay-ratio", "0", "--grid-points", "2", "--rect-cap", "256"),
+         "decay_ratio must be > 0, got 0.0"),
+        (("lemma", *OSC, "--which", "1", "--decay-ratio", "0"), "decay_ratio must be > 0"),
+        (("lemma", *OSC, "--which", "2", "--decay-ratio", "0"), "decay_ratio must be > 0"),
+        (("uniform-tail", *OSC, "--thresholds", "1"), "thresholds must be >= 2"),
+        (("uniform-tail", *OSC, "--rect-cap", "1"), "bad probe geometry"),
+        (("uniform-tail", *OSC, "--doublings", "0"), "bad probe geometry"),
+        (("uniform-tail", *OSC, "--min-start", "0"), "bad probe geometry"),
+        (("uniform-tail", *OSC, "--grid-points", "0"), "need at least one grid point per axis"),
+        (("lemma", *OSC, "--which", "1", "--schedule", "0"), "indices must be >= 1"),
+        (("lemma", *OSC, "--which", "2", "--schedule", "0,4"), "indices must be >= 1"),
+        (("eta", *OSC, "--epsilon", "0", "--c-const", "4"), "epsilon and C must be positive"),
+        (("remark2", "--schedule", "-1"), "scales must be >= 0"),
+    ])
+    def test_bad_argument(self, tmp_path, capsys, argv, reason):
+        assert reason in self.refused(tmp_path, capsys, *argv)
 
 
 class TestUnexpectedErrors:
@@ -391,6 +429,28 @@ class TestSequenceSources:
     def test_preset_with_inline_exponents(self, tmp_path):
         assert run(tmp_path, "check-class", "--preset", "product_power(2,2)",
                    "--grid", "dyadic:8") == 0
+
+    def test_one_inline_exponent_serves_both(self, tmp_path):
+        results = []
+        for preset in ("product_power(2)", "product_power(2,2)"):
+            assert run(tmp_path, "check-class", "--preset", preset, "--grid", "dyadic:8") == 0
+            results.append(load_json(tmp_path, "check-class.json")["results"])
+        assert results[0] == results[1]
+
+    def test_all_methods_drop_separable_for_a_dense_expression(self, tmp_path):
+        assert run(tmp_path, "partial-sum", "--expr", NONSEP_EXPR, *RECT) == 0
+        assert sorted(load_json(tmp_path, "partial-sum.json")["results"]["values"]) == \
+            ["direct", "parts"]
+        assert [row[0] for row in load_csv(tmp_path, "partial-sum.csv")] == \
+            ["method", "direct", "parts"]
+
+    def test_complex_partial_sum_values_are_strings(self, tmp_path):
+        assert run(tmp_path, "partial-sum", "--expr", "j*k*(-1)**0.5", *RECT) == 0
+        values = load_json(tmp_path, "partial-sum.json")["results"]["values"]
+        rows = load_csv(tmp_path, "partial-sum.csv")[1:]
+        assert rows == [[method, values[method]] for method in ("direct", "parts", "separable")]
+        for text in values.values():
+            assert isinstance(text, str) and complex(text).imag > 1.0
 
     def test_single_class_two_sources_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "check-class", "--single-class", "sbvs",
@@ -711,9 +771,6 @@ class TestHelp:
             for key in keys:
                 flag = flags.get(key, "--" + key.replace("_", "-"))
                 assert listed_under[flag] == f"[{section}]", flag
-
-
-OSC = ("--preset", "oscillating_quadratic")
 
 
 class TestExitContract:

@@ -11,6 +11,7 @@ from doublesine import (
     HorizonError,
     ProbeConfig,
     Rect,
+    TailReport,
     Verdict,
     classify_probe,
     classify_tail,
@@ -68,6 +69,18 @@ class TestVerdicts:
 
     def test_loglog_slope_none_on_zero(self):
         assert loglog_slope((4, 8), (1.0, 0.0)) is None
+
+    @pytest.mark.parametrize("fields, reason", [
+        (dict(schedule=(4, 8), values=(1.0,)), "values and schedule lengths differ"),
+        (dict(schedule=(8, 8), values=(1.0, 0.5)), "schedule must be strictly increasing"),
+        (dict(schedule=(4, 8), values=(1.0, 0.5), bounded=(True,)),
+         "bounded flags and schedule lengths differ"),
+        (dict(schedule=(4, 8), values=(1.0, 0.5), reference_values=(1.0, 0.5, 0.2)),
+         "reference values and schedule lengths differ"),
+    ])
+    def test_tail_report_refuses_mismatched_series(self, fields, reason):
+        with pytest.raises(ValueError, match=reason):
+            TailReport(verdict=Verdict.INCONCLUSIVE, **fields)
 
 
 class TestLemmaQuantities:
@@ -338,6 +351,10 @@ class TestTheorem7:
         assert res.slack < 0.0
         assert res.witness_rect.m >= 7 and res.witness_rect.n >= 7
 
+    def test_eta_at_the_rect_cap_leaves_no_rectangles(self, osc):
+        with pytest.raises(ValueError, match="no rectangles with starts >= 257 up to 256"):
+            theorem7_bound_check(osc, 0.2, 256, 16.0, small_probe(cap=256))
+
 
 class TestProbes:
     def test_interior_grid(self):
@@ -352,6 +369,9 @@ class TestProbes:
             ProbeConfig(xy_grid=interior_grid(3), thresholds=(16, 8))
         with pytest.raises(ValueError):
             ProbeConfig(xy_grid=(), thresholds=(8,))
+        for point in ((0.0, 1.0), (1.0, math.pi)):
+            with pytest.raises(ValueError, match="outside"):
+                ProbeConfig(xy_grid=(point,))
 
     def test_oscillating_tail_decays(self, osc):
         report = uniform_tail_probe(osc, small_probe())

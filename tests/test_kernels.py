@@ -98,6 +98,14 @@ class TestKernelValues:
         with pytest.raises(SingularityError):
             assert_admissible(2.0 * math.pi / 3.0, 3)
 
+    @pytest.mark.parametrize("check", [lambda r: dirichlet_conj(1, r, 0.5),
+                                       lambda r: assert_admissible(0.5, r)],
+                             ids=["dirichlet_conj", "assert_admissible"])
+    @pytest.mark.parametrize("r", [0, 2.0])
+    def test_step_must_be_a_nonzero_integer(self, check, r):
+        with pytest.raises(ValueError, match="kernel step must be a nonzero integer"):
+            check(r)
+
 
 class TestRowSumByParts:
     def test_collapses_at_single_term(self):
@@ -127,6 +135,11 @@ class TestRowSumByParts:
         a = single_from_values("a", np.ones(8))
         with pytest.raises(SingularityError):
             row_sum_by_parts(a, 1, 4, 3, 2.0 * math.pi / 3.0)
+
+    def test_empty_range_rejected(self):
+        a = single_from_values("a", np.ones(8))
+        with pytest.raises(ValueError, match="need 1 <= n <= m"):
+            row_sum_by_parts(a, 5, 4, 2, 0.7)
 
 
 class TestRectSums:

@@ -34,7 +34,7 @@ from doublesine import (
 )
 from doublesine import differences, majorants
 from doublesine.majorants import compile_b, single_sup_scan
-from doublesine.membership import lhs_col, lhs_double, lhs_row
+from doublesine.membership import _fit, lhs_col, lhs_double, lhs_row
 
 from conftest import dense_twin
 
@@ -76,18 +76,23 @@ class TestBlockDifferenceSums:
         assert lhs_double(c, r, m, n) == pytest.approx(brute, rel=1e-12)
 
 
+def axis_verdicts(report, cap):
+    """Each axis's verdict against ``cap``, judged as the CLI judges its caps."""
+    return {axis: _fit([row for row in report.rows if row.axis == axis], cap)[1]
+            for axis in ("row", "column", "double")}
+
+
 class TestCheckMembership:
     def test_oscillating_step2_passes_known_constants(self, osc):
-        report = check_membership(osc, 2, three_family(b1="l", b2="l", b3="l"),
-                                  PAIRS, target_C=4.0)
-        assert report.verdicts == {"row": "pass", "column": "pass", "double": "pass"}
+        report = check_membership(osc, 2, three_family(b1="l", b2="l", b3="l"), PAIRS)
+        assert axis_verdicts(report, 4.0) == {"row": "pass", "column": "pass", "double": "pass"}
         assert report.fitted_C_row <= 4.0
         assert report.fitted_C_double <= 16.0
         assert not report.truncation_flags
 
     def test_oscillating_step1_fails_constant_four(self, osc):
-        report = check_membership(osc, 1, three_family(), PAIRS, target_C=4.0)
-        assert report.verdicts["row"] == "fail"
+        report = check_membership(osc, 1, three_family(), PAIRS)
+        assert axis_verdicts(report, 4.0)["row"] == "fail"
         assert report.fitted_C_row > 4.0
 
     def test_grid_monotonicity(self, osc):
@@ -430,14 +435,10 @@ class TestSingleMembership:
         # scanning from a later start can only shrink the sup
         assert r2.rows[0].rhs <= r1.rows[0].rhs
 
-    def test_gm_beta_expression_and_callable_agree(self, osc):
+    def test_gm_beta_expression_is_the_majorant(self, osc):
         a, _ = osc.separable_parts
-        by_expr = check_single_membership(a, SingleClass.GM, (4, 8, 16),
-                                          r=2, beta="1/n^2")
-        by_call = check_single_membership(a, SingleClass.GM, (4, 8, 16),
-                                          r=2, beta=lambda n: 1.0 / n ** 2)
-        for r1, r2 in zip(by_expr.rows, by_call.rows):
-            assert r1.ratio == pytest.approx(r2.ratio, rel=1e-12)
+        report = check_single_membership(a, SingleClass.GM, (4, 8, 16), r=2, beta="1/n^2")
+        assert [row.rhs for row in report.rows] == [1.0 / n ** 2 for n in (4, 8, 16)]
 
     def test_gm_default_beta_is_star(self, osc):
         a, _ = osc.separable_parts
@@ -512,9 +513,10 @@ class TestDenseFamilyOne:
 
     def test_default_blocks_are_frozen(self):
         # sha256 of repr(report) from the fit before the window sum shared
-        # the row-block reducer (every window here is one block)
+        # the row-block reducer (every window here is one block), with the
+        # report's since-removed ", target_C=None, verdicts=None" taken out
         report = check_membership(self.NONSEP, 2, self.FAM, self.GRID)
-        assert _sha(report) == "284a305336008d572ecee5e807ac30ef077b0f8b062d6a41bb7176b1e20af2b1"
+        assert _sha(report) == "d51261f4f7f9f8161adf78fac194d823b14ea9d9b7d78809d3ffce306565c8ac"
 
     @pytest.mark.parametrize("rows", [1, 2, 5])
     def test_forced_row_blocks_match_twin(self, monkeypatch, rows):

@@ -1,6 +1,9 @@
 import os
 
-from doublesine.reports import write_csv, write_json
+import numpy as np
+import pytest
+
+from doublesine.reports import to_jsonable, write_csv, write_json
 
 
 def test_a_rewritten_report_holds_only_its_last_bytes(tmp_path):
@@ -31,3 +34,9 @@ def test_a_linked_report_path_gets_a_new_file(tmp_path):
     write_json(path, {"run": 2})
     assert b'"run": 1' in link.read_bytes() and b'"run": 2' in path.read_bytes()
     assert os.stat(path).st_ino != os.stat(link).st_ino
+
+
+@pytest.mark.parametrize("value", [np.arange(3), len, np.int64(3), object()])
+def test_a_value_without_a_report_form_is_refused(value):
+    with pytest.raises(TypeError, match="no report form"):
+        to_jsonable({"v": value})
