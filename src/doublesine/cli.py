@@ -11,13 +11,14 @@ config section that holds their key; ``--help`` lists them by section.
 
 Exit status: 0 when all asserted verdicts pass, 1 on a numerical
 verdict failure (the witness is printed), 2 on bad input.  Bad input is
-either a flag or config value the front end rejects itself (one
-``config error: ...`` line on stderr) or a library refusal such as a
-scan horizon below its start, a size guard, a singular abscissa or a
-float overflow in a sum (one ``error: ...`` line); neither writes a
-report.  An output directory or report file that cannot be written,
-or a run out of memory, also exits 2 with one ``error: ...`` line.  Any
-other exception is an internal error: status 3, with its traceback.
+either a flag or config value the front end rejects itself, such as a
+NaN or infinite float (one ``config error: ...`` line on stderr), or a
+library refusal such as a scan horizon below its start, a size guard, a
+singular abscissa or a float overflow in a sum (one ``error: ...``
+line); neither writes a report.  An output directory or report file
+that cannot be written, or a run out of memory, also exits 2 with one
+``error: ...`` line.  Any other exception is an internal error: status
+3, with its traceback.
 """
 
 from __future__ import annotations
@@ -905,6 +906,14 @@ def _coerce(dest: str, raw: str):
     return value
 
 
+def _check_finite(args) -> None:
+    """Refuse a NaN or infinite float option, set by a flag or a config file."""
+    for dest in _COMMANDS[args.command].options:
+        value = getattr(args, dest)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+
+
 def _read_config(command: str, path: str) -> dict:
     # "" cannot name a section, so [DEFAULT] is read as an ordinary one
     cfg = configparser.ConfigParser(default_section="")
@@ -960,6 +969,7 @@ def _main(argv) -> int:
         if args.config is not None:
             config = _read_config(args.command, args.config)
             args = build_parser(args.command, config).parse_args(argv)
+        _check_finite(args)
         results, csv_payload, witness = _COMMANDS[args.command].run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

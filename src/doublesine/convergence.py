@@ -614,7 +614,7 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     and a ``verify_range`` at or below ``max(1, lam)`` is refused.
     Raises :class:`EtaCapError` when no candidate passes.
     """
-    if epsilon <= 0 or C <= 0:
+    if not (epsilon > 0 and C > 0):
         raise ValueError("epsilon and C must be positive")
     if verify_range is None:
         verify_range = 2 * cap

@@ -22,8 +22,8 @@ rounded block sums (:func:`ksum`), as a per-block loop would, in one
 pass: for n nonnegative terms of total S, each cumsum estimate is
 within about ``n eps S`` of its block's sum, and the exactly rounded
 maximum's block lies within ``(2n + 3) eps S`` of the largest estimate.
-Only blocks within ``4 n eps S`` of it are re-summed, and the first one
-with the largest exact sum is the same value and argmax as the loop's.
+Only blocks within ``4 n eps S`` of it are re-summed, and the largest
+exact sum is the loop's value.
 Double sups keep a :class:`DoubleScanTable` of the threshold-independent
 block sums.  One table serves a whole command: a membership fit and the
 lemma 3 points that follow it query the same table at every grid point.
@@ -47,8 +47,8 @@ one cumsum from 1) plus a tolerance.  For n nonnegative terms of total
 S both a per-start block and a shared estimate lie within about
 ``(2n + 1) eps S`` of the true block sum, so ``8 n eps S`` bounds their
 difference: no block past ``M1`` can reach the maximum, and the value
-and first argmax are the exhaustive scan's.  A line whose total is not
-finite is scanned in full.
+is the exhaustive scan's.  A line whose total is not finite is scanned
+in full.
 
 The double left-hand sides of a fit, family ONE double windows and
 lemma 1's dense tail are rectangle sums of ``|d_rr c|`` or ``|c|``, all
@@ -126,14 +126,12 @@ class MajorantValue:
     unbounded sups, ``tail_bound`` bounds the unscanned region on the
     same scale as ``value`` when a decay hint permits one;
     ``truncated`` is True when the scan hit the horizon and the tail
-    bound fails to certify ``value`` as the true sup.  ``argmax`` is the
-    block start (or pair of starts) attaining the scanned maximum.
+    bound fails to certify ``value`` as the true sup.
     """
 
     value: float
     truncated: bool = False
     tail_bound: float | None = None
-    argmax: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -325,15 +323,12 @@ def _sup_scan(line: _Line, start: int) -> MajorantValue:
     vals = line.vals[start - line.lo:]
     M1 = horizon if line.suffix is None else min(2 * start, horizon)
     while True:
-        blocks = _block_array(_abs_f64(vals[:2 * M1 - start + 1]), start, start, M1)
-        idx = int(np.argmax(blocks))
-        sup = float(blocks[idx])
+        sup = float(np.max(_block_array(_abs_f64(vals[:2 * M1 - start + 1]), start, start, M1)))
         if M1 == horizon or line.suffix[M1 + 1 - line.lo] + line.tol < sup:
             break
         M1 = min(2 * M1, horizon)
-    truncated = line.tail is None or line.tail > sup
-    return MajorantValue(value=sup, truncated=truncated, tail_bound=line.tail,
-                         argmax=(start + idx,))
+    return MajorantValue(value=sup, truncated=line.tail is None or line.tail > sup,
+                         tail_bound=line.tail)
 
 
 def _single_line(a: SingleSequence, lo: int, horizon: int) -> _Line:
@@ -346,13 +341,12 @@ def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValu
     return _sup_scan(_single_line(a, start, horizon), start)
 
 
-def _bounded_max_scan(vals: np.ndarray, M_lo: int, M_hi: int) -> tuple[float, int]:
+def _bounded_max_scan(vals: np.ndarray, M_lo: int, M_hi: int) -> float:
     """Max of exactly rounded block sums ``sum_{j=M}^{2M} |c_j|`` over the
     bounded window M_lo..M_hi, from ``vals``, the values ``|c_j|`` for
     ``j = M_lo..2 M_hi``.
 
-    Returns the maximum and the first block start attaining it.  Only
-    blocks whose cumsum estimate lies within ``4 len eps sum`` of the
+    Only blocks whose cumsum estimate lies within ``4 len eps sum`` of the
     largest estimate can hold the maximum (see the module docstring),
     and only those are re-summed with :func:`ksum`.  A window that is
     not finite re-sums every block.
@@ -365,9 +359,7 @@ def _bounded_max_scan(vals: np.ndarray, M_lo: int, M_hi: int) -> tuple[float, in
     else:
         cand = np.arange(M_hi - M_lo + 1)
     # block M = M_lo + i covers vals[i : 2 i + M_lo + 1]
-    exact = np.array([ksum(vals[i:2 * i + M_lo + 1]) for i in cand])
-    best = int(np.argmax(exact))
-    return float(exact[best]), M_lo + int(cand[best])
+    return float(np.max([ksum(vals[i:2 * i + M_lo + 1]) for i in cand]))
 
 
 def _row_view(c: CoefficientSequence, fam: MajorantFamily, m: int,
@@ -407,16 +399,14 @@ def _row_rhs(fam: MajorantFamily, line: _Line, m: int, start: int | None) -> Maj
         lo, hi = averaging_window(m, fam.lam)
         return MajorantValue(value=float(ksum(_abs_f64(line.vals[lo - 1:hi]))) / m)
     if fam.family is Family.TWO:
-        sup, arg = _bounded_max_scan(_abs_f64(line.vals[start - 1:2 * fam.lam * start]), start,
-                                     fam.lam * start)
-        return MajorantValue(value=sup / m, argmax=(arg,))
+        return MajorantValue(value=_bounded_max_scan(
+            _abs_f64(line.vals[start - 1:2 * fam.lam * start]), start, fam.lam * start) / m)
     return _scaled(_sup_scan(line, start), m)
 
 
 def _scaled(scan: MajorantValue, scale: int) -> MajorantValue:
     return MajorantValue(value=scan.value / scale, truncated=scan.truncated,
-                         tail_bound=None if scan.tail_bound is None else scan.tail_bound / scale,
-                         argmax=scan.argmax)
+                         tail_bound=None if scan.tail_bound is None else scan.tail_bound / scale)
 
 
 class DoubleScanTable:
@@ -424,13 +414,13 @@ class DoubleScanTable:
     queried by :meth:`query` for ``sup over M + N >= threshold``, and the
     factor sums of :meth:`rect_abs_sum`.
 
-    Separable sequences keep the two factor block arrays and the suffix
-    maximum of the first; others keep the dense block matrix, from a
-    prefix table filled one row block at a time, and its row-wise suffix
-    maximum.  Which of the two is decided once, when the table is built
-    on the first query.  One table serves a command (a fit and the lemma
-    3 points after it); nothing caches it across commands.  Query
-    results are kept per threshold, and :meth:`rect_abs_sum` keeps a
+    Separable sequences keep the second factor's block array and the
+    suffix maximum of the first's; others keep the row-wise suffix
+    maximum of the dense block matrix, built from a prefix table filled
+    one row block at a time.  Which of the two is decided once, when the
+    table is built on the first query.  One table serves a command (a fit
+    and the lemma 3 points after it); nothing caches it across commands.
+    Query results are kept per threshold, and :meth:`rect_abs_sum` keeps a
     separable sequence's factor sums per step and window.
     """
 
@@ -449,19 +439,16 @@ class DoubleScanTable:
     def _build(self):
         """The table's search, factored or dense as chosen here once: given
         ``first``, each line's smallest admissible partner, and ``lo``, that
-        clipped to ``1..horizon``, it returns the sup and its pair."""
+        clipped to ``1..horizon``, it returns the sup."""
         c, horizon = self.c, self.horizon
         self._tail = None if c.decay_hint is None else c.decay_hint.block_sup(horizon)
         if c.separable_parts is None:
-            blocks = self._dense_blocks()
-            suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+            suffix = np.maximum.accumulate(self._dense_blocks()[:, ::-1], axis=1)[:, ::-1]
 
             def search(first, lo):
-                # lines are rows M; the first maximal row, then its first maximal N
-                best = np.where(first <= horizon, suffix[np.arange(horizon), lo - 1], -np.inf)
-                mi = int(np.argmax(best))
-                ni = int(lo[mi]) - 1 + int(np.argmax(blocks[mi, lo[mi] - 1:]))
-                return float(blocks[mi, ni]), (mi + 1, ni + 1)
+                # lines are rows M, each with its suffix maximum from N = lo
+                return float(np.max(np.where(first <= horizon,
+                                             suffix[np.arange(horizon), lo - 1], -np.inf)))
             return search
 
         j = _span(1, 2 * horizon)
@@ -471,11 +458,7 @@ class DoubleScanTable:
         def search(first, lo):
             # lines are N: candidate fb[N] * max_{M >= lo} fa[M].  Past the
             # horizon lo is clipped to it, which admits pairs below threshold.
-            cand = fb * suffix[lo - 1]
-            nidx = int(np.argmax(cand))
-            # recover the M attaining the suffix max for the witness
-            mlo = int(lo[nidx])
-            return float(cand[nidx]), (mlo + int(np.argmax(fa[mlo - 1:])), nidx + 1)
+            return float(np.max(fb * suffix[lo - 1]))
         return search
 
     def _dense_blocks(self) -> np.ndarray:
@@ -516,9 +499,9 @@ class DoubleScanTable:
             self._search = self._build()
         # For each line index i, partners from threshold - i up are admissible.
         first = threshold - _span(1, self.horizon)
-        sup, argmax = self._search(first, np.clip(first, 1, self.horizon))
+        sup = self._search(first, np.clip(first, 1, self.horizon))
         return MajorantValue(value=sup, truncated=self._tail is None or self._tail > sup,
-                             tail_bound=self._tail, argmax=argmax)
+                             tail_bound=self._tail)
 
 
 def _scan_table(c: CoefficientSequence, horizon: int,

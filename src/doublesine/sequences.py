@@ -308,7 +308,7 @@ def builtin(name: str, p: float = 1.0, q: float = 1.0) -> CoefficientSequence:
     if name == "mod3_log_product":
         return separable(_MOD3_FACTOR, _MOD3_FACTOR, name=name)
     if name == "product_power":
-        if p <= 0 or q <= 0:
+        if not (p > 0 and q > 0):  # NaN too
             raise ValueError("product_power exponents must be positive")
         fa = SingleSequence(f"power_{p:g}", _power_factor(p), PowerDecay(p=p, K=1.0))
         fb = SingleSequence(f"power_{q:g}", _power_factor(q), PowerDecay(p=q, K=1.0))

@@ -2,7 +2,12 @@
 
 Every reduction in this package that feeds a reported number goes through
 one of these helpers (or an explicitly ordered ``numpy`` cumulative sum),
-so that repeated runs produce bit-identical output.
+so that repeated runs produce bit-identical output, with two exceptions.
+Lemma 2's dense column sums (``ndarray.sum(axis=0)`` per row block, then
+``+=`` over the blocks in order) rest on fixed blocks and numpy's fixed
+order for a shape.  The dense probe's lattice sums are a BLAS matrix
+product, repeatable under one BLAS (OpenBLAS 0.3.31 gave the same cap-512
+dense probe with 1 and 2 threads); another BLAS may round differently.
 
 :func:`ksum` returns the exact sum of its float64 inputs rounded once, so
 its result does not depend on the order of the values.  Long inputs are

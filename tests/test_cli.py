@@ -197,8 +197,6 @@ class TestLibraryRefusals:
          "expression '1 / (l - 2)' divides by zero: float division by zero"),
         (("condition-22", *OSC, "--decay-factor", "0"), "decay_factor must be > 0, got 0.0"),
         (("condition-22", *OSC, "--decay-factor", "-1"), "decay_factor must be > 0, got -1.0"),
-        (("condition-22", *OSC, "--decay-factor", "nan", "--expect", "decaying"),
-         "decay_factor must be > 0, got nan"),
         (("uniform-tail", *OSC, "--decay-ratio", "0", "--grid-points", "2", "--rect-cap", "256"),
          "decay_ratio must be > 0, got 0.0"),
         (("lemma", *OSC, "--which", "1", "--decay-ratio", "0"), "decay_ratio must be > 0"),
@@ -212,6 +210,8 @@ class TestLibraryRefusals:
         (("lemma", *OSC, "--which", "2", "--schedule", "0,4"), "indices must be >= 1"),
         (("eta", *OSC, "--epsilon", "0", "--c-const", "4"), "epsilon and C must be positive"),
         (("remark2", "--schedule", "-1"), "scales must be >= 0"),
+        (("condition-22", "--preset", "product_power(nan)"),
+         "product_power exponents must be positive"),
     ])
     def test_bad_argument(self, tmp_path, capsys, argv, reason):
         assert reason in self.refused(tmp_path, capsys, *argv)
@@ -830,6 +830,30 @@ class TestExitContract:
           "1:4x1:4", "--x", "1", "--y", "1"), "sequence 'expr' is not separable"),
         (("lemma", *OSC, "--which", "3", "--grid", "1x1"),
          "no grid points with m, n >= lambda = 2"),
+        # a NaN or infinite float option is refused before any handler reads it
+        (("partial-sum", *OSC, "--rect", "1:10x1:10", "--x", "nan", "--y", "0.7"),
+         "--x must be finite, got nan"),
+        (("partial-sum", *OSC, "--rect", "1:10x1:10", "--x", "0.5", "--y", "0.7", "--tol", "nan"),
+         "--tol must be finite, got nan"),
+        (("check-class", *OSC, "--grid", "dyadic:8", "--sup-horizon", "64", "--max-row-c", "nan"),
+         "--max-row-c must be finite, got nan"),
+        (("remark2", "--schedule", "10,100", "--cross-check-tol", "nan"),
+         "--cross-check-tol must be finite, got nan"),
+        (("eta", *OSC, "--epsilon", "nan", "--c-const", "4", "--cap", "64", "--grid-points", "3",
+          "--rect-cap", "64"), "--epsilon must be finite, got nan"),
+        (("eta", *OSC, "--epsilon", "0.2", "--c-const", "nan", "--cap", "64", "--grid-points",
+          "3", "--rect-cap", "64"), "--c-const must be finite, got nan"),
+        (("uniform-tail", "--preset", "mod3_log_product", "--grid-points", "3", "--rect-cap",
+          "64", "--thresholds", "4,8,16", "--band", "nan", "--expect", "decaying"),
+         "--band must be finite, got nan"),
+        (("lemma", "--which", "1", *OSC, "--schedule", "4,8,16", "--band", "nan", "--expect",
+          "decaying"), "--band must be finite, got nan"),
+        (("condition-22", *OSC, "--decay-factor", "inf", "--expect", "decaying"),
+         "--decay-factor must be finite, got inf"),
+        (("condition-22", *OSC, "--decay-factor=-inf", "--expect", "decaying"),
+         "--decay-factor must be finite, got -inf"),
+        (("condition-22", *OSC, "--decay-factor", "nan", "--expect", "decaying"),
+         "--decay-factor must be finite, got nan"),
     ])
     def test_bad_flag_is_two(self, tmp_path, capsys, argv, reason):
         assert reason in self.refused(tmp_path, capsys, *argv)
@@ -837,6 +861,8 @@ class TestExitContract:
     @pytest.mark.parametrize("entry, reason", [
         ("[membership]\nr = two\n", "bad config value [membership] r = 'two'"),
         ("[majorants]\nfamily = four\n", "bad value 'four' for --family"),
+        ("[membership]\nmax_row_c = nan\n", "--max-row-c must be finite, got nan"),
+        ("[sequences]\np = inf\n", "--p must be finite, got inf"),
     ])
     def test_bad_config_value_is_two(self, tmp_path, capsys, entry, reason):
         cfg = tmp_path / "bad.cfg"

@@ -62,6 +62,14 @@ class TestVerdicts:
         assert classify_probe((1.0, 1.5, 0.5, 0.2)) is Verdict.INCONCLUSIVE
         assert classify_probe((1.0, 0.9, 0.8, 0.5)) is Verdict.INCONCLUSIVE  # < 4x
 
+    @pytest.mark.parametrize("classify, kwargs, reason", [
+        (classify_tail, dict(decay_factor=math.nan), "decay_factor must be > 0, got nan"),
+        (classify_probe, dict(decay_ratio=math.nan), "decay_ratio must be > 0, got nan"),
+    ])
+    def test_nan_ratio_refused(self, classify, kwargs, reason):
+        with pytest.raises(ValueError, match=reason):
+            classify((4.0, 2.0, 1.0), **kwargs)
+
     def test_loglog_slope_exact_power(self):
         schedule = (4, 8, 16, 32)
         values = tuple(s ** -2.0 for s in schedule)
@@ -277,6 +285,11 @@ class TestEtaSearch:
     def test_cap_exhaustion(self, pp11):
         with pytest.raises(EtaCapError):
             eta_search(pp11, epsilon=0.2, C=4.0, cap=64)
+
+    @pytest.mark.parametrize("epsilon, C", [(math.nan, 16.0), (0.2, math.nan), (0.0, 16.0)])
+    def test_nan_or_zero_level_refused(self, osc, epsilon, C):
+        with pytest.raises(ValueError, match="epsilon and C must be positive"):
+            eta_search(osc, epsilon=epsilon, C=C)
 
     def test_requires_separable(self):
         c = from_table("t", np.ones((4, 4)))

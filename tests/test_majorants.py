@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,13 +142,12 @@ class TestBlockSums:
 
 
 class TestSupScans:
-    def test_argmax_at_start_for_nonincreasing(self):
+    def test_sup_for_nonincreasing(self):
         vals = 1.0 / np.arange(1.0, 400.0) ** 2
         a = single_from_values("a", vals)
         mv = single_sup_scan(a, 3, 128)
         blocks = [float(np.sum(vals[M - 1:2 * M])) for M in range(3, 129)]
         assert mv.value == pytest.approx(max(blocks), rel=1e-12)
-        assert mv.argmax == (3,)
 
     def test_horizon_below_start_raises(self, osc):
         a, _ = osc.separable_parts
@@ -180,9 +180,6 @@ class TestSupScans:
         brute = max(block_sum_double(osc, M, N)
                     for M in range(1, 33) for N in range(1, 33) if M + N >= 6)
         assert mv.value == pytest.approx(brute, rel=1e-12)
-        M, N = mv.argmax
-        assert M + N >= 6
-        assert block_sum_double(osc, M, N) == pytest.approx(mv.value, rel=1e-12)
 
 
 class TestFamilyConfig:
@@ -208,7 +205,6 @@ class TestRhs:
         fam = MajorantFamily(Family.THREE, Axis.ROW, lam=2, b1="l")
         mv = rhs(pp22, fam, 4, 1)
         assert mv.value == pytest.approx(0.04157773526077097, rel=1e-12)
-        assert mv.argmax == (4,)
         assert not mv.truncated
 
     def test_family_one_row_is_window_average(self, osc):
@@ -280,15 +276,13 @@ SCAN_SEQUENCES = {
 
 
 def per_block_max(c, fixed, M_lo, M_hi, transpose):
-    """The scan as one exactly rounded sum per block: max and first argmax."""
+    """The scan as one exactly rounded sum per block: its max."""
     sums = []
     for M in range(M_lo, M_hi + 1):
         idx = np.arange(M, 2 * M + 1, dtype=np.int64)
         vals = c.eval(fixed, idx) if transpose else c.eval(idx, fixed)
         sums.append(math.fsum(np.abs(vals)))
-    arr = np.asarray(sums)
-    i = int(np.argmax(arr))
-    return float(arr[i]), M_lo + i
+    return float(np.max(sums))
 
 
 def window_scan(c, fixed, M_lo, M_hi):
@@ -297,9 +291,7 @@ def window_scan(c, fixed, M_lo, M_hi):
 
 
 def assert_same_scan(got, want):
-    (gv, ga), (wv, wa) = got, want
-    assert ga == wa
-    assert gv == wv or (math.isnan(gv) and math.isnan(wv))
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestBoundedWindowScan:
@@ -333,20 +325,19 @@ class TestBoundedWindowScan:
         assert_same_scan(window_scan(c.T if transpose else c, 1, start, lam * start),
                          per_block_max(c, 1, start, lam * start, transpose))
 
-    def test_zero_window_ties_at_start(self, zero_seq):
-        assert window_scan(zero_seq, 3, 5, 10) == (0.0, 5)
+    def test_zero_window_ties(self, zero_seq):
+        assert window_scan(zero_seq, 3, 5, 10) == 0.0
 
     def test_rhs_scales_the_scan(self, mod3):
         fam = MajorantFamily(Family.TWO, Axis.COLUMN, lam=3, b2="2*l")
         mv = rhs(mod3, fam, 5, 7)
-        sup, arg = per_block_max(mod3, 5, 14, 42, transpose=True)
-        assert mv.value == sup / 7 and mv.argmax == (arg,)
+        assert mv.value == per_block_max(mod3, 5, 14, 42, transpose=True) / 7
 
 
 # --- the double scan table ----------------------------------------------------
 
 def dense_masked_scan(c, threshold, horizon):
-    """The dense double scan as one masked argmax over the whole block matrix."""
+    """The dense double scan as one masked max over the whole block matrix."""
     j = np.arange(1, 2 * horizon + 1, dtype=np.int64)
     grid = np.abs(np.asarray(c.eval(j[:, None], j[None, :]), dtype=np.float64))
     pref = np.zeros((len(j) + 1, len(j) + 1))
@@ -355,26 +346,27 @@ def dense_masked_scan(c, threshold, horizon):
     Ms = np.arange(1, horizon + 1, dtype=np.int64)
     blocks = (pref[2 * Ms, :][:, 2 * Ms] - pref[Ms - 1, :][:, 2 * Ms]
               - pref[2 * Ms, :][:, Ms - 1] + pref[Ms - 1, :][:, Ms - 1])
-    blocks = np.where((Ms[:, None] + Ms[None, :]) >= threshold, blocks, -np.inf)
-    mi, ni = divmod(int(np.argmax(blocks)), horizon)
-    return float(blocks[mi, ni]), (mi + 1, ni + 1)
+    return float(np.max(blocks, where=(Ms[:, None] + Ms[None, :]) >= threshold,
+                        initial=-np.inf))
 
 
 class TestDoubleScanTable:
     @pytest.mark.parametrize("expr", [TWIN_EXPR, "1/(j*k*(j+k))", "1", "mod(j*k, 3)"])
-    def test_dense_queries_match_masked_argmax(self, expr):
+    def test_dense_queries_match_masked_max(self, expr):
         c = dense_twin() if expr == TWIN_EXPR else from_expression("c", expr)
         horizon = 12
         table = DoubleScanTable(c, horizon)
         for threshold in range(1, 2 * horizon + 1):
             mv = table.query(threshold)
-            assert (mv.value, mv.argmax) == dense_masked_scan(c, threshold, horizon)
+            assert mv.value == dense_masked_scan(c, threshold, horizon)
             assert mv == double_sup_scan(c, threshold, horizon)
 
     # sha256 of the query reprs below, frozen on the build that held the whole
     # |c| grid and took two whole-table cumsums; the streamed build must give
     # the same bits for any row-block size
-    DENSE_FROZEN = "7d5590c14d2abd9810ee8437e97a93e744afb638f3933d62ca84c3478e20cf1d"
+    # (re-frozen when MajorantValue dropped its argmax field: the earlier reprs
+    # with each ", argmax=(...)" removed hash to this value)
+    DENSE_FROZEN = "02c7c374764c6d9ab51be4973a78dea8d41be05b556d50ff16b0329c0d7c1eaf"
 
     @pytest.mark.parametrize("block_cells", [None, 1000])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf blocks
@@ -396,6 +388,21 @@ class TestDoubleScanTable:
                     {2, 3, 5, H // 2, H, H + 1, H + 2, 3 * H // 2, 2 * H - 1, 2 * H}))
         assert len(out) == 145
         assert hashlib.sha256(repr(out).encode()).hexdigest() == self.DENSE_FROZEN
+
+    def test_dense_table_holds_one_matrix(self):
+        # the search reads the row suffix maxima alone, so the H x H block
+        # matrix they come from is dropped after the build
+        c = from_expression("c", "1/(j*k*(j+k))")
+        DoubleScanTable(c, 16).query(8)  # caches filled on first use stay out
+        horizon = 128
+        tracemalloc.start()
+        try:
+            table = DoubleScanTable(c, horizon)
+            table.query(8)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * 8 * horizon * horizon
 
     def test_separable_queries_match_one_shot_scans(self, osc):
         table = DoubleScanTable(osc, 40)
@@ -441,12 +448,9 @@ def block_tail(a, horizon):
 
 def exhaustive_scan(vals, start, horizon, tail):
     """Every block ``M = start..horizon`` from one cumsum of ``vals`` (the
-    line from ``start`` to ``2 horizon``): max, first argmax, tail verdict."""
-    blocks = _block_array(vals, start, start, horizon)
-    idx = int(np.argmax(blocks))
-    sup = float(blocks[idx])
-    return MajorantValue(value=sup, truncated=tail is None or tail > sup, tail_bound=tail,
-                         argmax=(start + idx,))
+    line from ``start`` to ``2 horizon``): max and tail verdict."""
+    sup = float(np.max(_block_array(vals, start, start, horizon)))
+    return MajorantValue(value=sup, truncated=tail is None or tail > sup, tail_bound=tail)
 
 
 def exhaustive_row_scan(c, fixed, start, horizon, transpose):
@@ -462,7 +466,7 @@ def assert_same_sup(got, want):
     """``==`` on every field, with NaN equal to NaN."""
     if math.isnan(want.value):
         assert math.isnan(got.value)
-        got, want = (MajorantValue(0.0, g.truncated, g.tail_bound, g.argmax)
+        got, want = (MajorantValue(0.0, g.truncated, g.tail_bound)
                      for g in (got, want))
     assert got == want
 
@@ -539,7 +543,7 @@ class TestPrunedSupScan:
         line = scan_line(c, 1, 18)
         assert line.suffix[16] < 4.299999999999999 < 4.3
         assert _sup_scan(line, 4) == exhaustive_row_scan(c, 1, 4, 18, False)
-        assert _sup_scan(line, 4).argmax == (18,)
+        assert _sup_scan(line, 4).value == 4.3
 
     @given(st.integers(1, 120), st.integers(0, 10 ** 6), st.sampled_from((math.inf, math.nan)),
            st.booleans())
@@ -560,10 +564,10 @@ class TestPrunedSupScan:
     def test_increasing_and_tied_blocks(self, transpose):
         one = from_expression("one", "1")
         line = scan_line(one, 3, 64, transpose)
-        assert _sup_scan(line, 5) == MajorantValue(65.0, True, None, (64,))
+        assert _sup_scan(line, 5) == MajorantValue(65.0, True, None)
         zero = builtin("zero")
         assert _sup_scan(scan_line(zero, 3, 64, transpose), 5) \
-            == MajorantValue(0.0, False, 0.0, (5,))
+            == MajorantValue(0.0, False, 0.0)
 
     def test_horizon_one(self, osc):
         assert_same_sup(_sup_scan(scan_line(osc, 2, 1), 1),

@@ -1,12 +1,12 @@
 """Scan tables are built in few places.
 
-A :class:`~doublesine.majorants.DoubleScanTable` holds a command's lines,
-double block sums and factor sums, so one command should build one per
-(sequence, sup_horizon) and hand it to every call that reads it.  The
-library functions take a table and build one only when none is given
-(``majorants._scan_table``).  This pins the constructions outside
-``majorants``, so that a second table inside one command is a deliberate
-choice.
+A :class:`~doublesine.majorants.DoubleScanTable` holds a command's double
+sups, kept per threshold, and its factor sums, so one command should
+build one per (sequence, sup_horizon) and hand it to every call that
+reads it.  The library functions take a table and build one only when
+none is given (``majorants._scan_table``).  This pins the constructions
+outside ``majorants``, so that a second table inside one command is a
+deliberate choice.
 """
 
 import ast
