@@ -60,11 +60,10 @@ from .kernels import (
 from .majorants import Axis, DoubleScanTable, Family, MajorantFamily
 from .membership import (
     SingleClass,
+    cap_verdict,
     check_condition_22,
     check_membership,
     check_single_membership,
-    _certified_over,
-    _fit,
 )
 from .reports import SCHEMA_VERSION, write_csv, write_json
 from .sequences import (
@@ -340,9 +339,6 @@ def _run_check_class(args):
                          sup_horizon=args.sup_horizon)
     grid = _parse_grid_pairs(args.grid)
     report = check_membership(c, args.r, fam, grid)
-    # Each asserted cap gets the fit's verdict: truncated sup scans
-    # understate the majorant and so inflate the fitted constant, so a cap
-    # exceeded only at truncated points is undecided at this horizon.
     witness = []
     for label, fitted, cap in (("row", report.fitted_C_row, args.max_row_c),
                                ("column", report.fitted_C_col, args.max_col_c),
@@ -353,10 +349,9 @@ def _run_check_class(args):
             witness.append(f"{label} axis: no admissible grid points, cannot assert C <= {cap}")
             continue
         axis_rows = [row for row in report.rows if row.axis == label]
-        _, verdict = _fit(axis_rows, cap)
+        verdict, first = cap_verdict(axis_rows, cap)  # first None: every row over is truncated
         if verdict == "pass":
             continue
-        first = _certified_over(axis_rows, cap)  # None: every row over the cap is truncated
         note = ("; worst scan truncated, raise --sup-horizon to decide" if first is None else
                 f"; first certified row over the cap ({first.m}, {first.n}) at ratio "
                 f"{first.ratio!r}")
@@ -387,11 +382,11 @@ def _run_check_class_single(args):
     grid = _parse_grid_values(args.grid)
     beta = args.gm_beta if klass is SingleClass.GM else None
     report = check_single_membership(a, klass, grid, lam=args.lam, r=args.r,
-                                     horizon=args.horizon, b=args.b, beta=beta,
-                                     target_C=args.max_c)
+                                     horizon=args.horizon, b=args.b, beta=beta)
+    verdict = None if args.max_c is None else cap_verdict(report.rows, args.max_c)[0]
     witness = []
-    if args.max_c is not None and report.verdict != "pass":
-        witness.append(f"single class {klass.value}: verdict {report.verdict!r} "
+    if verdict not in (None, "pass"):
+        witness.append(f"single class {klass.value}: verdict {verdict!r} "
                        f"against C <= {args.max_c!r}; worst {report.worst_witness}")
     results = {
         "sequence": a.name,
@@ -401,7 +396,7 @@ def _run_check_class_single(args):
         "fitted_C": report.fitted_C,
         "worst_witness": report.worst_witness,
         "truncated": report.truncation_flags,
-        "verdict": report.verdict,
+        "verdict": verdict,
         "grid_size": len(report.grid),
     }
     header = ["n", "lhs", "rhs", "ratio", "truncated"]

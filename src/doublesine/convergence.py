@@ -113,13 +113,17 @@ class Measurement:
     """A scanned quantity with truncation bookkeeping.
 
     ``value`` is the scanned part.  ``tail_bound`` bounds what the scan
-    missed when a decay hint allows it; ``bounded`` is False when no
-    such certificate exists.
+    missed when a decay hint allows it, and is None when no such
+    certificate exists; ``bounded`` says which.
     """
 
     value: float
-    bounded: bool
     tail_bound: float | None = None
+
+    @property
+    def bounded(self) -> bool:
+        """Whether what the scan missed is certified by a tail bound."""
+        return self.tail_bound is not None
 
     @property
     def upper(self) -> float:
@@ -172,9 +176,11 @@ def classify_probe(values, *, band: float = 0.05, decay_ratio: float = 4.0) -> V
     decaying: every step grows by at most ``band`` (relatively) and the
     final value is below the first divided by ``decay_ratio``.  growing,
     flat and inconclusive as in :func:`_verdict`.  A ``decay_ratio``
-    that is not > 0 is refused.
+    that is not > 0 and a ``band`` that is not >= 0 are refused.
     """
     _check_positive("decay_ratio", decay_ratio)
+    if not band >= 0:  # NaN too
+        raise ValueError(f"band must be >= 0, got {band!r}")
     return _verdict(values, lambda v: all(b <= a * (1.0 + band) for a, b in zip(v, v[1:]))
                     and v[-1] <= v[0] / decay_ratio)
 
@@ -205,7 +211,7 @@ def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
         np.abs(v[:-2] - v[2:], out=terms[lo - m:hi - m + 1])
     scanned = float(ksum(terms))
     tail = None if a.decay_hint is None else a.decay_hint.d2_tail(H)
-    return Measurement(value=scanned, bounded=tail is not None, tail_bound=tail)
+    return Measurement(value=scanned, tail_bound=tail)
 
 
 def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
@@ -214,10 +220,7 @@ def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
     vals = k.astype(np.float64) * np.abs(np.asarray(b.eval(k)))
     scanned = float(np.max(vals))
     tail = None if b.decay_hint is None else b.decay_hint.weighted_sup(H)
-    if tail is not None and tail <= scanned:
-        return Measurement(value=scanned, bounded=True, tail_bound=0.0)
-    return Measurement(value=scanned, bounded=tail is not None,
-                       tail_bound=None if tail is None else tail - scanned)
+    return Measurement(value=scanned, tail_bound=None if tail is None else max(tail - scanned, 0.0))
 
 
 def _guard_generic(cells: int) -> None:
@@ -236,10 +239,9 @@ def _product(x: Measurement, y: Measurement, sx, sy) -> Measurement:
     ``sx sy (x t_y + t_x y + t_x t_y)``."""
     value = (sx * x.value) * (sy * y.value)
     if not (x.bounded and y.bounded):
-        return Measurement(value=value, bounded=False)
+        return Measurement(value=value)
     tx, ty = x.tail_bound, y.tail_bound
-    return Measurement(value=value, bounded=True,
-                       tail_bound=(sx * sy) * (x.value * ty + tx * y.value + tx * ty))
+    return Measurement(value=value, tail_bound=(sx * sy) * (x.value * ty + tx * y.value + tx * ty))
 
 
 def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
@@ -260,8 +262,7 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
     _guard_generic((horizon - m + 1) * (horizon - n + 1))
     value = m * n * _rect_abs_sum(c, 2, m, horizon, n, horizon)
     tail = None if c.decay_hint is None else c.decay_hint.d22_tail(m, n, horizon)
-    return Measurement(value=value, bounded=tail is not None,
-                       tail_bound=None if tail is None else m * n * tail)
+    return Measurement(value=value, tail_bound=None if tail is None else m * n * tail)
 
 
 def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
@@ -298,8 +299,7 @@ def _one_sided(c: CoefficientSequence, m: int, n: int, sup_horizon: int,
         sums += np.abs(delta_r0_grid(c, 2, j0, j1, n, sup_horizon)).sum(axis=0)
     value = m * float(np.max(sup_idx.astype(np.float64) * sums))
     tail = None if c.decay_hint is None else c.decay_hint.d20_tail(m, n, sup_horizon, sum_horizon)
-    return Measurement(value=value, bounded=tail is not None,
-                       tail_bound=None if tail is None else m * tail)
+    return Measurement(value=value, tail_bound=None if tail is None else m * tail)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ one table to the fit and to the calls after it.  ``ksum`` is exactly
 rounded and the evaluators act elementwise, so each row equals the
 per-point public functions' bit for bit.
 
+:func:`cap_verdict` judges a cap ``C <= cap`` on the rows of one axis or
+of a single-sequence fit; only a certified row can fail it.
+
 :func:`check_condition_22` tracks the weighted anti-diagonal maxima
 ``T(s) = max_{j+k=s} jk |c_{jk}|``, whose decay is the zero-limit
 condition the convergence results assume.
@@ -75,6 +78,7 @@ __all__ = [
     "RatioRow",
     "MembershipReport",
     "check_membership",
+    "cap_verdict",
     "check_condition_22",
     "SingleClass",
     "SingleMembershipReport",
@@ -149,25 +153,21 @@ def _ratio_row(m: int, n: int, axis: str, lhs: float, rhs_val: float,
                     truncated=truncated and lhs > 0.0)
 
 
-def _fit(rows: list[RatioRow], target_C: float | None) -> tuple[RatioRow | None, str | None]:
+def _worst(rows) -> RatioRow | None:
     """The first row with the largest ratio (None without rows), as a loop
-    taking a row only when its ratio is strictly larger; and the verdict
-    against ``target_C`` (None without one): ``fail`` when a certified
-    row exceeds it, ``inconclusive`` when only truncated rows do or there
-    are no rows, else ``pass``."""
-    best = max(rows, key=lambda row: row.ratio, default=None)
-    if target_C is None:
-        return best, None
-    if _certified_over(rows, target_C) is not None:
-        return best, "fail"
-    over = any(row.ratio > target_C for row in rows)
-    return best, "inconclusive" if over or best is None else "pass"
+    taking a row only when its ratio is strictly larger."""
+    return max(rows, key=lambda row: row.ratio, default=None)
 
 
-def _certified_over(rows: list[RatioRow], target_C: float) -> RatioRow | None:
-    """The first certified row whose ratio exceeds ``target_C``, which fails
-    the cap at any horizon; None when there is no such row."""
-    return next((row for row in rows if row.ratio > target_C and not row.truncated), None)
+def cap_verdict(rows, cap: float) -> tuple[str, RatioRow | None]:
+    """``C <= cap`` judged over ``rows``: ``fail`` with the first certified
+    row over the cap, which fails it at any horizon; ``inconclusive`` when
+    only truncated rows exceed it (a truncated sup scan inflates the ratio)
+    or there are no rows; else ``pass``.  The row is None unless ``fail``."""
+    first = next((row for row in rows if row.ratio > cap and not row.truncated), None)
+    if first is not None:
+        return "fail", first
+    return ("inconclusive" if not rows or any(row.ratio > cap for row in rows) else "pass"), None
 
 
 def _axis_admissible(axis: Axis, m: int, n: int, lam: int) -> bool:
@@ -248,7 +248,7 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
                 lhs_val = table.rect_abs_sum(r, m, 2 * m - 1, n, 2 * n - 1)
                 mv: MajorantValue = rhs(c, fams[axis], m, n, table=table)
                 axis_rows.append(_ratio_row(m, n, axis.value, lhs_val, mv.value, mv.truncated))
-        best, _ = _fit(axis_rows, None)
+        best = _worst(axis_rows)
         fitted[axis] = None if best is None else best.ratio
         witness[axis.value] = None if best is None else {
             "m": best.m, "n": best.n, "lhs": best.lhs, "rhs": best.rhs, "ratio": best.ratio,
@@ -321,8 +321,6 @@ class SingleMembershipReport:
     worst_witness: dict | None
     truncation_flags: bool
     rows: tuple[RatioRow, ...]
-    target_C: float | None = None
-    verdict: str | None = None
 
 
 def beta_star(a: SingleSequence, n: int, lam: int = 2) -> float:
@@ -333,8 +331,7 @@ def beta_star(a: SingleSequence, n: int, lam: int = 2) -> float:
 
 def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
                             lam: int = 2, r: int = 1, horizon: int = 4096,
-                            b: str = "l", beta: str | None = None,
-                            target_C: float | None = None) -> SingleMembershipReport:
+                            b: str = "l", beta: str | None = None) -> SingleMembershipReport:
     """Fit the class constant of a single sequence over a grid of n.
 
     Classes: ``MVBVS`` compares ``sum_{k=n}^{2n} |d1 a_k|`` against the
@@ -380,10 +377,9 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
         else:
             rhs_val = float(beta_fn(n))
         rows.append(_ratio_row(n, 0, "single", lhs_val, rhs_val, truncated))
-    best, verdict = _fit(rows, target_C)
+    best = _worst(rows)
     return SingleMembershipReport(
         klass=klass, r=r, grid=grid, fitted_C=None if best is None else best.ratio,
         worst_witness=None if best is None else {
             "n": best.m, "lhs": best.lhs, "rhs": best.rhs, "ratio": best.ratio},
-        truncation_flags=any(row.truncated for row in rows), rows=tuple(rows),
-        target_C=target_C, verdict=verdict)
+        truncation_flags=any(row.truncated for row in rows), rows=tuple(rows))

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -212,6 +213,10 @@ class TestLibraryRefusals:
         (("remark2", "--schedule", "-1"), "scales must be >= 0"),
         (("condition-22", "--preset", "product_power(nan)"),
          "product_power exponents must be positive"),
+        (("uniform-tail", *OSC, "--grid-points", "3", "--rect-cap", "64", "--thresholds",
+          "4,8,16", "--band", "-5", "--expect", "not-decaying"), "band must be >= 0, got -5.0"),
+        (("lemma", "--which", "1", *OSC, "--schedule", "4,8,16", "--band", "-5", "--expect",
+          "not-decaying"), "band must be >= 0, got -5.0"),
     ])
     def test_bad_argument(self, tmp_path, capsys, argv, reason):
         assert reason in self.refused(tmp_path, capsys, *argv)
@@ -243,9 +248,17 @@ class TestUnexpectedErrors:
 
 
 class TestCapVerdicts:
-    """A cap is judged by the fit's rule: a certified row over it fails it
-    at any horizon, so the truncation note is printed only when every row
-    over the cap is truncated."""
+    """A cap is judged by ``membership.cap_verdict``: a certified row over it
+    fails it at any horizon, so the truncation note is printed only when
+    every row over the cap is truncated."""
+
+    def test_cli_imports_no_private_membership_name(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "membership"
+                 for alias in node.names]
+        assert "cap_verdict" in names
+        assert [name for name in names if name.startswith("_")] == []
 
     ARGS = ("check-class", "--preset", "oscillating_quadratic", "--r", "2", "--family",
             "three", "--grid", "dyadic:16", "--sup-horizon", "16")

@@ -65,10 +65,18 @@ class TestVerdicts:
     @pytest.mark.parametrize("classify, kwargs, reason", [
         (classify_tail, dict(decay_factor=math.nan), "decay_factor must be > 0, got nan"),
         (classify_probe, dict(decay_ratio=math.nan), "decay_ratio must be > 0, got nan"),
+        (classify_probe, dict(band=-5), "band must be >= 0, got -5"),
+        (classify_probe, dict(band=math.nan), "band must be >= 0, got nan"),
     ])
     def test_nan_ratio_refused(self, classify, kwargs, reason):
         with pytest.raises(ValueError, match=reason):
             classify((4.0, 2.0, 1.0), **kwargs)
+
+    def test_zero_band_is_valid(self):
+        # (4, 2, 1) never grows, so it decays with no wiggle allowed
+        assert classify_probe((4.0, 2.0, 1.0), band=0.0) is Verdict.DECAYING
+        assert classify_probe((4.0, 4.0, 1.0), band=0.0) is Verdict.DECAYING
+        assert classify_probe((4.0, 4.5, 1.0), band=0.0) is Verdict.INCONCLUSIVE
 
     def test_loglog_slope_exact_power(self):
         schedule = (4, 8, 16, 32)

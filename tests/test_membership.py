@@ -17,9 +17,11 @@ from doublesine import (
     Family,
     HorizonError,
     MajorantFamily,
+    RatioRow,
     SingleClass,
     Verdict,
     beta_star,
+    cap_verdict,
     check_condition_22,
     check_membership,
     check_single_membership,
@@ -34,7 +36,7 @@ from doublesine import (
 )
 from doublesine import differences, majorants
 from doublesine.majorants import compile_b, single_sup_scan
-from doublesine.membership import _fit, lhs_col, lhs_double, lhs_row
+from doublesine.membership import lhs_col, lhs_double, lhs_row
 
 from conftest import dense_twin
 
@@ -78,8 +80,37 @@ class TestBlockDifferenceSums:
 
 def axis_verdicts(report, cap):
     """Each axis's verdict against ``cap``, judged as the CLI judges its caps."""
-    return {axis: _fit([row for row in report.rows if row.axis == axis], cap)[1]
+    return {axis: cap_verdict([row for row in report.rows if row.axis == axis], cap)[0]
             for axis in ("row", "column", "double")}
+
+
+def ratio_row(n, ratio, truncated=False):
+    return RatioRow(m=n, n=0, axis="single", lhs=ratio, rhs=1.0, ratio=ratio,
+                    truncated=truncated)
+
+
+class TestCapVerdict:
+    def test_fail_returns_the_first_certified_row_over_the_cap(self):
+        rows = [ratio_row(1, 0.5), ratio_row(2, 3.0, truncated=True), ratio_row(3, 2.5),
+                ratio_row(4, 2.8)]
+        assert cap_verdict(rows, 2.0) == ("fail", rows[2])
+
+    def test_only_truncated_rows_over_the_cap_are_inconclusive(self):
+        rows = [ratio_row(1, 0.5), ratio_row(2, 3.0, truncated=True)]
+        assert cap_verdict(rows, 2.0) == ("inconclusive", None)
+
+    def test_no_rows_are_inconclusive(self):
+        assert cap_verdict([], 2.0) == ("inconclusive", None)
+        assert cap_verdict((), 2.0) == ("inconclusive", None)
+
+    def test_pass_at_and_under_the_cap(self):
+        # a truncated row under the cap does not undecide it
+        rows = [ratio_row(1, 0.5, truncated=True), ratio_row(2, 2.0)]
+        assert cap_verdict(rows, 2.0) == ("pass", None)
+
+    def test_infinite_ratio_on_a_certified_row_fails(self):
+        rows = [ratio_row(1, 0.5), ratio_row(2, math.inf)]
+        assert cap_verdict(rows, 1e300) == ("fail", rows[1])
 
 
 class TestCheckMembership:
@@ -423,9 +454,8 @@ class TestSingleMembership:
     def test_sbvs_passes_for_power_decay(self):
         vals = 1.0 / np.arange(1.0, 3000.0) ** 2
         a = single_from_values("inv_sq", vals)
-        report = check_single_membership(a, SingleClass.SBVS, (4, 8, 16, 32),
-                                         horizon=1024, target_C=4.0)
-        assert report.verdict in ("pass", "inconclusive")
+        report = check_single_membership(a, SingleClass.SBVS, (4, 8, 16, 32), horizon=1024)
+        assert cap_verdict(report.rows, 4.0)[0] in ("pass", "inconclusive")
         assert report.fitted_C <= 4.0
 
     def test_sbvs2_uses_b_expression(self, osc):
@@ -447,8 +477,8 @@ class TestSingleMembership:
 
     def test_target_failure_verdict(self, osc):
         a, _ = osc.separable_parts
-        report = check_single_membership(a, SingleClass.MVBVS, (256,), target_C=1.0)
-        assert report.verdict == "fail"
+        report = check_single_membership(a, SingleClass.MVBVS, (256,))
+        assert cap_verdict(report.rows, 1.0) == ("fail", report.rows[0])
 
     @pytest.mark.parametrize("klass", list(SingleClass))
     def test_grid_index_below_one_refused_before_evaluation(self, osc, klass):
@@ -471,20 +501,32 @@ SINGLES = {
 SINGLE_GRID = (1, 2, 3, 4, 5, 8, 13, 16, 21, 64)
 
 # sha256 of repr([repr(report) for each of SINGLES, by name]), frozen from the
-# per-class fit loop that check_single_membership kept before it shared _fit.
+# per-class fit loop that check_single_membership kept before it shared _fit;
+# re-frozen when the report dropped its target_C and verdict fields: the
+# earlier reprs with each ", target_C=..., verdict=..." removed hash to these
+# values under every cap
 SINGLE_FROZEN = {
-    ("mvbvs", None): "0138cfefbeb41b03b2f9530a4ad12d246d8d93a4e347c197e2b75b7e2ac9430f",
-    ("mvbvs", 0.5): "db281244b69154671840a9fe5b93fa93d256225f567de3b59088daee94be6cf1",
-    ("mvbvs", 3.0): "b169353d805ee95e1af0ccc60347af023ac89d6f5a92b8f8d7d6e9b2e0ac1754",
-    ("sbvs", None): "47bbc57529afde3be27e6d0326119e0ff9411a31b57ce9d57a1deeb3c57cf7d8",
-    ("sbvs", 0.5): "0db6a323ab056ba45a0b772f15954df07bedbfc5212750334096ed5c4e6d041d",
-    ("sbvs", 3.0): "3608b2fb88aac91b5f5c2986dcd31ef8b781336046776ca8cafbac00b40abe74",
-    ("sbvs2", None): "f88f2a58b0a266766162b6930ba6330e5ae8b2748b5bb3085cca4e1910b26823",
-    ("sbvs2", 0.5): "01f691c001a8589b3993b4f9563b86b21209811c1133c4293630b70c05a00ac2",
-    ("sbvs2", 3.0): "e6e0db68c5c6aa65666157e44a74129dc25d735d9cfff70881fb9246558f16b0",
-    ("gm", None): "c217673c85ba83c3eee1f635711844b2cfaddbb8c7fd782c233c80a75d232084",
-    ("gm", 0.5): "72e5edc93529d271e7b0c327e022d1d973b4e5d57ca3671f4cc481b1f2c224d9",
-    ("gm", 3.0): "072573d1f8b5852f76997bb99e1fa9b49311c0b682f851a345eb6a59cac9992c",
+    "mvbvs": "cef3afb69d18a6f3ff5c829773168c0aae334889fb3acd1736546348b2ed61d2",
+    "sbvs": "9cb3680a5e3762726119df05f5f5ddf346c8904aecd13a7378cbc412201d0f4e",
+    "sbvs2": "bc3dffa6c325cd9555cc5d285c38297d1a1f86572e9ea6f4b2986a19aa3143a5",
+    "gm": "548589bee4ae5cfad03967108d41c526c7f51e587e698a7be162590efe0239f3",
+}
+
+# each report's verdict against the cap, for SINGLES by name, as the reports
+# stored them before cap_verdict judged the caps; None without a cap
+SINGLE_VERDICTS = {
+    ("mvbvs", None): (None,) * 4,
+    ("mvbvs", 0.5): ("fail", "fail", "pass", "fail"),
+    ("mvbvs", 3.0): ("fail", "fail", "pass", "pass"),
+    ("sbvs", None): (None,) * 4,
+    ("sbvs", 0.5): ("inconclusive", "fail", "pass", "inconclusive"),
+    ("sbvs", 3.0): ("inconclusive", "fail", "pass", "pass"),
+    ("sbvs2", None): (None,) * 4,
+    ("sbvs2", 0.5): ("inconclusive", "fail", "pass", "inconclusive"),
+    ("sbvs2", 3.0): ("inconclusive", "fail", "pass", "inconclusive"),
+    ("gm", None): (None,) * 4,
+    ("gm", 0.5): ("fail", "fail", "fail", "fail"),
+    ("gm", 3.0): ("fail", "pass", "fail", "fail"),
 }
 
 
@@ -492,14 +534,16 @@ def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("klass, target", sorted(SINGLE_FROZEN, key=str))
-def test_single_membership_is_frozen(klass, target):
-    kw = dict(lam=2, horizon=128, target_C=target)
+@pytest.mark.parametrize("klass, cap", sorted(SINGLE_VERDICTS, key=str))
+def test_single_membership_is_frozen(klass, cap):
+    kw = dict(lam=2, horizon=128)
     if klass == "gm":
         kw.update(r=2, beta="1/n^2")
-    reports = [repr(check_single_membership(SINGLES[name], SingleClass(klass), SINGLE_GRID, **kw))
+    reports = [check_single_membership(SINGLES[name], SingleClass(klass), SINGLE_GRID, **kw)
                for name in sorted(SINGLES)]
-    assert _sha(reports) == SINGLE_FROZEN[klass, target]
+    assert _sha([repr(report) for report in reports]) == SINGLE_FROZEN[klass]
+    assert tuple(None if cap is None else cap_verdict(report.rows, cap)[0]
+                 for report in reports) == SINGLE_VERDICTS[klass, cap]
 
 
 class TestDenseFamilyOne:

@@ -9,11 +9,14 @@ quantities and condition (22), so they guard how each wires rows and
 columns to their lines (a column axis that read row lines would break the
 transpose).  The probe and the rectangle sums transpose within stated
 bounds where their order of summation changes with the orientation.
+They also reflect: ``(-1)^(j+1) c_jk`` at ``pi - x`` gives the same sums,
+within a bound that grows with the largest index.
 """
 
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from doublesine import (
@@ -155,3 +158,58 @@ def test_rectangle_sum_transposes_within_two_ulps(name, method):
     want = method(c, Rect(2, 40, 3, 25), 0.7, 1.9)
     got = method(c.T, Rect(3, 25, 2, 40), 1.9, 0.7)
     assert abs(got - want) <= 2 * math.ulp(abs(want))
+
+
+# --- reflection: sin(j (pi - x)) = (-1)^(j+1) sin(j x) ----------------------
+
+def reflected(c):
+    """``(-1)^(j+1) c_jk``, with the sign on the first factor when ``c``
+    factors; its sums at ``pi - x`` are those of ``c`` at x.  The sign
+    keeps every ``|c_jk|``, so the decay hints stay valid."""
+    def sign(j):
+        return np.where(np.asarray(j) % 2 == 1, 1.0, -1.0)
+
+    parts = None
+    if c.separable_parts is not None:
+        a, b = c.separable_parts
+        parts = (replace(a, name=f"reflected {a.name}",
+                         eval=lambda j, _f=a.eval: sign(j) * _f(j)), b)
+    return replace(c, name=f"reflected {c.name}",
+                   eval=lambda j, k, _f=c.eval: sign(j) * _f(j, k), separable_parts=parts)
+
+
+# ``pi - x`` rounds, and the sine argument's error grows with j: with M the
+# largest j, the reflected sums stayed within 2.91 M eps relative (2.59e-14
+# for 1/(j*k*(j+k)) on Rect(2, 40, 3, 25) at (1.3, 1.3)), and the probe
+# within 5.87 M eps (8.35e-14 for the dense skew sequence at x = 3 pi/4,
+# whose lattice sums are matrix products).
+REFLECT_K = 8.0
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("name", SEQUENCES)
+@pytest.mark.parametrize("method", [rect_sum_direct, rect_sum_parts])
+def test_rectangle_sum_reflects(name, method):
+    c = SEQUENCES[name]
+    twin = reflected(c)
+    for rect in (Rect(1, 40, 1, 40), Rect(2, 40, 3, 25), Rect(17, 300, 5, 90)):
+        for x, y in ((0.7, 1.9), (2.5, 0.4), (1.3, 1.3)):
+            want = method(c, rect, x, y)
+            got = method(twin, rect, math.pi - x, y)
+            assert abs(got - want) <= REFLECT_K * rect.M * EPS * abs(want)
+
+
+@pytest.mark.parametrize("name", SEQUENCES)
+def test_probe_reflects(name):
+    # one probe per column x of the 3 x 3 grid: the whole grid maps onto
+    # itself, so its sup would hide a reflection that lost the sign
+    c, twin_c = SEQUENCES[name], reflected(SEQUENCES[name])
+    for x in sorted({x for x, _ in interior_grid(3)}):
+        grid = tuple((x, y) for x0, y in interior_grid(3) if x0 == x)
+        probe = ProbeConfig(xy_grid=grid, thresholds=(8, 16, 32), rect_cap=64)
+        report = uniform_tail_probe(c, probe)
+        twin = uniform_tail_probe(twin_c, replace(probe, xy_grid=tuple(
+            (math.pi - x, y) for x, y in grid)))
+        assert (twin.verdict, twin.bounded) == (report.verdict, report.bounded)
+        for got, want in zip(twin.values, report.values):
+            assert abs(got - want) <= REFLECT_K * probe.rect_cap * EPS * want

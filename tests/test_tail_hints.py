@@ -130,20 +130,25 @@ class TestClosedFormBracket:
 # sha256 of the reprs below, frozen on the code that wrote each tail bound
 # out at its call site; the first test to run the generic lemma tails
 # (re-frozen when MajorantValue dropped its argmax field: the earlier reprs
-# with each ", argmax=(...)" removed hash to this value)
-HINTED_FROZEN = "b41577a35728d5ec189f4996cfc7bd9280e29395f0ebf480215c9c63e6d62b19"
+# with each ", argmax=(...)" removed hash to the value before this one; and
+# when Measurement derived its bounded flag from tail_bound: those reprs with
+# each "bounded=True, " and "bounded=False, " removed hash to this value)
+HINTED_FROZEN = "8065e00df11c0b7b1bc2f5e67f515e2204456d5e2e3a9c00a135d0454ef4abd2"
 
 
 def test_hinted_generic_results_are_frozen():
-    out = []
+    results, measured = [], []
     for p, q in ((2.0, 2.0), (1.5, 2.5), (3.0, 1.2), (2.0, 1.0), (1.0, 2.0)):
         c = hinted(p, q)
         for m, n, H in ((1, 1, 32), (2, 5, 64), (7, 3, 128)):
-            out.append(repr(lemma1_quantity(c, m, n, H)))
+            results.append(lemma1_quantity(c, m, n, H))
+            measured.append(results[-1])
         for m, n, sup_h, sum_h in ((1, 1, 32, 64), (4, 2, 64, 128), (3, 6, 16, 256)):
-            out.append(repr(lemma2_quantities(c, m, n, sup_h, sum_h)))
+            results.append(lemma2_quantities(c, m, n, sup_h, sum_h))
+            measured.extend(results[-1])
         for H in (16, 64):
             table = DoubleScanTable(c, H)
-            out.extend(repr(table.query(t)) for t in (2, 9, H + 1, 2 * H))
-    assert sum(text.count("bounded=True") for text in out) == 33
+            results.extend(table.query(t) for t in (2, 9, H + 1, 2 * H))
+    assert sum(q.bounded for q in measured) == 33
+    out = [repr(result) for result in results]
     assert hashlib.sha256(repr(out).encode()).hexdigest() == HINTED_FROZEN
