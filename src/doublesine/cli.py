@@ -46,6 +46,7 @@ from .convergence import (
     remark2_divergence,
     theorem7_bound_check,
     uniform_tail_trace,
+    _check_probe_rule,
     _remark2_squares,
 )
 from .differences import delta_r, delta_rr
@@ -522,6 +523,7 @@ def _run_lemma(args):
 
 
 def _run_lemma_decay(args, c):
+    _check_probe_rule(args.band, args.decay_ratio)
     schedule = _parse_int_list(args.schedule, "schedule")
     series: dict[str, list] = {}
     if args.which == 1:

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import _blocked_sum, _row_blocks, _span, delta_r0_grid
+from .differences import _blocked_sum, _row_blocks, _span, _sub_blocks, delta_r0_grid
 from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
 from .majorants import (DoubleScanTable, _check_horizon, _dense_cap, _rect_abs_sum, _scan_table,
                         compile_b)
@@ -170,6 +170,13 @@ def classify_tail(values, *, decay_factor: float = 100.0) -> Verdict:
                     and v[-1] < v[0] / decay_factor)
 
 
+def _check_probe_rule(band: float, decay_ratio: float) -> None:
+    """Refuse a ``decay_ratio`` that is not > 0 and a ``band`` that is not >= 0."""
+    _check_positive("decay_ratio", decay_ratio)
+    if not band >= 0:  # NaN too
+        raise ValueError(f"band must be >= 0, got {band!r}")
+
+
 def classify_probe(values, *, band: float = 0.05, decay_ratio: float = 4.0) -> Verdict:
     """Verdict for sup-style probes, tolerant of local wiggle.
 
@@ -178,9 +185,7 @@ def classify_probe(values, *, band: float = 0.05, decay_ratio: float = 4.0) -> V
     flat and inconclusive as in :func:`_verdict`.  A ``decay_ratio``
     that is not > 0 and a ``band`` that is not >= 0 are refused.
     """
-    _check_positive("decay_ratio", decay_ratio)
-    if not band >= 0:  # NaN too
-        raise ValueError(f"band must be >= 0, got {band!r}")
+    _check_probe_rule(band, decay_ratio)
     return _verdict(values, lambda v: all(b <= a * (1.0 + band) for a, b in zip(v, v[1:]))
                     and v[-1] <= v[0] / decay_ratio)
 
@@ -294,9 +299,17 @@ def _one_sided(c: CoefficientSequence, m: int, n: int, sup_horizon: int,
     _guard_generic(max((sum_horizon - m + 1) * (sup_horizon - n + 1),
                        (sum_horizon - n + 1) * (sup_horizon - m + 1)))
     sup_idx = np.arange(n, sup_horizon + 1, dtype=np.int64)
-    sums = np.zeros(len(sup_idx))
-    for j0, j1 in _row_blocks(m, sum_horizon, len(sup_idx)):
-        sums += np.abs(delta_r0_grid(c, 2, j0, j1, n, sup_horizon)).sum(axis=0)
+    width = len(sup_idx)
+    sums = np.zeros(width)
+    for j0, j1 in _row_blocks(m, sum_horizon, width):
+        # numpy sums a single column pairwise, not row by row: kept whole
+        block = None
+        for s0, s1 in _sub_blocks(j0, j1, width) if width > 1 else [(j0, j1)]:
+            rows = np.abs(delta_r0_grid(c, 2, s0, s1, n, sup_horizon))
+            if block is not None:
+                rows[0] += block
+            block = rows.sum(axis=0)
+        sums += block
     value = m * float(np.max(sup_idx.astype(np.float64) * sums))
     tail = None if c.decay_hint is None else c.decay_hint.d20_tail(m, n, sup_horizon, sum_horizon)
     return Measurement(value=value, tail_bound=None if tail is None else m * tail)
@@ -384,6 +397,8 @@ class ProbeConfig:
     ``thresholds`` is the schedule of lower bounds ``m + n > t``.
     ``min_start`` is the smallest start kept, starts below it are
     excluded (class domain restrictions); 1 keeps every m, n >= 1.
+    ``band`` and ``decay_ratio`` are :func:`classify_probe`'s, refused
+    here, before any probe, as there.
     """
 
     xy_grid: tuple[tuple[float, float], ...]
@@ -406,6 +421,7 @@ class ProbeConfig:
             raise ValueError("thresholds must be >= 2")
         if self.rect_cap < 2 or self.min_start < 1 or self.doublings < 1:
             raise ValueError("bad probe geometry")
+        _check_probe_rule(self.band, self.decay_ratio)
 
 
 def _corners_from(start: int, cap: int, doublings: int) -> list[int]:
@@ -451,6 +467,18 @@ def _probe_arrays(probe: ProbeConfig, min_start: int | None = None):
     return lo[j_iv], hi[j_iv], lo[k_iv], hi[k_iv], (j_iv, k_iv, lo, hi)
 
 
+def _probe_bytes(cap: int, intervals: int, abscissae: int) -> int:
+    """Bytes a dense probe holds at most at once: its ``cap x cap`` table and
+    one prefix table, the interval sums of each distinct x and y
+    (``abscissae`` of them) and the two prefix gathers of the one being
+    built, the ``inside`` mask, and sixteen lattice arrays of one entry
+    per rectangle (corners, interval indices, the admitted rectangles of
+    each threshold, and a grid point's product, modulus, sums and
+    selection)."""
+    return (8 * cap * (2 * cap + 1) + 8 * intervals * cap * (abscissae + 2)
+            + intervals * cap + 8 * 16 * intervals ** 2)
+
+
 def _abs_rect_sums(c: CoefficientSequence, probe: ProbeConfig, index):
     """Yield ``(x, y, |rect sums|)`` per grid point, one per lattice rectangle.
 
@@ -470,17 +498,19 @@ def _abs_rect_sums(c: CoefficientSequence, probe: ProbeConfig, index):
         P = sine_prefix(factor, t)
         return P[hi] - P[lo - 1]
 
+    xs = dict.fromkeys(x for x, _ in probe.xy_grid)
     ys = dict.fromkeys(y for _, y in probe.xy_grid)
     if c.separable_parts is not None:
         A, B = (np.asarray(f.eval(idx))[:, None] for f in c.separable_parts)
         sums_y = {y: interval_sums(B, y) for y in ys}
-    else:  # the dense table and one prefix table, capped
-        _dense_cap("probe", "rect_cap", cap, 8 * cap * (2 * cap + 1), f"{cap}x{cap} tables")
+    else:  # the dense table and one prefix table, capped with the working set
+        _dense_cap("probe", "rect_cap", cap, _probe_bytes(cap, len(lo), len(xs) + len(ys)),
+                   f"{cap}x{cap} tables and their interval sums")
         A = np.asarray(c.eval(idx[:, None], idx[None, :]))
         inside = (lo[:, None] <= idx) & (idx <= hi[:, None])
         ks = idx.astype(np.float64)
         sums_y = {y: np.where(inside, np.sin(ks * y), 0.0) for y in ys}
-    sums_x = {x: interval_sums(A, x) for x in dict.fromkeys(x for x, _ in probe.xy_grid)}
+    sums_x = {x: interval_sums(A, x) for x in xs}
     for x, y in probe.xy_grid:
         yield x, y, np.abs(sums_x[x] @ sums_y[y].T)[j_iv, k_iv]
 

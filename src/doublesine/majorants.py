@@ -28,6 +28,11 @@ Double sups keep a :class:`DoubleScanTable` of the threshold-independent
 block sums.  One table serves a whole command: a membership fit and the
 lemma 3 points that follow it query the same table at every grid point.
 The table holds only double sups, kept per threshold, and factor sums.
+A dense table never holds its block matrix: it streams block rows from
+two carried rows of the prefix table, one for each end of the block, and
+keeps the sup of each anti-diagonal ``M + N``; since a max of floats is
+exact, a reverse running max of those gives every threshold's sup, the
+value a masked max over the whole matrix gives, bit for bit.
 
 Columns run as rows of the transpose ``c.T``, whose row lines
 (:meth:`~doublesine.sequences.CoefficientSequence.row`) carry their own
@@ -75,7 +80,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .differences import _blocked_sum, _row_blocks, _span, _variation, delta_rr_grid
+from .differences import _blocked_sum, _span, _variation, delta_rr_grid
 from .sequences import CoefficientSequence, PowerDecay, SingleSequence, compile_expression
 from .summing import _cumsum_rows, ksum
 
@@ -98,8 +103,10 @@ __all__ = [
     "rhs",
 ]
 
-# _dense_cap refuses dense paths (double scans, probes) whose float64 tables pass this.
+# _dense_cap refuses dense paths (double scans, probes) whose stated working set passes this.
 _MAX_DENSE_BYTES = 160_000_000
+# Block rows M of the dense double-scan table streamed at a time.
+_SCAN_ROWS = 16
 
 
 class Family(Enum):
@@ -189,6 +196,17 @@ def _dense_cap(what: str, knob: str, value: int, needed: int, tables: str) -> No
         raise ValueError(f"dense {what} at {knob} {value} needs {needed} bytes for its "
                          f"{tables}, over the cap of {_MAX_DENSE_BYTES} bytes; "
                          f"lower {knob} or use a separable sequence")
+
+
+def _scan_bytes(horizon: int, rows: int) -> int:
+    """Bytes of float64 the dense double-scan table holds at most at once,
+    streaming ``rows`` block rows, each ``2 horizon + 1`` wide or less: the
+    lead's ``2 rows + 1`` and the lag's ``rows + 1`` prefix rows, each
+    twice (carried and summed along k), one evaluation of ``2 rows`` rows
+    counted as six arrays (the values, their modulus and the evaluator's
+    temporaries; a deeper expression takes more), the block rows, and the
+    anti-diagonal maxima with their running max."""
+    return 8 * (2 * horizon + 1) * (2 * (3 * rows + 2) + 6 * 2 * rows + rows + 2)
 
 
 def averaging_window(m: int, lam: int) -> tuple[int, int]:
@@ -415,11 +433,13 @@ class DoubleScanTable:
     factor sums of :meth:`rect_abs_sum`.
 
     Separable sequences keep the second factor's block array and the
-    suffix maximum of the first's; others keep the row-wise suffix
-    maximum of the dense block matrix, built from a prefix table filled
-    one row block at a time.  Which of the two is decided once, when the
-    table is built on the first query.  One table serves a command (a fit
-    and the lemma 3 points after it); nothing caches it across commands.
+    suffix maximum of the first's; others keep, for each threshold up to
+    ``2 horizon``, the sup of the dense block sums, from one pass that
+    streams ``_SCAN_ROWS`` block rows at a time (:meth:`_dense_sups`),
+    within a working set stated in bytes and capped.  Which of the two is
+    decided once, when the table is built on the first query.  One table
+    serves a command (a fit and the lemma 3 points after it); nothing
+    caches it across commands.
     Query results are kept per threshold, and :meth:`rect_abs_sum` keeps a
     separable sequence's factor sums per step and window.
     """
@@ -438,51 +458,69 @@ class DoubleScanTable:
 
     def _build(self):
         """The table's search, factored or dense as chosen here once: given
-        ``first``, each line's smallest admissible partner, and ``lo``, that
-        clipped to ``1..horizon``, it returns the sup."""
+        a threshold, it returns the sup over ``M + N >=`` it."""
         c, horizon = self.c, self.horizon
         self._tail = None if c.decay_hint is None else c.decay_hint.block_sup(horizon)
         if c.separable_parts is None:
-            suffix = np.maximum.accumulate(self._dense_blocks()[:, ::-1], axis=1)[:, ::-1]
-
-            def search(first, lo):
-                # lines are rows M, each with its suffix maximum from N = lo
-                return float(np.max(np.where(first <= horizon,
-                                             suffix[np.arange(horizon), lo - 1], -np.inf)))
-            return search
+            best = self._dense_sups()
+            return lambda threshold: float(best[max(threshold, 2)])
 
         j = _span(1, 2 * horizon)
         fa, fb = (_block_array(_abs_f64(f.eval(j)), 1, 1, horizon) for f in c.separable_parts)
         suffix = np.maximum.accumulate(fa[::-1])[::-1]
 
-        def search(first, lo):
-            # lines are N: candidate fb[N] * max_{M >= lo} fa[M].  Past the
-            # horizon lo is clipped to it, which admits pairs below threshold.
+        def search(threshold):
+            # lines are N: candidate fb[N] * max_{M >= lo} fa[M], lo the smallest
+            # admissible M clipped to 1..horizon.  Past the horizon that clip
+            # admits pairs below threshold.
+            lo = np.clip(threshold - _span(1, horizon), 1, horizon)
             return float(np.max(fb * suffix[lo - 1]))
         return search
 
-    def _dense_blocks(self) -> np.ndarray:
-        """The dense block matrix from the prefix table of ``|c|`` on ``1..2 horizon``,
-        whose rows are evaluated one row block at a time and carried down in
-        place: the values of two whole-table cumsums, without the ``|c|`` grid."""
+    def _dense_sups(self) -> np.ndarray:
+        """``best[t]``, the sup of the dense block sums over ``M + N >= t`` for
+        ``t = 2..2 horizon``, in one streamed pass over ``M``.
+
+        Block row M reads two rows of the prefix table of ``|c|`` on
+        ``1..2 horizon``: the lead row 2M and the lag row M - 1.  Each is
+        carried down its own rows by sequential row adds and then summed
+        along k, as whole-table cumsums would, so block row M is that
+        table's, bit for bit.  The rows are folded into anti-diagonal
+        maxima ``D[M + N]``, and ``best`` is their reverse running max: a
+        max of floats is exact, and NaN propagates as through any max.
+        ``_SCAN_ROWS`` block rows are held at a time."""
         horizon = self.horizon
-        side = 2 * horizon + 1
-        _dense_cap("double scan", "sup_horizon", horizon, 8 * side * side,
-                   f"{side}x{side} prefix table")
-        k = _span(1, 2 * horizon)
-        pref = np.zeros((side, side))
-        for j0, j1 in _row_blocks(1, 2 * horizon, 2 * horizon):
-            rows = pref[j0 - 1:j1 + 1, 1:]    # the block and the prefix row above it
-            rows[1:] = _abs_f64(self.c.eval(_span(j0, j1)[:, None], k[None, :]))
-            _cumsum_rows(rows, rows)
-        np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
-        Ms = _span(1, horizon)
-        lo, hi = Ms - 1, 2 * Ms
-        blocks = pref[np.ix_(hi, hi)]
-        blocks -= pref[np.ix_(lo, hi)]
-        blocks -= pref[np.ix_(hi, lo)]
-        blocks += pref[np.ix_(lo, lo)]
-        return blocks
+        width, rows = 2 * horizon, min(_SCAN_ROWS, horizon)
+        _dense_cap("double scan", "sup_horizon", horizon, _scan_bytes(horizon, rows),
+                   f"working set of {rows} streamed block rows")
+        k = _span(1, width)
+        lead, lag = (0, np.zeros(width)), (0, np.zeros(width))
+        diag = np.full(2 * horizon + 1, -np.inf)
+
+        def prefix_rows(carried, upto):
+            # prefix rows at..upto of the carried row (index at, values), and the
+            # new carried row upto; k-summed with a leading zero column
+            at, row = carried
+            pref = np.empty((upto - at + 1, width))
+            pref[0] = row
+            if upto > at:
+                pref[1:] = _abs_f64(self.c.eval(_span(at + 1, upto)[:, None], k[None, :]))
+                _cumsum_rows(pref, pref)
+            summed = np.zeros((len(pref), width + 1))
+            np.cumsum(pref, axis=1, out=summed[:, 1:])
+            return summed, (upto, pref[-1].copy())
+
+        for M0 in range(1, horizon + 1, rows):
+            M1 = min(M0 + rows - 1, horizon)
+            hi, lead = prefix_rows(lead, 2 * M1)        # rows 2 M0 - 2 .. 2 M1
+            lo, lag = prefix_rows(lag, M1 - 1)          # rows M0 - 2 (0 at first) .. M1 - 1
+            hi, lo = hi[2::2], lo[-(M1 - M0 + 1):]
+            blocks = hi[:, 2::2] - lo[:, 2::2]
+            blocks -= hi[:, :horizon]
+            blocks += lo[:, :horizon]
+            for M, row in zip(range(M0, M1 + 1), blocks):
+                np.maximum(diag[M + 1:M + horizon + 1], row, out=diag[M + 1:M + horizon + 1])
+        return np.maximum.accumulate(diag[::-1])[::-1]
 
     def query(self, threshold: int) -> MajorantValue:
         """``sup over M + N >= threshold`` of the tabled double block sums."""
@@ -497,9 +535,7 @@ class DoubleScanTable:
     def _scan(self, threshold: int) -> MajorantValue:
         if self._search is None:
             self._search = self._build()
-        # For each line index i, partners from threshold - i up are admissible.
-        first = threshold - _span(1, self.horizon)
-        sup = self._search(first, np.clip(first, 1, self.horizon))
+        sup = self._search(threshold)
         return MajorantValue(value=sup, truncated=self._tail is None or self._tail > sup,
                              tail_bound=self._tail)
 

@@ -3,9 +3,13 @@
 Every reduction in this package that feeds a reported number goes through
 one of these helpers (or an explicitly ordered ``numpy`` cumulative sum),
 so that repeated runs produce bit-identical output, with two exceptions.
-Lemma 2's dense column sums (``ndarray.sum(axis=0)`` per row block, then
-``+=`` over the blocks in order) rest on fixed blocks and numpy's fixed
-order for a shape.  The dense probe's lattice sums are a BLAS matrix
+Lemma 2's dense column sums add each column's terms in row order: within
+a row block, a sub-block's running sums are added into the next
+sub-block's first row and ``ndarray.sum(axis=0)``, which adds the rows of
+a table two or more columns wide one after another, continues from
+there; the row blocks' sums are then added with ``+=`` in order.  A
+single column, which numpy sums pairwise instead, is summed whole per
+row block.  The dense probe's lattice sums are a BLAS matrix
 product, repeatable under one BLAS (OpenBLAS 0.3.31 gave the same cap-512
 dense probe with 1 and 2 threads); another BLAS may round differently.
 
@@ -26,6 +30,9 @@ once, which is the correctly rounded sum of the input, the same float
 that would push ``sigma`` out of ``2^-900..2^1000`` and a zero result
 are left to :func:`math.fsum` on the whole input, so NaN, infinities,
 its ``ValueError``/``OverflowError`` and the sign of zero are unchanged.
+:func:`_exact_parts` hands out those parts, so a caller can gather the
+parts of several arrays and round them once, the same float as ``ksum``
+of the arrays joined (``differences._blocked_sum``).
 """
 
 from __future__ import annotations
@@ -76,18 +83,34 @@ def _extracted_parts(flat: np.ndarray) -> list[float] | None:
     return parts
 
 
+def _exact_parts(values: np.ndarray) -> list[float] | None:
+    """Floats whose exact sum is the exact sum of the 1-D array ``values``:
+    the values themselves below ``_SMALL``, else their extracted parts.
+    None where :func:`ksum` leaves the sum to :func:`math.fsum`: a dtype
+    other than float16/32/64, or values that are not finite or out of the
+    range extraction handles.  Every part is finite and at most
+    ``2^_SIGMA_EXP_MAX`` in magnitude, so :func:`math.fsum` rounds any
+    list of them, however gathered, without overflow."""
+    if values.dtype.kind != "f" or values.dtype.itemsize > 8:
+        return None
+    values = values.astype(np.float64, copy=False)
+    if len(values) >= _SMALL:
+        return _extracted_parts(values)
+    top = float(np.max(np.abs(values), initial=0.0))
+    return values.tolist() if top <= math.ldexp(1.0, _SIGMA_EXP_MAX) else None
+
+
 def _fsum(flat: np.ndarray) -> float:
-    """``math.fsum(flat)`` for a real 1-D array."""
-    if flat.dtype.kind != "f" or flat.dtype.itemsize > 8:
-        return math.fsum(flat)
-    flat = flat.astype(np.float64, copy=False)
+    """``math.fsum(flat)`` for a 1-D array."""
     if len(flat) >= _SMALL:
-        parts = _extracted_parts(flat)
+        parts = _exact_parts(flat)
         if parts is not None:
             total = math.fsum(parts)
             if total != 0.0:
                 return total
-    return math.fsum(flat.tolist())
+    if flat.dtype.kind != "f" or flat.dtype.itemsize > 8:
+        return math.fsum(flat)
+    return math.fsum(flat.astype(np.float64, copy=False).tolist())
 
 
 def ksum(values: Iterable | np.ndarray) -> float | complex:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from doublesine import builtin, cli, majorants
+from doublesine import builtin, cli, from_expression, majorants
 from doublesine.cli import build_parser, main
 
 from conftest import TWIN_EXPR
@@ -100,9 +100,12 @@ class TestLibraryRefusals:
         return err
 
     def test_dense_scan_guard_states_bytes(self, tmp_path, capsys):
-        # default --sup-horizon 4096: a (2*4096+1)^2 float64 prefix table
-        err = self.refused(tmp_path, capsys, "check-class", "--expr", NONSEP_EXPR)
-        assert "needs 537001992 bytes" in err and "cap of 160000000 bytes" in err
+        # the streamed table holds 16 block rows of width 2 * 32768 + 1
+        err = self.refused(tmp_path, capsys, "check-class", "--expr", NONSEP_EXPR,
+                           "--sup-horizon", "32768")
+        assert err == ("error: dense double scan at sup_horizon 32768 needs 162531760 bytes "
+                       "for its working set of 16 streamed block rows, over the cap of "
+                       "160000000 bytes; lower sup_horizon or use a separable sequence\n")
 
     def test_horizon_below_scan_start(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "check-class", "--preset",
@@ -176,10 +179,11 @@ class TestLibraryRefusals:
         assert "nested" in err
 
     def test_dense_probe_guard_states_bytes(self, tmp_path, capsys):
-        # default --rect-cap 4096: the coefficient table and one prefix table
+        # default --rect-cap 4096: the coefficient table, one prefix table
+        # and the interval sums of the 3 + 3 abscissae
         err = self.refused(tmp_path, capsys, "uniform-tail", "--expr", NONSEP_EXPR,
                            "--grid-points", "3")
-        assert "needs 268468224 bytes" in err and "cap of 160000000 bytes" in err
+        assert "needs 287448192 bytes" in err and "cap of 160000000 bytes" in err
 
     @pytest.mark.parametrize("argv, reason", [
         (("partial-sum", *OSC, *RECT, "--r", "0"), "difference step must be >= 1, got 0"),
@@ -220,6 +224,25 @@ class TestLibraryRefusals:
     ])
     def test_bad_argument(self, tmp_path, capsys, argv, reason):
         assert reason in self.refused(tmp_path, capsys, *argv)
+
+    @pytest.mark.parametrize("command", [("uniform-tail", "--grid-points", "2"),
+                                         ("lemma", "--which", "1"), ("lemma", "--which", "2")])
+    @pytest.mark.parametrize("option, line", [
+        (("--band", "-5"), "error: band must be >= 0, got -5.0"),
+        (("--band", "nan"), "config error: --band must be finite, got nan"),
+        (("--decay-ratio", "0"), "error: decay_ratio must be > 0, got 0.0"),
+    ])
+    def test_bad_verdict_rule_refused_before_evaluation(self, tmp_path, capsys, monkeypatch,
+                                                        command, option, line):
+        def unreachable(j, k):
+            raise AssertionError("the sequence was evaluated")
+
+        c = from_expression("c", NONSEP_EXPR)
+        monkeypatch.setattr(cli, "_resolve_sequence",
+                            lambda args, single=False: replace(c, eval=unreachable))
+        assert run(tmp_path, *command, *option) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not any(tmp_path.iterdir())
 
 
 class TestUnexpectedErrors:
@@ -300,6 +323,17 @@ class TestDenseProbe:
             reports.append(((tmp_path / "uniform-tail.json").read_bytes(),
                             (tmp_path / "uniform-tail.csv").read_bytes()))
         assert reports[0] == reports[1]
+
+
+class TestDenseScan:
+    def test_non_separable_fit_runs_at_the_default_sup_horizon(self, tmp_path):
+        # a whole (2 * 4096 + 1)^2 prefix table would need 537 MB; the
+        # streamed table holds a few block rows
+        assert run(tmp_path, "check-class", "--expr", NONSEP_EXPR, "--r", "2",
+                   "--family", "three") == 0
+        payload = load_json(tmp_path, "check-class.json")
+        assert payload["config"]["majorants"]["sup_horizon"] == 4096
+        assert payload["pass"] is True
 
 
 class TestFactoredExpression:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from doublesine import (
     uniform_tail_probe,
     uniform_tail_trace,
 )
-from doublesine.convergence import _D2_BLOCK, _d2_scan, _probe_arrays, _weight_sup_scan
+from doublesine.convergence import (_D2_BLOCK, _d2_scan, _probe_arrays, _probe_bytes,
+                                    _weight_sup_scan)
 from doublesine.differences import _variation
 
 from conftest import TWIN_EXPR, dense_twin
@@ -517,6 +519,25 @@ class TestProbeOracle:
         c = dense_twin() if expr == TWIN_EXPR else from_expression("dense", expr)
         text = repr(uniform_tail_trace(c, probe))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DENSE_FROZEN[expr, cap]
+
+    @pytest.mark.parametrize("points", [3, 21])
+    @pytest.mark.parametrize("cap", [256, 512])
+    def test_dense_guard_counts_the_working_set(self, points, cap):
+        # on 21 x 21 the interval sums of the 42 abscissae outweigh the two
+        # cap x cap tables
+        c = from_expression("dense", "1/(j*k*(j+k))")
+        probe = ProbeConfig(xy_grid=interior_grid(points), rect_cap=cap)
+        uniform_tail_probe(c, ProbeConfig(xy_grid=interior_grid(2), rect_cap=16,
+                                          thresholds=(4, 8)))  # first-use caches stay out
+        intervals = len(_probe_arrays(probe)[4][2])
+        stated = _probe_bytes(cap, intervals, 2 * points)
+        tracemalloc.start()
+        try:
+            uniform_tail_probe(c, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stated
 
 
 class TestRemark2:

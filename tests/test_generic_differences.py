@@ -4,6 +4,7 @@ bit for bit, the loops that call ``delta_rr``/``delta_r0``/``delta_0r`` on
 shifted index grids (kept here as the twin), at every row-block size."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,22 +87,36 @@ def _block_cells(width):
     return (1, 2 * width, 5 * width, 1 << 22)
 
 
+# Sub-block settings, in rows of the rectangle's width: one row, a few
+# rows, and the default cell count.  None of them may change a bit.
+SUB_BLOCKS = {"row": 1, "rows": 3, "default": None}
+
+
+def _set_sub_block(monkeypatch, sub, width):
+    if SUB_BLOCKS[sub] is not None:
+        monkeypatch.setattr(differences, "_SUB_BLOCK_CELLS", SUB_BLOCKS[sub] * width)
+
+
 # --- library against twin ------------------------------------------------------
 
+@pytest.mark.parametrize("sub", sorted(SUB_BLOCKS))
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
 @pytest.mark.parametrize("m, n, horizon", LEMMA1)
-def test_lemma1_matches_twin(monkeypatch, name, m, n, horizon):
+def test_lemma1_matches_twin(monkeypatch, name, m, n, horizon, sub):
     c = SEQUENCES[name]
+    _set_sub_block(monkeypatch, sub, horizon - n + 1)
     for cells in _block_cells(horizon - n + 1):
         monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", cells)
         got = lemma1_quantity(c, m, n, horizon=horizon).value
         assert got.hex() == lemma1_twin(c, m, n, horizon, cells).hex(), cells
 
 
+@pytest.mark.parametrize("sub", sorted(SUB_BLOCKS))
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
 @pytest.mark.parametrize("m, n, sup_h, sum_h", LEMMA2)
-def test_lemma2_matches_twin(monkeypatch, name, m, n, sup_h, sum_h):
+def test_lemma2_matches_twin(monkeypatch, name, m, n, sup_h, sum_h, sub):
     c = SEQUENCES[name]
+    _set_sub_block(monkeypatch, sub, sup_h - n + 1)
     for cells in _block_cells(sup_h - n + 1):
         monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", cells)
         qa, qb = lemma2_quantities(c, m, n, sup_horizon=sup_h, sum_horizon=sum_h)
@@ -109,10 +124,23 @@ def test_lemma2_matches_twin(monkeypatch, name, m, n, sup_h, sum_h):
         assert (qa.value.hex(), qb.value.hex()) == (ta.hex(), tb.hex()), cells
 
 
+@pytest.mark.parametrize("sub", sorted(SUB_BLOCKS))
+def test_lemma2_single_column_matches_twin(monkeypatch, sub):
+    # n = sup_horizon leaves one column, which numpy sums pairwise, not row
+    # by row, so its row block is not split
+    c = SEQUENCES["nonsep"]
+    _set_sub_block(monkeypatch, sub, 1)
+    qa, qb = lemma2_quantities(c, 2, 9, sup_horizon=9, sum_horizon=300)
+    ta, tb = lemma2_twin(c, 2, 9, 9, 300, differences._ROW_BLOCK_CELLS)
+    assert (qa.value.hex(), qb.value.hex()) == (ta.hex(), tb.hex())
+
+
+@pytest.mark.parametrize("sub", sorted(SUB_BLOCKS))
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
 @pytest.mark.parametrize("r, m, n", LHS)
-def test_lhs_double_matches_twin(monkeypatch, name, r, m, n):
+def test_lhs_double_matches_twin(monkeypatch, name, r, m, n, sub):
     c = SEQUENCES[name]
+    _set_sub_block(monkeypatch, sub, n)
     for cells in _block_cells(n):
         monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", cells)
         assert lhs_double(c, r, m, n).hex() == lhs_double_twin(c, r, m, n, cells).hex(), cells
@@ -139,9 +167,70 @@ FROZEN = {
 }
 
 
+@pytest.mark.parametrize("sub_cells", [1, 100, None])
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
-def test_generic_quantities_are_frozen(name):
+def test_generic_quantities_are_frozen(monkeypatch, name, sub_cells):
+    if sub_cells is not None:
+        monkeypatch.setattr(differences, "_SUB_BLOCK_CELLS", sub_cells)
     assert _digest(SEQUENCES[name]) == FROZEN[name]
+
+
+# --- the reducer itself ----------------------------------------------------------
+
+def _sum_or_error(f):
+    try:
+        return f().hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 90),
+       st.sampled_from(["none", "nan", "inf", "both", "huge", "zeros"]))
+@settings(max_examples=60, deadline=None)
+def test_blocked_sum_rounds_each_row_block_once(seed, rows, width, special):
+    # signed values over 40 binades; the twin sums each row block whole
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(rows, width)) * 2.0 ** rng.integers(-20, 20, size=(rows, width))
+    r, k = rng.integers(rows), rng.integers(width)
+    if special == "zeros":
+        t[: rows // 2] = 0.0
+    elif special != "none":
+        values = {"nan": [np.nan], "inf": [np.inf], "both": [np.inf, -np.inf],
+                  "huge": [1e308, 1e308]}[special]
+        t.reshape(-1)[rng.choice(t.size, size=min(len(values), t.size), replace=False)] = (
+            values[:t.size])
+    block = lambda j0, j1: t[j0 - 1:j1]  # noqa: E731
+    saved = differences._ROW_BLOCK_CELLS, differences._SUB_BLOCK_CELLS
+    try:
+        for row_cells in (width, 7 * width, 1 << 22):
+            for sub_cells in (1, 3 * width, 600, saved[1]):
+                differences._ROW_BLOCK_CELLS, differences._SUB_BLOCK_CELLS = row_cells, sub_cells
+                want = _sum_or_error(lambda: float(ksum(np.asarray(
+                    [ksum(block(j0, j1)) for j0, j1 in differences._row_blocks(1, rows, width)]))))
+                got = _sum_or_error(lambda: differences._blocked_sum(1, rows, width, block))
+                assert got == want, (row_cells, sub_cells)
+    finally:
+        differences._ROW_BLOCK_CELLS, differences._SUB_BLOCK_CELLS = saved
+
+
+# --- the working set -----------------------------------------------------------
+
+@pytest.mark.parametrize("quantity", [
+    lambda c: lemma1_quantity(c, 4, 4, horizon=512),
+    lambda c: lemma2_quantities(c, 4, 4, sup_horizon=256, sum_horizon=512),
+], ids=["lemma1", "lemma2"])
+def test_dense_lemma_scans_stream_in_sub_blocks(quantity):
+    # one row block holds every row here (about 2 MB of float64 differences),
+    # so only its sub-blocks keep the scan under 1 MB
+    c = SEQUENCES["nonsep"]
+    quantity(from_expression("warm", "1/(j*k*(j+k))"))  # first-use caches stay out
+    tracemalloc.start()
+    try:
+        quantity(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- the grid operators themselves ---------------------------------------------

@@ -350,6 +350,33 @@ def dense_masked_scan(c, threshold, horizon):
                         initial=-np.inf))
 
 
+def whole_table_sups(c, horizon, thresholds):
+    """The dense sups as built before streaming: the whole ``(2H+1)^2``
+    prefix table carried down row by row and summed along k, the H x H
+    block matrix from four gathers, its row suffix maxima, and per threshold
+    a max over the rows whose partners reach it."""
+    side = 2 * horizon + 1
+    j = np.arange(1, 2 * horizon + 1, dtype=np.int64)
+    grid = np.abs(np.asarray(c.eval(j[:, None], j[None, :]))).astype(np.float64)
+    pref = np.zeros((side, side))
+    for i in range(1, side):
+        np.add(pref[i - 1, 1:], grid[i - 1], out=pref[i, 1:])
+    np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
+    Ms = np.arange(1, horizon + 1, dtype=np.int64)
+    lo, hi = Ms - 1, 2 * Ms
+    blocks = pref[np.ix_(hi, hi)]
+    blocks -= pref[np.ix_(lo, hi)]
+    blocks -= pref[np.ix_(hi, lo)]
+    blocks += pref[np.ix_(lo, lo)]
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+    sups = []
+    for t in thresholds:
+        first = t - Ms
+        rows = suffix[Ms - 1, np.clip(first, 1, horizon) - 1]
+        sups.append(float(np.max(np.where(first <= horizon, rows, -np.inf))))
+    return sups
+
+
 class TestDoubleScanTable:
     @pytest.mark.parametrize("expr", [TWIN_EXPR, "1/(j*k*(j+k))", "1", "mod(j*k, 3)"])
     def test_dense_queries_match_masked_max(self, expr):
@@ -363,16 +390,19 @@ class TestDoubleScanTable:
 
     # sha256 of the query reprs below, frozen on the build that held the whole
     # |c| grid and took two whole-table cumsums; the streamed build must give
-    # the same bits for any row-block size
+    # the same bits for any row-block size and any number of streamed rows
     # (re-frozen when MajorantValue dropped its argmax field: the earlier reprs
     # with each ", argmax=(...)" removed hash to this value)
     DENSE_FROZEN = "02c7c374764c6d9ab51be4973a78dea8d41be05b556d50ff16b0329c0d7c1eaf"
 
+    @pytest.mark.parametrize("scan_rows", [1, 3, None])
     @pytest.mark.parametrize("block_cells", [None, 1000])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf blocks
-    def test_dense_queries_are_frozen(self, block_cells, monkeypatch):
+    def test_dense_queries_are_frozen(self, block_cells, scan_rows, monkeypatch):
         if block_cells is not None:
             monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", block_cells)
+        if scan_rows is not None:
+            monkeypatch.setattr(majorants, "_SCAN_ROWS", scan_rows)
         rng = np.random.default_rng(5)
         bad = rng.random((20, 20))
         bad[3, 5] = np.inf
@@ -389,20 +419,47 @@ class TestDoubleScanTable:
         assert len(out) == 145
         assert hashlib.sha256(repr(out).encode()).hexdigest() == self.DENSE_FROZEN
 
-    def test_dense_table_holds_one_matrix(self):
-        # the search reads the row suffix maxima alone, so the H x H block
-        # matrix they come from is dropped after the build
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 16]),
+           st.booleans(), st.integers(0, 6))
+    def test_streamed_sups_match_the_whole_table(self, horizon, seed, scan_rows, complex_,
+                                                 specials):
+        # negative, complex, NaN and infinite entries; zero past the table's edge
+        rng = np.random.default_rng(seed)
+        side = int(rng.integers(1, 2 * horizon + 3))
+        t = rng.normal(size=(side, side)) * 10.0 ** rng.integers(-3, 4, size=(side, side))
+        if complex_:
+            t = t + 1j * rng.normal(size=(side, side))
+        for value in rng.choice([np.nan, np.inf, -np.inf], size=specials):
+            t[rng.integers(side), rng.integers(side)] = value
+        c = from_table("t", t)
+        saved = majorants._SCAN_ROWS
+        majorants._SCAN_ROWS = scan_rows
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf blocks
+                table = DoubleScanTable(c, horizon)
+                got = [table.query(th).value for th in range(2 * horizon + 1)]
+                want = whole_table_sups(c, horizon, range(2 * horizon + 1))
+        finally:
+            majorants._SCAN_ROWS = saved
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_dense_table_streams_a_bounded_working_set(self):
+        # a whole 2049^2 prefix table alone would be 33.6 MB; the streamed
+        # build holds a few block rows and keeps one running max of 2H + 1 floats
         c = from_expression("c", "1/(j*k*(j+k))")
         DoubleScanTable(c, 16).query(8)  # caches filled on first use stay out
-        horizon = 128
+        horizon = 1024
         tracemalloc.start()
         try:
             table = DoubleScanTable(c, horizon)
             table.query(8)
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < 1.5 * 8 * horizon * horizon
+        assert peak < 8_000_000
+        assert peak <= majorants._scan_bytes(horizon, majorants._SCAN_ROWS)
+        assert held < 2 * 8 * (2 * horizon + 1)
 
     def test_separable_queries_match_one_shot_scans(self, osc):
         table = DoubleScanTable(osc, 40)
@@ -425,9 +482,14 @@ class TestDoubleScanTable:
         c = from_expression("c", "1/(j*k*(j+k))")
         # the dense table at this horizon would trip the size guard
         with pytest.raises(HorizonError):
-            DoubleScanTable(c, 4096).query(8193)
-        with pytest.raises(ValueError, match="needs 537001992 bytes.*cap of 160000000 bytes"):
-            DoubleScanTable(c, 4096).query(8)
+            DoubleScanTable(c, 1 << 15).query(2 * (1 << 15) + 1)
+
+    def test_working_set_guard_refuses_before_building(self):
+        c = from_expression("c", "1/(j*k*(j+k))")
+        with pytest.raises(ValueError, match=r"^dense double scan at sup_horizon 32768 needs "
+                           r"162531760 bytes for its working set of 16 streamed block rows, "
+                           r"over the cap of 160000000 bytes"):
+            DoubleScanTable(c, 1 << 15).query(8)
 
     def test_rhs_rejects_a_foreign_table(self, osc, pp22):
         # refused on every axis, also rows and columns, which read no table
