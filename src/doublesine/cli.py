@@ -748,12 +748,18 @@ def _identity_differences(rng: np.random.Generator, grid: int):
     k = np.arange(1, grid + 1, dtype=np.int64)[None, :]
     eps = float(np.finfo(np.float64).eps)
     d22 = np.asarray(delta_rr(c, 2, j, k))
-    d11 = [np.asarray(delta_rr(c, 1, j + dj, k + dk))
-           for dj, dk in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    recon = d11[0] + d11[1] + d11[2] + d11[3]
-    pieces = np.abs(np.stack(d11))
-    scale_22 = np.maximum(1.0, pieces.max(axis=0))
-    err_22 = float(np.max(np.abs(d22 - recon) / scale_22))
+    # recon and scale_22 take the four step-1 pieces one at a time, recon
+    # summing them left to right
+    recon, scale_22 = None, np.ones_like(d22)
+    for dj, dk in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        d11 = np.asarray(delta_rr(c, 1, j + dj, k + dk))
+        np.maximum(scale_22, np.abs(d11), out=scale_22)
+        if recon is None:
+            recon = d11
+        else:
+            recon += d11
+    np.subtract(d22, recon, out=recon)
+    err_22 = float(np.max(np.abs(recon, out=recon) / scale_22))
 
     a_vals = rng.standard_normal(grid + 2)
     a = single_from_values("delta1", a_vals)

@@ -32,7 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import _blocked_sum, _row_blocks, _span, _sub_blocks, delta_r0_grid
+from .differences import (_SUB_BLOCK_CELLS, _blocked_sum, _row_blocks, _span, _sub_blocks,
+                          delta_r0_grid)
 from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
 from .majorants import (DoubleScanTable, _check_horizon, _dense_cap, _rect_abs_sum, _scan_table,
                         compile_b)
@@ -229,13 +230,16 @@ def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
 
 
 def _guard_generic(cells: int) -> None:
-    """Refuse a generic scan over more than ``_MAX_GENERIC_CELLS`` cells."""
+    """Refuse a generic scan over more than ``_MAX_GENERIC_CELLS`` cells.
+
+    The scan holds one sub-block of cells at a time, so the cap bounds its
+    run time, not its memory."""
     if cells > _MAX_GENERIC_CELLS:
         raise ValueError(
-            f"generic (non-separable) scan over {cells} cells ({8 * cells} bytes of "
-            f"float64 differences, read in row blocks) is over the cap of "
-            f"{_MAX_GENERIC_CELLS} cells ({8 * _MAX_GENERIC_CELLS} bytes); lower the "
-            "horizons or supply a separable sequence")
+            f"generic (non-separable) scan over {cells} cells is over the cap of "
+            f"{_MAX_GENERIC_CELLS} cells, which bounds its run time (it holds "
+            f"{_SUB_BLOCK_CELLS} cells at a time); lower the horizons or supply a "
+            "separable sequence")
 
 
 def _product(x: Measurement, y: Measurement, sx, sy) -> Measurement:
@@ -618,6 +622,38 @@ def _test_points(eta: int, verify_range: int) -> list[int]:
     return sorted(pts)
 
 
+def _eta_factor_scan(f: SingleSequence, sum_horizon: int, tail: float,
+                     weights: np.ndarray, S: np.ndarray) -> None:
+    """Fill ``weights[m - 1] = m |f_m|`` and
+    ``S[m - 1] = m (sum_{j=m}^{sum_horizon} |f_j - f_{j+2}| + tail)`` from
+    one backward pass over ``f`` on ``max(len(weights), sum_horizon + 2)..1``.
+
+    Each block of ``_D2_BLOCK`` indices is evaluated once; the two values
+    a step-2 difference reads above a block are carried down from the
+    block above.  The sums are added from ``sum_horizon`` down, as a
+    reversed ``np.cumsum`` adds them, with the terms above the block
+    carried in one float, so the working set is a block plus the outputs.
+    """
+    carry = 0.0
+    above = np.empty(0)
+    for hi in range(max(len(weights), sum_horizon + 2), 0, -_D2_BLOCK):
+        lo = max(hi - _D2_BLOCK + 1, 1)
+        v = np.concatenate((np.asarray(f.eval(_span(lo, hi))), above))
+        above = v[:2].copy()
+        w_hi = min(hi, len(weights))
+        if lo <= w_hi:
+            np.multiply(_span(lo, w_hi), np.abs(v[:w_hi - lo + 1]), out=weights[lo - 1:w_hi])
+        d_hi = min(hi, sum_horizon)
+        if lo > d_hi:
+            continue
+        terms = np.abs(v[:d_hi - lo + 1] - v[2:d_hi - lo + 3])
+        sums = np.cumsum(np.concatenate(([carry], terms[::-1])))[:0:-1]   # m = lo..d_hi
+        carry = sums[0]
+        s_hi = min(d_hi, len(S))
+        if lo <= s_hi:
+            np.multiply(_span(lo, s_hi), sums[:s_hi - lo + 1] + tail, out=S[lo - 1:s_hi])
+
+
 def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
                cap: int = 1 << 14, verify_range: int | None = None,
                sup_horizon: int = 1 << 14, sum_horizon: int = 1 << 16) -> EtaSearchResult:
@@ -637,7 +673,14 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     in :func:`lemma2_quantities` uses the sup-outside form instead.
 
     For ``c = a_j b_k`` each condition is a product of one-index arrays
-    built once per factor.  All candidates are tested at once; the first
+    built once per factor, in one backward pass over the factor (see
+    :func:`_eta_factor_scan`), so the working set is
+    O(max(H, verify_range)) floats, H = ``max(sup_horizon,
+    verify_range + 1, cap + 2)``, whatever ``sum_horizon``: on
+    ``oscillating_quadratic`` at the defaults the ``tracemalloc`` peak is
+    2.6 MB, and also 2.6 MB at ``sum_horizon`` 2^20.
+
+    All candidates are tested at once; the first
     that passes reports each condition's first worst tested pair in
     (m, n) order.  A NaN fails a condition.  Candidates run up to
     ``min(cap, verify_range - 1)``, so every tested point lies past eta,
@@ -657,30 +700,30 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     if verify_range <= first:
         raise ValueError(f"verify_range {verify_range} must exceed max(1, lambda) = {first}")
     H = max(sup_horizon, verify_range + 1, cap + 2)
-    idx = np.arange(1, H + 1, dtype=np.int64)
-    # per factor (rows), from one evaluation on 1..max(H, sum_horizon + 2):
-    # m |f_m|, its suffix maxima, the suffix sums of |d2 f|
     parts = c.separable_parts
-    vals = [np.asarray(f.eval(_span(1, max(H, sum_horizon + 2)))) for f in parts]
-    weights = np.array([idx.astype(np.float64) * np.abs(v[:H]) for v in vals])
-    d2 = np.abs([v[:sum_horizon] - v[2:sum_horizon + 2] for v in vals])
-    del vals    # not kept alive next to the suffix arrays
-    sups = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
-    sums = np.cumsum(d2[:, ::-1], axis=1)[:, ::-1]
     hints = [f.decay_hint for f in parts]
     tail_w = [None if h is None else h.weighted_sup(H) for h in hints]
     tail_d2 = [None if h is None else h.d2_tail(sum_horizon) for h in hints]
-
-    # (1) at every candidate eta = first..last, and the factors of (2)-(4) on
-    # m = 1..verify_range; tails count only when all of a condition's are known
-    last = min(cap, verify_range - 1)
+    # tails count only when all of a condition's are known
     cert1 = None not in tail_w
     cert = cert1 and None not in tail_d2
+    tw, td = (np.array(tail_w)[:, None], tail_d2) if cert else (0.0, (0.0, 0.0))
+    # per factor (rows), from one backward pass: m |f_m| on 1..H, its suffix
+    # maxima, and S = m (sum_{j>=m} |d2 f| + tail) on m = 1..verify_range
+    weights = np.empty((2, H))
+    S = np.empty((2, verify_range))
+    for f, w_f, S_f, t in zip(parts, weights, S, td):
+        _eta_factor_scan(f, sum_horizon, t, w_f, S_f)
+    sups = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
+
+    # (1) at every candidate eta = first..last, and the factors of (2)-(4) on
+    # m = 1..verify_range
+    last = min(cap, verify_range - 1)
     sup1 = np.maximum(sups[:, first:last + 1], np.array(tail_w if cert1 else [0.0, 0.0])[:, None])
     v1 = sup1[0] * sup1[1]
-    tw, td = (np.array(tail_w)[:, None], np.array(tail_d2)[:, None]) if cert else (0.0, 0.0)
-    S = idx[:verify_range] * (sums[:, :verify_range] + td)    # m sum_{j>=m} |d2 f|
-    W = np.maximum(sups[:, :verify_range], tw)
+    del sup1
+    W = sups[:, :verify_range]
+    np.maximum(W, tw, out=W)
     bound2 = 16.0 * C * epsilon
     bound34 = 4.0 * C * epsilon
     # (2)-(4) at every candidate: S and W are nonnegative and a rounded
@@ -689,9 +732,12 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     # tested points, eta + 1 and the points of D past it
     D = np.array(_test_points(0, verify_range))          # 1, 2, 4, ..., verify_range
     at = np.searchsorted(D, np.arange(first + 1, last + 2))   # first point of D >= eta + 1
-    SW = np.array([S, W])                                 # (array, factor, m - 1)
-    past = np.maximum.accumulate(SW[..., D[::-1] - 1], axis=-1)[..., ::-1]
-    s, w = np.maximum(SW[..., first:last + 1], past[..., at])
+
+    def tested_max(X):
+        past = np.maximum.accumulate(X[:, D[::-1] - 1], axis=-1)[:, ::-1]
+        return np.maximum(X[:, first:last + 1], past[:, at])
+
+    s, w = tested_max(S), tested_max(W)
     passed = np.flatnonzero((v1 < epsilon) & (s[0] * s[1] < bound2)
                             & (s[0] * w[1] < bound34) & (w[0] * s[1] < bound34))
     if not passed.size:

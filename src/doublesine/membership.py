@@ -179,17 +179,20 @@ def _axis_admissible(axis: Axis, m: int, n: int, lam: int) -> bool:
 
 
 def _growth_slope(points: list[tuple[int, int, float]]) -> float | None:
-    """Slope of the running sup of ratios over square subgrids."""
-    if not points:
-        return None
-    sizes = sorted({max(m, n) for m, n, _ in points})
-    xs, ys = [], []
-    for s in sizes:
-        vals = [ratio for m, n, ratio in points
-                if m <= s and n <= s and math.isfinite(ratio)]
-        if vals:
+    """Slope of the running sup of ratios over square subgrids: each size's
+    largest finite ratio in one pass, then a running max over the sizes."""
+    largest: dict[int, float] = {}      # per size max(m, n), its largest finite ratio
+    for m, n, ratio in points:
+        s = max(m, n)
+        largest.setdefault(s, -math.inf)
+        if math.isfinite(ratio) and ratio > largest[s]:
+            largest[s] = ratio
+    xs, ys, running = [], [], -math.inf
+    for s in sorted(largest):
+        running = max(running, largest[s])
+        if running > -math.inf:
             xs.append(s)
-            ys.append(max(vals))
+            ys.append(running)
     if len(xs) < 3:
         return None
     return loglog_slope(xs, ys)

@@ -107,6 +107,13 @@ class TestLibraryRefusals:
                        "for its working set of 16 streamed block rows, over the cap of "
                        "160000000 bytes; lower sup_horizon or use a separable sequence\n")
 
+    def test_generic_lemma_guard_states_cells(self, tmp_path, capsys):
+        # lemma 1 holds one sub-block at a time, so its cap is one of cells (run
+        # time) and the message states no byte count
+        err = self.refused(tmp_path, capsys, "lemma", "--which", "1", "--expr", NONSEP_EXPR)
+        assert "over 4294574089 cells is over the cap of 50000000 cells" in err
+        assert "byte" not in err
+
     def test_horizon_below_scan_start(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "check-class", "--preset",
                            "oscillating_quadratic", "--grid", "dyadic:64",

@@ -1,15 +1,19 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublesine import (
     CoefficientSequence,
     DoubleScanTable,
     EtaCapError,
     HorizonError,
+    PowerDecay,
     ProbeConfig,
     Rect,
     TailReport,
@@ -29,13 +33,15 @@ from doublesine import (
     loglog_slope,
     rect_sum_direct,
     remark2_divergence,
+    scale,
     separable,
     single_from_values,
     theorem7_bound_check,
     uniform_tail_probe,
     uniform_tail_trace,
 )
-from doublesine.convergence import (_D2_BLOCK, _d2_scan, _probe_arrays, _probe_bytes,
+from doublesine.convergence import (EtaCondition, EtaSearchResult, _D2_BLOCK, _d2_scan,
+                                    _probe_arrays, _probe_bytes, _test_points,
                                     _weight_sup_scan)
 from doublesine.differences import _variation
 
@@ -136,12 +142,12 @@ class TestLemmaQuantities:
             raise AssertionError("evaluated past the size guard")
 
         c = CoefficientSequence(name="never", eval=never)
-        cap = r"over the cap of 50000000 cells \(400000000 bytes\)"
+        cap = r" is over the cap of 50000000 cells, which bounds its run time"
         # m = 1, n = sup_horizon: the first orientation covers 65536 cells,
         # the swapped one (65536 - 4096 + 1) * 4096
-        with pytest.raises(ValueError, match=r"over 251662336 cells \(2013298688 bytes .*" + cap):
+        with pytest.raises(ValueError, match=r"over 251662336 cells" + cap):
             lemma2_quantities(c, 1, 4096, sup_horizon=4096, sum_horizon=1 << 16)
-        with pytest.raises(ValueError, match=r"over 4294967296 cells \(34359738368 bytes .*" + cap):
+        with pytest.raises(ValueError, match=r"over 4294967296 cells" + cap):
             lemma1_quantity(c, 1, 1)
 
     @pytest.mark.parametrize("c", [builtin("oscillating_quadratic"),
@@ -359,6 +365,161 @@ class TestEtaSearch:
                             out.append(f"EtaCapError: {exc}")
         assert sum(text.startswith("EtaSearchResult") for text in out) == 26
         assert hashlib.sha256(repr(out).encode()).hexdigest() == self.FROZEN_GRID
+
+
+def eta_search_whole(c, epsilon, C, lam=2, cap=1 << 14, verify_range=None,
+                     sup_horizon=1 << 14, sum_horizon=1 << 16):
+    """The eta search on whole arrays: each factor evaluated on
+    ``1..max(H, sum_horizon + 2)`` at once, its step-2 differences and
+    their reversed suffix sums held to ``sum_horizon`` (the oracle of the
+    streamed search)."""
+    if not (epsilon > 0 and C > 0):
+        raise ValueError("epsilon and C must be positive")
+    if verify_range is None:
+        verify_range = 2 * cap
+    if c.separable_parts is None:
+        raise ValueError("eta_search requires a separable sequence; "
+                         "supply separable parts or use the lemma quantities directly")
+    if verify_range > sum_horizon:
+        raise ValueError("verify_range must not exceed sum_horizon")
+    first = max(1, lam)
+    if verify_range <= first:
+        raise ValueError(f"verify_range {verify_range} must exceed max(1, lambda) = {first}")
+    H = max(sup_horizon, verify_range + 1, cap + 2)
+    idx = np.arange(1, H + 1, dtype=np.int64)
+    parts = c.separable_parts
+    vals = [np.asarray(f.eval(np.arange(1, max(H, sum_horizon + 2) + 1))) for f in parts]
+    weights = np.array([idx.astype(np.float64) * np.abs(v[:H]) for v in vals])
+    d2 = np.abs([v[:sum_horizon] - v[2:sum_horizon + 2] for v in vals])
+    sups = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
+    sums = np.cumsum(d2[:, ::-1], axis=1)[:, ::-1]
+    hints = [f.decay_hint for f in parts]
+    tail_w = [None if h is None else h.weighted_sup(H) for h in hints]
+    tail_d2 = [None if h is None else h.d2_tail(sum_horizon) for h in hints]
+    last = min(cap, verify_range - 1)
+    cert1 = None not in tail_w
+    cert = cert1 and None not in tail_d2
+    sup1 = np.maximum(sups[:, first:last + 1], np.array(tail_w if cert1 else [0.0, 0.0])[:, None])
+    v1 = sup1[0] * sup1[1]
+    tw, td = (np.array(tail_w)[:, None], np.array(tail_d2)[:, None]) if cert else (0.0, 0.0)
+    S = idx[:verify_range] * (sums[:, :verify_range] + td)
+    W = np.maximum(sups[:, :verify_range], tw)
+    bound2 = 16.0 * C * epsilon
+    bound34 = 4.0 * C * epsilon
+    D = np.array(_test_points(0, verify_range))
+    at = np.searchsorted(D, np.arange(first + 1, last + 2))
+    SW = np.array([S, W])
+    past = np.maximum.accumulate(SW[..., D[::-1] - 1], axis=-1)[..., ::-1]
+    s, w = np.maximum(SW[..., first:last + 1], past[..., at])
+    passed = np.flatnonzero((v1 < epsilon) & (s[0] * s[1] < bound2)
+                            & (s[0] * w[1] < bound34) & (w[0] * s[1] < bound34))
+    if not passed.size:
+        where = f"up to cap {cap}" if last == cap else \
+            f"below verify_range {verify_range} (cap {cap})"
+        raise EtaCapError(f"no eta found {where} for epsilon {epsilon}")
+    i = int(passed[0])
+    eta = first + i
+    pts = _test_points(eta, verify_range)
+    cols = np.array(pts) - 1
+    s, w = S[:, cols], W[:, cols]
+    witness1 = tuple(eta + 1 + int(np.argmax(wf[eta:])) for wf in weights)
+    conds = [EtaCondition("mn|c_mn| < eps", float(v1[i]), epsilon,
+                          epsilon - float(v1[i]), witness1, cert1)]
+    for name, x, y, bound in (("weighted d22 tail < 16 C eps", s[0], s[1], bound2),
+                              ("row-sum sup tail < 4 C eps", s[0], w[1], bound34),
+                              ("col-sum sup tail < 4 C eps", w[0], s[1], bound34)):
+        q = np.multiply.outer(x, y)
+        mi, ni = divmod(int(np.argmax(q)), len(pts))
+        worst = float(q[mi, ni])
+        conds.append(EtaCondition(name, worst, bound, bound - worst, (pts[mi], pts[ni]),
+                                  cert))
+    return EtaSearchResult(eta=eta, epsilon=epsilon, C=C, cap=cap,
+                           verify_range=verify_range,
+                           tested_points=tuple(pts), conditions=tuple(conds))
+
+
+def _outcome(search, *args, **kwargs):
+    """``repr`` of the result, or the type and text of the error raised."""
+    try:
+        return repr(search(*args, **kwargs))
+    except (EtaCapError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_OSC_FACTOR = builtin("oscillating_quadratic").separable_parts[0]
+
+# separable inputs of the streamed-search property: the presets, scaled
+# presets (real, negative and complex), expression factors without hints,
+# product_power with p <= 1, whose hints leave (1) or (2)-(4) uncertified,
+# and a loose hint on a factor whose partner is small, so that its tails
+# exceed the scanned sups and sums and the search still passes
+ETA_INPUTS = {
+    "loose": scale(separable(_OSC_FACTOR, dataclasses.replace(
+        _OSC_FACTOR, decay_hint=PowerDecay(p=2.0, K=1e3))), 1e-3),
+    "oscillating_quadratic": builtin("oscillating_quadratic"),
+    "mod3_log_product": builtin("mod3_log_product"),
+    "zero": builtin("zero"),
+    "pp(1,1)": builtin("product_power", p=1.0, q=1.0),
+    "pp(0.5,2)": builtin("product_power", p=0.5, q=2.0),
+    "-2.5*osc": scale(builtin("oscillating_quadratic"), -2.5),
+    "1j*mod3": scale(builtin("mod3_log_product"), 1j),
+    "twin": from_expression("twin", TWIN_EXPR),
+    "sign": from_expression("sign", "sign(j-3)/j^1.5*(1+alternating(k))/k^2"),
+    "slow": from_expression("slow", "ln(j+1)/j^2/(k+2)^1.5"),
+}
+
+
+class TestStreamedEtaSearch:
+    """The streamed search against the whole-array one, and its working set."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(ETA_INPUTS)),
+           sum_horizon=st.sampled_from([_D2_BLOCK - 1, _D2_BLOCK, _D2_BLOCK + 1,
+                                        2 * _D2_BLOCK + 3]),
+           at_horizon=st.booleans(),
+           cap=st.one_of(st.integers(1, 64), st.integers(65, 5000)),
+           sup_horizon=st.integers(4, 3 * _D2_BLOCK),
+           lam=st.integers(1, 4),
+           epsilon=st.sampled_from([5.0, 1.0, 0.2, 0.05, 1e-3]),
+           C=st.sampled_from([1.0, 16.0]))
+    def test_matches_the_whole_array_search(self, name, sum_horizon, at_horizon, cap,
+                                            sup_horizon, lam, epsilon, C):
+        # a cap past sum_horizon / 2 puts the default verify_range 2 cap past
+        # sum_horizon, which both refuse
+        kwargs = dict(lam=lam, cap=cap, sup_horizon=sup_horizon, sum_horizon=sum_horizon,
+                      verify_range=sum_horizon if at_horizon else None)
+        c = ETA_INPUTS[name]
+        assert (_outcome(eta_search, c, epsilon, C, **kwargs)
+                == _outcome(eta_search_whole, c, epsilon, C, **kwargs))
+
+    @pytest.mark.parametrize("sum_horizon", [_D2_BLOCK - 1, _D2_BLOCK, _D2_BLOCK + 1,
+                                             2 * _D2_BLOCK + 3])
+    @pytest.mark.parametrize("name", sorted(ETA_INPUTS))
+    def test_matches_at_the_block_edges(self, name, sum_horizon):
+        # verify_range at the sum horizon, and a small one, where a loose
+        # hint's tail exceeds the scanned sups
+        c = ETA_INPUTS[name]
+        for cap, verify_range in ((sum_horizon, sum_horizon), (4, None)):
+            kwargs = dict(cap=cap, verify_range=verify_range, sup_horizon=64,
+                          sum_horizon=sum_horizon)
+            for eps in (5.0, 0.2, 1e-3):
+                assert (_outcome(eta_search, c, eps, 16.0, **kwargs)
+                        == _outcome(eta_search_whole, c, eps, 16.0, **kwargs))
+
+    @staticmethod
+    def peak(osc, **kwargs):
+        tracemalloc.start()
+        try:
+            eta_search(osc, 0.2, 16.0, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_working_set_does_not_grow_with_the_sum_horizon(self, osc):
+        eta_search(osc, 0.2, 16.0, cap=16, sum_horizon=64)   # first-use caches stay out
+        at_defaults = self.peak(osc)
+        assert at_defaults <= 3.0e6
+        assert self.peak(osc, sum_horizon=1 << 20) <= at_defaults + 0.5e6
 
 
 class TestTheorem7:

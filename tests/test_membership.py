@@ -36,7 +36,8 @@ from doublesine import (
 )
 from doublesine import differences, majorants
 from doublesine.majorants import compile_b, single_sup_scan
-from doublesine.membership import lhs_col, lhs_double, lhs_row
+from doublesine.convergence import loglog_slope
+from doublesine.membership import _growth_slope, lhs_col, lhs_double, lhs_row
 
 from conftest import dense_twin
 
@@ -576,3 +577,34 @@ class TestDenseFamilyOne:
                      for j0 in range(jlo, jhi + 1, rows)]
             assert row.rhs == float(ksum(np.asarray(parts))) / (m * n)
             assert row.lhs == lhs_double(c, 2, m, n)
+
+
+def growth_slope_rescan(points):
+    """The growth slope with every point rescanned for each size (the
+    oracle of the one-pass ``_growth_slope``)."""
+    if not points:
+        return None
+    sizes = sorted({max(m, n) for m, n, _ in points})
+    xs, ys = [], []
+    for s in sizes:
+        vals = [ratio for m, n, ratio in points
+                if m <= s and n <= s and math.isfinite(ratio)]
+        if vals:
+            xs.append(s)
+            ys.append(max(vals))
+    if len(xs) < 3:
+        return None
+    return loglog_slope(xs, ys)
+
+
+# few distinct indices, so sizes repeat; inf and NaN ratios are skipped
+GROWTH_POINTS = st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9),
+                                   st.one_of(st.floats(0.0, 1e6),
+                                             st.sampled_from([math.inf, -math.inf, math.nan]))),
+                         max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=GROWTH_POINTS)
+def test_growth_slope_matches_the_rescan(points):
+    assert repr(_growth_slope(points)) == repr(growth_slope_rescan(points))

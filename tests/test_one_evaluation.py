@@ -28,7 +28,7 @@ from doublesine import (
     single_from_expression,
     single_from_values,
 )
-from doublesine.convergence import _d2_scan
+from doublesine.convergence import _D2_BLOCK, _d2_scan
 
 POINTWISE = frozenset({"delta_r", "delta_r0", "delta_0r", "delta_rr"})
 
@@ -75,6 +75,20 @@ def test_eta_search_evaluates_each_factor_once():
     eta_search(replace(osc, separable_parts=(a, b)), 0.2, 16.0, cap=256, sup_horizon=512,
                sum_horizon=1024)
     assert len(a_calls) + len(b_calls) == 2
+
+
+def test_streamed_eta_search_evaluates_each_coefficient_once():
+    # sum_horizon past two blocks: the pass runs over 1..sum_horizon + 2 in
+    # several calls, which together read each index exactly once
+    osc = builtin("oscillating_quadratic")
+    (a, a_calls), (b, b_calls) = (counted(f) for f in osc.separable_parts)
+    sum_horizon = 2 * _D2_BLOCK + 3
+    eta_search(replace(osc, separable_parts=(a, b)), 0.2, 16.0, cap=256, sup_horizon=512,
+               sum_horizon=sum_horizon)
+    for calls in (a_calls, b_calls):
+        assert len(calls) > 1
+        read = np.sort(np.concatenate([np.ravel(idx) for idx, in calls]))
+        assert np.array_equal(read, np.arange(1, sum_horizon + 3))
 
 
 def test_single_class_fit_evaluates_once_per_grid_point():
