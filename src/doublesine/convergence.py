@@ -32,18 +32,17 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import (_SUB_BLOCK_CELLS, _blocked_sum, _row_blocks, _span, _sub_blocks,
-                          delta_r0_grid)
+from .differences import (_SUB_BLOCK_CELLS, _block_sum, _blocked_sum, _row_blocks, _span,
+                          _sub_blocks, delta_r0_grid)
 from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
-from .majorants import (DoubleScanTable, _check_horizon, _dense_cap, _rect_abs_sum, _scan_table,
-                        compile_b)
+from .majorants import (DoubleScanTable, Measurement, _check_horizon, _dense_cap, _rect_abs_sum,
+                        _scan_table, _sup_measurement, compile_b)
 from .sequences import CoefficientSequence, SingleSequence, builtin
 from .summing import ksum, sine_prefix
 
 __all__ = [
     "Verdict",
     "TailReport",
-    "Measurement",
     "classify_tail",
     "classify_probe",
     "loglog_slope",
@@ -67,8 +66,6 @@ __all__ = [
 
 _MAX_GENERIC_CELLS = 5 * 10**7
 _FLAT_RTOL = 1e-12
-# Terms of a factor's step-2 scan taken from one evaluation (64 kB of float64).
-_D2_BLOCK = 1 << 13
 
 
 class Verdict(str, Enum):
@@ -107,29 +104,6 @@ class TailReport:
         if (self.reference_values is not None
                 and len(self.reference_values) != len(self.schedule)):
             raise ValueError("reference values and schedule lengths differ")
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """A scanned quantity with truncation bookkeeping.
-
-    ``value`` is the scanned part.  ``tail_bound`` bounds what the scan
-    missed when a decay hint allows it, and is None when no such
-    certificate exists; ``bounded`` says which.
-    """
-
-    value: float
-    tail_bound: float | None = None
-
-    @property
-    def bounded(self) -> bool:
-        """Whether what the scan missed is certified by a tail bound."""
-        return self.tail_bound is not None
-
-    @property
-    def upper(self) -> float:
-        """Certified upper estimate (value plus tail bound)."""
-        return self.value + (self.tail_bound or 0.0)
 
 
 def _verdict(values, decaying) -> Verdict:
@@ -205,28 +179,26 @@ def loglog_slope(schedule, values) -> float | None:
 def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
     """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus the hint's tail certificate past H.
 
-    The terms are taken ``_D2_BLOCK`` at a time, each block from one
-    evaluation of ``a``, into one array summed once by ``ksum``: the
-    :func:`~doublesine.differences._variation` of one evaluation, bit for
-    bit, with the evaluator's temporaries bounded by a block, not by H.
+    The terms are one row ``m..H`` of the exact reducer
+    :func:`~doublesine.differences._block_sum`, each sub-block from one
+    evaluation of ``a``: the :func:`~doublesine.differences._variation`
+    of one evaluation, bit for bit, in a working set of a sub-block.  A
+    line that is not finite or sums to 0 is evaluated again whole.
     """
-    terms = np.empty(max(H - m + 1, 0))
-    for lo in range(m, H + 1, _D2_BLOCK):
-        hi = min(lo + _D2_BLOCK - 1, H)
+    def terms(lo, hi):
         v = np.asarray(a.eval(_span(lo, hi + 2)))
-        np.abs(v[:-2] - v[2:], out=terms[lo - m:hi - m + 1])
-    scanned = float(ksum(terms))
+        return np.abs(v[:-2] - v[2:])
+
     tail = None if a.decay_hint is None else a.decay_hint.d2_tail(H)
-    return Measurement(value=scanned, tail_bound=tail)
+    return Measurement(_block_sum(m, H, 1, terms), tail)
 
 
 def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
     """``sup_{k >= n} k |b_k|`` scanned to H with a tail certificate."""
     k = np.arange(n, H + 1, dtype=np.int64)
     vals = k.astype(np.float64) * np.abs(np.asarray(b.eval(k)))
-    scanned = float(np.max(vals))
-    tail = None if b.decay_hint is None else b.decay_hint.weighted_sup(H)
-    return Measurement(value=scanned, tail_bound=None if tail is None else max(tail - scanned, 0.0))
+    return _sup_measurement(float(np.max(vals)),
+                            None if b.decay_hint is None else b.decay_hint.weighted_sup(H))
 
 
 def _guard_generic(cells: int) -> None:
@@ -622,25 +594,35 @@ def _test_points(eta: int, verify_range: int) -> list[int]:
     return sorted(pts)
 
 
-def _eta_factor_scan(f: SingleSequence, sum_horizon: int, tail: float,
-                     weights: np.ndarray, S: np.ndarray) -> None:
-    """Fill ``weights[m - 1] = m |f_m|`` and
-    ``S[m - 1] = m (sum_{j=m}^{sum_horizon} |f_j - f_{j+2}| + tail)`` from
-    one backward pass over ``f`` on ``max(len(weights), sum_horizon + 2)..1``.
+def _eta_factor_scan(f: SingleSequence, H: int, sum_horizon: int, tail: float,
+                     weights: np.ndarray, S: np.ndarray) -> int:
+    """Fill ``weights[m - 1] = m |f_m|`` on ``m = 1..kept``, ``kept =
+    len(weights) - 1``, ``weights[kept]`` with the largest ``m |f_m|`` on
+    ``kept + 1..H``, and ``S[m - 1] = m (sum_{j=m}^{sum_horizon} |f_j -
+    f_{j+2}| + tail)``, from one backward pass over ``f`` on
+    ``max(H, sum_horizon + 2)..1``; return the first index of
+    ``weights[kept]``, as :func:`numpy.argmax` picks it (a NaN first).
 
-    Each block of ``_D2_BLOCK`` indices is evaluated once; the two values
-    a step-2 difference reads above a block are carried down from the
-    block above.  The sums are added from ``sum_horizon`` down, as a
+    Each block of ``_SUB_BLOCK_CELLS`` indices is evaluated once; the two
+    values a step-2 difference reads above a block are carried down from
+    the block above.  The sums are added from ``sum_horizon`` down, as a
     reversed ``np.cumsum`` adds them, with the terms above the block
     carried in one float, so the working set is a block plus the outputs.
     """
-    carry = 0.0
+    carry, at, kept = 0.0, 0, len(weights) - 1
+    weights[kept] = -math.inf
     above = np.empty(0)
-    for hi in range(max(len(weights), sum_horizon + 2), 0, -_D2_BLOCK):
-        lo = max(hi - _D2_BLOCK + 1, 1)
+    for hi in range(max(H, sum_horizon + 2), 0, -_SUB_BLOCK_CELLS):
+        lo = max(hi - _SUB_BLOCK_CELLS + 1, 1)
         v = np.concatenate((np.asarray(f.eval(_span(lo, hi))), above))
         above = v[:2].copy()
-        w_hi = min(hi, len(weights))
+        w_lo, w_hi = max(lo, kept + 1), min(hi, H)
+        if w_lo <= w_hi:   # blocks run downwards: on a tie this block's index is first
+            w = _span(w_lo, w_hi) * np.abs(v[w_lo - lo:w_hi - lo + 1])
+            i = int(np.argmax(np.append(w, weights[kept])))
+            if i < len(w):
+                weights[kept], at = w[i], w_lo + i
+        w_hi = min(hi, kept)
         if lo <= w_hi:
             np.multiply(_span(lo, w_hi), np.abs(v[:w_hi - lo + 1]), out=weights[lo - 1:w_hi])
         d_hi = min(hi, sum_horizon)
@@ -652,6 +634,7 @@ def _eta_factor_scan(f: SingleSequence, sum_horizon: int, tail: float,
         s_hi = min(d_hi, len(S))
         if lo <= s_hi:
             np.multiply(_span(lo, s_hi), sums[:s_hi - lo + 1] + tail, out=S[lo - 1:s_hi])
+    return at
 
 
 def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
@@ -673,12 +656,12 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     in :func:`lemma2_quantities` uses the sup-outside form instead.
 
     For ``c = a_j b_k`` each condition is a product of one-index arrays
-    built once per factor, in one backward pass over the factor (see
-    :func:`_eta_factor_scan`), so the working set is
-    O(max(H, verify_range)) floats, H = ``max(sup_horizon,
-    verify_range + 1, cap + 2)``, whatever ``sum_horizon``: on
-    ``oscillating_quadratic`` at the defaults the ``tracemalloc`` peak is
-    2.6 MB, and also 2.6 MB at ``sum_horizon`` 2^20.
+    on ``1..verify_range`` built once per factor, in one backward pass
+    over the factor (see :func:`_eta_factor_scan`) out to H =
+    ``max(sup_horizon, verify_range + 1, cap + 2)``.  Past verify_range
+    condition (1) reads only the largest ``m |f_m|`` and its first
+    index, carried as one pair, so the working set is O(verify_range)
+    floats whatever ``sup_horizon`` and ``sum_horizon``.
 
     All candidates are tested at once; the first
     that passes reports each condition's first worst tested pair in
@@ -708,12 +691,13 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     cert1 = None not in tail_w
     cert = cert1 and None not in tail_d2
     tw, td = (np.array(tail_w)[:, None], tail_d2) if cert else (0.0, (0.0, 0.0))
-    # per factor (rows), from one backward pass: m |f_m| on 1..H, its suffix
-    # maxima, and S = m (sum_{j>=m} |d2 f| + tail) on m = 1..verify_range
-    weights = np.empty((2, H))
+    # per factor (rows), from one backward pass: m |f_m| on 1..verify_range
+    # and, last, its largest value past verify_range, first at index beyond[row];
+    # their suffix maxima; and S = m (sum_{j>=m} |d2 f| + tail) on 1..verify_range
+    weights = np.empty((2, verify_range + 1))
     S = np.empty((2, verify_range))
-    for f, w_f, S_f, t in zip(parts, weights, S, td):
-        _eta_factor_scan(f, sum_horizon, t, w_f, S_f)
+    beyond = [_eta_factor_scan(f, H, sum_horizon, t, w_f, S_f)
+              for f, w_f, S_f, t in zip(parts, weights, S, td)]
     sups = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
 
     # (1) at every candidate eta = first..last, and the factors of (2)-(4) on
@@ -749,7 +733,8 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     pts = _test_points(eta, verify_range)
     cols = np.array(pts) - 1
     s, w = S[:, cols], W[:, cols]
-    witness1 = tuple(eta + 1 + int(np.argmax(wf[eta:])) for wf in weights)
+    firsts = [eta + int(np.argmax(wf[eta:])) for wf in weights]   # columns: m - 1
+    witness1 = tuple(col + 1 if col < verify_range else at for col, at in zip(firsts, beyond))
     conds = [EtaCondition("mn|c_mn| < eps", float(v1[i]), epsilon,
                           epsilon - float(v1[i]), witness1, cert1)]
     for name, x, y, bound in (("weighted d22 tail < 16 C eps", s[0], s[1], bound2),

@@ -13,8 +13,10 @@ from block sums of ``|c|`` over dyadic-style windows ``M..2M``:
 
 Unbounded sups are scanned up to ``sup_horizon``.  When the sequence
 carries a power-decay hint the scan is completed by a closed-form bound
-on the unscanned tail; if that bound does not certify the scanned value
-as the true sup, the result is flagged as truncated.
+on the unscanned tail.  Every scan and table query returns a
+:class:`Measurement`, whose ``tail_bound`` bounds how far the truth
+exceeds its value: 0.0 when exact, for a sup the hint's excess over it
+(:func:`_sup_measurement`).
 
 Scans evaluate ``|c|`` once per line and take block sums as differences
 of one cumulative sum.  The family-TWO window scan reports exactly
@@ -88,7 +90,7 @@ __all__ = [
     "Family",
     "Axis",
     "MajorantFamily",
-    "MajorantValue",
+    "Measurement",
     "HorizonError",
     "averaging_window",
     "compile_b",
@@ -126,19 +128,37 @@ class HorizonError(ValueError):
 
 
 @dataclass(frozen=True)
-class MajorantValue:
-    """A majorant evaluation.
-
-    ``value`` is the scanned (possibly truncated) majorant.  For
-    unbounded sups, ``tail_bound`` bounds the unscanned region on the
-    same scale as ``value`` when a decay hint permits one;
-    ``truncated`` is True when the scan hit the horizon and the tail
-    bound fails to certify ``value`` as the true sup.
-    """
+class Measurement:
+    """A scanned ``value`` and ``tail_bound``, how far the truth can exceed
+    it: 0.0 when exact, the hint's bound past the horizon for a sum, the
+    hint's excess over a sup (:func:`_sup_measurement`), and None when no
+    hint certifies the value."""
 
     value: float
-    truncated: bool = False
     tail_bound: float | None = None
+
+    @property
+    def bounded(self) -> bool:
+        """Whether a tail bound certifies the value."""
+        return self.tail_bound is not None
+
+    @property
+    def truncated(self) -> bool:
+        """Whether the truth may exceed the value (a NaN bound says no)."""
+        return self.tail_bound is None or self.tail_bound > 0.0
+
+    @property
+    def upper(self) -> float:
+        """Certified upper estimate (value plus tail bound)."""
+        return self.value + (self.tail_bound or 0.0)
+
+
+def _sup_measurement(sup: float, tail: float | None) -> Measurement:
+    """A scanned ``sup`` whose unscanned part is at most ``tail`` (None
+    without a hint), so the truth is at most ``max(sup, tail)``.  With
+    gradual underflow ``tail - sup > 0`` exactly when ``tail > sup``: it
+    is truncated exactly when ``tail is None or tail > sup``, NaN too."""
+    return Measurement(sup, None if tail is None else max(tail - sup, 0.0))
 
 
 @dataclass(frozen=True)
@@ -332,7 +352,7 @@ def _check_horizon(horizon: int, start: int) -> None:
         raise HorizonError(f"horizon {horizon} below scan start {start}")
 
 
-def _sup_scan(line: _Line, start: int) -> MajorantValue:
+def _sup_scan(line: _Line, start: int) -> Measurement:
     """``sup_{M >= start}`` of the line's block sums up to its horizon,
     scanned exactly only as far as the suffix bound requires (see the
     module docstring); equal to the exhaustive scan bit for bit."""
@@ -345,8 +365,7 @@ def _sup_scan(line: _Line, start: int) -> MajorantValue:
         if M1 == horizon or line.suffix[M1 + 1 - line.lo] + line.tol < sup:
             break
         M1 = min(2 * M1, horizon)
-    return MajorantValue(value=sup, truncated=line.tail is None or line.tail > sup,
-                         tail_bound=line.tail)
+    return _sup_measurement(sup, line.tail)
 
 
 def _single_line(a: SingleSequence, lo: int, horizon: int) -> _Line:
@@ -354,7 +373,7 @@ def _single_line(a: SingleSequence, lo: int, horizon: int) -> _Line:
     return _Line(np.asarray(a.eval(k)), lo).prepare(horizon, a.decay_hint)
 
 
-def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> MajorantValue:
+def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> Measurement:
     """``sup_{M >= start} sum_{k=M}^{2M} |a_k|`` scanned up to ``horizon``."""
     return _sup_scan(_single_line(a, start, horizon), start)
 
@@ -410,21 +429,22 @@ def _row_line(src: CoefficientSequence, fixed: int, reach: int, fam: MajorantFam
     return line
 
 
-def _row_rhs(fam: MajorantFamily, line: _Line, m: int, start: int | None) -> MajorantValue:
+def _row_rhs(fam: MajorantFamily, line: _Line, m: int, start: int | None) -> Measurement:
     """The row majorant of ``fam`` at m read from its line (:func:`_row_line`),
     with ``start`` and a line reaching as far as :func:`_row_view` says."""
     if fam.family is Family.ONE:
         lo, hi = averaging_window(m, fam.lam)
-        return MajorantValue(value=float(ksum(_abs_f64(line.vals[lo - 1:hi]))) / m)
+        return Measurement(float(ksum(_abs_f64(line.vals[lo - 1:hi]))) / m, 0.0)
     if fam.family is Family.TWO:
-        return MajorantValue(value=_bounded_max_scan(
-            _abs_f64(line.vals[start - 1:2 * fam.lam * start]), start, fam.lam * start) / m)
+        return Measurement(_bounded_max_scan(
+            _abs_f64(line.vals[start - 1:2 * fam.lam * start]), start, fam.lam * start) / m, 0.0)
     return _scaled(_sup_scan(line, start), m)
 
 
-def _scaled(scan: MajorantValue, scale: int) -> MajorantValue:
-    return MajorantValue(value=scan.value / scale, truncated=scan.truncated,
-                         tail_bound=None if scan.tail_bound is None else scan.tail_bound / scale)
+def _scaled(scan: Measurement, scale: int) -> Measurement:
+    """Both fields over ``scale``; an excess that underflows to 0 reads as exact."""
+    tail = scan.tail_bound
+    return Measurement(scan.value / scale, None if tail is None else tail / scale)
 
 
 class DoubleScanTable:
@@ -448,7 +468,7 @@ class DoubleScanTable:
         self.c = c
         self.horizon = horizon
         self._search = self._tail = None
-        self._queries: dict[int, MajorantValue] = {}
+        self._queries: dict[int, Measurement] = {}
         self._factor_sums: dict[int, dict[tuple[int, int, int], float]] = {}
 
     def rect_abs_sum(self, r: int, jlo: int, jhi: int, klo: int, khi: int) -> float:
@@ -522,22 +542,17 @@ class DoubleScanTable:
                 np.maximum(diag[M + 1:M + horizon + 1], row, out=diag[M + 1:M + horizon + 1])
         return np.maximum.accumulate(diag[::-1])[::-1]
 
-    def query(self, threshold: int) -> MajorantValue:
+    def query(self, threshold: int) -> Measurement:
         """``sup over M + N >= threshold`` of the tabled double block sums."""
         horizon = self.horizon
         if threshold > 2 * horizon:
             raise HorizonError(
                 f"horizon {horizon} below scan start: threshold {threshold} unreachable")
         if threshold not in self._queries:
-            self._queries[threshold] = self._scan(threshold)
+            if self._search is None:
+                self._search = self._build()
+            self._queries[threshold] = _sup_measurement(self._search(threshold), self._tail)
         return self._queries[threshold]
-
-    def _scan(self, threshold: int) -> MajorantValue:
-        if self._search is None:
-            self._search = self._build()
-        sup = self._search(threshold)
-        return MajorantValue(value=sup, truncated=self._tail is None or self._tail > sup,
-                             tail_bound=self._tail)
 
 
 def _scan_table(c: CoefficientSequence, horizon: int,
@@ -551,7 +566,7 @@ def _scan_table(c: CoefficientSequence, horizon: int,
     return table
 
 
-def double_sup_scan(c: CoefficientSequence, threshold: int, horizon: int) -> MajorantValue:
+def double_sup_scan(c: CoefficientSequence, threshold: int, horizon: int) -> Measurement:
     """``sup over M + N >= threshold`` of double block sums, scanned on
     ``1 <= M, N <= horizon``.
     """
@@ -561,7 +576,7 @@ def double_sup_scan(c: CoefficientSequence, threshold: int, horizon: int) -> Maj
 # --- the majorant dispatcher ----------------------------------------------
 
 def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
-        table: DoubleScanTable | None = None) -> MajorantValue:
+        table: DoubleScanTable | None = None) -> Measurement:
     """Evaluate the majorant of ``fam`` at (m, n), without the class constant.
 
     Row majorants carry the 1/m scale, column majorants 1/n, double
@@ -583,5 +598,5 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
     if fam.family is Family.ONE:
         jlo, jhi = averaging_window(m, fam.lam)
         klo, khi = averaging_window(n, fam.lam)
-        return MajorantValue(value=table.rect_abs_sum(0, jlo, jhi, klo, khi) / (m * n))
+        return Measurement(table.rect_abs_sum(0, jlo, jhi, klo, khi) / (m * n), 0.0)
     return _scaled(table.query(compile_b(fam.b3)(m + n)), m * n)

@@ -56,11 +56,12 @@ from .majorants import (
     Axis,
     DoubleScanTable,
     MajorantFamily,
-    MajorantValue,
+    Measurement,
     _rect_abs_sum,
     _row_line,
     _row_rhs,
     _row_view,
+    _scaled,
     _scan_table,
     _single_line,
     _sup_scan,
@@ -142,15 +143,14 @@ class MembershipReport:
     rows: tuple[RatioRow, ...]
 
 
-def _ratio_row(m: int, n: int, axis: str, lhs: float, rhs_val: float,
-               truncated: bool) -> RatioRow:
+def _ratio_row(m: int, n: int, axis: str, lhs: float, majorant: Measurement) -> RatioRow:
     """One grid point; a truncated majorant only matters where ``lhs > 0``."""
-    if rhs_val > 0.0:
-        ratio = lhs / rhs_val
+    if majorant.value > 0.0:
+        ratio = lhs / majorant.value
     else:
         ratio = 0.0 if lhs == 0.0 else math.inf
-    return RatioRow(m=m, n=n, axis=axis, lhs=lhs, rhs=rhs_val, ratio=ratio,
-                    truncated=truncated and lhs > 0.0)
+    return RatioRow(m=m, n=n, axis=axis, lhs=lhs, rhs=majorant.value, ratio=ratio,
+                    truncated=majorant.truncated and lhs > 0.0)
 
 
 def _worst(rows) -> RatioRow | None:
@@ -211,9 +211,8 @@ def _line_rows(c: CoefficientSequence, r: int, fam: MajorantFamily,
         line = _row_line(src, fixed, max(max(2 * i - 1 + r, reach) for _, i, _, reach in reads),
                          fam)
         for pos, i, start, _ in reads:
-            mv = _row_rhs(fam, line, i, start)
-            rows[pos] = _ratio_row(*points[pos], fam.axis.value,
-                                   _variation(line.vals[i - 1:], r, i), mv.value, mv.truncated)
+            rows[pos] = _ratio_row(*points[pos], fam.axis.value, _variation(
+                line.vals[i - 1:], r, i), _row_rhs(fam, line, i, start))
         del line  # one line alive at a time
     return rows
 
@@ -249,8 +248,8 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
             axis_rows = []
             for m, n in points[axis]:
                 lhs_val = table.rect_abs_sum(r, m, 2 * m - 1, n, 2 * n - 1)
-                mv: MajorantValue = rhs(c, fams[axis], m, n, table=table)
-                axis_rows.append(_ratio_row(m, n, axis.value, lhs_val, mv.value, mv.truncated))
+                axis_rows.append(_ratio_row(m, n, axis.value, lhs_val,
+                                            rhs(c, fams[axis], m, n, table=table)))
         best = _worst(axis_rows)
         fitted[axis] = None if best is None else best.ratio
         witness[axis.value] = None if best is None else {
@@ -370,16 +369,14 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
             continue
         hi = 2 * n if klass is SingleClass.MVBVS else 2 * n - 1
         lhs_val = _variation(np.asarray(a.eval(_span(n, hi + r))), r, hi - n + 1)
-        truncated = False
         if klass is SingleClass.MVBVS:
-            rhs_val = beta_star(a, n, lam)
+            majorant = Measurement(beta_star(a, n, lam), 0.0)
         elif line is not None:
-            scan = _sup_scan(line, max(1, n // lam) if klass is SingleClass.SBVS else fb(n))
-            rhs_val = scan.value / n
-            truncated = scan.truncated
+            start = max(1, n // lam) if klass is SingleClass.SBVS else fb(n)
+            majorant = _scaled(_sup_scan(line, start), n)
         else:
-            rhs_val = float(beta_fn(n))
-        rows.append(_ratio_row(n, 0, "single", lhs_val, rhs_val, truncated))
+            majorant = Measurement(float(beta_fn(n)), 0.0)
+        rows.append(_ratio_row(n, 0, "single", lhs_val, majorant))
     best = _worst(rows)
     return SingleMembershipReport(
         klass=klass, r=r, grid=grid, fitted_C=None if best is None else best.ratio,

@@ -40,10 +40,9 @@ from doublesine import (
     uniform_tail_probe,
     uniform_tail_trace,
 )
-from doublesine.convergence import (EtaCondition, EtaSearchResult, _D2_BLOCK, _d2_scan,
-                                    _probe_arrays, _probe_bytes, _test_points,
-                                    _weight_sup_scan)
-from doublesine.differences import _variation
+from doublesine.convergence import (EtaCondition, EtaSearchResult, _d2_scan, _probe_arrays,
+                                    _probe_bytes, _test_points, _weight_sup_scan)
+from doublesine.differences import _SUB_BLOCK_CELLS, _variation
 
 from conftest import TWIN_EXPR, dense_twin
 
@@ -262,22 +261,22 @@ class TestTailBounds:
         assert not _d2_scan(hintless, 1, 100).bounded
 
 
-_D2_LEN = 3 * _D2_BLOCK + 16
+_D2_LEN = 3 * _SUB_BLOCK_CELLS + 16
 D2_FACTORS = {
     "oscillating_quadratic": builtin("oscillating_quadratic").separable_parts[0],
     "mod3_log_product": builtin("mod3_log_product").separable_parts[0],
     "complex": single_from_values("complex", np.exp(1j * np.arange(1, _D2_LEN + 1))
                                   / np.arange(1, _D2_LEN + 1)),
-    "nan": single_from_values("nan", np.r_[np.ones(_D2_BLOCK + 3), math.nan,
-                                           np.ones(_D2_LEN - _D2_BLOCK - 4)]),
+    "nan": single_from_values("nan", np.r_[np.ones(_SUB_BLOCK_CELLS + 3), math.nan,
+                                           np.ones(_D2_LEN - _SUB_BLOCK_CELLS - 4)]),
 }
 
 
 class TestD2Scan:
     @pytest.mark.parametrize("name", sorted(D2_FACTORS))
-    @pytest.mark.parametrize("m, H", [(1, 3 * _D2_BLOCK + 5), (4, _D2_BLOCK + 3),
-                                      (3, _D2_BLOCK + 3), (7, 2 * _D2_BLOCK), (2, 40),
-                                      (10, 9), (10, 3)])
+    @pytest.mark.parametrize("m, H", [(1, 3 * _SUB_BLOCK_CELLS + 5), (4, _SUB_BLOCK_CELLS + 3),
+                                      (3, _SUB_BLOCK_CELLS + 3), (7, 2 * _SUB_BLOCK_CELLS),
+                                      (2, 40), (10, 9), (10, 3)])
     def test_blocks_sum_like_one_evaluation(self, name, m, H):
         a = D2_FACTORS[name]
         want = _variation(np.asarray(a.eval(np.arange(m, H + 3))), 2, H - m + 1)
@@ -447,6 +446,15 @@ def _outcome(search, *args, **kwargs):
 
 
 _OSC_FACTOR = builtin("oscillating_quadratic").separable_parts[0]
+# sum horizons at the edges of the blocks the search streams in
+BLOCK_EDGES = [_SUB_BLOCK_CELLS - 1, _SUB_BLOCK_CELLS, _SUB_BLOCK_CELLS + 1,
+               2 * _SUB_BLOCK_CELLS + 3]
+# a factor 1/k^2 whose largest m |f_m|, exactly 1, lies at 2^15 and again at
+# 2^16, past every verify_range below; and its twin with a NaN at 100001
+_SPIKED = 1.0 / np.arange(1.0, (1 << 17) + 1) ** 2
+_SPIKED[[(1 << 15) - 1, (1 << 16) - 1]] = 2.0 ** -15, 2.0 ** -16
+_NAN_PAST = _SPIKED.copy()
+_NAN_PAST[100000] = math.nan
 
 # separable inputs of the streamed-search property: the presets, scaled
 # presets (real, negative and complex), expression factors without hints,
@@ -466,6 +474,8 @@ ETA_INPUTS = {
     "twin": from_expression("twin", TWIN_EXPR),
     "sign": from_expression("sign", "sign(j-3)/j^1.5*(1+alternating(k))/k^2"),
     "slow": from_expression("slow", "ln(j+1)/j^2/(k+2)^1.5"),
+    "spike": separable(_OSC_FACTOR, single_from_values("spike", _SPIKED)),
+    "nan past": separable(single_from_values("nan past", _NAN_PAST), _OSC_FACTOR),
 }
 
 
@@ -474,11 +484,11 @@ class TestStreamedEtaSearch:
 
     @settings(max_examples=80, deadline=None)
     @given(name=st.sampled_from(sorted(ETA_INPUTS)),
-           sum_horizon=st.sampled_from([_D2_BLOCK - 1, _D2_BLOCK, _D2_BLOCK + 1,
-                                        2 * _D2_BLOCK + 3]),
+           sum_horizon=st.sampled_from(BLOCK_EDGES),
            at_horizon=st.booleans(),
            cap=st.one_of(st.integers(1, 64), st.integers(65, 5000)),
-           sup_horizon=st.integers(4, 3 * _D2_BLOCK),
+           sup_horizon=st.one_of(st.integers(4, 3 * _SUB_BLOCK_CELLS),
+                                 st.integers(3 * _SUB_BLOCK_CELLS, 1 << 17)),
            lam=st.integers(1, 4),
            epsilon=st.sampled_from([5.0, 1.0, 0.2, 0.05, 1e-3]),
            C=st.sampled_from([1.0, 16.0]))
@@ -492,8 +502,7 @@ class TestStreamedEtaSearch:
         assert (_outcome(eta_search, c, epsilon, C, **kwargs)
                 == _outcome(eta_search_whole, c, epsilon, C, **kwargs))
 
-    @pytest.mark.parametrize("sum_horizon", [_D2_BLOCK - 1, _D2_BLOCK, _D2_BLOCK + 1,
-                                             2 * _D2_BLOCK + 3])
+    @pytest.mark.parametrize("sum_horizon", BLOCK_EDGES)
     @pytest.mark.parametrize("name", sorted(ETA_INPUTS))
     def test_matches_at_the_block_edges(self, name, sum_horizon):
         # verify_range at the sum horizon, and a small one, where a loose
@@ -520,6 +529,24 @@ class TestStreamedEtaSearch:
         at_defaults = self.peak(osc)
         assert at_defaults <= 3.0e6
         assert self.peak(osc, sum_horizon=1 << 20) <= at_defaults + 0.5e6
+
+    def test_working_set_does_not_grow_with_the_sup_horizon(self, osc):
+        # past verify_range condition (1) reads one carried (max, first index)
+        # pair per factor, not arrays over 1..sup_horizon
+        eta_search(osc, 0.2, 16.0, cap=16, sum_horizon=64)   # first-use caches stay out
+        assert self.peak(osc, sup_horizon=1 << 20, sum_horizon=1 << 20) <= 3.0e6
+
+    @pytest.mark.parametrize("sup_horizon", [(1 << 15) - 1, 1 << 15, 1 << 16, 100000, 100001,
+                                             1 << 17])
+    @pytest.mark.parametrize("name", ["spike", "nan past"])
+    def test_matches_past_the_verify_range(self, name, sup_horizon):
+        # the spikes (the witness of (1), the first if both) and the NaN lie
+        # past verify_range, each within sup_horizon or not
+        c = ETA_INPUTS[name]
+        for cap, eps in ((64, 5.0), (64, 0.2), (4000, 5.0)):
+            kwargs = dict(cap=cap, sup_horizon=sup_horizon, sum_horizon=1 << 13)
+            assert (_outcome(eta_search, c, eps, 16.0, **kwargs)
+                    == _outcome(eta_search_whole, c, eps, 16.0, **kwargs))
 
 
 class TestTheorem7:

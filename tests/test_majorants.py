@@ -36,12 +36,14 @@ from doublesine import (
 from doublesine import differences, majorants
 from doublesine.convergence import eta_search, lemma2_quantities
 from doublesine.majorants import (
-    MajorantValue,
+    Measurement,
     _abs_line,
     _block_array,
     _bounded_max_scan,
     _rect_abs_sum,
     _row_line,
+    _scaled,
+    _sup_measurement,
     _sup_scan,
 )
 from doublesine.membership import check_condition_22
@@ -180,6 +182,40 @@ class TestSupScans:
         brute = max(block_sum_double(osc, M, N)
                     for M in range(1, 33) for N in range(1, 33) if M + N >= 6)
         assert mv.value == pytest.approx(brute, rel=1e-12)
+
+
+# sups a scan may return: any float, NaN, infinities and subnormals included
+SUPS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -5e-324, math.inf,
+                                               -math.inf, math.nan]))
+
+
+class TestSupRule:
+    """``_sup_measurement`` writes the sup rule once: the truth is at most
+    ``max(sup, tail)``, truncated exactly when ``tail is None or tail > sup``."""
+
+    @staticmethod
+    def tails(sup):
+        """No hint, a tie, a neighbour on either side, or any float."""
+        return st.one_of(st.none(), st.just(sup), st.just(math.nextafter(sup, math.inf)),
+                         st.just(math.nextafter(sup, -math.inf)), SUPS)
+
+    @given(SUPS, st.data(), st.integers(1, 1 << 40))
+    @settings(max_examples=500, deadline=None)
+    def test_truncated_is_the_sup_rule(self, sup, data, scale):
+        tail = data.draw(self.tails(sup))
+        got = _sup_measurement(sup, tail)
+        assert got.truncated == (tail is None or tail > sup)
+        assert got.bounded == (tail is not None)
+        # dividing by the scale keeps it, unless a positive excess underflows to 0
+        scaled = _scaled(got, scale)
+        flips = got.tail_bound is not None and got.tail_bound > 0.0 \
+            and got.tail_bound / scale == 0.0
+        assert scaled.truncated == (got.truncated and not flips)
+
+    def test_an_underflowing_excess_reads_as_exact(self):
+        # the excess 2^-1074 halves to 0: the one way scaling flips the rule
+        tiny = _sup_measurement(0.0, 5e-324)
+        assert tiny.truncated and not _scaled(tiny, 2).truncated
 
 
 class TestFamilyConfig:
@@ -392,8 +428,11 @@ class TestDoubleScanTable:
     # |c| grid and took two whole-table cumsums; the streamed build must give
     # the same bits for any row-block size and any number of streamed rows
     # (re-frozen when MajorantValue dropped its argmax field: the earlier reprs
-    # with each ", argmax=(...)" removed hash to this value)
-    DENSE_FROZEN = "02c7c374764c6d9ab51be4973a78dea8d41be05b556d50ff16b0329c0d7c1eaf"
+    # with each ", argmax=(...)" removed hash to the value before this one; and
+    # when Measurement replaced MajorantValue: each earlier
+    # MajorantValue(v, t, b) written as Measurement(v, None if b is None else
+    # max(b - v, 0.0)) hashes to this value, and every t was b is None or b > v)
+    DENSE_FROZEN = "ae7973f2857abb52e082d7de521143c612d14a139944b2574a40b1a5f3098de5"
 
     @pytest.mark.parametrize("scan_rows", [1, 3, None])
     @pytest.mark.parametrize("block_cells", [None, 1000])
@@ -510,9 +549,9 @@ def block_tail(a, horizon):
 
 def exhaustive_scan(vals, start, horizon, tail):
     """Every block ``M = start..horizon`` from one cumsum of ``vals`` (the
-    line from ``start`` to ``2 horizon``): max and tail verdict."""
+    line from ``start`` to ``2 horizon``): max and the tail's excess over it."""
     sup = float(np.max(_block_array(vals, start, start, horizon)))
-    return MajorantValue(value=sup, truncated=tail is None or tail > sup, tail_bound=tail)
+    return Measurement(sup, None if tail is None else max(tail - sup, 0.0))
 
 
 def exhaustive_row_scan(c, fixed, start, horizon, transpose):
@@ -526,11 +565,7 @@ def exhaustive_row_scan(c, fixed, start, horizon, transpose):
 
 def assert_same_sup(got, want):
     """``==`` on every field, with NaN equal to NaN."""
-    if math.isnan(want.value):
-        assert math.isnan(got.value)
-        got, want = (MajorantValue(0.0, g.truncated, g.tail_bound)
-                     for g in (got, want))
-    assert got == want
+    assert repr(got) == repr(want)
 
 
 def scan_line(c, fixed, horizon, transpose=False):
@@ -626,10 +661,9 @@ class TestPrunedSupScan:
     def test_increasing_and_tied_blocks(self, transpose):
         one = from_expression("one", "1")
         line = scan_line(one, 3, 64, transpose)
-        assert _sup_scan(line, 5) == MajorantValue(65.0, True, None)
+        assert _sup_scan(line, 5) == Measurement(65.0, None)
         zero = builtin("zero")
-        assert _sup_scan(scan_line(zero, 3, 64, transpose), 5) \
-            == MajorantValue(0.0, False, 0.0)
+        assert _sup_scan(scan_line(zero, 3, 64, transpose), 5) == Measurement(0.0, 0.0)
 
     def test_horizon_one(self, osc):
         assert_same_sup(_sup_scan(scan_line(osc, 2, 1), 1),

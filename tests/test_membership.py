@@ -383,9 +383,13 @@ class TestBatchedFit:
 
     def test_one_double_scan_per_threshold(self, osc, monkeypatch):
         thresholds = []
-        scan = majorants.DoubleScanTable._scan
-        monkeypatch.setattr(majorants.DoubleScanTable, "_scan",
-                            lambda self, t: thresholds.append(t) or scan(self, t))
+        build = majorants.DoubleScanTable._build
+
+        def counted_build(self):
+            search = build(self)
+            return lambda t: thresholds.append(t) or search(t)
+
+        monkeypatch.setattr(majorants.DoubleScanTable, "_build", counted_build)
         grid = [(m, n) for m in range(2, 12) for n in range(2, 12)]
         fam = MajorantFamily(Family.TWO, Axis.ROW, lam=2, b3="l+3", sup_horizon=64)
         report = check_membership(osc, 2, fam, grid)

@@ -28,7 +28,8 @@ from doublesine import (
     single_from_expression,
     single_from_values,
 )
-from doublesine.convergence import _D2_BLOCK, _d2_scan
+from doublesine.convergence import _d2_scan
+from doublesine.differences import _SUB_BLOCK_CELLS
 
 POINTWISE = frozenset({"delta_r", "delta_r0", "delta_0r", "delta_rr"})
 
@@ -82,7 +83,7 @@ def test_streamed_eta_search_evaluates_each_coefficient_once():
     # several calls, which together read each index exactly once
     osc = builtin("oscillating_quadratic")
     (a, a_calls), (b, b_calls) = (counted(f) for f in osc.separable_parts)
-    sum_horizon = 2 * _D2_BLOCK + 3
+    sum_horizon = 2 * _SUB_BLOCK_CELLS + 3
     eta_search(replace(osc, separable_parts=(a, b)), 0.2, 16.0, cap=256, sup_horizon=512,
                sum_horizon=sum_horizon)
     for calls in (a_calls, b_calls):
