@@ -49,7 +49,7 @@ from .convergence import (
     _check_probe_rule,
     _remark2_squares,
 )
-from .differences import delta_r, delta_rr
+from .differences import _doublings, delta_r, delta_rr
 from .kernels import (
     Rect,
     kernel_bound_check,
@@ -202,20 +202,13 @@ def _parse_int_list(spec: str, what: str) -> tuple[int, ...]:
     return vals
 
 
-def _dyadic_values(limit: int, start: int = 2) -> tuple[int, ...]:
-    if limit < start:
-        raise ConfigError(f"dyadic grid limit {limit} below start {start}")
-    vals, v = [], start
-    while v <= limit:
-        vals.append(v)
-        v *= 2
-    return tuple(vals)
-
-
 def _parse_grid_values(spec: str) -> tuple[int, ...]:
-    """Grid of scales: ``dyadic:LIMIT`` or a comma list of integers."""
+    """Grid of scales: ``dyadic:LIMIT`` (2, 4, ..., LIMIT) or a comma list of integers."""
     if spec.startswith("dyadic:"):
-        return _dyadic_values(int(spec.split(":", 1)[1]))
+        limit = int(spec.split(":", 1)[1])
+        if limit < 2:
+            raise ConfigError(f"dyadic grid limit {limit} below start 2")
+        return tuple(_doublings(2, limit))
     return _parse_int_list(spec, "grid")
 
 
@@ -438,6 +431,9 @@ def _require(args, *dests: str) -> None:
 
 def _run_partial_sum(args):
     _require(args, "rect", "x", "y")
+    for flag, v in (("--x", args.x), ("--y", args.y)):
+        if not 0.0 < v < math.pi:
+            raise ConfigError(f"{flag} {v!r} outside (0, pi)")
     c = _resolve_sequence(args)
     rect = _parse_rect(args.rect)
     methods = [args.method] if args.method != "all" else ["direct", "parts", "separable"]

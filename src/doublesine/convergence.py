@@ -32,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import (_SUB_BLOCK_CELLS, _block_sum, _blocked_sum, _row_blocks, _span,
-                          _sub_blocks, delta_r0_grid)
+from .differences import (_SUB_BLOCK_CELLS, _block_sum, _blocked_sum, _doublings, _row_blocks,
+                          _span, _sub_blocks, delta_r0_grid)
 from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
 from .majorants import (DoubleScanTable, Measurement, _check_horizon, _dense_cap, _rect_abs_sum,
                         _scan_table, _sup_measurement, compile_b)
@@ -401,13 +401,7 @@ class ProbeConfig:
 
 
 def _corners_from(start: int, cap: int, doublings: int) -> list[int]:
-    out = []
-    v = start
-    for _ in range(doublings + 1):
-        if v > cap:
-            break
-        out.append(v)
-        v *= 2
+    out = _doublings(start, cap)[:doublings + 1]
     if not out or out[-1] != cap:
         out.append(cap)
     return out
@@ -427,7 +421,7 @@ def _probe_arrays(probe: ProbeConfig, min_start: int | None = None):
     lie in ``[min_start, rect_cap]``; ``min_start`` (default the probe's)
     is a start itself when given.  No threshold applies."""
     first = probe.min_start if min_start is None else min_start
-    dyadic = {1 << e for e in range(probe.rect_cap.bit_length())}
+    dyadic = set(_doublings(1, probe.rect_cap))
     structured = {v for x, y in probe.xy_grid
                   for t in (_transition_index(x), _transition_index(y))
                   for v in (t, t + 1, 2 * t)}
@@ -586,11 +580,7 @@ class EtaSearchResult:
 
 def _test_points(eta: int, verify_range: int) -> list[int]:
     pts = {eta + 1, verify_range}
-    v = 1
-    while v <= verify_range:
-        if v > eta + 1:
-            pts.add(v)
-        v *= 2
+    pts.update(v for v in _doublings(1, verify_range) if v > eta + 1)
     return sorted(pts)
 
 

@@ -141,6 +141,12 @@ def _span(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=np.int64)
 
 
+def _doublings(start: int, limit: int) -> list[int]:
+    """``start, 2 start, 4 start, ...`` up to ``limit``, for ``start >= 1``;
+    empty when ``limit < start``."""
+    return [start << e for e in range(max(limit // start, 0).bit_length())]
+
+
 def _variation(v: np.ndarray, r: int, m: int) -> float:
     """``sum_{i<m} |v_i - v_{i+r}|`` over the first ``m + r`` values of ``v``."""
     return float(ksum(np.abs(v[:m] - v[r:m + r])))

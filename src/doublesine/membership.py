@@ -51,7 +51,7 @@ from enum import Enum
 import numpy as np
 
 from .convergence import TailReport, classify_tail, loglog_slope
-from .differences import _span, _variation, check_step
+from .differences import _doublings, _span, _variation, check_step
 from .majorants import (
     Axis,
     DoubleScanTable,
@@ -284,12 +284,7 @@ def check_condition_22(c: CoefficientSequence, S: int = 4096,
     if schedule is None:
         if S < 8:
             raise ValueError("need S >= 8 for the default schedule")
-        sched = []
-        s = 4
-        while s <= S:
-            sched.append(s)
-            s *= 2
-        schedule = tuple(sched)
+        schedule = tuple(_doublings(4, S))
     values = []
     for s in schedule:
         if s < 2:

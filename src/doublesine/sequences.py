@@ -555,10 +555,11 @@ def _broadcast(values, *indices):
 
     Every operation of the expression language is elementwise, so only
     an expression that omits an index (a constant, or ``1/k^2`` as a
-    double sequence) returns fewer values than requested.
+    double sequence) returns fewer values than requested.  Complex values
+    stay complex, as a full expression's do; any other values become float64.
     """
     shape = np.broadcast_shapes(*(np.shape(i) for i in indices))
-    return np.broadcast_to(np.asarray(values, dtype=np.float64), shape)
+    return np.broadcast_to(np.asarray(values, dtype=np.result_type(values, np.float64)), shape)
 
 
 def from_expression(name: str, expr: str) -> CoefficientSequence:

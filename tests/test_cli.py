@@ -912,6 +912,22 @@ class TestExitContract:
     def test_bad_flag_is_two(self, tmp_path, capsys, argv, reason):
         assert reason in self.refused(tmp_path, capsys, *argv)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--x", "1e300"), ("--x", "0"), ("--x", repr(math.pi)), ("--x", "-1"), ("--y", "1e300"),
+    ])
+    def test_partial_sum_abscissa_outside_zero_pi_is_two(self, tmp_path, capsys, flag, value):
+        # j*x has no correct digits at x = 1e300, so the methods cannot agree
+        xy = {"--x": "1.0", "--y": "1.0", flag: value}
+        err = self.refused(tmp_path, capsys, "partial-sum", *OSC, "--rect", "1:10x1:10",
+                           *(tok for item in xy.items() for tok in item))
+        assert f"{flag} {float(value)!r} outside (0, pi)" in err
+
+    def test_partial_sum_inside_zero_pi_runs(self, tmp_path):
+        assert run(tmp_path, "partial-sum", *OSC, "--rect", "1:10x1:10",
+                   "--x", "1.0", "--y", "1.0") == 0
+        results = load_json(tmp_path, "partial-sum.json")["results"]
+        assert (results["x"], results["y"]) == (1.0, 1.0)
+
     @pytest.mark.parametrize("entry, reason", [
         ("[membership]\nr = two\n", "bad config value [membership] r = 'two'"),
         ("[majorants]\nfamily = four\n", "bad value 'four' for --family"),

@@ -13,6 +13,7 @@ from doublesine import (
     single_from_expression,
     single_from_values,
 )
+from doublesine.differences import _doublings
 
 
 class TestCheckStep:
@@ -29,6 +30,35 @@ class TestCheckStep:
     def test_rejects_non_int(self, bad):
         with pytest.raises((TypeError, ValueError)):
             check_step(bad)
+
+
+def _doubling_loop(start, limit):
+    out, v = [], start
+    while v <= limit:
+        out.append(v)
+        v *= 2
+    return out
+
+
+class TestDoublings:
+    @given(st.integers(1, 1 << 20), st.integers(-(1 << 20), 1 << 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_doubling_loop(self, start, limit):
+        assert _doublings(start, limit) == _doubling_loop(start, limit)
+
+    @pytest.mark.parametrize("start, limit, expected", [
+        (2, 1, []),                     # limit below start
+        (5, 4, []),
+        (3, -1, []),                    # a negative quotient has a nonzero bit_length
+        (7, -(1 << 20), []),
+        (1, 0, []),
+        (2, 2, [2]),
+        (3, 11, [3, 6]),
+        (4, 4096, [4 << e for e in range(11)]),
+        (1, 1 << 20, [1 << e for e in range(21)]),
+    ])
+    def test_edges(self, start, limit, expected):
+        assert _doublings(start, limit) == expected == _doubling_loop(start, limit)
 
 
 class TestSingleDifferences:

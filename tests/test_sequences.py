@@ -245,6 +245,21 @@ class TestExpressions:
         b = single_from_expression("b", "1/n")
         assert float(a.eval(4)) == float(b.eval(4)) == 0.25
 
+    @pytest.mark.filterwarnings("error")
+    def test_one_index_expressions_keep_complex_values(self):
+        # one complex rule: an expression that omits an index keeps complex
+        # values as a full expression does, and real values stay float64
+        j = np.arange(1, 4)[:, None]
+        k = np.arange(1, 3)[None, :]
+        row = from_expression("row", "(-2)^0.5*j").eval(j, k)
+        assert row.shape == (3, 2)
+        np.testing.assert_allclose(row.imag, np.broadcast_to(2 ** 0.5 * j, (3, 2)), rtol=1e-15)
+        assert np.iscomplexobj(from_expression("full", "(-2)^0.5/(j*k)^2").eval(j, k))
+        const = single_from_expression("const", "(-2)^0.5").eval(np.arange(1, 5))
+        assert const.shape == (4,) and np.all(const.imag == 2 ** 0.5)
+        for expr in ("2", "1/k^2", "mod(k, 3)"):
+            assert from_expression("real", expr).eval(j, k).dtype == np.float64
+
     def test_expressions_broadcast_over_missing_indices(self):
         j = np.arange(1, 4)[:, None]
         k = np.arange(1, 3)[None, :]
