@@ -14,8 +14,9 @@ verdict failure (the witness is printed), 2 on bad input.  Bad input is
 either a flag or config value the front end rejects itself, such as a
 NaN or infinite float (one ``config error: ...`` line on stderr), or a
 library refusal such as a scan horizon below its start, a size guard, a
-singular abscissa or a float overflow in a sum (one ``error: ...``
-line); neither writes a report.  An output directory or report file
+singular abscissa, a float overflow in a sum or a rectangle sum or
+condition (22) value that is not finite (one ``error: ...`` line);
+neither writes a report.  An output directory or report file
 that cannot be written, or a run out of memory, also exits 2 with one
 ``error: ...`` line.  Any other exception is an internal error: status
 3, with its traceback.
@@ -24,6 +25,7 @@ that cannot be written, or a run out of memory, also exits 2 with one
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import math
 import sys
@@ -205,7 +207,10 @@ def _parse_int_list(spec: str, what: str) -> tuple[int, ...]:
 def _parse_grid_values(spec: str) -> tuple[int, ...]:
     """Grid of scales: ``dyadic:LIMIT`` (2, 4, ..., LIMIT) or a comma list of integers."""
     if spec.startswith("dyadic:"):
-        limit = int(spec.split(":", 1)[1])
+        try:
+            limit = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"bad dyadic grid {spec!r}; expected dyadic:LIMIT") from None
         if limit < 2:
             raise ConfigError(f"dyadic grid limit {limit} below start 2")
         return tuple(_doublings(2, limit))
@@ -450,6 +455,8 @@ def _run_partial_sum(args):
         else:
             v = rect_sum_separable(c, rect, args.x, args.y)
         values[method] = complex(v) if isinstance(v, complex) else float(v)
+        if not cmath.isfinite(values[method]):
+            raise ValueError(f"{method} rectangle sum is {values[method]!r}, not finite")
     ref = values.get("direct", next(iter(values.values())))
     max_diff = max((abs(v - ref) for v in values.values()), default=0.0)
     limit = args.tol * (1.0 + abs(ref))

@@ -32,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import (_SUB_BLOCK_CELLS, _block_sum, _blocked_sum, _doublings, _row_blocks,
-                          _span, _sub_blocks, delta_r0_grid)
+from .differences import (_SUB_BLOCK_CELLS, _blocked_sum, _doublings, _span, _sub_blocks,
+                          delta_r0_grid)
 from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
 from .majorants import (DoubleScanTable, Measurement, _check_horizon, _dense_cap, _rect_abs_sum,
                         _scan_table, _sup_measurement, compile_b)
@@ -179,18 +179,17 @@ def loglog_slope(schedule, values) -> float | None:
 def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
     """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus the hint's tail certificate past H.
 
-    The terms are one row ``m..H`` of the exact reducer
-    :func:`~doublesine.differences._block_sum`, each sub-block from one
+    The terms are one column ``m..H`` of the exact reducer
+    :func:`~doublesine.differences._blocked_sum`, each sub-block from one
     evaluation of ``a``: the :func:`~doublesine.differences._variation`
-    of one evaluation, bit for bit, in a working set of a sub-block.  A
-    line that is not finite or sums to 0 is evaluated again whole.
+    of one evaluation, bit for bit, in a working set of a sub-block.
     """
     def terms(lo, hi):
         v = np.asarray(a.eval(_span(lo, hi + 2)))
         return np.abs(v[:-2] - v[2:])
 
     tail = None if a.decay_hint is None else a.decay_hint.d2_tail(H)
-    return Measurement(_block_sum(m, H, 1, terms), tail)
+    return Measurement(_blocked_sum(m, H, 1, terms), tail)
 
 
 def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
@@ -277,15 +276,11 @@ def _one_sided(c: CoefficientSequence, m: int, n: int, sup_horizon: int,
     sup_idx = np.arange(n, sup_horizon + 1, dtype=np.int64)
     width = len(sup_idx)
     sums = np.zeros(width)
-    for j0, j1 in _row_blocks(m, sum_horizon, width):
-        # numpy sums a single column pairwise, not row by row: kept whole
-        block = None
-        for s0, s1 in _sub_blocks(j0, j1, width) if width > 1 else [(j0, j1)]:
-            rows = np.abs(delta_r0_grid(c, 2, s0, s1, n, sup_horizon))
-            if block is not None:
-                rows[0] += block
-            block = rows.sum(axis=0)
-        sums += block
+    for s0, s1 in _sub_blocks(m, sum_horizon, width):
+        rows = np.abs(delta_r0_grid(c, 2, s0, s1, n, sup_horizon))
+        rows[0] += sums
+        # numpy sums a single column pairwise; np.cumsum adds it in row order
+        sums = rows.sum(axis=0) if width > 1 else np.cumsum(rows, axis=0)[-1]
     value = m * float(np.max(sup_idx.astype(np.float64) * sums))
     tail = None if c.decay_hint is None else c.decay_hint.d20_tail(m, n, sup_horizon, sum_horizon)
     return Measurement(value=value, tail_bound=None if tail is None else m * tail)
@@ -317,7 +312,7 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
 
     The sequence must be nonnegative on the touched ranges; slack is
     RHS - m n c_{mn} and should be >= 0 for members of the step-2 class.
-    The window sums are read in row blocks (:func:`_blocked_sum`).  The
+    Each window sum is one exactly rounded sum (:func:`_blocked_sum`).  The
     double sup is a query of ``table``, a :class:`DoubleScanTable` of
     ``c`` at ``sup_horizon`` that grid points may share (a table of
     another sequence or horizon is refused); without it the call builds
@@ -593,17 +588,17 @@ def _eta_factor_scan(f: SingleSequence, H: int, sum_horizon: int, tail: float,
     ``max(H, sum_horizon + 2)..1``; return the first index of
     ``weights[kept]``, as :func:`numpy.argmax` picks it (a NaN first).
 
-    Each block of ``_SUB_BLOCK_CELLS`` indices is evaluated once; the two
-    values a step-2 difference reads above a block are carried down from
-    the block above.  The sums are added from ``sum_horizon`` down, as a
-    reversed ``np.cumsum`` adds them, with the terms above the block
-    carried in one float, so the working set is a block plus the outputs.
+    Each sub-block (:func:`_sub_blocks`, one column) is evaluated once,
+    from the top down; the two values a step-2 difference reads above a
+    sub-block are carried down from the one above.  The sums are added
+    from ``sum_horizon`` down, as a reversed ``np.cumsum`` adds them, with
+    the terms above the sub-block carried in one float, so the working
+    set is a sub-block plus the outputs.
     """
     carry, at, kept = 0.0, 0, len(weights) - 1
     weights[kept] = -math.inf
     above = np.empty(0)
-    for hi in range(max(H, sum_horizon + 2), 0, -_SUB_BLOCK_CELLS):
-        lo = max(hi - _SUB_BLOCK_CELLS + 1, 1)
+    for lo, hi in reversed(list(_sub_blocks(1, max(H, sum_horizon + 2), 1))):
         v = np.concatenate((np.asarray(f.eval(_span(lo, hi))), above))
         above = v[:2].copy()
         w_lo, w_hi = max(lo, kept + 1), min(hi, H)

@@ -21,13 +21,13 @@ pointwise operators' order, so for an evaluator that acts elementwise
 the values are the same bit for bit: :func:`_variation` (the exactly
 rounded sum of ``|v_i - v_{i+r}|`` along a line), :func:`_mixed` (on a
 table), and :func:`delta_rr_grid` and :func:`delta_r0_grid`, which
-rectangle scans call once per row block (:func:`_row_blocks`).
-Rectangle sums read in row blocks (block differences, lemma 1, the
-dense family-ONE and lemma 3 windows) reduce them with
-:func:`_blocked_sum`: an exactly rounded sum per block, then of the
-parts.  The row blocks fix where those sums round; each is evaluated in
-sub-blocks of ``_SUB_BLOCK_CELLS`` cells (:func:`_sub_blocks`), which
-bound the working set and change no bit.
+rectangle scans call once per sub-block.  A rectangle is read in
+sub-blocks of about ``_SUB_BLOCK_CELLS`` cells (:func:`_sub_blocks`),
+which bound the working set and change no bit.  Every dense rectangle
+sum (block differences, lemma 1, the dense family-ONE and lemma 3
+windows) and the lemma factor sums of ``|d2 a|`` are one
+:func:`_blocked_sum`: the exactly rounded sum of the whole rectangle,
+the same float as one ``ksum`` of it.
 """
 
 from __future__ import annotations
@@ -42,10 +42,7 @@ from .summing import _exact_parts, ksum
 __all__ = ["check_step", "delta_r", "delta_r0", "delta_0r", "delta_rr",
            "delta_rr_grid", "delta_r0_grid"]
 
-# Cells of one row block in a blocked scan (before widening by the step);
-# the row blocks fix where a blocked sum rounds.
-_ROW_BLOCK_CELLS = 1 << 22
-# Cells of one sub-block, the unit a row block is evaluated in: 64 kB of
+# Cells of one sub-block, the unit a rectangle is read in: 64 kB of
 # float64, so its arrays stay below glibc's 128 KiB mmap threshold.
 _SUB_BLOCK_CELLS = 1 << 13
 
@@ -88,53 +85,39 @@ def delta_rr(c: CoefficientSequence, r: int, j, k):
     return c.eval(j, k) - c.eval(j + r, k) - c.eval(j, k + r) + c.eval(j + r, k + r)
 
 
-def _row_blocks(lo: int, hi: int, width: int, cells: int | None = None):
+def _sub_blocks(lo: int, hi: int, width: int):
     """Row ranges ``(j0, j1)``, inclusive, that cover ``lo..hi`` in order,
-    each ``cells // width`` rows long (at least one row) but the last;
-    ``cells`` defaults to ``_ROW_BLOCK_CELLS``."""
-    chunk = max(1, (_ROW_BLOCK_CELLS if cells is None else cells) // max(1, width))
+    each ``_SUB_BLOCK_CELLS // width`` rows long (at least one row) but
+    the last: the sub-blocks a rectangle ``width`` columns wide is read in."""
+    chunk = max(1, _SUB_BLOCK_CELLS // max(1, width))
     for j0 in range(lo, hi + 1, chunk):
         yield j0, min(j0 + chunk, hi + 1) - 1
 
 
-def _sub_blocks(j0: int, j1: int, width: int):
-    """The sub-blocks of about ``_SUB_BLOCK_CELLS`` cells, at least one row
-    each, that the row block ``j0..j1`` is evaluated in."""
-    return _row_blocks(j0, j1, width, _SUB_BLOCK_CELLS)
-
-
 def _blocked_sum(lo: int, hi: int, width: int, block) -> float:
-    """``ksum`` of ``ksum(block(j0, j1))`` over the row blocks
-    ``_row_blocks(lo, hi, width)``; ``block`` returns the values of rows
-    ``j0..j1`` (inclusive) of a rectangle ``width`` columns wide.
+    """``ksum`` of rows ``lo..hi`` of a real rectangle ``width`` columns
+    wide; ``block(j0, j1)`` returns the values of rows ``j0..j1``
+    (inclusive).
 
-    The row blocks fix where each sum rounds; a row block is evaluated in
-    sub-blocks of ``_SUB_BLOCK_CELLS`` cells, whose exact parts
-    (:func:`~doublesine.summing._exact_parts`) are gathered and rounded
-    once by :func:`math.fsum`: the correctly rounded sum of the block, the
-    same float as ``ksum`` of it whole.  A block with a sub-block that
-    has no exact parts (not finite, out of range) or a zero total is
-    summed whole, as ``ksum`` falls back to ``math.fsum`` on those."""
-    parts = [_block_sum(j0, j1, width, block) for j0, j1 in _row_blocks(lo, hi, width)]
-    return float(ksum(np.asarray(parts)))
-
-
-def _block_sum(j0: int, j1: int, width: int, block) -> float:
-    """``ksum(block(j0, j1))``, from sub-blocks of ``_SUB_BLOCK_CELLS``
-    cells (see :func:`_blocked_sum`)."""
-    subs = list(_sub_blocks(j0, j1, width))
-    if len(subs) > 1:
-        parts: list[float] = []
-        for s0, s1 in subs:
-            exact = _exact_parts(np.asarray(block(s0, s1)).reshape(-1))
-            if exact is None:
-                break
-            parts.extend(exact)
-        else:
-            total = math.fsum(parts)
-            if total != 0.0:
-                return total
-    return ksum(block(j0, j1))
+    The exact parts (:func:`~doublesine.summing._exact_parts`) of every
+    sub-block (:func:`_sub_blocks`) are gathered and rounded once by
+    :func:`math.fsum`: the correctly rounded sum of the rectangle, the
+    same float as ``ksum`` of it whole.  Where ``ksum`` falls back to
+    ``math.fsum`` (a sub-block that has no exact parts: not finite, out
+    of range; or a zero total), the values go to ``math.fsum`` one
+    sub-block at a time, so the working set stays a sub-block."""
+    parts: list[float] = []
+    for s0, s1 in _sub_blocks(lo, hi, width):
+        exact = _exact_parts(np.asarray(block(s0, s1)).reshape(-1))
+        if exact is None:
+            break
+        parts.extend(exact)
+    else:
+        total = math.fsum(parts)
+        if total != 0.0:
+            return total
+    return math.fsum(v for s0, s1 in _sub_blocks(lo, hi, width)
+                     for v in np.asarray(block(s0, s1), dtype=np.float64).reshape(-1).tolist())
 
 
 def _span(lo: int, hi: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differences import _mixed, _row_blocks, _span, check_step
+from .differences import _mixed, _span, _sub_blocks, check_step
 from .sequences import CoefficientSequence, SingleSequence
 from .summing import ksum
 
@@ -151,14 +151,14 @@ def rect_sum_direct(c: CoefficientSequence, rect: Rect, x: float, y: float):
 
     Rows are processed with ascending j, each row compensated over
     ascending k, and the row totals compensated again.  Coefficients are
-    read in the row blocks of :func:`~doublesine.differences._row_blocks`;
-    every row is summed on its own, so the blocking does not change the
-    result.
+    read in the sub-blocks of :func:`~doublesine.differences._sub_blocks`,
+    which bound the working set; every row is summed on its own, so the
+    sub-blocks do not change the result.
     """
     ks = np.arange(rect.n, rect.N + 1, dtype=np.int64)
     sin_ky = np.sin(ks * y)
     rows = []
-    for j0, j1 in _row_blocks(rect.m, rect.M, len(ks)):
+    for j0, j1 in _sub_blocks(rect.m, rect.M, len(ks)):
         js = np.arange(j0, j1 + 1, dtype=np.int64)
         block = np.asarray(c.eval(js[:, None], ks[None, :])) * sin_ky
         rows.extend(math.sin(j * x) * ksum(row) for j, row in zip(js.tolist(), block))

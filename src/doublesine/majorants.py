@@ -287,8 +287,8 @@ def _rect_abs_sum(c: CoefficientSequence, r: int, jlo: int, jhi: int, klo: int, 
     the benchmark's tracer (``bench/spans.py``) counts it as a scan.
     ``memo``, a dict kept for one ``c`` and ``r`` (by
     :meth:`DoubleScanTable.rect_abs_sum`), holds the factor sums under
-    ``(part, lo, hi)``.  Any other sequence is read in row blocks
-    (:func:`_blocked_sum`).
+    ``(part, lo, hi)``.  Any other sequence's sum is one exactly rounded
+    sum of the rectangle (:func:`_blocked_sum`).
     """
     if c.separable_parts is None:
         if r == 0:

@@ -279,7 +279,8 @@ def check_condition_22(c: CoefficientSequence, S: int = 4096,
 
     Scales default to the dyadic schedule 4, 8, ..., S.  The verdict is
     ``decaying`` when the last three values strictly decrease and the
-    final value is under the first divided by ``decay_factor``.
+    final value is under the first divided by ``decay_factor``.  A
+    ``T(s)`` that is not finite is refused, naming the first such scale.
     """
     if schedule is None:
         if S < 8:
@@ -293,6 +294,8 @@ def check_condition_22(c: CoefficientSequence, S: int = 4096,
         k = s - j
         weights = j.astype(np.float64) * k.astype(np.float64)
         t = float(np.max(weights * np.abs(np.asarray(c.eval(j, k)))))
+        if not math.isfinite(t):
+            raise ValueError(f"anti-diagonal maximum T({s}) is {t!r}, not finite")
         values.append(t)
     return TailReport(schedule=tuple(int(s) for s in schedule), values=tuple(values),
                       verdict=classify_tail(values, decay_factor=decay_factor),

@@ -3,13 +3,12 @@
 Every reduction in this package that feeds a reported number goes through
 one of these helpers (or an explicitly ordered ``numpy`` cumulative sum),
 so that repeated runs produce bit-identical output, with two exceptions.
-Lemma 2's dense column sums add each column's terms in row order: within
-a row block, a sub-block's running sums are added into the next
-sub-block's first row and ``ndarray.sum(axis=0)``, which adds the rows of
-a table two or more columns wide one after another, continues from
-there; the row blocks' sums are then added with ``+=`` in order.  A
-single column, which numpy sums pairwise instead, is summed whole per
-row block.  The dense probe's lattice sums are a BLAS matrix
+Lemma 2's dense column sums add each column's terms in row order,
+whatever the width: a sub-block's running sums are added into the next
+sub-block's first row, and ``ndarray.sum(axis=0)``, which adds the rows
+of a table two or more columns wide one after another, continues from
+there; a single column, which numpy would sum pairwise, takes
+``np.cumsum`` instead.  The dense probe's lattice sums are a BLAS matrix
 product, repeatable under one BLAS (OpenBLAS 0.3.31 gave the same cap-512
 dense probe with 1 and 2 threads); another BLAS may round differently.
 

@@ -172,6 +172,21 @@ class TestLibraryRefusals:
                            "--sum-horizon", "16", "--expect", "decaying")
         assert err == "error: horizon 16 below scan start 32\n"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expressions' NaN and inf
+    @pytest.mark.parametrize("argv, line", [
+        (("partial-sum", "--expr", "(-1)^(0.5+j-j)/(j*k)^2", "--rect", "1:10x1:10",
+          "--x", "0.5", "--y", "0.7"), "error: direct rectangle sum is nan, not finite"),
+        (("partial-sum", "--expr", "(-1)^(0.5+j-j)/(j*k)^2", "--rect", "1:10x1:10",
+          "--x", "0.5", "--y", "0.7", "--method", "parts"),
+         "error: parts rectangle sum is nan, not finite"),
+        (("condition-22", "--expr", "(-1)^(0.5+j-j)/(j*k)^2", "--expect", "not-decaying"),
+         "error: anti-diagonal maximum T(4) is nan, not finite"),
+        (("condition-22", "--expr", "j^400*k", "--expect", "decaying"),
+         "error: anti-diagonal maximum T(8) is inf, not finite"),
+    ], ids=["direct", "parts", "condition-22 nan", "condition-22 inf"])
+    def test_non_finite_value_is_refused(self, tmp_path, capsys, argv, line):
+        assert self.refused(tmp_path, capsys, *argv) == line + "\n"
+
     def test_no_rectangles_beyond_threshold(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "uniform-tail", "--preset",
                            "oscillating_quadratic", "--rect-cap", "16",
@@ -911,6 +926,12 @@ class TestExitContract:
     ])
     def test_bad_flag_is_two(self, tmp_path, capsys, argv, reason):
         assert reason in self.refused(tmp_path, capsys, *argv)
+
+    @pytest.mark.parametrize("single", [(), ("--single-class", "sbvs")])
+    @pytest.mark.parametrize("grid", ["dyadic:abc", "dyadic:", "dyadic:2.5"])
+    def test_bad_dyadic_limit_is_two(self, tmp_path, capsys, grid, single):
+        err = self.refused(tmp_path, capsys, "check-class", *OSC, *single, "--grid", grid)
+        assert err == f"config error: bad dyadic grid {grid!r}; expected dyadic:LIMIT\n"
 
     @pytest.mark.parametrize("flag, value", [
         ("--x", "1e300"), ("--x", "0"), ("--x", repr(math.pi)), ("--x", "-1"), ("--y", "1e300"),

@@ -206,8 +206,8 @@ class TestLemmaQuantities:
         assert res.slack == pytest.approx(res.rhs - res.lhs, rel=1e-13)
 
     def test_lemma3_one_block_windows_are_frozen(self, osc):
-        # sha256 of the reprs, frozen from the unblocked window sums; every
-        # window here is one row block, where the blocked sum is the same
+        # sha256 of the reprs, frozen from the unblocked window sums; each
+        # window sum is still one exactly rounded sum
         nonsep = from_expression("nonsep", "1/(j*k*(j+k))")
         results = [repr(lemma3_check(c, 1.5, 2, m, n, sup_horizon=64)) for c in (osc, nonsep)
                    for m, n in ((2, 2), (3, 5), (8, 4), (16, 16))]

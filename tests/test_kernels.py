@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ class TestKernelBoundOracle:
 
 
 class TestRectSumDirectOracle:
-    """Reading the rectangle in row blocks equals reading it row by row exactly."""
+    """Reading the rectangle in sub-blocks equals reading it row by row exactly."""
 
     SEQUENCES = {
         **{name: builtin(name) for name in BUILTIN_NAMES},
@@ -313,9 +314,22 @@ class TestRectSumDirectOracle:
             assert rect_sum_direct(c, rect, x, y) == rect_sum_rows(c, rect, x, y)
 
     @pytest.mark.parametrize("cells", [1, 20, 45, 100, 1 << 22])
-    def test_row_blocks(self, monkeypatch, osc, cells):
+    def test_sub_blocks(self, monkeypatch, osc, cells):
         # 20 columns: blocks of 1, 1, 2, 5 rows, and every row at once
-        monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", cells)
+        monkeypatch.setattr(differences, "_SUB_BLOCK_CELLS", cells)
         for c in (osc, dense_twin()):
             rect = Rect(3, 40, 5, 24)
             assert rect_sum_direct(c, rect, 0.9, 1.3) == rect_sum_rows(c, rect, 0.9, 1.3)
+
+    def test_working_set_is_a_sub_block(self):
+        # the 1500 x 1500 coefficient table alone would be 18 MB of float64
+        expr = "sign(j-k)*alternating(j*k)/(j+k)^2"
+        rect_sum_direct(from_expression("warm", expr), Rect(1, 8, 1, 8), 0.7, 1.9)
+        c = from_expression("dense", expr)
+        tracemalloc.start()
+        try:
+            rect_sum_direct(c, Rect(1, 1500, 1, 1500), 0.7, 1.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -33,7 +33,7 @@ from doublesine import (
     single_sup_scan,
     single_window_sum,
 )
-from doublesine import differences, majorants
+from doublesine import majorants
 from doublesine.convergence import eta_search, lemma2_quantities
 from doublesine.majorants import (
     Measurement,
@@ -52,7 +52,7 @@ from conftest import TWIN_EXPR, dense_twin
 
 
 _RNG = np.random.default_rng(11)
-# read term by term by the reducer's row blocks, so equal bit for bit
+# one exactly rounded sum of the rectangle, so equal bit for bit
 RECT_DENSE = {
     "real table": from_table("real", _RNG.normal(size=(48, 48))),
     "complex table": from_table("complex", _RNG.normal(size=(48, 48))
@@ -426,7 +426,7 @@ class TestDoubleScanTable:
 
     # sha256 of the query reprs below, frozen on the build that held the whole
     # |c| grid and took two whole-table cumsums; the streamed build must give
-    # the same bits for any row-block size and any number of streamed rows
+    # the same bits for any number of streamed rows
     # (re-frozen when MajorantValue dropped its argmax field: the earlier reprs
     # with each ", argmax=(...)" removed hash to the value before this one; and
     # when Measurement replaced MajorantValue: each earlier
@@ -435,11 +435,8 @@ class TestDoubleScanTable:
     DENSE_FROZEN = "ae7973f2857abb52e082d7de521143c612d14a139944b2574a40b1a5f3098de5"
 
     @pytest.mark.parametrize("scan_rows", [1, 3, None])
-    @pytest.mark.parametrize("block_cells", [None, 1000])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf blocks
-    def test_dense_queries_are_frozen(self, block_cells, scan_rows, monkeypatch):
-        if block_cells is not None:
-            monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", block_cells)
+    def test_dense_queries_are_frozen(self, scan_rows, monkeypatch):
         if scan_rows is not None:
             monkeypatch.setattr(majorants, "_SCAN_ROWS", scan_rows)
         rng = np.random.default_rng(5)

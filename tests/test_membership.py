@@ -553,8 +553,8 @@ def test_single_membership_is_frozen(klass, cap):
 
 class TestDenseFamilyOne:
     """Family ONE on a non-separable sequence: the double majorant is a
-    window sum over ``floor(m/2)..2m`` by ``floor(n/2)..2n``, read in row
-    blocks."""
+    window sum over ``floor(m/2)..2m`` by ``floor(n/2)..2n``, read in
+    sub-blocks."""
 
     NONSEP = from_expression("nonsep", "1/(j*k*(j+k))")
     FAM = MajorantFamily(Family.ONE, Axis.ROW, lam=2, sup_horizon=64)
@@ -562,24 +562,23 @@ class TestDenseFamilyOne:
 
     def test_default_blocks_are_frozen(self):
         # sha256 of repr(report) from the fit before the window sum shared
-        # the row-block reducer (every window here is one block), with the
+        # the exact reducer (each window is one exactly rounded sum), with the
         # report's since-removed ", target_C=None, verdicts=None" taken out
         report = check_membership(self.NONSEP, 2, self.FAM, self.GRID)
         assert _sha(report) == "d51261f4f7f9f8161adf78fac194d823b14ea9d9b7d78809d3ffce306565c8ac"
 
     @pytest.mark.parametrize("rows", [1, 2, 5])
-    def test_forced_row_blocks_match_twin(self, monkeypatch, rows):
+    def test_forced_sub_blocks_match_twin(self, monkeypatch, rows):
         c = self.NONSEP
         for m, n in self.GRID:
             jlo, jhi = majorants.averaging_window(m, 2)
             klo, khi = majorants.averaging_window(n, 2)
-            monkeypatch.setattr(differences, "_ROW_BLOCK_CELLS", rows * (khi - klo + 1))
+            monkeypatch.setattr(differences, "_SUB_BLOCK_CELLS", rows * (khi - klo + 1))
             report = check_membership(c, 2, self.FAM, [(m, n)])
             (row,) = [row for row in report.rows if row.axis == "double"]
+            j = np.arange(jlo, jhi + 1)[:, None]
             k = np.arange(klo, khi + 1)[None, :]
-            parts = [ksum(np.abs(c.eval(np.arange(j0, min(j0 + rows, jhi + 1))[:, None], k)))
-                     for j0 in range(jlo, jhi + 1, rows)]
-            assert row.rhs == float(ksum(np.asarray(parts))) / (m * n)
+            assert row.rhs == float(ksum(np.abs(c.eval(j, k)))) / (m * n)
             assert row.lhs == lhs_double(c, 2, m, n)
 
 
