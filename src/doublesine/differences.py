@@ -18,10 +18,10 @@ the CLI identity sweep checks their decompositions.  Library code reads
 every difference from one evaluation of the sequence on the span
 widened by the step, slicing the shifted terms out of it in the
 pointwise operators' order, so for an evaluator that acts elementwise
-the values are the same bit for bit: :func:`_variation` (the exactly
-rounded sum of ``|v_i - v_{i+r}|`` along a line), :func:`_mixed` (on a
-table), and :func:`delta_rr_grid` and :func:`delta_r0_grid`, which
-rectangle scans call once per sub-block.  A rectangle is read in
+the values are the same bit for bit: :func:`_steps` (``|v_i - v_{i+r}|``
+along a line) and :func:`_variation` (their exactly rounded sum),
+:func:`_mixed` (on a table), and :func:`delta_rr_grid` and
+:func:`delta_r0_grid`, which rectangle scans call once per sub-block.  A rectangle is read in
 sub-blocks of about ``_SUB_BLOCK_CELLS`` cells (:func:`_sub_blocks`),
 which bound the working set and change no bit.  Every dense rectangle
 sum (block differences, lemma 1, the dense family-ONE and lemma 3
@@ -130,9 +130,14 @@ def _doublings(start: int, limit: int) -> list[int]:
     return [start << e for e in range(max(limit // start, 0).bit_length())]
 
 
+def _steps(v: np.ndarray, r: int, m: int) -> np.ndarray:
+    """``|v_i - v_{i+r}|`` for ``i < m``, over the first ``m + r`` values of ``v``."""
+    return np.abs(v[:m] - v[r:m + r])
+
+
 def _variation(v: np.ndarray, r: int, m: int) -> float:
     """``sum_{i<m} |v_i - v_{i+r}|`` over the first ``m + r`` values of ``v``."""
-    return float(ksum(np.abs(v[:m] - v[r:m + r])))
+    return float(ksum(_steps(v, r, m)))
 
 
 def _mixed(t: np.ndarray, r: int) -> np.ndarray:

@@ -20,16 +20,27 @@ exceeds its value: 0.0 when exact, for a sup the hint's excess over it
 
 Scans evaluate ``|c|`` once per line and take block sums as differences
 of one cumulative sum.  The family-TWO window scan reports exactly
-rounded block sums (:func:`ksum`), as a per-block loop would, in one
-pass: for n nonnegative terms of total S, each cumsum estimate is
-within about ``n eps S`` of its block's sum, and the exactly rounded
-maximum's block lies within ``(2n + 3) eps S`` of the largest estimate.
-Only blocks within ``4 n eps S`` of it are re-summed, and the largest
-exact sum is the loop's value.
+rounded block sums (:func:`ksum`), as a per-block loop would, from one
+cumsum of its window: for n nonnegative terms of total S, each cumsum
+estimate is within about ``n eps S`` of its block's sum, and the exactly
+rounded maximum's block lies within ``(2n + 3) eps S`` of the largest
+estimate.  Only blocks within ``4 n eps S`` of it are re-summed, and the
+largest exact sum is the loop's value; a window whose total is not
+finite re-sums every block.  The cumsum is the window's own, not the
+line's: early terms that dominate a line's total would widen a
+line-wide screen to whole windows (on ``product_power(8, 8)``, every
+block past the first starts).
 Double sups keep a :class:`DoubleScanTable` of the threshold-independent
 block sums.  One table serves a whole command: a membership fit and the
 lemma 3 points that follow it query the same table at every grid point.
 The table holds only double sups, kept per threshold, and factor sums.
+A separable table keeps the block sums ``fa``, ``fb`` of its factors and
+the suffix maxima of both.  A query of threshold t takes line N's
+candidate ``fb[N] max_{M >= lo} fa[M]``, ``lo`` the smallest admissible M
+clipped to ``1..horizon``; the lines ``N >= t - 1``, where ``lo`` is 1,
+give ``max fb[N:]`` times ``max fa``, exact because rounding is monotone
+for finite nonnegative factors, so a query costs O(t).  A table that is
+not finite takes every line.
 A dense table never holds its block matrix: it streams block rows from
 two carried rows of the prefix table, one for each end of the block, and
 keeps the sup of each anti-diagonal ``M + N``; since a max of floats is
@@ -39,11 +50,13 @@ value a masked max over the whole matrix gives, bit for bit.
 Columns run as rows of the transpose ``c.T``, whose row lines
 (:meth:`~doublesine.sequences.CoefficientSequence.row`) carry their own
 tail hints.  A line is the signed values ``c_{j,fixed}`` for ``j =
-1..reach``, evaluated by :func:`_row_line`; a membership fit evaluates
-each line once, reads it at every grid point on it (left-hand sides,
-family ONE windows, family TWO window scans, family THREE sups over
-``1..2 sup_horizon``) and drops it before the next, and :func:`rhs`
-evaluates its own line.  A sup scan from ``start`` computes its exact
+1..reach``, evaluated by :func:`_row_line`.  :func:`_line_rhs` reads the
+majorants of every grid point on a line in one call: family ONE windows
+of one ``|v|`` array, family TWO one window scan per start, family
+THREE sups over ``1..2 sup_horizon``, one per start.  A membership fit
+evaluates each line once, reads all its points (left-hand sides too)
+and drops it before the next; :func:`rhs` evaluates its own line and
+reads it once.  A sup scan from ``start`` computes its exact
 blocks (one cumsum from ``start``, as an exhaustive scan would) for
 ``M = start..M1``, with ``M1 = 2 start`` doubling up to the horizon.
 ``np.cumsum`` is sequential, so these blocks are bit-identical to the
@@ -312,13 +325,12 @@ def _block_array(abs_vals: np.ndarray, lo: int, M_lo: int, M_hi: int) -> np.ndar
     """Block sums ``sum_{j=M}^{2M}`` for M in M_lo..M_hi.
 
     ``abs_vals`` holds ``|c_j|`` for j = lo..lo + len - 1 and must cover
-    ``2*M_hi``.
+    ``2*M_hi``.  Both ends of every block are slices of one cumsum.
     """
     cs = np.empty(len(abs_vals) + 1)
     cs[0] = 0.0
     np.cumsum(abs_vals, out=cs[1:])
-    Ms = np.arange(M_lo, M_hi + 1, dtype=np.int64)
-    return cs[2 * Ms - lo + 1] - cs[Ms - lo]
+    return cs[2 * M_lo - lo + 1:2 * M_hi - lo + 2:2] - cs[M_lo - lo:M_hi - lo + 1]
 
 
 class _Line:
@@ -378,27 +390,6 @@ def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> Measurement:
     return _sup_scan(_single_line(a, start, horizon), start)
 
 
-def _bounded_max_scan(vals: np.ndarray, M_lo: int, M_hi: int) -> float:
-    """Max of exactly rounded block sums ``sum_{j=M}^{2M} |c_j|`` over the
-    bounded window M_lo..M_hi, from ``vals``, the values ``|c_j|`` for
-    ``j = M_lo..2 M_hi``.
-
-    Only blocks whose cumsum estimate lies within ``4 len eps sum`` of the
-    largest estimate can hold the maximum (see the module docstring),
-    and only those are re-summed with :func:`ksum`.  A window that is
-    not finite re-sums every block.
-    """
-    total = float(np.sum(vals))
-    if math.isfinite(total):
-        approx = _block_array(vals, M_lo, M_lo, M_hi)
-        tol = 4.0 * len(vals) * np.finfo(np.float64).eps * total
-        cand = np.flatnonzero(approx >= approx.max() - tol)
-    else:
-        cand = np.arange(M_hi - M_lo + 1)
-    # block M = M_lo + i covers vals[i : 2 i + M_lo + 1]
-    return float(np.max([ksum(vals[i:2 * i + M_lo + 1]) for i in cand]))
-
-
 def _row_view(c: CoefficientSequence, fam: MajorantFamily, m: int,
               n: int) -> tuple[CoefficientSequence, int, int, int | None, int]:
     """``(source, m, n, start, reach)`` of the row or column majorant of
@@ -429,16 +420,41 @@ def _row_line(src: CoefficientSequence, fixed: int, reach: int, fam: MajorantFam
     return line
 
 
-def _row_rhs(fam: MajorantFamily, line: _Line, m: int, start: int | None) -> Measurement:
-    """The row majorant of ``fam`` at m read from its line (:func:`_row_line`),
-    with ``start`` and a line reaching as far as :func:`_row_view` says."""
+def _line_rhs(fam: MajorantFamily, line: _Line,
+              reads: list[tuple[int, int | None]]) -> list[Measurement]:
+    """The row majorants of ``fam`` at every ``(m, start)`` of ``reads``, in
+    their order, read from one line (:func:`_row_line`) reaching as far
+    as :func:`_row_view` says for each.
+
+    Families ONE and TWO read windows of one ``|v|`` array.  Family ONE
+    sums its window; family TWO takes the maximum of exactly rounded
+    blocks over ``start <= M <= lam start``, re-summing with :func:`ksum`
+    only the blocks that the cumsum of the window screens in (see the
+    module docstring); a window whose total is not finite re-sums every
+    block.  Family THREE scans each start
+    (:func:`_sup_scan`).
+    """
+    if fam.family is Family.THREE:
+        return [_scaled(_sup_scan(line, start), m) for m, start in reads]
+    vals = _abs_f64(line.vals)
     if fam.family is Family.ONE:
-        lo, hi = averaging_window(m, fam.lam)
-        return Measurement(float(ksum(_abs_f64(line.vals[lo - 1:hi]))) / m, 0.0)
-    if fam.family is Family.TWO:
-        return Measurement(_bounded_max_scan(
-            _abs_f64(line.vals[start - 1:2 * fam.lam * start]), start, fam.lam * start) / m, 0.0)
-    return _scaled(_sup_scan(line, start), m)
+        return [Measurement(float(ksum(vals[lo - 1:hi])) / m, 0.0)
+                for m, (lo, hi) in ((m, averaging_window(m, fam.lam)) for m, _ in reads)]
+    out = []
+    for m, start in reads:
+        top = fam.lam * start
+        window = vals[start - 1:2 * top]
+        total = float(np.sum(window))
+        if math.isfinite(total):
+            est = _block_array(window, start, start, top)
+            tol = 4.0 * len(window) * np.finfo(np.float64).eps * total
+            cand = np.flatnonzero(est >= est.max() - tol)
+        else:
+            cand = np.arange(top - start + 1)
+        # block M = start + i covers window[i : 2 i + start + 1]
+        sup = float(np.max([ksum(window[i:2 * i + start + 1]) for i in cand]))
+        out.append(Measurement(sup / m, 0.0))
+    return out
 
 
 def _scaled(scan: Measurement, scale: int) -> Measurement:
@@ -488,13 +504,20 @@ class DoubleScanTable:
         j = _span(1, 2 * horizon)
         fa, fb = (_block_array(_abs_f64(f.eval(j)), 1, 1, horizon) for f in c.separable_parts)
         suffix = np.maximum.accumulate(fa[::-1])[::-1]
+        tops = np.maximum.accumulate(fb[::-1])[::-1]
+        finite = math.isfinite(suffix[0]) and math.isfinite(tops[0])
 
         def search(threshold):
             # lines are N: candidate fb[N] * max_{M >= lo} fa[M], lo the smallest
             # admissible M clipped to 1..horizon.  Past the horizon that clip
-            # admits pairs below threshold.
-            lo = np.clip(threshold - _span(1, horizon), 1, horizon)
-            return float(np.max(fb * suffix[lo - 1]))
+            # admits pairs below threshold.  Lines N >= threshold - 1 have lo = 1;
+            # rounding is monotone for finite nonnegative factors, so their
+            # largest candidate is max fb[N:] * suffix[0].  A table that is not
+            # finite takes every line.
+            split = min(max(threshold - 2, 0), horizon) if finite else horizon
+            lo = np.clip(threshold - _span(1, split), 1, horizon)
+            best = float(np.max(fb[:split] * suffix[lo - 1], initial=-np.inf))
+            return best if split == horizon else max(best, float(tops[split] * suffix[0]))
         return search
 
     def _dense_sups(self) -> np.ndarray:
@@ -594,7 +617,7 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
     table = _scan_table(c, fam.sup_horizon, table)
     if fam.axis is not Axis.DOUBLE:
         src, m, n, start, reach = _row_view(c, fam, m, n)
-        return _row_rhs(fam, _row_line(src, n, reach, fam), m, start)
+        return _line_rhs(fam, _row_line(src, n, reach, fam), [(m, start)])[0]
     if fam.family is Family.ONE:
         jlo, jhi = averaging_window(m, fam.lam)
         klo, khi = averaging_window(n, fam.lam)

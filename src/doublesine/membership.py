@@ -18,15 +18,20 @@ A fit refuses grid indices below 1, then walks each row and column axis
 line by line (columns are the lines of ``c.T``).  It takes each point's
 scan start in grid order, so refusals come in grid order; it evaluates
 each line once, on ``1..reach`` for the furthest read of its points,
-reads every point's ``lhs_row`` or ``lhs_col`` (``ksum`` of ``|v_j -
-v_{j+r}|``) and majorant from slices of it, and drops it before the
-next.  ``lhs_double`` is the table's
+takes every point's ``lhs_row`` or ``lhs_col`` as ``ksum`` of a slice of
+one ``|v_j - v_{j+r}|`` array (:func:`~doublesine.differences._steps`, as
+far as the furthest left-hand side reads), reads all their majorants in
+one call (:func:`~doublesine.majorants._line_rhs`), and drops the line
+before the next.  ``lhs_double`` is the table's
 :meth:`~doublesine.majorants.DoubleScanTable.rect_abs_sum` at step r, so
 a separable sequence's factor sums are evaluated once per m and once per
 n, and the table keeps its double sups per threshold.  A command passes
 one table to the fit and to the calls after it.  ``ksum`` is exactly
 rounded and the evaluators act elementwise, so each row equals the
-per-point public functions' bit for bit.
+per-point public functions' bit for bit.  A row whose left-hand side
+or majorant is not finite is refused, the first one naming its axis
+and grid point; a positive left-hand side over a vanishing majorant
+stays an infinite ratio.
 
 :func:`cap_verdict` judges a cap ``C <= cap`` on the rows of one axis or
 of a single-sequence fit; only a certified row can fail it.
@@ -51,15 +56,15 @@ from enum import Enum
 import numpy as np
 
 from .convergence import TailReport, classify_tail, loglog_slope
-from .differences import _doublings, _span, _variation, check_step
+from .differences import _doublings, _span, _steps, _variation, check_step
 from .majorants import (
     Axis,
     DoubleScanTable,
     MajorantFamily,
     Measurement,
     _rect_abs_sum,
+    _line_rhs,
     _row_line,
-    _row_rhs,
     _row_view,
     _scaled,
     _scan_table,
@@ -71,6 +76,7 @@ from .majorants import (
     single_window_sum,
 )
 from .sequences import CoefficientSequence, SingleSequence, compile_expression
+from .summing import ksum
 
 __all__ = [
     "lhs_row",
@@ -210,11 +216,22 @@ def _line_rows(c: CoefficientSequence, r: int, fam: MajorantFamily,
     for fixed, (src, reads) in lines.items():
         line = _row_line(src, fixed, max(max(2 * i - 1 + r, reach) for _, i, _, reach in reads),
                          fam)
-        for pos, i, start, _ in reads:
-            rows[pos] = _ratio_row(*points[pos], fam.axis.value, _variation(
-                line.vals[i - 1:], r, i), _row_rhs(fam, line, i, start))
-        del line  # one line alive at a time
+        steps = _steps(line.vals, r, 2 * max(i for _, i, _, _ in reads) - 1)
+        majorants = _line_rhs(fam, line, [(i, start) for _, i, start, _ in reads])
+        for (pos, i, _, _), majorant in zip(reads, majorants):
+            rows[pos] = _ratio_row(*points[pos], fam.axis.value,
+                                   float(ksum(steps[i - 1:2 * i - 1])), majorant)
+        del line, steps  # one line alive at a time
     return rows
+
+
+def _refuse_non_finite(rows: list[RatioRow]) -> None:
+    """Refuse the first row whose left-hand side or majorant is not finite."""
+    for row in rows:
+        for side, value in (("left-hand side", row.lhs), ("majorant", row.rhs)):
+            if not math.isfinite(value):
+                raise ValueError(f"{row.axis} {side} at (m, n) = ({row.m}, {row.n}) is "
+                                 f"{value!r}, not finite")
 
 
 def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
@@ -250,6 +267,7 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
                 lhs_val = table.rect_abs_sum(r, m, 2 * m - 1, n, 2 * n - 1)
                 axis_rows.append(_ratio_row(m, n, axis.value, lhs_val,
                                             rhs(c, fams[axis], m, n, table=table)))
+        _refuse_non_finite(axis_rows)
         best = _worst(axis_rows)
         fitted[axis] = None if best is None else best.ratio
         witness[axis.value] = None if best is None else {

@@ -13,7 +13,9 @@ product, repeatable under one BLAS (OpenBLAS 0.3.31 gave the same cap-512
 dense probe with 1 and 2 threads); another BLAS may round differently.
 
 :func:`ksum` returns the exact sum of its float64 inputs rounded once, so
-its result does not depend on the order of the values.  Long inputs are
+its result does not depend on the order of the values.  Input shorter
+than ``_SMALL`` is :func:`math.fsum` of its list, the reduction every
+other path equals; a 1-D array is not copied or reshaped.  Long inputs are
 reduced by error-free extraction (Rump, Ogita and Oishi, "Accurate
 floating-point summation, Part I", SIAM J. Sci. Comput. 31(1), 2008):
 within a block of n values, for ``sigma`` a power of two with
@@ -101,15 +103,15 @@ def _exact_parts(values: np.ndarray) -> list[float] | None:
 
 def _fsum(flat: np.ndarray) -> float:
     """``math.fsum(flat)`` for a 1-D array."""
+    if flat.dtype.kind != "f" or flat.dtype.itemsize > 8:
+        return math.fsum(flat)
     if len(flat) >= _SMALL:
         parts = _exact_parts(flat)
         if parts is not None:
             total = math.fsum(parts)
             if total != 0.0:
                 return total
-    if flat.dtype.kind != "f" or flat.dtype.itemsize > 8:
-        return math.fsum(flat)
-    return math.fsum(flat.astype(np.float64, copy=False).tolist())
+    return math.fsum(flat.tolist())  # float16/32/64 list as Python floats exactly
 
 
 def ksum(values: Iterable | np.ndarray) -> float | complex:
@@ -117,16 +119,19 @@ def ksum(values: Iterable | np.ndarray) -> float | complex:
 
     Equal, bit for bit, to :func:`math.fsum` over the values (complex
     input is summed component-wise), so the result does not depend on
-    the order of the values.  float16/32/64 input of at least ``_SMALL``
-    values is reduced by blockwise error-free extraction (see the module
-    docstring); non-finite input, magnitudes near overflow or underflow
-    and a zero sum fall back to ``math.fsum``, as does every other dtype.
+    the order of the values.  float16/32/64 input shorter than ``_SMALL``
+    is ``math.fsum`` of its list; at least ``_SMALL`` values are reduced by
+    blockwise error-free extraction (see the module docstring);
+    non-finite input, magnitudes near overflow or underflow and a zero
+    sum fall back to ``math.fsum``, as does every other dtype.
     """
-    arr = np.asarray(values)
-    if arr.size == 0:
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        flat = values
+    else:
+        flat = np.asarray(values).reshape(-1)
+    if len(flat) == 0:
         return 0.0
-    flat = arr.reshape(-1)
-    if np.iscomplexobj(flat):
+    if flat.dtype.kind == "c":
         return complex(_fsum(flat.real), _fsum(flat.imag))
     return _fsum(flat)
 

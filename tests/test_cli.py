@@ -183,7 +183,10 @@ class TestLibraryRefusals:
          "error: anti-diagonal maximum T(4) is nan, not finite"),
         (("condition-22", "--expr", "j^400*k", "--expect", "decaying"),
          "error: anti-diagonal maximum T(8) is inf, not finite"),
-    ], ids=["direct", "parts", "condition-22 nan", "condition-22 inf"])
+        (("check-class", "--expr", "(-1)^(0.5+j-j)/(j*k)^2", "--r", "2", "--family", "three",
+          "--grid", "dyadic:8", "--sup-horizon", "64"),
+         "error: row left-hand side at (m, n) = (2, 2) is nan, not finite"),
+    ], ids=["direct", "parts", "condition-22 nan", "condition-22 inf", "check-class nan"])
     def test_non_finite_value_is_refused(self, tmp_path, capsys, argv, line):
         assert self.refused(tmp_path, capsys, *argv) == line + "\n"
 

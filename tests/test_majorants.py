@@ -28,6 +28,7 @@ from doublesine import (
     ksum,
     rhs,
     scale,
+    separable,
     single_block_sum,
     single_from_values,
     single_sup_scan,
@@ -37,11 +38,11 @@ from doublesine import majorants
 from doublesine.convergence import eta_search, lemma2_quantities
 from doublesine.majorants import (
     Measurement,
-    _abs_line,
     _block_array,
-    _bounded_max_scan,
+    _line_rhs,
     _rect_abs_sum,
     _row_line,
+    _row_view,
     _scaled,
     _sup_measurement,
     _sup_scan,
@@ -321,9 +322,13 @@ def per_block_max(c, fixed, M_lo, M_hi, transpose):
     return float(np.max(sums))
 
 
-def window_scan(c, fixed, M_lo, M_hi):
-    """``_bounded_max_scan`` on the window ``|c_{j,fixed}|``, j = M_lo..2 M_hi."""
-    return _bounded_max_scan(_abs_line(c, fixed, M_lo, 2 * M_hi), M_lo, M_hi)
+def window_scan(c, fixed, start, lam):
+    """The family-TWO row majorant at m = 1 with scan start ``start``, read by
+    ``_line_rhs`` from the line ``c_{j,fixed}``: the max over the window
+    ``start..lam start``."""
+    fam = MajorantFamily(Family.TWO, Axis.ROW, lam=lam)
+    line = _row_line(c, fixed, 2 * lam * start, fam)
+    return _line_rhs(fam, line, [(1, start)])[0].value
 
 
 def assert_same_scan(got, want):
@@ -336,7 +341,7 @@ class TestBoundedWindowScan:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_block_loop(self, name, fixed, start, lam, transpose):
         c = SCAN_SEQUENCES[name]
-        assert_same_scan(window_scan(c.T if transpose else c, fixed, start, lam * start),
+        assert_same_scan(window_scan(c.T if transpose else c, fixed, start, lam),
                          per_block_max(c, fixed, start, lam * start, transpose))
 
     @given(st.lists(st.sampled_from((0.1, 0.2, 0.3, 0.7)), min_size=40, max_size=240),
@@ -347,7 +352,7 @@ class TestBoundedWindowScan:
         # whose cumsum estimates round differently
         table = np.asarray(values)[:, None]
         c = from_table("ties", table.T if transpose else table)
-        assert_same_scan(window_scan(c.T if transpose else c, 1, start, lam * start),
+        assert_same_scan(window_scan(c.T if transpose else c, 1, start, lam),
                          per_block_max(c, 1, start, lam * start, transpose))
 
     @given(st.integers(1, 60), st.integers(0, 500), st.sampled_from((math.inf, math.nan)),
@@ -358,16 +363,115 @@ class TestBoundedWindowScan:
         table = rng.uniform(-1.0, 1.0, (2 * lam * start + 2, 1))
         table[pos % len(table), 0] = bad
         c = from_table("bad", table.T if transpose else table)
-        assert_same_scan(window_scan(c.T if transpose else c, 1, start, lam * start),
+        assert_same_scan(window_scan(c.T if transpose else c, 1, start, lam),
                          per_block_max(c, 1, start, lam * start, transpose))
 
     def test_zero_window_ties(self, zero_seq):
-        assert window_scan(zero_seq, 3, 5, 10) == 0.0
+        assert window_scan(zero_seq, 3, 5, 2) == 0.0
 
     def test_rhs_scales_the_scan(self, mod3):
         fam = MajorantFamily(Family.TWO, Axis.COLUMN, lam=3, b2="2*l")
         mv = rhs(mod3, fam, 5, 7)
         assert mv.value == per_block_max(mod3, 5, 14, 42, transpose=True) / 7
+
+
+# --- the per-line reader against per-point oracles ---------------------------
+
+def reader_line(kind, length, rng):
+    """Line values of one kind: few distinct values (ties), a head that
+    dominates the line's total (a screen on the line's cumsum would keep
+    most blocks), a NaN or an infinity, complex values, or three values
+    near overflow (a total that is not finite; a block holding two of
+    them overflows ``fsum``)."""
+    v = rng.uniform(-1.0, 1.0, length)
+    if kind == "ties":
+        v = rng.choice([0.0, 0.1, 0.2, 0.3, 0.7], length)
+    elif kind == "dominant head":
+        v[:3] = 1e12
+    elif kind in ("nan", "inf"):
+        v[rng.integers(length)] = math.nan if kind == "nan" else math.inf
+    elif kind == "complex":
+        v = v + 1j * rng.uniform(-1.0, 1.0, length)
+    elif kind == "overflow":
+        v[rng.integers(length, size=3)] = 1e308
+    return v
+
+
+def outcome(read):
+    """The reprs of the measurements ``read()`` returns, or the name of the
+    exception it raises (``math.fsum`` refuses a block that overflows)."""
+    try:
+        return [repr(mv) for mv in read()]
+    except OverflowError as exc:
+        return type(exc).__name__
+
+
+def line_point_oracle(c, fam, m, start, transpose):
+    """One point's majorant from per-point twins: ``math.fsum`` of the window
+    (ONE), the per-block loop (TWO), a ``_sup_scan`` on a line of its own (THREE)."""
+    if fam.family is Family.ONE:
+        lo, hi = averaging_window(m, fam.lam)
+        idx = np.arange(lo, hi + 1, dtype=np.int64)
+        vals = c.eval(1, idx) if transpose else c.eval(idx, 1)
+        return Measurement(math.fsum(np.abs(vals)) / m, 0.0)
+    if fam.family is Family.TWO:
+        return Measurement(per_block_max(c, 1, start, fam.lam * start, transpose) / m, 0.0)
+    return _scaled(_sup_scan(scan_line(c, 1, fam.sup_horizon, transpose), start), m)
+
+
+class TestLineReader:
+    KINDS = ("random", "ties", "dominant head", "nan", "inf", "complex", "overflow")
+
+    @given(st.sampled_from(list(Family)), st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(1, 40), min_size=1, max_size=6), st.sampled_from((2, 3, 4)),
+           st.sampled_from(("l", "2*l")), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf blocks, overflow
+    def test_matches_per_point_oracles(self, family, kind, seed, ms, lam, b, transpose):
+        # several points on one line (the column axis reads a line of c.T),
+        # each read like a fit reads it
+        rng = np.random.default_rng(seed)
+        values = reader_line(kind, int(rng.integers(1, 2 * lam * 2 * max(ms) + 20)), rng)
+        c = line_table(values, transpose)
+        fam = MajorantFamily(family, Axis.COLUMN if transpose else Axis.ROW, lam=lam,
+                             b1=b, b2=b, sup_horizon=80)
+        views = [_row_view(c, fam, *((1, m) if transpose else (m, 1))) for m in ms]
+        line = _row_line(views[0][0], 1, max(view[4] for view in views), fam)
+        assert outcome(lambda: _line_rhs(fam, line, [(i, start) for _, i, _, start, _ in views])) \
+            == outcome(lambda: [line_point_oracle(c, fam, i, start, transpose)
+                                for _, i, _, start, _ in views])
+
+    @pytest.mark.parametrize("head, starts", [(0.7, (3,)), (0.7, (1, 3)), (0.7, (3, 2)),
+                                              (1e12, (1, 3))])
+    def test_screen_tolerance_covers_rounding(self, head, starts):
+        # from start 3 at lam 4 the largest estimate is not the largest exact
+        # block: without the tolerance the screen would drop the block holding
+        # the maximum, also when several starts share one line and under a
+        # head that dominates the line's total
+        values = [head, 0.3, 0.7, 0.2, 0.2, 0.7, 0.0, 0.7, 0.1, 0.7, 0.3, 0.1, 0.1, 0.1, 0.2,
+                  0.0, 0.3, 0.3, 0.3, 0.2, 0.3, 0.3, 0.2, 0.1]
+        c = line_table(values, False)
+        est = _block_array(np.asarray(values[2:]), 3, 3, 12)
+        exact = [math.fsum(values[M - 1:2 * M]) for M in range(3, 13)]
+        assert exact[int(np.argmax(est))] < max(exact)
+        fam = MajorantFamily(Family.TWO, Axis.ROW, lam=4)
+        got = _line_rhs(fam, _row_line(c, 1, 24, fam), [(1, start) for start in starts])
+        assert [mv.value for mv in got] == [per_block_max(c, 1, start, 4 * start, False)
+                                            for start in starts]
+
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_dominant_head_keeps_few_blocks(self, p, monkeypatch):
+        # on j^-p the line's total is its first terms, which would widen a
+        # screen on the line's cumsum to whole windows at large starts; each
+        # point's screen on its own window re-sums few blocks
+        calls = []
+        monkeypatch.setattr(majorants, "ksum", lambda v: calls.append(len(v)) or ksum(v))
+        c = builtin("product_power", p=p, q=p)
+        fam = MajorantFamily(Family.TWO, Axis.ROW, lam=2)
+        starts = [1 << e for e in range(1, 13)]
+        got = _line_rhs(fam, _row_line(c, 2, 4 * starts[-1], fam), [(1, s) for s in starts])
+        assert len(calls) <= 2 * len(starts)
+        assert [mv.value for mv in got] == [per_block_max(c, 2, s, 2 * s, False) for s in starts]
 
 
 # --- the double scan table ----------------------------------------------------
@@ -501,6 +605,55 @@ class TestDoubleScanTable:
         table = DoubleScanTable(osc, 40)
         for threshold in range(1, 81):
             assert table.query(threshold) == double_sup_scan(osc, threshold, 40)
+
+    @staticmethod
+    def clip_formula(c, horizon, threshold):
+        """The factored sup from every line N: ``fb[N]`` times the suffix max
+        of ``fa`` from the smallest admissible M clipped to 1..horizon."""
+        j = np.arange(1, 2 * horizon + 1, dtype=np.int64)
+        fa, fb = (_block_array(np.abs(np.asarray(f.eval(j))).astype(np.float64), 1, 1, horizon)
+                  for f in c.separable_parts)
+        suffix = np.maximum.accumulate(fa[::-1])[::-1]
+        lo = np.clip(threshold - np.arange(1, horizon + 1), 1, horizon)
+        return float(np.max(fb * suffix[lo - 1]))
+
+    @staticmethod
+    def factor(special, length, rng):
+        """Factor values, with zero, infinite or NaN blocks."""
+        v = rng.normal(size=length) * 10.0 ** rng.integers(-3, 4, size=length)
+        if special == "zero tail":
+            v[rng.integers(length):] = 0.0
+        elif special == "zero":
+            v[:] = 0.0
+        elif special in ("inf", "nan"):
+            v[rng.integers(length)] = math.inf if special == "inf" else math.nan
+        return v
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1),
+           *2 * (st.sampled_from(("none", "zero tail", "zero", "inf", "nan")),))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, 0 * inf
+    def test_factored_search_matches_the_clip_formula(self, horizon, seed, special_a,
+                                                      special_b):
+        # every threshold, past horizon + 1 included, where the clip admits
+        # pairs below the threshold
+        rng = np.random.default_rng(seed)
+        a, b = (single_from_values(name, self.factor(special, 2 * horizon, rng))
+                for name, special in (("a", special_a), ("b", special_b)))
+        c = separable(a, b)
+        table = DoubleScanTable(c, horizon)
+        for threshold in range(1, 2 * horizon + 1):
+            assert repr(table.query(threshold).value) == repr(
+                self.clip_formula(c, horizon, threshold)), threshold
+
+    @pytest.mark.parametrize("name", ["oscillating_quadratic", "mod3_log_product",
+                                      "product_power"])
+    def test_preset_searches_match_the_clip_formula(self, name):
+        c = builtin(name) if name != "product_power" else builtin(name, p=1.5, q=2.0)
+        horizon = 64
+        table = DoubleScanTable(c, horizon)
+        for threshold in range(2, 2 * horizon + 1):
+            assert table.query(threshold).value == self.clip_formula(c, horizon, threshold)
 
     @pytest.mark.xfail(strict=True, reason=(
         "the factored query clips the smallest admissible M to the horizon, so past "

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -155,6 +156,23 @@ class TestCheckMembership:
         row = [r for r in report.rows if r.axis == "row"][0]
         assert row.lhs > 0.0 and row.rhs == 0.0
         assert math.isinf(row.ratio)
+
+    @pytest.mark.parametrize("point, at, value, b3, line", [
+        ((2, 1), (2, 0), math.nan, "l", "row left-hand side at (m, n) = (2, 1) is nan"),
+        ((2, 1), (40, 0), math.inf, "l", "row majorant at (m, n) = (2, 1) is inf"),
+        ((1, 2), (0, 40), math.inf, "l", "column majorant at (m, n) = (1, 2) is inf"),
+        ((2, 2), (2, 2), math.nan, "10*l", "double left-hand side at (m, n) = (2, 2) is nan"),
+        ((2, 2), (40, 40), math.nan, "l", "double majorant at (m, n) = (2, 2) is nan"),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, nan in sums
+    def test_non_finite_row_is_refused(self, point, at, value, b3, line):
+        # the first row whose lhs or rhs is not finite names its axis and point,
+        # also a majorant that reads past every left-hand side
+        values = np.ones((70, 70))
+        values[at] = value
+        fam = MajorantFamily(Family.THREE, Axis.ROW, lam=1, b3=b3, sup_horizon=32)
+        with pytest.raises(ValueError, match=re.escape(line) + ", not finite$"):
+            check_membership(from_table("bad", values), 1, fam, (point,))
 
     def test_empty_grid_rejected(self, osc):
         with pytest.raises(ValueError):

@@ -178,6 +178,32 @@ class TestKsumDtypes:
         assert bits(ksum(view)) == bits(math.fsum(view.reshape(-1)))
         assert bits(ksum(grid.T)) == bits(math.fsum(grid.T.reshape(-1)))
 
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32, np.float16))
+    @pytest.mark.parametrize("values", [
+        [], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1e308, 1e308, -1e308], [1.0, math.nan],
+        [math.inf, 1.0], [math.inf, -math.inf], [-math.inf, -2.0], [0.1] * 10,
+        [1e16, 1.0, -1e16], [5e-324, 5e-324, -1e-320]])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # 1e308 as float32
+    def test_short_vectors_are_fsum(self, values, dtype):
+        # below _SMALL, ksum of a 1-D float array is math.fsum of its values,
+        # errors and the sign of zero included
+        def run(fn, arg):
+            try:
+                return bits(fn(arg))
+            except (ValueError, OverflowError) as exc:
+                return type(exc).__name__
+        arr = np.asarray(values, dtype=dtype)
+        assert run(ksum, arr) == run(math.fsum, arr.tolist())
+
+    @pytest.mark.parametrize("step", [2, 3, -1, -7])
+    def test_short_strided_views_are_fsum(self, step):
+        base = (np.random.default_rng(4).standard_normal(SMALL)
+                * 10.0 ** np.arange(-8, 8).repeat(SMALL // 16))[:SMALL - 1]
+        base[::11] = -0.0
+        view = base[::step]
+        assert len(view) < SMALL and not view.flags.c_contiguous
+        assert bits(ksum(view)) == bits(math.fsum(view.tolist()))
+
 
 class TestCumsumRows:
     @pytest.mark.parametrize("shape", ((0, 40), (1, 40), (7, 1), (300, 5),
