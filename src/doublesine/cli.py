@@ -14,12 +14,12 @@ verdict failure (the witness is printed), 2 on bad input.  Bad input is
 either a flag or config value the front end rejects itself, such as a
 NaN or infinite float (one ``config error: ...`` line on stderr), or a
 library refusal such as a scan horizon below its start, a size guard, a
-singular abscissa, a float overflow in a sum or a rectangle sum or
-condition (22) value that is not finite (one ``error: ...`` line);
-neither writes a report.  An output directory or report file
-that cannot be written, or a run out of memory, also exits 2 with one
-``error: ...`` line.  Any other exception is an internal error: status
-3, with its traceback.
+singular abscissa, a float overflow in a sum, or a rectangle sum, fit
+row, lemma, probe, eta or condition (22) value that is not finite (one
+``error: ...`` line); neither writes a report.  An output directory or
+report file that cannot be written, or a run out of memory, also exits
+2 with one ``error: ...`` line.  Any other exception is an internal
+error: status 3, with its traceback.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ The quantities here are the ones a regular-convergence argument runs on:
 
 Infinite sums and sups are scanned up to explicit horizons; power-decay
 hints, when present, close the scans with certified tail bounds, and
-every result records whether it is certified or merely truncated.
+every result records whether it is certified or merely truncated.  A
+lemma quantity or term, probe sum or eta factor array value that is not
+finite is refused where it is produced, naming the first such point.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from enum import Enum
 
 import numpy as np
 
-from .differences import (_SUB_BLOCK_CELLS, _blocked_sum, _doublings, _span, _sub_blocks,
-                          delta_r0_grid)
-from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401  (probes' oracle)
+from .differences import (_SUB_BLOCK_CELLS, _blocked_sum, _doublings, _span, _steps,
+                          _sub_blocks, delta_r0_grid)
+# rect_sum_direct is unused here; bench/test_bench.py reads it in this namespace
+from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401
 from .majorants import (DoubleScanTable, Measurement, _check_horizon, _dense_cap, _rect_abs_sum,
                         _scan_table, _sup_measurement, compile_b)
 from .sequences import CoefficientSequence, SingleSequence, builtin
@@ -127,6 +130,16 @@ def _verdict(values, decaying) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def _require_finite(values, name) -> None:
+    """Refuse the first of ``values`` (a float or an array) that is not
+    finite; ``name(i)`` names the place of the value at flat index i."""
+    flat = np.ravel(values)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{name(i)} is {float(flat[i])!r}, not finite")
+
+
 def _check_positive(name: str, value: float) -> None:
     if not value > 0:  # NaN too
         raise ValueError(f"{name} must be > 0, got {value!r}")
@@ -185,8 +198,7 @@ def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
     of one evaluation, bit for bit, in a working set of a sub-block.
     """
     def terms(lo, hi):
-        v = np.asarray(a.eval(_span(lo, hi + 2)))
-        return np.abs(v[:-2] - v[2:])
+        return _steps(np.asarray(a.eval(_span(lo, hi + 2))), 2, hi - lo + 1)
 
     tail = None if a.decay_hint is None else a.decay_hint.d2_tail(H)
     return Measurement(_blocked_sum(m, H, 1, terms), tail)
@@ -238,11 +250,14 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
     _check_horizon(horizon, max(m, n))
     if c.separable_parts is not None:
         a, b = c.separable_parts
-        return _product(_d2_scan(a, m, horizon), _d2_scan(b, n, horizon), m, n)
-    _guard_generic((horizon - m + 1) * (horizon - n + 1))
-    value = m * n * _rect_abs_sum(c, 2, m, horizon, n, horizon)
-    tail = None if c.decay_hint is None else c.decay_hint.d22_tail(m, n, horizon)
-    return Measurement(value=value, tail_bound=None if tail is None else m * n * tail)
+        out = _product(_d2_scan(a, m, horizon), _d2_scan(b, n, horizon), m, n)
+    else:
+        _guard_generic((horizon - m + 1) * (horizon - n + 1))
+        value = m * n * _rect_abs_sum(c, 2, m, horizon, n, horizon)
+        tail = None if c.decay_hint is None else c.decay_hint.d22_tail(m, n, horizon)
+        out = Measurement(value=value, tail_bound=None if tail is None else m * n * tail)
+    _require_finite(out.value, lambda _: f"lemma 1 quantity at (m, n) = ({m}, {n})")
+    return out
 
 
 def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
@@ -259,8 +274,11 @@ def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
     _check_horizon(sup_horizon, max(m, n))
-    return (_one_sided(c, m, n, sup_horizon, sum_horizon),
-            _one_sided(c.T, n, m, sup_horizon, sum_horizon))
+    out = (_one_sided(c, m, n, sup_horizon, sum_horizon),
+           _one_sided(c.T, n, m, sup_horizon, sum_horizon))
+    _require_finite([q.value for q in out], lambda i: f"lemma 2 {('first', 'second')[i]} "
+                    f"quantity at (m, n) = ({m}, {n})")
+    return out
 
 
 def _one_sided(c: CoefficientSequence, m: int, n: int, sup_horizon: int,
@@ -342,6 +360,8 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
     term4 = 8.0 * window_sum(m, 2 * m + 1, n, 2 * n + 1)
     # term 4's window holds (m, n), so its sign is checked there
     lhs = m * n * float(np.asarray(c.eval(m, n)))
+    _require_finite((lhs, term1, term2, term3, term4), lambda i: "lemma 3 " + (
+        "left-hand side" if i == 0 else f"term {i}") + f" at (m, n) = ({m}, {n})")
     rhs_total = term1 + term2 + term3 + term4
     return Lemma3Result(m=m, n=n, lhs=lhs, rhs=rhs_total, slack=rhs_total - lhs,
                         terms=(term1, term2, term3, term4), truncated=scan.truncated)
@@ -477,7 +497,10 @@ def _abs_rect_sums(c: CoefficientSequence, probe: ProbeConfig, index):
         sums_y = {y: np.where(inside, np.sin(ks * y), 0.0) for y in ys}
     sums_x = {x: interval_sums(A, x) for x in xs}
     for x, y in probe.xy_grid:
-        yield x, y, np.abs(sums_x[x] @ sums_y[y].T)[j_iv, k_iv]
+        vals = np.abs(sums_x[x] @ sums_y[y].T)[j_iv, k_iv]
+        _require_finite(vals, lambda i: f"|rectangle sum| over {lo[j_iv[i]]}..{hi[j_iv[i]]}"
+                        f" x {lo[k_iv[i]]}..{hi[k_iv[i]]} at (x, y) = ({x!r}, {y!r})")
+        yield x, y, vals
 
 
 def _probe_sup(c: CoefficientSequence, probe: ProbeConfig, min_start: int):
@@ -523,7 +546,7 @@ def uniform_tail_trace(c: CoefficientSequence,
             trace.append(ProbeTraceRow(threshold=t, x=x, y=y, m=int(ms[i]), M=int(Ms[i]),
                                        n=int(ns[i]), N=int(Ns[i]), abs_sum=float(vals[i])))
     trace.sort(key=lambda row: row.threshold)   # stable: grid order within a threshold
-    values = [max(-1.0, *(row.abs_sum for row in trace if row.threshold == t))
+    values = [max(row.abs_sum for row in trace if row.threshold == t)
               for t in probe.thresholds]
     verdict = classify_probe(values, band=probe.band, decay_ratio=probe.decay_ratio)
     report = TailReport(schedule=tuple(probe.thresholds), values=tuple(values),
@@ -613,7 +636,7 @@ def _eta_factor_scan(f: SingleSequence, H: int, sum_horizon: int, tail: float,
         d_hi = min(hi, sum_horizon)
         if lo > d_hi:
             continue
-        terms = np.abs(v[:d_hi - lo + 1] - v[2:d_hi - lo + 3])
+        terms = _steps(v, 2, d_hi - lo + 1)
         sums = np.cumsum(np.concatenate(([carry], terms[::-1])))[:0:-1]   # m = lo..d_hi
         carry = sums[0]
         s_hi = min(d_hi, len(S))
@@ -650,7 +673,8 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
 
     All candidates are tested at once; the first
     that passes reports each condition's first worst tested pair in
-    (m, n) order.  A NaN fails a condition.  Candidates run up to
+    (m, n) order; past verify_range a refusal names the first index of
+    the largest ``m |f_m|``.  Candidates run up to
     ``min(cap, verify_range - 1)``, so every tested point lies past eta,
     and a ``verify_range`` at or below ``max(1, lam)`` is refused.
     Raises :class:`EtaCapError` when no candidate passes.
@@ -683,6 +707,11 @@ def eta_search(c: CoefficientSequence, epsilon: float, C: float, lam: int = 2,
     S = np.empty((2, verify_range))
     beyond = [_eta_factor_scan(f, H, sum_horizon, t, w_f, S_f)
               for f, w_f, S_f, t in zip(parts, weights, S, td)]
+    for row, f in enumerate(parts):
+        _require_finite(weights[row], lambda i: f"eta search factor {f.name}: m |f_m| at m = "
+                        f"{i + 1 if i < verify_range else beyond[row]}")
+        _require_finite(S[row], lambda i: f"eta search factor {f.name}: "
+                        f"m (sum_(j>=m) |f_j - f_(j+2)| + tail) at m = {i + 1}")
     sups = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
 
     # (1) at every candidate eta = first..last, and the factors of (2)-(4) on

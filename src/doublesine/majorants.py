@@ -49,15 +49,11 @@ value a masked max over the whole matrix gives, bit for bit.
 
 Columns run as rows of the transpose ``c.T``, whose row lines
 (:meth:`~doublesine.sequences.CoefficientSequence.row`) carry their own
-tail hints.  A line is the signed values ``c_{j,fixed}`` for ``j =
-1..reach``, evaluated by :func:`_row_line`.  :func:`_line_rhs` reads the
-majorants of every grid point on a line in one call: family ONE windows
-of one ``|v|`` array, family TWO one window scan per start, family
-THREE sups over ``1..2 sup_horizon``, one per start.  A membership fit
-evaluates each line once, reads all its points (left-hand sides too)
-and drops it before the next; :func:`rhs` evaluates its own line and
-reads it once.  A sup scan from ``start`` computes its exact
-blocks (one cumsum from ``start``, as an exhaustive scan would) for
+tail hints.  A line is the signed values ``v_j``, ``j = 1..reach``, of
+a row (:func:`_row_line`) or of a single sequence; :func:`_line_rhs`
+reads the majorants of every point on one line, and :func:`rhs` reads
+one point of a line of its own.  A sup scan from ``start`` computes its
+exact blocks (one cumsum from ``start``, as an exhaustive scan would) for
 ``M = start..M1``, with ``M1 = 2 start`` doubling up to the horizon.
 ``np.cumsum`` is sequential, so these blocks are bit-identical to the
 exhaustive scan's.
@@ -92,6 +88,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -380,14 +377,11 @@ def _sup_scan(line: _Line, start: int) -> Measurement:
     return _sup_measurement(sup, line.tail)
 
 
-def _single_line(a: SingleSequence, lo: int, horizon: int) -> _Line:
-    k = np.arange(lo, 2 * horizon + 1, dtype=np.int64)
-    return _Line(np.asarray(a.eval(k)), lo).prepare(horizon, a.decay_hint)
-
-
 def single_sup_scan(a: SingleSequence, start: int, horizon: int) -> Measurement:
     """``sup_{M >= start} sum_{k=M}^{2M} |a_k|`` scanned up to ``horizon``."""
-    return _sup_scan(_single_line(a, start, horizon), start)
+    _check_horizon(horizon, start)
+    line = _Line(np.asarray(a.eval(_span(start, 2 * horizon))), start)
+    return _sup_scan(line.prepare(horizon, a.decay_hint), start)
 
 
 def _row_view(c: CoefficientSequence, fam: MajorantFamily, m: int,
@@ -420,29 +414,30 @@ def _row_line(src: CoefficientSequence, fixed: int, reach: int, fam: MajorantFam
     return line
 
 
-def _line_rhs(fam: MajorantFamily, line: _Line,
-              reads: list[tuple[int, int | None]]) -> list[Measurement]:
-    """The row majorants of ``fam`` at every ``(m, start)`` of ``reads``, in
-    their order, read from one line (:func:`_row_line`) reaching as far
-    as :func:`_row_view` says for each.
+def _line_rhs(family: Family, lam: int, line: _Line,
+              reads: list[tuple[int, int | None]]) -> Iterator[Measurement]:
+    """Yield, one at a time, the row majorants of ``family`` and ``lam`` at
+    every ``(m, start)`` of ``reads`` from one line, in their order.
 
     Families ONE and TWO read windows of one ``|v|`` array.  Family ONE
     sums its window; family TWO takes the maximum of exactly rounded
     blocks over ``start <= M <= lam start``, re-summing with :func:`ksum`
     only the blocks that the cumsum of the window screens in (see the
     module docstring); a window whose total is not finite re-sums every
-    block.  Family THREE scans each start
-    (:func:`_sup_scan`).
+    block.  Family THREE scans each start (:func:`_sup_scan`).
     """
-    if fam.family is Family.THREE:
-        return [_scaled(_sup_scan(line, start), m) for m, start in reads]
+    if family is Family.THREE:
+        for m, start in reads:
+            yield _scaled(_sup_scan(line, start), m)
+        return
     vals = _abs_f64(line.vals)
-    if fam.family is Family.ONE:
-        return [Measurement(float(ksum(vals[lo - 1:hi])) / m, 0.0)
-                for m, (lo, hi) in ((m, averaging_window(m, fam.lam)) for m, _ in reads)]
-    out = []
+    if family is Family.ONE:
+        for m, _ in reads:
+            lo, hi = averaging_window(m, lam)
+            yield Measurement(float(ksum(vals[lo - 1:hi])) / m, 0.0)
+        return
     for m, start in reads:
-        top = fam.lam * start
+        top = lam * start
         window = vals[start - 1:2 * top]
         total = float(np.sum(window))
         if math.isfinite(total):
@@ -453,8 +448,7 @@ def _line_rhs(fam: MajorantFamily, line: _Line,
             cand = np.arange(top - start + 1)
         # block M = start + i covers window[i : 2 i + start + 1]
         sup = float(np.max([ksum(window[i:2 * i + start + 1]) for i in cand]))
-        out.append(Measurement(sup / m, 0.0))
-    return out
+        yield Measurement(sup / m, 0.0)
 
 
 def _scaled(scan: Measurement, scale: int) -> Measurement:
@@ -617,7 +611,7 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
     table = _scan_table(c, fam.sup_horizon, table)
     if fam.axis is not Axis.DOUBLE:
         src, m, n, start, reach = _row_view(c, fam, m, n)
-        return _line_rhs(fam, _row_line(src, n, reach, fam), [(m, start)])[0]
+        return next(_line_rhs(fam.family, fam.lam, _row_line(src, n, reach, fam), [(m, start)]))
     if fam.family is Family.ONE:
         jlo, jhi = averaging_window(m, fam.lam)
         klo, khi = averaging_window(n, fam.lam)

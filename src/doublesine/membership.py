@@ -15,23 +15,25 @@ positive left-hand side over a vanishing majorant is reported as an
 infinite ratio with its witness.
 
 A fit refuses grid indices below 1, then walks each row and column axis
-line by line (columns are the lines of ``c.T``).  It takes each point's
-scan start in grid order, so refusals come in grid order; it evaluates
-each line once, on ``1..reach`` for the furthest read of its points,
-takes every point's ``lhs_row`` or ``lhs_col`` as ``ksum`` of a slice of
-one ``|v_j - v_{j+r}|`` array (:func:`~doublesine.differences._steps`, as
-far as the furthest left-hand side reads), reads all their majorants in
-one call (:func:`~doublesine.majorants._line_rhs`), and drops the line
-before the next.  ``lhs_double`` is the table's
+line by line (columns are the lines of ``c.T``); a single-sequence fit
+reads one line, ``a`` itself.  Scan starts are taken in grid order, so
+refusals come in grid order.  Each line is evaluated once, on
+``1..reach`` for the furthest read of its points; every left-hand side
+is ``ksum`` of a slice of one ``|v_j - v_{j+r}|`` array
+(:func:`~doublesine.differences._steps`), every majorant a read of
+:func:`~doublesine.majorants._line_rhs` (for single sequences, family
+ONE windows for the MVBVS and GM "star" averages, family THREE sups from
+``max(1, n // lam)`` or ``b(n)`` for SBVS and SBVS2), and the line is
+dropped before the next.  ``lhs_double`` is the table's
 :meth:`~doublesine.majorants.DoubleScanTable.rect_abs_sum` at step r, so
 a separable sequence's factor sums are evaluated once per m and once per
-n, and the table keeps its double sups per threshold.  A command passes
-one table to the fit and to the calls after it.  ``ksum`` is exactly
-rounded and the evaluators act elementwise, so each row equals the
-per-point public functions' bit for bit.  A row whose left-hand side
-or majorant is not finite is refused, the first one naming its axis
-and grid point; a positive left-hand side over a vanishing majorant
-stays an infinite ratio.
+n.  A command passes one table to the fit and to the calls after it.
+``ksum`` is exactly rounded and the evaluators act elementwise, so each
+row equals the per-point public functions' bit for bit.  A row whose
+left-hand side or majorant is not finite is refused, the first one
+naming its axis and grid point (n alone in a single fit), and so is an
+exact sum that overflows, where it is taken.  A positive left-hand side
+over a vanishing majorant stays an infinite ratio.
 
 :func:`cap_verdict` judges a cap ``C <= cap`` on the rows of one axis or
 of a single-sequence fit; only a certified row can fail it.
@@ -55,21 +57,21 @@ from enum import Enum
 
 import numpy as np
 
-from .convergence import TailReport, classify_tail, loglog_slope
+from .convergence import TailReport, _require_finite, classify_tail, loglog_slope
 from .differences import _doublings, _span, _steps, _variation, check_step
 from .majorants import (
     Axis,
     DoubleScanTable,
+    Family,
     MajorantFamily,
     Measurement,
-    _rect_abs_sum,
+    _Line,
+    _check_horizon,
     _line_rhs,
+    _rect_abs_sum,
     _row_line,
     _row_view,
-    _scaled,
     _scan_table,
-    _single_line,
-    _sup_scan,
     averaging_window,
     compile_b,
     rhs,
@@ -149,8 +151,23 @@ class MembershipReport:
     rows: tuple[RatioRow, ...]
 
 
-def _ratio_row(m: int, n: int, axis: str, lhs: float, majorant: Measurement) -> RatioRow:
-    """One grid point; a truncated majorant only matters where ``lhs > 0``."""
+def _where(axis: str, side: str, m: int, n: int) -> str:
+    """A side of a row as refusals name it; a single row (``n = m``) names n."""
+    return f"{axis} {side} at " + (f"n = {m}" if axis == "single" else f"(m, n) = ({m}, {n})")
+
+
+def _ratio_row(m: int, n: int, axis: str, read_lhs, read_majorant) -> RatioRow:
+    """One grid point from ``read_lhs()`` and ``read_majorant()``; a
+    truncated majorant only matters where ``lhs > 0``.  An exact sum that
+    overflows (``math.fsum``'s ``OverflowError``) is refused, naming the
+    side and the grid point."""
+    side = "left-hand side"
+    try:
+        lhs = read_lhs()
+        side = "majorant"
+        majorant = read_majorant()
+    except OverflowError as exc:
+        raise ValueError(f"{_where(axis, side, m, n)} overflows: {exc}") from exc
     if majorant.value > 0.0:
         ratio = lhs / majorant.value
     else:
@@ -217,10 +234,11 @@ def _line_rows(c: CoefficientSequence, r: int, fam: MajorantFamily,
         line = _row_line(src, fixed, max(max(2 * i - 1 + r, reach) for _, i, _, reach in reads),
                          fam)
         steps = _steps(line.vals, r, 2 * max(i for _, i, _, _ in reads) - 1)
-        majorants = _line_rhs(fam, line, [(i, start) for _, i, start, _ in reads])
-        for (pos, i, _, _), majorant in zip(reads, majorants):
+        majorants = _line_rhs(fam.family, fam.lam, line, [(i, start) for _, i, start, _ in reads])
+        for pos, i, _, _ in reads:
             rows[pos] = _ratio_row(*points[pos], fam.axis.value,
-                                   float(ksum(steps[i - 1:2 * i - 1])), majorant)
+                                  lambda: float(ksum(steps[i - 1:2 * i - 1])),
+                                  lambda: next(majorants))
         del line, steps  # one line alive at a time
     return rows
 
@@ -230,8 +248,8 @@ def _refuse_non_finite(rows: list[RatioRow]) -> None:
     for row in rows:
         for side, value in (("left-hand side", row.lhs), ("majorant", row.rhs)):
             if not math.isfinite(value):
-                raise ValueError(f"{row.axis} {side} at (m, n) = ({row.m}, {row.n}) is "
-                                 f"{value!r}, not finite")
+                raise ValueError(f"{_where(row.axis, side, row.m, row.n)} is {value!r}, "
+                                 "not finite")
 
 
 def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
@@ -262,11 +280,9 @@ def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,
         if axis is not Axis.DOUBLE:
             axis_rows = _line_rows(c, r, fams[axis], points[axis])
         else:
-            axis_rows = []
-            for m, n in points[axis]:
-                lhs_val = table.rect_abs_sum(r, m, 2 * m - 1, n, 2 * n - 1)
-                axis_rows.append(_ratio_row(m, n, axis.value, lhs_val,
-                                            rhs(c, fams[axis], m, n, table=table)))
+            axis_rows = [_ratio_row(
+                m, n, axis.value, lambda: table.rect_abs_sum(r, m, 2 * m - 1, n, 2 * n - 1),
+                lambda: rhs(c, fams[axis], m, n, table=table)) for m, n in points[axis]]
         _refuse_non_finite(axis_rows)
         best = _worst(axis_rows)
         fitted[axis] = None if best is None else best.ratio
@@ -311,10 +327,8 @@ def check_condition_22(c: CoefficientSequence, S: int = 4096,
         j = np.arange(1, s, dtype=np.int64)
         k = s - j
         weights = j.astype(np.float64) * k.astype(np.float64)
-        t = float(np.max(weights * np.abs(np.asarray(c.eval(j, k)))))
-        if not math.isfinite(t):
-            raise ValueError(f"anti-diagonal maximum T({s}) is {t!r}, not finite")
-        values.append(t)
+        values.append(float(np.max(weights * np.abs(np.asarray(c.eval(j, k))))))
+        _require_finite(values[-1], lambda _: f"anti-diagonal maximum T({s})")
     return TailReport(schedule=tuple(int(s) for s in schedule), values=tuple(values),
                       verdict=classify_tail(values, decay_factor=decay_factor),
                       fit=loglog_slope(schedule, values),
@@ -357,42 +371,46 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
     against ``(1/n) sup_{M >= floor(n/lam)}`` of blocks; ``SBVS2`` scans
     the sup from ``b(n)``; ``GM`` uses step ``r`` differences against a
     user majorant ``beta`` ("star", the default, is the window average;
-    else an expression in n).
+    else an expression in n).  The fit reads one line of ``a`` as the
+    double fit reads a row line (see the module docstring).
     """
     if klass is not SingleClass.GM:
         r = 1
     check_step(r)
     if lam < 2 and klass in (SingleClass.MVBVS, SingleClass.SBVS):
         raise ValueError("MVBVS and SBVS need lambda >= 2")
+    if lam < 1:
+        raise ValueError(f"lambda must be >= 1, got {lam}")
     grid = tuple(int(n) for n in grid)
     if not grid:
         raise ValueError("empty grid")
     if any(n < 1 for n in grid):
         raise ValueError("indices must be >= 1")
-    if beta is None or beta == "star":
-        beta_fn = lambda n: beta_star(a, n, lam)  # noqa: E731
-    else:
-        expr_fn, _ = compile_expression(beta, ("n",))
-        beta_fn = lambda n: float(expr_fn(n=float(n)))  # noqa: E731
+    beta_fn = None if beta is None or beta == "star" else compile_expression(beta, ("n",))[0]
     fb = compile_b(b)
-    # the sup classes scan one |a| line, shared by every grid point
-    line = (_single_line(a, 1, horizon)
-            if klass in (SingleClass.SBVS, SingleClass.SBVS2) else None)
-
-    rows: list[RatioRow] = []
-    for n in grid:
-        if klass in (SingleClass.MVBVS, SingleClass.SBVS) and n < lam:
-            continue
-        hi = 2 * n if klass is SingleClass.MVBVS else 2 * n - 1
-        lhs_val = _variation(np.asarray(a.eval(_span(n, hi + r))), r, hi - n + 1)
-        if klass is SingleClass.MVBVS:
-            majorant = Measurement(beta_star(a, n, lam), 0.0)
-        elif line is not None:
-            start = max(1, n // lam) if klass is SingleClass.SBVS else fb(n)
-            majorant = _scaled(_sup_scan(line, start), n)
-        else:
-            majorant = Measurement(float(beta_fn(n)), 0.0)
-        rows.append(_ratio_row(n, 0, "single", lhs_val, majorant))
+    points = [n for n in grid if n >= lam or klass in (SingleClass.SBVS2, SingleClass.GM)]
+    wide = int(klass is SingleClass.MVBVS)   # its left-hand sides run to 2n, not 2n - 1
+    lhs_reach = max((2 * n - 1 + wide for n in points), default=0)
+    # the majorant's family and the furthest index it reads; None: beta's values
+    if klass in (SingleClass.SBVS, SingleClass.SBVS2):
+        family, reach, reads = Family.THREE, 2 * horizon, []
+        for n in points:   # each start refused in grid order, as a row's (_row_view)
+            reads.append((n, max(1, n // lam) if klass is SingleClass.SBVS else fb(n)))
+            _check_horizon(horizon, reads[-1][1])
+    elif klass is SingleClass.MVBVS or beta_fn is None:
+        family, reads = Family.ONE, [(n, None) for n in points]
+        reach = max((averaging_window(n, lam)[1] for n in points), default=0)
+    else:
+        family, reach = None, 0
+    line = _Line(np.asarray(a.eval(_span(1, max(reach, lhs_reach + r)))), 1)
+    if family is Family.THREE:
+        line.prepare(horizon, a.decay_hint)
+    steps = _steps(line.vals, r, lhs_reach)
+    majorants = ((Measurement(float(beta_fn(n=float(n))), 0.0) for n in points)
+                 if family is None else _line_rhs(family, lam, line, reads))
+    rows = [_ratio_row(n, 0, "single", lambda: float(ksum(steps[n - 1:2 * n - 1 + wide])),
+                      lambda: next(majorants)) for n in points]
+    _refuse_non_finite(rows)
     best = _worst(rows)
     return SingleMembershipReport(
         klass=klass, r=r, grid=grid, fitted_C=None if best is None else best.ratio,

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -36,3 +37,23 @@ def pp11():
 @pytest.fixture(scope="session")
 def zero_seq():
     return builtin("zero")
+
+
+def reader_line(kind, length, rng):
+    """Line values of one kind: few distinct values (ties), a head that
+    dominates the line's total (a screen on the line's cumsum would keep
+    most blocks), a NaN or an infinity, complex values, or three values
+    near overflow (a total that is not finite; a block holding two of
+    them overflows ``fsum``)."""
+    v = rng.uniform(-1.0, 1.0, length)
+    if kind == "ties":
+        v = rng.choice([0.0, 0.1, 0.2, 0.3, 0.7], length)
+    elif kind == "dominant head":
+        v[:3] = 1e12
+    elif kind in ("nan", "inf"):
+        v[rng.integers(length)] = math.nan if kind == "nan" else math.inf
+    elif kind == "complex":
+        v = v + 1j * rng.uniform(-1.0, 1.0, length)
+    elif kind == "overflow":
+        v[rng.integers(length, size=3)] = 1e308
+    return v

@@ -14,6 +14,8 @@ from conftest import TWIN_EXPR
 
 # no product factorisation, so the dense scan and probe paths
 NONSEP_EXPR = "1/(j*k*(j+k))"
+# NaN at every (j, k): a negative base under a fractional power
+NAN_EXPR = "(-1)^(0.5+j-j)/(j*k)^2"
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 OSC = ("--preset", "oscillating_quadratic")
 RECT = ("--rect", "1:4x1:4", "--x", "0.5", "--y", "0.5")
@@ -186,9 +188,44 @@ class TestLibraryRefusals:
         (("check-class", "--expr", "(-1)^(0.5+j-j)/(j*k)^2", "--r", "2", "--family", "three",
           "--grid", "dyadic:8", "--sup-horizon", "64"),
          "error: row left-hand side at (m, n) = (2, 2) is nan, not finite"),
-    ], ids=["direct", "parts", "condition-22 nan", "condition-22 inf", "check-class nan"])
+        (("check-class", "--single-class", "mvbvs", "--expr", "(-1)^(0.5+k-k)/k^2"),
+         "error: single left-hand side at n = 2 is nan, not finite"),
+        (("uniform-tail", "--expr", NAN_EXPR, "--grid-points", "3", "--rect-cap", "64",
+          "--thresholds", "4,8,16"),
+         "error: |rectangle sum| over 1..1 x 1..1 at (x, y) = (0.7853981633974483, "
+         "0.7853981633974483) is nan, not finite"),
+        (("lemma", "--which", "1", "--expr", NAN_EXPR, "--sum-horizon", "64",
+          "--schedule", "4,8,16"), "error: lemma 1 quantity at (m, n) = (4, 4) is nan, not finite"),
+        (("lemma", "--which", "2", "--expr", NAN_EXPR, "--sup-horizon", "64", "--sum-horizon",
+          "64", "--schedule", "4,8,16"),
+         "error: lemma 2 first quantity at (m, n) = (4, 4) is nan, not finite"),
+        (("lemma", "--which", "3", "--expr", NAN_EXPR, "--c-const", "4", "--grid", "2x2",
+          "--sup-horizon", "64"),
+         "error: lemma 3 left-hand side at (m, n) = (2, 2) is nan, not finite"),
+        (("eta", "--expr", NAN_EXPR, "--epsilon", "0.2", "--c-const", "16", "--cap", "64",
+          "--sup-horizon", "256", "--sum-horizon", "1024", "--grid-points", "3",
+          "--rect-cap", "64"),
+         "error: eta search factor expr.j: m |f_m| at m = 1 is nan, not finite"),
+    ], ids=["direct", "parts", "condition-22 nan", "condition-22 inf", "check-class nan",
+            "single nan", "uniform-tail nan", "lemma 1 nan", "lemma 2 nan", "lemma 3 nan",
+            "eta nan"])
     def test_non_finite_value_is_refused(self, tmp_path, capsys, argv, line):
         assert self.refused(tmp_path, capsys, *argv) == line + "\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sup scans
+    @pytest.mark.parametrize("argv, line", [
+        (("--expr", "5e307*(2+alternating(j))*k^0", "--family", "two", "--r", "1", "--grid",
+          "4x1", "--sup-horizon", "64"), "row left-hand side at (m, n) = (4, 1)"),
+        (("--expr", "5e307*(2+alternating(j))*k^0", "--family", "three", "--r", "1", "--grid",
+          "4x1", "--sup-horizon", "64"), "row left-hand side at (m, n) = (4, 1)"),
+        (("--single-class", "mvbvs", "--expr", "5e307*(2+alternating(k))", "--grid", "4"),
+         "single left-hand side at n = 4"),
+        (("--expr", "1e308", "--family", "one", "--grid", "2x2", "--sup-horizon", "8"),
+         "row majorant at (m, n) = (2, 2)"),
+    ], ids=["family two", "family three", "single", "majorant"])
+    def test_overflowing_row_is_named(self, tmp_path, capsys, argv, line):
+        err = self.refused(tmp_path, capsys, "check-class", *argv)
+        assert err == f"error: {line} overflows: intermediate overflow in fsum\n"
 
     def test_no_rectangles_beyond_threshold(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "uniform-tail", "--preset",

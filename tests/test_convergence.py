@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -334,15 +335,21 @@ class TestEtaSearch:
         assert all(m in res.tested_points and n in res.tested_points
                    for cond in res.conditions[1:] for m, n in [cond.witness])
 
-    def test_a_nan_condition_fails(self, osc):
+    @pytest.mark.parametrize("at, bad, line", [
+        (5, math.nan, "m |f_m| at m = 5 is nan"),
+        # past verify_range 128 only the largest m |f_m| is kept, and an
+        # infinity there is the largest
+        (200, math.inf, "m |f_m| at m = 200 is inf"),
+        # past sup_horizon only the step-2 sums read it: S is NaN on m <= at + 2
+        (5000, math.nan, "m (sum_(j>=m) |f_j - f_(j+2)| + tail) at m = 1 is nan"),
+    ])
+    def test_a_non_finite_factor_value_is_refused(self, osc, at, bad, line):
         a, _ = osc.separable_parts
         values = 3.0 / np.arange(1.0, 9000.0) ** 2
-        values[4] = math.nan                      # b_5
-        c = separable(a, single_from_values("nan at 5", values))
-        res = eta_search(c, epsilon=0.2, C=16.0, cap=64, sup_horizon=4096, sum_horizon=8192)
-        # every sum or sup over m <= 5 reads b_5, so eta >= 5
-        assert res.eta == 6 and min(res.tested_points) == 7
-        assert all(math.isfinite(cond.worst) for cond in res.conditions)
+        values[at - 1] = bad
+        c = separable(a, single_from_values("bad", values))
+        with pytest.raises(ValueError, match=re.escape(f"eta search factor bad: {line}, ")):
+            eta_search(c, epsilon=0.2, C=16.0, cap=64, sup_horizon=4096, sum_horizon=8192)
 
     # sha256 of the reprs of eta_search results and EtaCapError texts over
     # this grid, frozen from the search that walked the tested pairs in a
@@ -402,6 +409,16 @@ def eta_search_whole(c, epsilon, C, lam=2, cap=1 << 14, verify_range=None,
     v1 = sup1[0] * sup1[1]
     tw, td = (np.array(tail_w)[:, None], np.array(tail_d2)[:, None]) if cert else (0.0, 0.0)
     S = idx[:verify_range] * (sums[:, :verify_range] + td)
+    for row, f in enumerate(parts):   # refused as eta_search refuses them
+        where = f"eta search factor {f.name}: "
+        beyond = verify_range + int(np.argmax(weights[row, verify_range:]))
+        for what, values, m in (("m |f_m|", weights[row, :verify_range], None),
+                                ("m |f_m|", weights[row, beyond:beyond + 1], beyond + 1),
+                                ("m (sum_(j>=m) |f_j - f_(j+2)| + tail)", S[row], None)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{where}{what} at m = {m or bad[0] + 1} is "
+                                 f"{float(values[bad[0]])!r}, not finite")
     W = np.maximum(sups[:, :verify_range], tw)
     bound2 = 16.0 * C * epsilon
     bound34 = 4.0 * C * epsilon

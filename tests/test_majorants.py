@@ -49,7 +49,7 @@ from doublesine.majorants import (
 )
 from doublesine.membership import check_condition_22
 
-from conftest import TWIN_EXPR, dense_twin
+from conftest import TWIN_EXPR, dense_twin, reader_line
 
 
 _RNG = np.random.default_rng(11)
@@ -328,7 +328,7 @@ def window_scan(c, fixed, start, lam):
     ``start..lam start``."""
     fam = MajorantFamily(Family.TWO, Axis.ROW, lam=lam)
     line = _row_line(c, fixed, 2 * lam * start, fam)
-    return _line_rhs(fam, line, [(1, start)])[0].value
+    return next(_line_rhs(fam.family, lam, line, [(1, start)])).value
 
 
 def assert_same_scan(got, want):
@@ -377,26 +377,6 @@ class TestBoundedWindowScan:
 
 # --- the per-line reader against per-point oracles ---------------------------
 
-def reader_line(kind, length, rng):
-    """Line values of one kind: few distinct values (ties), a head that
-    dominates the line's total (a screen on the line's cumsum would keep
-    most blocks), a NaN or an infinity, complex values, or three values
-    near overflow (a total that is not finite; a block holding two of
-    them overflows ``fsum``)."""
-    v = rng.uniform(-1.0, 1.0, length)
-    if kind == "ties":
-        v = rng.choice([0.0, 0.1, 0.2, 0.3, 0.7], length)
-    elif kind == "dominant head":
-        v[:3] = 1e12
-    elif kind in ("nan", "inf"):
-        v[rng.integers(length)] = math.nan if kind == "nan" else math.inf
-    elif kind == "complex":
-        v = v + 1j * rng.uniform(-1.0, 1.0, length)
-    elif kind == "overflow":
-        v[rng.integers(length, size=3)] = 1e308
-    return v
-
-
 def outcome(read):
     """The reprs of the measurements ``read()`` returns, or the name of the
     exception it raises (``math.fsum`` refuses a block that overflows)."""
@@ -437,7 +417,8 @@ class TestLineReader:
                              b1=b, b2=b, sup_horizon=80)
         views = [_row_view(c, fam, *((1, m) if transpose else (m, 1))) for m in ms]
         line = _row_line(views[0][0], 1, max(view[4] for view in views), fam)
-        assert outcome(lambda: _line_rhs(fam, line, [(i, start) for _, i, _, start, _ in views])) \
+        assert outcome(lambda: _line_rhs(family, lam, line,
+                                         [(i, start) for _, i, _, start, _ in views])) \
             == outcome(lambda: [line_point_oracle(c, fam, i, start, transpose)
                                 for _, i, _, start, _ in views])
 
@@ -455,7 +436,7 @@ class TestLineReader:
         exact = [math.fsum(values[M - 1:2 * M]) for M in range(3, 13)]
         assert exact[int(np.argmax(est))] < max(exact)
         fam = MajorantFamily(Family.TWO, Axis.ROW, lam=4)
-        got = _line_rhs(fam, _row_line(c, 1, 24, fam), [(1, start) for start in starts])
+        got = _line_rhs(fam.family, 4, _row_line(c, 1, 24, fam), [(1, s) for s in starts])
         assert [mv.value for mv in got] == [per_block_max(c, 1, start, 4 * start, False)
                                             for start in starts]
 
@@ -469,7 +450,8 @@ class TestLineReader:
         c = builtin("product_power", p=p, q=p)
         fam = MajorantFamily(Family.TWO, Axis.ROW, lam=2)
         starts = [1 << e for e in range(1, 13)]
-        got = _line_rhs(fam, _row_line(c, 2, 4 * starts[-1], fam), [(1, s) for s in starts])
+        got = list(_line_rhs(fam.family, 2, _row_line(c, 2, 4 * starts[-1], fam),
+                             [(1, s) for s in starts]))
         assert len(calls) <= 2 * len(starts)
         assert [mv.value for mv in got] == [per_block_max(c, 2, s, 2 * s, False) for s in starts]
 

@@ -36,11 +36,13 @@ from doublesine import (
     single_from_values,
 )
 from doublesine import differences, majorants
-from doublesine.majorants import compile_b, single_sup_scan
+from doublesine.differences import _variation
+from doublesine.majorants import Measurement, _scaled, compile_b, single_sup_scan
 from doublesine.convergence import loglog_slope
 from doublesine.membership import _growth_slope, lhs_col, lhs_double, lhs_row
+from doublesine.sequences import compile_expression
 
-from conftest import dense_twin
+from conftest import dense_twin, reader_line
 
 DYADIC = tuple(2 ** t for t in range(1, 7))
 PAIRS = tuple((m, n) for m in DYADIC for n in DYADIC)
@@ -511,6 +513,95 @@ class TestSingleMembership:
         with pytest.raises(ValueError, match="indices must be >= 1"):
             check_single_membership(spy, klass, (0, -3, 4), horizon=64)
         assert calls == []
+
+
+def single_fit_oracle(a, klass, grid, lam, r, horizon, b, beta):
+    """A single fit's rows from per-point twins, each evaluating ``a`` afresh:
+    ``_variation`` for the left-hand side, ``beta_star``, the scaled
+    ``single_sup_scan`` from ``max(1, n // lam)`` or ``b(n)``, or the
+    expression beta; else the text of the refusal the fit must raise.  As
+    in a double fit, scan starts are refused before any row is read."""
+    r = r if klass is SingleClass.GM else 1
+    points = [n for n in grid if klass not in (SingleClass.MVBVS, SingleClass.SBVS) or n >= lam]
+    starts = {n: max(1, n // lam) if klass is SingleClass.SBVS else compile_b(b)(n)
+              for n in points}
+    if klass in (SingleClass.SBVS, SingleClass.SBVS2):
+        for n in points:
+            if starts[n] > horizon:
+                return f"horizon {horizon} below scan start {starts[n]}"
+    rows = []
+    for n in points:
+        hi = 2 * n if klass is SingleClass.MVBVS else 2 * n - 1
+        side = "left-hand side"
+        try:
+            lhs = _variation(np.asarray(a.eval(np.arange(n, hi + r + 1))), r, hi - n + 1)
+            side = "majorant"
+            if klass in (SingleClass.SBVS, SingleClass.SBVS2):
+                mv = _scaled(single_sup_scan(a, starts[n], horizon), n)
+            elif klass is SingleClass.GM and beta is not None:
+                mv = Measurement(float(compile_expression(beta, ("n",))[0](n=float(n))), 0.0)
+            else:
+                mv = Measurement(beta_star(a, n, lam), 0.0)
+        except OverflowError as exc:
+            return f"single {side} at n = {n} overflows: {exc}"
+        ratio = lhs / mv.value if mv.value > 0.0 else (0.0 if lhs == 0.0 else math.inf)
+        rows.append(RatioRow(n, 0, "single", lhs, mv.value, ratio, mv.truncated and lhs > 0.0))
+    for row in rows:
+        for side, value in (("left-hand side", row.lhs), ("majorant", row.rhs)):
+            if not math.isfinite(value):
+                return f"single {side} at n = {row.m} is {value!r}, not finite"
+    return tuple(rows)
+
+
+def single_fit_outcome(fit, *args):
+    """``fit(*args)``'s rows, or the text of the ValueError it raises."""
+    try:
+        result = fit(*args)
+    except ValueError as exc:
+        return str(exc)
+    return result if isinstance(result, (str, tuple)) else result.rows
+
+
+class TestSingleFitReader:
+    """A single fit reads one line of ``a``; its rows are the per-point
+    twins' bit for bit, and a NaN, an infinity or an overflowing sum that a
+    row reads is refused, naming its n."""
+
+    KINDS = ("random", "ties", "dominant head", "complex", "nan", "inf", "overflow")
+
+    @given(st.sampled_from(list(SingleClass)), st.sampled_from(KINDS),
+           st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           st.sampled_from((2, 3, 4)), st.integers(1, 3), st.sampled_from(("l", "2*l")),
+           st.sampled_from((None, "1/n^2")))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf blocks, overflow
+    def test_rows_match_per_point_oracles(self, klass, kind, seed, grid, lam, r, b, beta):
+        rng = np.random.default_rng(seed)
+        a = single_from_values(kind, reader_line(kind, int(rng.integers(1, 200)), rng))
+        args = (a, klass, grid, lam, r, 64, b, beta)
+        assert single_fit_outcome(lambda *x: check_single_membership(
+            *x[:3], lam=x[3], r=x[4], horizon=x[5], b=x[6], beta=x[7]), *args) \
+            == single_fit_outcome(single_fit_oracle, *args)
+
+    @pytest.mark.parametrize("klass", [SingleClass.SBVS2, SingleClass.GM])
+    def test_lambda_below_one_is_refused(self, osc, klass):
+        # GM's window floor(n/lam)..ceil(lam n) divided by zero at lam 0
+        with pytest.raises(ValueError, match="^lambda must be >= 1, got 0$"):
+            check_single_membership(osc.separable_parts[0], klass, (2, 4), lam=0, horizon=64)
+
+    def test_starts_are_refused_in_grid_order(self, osc):
+        # b(10) = 7 lies past the horizon before b(1) = -2 is refused
+        a, _ = osc.separable_parts
+        with pytest.raises(HorizonError, match="^horizon 5 below scan start 7$"):
+            check_single_membership(a, SingleClass.SBVS2, (10, 1), horizon=5, b="l-3")
+
+    @pytest.mark.parametrize("klass", list(SingleClass))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    def test_a_non_finite_line_is_refused(self, klass, bad):
+        a = single_from_values("bad", np.full(200, bad))
+        with pytest.raises(ValueError, match=r"^single left-hand side at n = 2 is nan, "):
+            check_single_membership(a, klass, (2, 4, 8), horizon=64)
 
 
 # --- results frozen before the fit and the row-block reduction were shared ------

@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import doublesine
 from doublesine import (
@@ -92,10 +93,14 @@ def test_streamed_eta_search_evaluates_each_coefficient_once():
         assert np.array_equal(read, np.arange(1, sum_horizon + 3))
 
 
-def test_single_class_fit_evaluates_once_per_grid_point():
+@pytest.mark.parametrize("klass, beta", [(SingleClass.MVBVS, None), (SingleClass.SBVS, None),
+                                         (SingleClass.SBVS2, None), (SingleClass.GM, "1/n"),
+                                         (SingleClass.GM, "star")])
+def test_single_class_fit_evaluates_once_per_fit(klass, beta):
+    # one line on 1..reach serves every left-hand side and majorant
     a, calls = counted(builtin("mod3_log_product").separable_parts[0])
-    check_single_membership(a, SingleClass.GM, (2, 4, 8, 16), r=2, beta="1/n")
-    assert len(calls) == 4
+    check_single_membership(a, klass, (2, 4, 8, 16), r=2, horizon=64, beta=beta)
+    assert len(calls) == 1
 
 
 # --- frozen results ------------------------------------------------------
