@@ -11,6 +11,9 @@ The quantities here are the ones a regular-convergence argument runs on:
 * :func:`uniform_tail_probe` -- evaluates the rectangle partial sums
   ``sum_{j=m}^{M} sum_{k=n}^{N} c_{jk} sin jx sin ky`` of any sequence on
   one lattice and watches their sup beyond a moving ``m + n > t`` decay;
+  for a real separable sequence each sum is a product of two interval
+  sums, and the sup comes from their per-start maxima, not from every
+  product;
 * :func:`eta_search` -- finds the smallest threshold past which four
   smallness conditions hold, the gateway to the uniform tail bound;
 * :func:`theorem7_bound_check` -- compares sampled rectangle sums beyond
@@ -437,8 +440,7 @@ def _probe_arrays(probe: ProbeConfig, min_start: int | None = None):
     is a start itself when given.  No threshold applies."""
     first = probe.min_start if min_start is None else min_start
     dyadic = set(_doublings(1, probe.rect_cap))
-    structured = {v for x, y in probe.xy_grid
-                  for t in (_transition_index(x), _transition_index(y))
+    structured = {v for t in map(_transition_index, {v for xy in probe.xy_grid for v in xy})
                   for v in (t, t + 1, 2 * t)}
     given = {first} if min_start is not None else set()
     starts = sorted(v for v in dyadic | structured | given if first <= v <= probe.rect_cap)
@@ -464,30 +466,140 @@ def _probe_bytes(cap: int, intervals: int, abscissae: int) -> int:
             + intervals * cap + 8 * 16 * intervals ** 2)
 
 
-def _abs_rect_sums(c: CoefficientSequence, probe: ProbeConfig, index):
-    """Yield ``(x, y, |rect sums|)`` per grid point, one per lattice rectangle.
+def _abs_products(sx: np.ndarray, sy: np.ndarray, index, x: float, y: float) -> np.ndarray:
+    """The |rectangle sums| of one grid point in lattice order, from the
+    interval sums ``sx`` of its x and ``sy`` of its y (one column per factor
+    each); the first that is not finite is refused."""
+    j_iv, k_iv, lo, hi = index
+    vals = np.abs(sx @ sy.T)[j_iv, k_iv]
+    _require_finite(vals, lambda i: f"|rectangle sum| over {lo[j_iv[i]]}..{hi[j_iv[i]]}"
+                    f" x {lo[k_iv[i]]}..{hi[k_iv[i]]} at (x, y) = ({x!r}, {y!r})")
+    return vals
 
-    On ``1..rect_cap``, ``c_jk = sum_i A[j, i] B[k, i]``: one column per
-    factor of a separable sequence, else the dense table and the identity.
-    Sine-prefix differences of ``A`` (once per distinct x) and of ``B``
-    (once per distinct y) over the intervals multiply into all the sums.
-    For the identity those differences are exactly ``sin(k y)`` for ``k``
-    in the interval and 0 elsewhere, so that matrix is built directly,
-    without a prefix table per y.
+
+def _factored_maxima(sx: np.ndarray, sy: np.ndarray, lo: np.ndarray, thresholds):
+    """First maxima of ``|sx[p, j] sy[p, k]|`` over ``lo[j] + lo[k] > t``,
+    without forming the products.
+
+    Row p of ``sx`` (``sy``) holds grid point p's interval sums in x (y),
+    all finite with a finite largest product; ``lo`` holds the interval
+    starts, ascending.  Returns ``(values, j, k)``, each of shape
+    (thresholds, grid points): the value and interval indices of the
+    first largest product in lattice order (start pair m-major, then j,
+    then k), the one ``argmax`` over the lattice picks.
+
+    Rounding is monotone for finite nonnegative factors and
+    ``|fl(p q)| = fl(|p| |q|)``.  So with ``X[a]`` (``Y[b]``) the largest
+    ``|sx|`` (``|sy|``) over the intervals of the a-th (b-th) start
+    ``u_a`` (``u_b``), the largest product of start pair (a, b) is
+    ``fl(X[a] Y[b])``, and that of the pairs admitted with start a is
+    ``fl(X[a] max_{b >= b0(a)} Y[b])``, b0(a) the first start b with
+    ``u_a + u_b > t``.  The witness is read level by level, each the
+    first to reach the largest value: the start a, the start b, the j of
+    start a with ``fl(|sx_j| Y[b])`` and the k of start b with
+    ``fl(|sx_j| |sy_k|)``.
+    """
+    ax, ay = np.abs(sx), np.abs(sy)
+    change = np.ones(len(lo), dtype=bool)
+    change[1:] = lo[1:] != lo[:-1]
+    first = np.flatnonzero(change)           # where each start's intervals begin
+    size = np.append(first[1:], len(lo)) - first
+    starts, S = lo[first], len(first)
+    X = np.maximum.reduceat(ax, first, axis=1)
+    Y = np.maximum.reduceat(ay, first, axis=1)
+    tops = np.maximum.accumulate(Y[:, ::-1], axis=1)[:, ::-1]
+    # b0[t, a]: the first start b admitted with start a past threshold t, S if none
+    b0 = np.searchsorted(starts, np.subtract.outer(thresholds, starts), side="right")
+    # one row per (threshold, grid point), thresholds first; -1 where a admits no b
+    cand = np.where(b0[:, None] < S, X * tops[:, np.minimum(b0, S - 1)].transpose(1, 0, 2),
+                    -1.0).reshape(-1, S)
+    best = cand.max(axis=1)
+    t_row, point = np.divmod(np.arange(len(best)), len(ax))
+    span = np.arange(size.max())
+
+    def first_hit(s, v, valid):
+        # the first valid column of v where fl(s v) reaches best
+        return ((s[:, None] * v == best[:, None]) & valid).argmax(axis=1)
+
+    def members(v, a):
+        # the entries of v on the intervals of start a, padded, and the mask
+        at = np.minimum(first[a][:, None] + span, len(lo) - 1)
+        return v[point[:, None], at], span < size[a][:, None]
+
+    a = (cand == best[:, None]).argmax(axis=1)
+    b = first_hit(X[point, a], Y[point], np.arange(S) >= b0[t_row, a][:, None])
+    j = first[a] + first_hit(Y[point, b], *members(ax, a))
+    k = first[b] + first_hit(ax[point, j], *members(ay, b))
+    shape = (len(thresholds), len(ax))
+    return best.reshape(shape), j.reshape(shape), k.reshape(shape)
+
+
+def _interval_sums(factor: np.ndarray, t, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums of ``factor[j-1] sin(j t)`` over ``j = lo..hi``, one row per
+    interval, from the sine prefix of ``factor`` at ``t`` (one abscissa,
+    or an array of them for a one-column factor)."""
+    P = sine_prefix(factor, t)
+    return P[hi] - P[lo - 1]
+
+
+def _separable_maxima(A: np.ndarray, B: np.ndarray, probe: ProbeConfig, index, thresholds):
+    """:func:`_rect_maxima` of the real factor columns ``A`` and ``B``.
+
+    The interval sums of each factor come from one sine prefix per block
+    of distinct abscissae (about ``_SUB_BLOCK_CELLS`` cells), and the
+    maxima from :func:`_factored_maxima`.  The first grid point whose
+    largest product is not finite is refused through its full product.
+    """
+    step = max(1, _SUB_BLOCK_CELLS // probe.rect_cap)
+
+    def sums(f, axis):
+        # one row per grid point, read from one column per distinct abscissa
+        column = {}
+        at = [column.setdefault(point[axis], len(column)) for point in probe.xy_grid]
+        ts = np.array(list(column))
+        blocks = np.concatenate([_interval_sums(f, ts[i:i + step], index[2], index[3])
+                                 for i in range(0, len(ts), step)], axis=1)
+        return blocks[:, at].T
+
+    sx, sy = sums(A, 0), sums(B, 1)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        top = np.abs(sx).max(axis=1) * np.abs(sy).max(axis=1)
+    for p in np.flatnonzero(~np.isfinite(top))[:1]:
+        _abs_products(sx[p, :, None], sy[p, :, None], index, *probe.xy_grid[p])
+    return _factored_maxima(sx, sy, index[2], thresholds)
+
+
+def _rect_maxima(c: CoefficientSequence, probe: ProbeConfig, index, thresholds):
+    """The first largest |rectangle sum| over the lattice rectangles with
+    ``m + n > t``, for each threshold t and grid point.
+
+    Returns ``(values, j, k)``, each of shape (thresholds, grid points),
+    grid points in grid order: the value and the interval indices of the
+    rectangle that ``argmax`` picks over the lattice, the first in its
+    order.  On ``1..rect_cap``, ``c_jk = sum_i A[j, i] B[k, i]``: one
+    column per factor of a separable sequence, else the dense table and
+    the identity.  Sine-prefix differences of ``A`` (once per distinct x)
+    and of ``B`` (once per distinct y) over the intervals give every sum.
+    A real separable sequence's maxima are read from per-start maxima of
+    those differences (:func:`_factored_maxima`), with no product formed
+    unless a grid point's largest one is not finite; any other takes one
+    matrix product per grid point.  For the identity the differences are
+    exactly ``sin(k y)`` for ``k`` in the interval and 0 elsewhere, so
+    that matrix is built directly, without a prefix table per y.  The
+    first grid point with a sum that is not finite is refused, naming
+    its first such rectangle.
     """
     j_iv, k_iv, lo, hi = index
     cap = probe.rect_cap
     idx = np.arange(1, cap + 1, dtype=np.int64)
-
-    def interval_sums(factor: np.ndarray, t: float) -> np.ndarray:
-        P = sine_prefix(factor, t)
-        return P[hi] - P[lo - 1]
-
     xs = dict.fromkeys(x for x, _ in probe.xy_grid)
     ys = dict.fromkeys(y for _, y in probe.xy_grid)
     if c.separable_parts is not None:
         A, B = (np.asarray(f.eval(idx))[:, None] for f in c.separable_parts)
-        sums_y = {y: interval_sums(B, y) for y in ys}
+        # the modulus of a complex product is not the product of moduli, bit for bit
+        if len(lo) and not (np.iscomplexobj(A) or np.iscomplexobj(B)):
+            return _separable_maxima(A, B, probe, index, thresholds)
+        sums_y = {y: _interval_sums(B, y, lo, hi) for y in ys}
     else:  # the dense table and one prefix table, capped with the working set
         _dense_cap("probe", "rect_cap", cap, _probe_bytes(cap, len(lo), len(xs) + len(ys)),
                    f"{cap}x{cap} tables and their interval sums")
@@ -495,26 +607,34 @@ def _abs_rect_sums(c: CoefficientSequence, probe: ProbeConfig, index):
         inside = (lo[:, None] <= idx) & (idx <= hi[:, None])
         ks = idx.astype(np.float64)
         sums_y = {y: np.where(inside, np.sin(ks * y), 0.0) for y in ys}
-    sums_x = {x: interval_sums(A, x) for x in xs}
-    for x, y in probe.xy_grid:
-        vals = np.abs(sums_x[x] @ sums_y[y].T)[j_iv, k_iv]
-        _require_finite(vals, lambda i: f"|rectangle sum| over {lo[j_iv[i]]}..{hi[j_iv[i]]}"
-                        f" x {lo[k_iv[i]]}..{hi[k_iv[i]]} at (x, y) = ({x!r}, {y!r})")
-        yield x, y, vals
+    sums_x = {x: _interval_sums(A, x, lo, hi) for x in xs}
+    admitted = [np.flatnonzero(lo[j_iv] + lo[k_iv] > t) for t in thresholds]
+    values = np.empty((len(thresholds), len(probe.xy_grid)))
+    j, k = np.empty((2,) + values.shape, dtype=np.int64)
+    for p, (x, y) in enumerate(probe.xy_grid):
+        vals = _abs_products(sums_x[x], sums_y[y], index, x, y)
+        for row, keep in enumerate(admitted):
+            i = keep[np.argmax(vals[keep])]
+            values[row, p], j[row, p], k[row, p] = vals[i], j_iv[i], k_iv[i]
+    return values, j, k
 
 
 def _probe_sup(c: CoefficientSequence, probe: ProbeConfig, min_start: int):
     """Sup of |rect sum| over the probe lattice with both starts >= ``min_start``.
 
-    Returns (sup, witness_rect, witness_xy, number of rectangles).
+    Returns (sup, witness_rect, witness_xy, number of rectangles); the
+    witness is the first largest in grid order, then lattice order.
     """
-    ms, Ms, ns, Ns, index = _probe_arrays(probe, min_start)
+    ms, _, _, _, index = _probe_arrays(probe, min_start)
     if ms.size == 0:
         raise ValueError(f"no rectangles with starts >= {min_start} up to {probe.rect_cap}")
-    sup, i, xy = max(((float(np.max(vals)), int(np.argmax(vals)), (x, y))
-                      for x, y, vals in _abs_rect_sums(c, probe, index)),
-                     key=lambda row: row[0])
-    return sup, Rect(int(ms[i]), int(Ms[i]), int(ns[i]), int(Ns[i])), xy, int(ms.size)
+    # min_start is applied when the lattice is built, so every pair is admitted
+    values, j, k = (v[0] for v in _rect_maxima(c, probe, index, (0,)))
+    p = int(np.argmax(values))
+    _, _, lo, hi = index
+    (x, y), wj, wk = probe.xy_grid[p], j[p], k[p]
+    return (float(values[p]), Rect(int(lo[wj]), int(hi[wj]), int(lo[wk]), int(hi[wk])),
+            (x, y), int(ms.size))
 
 
 @dataclass(frozen=True)
@@ -534,24 +654,22 @@ class ProbeTraceRow:
 def uniform_tail_trace(c: CoefficientSequence,
                        probe: ProbeConfig) -> tuple[TailReport, tuple[ProbeTraceRow, ...]]:
     """Like :func:`uniform_tail_probe`, also returning the full trace."""
-    ms, Ms, ns, Ns, index = _probe_arrays(probe)
-    admitted = [np.flatnonzero(ms + ns > t) for t in probe.thresholds]
-    for t, keep in zip(probe.thresholds, admitted):
-        if keep.size == 0:
+    ms, _, ns, _, index = _probe_arrays(probe)
+    most = int((ms + ns).max(initial=0))
+    for t in probe.thresholds:
+        if t >= most:
             raise ValueError(f"no rectangles beyond threshold {t}")
-    trace = []
-    for x, y, vals in _abs_rect_sums(c, probe, index):
-        for t, keep in zip(probe.thresholds, admitted):
-            i = keep[np.argmax(vals[keep])]
-            trace.append(ProbeTraceRow(threshold=t, x=x, y=y, m=int(ms[i]), M=int(Ms[i]),
-                                       n=int(ns[i]), N=int(Ns[i]), abs_sum=float(vals[i])))
-    trace.sort(key=lambda row: row.threshold)   # stable: grid order within a threshold
-    values = [max(row.abs_sum for row in trace if row.threshold == t)
-              for t in probe.thresholds]
+    lo, hi = index[2].tolist(), index[3].tolist()
+    best, js, ks = (v.tolist() for v in _rect_maxima(c, probe, index, probe.thresholds))
+    trace = tuple(ProbeTraceRow(threshold=t, x=x, y=y, m=lo[j], M=hi[j], n=lo[k], N=hi[k],
+                                abs_sum=v)
+                  for t, vt, jt, kt in zip(probe.thresholds, best, js, ks)
+                  for (x, y), v, j, k in zip(probe.xy_grid, vt, jt, kt))
+    values = [max(vt) for vt in best]
     verdict = classify_probe(values, band=probe.band, decay_ratio=probe.decay_ratio)
     report = TailReport(schedule=tuple(probe.thresholds), values=tuple(values),
                         verdict=verdict, fit=loglog_slope(probe.thresholds, values))
-    return report, tuple(trace)
+    return report, trace
 
 
 def uniform_tail_probe(c: CoefficientSequence, probe: ProbeConfig) -> TailReport:
@@ -561,7 +679,8 @@ def uniform_tail_probe(c: CoefficientSequence, probe: ProbeConfig) -> TailReport
     divergence point in the grid keeps them from falling.  The lattice
     and its sums are built once per probe from the prefix sums of a
     separable sequence's factors or else of its dense table on
-    ``1..rect_cap``, which is refused past the dense scans' byte cap.
+    ``1..rect_cap``, which is refused past the dense scans' byte cap;
+    see :func:`_rect_maxima`.
     """
     report, _ = uniform_tail_trace(c, probe)
     return report

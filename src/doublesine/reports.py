@@ -51,7 +51,20 @@ def write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+# the common cell types, looked up by exact type before the subclass checks
+_EXACT_CELLS = {
+    type(None): lambda v: "",
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: repr,
+    str: str,
+}
+
+
 def _cell(value) -> str:
+    exact = _EXACT_CELLS.get(type(value))
+    if exact is not None:
+        return exact(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):

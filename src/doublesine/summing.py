@@ -153,19 +153,25 @@ def _cumsum_rows(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def sine_prefix(values: np.ndarray, x: float) -> np.ndarray:
+def sine_prefix(values: np.ndarray, x) -> np.ndarray:
     """Prefix sums ``P[J] = sum_{j=1}^{J} values[j-1] * sin(j x)``.
 
     ``values`` holds the entries for indices ``1..len(values)`` along its
-    first axis; the columns of a 2-D factor are summed separately.  The
+    first axis; the columns of a 2-D factor are summed separately.  ``x``
+    is one abscissa, or a 1-D array of them for a one-column ``values``,
+    whose column i is then the prefix at ``x[i]``, bit for bit.  The
     result has one more row, ``P[0] = 0``, so a sum over ``j = m..M`` is
     ``P[M] - P[m-1]``; no other array of that size is allocated.
     """
     values = np.asarray(values)
     j = np.arange(1, len(values) + 1, dtype=np.float64)
-    sines = np.sin(j * x).reshape((-1,) + (1,) * (values.ndim - 1))
-    out = np.zeros((len(values) + 1,) + values.shape[1:],
-                   dtype=np.result_type(values, sines))
+    if np.ndim(x):
+        sines = np.sin(np.multiply.outer(j, x))
+        shape = sines.shape
+    else:
+        sines = np.sin(j * x).reshape((-1,) + (1,) * (values.ndim - 1))
+        shape = values.shape
+    out = np.zeros((len(values) + 1,) + shape[1:], dtype=np.result_type(values, sines))
     np.multiply(values, sines, out=out[1:])
     _cumsum_rows(out[1:], out[1:])
     return out

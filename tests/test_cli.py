@@ -206,9 +206,36 @@ class TestLibraryRefusals:
           "--sup-horizon", "256", "--sum-horizon", "1024", "--grid-points", "3",
           "--rect-cap", "64"),
          "error: eta search factor expr.j: m |f_m| at m = 1 is nan, not finite"),
+        # separable probes: a NaN factor, and finite factor sums whose product
+        # overflows (a constant joins the j factor, so k has its own large term)
+        (("uniform-tail", "--expr", "(-1)^(0.5+j-j)/j^2*(2+alternating(k))/k^2",
+          "--grid-points", "3", "--rect-cap", "64", "--thresholds", "4,8,16"),
+         "error: |rectangle sum| over 1..1 x 1..1 at (x, y) = (0.7853981633974483, "
+         "0.7853981633974483) is nan, not finite"),
+        (("uniform-tail", "--expr", "1e200/j^2*(1e200+0*k)/k^2", "--grid-points", "3",
+          "--rect-cap", "64", "--thresholds", "4,8,16"),
+         "error: |rectangle sum| over 1..1 x 1..1 at (x, y) = (0.7853981633974483, "
+         "0.7853981633974483) is inf, not finite"),
+        (("uniform-tail", "--expr", "10^(j-300)*10^(k-300)", "--grid-points", "3",
+          "--rect-cap", "461", "--thresholds", "4,8,16"),
+         "error: |rectangle sum| over 1..461 x 1..461 at (x, y) = (0.7853981633974483, "
+         "0.7853981633974483) is inf, not finite"),
+        # theorem 7's probe: factors that are NaN or huge only past the eta
+        # search's horizons (256), inside the rect cap
+        (("eta", "--expr", "(400-j)^0.5/j^3/k^2", "--epsilon", "10", "--c-const", "16",
+          "--cap", "64", "--sup-horizon", "256", "--sum-horizon", "256", "--grid-points", "3",
+          "--rect-cap", "1024"),
+         "error: |rectangle sum| over 3..1024 x 3..3 at (x, y) = (0.7853981633974483, "
+         "0.7853981633974483) is nan, not finite"),
+        (("eta", "--expr", "10^(j-300)*10^(k-300)", "--epsilon", "0.2", "--c-const", "16",
+          "--cap", "64", "--sup-horizon", "256", "--sum-horizon", "256", "--grid-points", "3",
+          "--rect-cap", "461"),
+         "error: |rectangle sum| over 3..461 x 3..461 at (x, y) = (0.7853981633974483, "
+         "0.7853981633974483) is inf, not finite"),
     ], ids=["direct", "parts", "condition-22 nan", "condition-22 inf", "check-class nan",
             "single nan", "uniform-tail nan", "lemma 1 nan", "lemma 2 nan", "lemma 3 nan",
-            "eta nan"])
+            "eta nan", "uniform-tail nan factor", "uniform-tail overflow",
+            "uniform-tail late overflow", "theorem 7 nan", "theorem 7 overflow"])
     def test_non_finite_value_is_refused(self, tmp_path, capsys, argv, line):
         assert self.refused(tmp_path, capsys, *argv) == line + "\n"
 

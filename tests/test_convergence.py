@@ -41,9 +41,10 @@ from doublesine import (
     uniform_tail_probe,
     uniform_tail_trace,
 )
-from doublesine.convergence import (EtaCondition, EtaSearchResult, _d2_scan, _probe_arrays,
-                                    _probe_bytes, _test_points, _weight_sup_scan)
+from doublesine.convergence import (EtaCondition, EtaSearchResult, _d2_scan, _factored_maxima,
+                                    _probe_arrays, _probe_bytes, _test_points, _weight_sup_scan)
 from doublesine.differences import _SUB_BLOCK_CELLS, _variation
+from doublesine.summing import sine_prefix
 
 from conftest import TWIN_EXPR, dense_twin
 
@@ -743,6 +744,161 @@ class TestProbeOracle:
         finally:
             tracemalloc.stop()
         assert peak <= stated
+
+
+# interval sums with ties: repeats, zeros, both signs, neighbouring floats
+# whose products can round to one value, and a subnormal
+TIE_SUMS = (0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 3.0, 0.1, 1.0 + 2.0 ** -52, -(1.0 - 2.0 ** -53),
+            3.0 * (1.0 + 2.0 ** -52), 1e-300, 5e-324)
+# factor values that make a probe's sums, or their products, not finite
+SPECIAL_VALUES = (math.nan, math.inf, -math.inf, 2e154, -2e154, 1e200)
+POINTS = ((0.3, 2.9), (1.0, 1.0), (2.5, 0.2), (1.0, 0.2))
+
+
+def _drawn_probe(data, caps=(8, 24, 64, 100)):
+    """A probe whose grid points may repeat, and a min_start for its lattice."""
+    cap = data.draw(st.sampled_from(caps))
+    probe = ProbeConfig(xy_grid=tuple(data.draw(st.lists(st.sampled_from(POINTS), min_size=1,
+                                                         max_size=4))),
+                        rect_cap=cap, doublings=data.draw(st.integers(1, 4)))
+    return probe, data.draw(st.none() | st.integers(1, cap))
+
+
+def _drawn_thresholds(data, lo, least=0):
+    """Sorted thresholds that each admit a rectangle; some admit only the last pairs."""
+    most = 2 * int(lo.max()) - 1
+    t = st.integers(least, most) | st.integers(max(least, most - 3), most)
+    return sorted(data.draw(st.lists(t, min_size=1, max_size=4, unique=True)))
+
+
+def _first_max_oracle(vals, index, t):
+    """(value, j, k) of ``argmax`` of the lattice's ``vals`` over m + n > t."""
+    j_iv, k_iv, lo, _ = index
+    keep = np.flatnonzero(lo[j_iv] + lo[k_iv] > t)
+    i = keep[np.argmax(vals[keep])]
+    return vals[i], j_iv[i], k_iv[i]
+
+
+def _probe_oracle(c, probe, thresholds, min_start=None, product=np.outer):
+    """The products the factored probe stands for, grid point by grid point:
+    ``(threshold, x, y, Rect, value)`` rows, threshold-major, or the text
+    of the refusal of the first grid point with a product that is not finite.
+    ``product`` multiplies the two columns of interval sums."""
+    index = _probe_arrays(probe, min_start)[4]
+    j_iv, k_iv, lo, hi = index
+    idx = np.arange(1, probe.rect_cap + 1)
+    a, b = (f.eval(idx)[:, None] for f in c.separable_parts)   # one column, as the probe's
+    rows = {}
+    for p, (x, y) in enumerate(probe.xy_grid):
+        sx, sy = ((P[hi] - P[lo - 1]) for P in (sine_prefix(a, x), sine_prefix(b, y)))
+        with np.errstate(all="ignore"):
+            vals = np.abs(product(sx, sy))[j_iv, k_iv]
+        if not np.isfinite(vals).all():
+            i = int(np.argmin(np.isfinite(vals)))
+            return (f"|rectangle sum| over {lo[j_iv[i]]}..{hi[j_iv[i]]} x {lo[k_iv[i]]}.."
+                    f"{hi[k_iv[i]]} at (x, y) = ({x!r}, {y!r}) is {float(vals[i])!r}, "
+                    "not finite")
+        for t in thresholds:
+            value, j, k = _first_max_oracle(vals, index, t)
+            rect = Rect(int(lo[j]), int(hi[j]), int(lo[k]), int(hi[k]))
+            rows[t, p] = (t, x, y, rect, float(value))
+    return [rows[t, p] for t in thresholds for p in range(len(probe.xy_grid))]
+
+
+class TestFactoredMaxima:
+    """The factored probe of a separable sequence reads its first maxima from
+    per-start maxima; brute force forms every product and takes ``argmax``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_first_maxima_match_the_products(self, data):
+        probe, min_start = _drawn_probe(data)
+        index = _probe_arrays(probe, min_start)[4]
+        lo = index[2]
+
+        def sums(axis):   # drawn per distinct abscissa, so repeated points repeat rows
+            drawn = {v: data.draw(st.lists(st.sampled_from(TIE_SUMS), min_size=len(lo),
+                                           max_size=len(lo)))
+                     for v in dict.fromkeys(point[axis] for point in probe.xy_grid)}
+            return np.array([drawn[point[axis]] for point in probe.xy_grid])
+
+        sx, sy = sums(0), sums(1)
+        thresholds = _drawn_thresholds(data, lo)
+        values, js, ks = _factored_maxima(sx, sy, lo, thresholds)
+        for row, t in enumerate(thresholds):
+            got = [(values[row, p], js[row, p], ks[row, p]) for p in range(len(sx))]
+            assert got == [_first_max_oracle(np.abs(np.outer(px, py))[index[:2]], index, t)
+                           for px, py in zip(sx, sy)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the refused overflows
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_trace_and_theorem7_match_the_products(self, data):
+        probe, min_start = _drawn_probe(data, caps=(8, 24, 40))
+        factors = []
+        for name in "ab":
+            values = np.array(data.draw(st.lists(st.sampled_from(TIE_SUMS[:8]),
+                                                 min_size=probe.rect_cap,
+                                                 max_size=probe.rect_cap)))
+            special = data.draw(st.none() | st.tuples(st.integers(0, probe.rect_cap - 1),
+                                                       st.sampled_from(SPECIAL_VALUES)))
+            if special is not None:
+                values[special[0]] = special[1]
+            factors.append(single_from_values(name, values))
+        c = separable(*factors)
+        probe = dataclasses.replace(probe, thresholds=tuple(
+            _drawn_thresholds(data, _probe_arrays(probe)[4][2], least=2)))
+
+        expected = _probe_oracle(c, probe, probe.thresholds)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as refused:
+                uniform_tail_trace(c, probe)
+            assert str(refused.value) == expected
+        else:
+            report, trace = uniform_tail_trace(c, probe)
+            assert [(r.threshold, r.x, r.y, Rect(r.m, r.M, r.n, r.N), r.abs_sum)
+                    for r in trace] == expected
+            assert list(report.values) == [max(row[4] for row in expected if row[0] == t)
+                                           for t in probe.thresholds]
+
+        eta = (min_start or 1) - 1
+        expected = _probe_oracle(c, probe, (0,), eta + 1)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as refused:
+                theorem7_bound_check(c, 0.2, eta, 16.0, probe)
+            assert str(refused.value) == expected
+        else:
+            _, x, y, rect, worst = max(expected, key=lambda row: row[4])
+            t7 = theorem7_bound_check(c, 0.2, eta, 16.0, probe)
+            assert (t7.worst_abs, t7.witness_rect, t7.witness_xy) == (worst, rect, (x, y))
+
+    def test_zero_preset_names_the_first_admitted_rectangle(self, zero_seq):
+        probe = ProbeConfig(xy_grid=interior_grid(3), thresholds=(4, 64, 255), rect_cap=128)
+        _, trace = uniform_tail_trace(zero_seq, probe)
+        assert [(r.threshold, r.x, r.y, Rect(r.m, r.M, r.n, r.N), r.abs_sum) for r in trace] \
+            == _probe_oracle(zero_seq, probe, probe.thresholds)
+        assert {(r.threshold, r.m, r.n, r.abs_sum) for r in trace} \
+            == {(4, 1, 4, 0.0), (64, 1, 64, 0.0), (255, 128, 128, 0.0)}
+
+    def test_repeated_grid_points_keep_their_rows(self, osc):
+        probe = ProbeConfig(xy_grid=((0.7, 1.9), (2.3, 0.4), (0.7, 1.9)), thresholds=(4, 8),
+                            rect_cap=64)
+        _, trace = uniform_tail_trace(osc, probe)
+        assert len(trace) == 6
+        for first, again in ((trace[0], trace[2]), (trace[3], trace[5])):
+            assert dataclasses.astuple(first) == dataclasses.astuple(again)
+
+    def test_complex_factors_take_the_products(self):
+        # the modulus of a complex product is not the product of the moduli,
+        # bit for bit, so complex factor sums are multiplied out, by the
+        # matrix product, whose complex rounding np.outer does not share
+        idx = np.arange(1, 65)
+        c = separable(single_from_values("a", np.exp(1j * idx) / idx ** 2),
+                      single_from_values("b", (2.0 - 1j) / idx ** 2))
+        probe = ProbeConfig(xy_grid=((0.7, 1.9), (2.3, 0.4)), thresholds=(4, 8), rect_cap=64)
+        assert [(r.threshold, r.x, r.y, Rect(r.m, r.M, r.n, r.N), r.abs_sum)
+                for r in uniform_tail_trace(c, probe)[1]] \
+            == _probe_oracle(c, probe, probe.thresholds, product=lambda sx, sy: sx @ sy.T)
 
 
 class TestRemark2:

@@ -40,3 +40,20 @@ def test_a_linked_report_path_gets_a_new_file(tmp_path):
 def test_a_value_without_a_report_form_is_refused(value):
     with pytest.raises(TypeError, match="no report form"):
         to_jsonable({"v": value})
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize("value, cell", [
+    (None, ""), (True, "true"), (np.bool_(False), "false"), (7, "7"), (np.int64(-3), "-3"),
+    (0.1, "0.1"), (np.float64(0.25), "0.25"), (np.float32(0.5), "0.5"), (float("nan"), "nan"),
+    (-0.0, "-0.0"), ("a,b", "a,b"), (_Label("x"), "x"), ((1, 2), "(1, 2)"),
+])
+def test_csv_cells_by_type_and_subclass(tmp_path, value, cell):
+    # exact built-in types take the lookup; numpy scalars and subclasses the checks
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["v", "w"], [[value, 1]])
+    expected = f'"{cell}"' if "," in cell else cell
+    assert path.read_text(encoding="utf-8") == f"v,w\n{expected},1\n"

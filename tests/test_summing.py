@@ -229,3 +229,14 @@ class TestCumsumRows:
         want = np.cumsum(values * np.sin(j * 0.7)[:, None], axis=0)
         assert np.array_equal(P[1:], want)
         assert not P[0].any()
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.complex128))
+    @pytest.mark.parametrize("count", (1, 3, 70))
+    def test_sine_prefix_at_many_abscissae_is_each_column(self, dtype, count):
+        # 70 abscissae take the row carry of _cumsum_rows, fewer np.cumsum
+        values = np.random.default_rng(9).standard_normal((300, 1)).astype(dtype)
+        xs = np.linspace(0.1, 3.0, count)
+        P = sine_prefix(values, xs)
+        assert P.shape == (301, count)
+        for i, x in enumerate(xs):
+            assert np.array_equal(P[:, i], sine_prefix(values, x)[:, 0])
