@@ -19,7 +19,9 @@ row, lemma, probe, eta or condition (22) value that is not finite (one
 ``error: ...`` line); neither writes a report.  An output directory or
 report file that cannot be written, or a run out of memory, also exits
 2 with one ``error: ...`` line.  Any other exception is an internal
-error: status 3, with its traceback.
+error: status 3, with its traceback.  Warnings (numpy's ``RuntimeWarning``
+on an expression that overflows, say) are held until the status is
+known: a run with status 2 prints none of them, any other run all.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import configparser
 import math
 import sys
 import traceback
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -51,14 +54,14 @@ from .convergence import (
     _check_probe_rule,
     _remark2_squares,
 )
-from .differences import _doublings, delta_r, delta_rr
+from .differences import _SUB_BLOCK_CELLS, _doublings, delta_r, delta_rr
 from .kernels import (
     Rect,
     kernel_bound_check,
     rect_sum_direct,
     rect_sum_parts,
     rect_sum_separable,
-    row_sum_by_parts,
+    row_sums_by_parts,
 )
 from .majorants import Axis, DoubleScanTable, Family, MajorantFamily
 from .membership import (
@@ -81,7 +84,7 @@ from .sequences import (
     single_from_expression,
     single_from_values,
 )
-from .summing import ksum
+from .summing import _row_sums
 
 __all__ = ["main"]
 
@@ -698,11 +701,11 @@ def _sample_x(rng: np.random.Generator, r: int) -> float:
             return x
 
 
-def _by_parts_check(cases: int, tol: float, draw):
-    """Worst relative error of ``draw(i) -> (direct, by_parts, where)`` over the cases."""
-    worst, worst_case, failures = 0.0, None, 0
-    for i in range(cases):
-        direct, parts, where = draw(i)
+def _by_parts_check(results, tol: float):
+    """Worst relative error over ``(direct, by_parts, where)`` results in case order."""
+    worst, worst_case, cases, failures = 0.0, None, 0, 0
+    for i, (direct, parts, where) in enumerate(results):
+        cases += 1
         rel = abs(parts - direct) / (1.0 + abs(direct))
         if rel > worst:
             worst, worst_case = rel, {"case": i, **where}
@@ -712,19 +715,52 @@ def _by_parts_check(cases: int, tol: float, draw):
              "worst_case": worst_case, "tolerance": tol}, cases, worst)
 
 
+# the longest row a case draws; a chunk of cases holds about _SUB_BLOCK_CELLS values
+_MAX_ROW_LENGTH = 64
+
+
+def _draw_row_case(rng: np.random.Generator):
+    """One random row case ``(r, n, m, values, x)``: ``values`` holds ``a_1..a_{m+r}``."""
+    r = int(rng.integers(1, 4))
+    n = int(rng.integers(1, 21))
+    length = int(rng.integers(1, _MAX_ROW_LENGTH + 1))
+    m = n + length - 1
+    values = rng.uniform(-1.0, 1.0, size=m + r)
+    return r, n, m, values, _sample_x(rng, r)
+
+
+def _row_results(rng: np.random.Generator, cases: int):
+    """``(direct, by_parts, where)`` of each random row case, in case order.
+
+    The cases are drawn in chunks of about ``_SUB_BLOCK_CELLS`` values, in
+    the order a case-by-case loop draws them, and each chunk is checked
+    one step r at a time: a table of every line of that step, one
+    :func:`row_sums_by_parts` call and one table of direct terms
+    ``a_k sin(k x)``, each case's own terms rounded once.
+    """
+    chunk = _SUB_BLOCK_CELLS // _MAX_ROW_LENGTH
+    for first in range(0, cases, chunk):
+        drawn = [_draw_row_case(rng) for _ in range(min(chunk, cases - first))]
+        results = [None] * len(drawn)
+        for r in sorted({case[0] for case in drawn}):
+            ids = [i for i, case in enumerate(drawn) if case[0] == r]
+            _, ns, ms, values, xs = zip(*(drawn[i] for i in ids))
+            starts = np.array(ns, dtype=np.int64)
+            lengths = np.array(ms, dtype=np.int64) - starts + 1
+            width = int(lengths.max())
+            lines = np.zeros((len(ids), width + r))
+            for line, n, v in zip(lines, ns, values):
+                line[:len(v) - n + 1] = v[n - 1:]
+            orders = starts[:, None] + np.arange(width)
+            direct = _row_sums(lines[:, :width] * np.sin(orders * np.array(xs)[:, None]), lengths)
+            parts = row_sums_by_parts(lines, lengths, starts, r, xs)
+            for i, n, m, x, d, p in zip(ids, ns, ms, xs, direct, parts):
+                results[i] = (d, p, {"r": r, "n": n, "m": m, "x": x})
+        yield from results
+
+
 def _identity_row_sums(rng: np.random.Generator, cases: int, tol: float):
-    def draw(i):
-        r = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 21))
-        length = int(rng.integers(1, 65))
-        m = n + length - 1
-        values = rng.uniform(-1.0, 1.0, size=m + r)
-        a = single_from_values(f"case{i}", values)
-        x = _sample_x(rng, r)
-        k = np.arange(n, m + 1, dtype=np.int64)
-        direct = float(ksum(values[k - 1] * np.sin(k * x)))
-        return direct, float(row_sum_by_parts(a, n, m, r, x)), {"r": r, "n": n, "m": m, "x": x}
-    return _by_parts_check(cases, tol, draw)
+    return _by_parts_check(_row_results(rng, cases), tol)
 
 
 def _identity_rect_sums(rng: np.random.Generator, cases: int, size: int, tol: float):
@@ -740,7 +776,7 @@ def _identity_rect_sums(rng: np.random.Generator, cases: int, size: int, tol: fl
         x, y = _sample_x(rng, 2), _sample_x(rng, 2)
         return (rect_sum_direct(c, rect, x, y), rect_sum_parts(c, rect, x, y, r=2),
                 {"rect": [m, M, n, N], "x": x, "y": y})
-    return _by_parts_check(cases, tol, draw)
+    return _by_parts_check((draw(i) for i in range(cases)), tol)
 
 
 def _identity_differences(rng: np.random.Generator, grid: int):
@@ -751,16 +787,16 @@ def _identity_differences(rng: np.random.Generator, grid: int):
     k = np.arange(1, grid + 1, dtype=np.int64)[None, :]
     eps = float(np.finfo(np.float64).eps)
     d22 = np.asarray(delta_rr(c, 2, j, k))
-    # recon and scale_22 take the four step-1 pieces one at a time, recon
-    # summing them left to right
-    recon, scale_22 = None, np.ones_like(d22)
-    for dj, dk in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        d11 = np.asarray(delta_rr(c, 1, j + dj, k + dk))
-        np.maximum(scale_22, np.abs(d11), out=scale_22)
-        if recon is None:
-            recon = d11
-        else:
-            recon += d11
+    # the four step-1 pieces d11(j + dj, k + dk), dj, dk in {0, 1}, are slices
+    # of one table on the (grid + 1)^2 square; recon sums them left to right
+    d11 = np.asarray(delta_rr(c, 1, np.arange(1, grid + 2, dtype=np.int64)[:, None],
+                              np.arange(1, grid + 2, dtype=np.int64)[None, :]))
+    pieces = [d11[dj:dj + grid, dk:dk + grid] for dj, dk in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    recon, scale_22 = pieces[0].copy(), np.ones_like(d22)
+    for piece in pieces:
+        np.maximum(scale_22, np.abs(piece), out=scale_22)
+    for piece in pieces[1:]:
+        recon += piece
     np.subtract(d22, recon, out=recon)
     err_22 = float(np.max(np.abs(recon, out=recon) / scale_22))
 
@@ -768,9 +804,9 @@ def _identity_differences(rng: np.random.Generator, grid: int):
     a = single_from_values("delta1", a_vals)
     kk = np.arange(1, grid + 1, dtype=np.int64)
     d2 = np.asarray(delta_r(a, 2, kk))
-    recon1 = np.asarray(delta_r(a, 1, kk)) + np.asarray(delta_r(a, 1, kk + 1))
-    scale_2 = np.maximum(1.0, np.maximum(np.abs(np.asarray(delta_r(a, 1, kk))),
-                                         np.abs(np.asarray(delta_r(a, 1, kk + 1)))))
+    d1 = np.asarray(delta_r(a, 1, np.arange(1, grid + 2, dtype=np.int64)))
+    recon1 = d1[:-1] + d1[1:]
+    scale_2 = np.maximum(1.0, np.maximum(np.abs(d1[:-1]), np.abs(d1[1:])))
     err_2 = float(np.max(np.abs(d2 - recon1) / scale_2))
     limit = 8.0 * eps
     return ({"grid": grid, "worst_mixed_err": err_22, "worst_single_err": err_2,
@@ -954,15 +990,23 @@ def _resolved_config(command: str, args) -> dict:
 
 
 def main(argv=None) -> int:
-    try:
-        return _main(argv)
-    except MemoryError as exc:
-        # a resource limit, like a size guard, is no verdict on the input
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
-    except Exception:
-        traceback.print_exc()
-        return 3
+    # warnings wait for the exit status: a refused run (status 2) prints its one
+    # error line and nothing else; the filters decide, as ever, what is shown
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            status = _main(argv)
+        except MemoryError as exc:
+            # a resource limit, like a size guard, is no verdict on the input
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            status = 2
+        except Exception:
+            status, crash = 3, traceback.format_exc()
+    if status != 2:
+        for w in held:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    if status == 3:
+        sys.stderr.write(crash)
+    return status
 
 
 def _main(argv) -> int:

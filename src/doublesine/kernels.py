@@ -14,13 +14,21 @@ The single-index identity (step r >= 1, m >= n >= 1, arbitrary a)
                                  + sum_{k=m+1}^{m+r} a_k         D(k, -r, x)
                                  - sum_{k=n}^{n+r-1} a_k         D(k, -r, x)
 
-is implemented by :func:`row_sum_by_parts`.  Applying it in both indices
-turns a rectangle sum of ``c_{jk} sin jx sin ky`` into a mixed-difference
-core plus four boundary strips and four corner blocks (nine terms; the
-strips have width r); that expansion is :func:`rect_sum_parts`.  Each
+is implemented in batch form by :func:`row_sums_by_parts`: many lines
+of one step r, each with its own span and abscissa, padded into one
+table.  One kernel table holds ``cos((k + r/2) x_i) / (2 s_i)`` for every
+line's core and strips, with ``s_i`` the ``math.sin`` denominator of
+:func:`dirichlet_conj`; the core and strip terms are one product of
+tables, and each line's own terms (never its padding) are rounded once,
+so every line's sum is the one-line sum bit for bit.
+:func:`row_sum_by_parts` is the one-line call.  Applying the identity in
+both indices turns a rectangle sum of ``c_{jk} sin jx sin ky`` into a
+mixed-difference core plus four boundary strips and four corner blocks
+(nine terms; the strips have width r); that expansion is
+:func:`rect_sum_parts`, whose kernels come from
+:func:`_by_parts_kernels`, the one-line form of the kernel table.  Each
 sum reads one evaluation of its sequence on the span widened by r, and
-slices the differences, strips and corners out of it; both get their
-kernels from one helper, :func:`_by_parts_kernels`.
+slices the differences, strips and corners out of it.
 
 :func:`kernel_bound_check` compares ``|D(k, +-2, x)|`` with the envelope
 ``pi/(4x)`` (mirrored about pi/2) for every ``k <= k_max``.  Since
@@ -29,7 +37,14 @@ kernels from one helper, :func:`_by_parts_kernels`.
 monotone, so that holds for the computed floats too.  Points are visited
 in descending bound and the scan stops once the bound drops below the
 worst slack found, which skips nearly every point and returns exactly
-what the exhaustive scan does.
+what the exhaustive scan does.  The bound takes its denominators from
+one ``np.sin`` call, which may round otherwise than the ``math.sin`` of
+the kernels; ``|sin|`` is shrunk by ``8 eps`` relative before the
+division, so while ``np.sin`` is within 4 ulps of ``math.sin`` the
+computed bound is at least the ``math.sin`` one, by the same
+monotonicity, and the answer stays exact.  Every ``np.sin`` value below
+twice ``SINGULARITY_FLOOR`` is checked again with ``math.sin``, in
+(step, point) order, so the refusal is the one the kernels would give.
 
 All reductions are compensated and performed in a fixed order, so
 results are reproducible bit for bit.
@@ -44,7 +59,7 @@ import numpy as np
 
 from .differences import _mixed, _span, _sub_blocks, check_step
 from .sequences import CoefficientSequence, SingleSequence
-from .summing import ksum
+from .summing import _row_sums, ksum
 
 __all__ = [
     "SINGULARITY_FLOOR",
@@ -53,6 +68,7 @@ __all__ = [
     "dirichlet_conj",
     "assert_admissible",
     "row_sum_by_parts",
+    "row_sums_by_parts",
     "rect_sum_direct",
     "rect_sum_separable",
     "rect_sum_parts",
@@ -61,6 +77,9 @@ __all__ = [
 ]
 
 SINGULARITY_FLOOR = 1e-12
+# |np.sin| is shrunk by this factor in the envelope check's pruning bound, so
+# the bound holds while np.sin is within 4 ulps of math.sin
+_SIN_MARGIN = 1.0 - 8.0 * np.finfo(np.float64).eps
 
 
 class SingularityError(ValueError):
@@ -130,20 +149,83 @@ def _by_parts_kernels(lo: int, hi: int, r: int, x: float):
             _kernel_row(_span(hi + 1, hi + r), -r, x))
 
 
+def _kernel_table(starts, lengths, r: int, xs) -> np.ndarray:
+    """The kernels of :func:`_by_parts_kernels` for many lines, one table
+    row per line: line i runs over ``n..m`` with ``n = starts[i]``, ``m = n
+    + lengths[i] - 1``, at abscissa ``xs[i]``.  Row i holds ``D(k, r, x)``
+    on ``n..m`` from its first column, then, in its last ``2 r`` columns,
+    ``D(k, -r, x)`` on the upper strip ``m+1..m+r`` and on the lower strip
+    ``n..n+r-1``; the columns between are padding.  Each line's ``+r``
+    denominator is checked before its ``-r`` one, line by line, so a
+    singular ``x`` is reported as the one-line call reports it."""
+    plus, minus = [], []
+    for x in xs:
+        plus.append(2.0 * _check_denominator(r, x))
+        minus.append(2.0 * _check_denominator(-r, x))
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    width = int(lengths.max())
+    # k + r/2 and k - r/2 are exact in float64, however they are formed
+    table = np.empty((len(starts), width + 2 * r))
+    np.add(starts[:, None], np.arange(width) + 0.5 * r, out=table[:, :width])
+    strip = np.arange(r) - 0.5 * r
+    np.add((starts + lengths)[:, None], strip, out=table[:, width:width + r])
+    np.add(starts[:, None], strip, out=table[:, width + r:])
+    table *= np.asarray(xs, dtype=np.float64)[:, None]
+    np.cos(table, out=table)
+    table[:, :width] /= np.array(plus)[:, None]
+    table[:, width:] /= np.array(minus)[:, None]
+    return table
+
+
+def row_sums_by_parts(lines, lengths, starts, r: int, xs) -> list:
+    """:func:`row_sum_by_parts` of many lines of one step r, bit for bit.
+
+    Row i of the 2-D ``lines`` holds line i's coefficients ``a_k``,
+    ``k = n..m+r`` with ``n = starts[i]`` and ``m = n + lengths[i] - 1``,
+    from its first column; the rest of the row is padding (zeros, say) and
+    enters no sum.  Returns ``sum_{k=n}^{m} a_k sin(k xs[i])`` for each
+    line, in order.  The kernels are one table (:func:`_kernel_table`); the
+    core terms ``-(a_k - a_{k+r}) D(k, r, x)`` and the strip terms are one
+    product of that table with one coefficient table, and each line's own
+    terms are rounded once (:func:`~doublesine.summing._row_sums`).
+    """
+    r = check_step(r)
+    lines = np.asarray(lines)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if len(lengths) == 0:
+        return []
+    if lengths.min() < 1 or np.min(starts) < 1:
+        raise ValueError("need 1 <= n <= m")
+    width = int(lengths.max())
+    if lines.ndim != 2 or lines.shape[0] != len(lengths) or lines.shape[1] < width + r:
+        raise ValueError(f"need one line of at least {width + r} coefficients per length")
+    kernels = _kernel_table(starts, lengths, r, xs)
+    coef = np.empty(kernels.shape, dtype=lines.dtype)
+    core = coef[:, :width]
+    np.subtract(lines[:, :width], lines[:, r:width + r], out=core)
+    np.negative(core, out=core)
+    coef[:, width:width + r] = np.take_along_axis(lines, lengths[:, None] + np.arange(r), axis=1)
+    np.negative(lines[:, :r], out=coef[:, width + r:])
+    terms = np.multiply(coef, kernels,
+                        out=coef if coef.dtype == np.result_type(coef, kernels) else None)
+    return _row_sums(terms, lengths, 2 * r)
+
+
 def row_sum_by_parts(a: SingleSequence, n: int, m: int, r: int, x: float):
     """``sum_{k=n}^{m} a_k sin kx`` via the step-r summation by parts.
 
     Exact rearrangement of the direct sum; the two boundary sums have r
     terms each.  ``a`` is evaluated once, on ``n..m+r``, and the
-    differences and strips are slices of that line.  ``x`` must avoid
-    the singular abscissae of step r.
+    differences and strips are slices of that line, summed by the one-line
+    call of :func:`row_sums_by_parts`.  ``x`` must avoid the singular
+    abscissae of step r.
     """
     r = check_step(r)
     if not (1 <= n <= m):
         raise ValueError("need 1 <= n <= m")
     v = np.asarray(a.eval(_span(n, m + r)))
-    D, D_lower, D_upper = _by_parts_kernels(n, m, r, x)
-    return ksum(np.concatenate([-(v[:-r] - v[r:]) * D, v[-r:] * D_upper, -v[:r] * D_lower]))
+    return row_sums_by_parts(v[None, :], [m - n + 1], [n], r, [x])[0]
 
 
 def rect_sum_direct(c: CoefficientSequence, rect: Rect, x: float, y: float):
@@ -254,18 +336,18 @@ def kernel_bound_check(x_grid: np.ndarray, k_max: int = 512) -> KernelBoundRepor
     ks = np.arange(0, k_max + 1, dtype=np.int64)
     steps = (2, -2)
     n = xs.size
-    # denominators as _check_denominator computes them, in (step, point) order
-    sines = np.fromiter((math.sin(0.5 * sgn * x) for sgn in steps for x in xs.tolist()),
-                        dtype=np.float64, count=len(steps) * n)
-    singular = np.flatnonzero(np.abs(sines) < SINGULARITY_FLOOR)
-    if singular.size:
-        p = int(singular[0])
+    # denominators sin(r x/2) in (step, point) order, from one np.sin call; it
+    # may round otherwise than math.sin, so every one below twice the floor is
+    # checked as _check_denominator computes it, in that order
+    sines = np.sin(np.multiply.outer([0.5 * sgn for sgn in steps], xs)).reshape(-1)
+    for p in np.flatnonzero(np.abs(sines) < 2.0 * SINGULARITY_FLOOR).tolist():
         _check_denominator(steps[p // n], float(xs[p % n]))
     env = _envelope(xs)
-    # the bound 1/|2 sin| - env on each (step, point)'s slack, negated so an
+    # the bound 1/|2 sin| - env on each (step, point)'s slack, from |sin| shrunk
+    # by _SIN_MARGIN so that it bounds the math.sin bound too, negated so an
     # ascending stable sort visits it in descending order; built in place
     neg_bound = np.abs(sines, out=sines)
-    neg_bound *= 2.0
+    neg_bound *= 2.0 * _SIN_MARGIN
     np.divide(-1.0, neg_bound, out=neg_bound)
     neg_bound.reshape(len(steps), n)[:] += env
     worst, witness = -math.inf, (0, 0)

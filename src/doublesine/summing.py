@@ -33,7 +33,10 @@ are left to :func:`math.fsum` on the whole input, so NaN, infinities,
 its ``ValueError``/``OverflowError`` and the sign of zero are unchanged.
 :func:`_exact_parts` hands out those parts, so a caller can gather the
 parts of several arrays and round them once, the same float as ``ksum``
-of the arrays joined (``differences._blocked_sum``).
+of the arrays joined (``differences._blocked_sum``).  :func:`_row_sums`
+gives ``ksum`` of each row's own values in a padded table, one row at a
+time, so many short sums cost one table, not one array each
+(``kernels.row_sums_by_parts``).
 """
 
 from __future__ import annotations
@@ -134,6 +137,33 @@ def ksum(values: Iterable | np.ndarray) -> float | complex:
     if flat.dtype.kind == "c":
         return complex(_fsum(flat.real), _fsum(flat.imag))
     return _fsum(flat)
+
+
+def _row_sums(table: np.ndarray, heads, tail: int = 0) -> list:
+    """``ksum`` of each row's own values, bit for bit: row i of the 2-D
+    ``table`` holds ``heads[i]`` values from its first column and ``tail``
+    more in its last ``tail`` columns, summed in that order; the columns
+    between are padding and enter no sum, whatever they hold (even a padded
+    zero could change the sign of a zero sum).  A float64 or complex128
+    row with fewer than ``_SMALL`` own values is ``math.fsum`` of its list,
+    per component, which is what ``ksum`` computes; any other row is
+    ``ksum`` of its own values."""
+    width = table.shape[1]
+    fast = table.dtype in (np.float64, np.complex128)
+    complex_ = table.dtype == np.complex128
+    sums = []
+    for row, head in zip(table, np.asarray(heads).tolist()):
+        if not fast or head + tail >= _SMALL:
+            sums.append(ksum(row if head + tail == width
+                             else np.concatenate([row[:head], row[width - tail:]])))
+        elif complex_:
+            re, im = row.real.tolist(), row.imag.tolist()
+            sums.append(complex(math.fsum(re[:head] + re[width - tail:]),
+                                math.fsum(im[:head] + im[width - tail:])))
+        else:
+            values = row.tolist()
+            sums.append(math.fsum(values[:head] + values[width - tail:]))
+    return sums
 
 
 def _cumsum_rows(grid: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1,12 +1,24 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from doublesine import builtin, from_expression
+from doublesine import builtin, from_expression, ksum
+from doublesine.differences import _span
+from doublesine.kernels import _kernel_row
 
 # The expression twin of the oscillating preset; it factors like the preset.
 TWIN_EXPR = "(2+alternating(j))/j^2*(2+alternating(k))/k^2"
+
+
+def by_parts_twin(v, n, m, r, x):
+    """The one-line summation by parts of ``v = a_n..a_{m+r}``: three kernel
+    rows and one ``ksum`` of the core and strip terms joined."""
+    D = _kernel_row(_span(n, m), r, x)
+    D_lower = _kernel_row(_span(n, n + r - 1), -r, x)
+    D_upper = _kernel_row(_span(m + 1, m + r), -r, x)
+    return ksum(np.concatenate([-(v[:-r] - v[r:]) * D, v[-r:] * D_upper, -v[:r] * D_lower]))
 
 
 def dense_twin():

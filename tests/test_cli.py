@@ -2,21 +2,28 @@ import ast
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from doublesine import builtin, cli, from_expression, majorants
+from doublesine import builtin, cli, from_expression, ksum, majorants
 from doublesine.cli import build_parser, main
+from doublesine.differences import _SUB_BLOCK_CELLS
 
-from conftest import TWIN_EXPR
+from conftest import TWIN_EXPR, by_parts_twin
 
 # no product factorisation, so the dense scan and probe paths
 NONSEP_EXPR = "1/(j*k*(j+k))"
 # NaN at every (j, k): a negative base under a fractional power
 NAN_EXPR = "(-1)^(0.5+j-j)/(j*k)^2"
-CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "scripts" / "configs"
 OSC = ("--preset", "oscillating_quadratic")
 RECT = ("--rect", "1:4x1:4", "--x", "0.5", "--y", "0.5")
 
@@ -721,6 +728,46 @@ class TestVerifyIdentities:
         checks = load_json(tmp_path, "verify-identities.json")["results"]["checks"]
         assert checks == self.SHIPPED_CHECKS
 
+    CHUNK = _SUB_BLOCK_CELLS // cli._MAX_ROW_LENGTH
+
+    @staticmethod
+    def row_cases_one_by_one(rng, cases):
+        """The row check case by case: each case drawn, then summed directly
+        and by parts on its own."""
+        for _ in range(cases):
+            r = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 21))
+            m = n + int(rng.integers(1, 65)) - 1
+            values = rng.uniform(-1.0, 1.0, size=m + r)
+            x = cli._sample_x(rng, r)
+            k = np.arange(n, m + 1, dtype=np.int64)
+            direct = float(ksum(values[k - 1] * np.sin(k * x)))
+            parts = float(by_parts_twin(values[n - 1:], n, m, r, x))
+            yield direct, parts, {"r": r, "n": n, "m": m, "x": x}
+
+    @pytest.mark.parametrize("cases", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_chunked_rows_are_the_case_by_case_rows(self, cases):
+        chunked, one_by_one = np.random.default_rng(11), np.random.default_rng(11)
+        got = list(cli._row_results(chunked, cases))
+        want = list(self.row_cases_one_by_one(one_by_one, cases))
+        # floats compare by bits through their hex form; the draws leave the
+        # generator where the case-by-case loop leaves it
+        assert [(d.hex(), p.hex(), w) for d, p, w in got] == \
+            [(d.hex(), p.hex(), w) for d, p, w in want]
+        assert chunked.bit_generator.state == one_by_one.bit_generator.state
+
+    def test_row_check_memory_does_not_grow_with_cases(self):
+        def peak(cases):
+            tracemalloc.start()
+            try:
+                cli._identity_row_sums(np.random.default_rng(0), cases, 1e-9)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # warm caches
+        assert peak(20_000) <= 1.1 * peak(2_000)
+
     def test_negative_k_max_is_two(self, tmp_path, capsys):
         assert run(tmp_path, "verify-identities", "--cases-1d", "2", "--cases-2d", "1",
                    "--delta-grid", "4", "--kernel-points", "4", "--k-max", "-1") == 2
@@ -907,6 +954,47 @@ class TestHelp:
             for key in keys:
                 flag = flags.get(key, "--" + key.replace("_", "-"))
                 assert listed_under[flag] == f"[{section}]", flag
+
+
+class TestHeldWarnings:
+    """numpy's RuntimeWarnings reach stderr unless the run is refused.  Runs
+    go to a subprocess, since pytest records warnings in process."""
+
+    OVERFLOW = "<sequence-expression>:1: RuntimeWarning: overflow encountered in power\n"
+    # finite sums, but (j k)^400 overflows on the way
+    WARNS = ("partial-sum", "--expr", "1/(1+(j*k)^400)", "--rect", "1:10x1:10",
+             "--x", "0.5", "--y", "0.7")
+
+    @staticmethod
+    def cli(tmp_path, *argv, flags=()):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        return subprocess.run([sys.executable, *flags, "-m", "doublesine.cli", *argv,
+                               "--out-dir", str(tmp_path)],
+                              capture_output=True, text=True, env=env, check=False)
+
+    @pytest.mark.parametrize("argv, error", [
+        (("partial-sum", "--expr", NAN_EXPR, "--rect", "1:10x1:10", "--x", "0.5", "--y", "0.7"),
+         "error: direct rectangle sum is nan, not finite\n"),
+        (("check-class", "--expr", NAN_EXPR, "--r", "2", "--family", "three",
+          "--grid", "dyadic:8", "--sup-horizon", "64"),
+         "error: row left-hand side at (m, n) = (2, 2) is nan, not finite\n"),
+        (("condition-22", "--expr", "j^400*k", "--expect", "decaying"),
+         "error: anti-diagonal maximum T(8) is inf, not finite\n"),
+    ], ids=["partial-sum", "check-class", "condition-22"])
+    def test_refused_run_prints_one_line(self, tmp_path, argv, error):
+        done = self.cli(tmp_path, *argv)
+        assert (done.returncode, done.stderr) == (2, error)
+
+    @pytest.mark.parametrize("extra, status", [((), 0), (("--tol", "0"), 1)])
+    def test_other_runs_keep_their_warnings(self, tmp_path, extra, status):
+        done = self.cli(tmp_path, *self.WARNS, *extra)
+        assert (done.returncode, done.stderr) == (status, 2 * self.OVERFLOW)
+
+    def test_warnings_as_errors_still_fail(self, tmp_path):
+        done = self.cli(tmp_path, *self.WARNS, flags=("-W", "error"))
+        assert done.returncode == 3
+        assert done.stderr.endswith("RuntimeWarning: overflow encountered in power\n")
 
 
 class TestExitContract:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -22,12 +23,15 @@ from doublesine import (
     rect_sum_parts,
     rect_sum_separable,
     row_sum_by_parts,
+    row_sums_by_parts,
     single_from_values,
 )
-from doublesine import differences
-from doublesine.kernels import _envelope, _kernel_row
+from doublesine import differences, kernels, summing
+from doublesine.differences import _span
+from doublesine.kernels import SINGULARITY_FLOOR, _envelope, _kernel_row
+from doublesine.summing import _SMALL
 
-from conftest import dense_twin
+from conftest import by_parts_twin, dense_twin
 
 
 def safe_x(rng: np.random.Generator, r: int, gap: float = 0.05) -> float:
@@ -141,6 +145,145 @@ class TestRowSumByParts:
         a = single_from_values("a", np.ones(8))
         with pytest.raises(ValueError, match="need 1 <= n <= m"):
             row_sum_by_parts(a, 5, 4, 2, 0.7)
+
+
+def bits(z):
+    """The type and float64 bits of a float, or of both parts of a complex."""
+    parts = (z.real, z.imag) if isinstance(z, complex) else (z,)
+    return type(z), struct.pack(f"<{len(parts)}d", *parts)
+
+
+def outcome(f, *args):
+    """``("sums", bits)`` of what ``f`` returns (one sum or a list of them),
+    or ``("refused", type, message)`` of the ValueError or OverflowError it
+    raises; numpy's floating-point warnings are silenced."""
+    try:
+        with np.errstate(all="ignore"):
+            got = f(*args)
+    except (ValueError, OverflowError) as exc:
+        return "refused", type(exc), str(exc)
+    return "sums", [bits(z) for z in got] if isinstance(got, list) else bits(got)
+
+
+def padded_lines(lines, fill, dtype):
+    """The lines left-aligned in one table, the rest of each row ``fill``."""
+    table = np.full((len(lines), max(map(len, lines))), fill, dtype=dtype)
+    for row, line in zip(table, lines):
+        row[:len(line)] = line
+    return table
+
+
+LINE_KINDS = ("uniform", "zeros", "negative_zeros", "nan", "special", "huge")
+
+
+def drawn_line(rng, length, kind, complex_):
+    """``length`` random values of one of ``LINE_KINDS``: uniform in (-1, 1),
+    signed zeros, all -0.0, one NaN, two of NaN/+-inf, or scaled by 1e300."""
+    shape = (length,)
+    v = rng.uniform(-1.0, 1.0, shape)
+    if complex_:
+        v = v + 1j * rng.uniform(-1.0, 1.0, shape)
+    if kind == "zeros":
+        v = np.where(rng.random(shape) < 0.5, -0.0, 0.0) * (1 + 0j if complex_ else 1.0)
+    elif kind == "negative_zeros":
+        v = np.full(shape, -0.0 - 0.0j if complex_ else -0.0)
+    elif kind == "nan":
+        v[rng.integers(0, length)] = math.nan
+    elif kind == "special":
+        picks = rng.integers(0, length, size=2)
+        v[picks] = rng.choice([math.nan, math.inf, -math.inf], size=2)
+    elif kind == "huge":
+        v *= 1e300
+    return v
+
+
+class TestRowSumsByParts:
+    """The batch form equals the one-line summation by parts bit for bit."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 6),
+           st.booleans(), st.sampled_from([0.0, -0.0, 1.0, 1e300]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_line_twin(self, seed, r, cases, complex_, fill):
+        rng = np.random.default_rng(seed)
+        lengths = [int(rng.choice([rng.integers(1, 40), rng.integers(_SMALL - 30, 700)]))
+                   for _ in range(cases)]
+        starts = [int(rng.integers(1, 30)) for _ in range(cases)]
+        kinds = [LINE_KINDS[int(rng.integers(len(LINE_KINDS)))] for _ in range(cases)]
+        xs = [safe_x(rng, r) for _ in range(cases)]
+        lines = [drawn_line(rng, length + r, kind, complex_)
+                 for length, kind in zip(lengths, kinds)]
+        table = padded_lines(lines, fill, np.complex128 if complex_ else np.float64)
+        twins = [outcome(by_parts_twin, v, n, n + length - 1, r, x)
+                 for v, n, length, x in zip(lines, starts, lengths, xs)]
+        refused = [twin for twin in twins if twin[0] == "refused"]
+        got = outcome(row_sums_by_parts, table, lengths, starts, r, xs)
+        # a refusal (fsum's -inf + inf, or its overflow) is the first line's
+        assert got == (refused[0] if refused else ("sums", [twin[1] for twin in twins]))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_mixed_lengths_and_signed_zeros(self, r, complex_):
+        # n == m, both sides of _SMALL, all-zero lines with -0.0, NaN
+        rng = np.random.default_rng(r)
+        lengths = [1, 1, 7, 3, _SMALL - 2 * r - 1, _SMALL - 2 * r, 700, 64, 5, 2]
+        kinds = ["negative_zeros", "uniform", "zeros", "negative_zeros", "uniform",
+                 "negative_zeros", "nan", "huge", "nan", "uniform"]
+        starts = list(range(1, 1 + 3 * len(lengths), 3))
+        xs = [safe_x(rng, r) for _ in lengths]
+        lines = [drawn_line(rng, length + r, kind, complex_)
+                 for length, kind in zip(lengths, kinds)]
+        table = padded_lines(lines, 1.0, np.complex128 if complex_ else np.float64)
+        twins = [outcome(by_parts_twin, v, n, n + length - 1, r, x)
+                 for v, n, length, x in zip(lines, starts, lengths, xs)]
+        assert all(twin[0] == "sums" for twin in twins)
+        assert outcome(row_sums_by_parts, table, lengths, starts, r, xs) == (
+            "sums", [twin[1] for twin in twins])
+
+    def test_refusal_is_the_first_refused_lines(self):
+        # fsum refuses -inf + inf and an intermediate overflow; the batch
+        # refuses as the first refused line does, whatever the order
+        lines = [np.array([1.0, 2.0, 3.0]), np.array([math.inf, 0.0, -math.inf]),
+                 np.array([1e308, 1.5e308, 0.0]), np.array([math.nan, 0.0, math.inf])]
+        twins = [outcome(by_parts_twin, v, 1, 2, 1, 1.0) for v in lines]
+        assert {twin[1] for twin in twins if twin[0] == "refused"} == {ValueError, OverflowError}
+        for order in itertools.permutations(range(len(lines))):
+            first = next(twins[i] for i in order if twins[i][0] == "refused")
+            got = outcome(row_sums_by_parts, np.array([lines[i] for i in order]), [2] * 4,
+                          [1] * 4, 1, [1.0] * 4)
+            assert got == first
+
+    def test_long_lines_take_the_extraction(self, monkeypatch):
+        # _SMALL own terms or more: ksum's blockwise extraction, not one fsum
+        extracted, real = [], summing._extracted_parts
+        monkeypatch.setattr(summing, "_extracted_parts",
+                            lambda flat: extracted.append(len(flat)) or real(flat))
+        r, lengths = 2, [_SMALL - 4, 5, _SMALL - 5, 700]
+        lines = np.random.default_rng(8).uniform(-1.0, 1.0, (len(lengths), 700 + r))
+        row_sums_by_parts(lines, lengths, [1] * 4, r, [0.9] * 4)
+        assert extracted == [_SMALL, 700 + 2 * r]
+
+    def test_one_line_call(self):
+        a = single_from_values("a", np.random.default_rng(3).uniform(-1.0, 1.0, 40))
+        for n, m, r, x in ((1, 1, 1, 0.3), (4, 30, 3, 2.9), (2, 36, 4, 1.1)):
+            v = np.asarray(a.eval(_span(n, m + r)))
+            assert bits(row_sum_by_parts(a, n, m, r, x)) == bits(by_parts_twin(v, n, m, r, x))
+
+    def test_first_singular_line_is_reported(self):
+        lines = np.ones((3, 8))
+        with pytest.raises(SingularityError) as expected:
+            row_sum_by_parts(single_from_values("a", np.ones(8)), 1, 4, 3, 2.0 * math.pi / 3.0)
+        with pytest.raises(SingularityError) as got:
+            row_sums_by_parts(lines, [4, 4, 4], [1, 1, 1], 3,
+                              [0.5, 2.0 * math.pi / 3.0, 1e-13])
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("lengths, starts", [([0], [1]), ([3], [0]), ([6], [1])])
+    def test_bad_lines_refused(self, lengths, starts):
+        with pytest.raises(ValueError):
+            row_sums_by_parts(np.ones((1, 7)), lengths, starts, 2, [0.5])
+
+    def test_no_lines(self):
+        assert row_sums_by_parts(np.ones((0, 3)), [], [], 2, []) == []
 
 
 class TestRectSums:
@@ -276,6 +419,62 @@ class TestKernelBoundOracle:
             kernel_bound_check(grid, k_max=4)
         assert str(got.value) == str(expected.value)
         assert "1e-13" in str(got.value)
+
+
+def nudged_sin(ulps):
+    """``np.sin`` moved ``ulps[i % len(ulps)]`` floats up (or down) at entry i."""
+    sin = np.sin
+
+    def nudged(x):
+        out = np.array(sin(x), dtype=np.float64)
+        steps = np.resize(np.asarray(ulps), out.size).reshape(out.shape)
+        for _ in range(max(abs(u) for u in ulps)):
+            move = steps != 0
+            out[move] = np.nextafter(out[move], np.where(steps > 0, math.inf, -math.inf)[move])
+            steps = steps - np.sign(steps)
+        return out
+
+    return nudged
+
+
+class TestKernelBoundSines:
+    """The pruning bound takes np.sin, which may round otherwise than the
+    math.sin of the kernel rows: within 2 ulps of it, reports and refusals
+    do not change."""
+
+    GRIDS = {
+        "shipped": np.concatenate([np.linspace(0.0, 0.5 * math.pi, 10002)[1:-1],
+                                   np.linspace(0.5 * math.pi, math.pi, 10002)[1:-1]]),
+        "rounded": np.clip(np.round(np.random.default_rng(5).uniform(1e-3, 3.1, 40), 1),
+                           0.1, 3.1),
+        "mirrored": np.concatenate([[0.2, 1.0, 1.5], math.pi - np.array([0.2, 1.0, 1.5])]),
+        "repeated": np.array([0.3, 2.9, 0.3, 0.3, 2.9]),
+        "one_point": np.array([math.pi / 2]),
+        "near_floor": np.array([0.7, 1.5e-12, 1.9e-12, math.pi - 1.5e-12]),
+        "singular": np.array([1.0, 2.0, 1e-13, 3e-13]),
+        "singular_mirror": np.array([1.0, math.pi - 1e-13, 1e-13]),
+        # sin x = x, one float below the floor
+        "singular_edge": np.array([0.5, np.nextafter(SINGULARITY_FLOOR, 0.0)]),
+    }
+
+    @staticmethod
+    def outcome(grid, k_max):
+        try:
+            return report_tuple(kernel_bound_check(grid, k_max=k_max))
+        except SingularityError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("ulps", [(2,), (-2,), (2, -2), (-1, 0, 1, 2, -2)],
+                             ids=["up", "down", "alternating", "mixed"])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_same_outcome(self, monkeypatch, grid, ulps):
+        k_max = 512 if grid == "shipped" else 7
+        xs = self.GRIDS[grid]
+        want = self.outcome(xs, k_max)
+        if grid.startswith("singular"):
+            assert want.startswith("kernel step")
+        monkeypatch.setattr(kernels.np, "sin", nudged_sin(ulps))
+        assert self.outcome(xs, k_max) == want
 
 
 class TestRectSumDirectOracle:

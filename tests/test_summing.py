@@ -205,6 +205,25 @@ class TestKsumDtypes:
         assert bits(ksum(view)) == bits(math.fsum(view.tolist()))
 
 
+class TestRowSums:
+    """``_row_sums`` is ``ksum`` of each row's own values, padding left out."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.longdouble])
+    @pytest.mark.parametrize("tail", [0, 3])
+    def test_each_row_is_ksum_of_its_own_values(self, dtype, tail):
+        rng = np.random.default_rng(9)
+        heads = [1, 5, SMALL - tail - 1, SMALL - tail, 700]
+        table = rng.standard_normal((len(heads), 700 + tail + 4)).astype(dtype)
+        if np.dtype(dtype).kind == "c":
+            table += 1j * rng.standard_normal(table.shape)
+        table[1, :5] = -0.0
+        table[1, table.shape[1] - tail:] = -0.0
+        width = table.shape[1]
+        want = [ksum(np.concatenate([row[:h], row[width - tail:]])) for row, h in zip(table, heads)]
+        got = summing._row_sums(table, heads, tail)
+        assert [(type(z), repr(z)) for z in got] == [(type(z), repr(z)) for z in want]
+
+
 class TestCumsumRows:
     @pytest.mark.parametrize("shape", ((0, 40), (1, 40), (7, 1), (300, 5),
                                        (300, summing._MIN_ROW_CARRY_WIDTH), (257, 513)))
