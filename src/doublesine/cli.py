@@ -1,4 +1,4 @@
-"""Command line front end: config-driven experiments with JSON/CSV reports.
+"""Command line front end: library results shaped into JSON/CSV reports.
 
 Every subcommand resolves its options from three layers with strict
 precedence: explicit command line flags, then an INI config file, then
@@ -36,8 +36,6 @@ import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .convergence import (
     EtaCapError,
     ProbeConfig,
@@ -48,21 +46,14 @@ from .convergence import (
     lemma1_quantity,
     lemma2_quantities,
     lemma3_check,
+    remark2_cross_checks,
     remark2_divergence,
     theorem7_bound_check,
     uniform_tail_trace,
     _check_probe_rule,
-    _remark2_squares,
 )
-from .differences import _SUB_BLOCK_CELLS, _doublings, delta_r, delta_rr
-from .kernels import (
-    Rect,
-    kernel_bound_check,
-    rect_sum_direct,
-    rect_sum_parts,
-    rect_sum_separable,
-    row_sums_by_parts,
-)
+from .differences import _doublings
+from .kernels import Rect, rect_sum_direct, rect_sum_parts, rect_sum_separable, verify_identities
 from .majorants import Axis, DoubleScanTable, Family, MajorantFamily
 from .membership import (
     SingleClass,
@@ -79,12 +70,9 @@ from .sequences import (
     SingleSequence,
     builtin,
     from_expression,
-    from_table,
     parse_sequence_file,
     single_from_expression,
-    single_from_values,
 )
-from .summing import _row_sums
 
 __all__ = ["main"]
 
@@ -329,8 +317,8 @@ def _unexpected(verdict: Verdict, expect: str | None) -> bool:
 
 
 # --- subcommand handlers ------------------------------------------------------
-# Each returns (results dict, csv header+rows or None, witness lines); the
-# run passes when there is no witness.
+# Each shapes what the library returns, computing nothing, into (results dict,
+# csv header+rows or None, witness lines); the run passes when there is no witness.
 
 def _run_check_class(args):
     if args.single_class is not None:
@@ -658,21 +646,12 @@ def _run_remark2(args):
         witness.append(f"divergence run verdict {report.verdict.value!r}; values "
                        f"{list(report.values)} vs lower bounds "
                        f"{list(report.reference_values or ())}")
-    cross_checks = []
-    c, x0, squares = _remark2_squares(report.schedule)
-    for M, square, product_value in zip(report.schedule, squares, report.values):
-        if M > args.cross_check_max:
-            continue
-        direct = float(rect_sum_direct(c, square, x0, x0))
-        err = abs(direct - product_value)
-        limit = args.cross_check_tol * (1.0 + abs(direct))
-        cross_checks.append({"scale": M, "direct": direct,
-                             "product": product_value, "abs_diff": err})
-        if err > limit:
-            witness.append(f"direct vs factored mismatch at scale {M}: "
-                           f"{direct!r} vs {product_value!r} (diff {err!r})")
+    name, x0, cross_checks, mismatches = remark2_cross_checks(
+        report, args.cross_check_max, args.cross_check_tol)
+    witness += [f"direct vs factored mismatch at scale {check['scale']}: {check['direct']!r} "
+                f"vs {check['product']!r} (diff {check['abs_diff']!r})" for check in mismatches]
     results = {
-        "sequence": c.name,
+        "sequence": name,
         "x": x0,
         "y": x0,
         "schedule": report.schedule,
@@ -686,167 +665,11 @@ def _run_remark2(args):
     return results, (header, rows), witness
 
 
-# --- randomized identity checks ----------------------------------------------
-
-_SAFETY_GAP = 0.05  # stay this far from singular abscissae when sampling x
-
-
-def _sample_x(rng: np.random.Generator, r: int) -> float:
-    """Uniform x in (gap, pi - gap), rejecting singular bands of step r."""
-    while True:
-        x = float(rng.uniform(_SAFETY_GAP, math.pi - _SAFETY_GAP))
-        singular = (abs(x - 2.0 * l * math.pi / r) < _SAFETY_GAP
-                    for l in range(0, r + 1))
-        if not any(singular):
-            return x
-
-
-def _by_parts_check(results, tol: float):
-    """Worst relative error over ``(direct, by_parts, where)`` results in case order."""
-    worst, worst_case, cases, failures = 0.0, None, 0, 0
-    for i, (direct, parts, where) in enumerate(results):
-        cases += 1
-        rel = abs(parts - direct) / (1.0 + abs(direct))
-        if rel > worst:
-            worst, worst_case = rel, {"case": i, **where}
-        if rel > tol:
-            failures += 1
-    return ({"cases": cases, "failures": failures, "worst_rel_err": worst,
-             "worst_case": worst_case, "tolerance": tol}, cases, worst)
-
-
-# the longest row a case draws; a chunk of cases holds about _SUB_BLOCK_CELLS values
-_MAX_ROW_LENGTH = 64
-
-
-def _draw_row_case(rng: np.random.Generator):
-    """One random row case ``(r, n, m, values, x)``: ``values`` holds ``a_1..a_{m+r}``."""
-    r = int(rng.integers(1, 4))
-    n = int(rng.integers(1, 21))
-    length = int(rng.integers(1, _MAX_ROW_LENGTH + 1))
-    m = n + length - 1
-    values = rng.uniform(-1.0, 1.0, size=m + r)
-    return r, n, m, values, _sample_x(rng, r)
-
-
-def _row_results(rng: np.random.Generator, cases: int):
-    """``(direct, by_parts, where)`` of each random row case, in case order.
-
-    The cases are drawn in chunks of about ``_SUB_BLOCK_CELLS`` values, in
-    the order a case-by-case loop draws them, and each chunk is checked
-    one step r at a time: a table of every line of that step, one
-    :func:`row_sums_by_parts` call and one table of direct terms
-    ``a_k sin(k x)``, each case's own terms rounded once.
-    """
-    chunk = _SUB_BLOCK_CELLS // _MAX_ROW_LENGTH
-    for first in range(0, cases, chunk):
-        drawn = [_draw_row_case(rng) for _ in range(min(chunk, cases - first))]
-        results = [None] * len(drawn)
-        for r in sorted({case[0] for case in drawn}):
-            ids = [i for i, case in enumerate(drawn) if case[0] == r]
-            _, ns, ms, values, xs = zip(*(drawn[i] for i in ids))
-            starts = np.array(ns, dtype=np.int64)
-            lengths = np.array(ms, dtype=np.int64) - starts + 1
-            width = int(lengths.max())
-            lines = np.zeros((len(ids), width + r))
-            for line, n, v in zip(lines, ns, values):
-                line[:len(v) - n + 1] = v[n - 1:]
-            orders = starts[:, None] + np.arange(width)
-            direct = _row_sums(lines[:, :width] * np.sin(orders * np.array(xs)[:, None]), lengths)
-            parts = row_sums_by_parts(lines, lengths, starts, r, xs)
-            for i, n, m, x, d, p in zip(ids, ns, ms, xs, direct, parts):
-                results[i] = (d, p, {"r": r, "n": n, "m": m, "x": x})
-        yield from results
-
-
-def _identity_row_sums(rng: np.random.Generator, cases: int, tol: float):
-    return _by_parts_check(_row_results(rng, cases), tol)
-
-
-def _identity_rect_sums(rng: np.random.Generator, cases: int, size: int, tol: float):
-    def draw(i):
-        table = rng.uniform(-1.0, 1.0, size=(size, size)) \
-            + 1j * rng.uniform(-1.0, 1.0, size=(size, size))
-        c = from_table(f"table{i}", table)
-        m = int(rng.integers(1, size // 2))
-        M = int(rng.integers(m, size + 1))
-        n = int(rng.integers(1, size // 2))
-        N = int(rng.integers(n, size + 1))
-        rect = Rect(m, M, n, N)
-        x, y = _sample_x(rng, 2), _sample_x(rng, 2)
-        return (rect_sum_direct(c, rect, x, y), rect_sum_parts(c, rect, x, y, r=2),
-                {"rect": [m, M, n, N], "x": x, "y": y})
-    return _by_parts_check((draw(i) for i in range(cases)), tol)
-
-
-def _identity_differences(rng: np.random.Generator, grid: int):
-    """Exactness of the step-2 difference decompositions on a random table."""
-    table = rng.standard_normal((grid + 2, grid + 2))
-    c = from_table("delta", table)
-    j = np.arange(1, grid + 1, dtype=np.int64)[:, None]
-    k = np.arange(1, grid + 1, dtype=np.int64)[None, :]
-    eps = float(np.finfo(np.float64).eps)
-    d22 = np.asarray(delta_rr(c, 2, j, k))
-    # the four step-1 pieces d11(j + dj, k + dk), dj, dk in {0, 1}, are slices
-    # of one table on the (grid + 1)^2 square; recon sums them left to right
-    d11 = np.asarray(delta_rr(c, 1, np.arange(1, grid + 2, dtype=np.int64)[:, None],
-                              np.arange(1, grid + 2, dtype=np.int64)[None, :]))
-    pieces = [d11[dj:dj + grid, dk:dk + grid] for dj, dk in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    recon, scale_22 = pieces[0].copy(), np.ones_like(d22)
-    for piece in pieces:
-        np.maximum(scale_22, np.abs(piece), out=scale_22)
-    for piece in pieces[1:]:
-        recon += piece
-    np.subtract(d22, recon, out=recon)
-    err_22 = float(np.max(np.abs(recon, out=recon) / scale_22))
-
-    a_vals = rng.standard_normal(grid + 2)
-    a = single_from_values("delta1", a_vals)
-    kk = np.arange(1, grid + 1, dtype=np.int64)
-    d2 = np.asarray(delta_r(a, 2, kk))
-    d1 = np.asarray(delta_r(a, 1, np.arange(1, grid + 2, dtype=np.int64)))
-    recon1 = d1[:-1] + d1[1:]
-    scale_2 = np.maximum(1.0, np.maximum(np.abs(d1[:-1]), np.abs(d1[1:])))
-    err_2 = float(np.max(np.abs(d2 - recon1) / scale_2))
-    limit = 8.0 * eps
-    return ({"grid": grid, "worst_mixed_err": err_22, "worst_single_err": err_2,
-             "tolerance": limit, "failures": int(err_22 > limit) + int(err_2 > limit)},
-            d22.size + d2.size, max(err_22, err_2))
-
-
-def _identity_kernel_bounds(points: int, k_max: int):
-    left = np.linspace(0.0, 0.5 * math.pi, points + 2)[1:-1]
-    right = np.linspace(0.5 * math.pi, math.pi, points + 2)[1:-1]
-    report = kernel_bound_check(np.concatenate([left, right]), k_max=k_max)
-    return ({"points": 2 * points, "k_max": k_max,
-             "worst_slack": report.worst_slack,
-             "witness": {"x": report.witness_x, "k": report.witness_k,
-                         "r": report.witness_r},
-             "failures": int(report.worst_slack > 0.0)},
-            2 * report.n_points * (report.k_max + 1), report.worst_slack)
-
-
-def _identity_sine_parity(k_max: int):
-    xs = np.linspace(0.0, math.pi, 101)[1:-1]
-    j = np.arange(1, k_max + 1, dtype=np.float64)[:, None]
-    lhs = np.sin(j * (math.pi - xs[None, :]))
-    rhs_val = ((-1.0) ** (j + 1.0)) * np.sin(j * xs[None, :])
-    worst = float(np.max(np.abs(lhs - rhs_val)))
-    tol = 1e-11 * k_max
-    return ({"k_max": k_max, "worst_abs_err": worst, "tolerance": tol,
-             "failures": int(worst > tol)}, lhs.size, worst)
-
-
 def _run_verify_identities(args):
-    rng = np.random.default_rng(args.seed)
-    checks = {
-        "row_sum_by_parts": _identity_row_sums(rng, args.cases_1d, args.tol),
-        "rect_sum_by_parts": _identity_rect_sums(rng, args.cases_2d,
-                                                 args.table_size, args.tol),
-        "difference_decompositions": _identity_differences(rng, args.delta_grid),
-        "kernel_envelope": _identity_kernel_bounds(args.kernel_points, args.k_max),
-        "sine_parity": _identity_sine_parity(args.k_max),
-    }
+    checks = verify_identities(args.seed, cases_1d=args.cases_1d, cases_2d=args.cases_2d,
+                               table_size=args.table_size, delta_grid=args.delta_grid,
+                               kernel_points=args.kernel_points, k_max=args.k_max,
+                               tol=args.tol)
     results = {"seed": args.seed,
                "checks": {name: entry for name, (entry, _, _) in checks.items()}}
     witness = [f"{name}: {entry['failures']} failure(s); detail {entry}"

@@ -39,8 +39,7 @@ import numpy as np
 
 from .differences import (_SUB_BLOCK_CELLS, _blocked_sum, _doublings, _span, _steps,
                           _sub_blocks, delta_r0_grid)
-# rect_sum_direct is unused here; bench/test_bench.py reads it in this namespace
-from .kernels import Rect, rect_sum_direct, rect_sum_separable  # noqa: F401
+from .kernels import Rect, rect_sum_direct, rect_sum_separable
 from .majorants import (DoubleScanTable, Measurement, _check_horizon, _dense_cap, _rect_abs_sum,
                         _scan_table, _sup_measurement, compile_b)
 from .sequences import CoefficientSequence, SingleSequence, builtin
@@ -68,6 +67,7 @@ __all__ = [
     "Theorem7Result",
     "theorem7_bound_check",
     "remark2_divergence",
+    "remark2_cross_checks",
 ]
 
 _MAX_GENERIC_CELLS = 5 * 10**7
@@ -948,3 +948,20 @@ def remark2_divergence(schedule: tuple[int, ...] = (10, 100, 1000, 10000)) -> Ta
                       fit=loglog_slope(schedule, values),
                       bounded=tuple(True for _ in schedule),
                       reference_values=tuple(bounds))
+
+
+def remark2_cross_checks(report: TailReport, max_scale: int, tol: float):
+    """Direct double sums against :func:`remark2_divergence`'s factored ones
+    at each scale up to ``max_scale``: the preset's name, ``x = y``, one entry
+    per scale checked, and the entries off by more than ``tol (1 + |direct|)``."""
+    c, x0, squares = _remark2_squares(report.schedule)
+    checks, mismatches = [], []
+    for M, square, product_value in zip(report.schedule, squares, report.values):
+        if M > max_scale:
+            continue
+        direct = float(rect_sum_direct(c, square, x0, x0))
+        err = abs(direct - product_value)
+        checks.append({"scale": M, "direct": direct, "product": product_value, "abs_diff": err})
+        if err > tol * (1.0 + abs(direct)):
+            mismatches.append(checks[-1])
+    return c.name, x0, checks, mismatches

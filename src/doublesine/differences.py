@@ -12,22 +12,22 @@ For a double sequence ``c`` the three operators are
                           =  c_{jk} - c_{j+r,k} - c_{j,k+r} + c_{j+r,k+r}.
 
 The pointwise operators above are the public reference, evaluating the
-sequence once per term (index arguments broadcast; nothing is cached,
-no cancellation guard): tests compare the table forms against them and
-the CLI identity sweep checks their decompositions.  Library code reads
-every difference from one evaluation of the sequence on the span
-widened by the step, slicing the shifted terms out of it in the
-pointwise operators' order, so for an evaluator that acts elementwise
-the values are the same bit for bit: :func:`_steps` (``|v_i - v_{i+r}|``
-along a line) and :func:`_variation` (their exactly rounded sum),
-:func:`_mixed` (on a table), and :func:`delta_rr_grid` and
-:func:`delta_r0_grid`, which rectangle scans call once per sub-block.  A rectangle is read in
-sub-blocks of about ``_SUB_BLOCK_CELLS`` cells (:func:`_sub_blocks`),
-which bound the working set and change no bit.  Every dense rectangle
-sum (block differences, lemma 1, the dense family-ONE and lemma 3
-windows) and the lemma factor sums of ``|d2 a|`` are one
-:func:`_blocked_sum`: the exactly rounded sum of the whole rectangle,
-the same float as one ``ksum`` of it.
+sequence once per term (index arguments broadcast; nothing is cached, no
+cancellation guard): tests compare the table forms against them and
+:func:`_identity_differences` checks their decompositions for the identity
+sweep.  Library code reads every difference from one evaluation of the
+sequence on the span widened by the step, slicing the shifted terms out
+of it in the pointwise operators' order, so for an evaluator that acts
+elementwise the values are the same bit for bit: :func:`_steps`
+(``|v_i - v_{i+r}|`` along a line) and :func:`_variation` (their exactly
+rounded sum), :func:`_mixed` (on a table), and :func:`delta_rr_grid` and
+:func:`delta_r0_grid`, which rectangle scans call once per sub-block.  A
+rectangle is read in sub-blocks of about ``_SUB_BLOCK_CELLS`` cells
+(:func:`_sub_blocks`), which bound the working set and change no bit.
+Every dense rectangle sum (block differences, lemma 1, the dense
+family-ONE and lemma 3 windows) and the lemma factor sums of ``|d2 a|``
+are one :func:`_blocked_sum`: the exactly rounded sum of the whole
+rectangle, the same float as one ``ksum`` of it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .sequences import CoefficientSequence, SingleSequence
+from .sequences import CoefficientSequence, SingleSequence, from_table, single_from_values
 from .summing import _exact_parts, ksum
 
 __all__ = ["check_step", "delta_r", "delta_r0", "delta_0r", "delta_rr",
@@ -161,3 +161,38 @@ def delta_r0_grid(c: CoefficientSequence, r: int, j0: int, j1: int, k0: int, k1:
     r = check_step(r)
     t = c.eval(_span(j0, j1 + r)[:, None], _span(k0, k1)[None, :])
     return t[:-r] - t[r:]
+
+
+def _identity_differences(rng: np.random.Generator, grid: int):
+    """Exactness of the step-2 difference decompositions on a random table."""
+    table = rng.standard_normal((grid + 2, grid + 2))
+    c = from_table("delta", table)
+    j = np.arange(1, grid + 1, dtype=np.int64)[:, None]
+    k = np.arange(1, grid + 1, dtype=np.int64)[None, :]
+    eps = float(np.finfo(np.float64).eps)
+    d22 = np.asarray(delta_rr(c, 2, j, k))
+    # the four step-1 pieces d11(j + dj, k + dk), dj, dk in {0, 1}, are slices
+    # of one table on the (grid + 1)^2 square; recon sums them left to right
+    d11 = np.asarray(delta_rr(c, 1, np.arange(1, grid + 2, dtype=np.int64)[:, None],
+                              np.arange(1, grid + 2, dtype=np.int64)[None, :]))
+    pieces = [d11[dj:dj + grid, dk:dk + grid] for dj, dk in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    recon, scale_22 = pieces[0].copy(), np.ones_like(d22)
+    for piece in pieces:
+        np.maximum(scale_22, np.abs(piece), out=scale_22)
+    for piece in pieces[1:]:
+        recon += piece
+    np.subtract(d22, recon, out=recon)
+    err_22 = float(np.max(np.abs(recon, out=recon) / scale_22, initial=0.0))
+
+    a_vals = rng.standard_normal(grid + 2)
+    a = single_from_values("delta1", a_vals)
+    kk = np.arange(1, grid + 1, dtype=np.int64)
+    d2 = np.asarray(delta_r(a, 2, kk))
+    d1 = np.asarray(delta_r(a, 1, np.arange(1, grid + 2, dtype=np.int64)))
+    recon1 = d1[:-1] + d1[1:]
+    scale_2 = np.maximum(1.0, np.maximum(np.abs(d1[:-1]), np.abs(d1[1:])))
+    err_2 = float(np.max(np.abs(d2 - recon1) / scale_2, initial=0.0))
+    limit = 8.0 * eps
+    return ({"grid": grid, "worst_mixed_err": err_22, "worst_single_err": err_2,
+             "tolerance": limit, "failures": int(err_22 > limit) + int(err_2 > limit)},
+            d22.size + d2.size, max(err_22, err_2))

@@ -47,7 +47,8 @@ twice ``SINGULARITY_FLOOR`` is checked again with ``math.sin``, in
 (step, point) order, so the refusal is the one the kernels would give.
 
 All reductions are compensated and performed in a fixed order, so
-results are reproducible bit for bit.
+results are reproducible bit for bit.  :func:`verify_identities` checks
+these identities on seeded random draws, and the envelope and sine parity.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differences import _mixed, _span, _sub_blocks, check_step
-from .sequences import CoefficientSequence, SingleSequence
+from .differences import (_SUB_BLOCK_CELLS, _identity_differences, _mixed, _span, _sub_blocks,
+                          check_step)
+from .sequences import CoefficientSequence, SingleSequence, from_table
 from .summing import _row_sums, ksum
 
 __all__ = [
@@ -74,6 +76,7 @@ __all__ = [
     "rect_sum_parts",
     "kernel_bound_check",
     "KernelBoundReport",
+    "verify_identities",
 ]
 
 SINGULARITY_FLOOR = 1e-12
@@ -363,3 +366,136 @@ def kernel_bound_check(x_grid: np.ndarray, k_max: int = 512) -> KernelBoundRepor
     return KernelBoundReport(worst_slack=worst, witness_x=float(xs[p % n]),
                              witness_k=int(ks[idx]), witness_r=steps[p // n],
                              n_points=n, k_max=int(k_max))
+
+
+# --- randomized identity checks ----------------------------------------------
+
+_SAFETY_GAP = 0.05  # stay this far from singular abscissae when sampling x
+
+
+def _sample_x(rng: np.random.Generator, r: int) -> float:
+    """Uniform x in (gap, pi - gap), rejecting singular bands of step r."""
+    while True:
+        x = float(rng.uniform(_SAFETY_GAP, math.pi - _SAFETY_GAP))
+        singular = (abs(x - 2.0 * l * math.pi / r) < _SAFETY_GAP
+                    for l in range(0, r + 1))
+        if not any(singular):
+            return x
+
+
+def _by_parts_check(results, tol: float):
+    """Worst relative error over ``(direct, by_parts, where)`` results in case order."""
+    worst, worst_case, cases, failures = 0.0, None, 0, 0
+    for i, (direct, parts, where) in enumerate(results):
+        cases += 1
+        rel = abs(parts - direct) / (1.0 + abs(direct))
+        if rel > worst:
+            worst, worst_case = rel, {"case": i, **where}
+        if rel > tol:
+            failures += 1
+    return ({"cases": cases, "failures": failures, "worst_rel_err": worst,
+             "worst_case": worst_case, "tolerance": tol}, cases, worst)
+
+
+# the longest row a case draws; a chunk of cases holds about _SUB_BLOCK_CELLS values
+_MAX_ROW_LENGTH = 64
+
+
+def _draw_row_case(rng: np.random.Generator):
+    """One random row case ``(r, n, m, values, x)``: ``values`` holds ``a_1..a_{m+r}``."""
+    r = int(rng.integers(1, 4))
+    n = int(rng.integers(1, 21))
+    length = int(rng.integers(1, _MAX_ROW_LENGTH + 1))
+    m = n + length - 1
+    values = rng.uniform(-1.0, 1.0, size=m + r)
+    return r, n, m, values, _sample_x(rng, r)
+
+
+def _row_results(rng: np.random.Generator, cases: int):
+    """``(direct, by_parts, where)`` of each random row case, in case order.
+
+    The cases are drawn in chunks of about ``_SUB_BLOCK_CELLS`` values, in
+    the order a case-by-case loop draws them, and each chunk is checked
+    one step r at a time: a table of every line of that step, one
+    :func:`row_sums_by_parts` call and one table of direct terms
+    ``a_k sin(k x)``, each case's own terms rounded once.
+    """
+    chunk = _SUB_BLOCK_CELLS // _MAX_ROW_LENGTH
+    for first in range(0, cases, chunk):
+        drawn = [_draw_row_case(rng) for _ in range(min(chunk, cases - first))]
+        results = [None] * len(drawn)
+        for r in sorted({case[0] for case in drawn}):
+            ids = [i for i, case in enumerate(drawn) if case[0] == r]
+            _, ns, ms, values, xs = zip(*(drawn[i] for i in ids))
+            starts = np.array(ns, dtype=np.int64)
+            lengths = np.array(ms, dtype=np.int64) - starts + 1
+            width = int(lengths.max())
+            lines = np.zeros((len(ids), width + r))
+            for line, n, v in zip(lines, ns, values):
+                line[:len(v) - n + 1] = v[n - 1:]
+            orders = starts[:, None] + np.arange(width)
+            direct = _row_sums(lines[:, :width] * np.sin(orders * np.array(xs)[:, None]), lengths)
+            parts = row_sums_by_parts(lines, lengths, starts, r, xs)
+            for i, n, m, x, d, p in zip(ids, ns, ms, xs, direct, parts):
+                results[i] = (d, p, {"r": r, "n": n, "m": m, "x": x})
+        yield from results
+
+
+def _identity_rect_sums(rng: np.random.Generator, cases: int, size: int, tol: float):
+    def draw(i):
+        table = rng.uniform(-1.0, 1.0, size=(size, size)) \
+            + 1j * rng.uniform(-1.0, 1.0, size=(size, size))
+        c = from_table(f"table{i}", table)
+        m = int(rng.integers(1, size // 2))
+        M = int(rng.integers(m, size + 1))
+        n = int(rng.integers(1, size // 2))
+        N = int(rng.integers(n, size + 1))
+        rect = Rect(m, M, n, N)
+        x, y = _sample_x(rng, 2), _sample_x(rng, 2)
+        return (rect_sum_direct(c, rect, x, y), rect_sum_parts(c, rect, x, y, r=2),
+                {"rect": [m, M, n, N], "x": x, "y": y})
+    return _by_parts_check((draw(i) for i in range(cases)), tol)
+
+
+def _identity_kernel_bounds(points: int, k_max: int):
+    left = np.linspace(0.0, 0.5 * math.pi, points + 2)[1:-1]
+    right = np.linspace(0.5 * math.pi, math.pi, points + 2)[1:-1]
+    report = kernel_bound_check(np.concatenate([left, right]), k_max=k_max)
+    return ({"points": 2 * points, "k_max": k_max,
+             "worst_slack": report.worst_slack,
+             "witness": {"x": report.witness_x, "k": report.witness_k,
+                         "r": report.witness_r},
+             "failures": int(report.worst_slack > 0.0)},
+            2 * report.n_points * (report.k_max + 1), report.worst_slack)
+
+
+def _identity_sine_parity(k_max: int):
+    xs = np.linspace(0.0, math.pi, 101)[1:-1]
+    j = np.arange(1, k_max + 1, dtype=np.float64)[:, None]
+    lhs = np.sin(j * (math.pi - xs[None, :]))
+    rhs_val = ((-1.0) ** (j + 1.0)) * np.sin(j * xs[None, :])
+    worst = float(np.max(np.abs(lhs - rhs_val), initial=0.0))
+    tol = 1e-11 * k_max
+    return ({"k_max": k_max, "worst_abs_err": worst, "tolerance": tol,
+             "failures": int(worst > tol)}, lhs.size, worst)
+
+
+def verify_identities(seed: int, *, cases_1d: int, cases_2d: int, table_size: int,
+                      delta_grid: int, kernel_points: int, k_max: int, tol: float) -> dict:
+    """The randomized identity sweep from one generator seeded with ``seed``:
+    ``name -> (entry, cases, worst)`` per check, in report order; a check
+    with nothing to check reports 0 cases and worst 0.0."""
+    for name, value in (("cases_1d", cases_1d), ("cases_2d", cases_2d),
+                        ("delta_grid", delta_grid)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if cases_2d >= 1 and table_size < 4:
+        raise ValueError(f"table_size must be >= 4 when cases_2d >= 1, got {table_size}")
+    rng = np.random.default_rng(seed)
+    return {
+        "row_sum_by_parts": _by_parts_check(_row_results(rng, cases_1d), tol),
+        "rect_sum_by_parts": _identity_rect_sums(rng, cases_2d, table_size, tol),
+        "difference_decompositions": _identity_differences(rng, delta_grid),
+        "kernel_envelope": _identity_kernel_bounds(kernel_points, k_max),
+        "sine_parity": _identity_sine_parity(k_max),
+    }

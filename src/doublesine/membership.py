@@ -245,11 +245,8 @@ def _line_rows(c: CoefficientSequence, r: int, fam: MajorantFamily,
 
 def _refuse_non_finite(rows: list[RatioRow]) -> None:
     """Refuse the first row whose left-hand side or majorant is not finite."""
-    for row in rows:
-        for side, value in (("left-hand side", row.lhs), ("majorant", row.rhs)):
-            if not math.isfinite(value):
-                raise ValueError(f"{_where(row.axis, side, row.m, row.n)} is {value!r}, "
-                                 "not finite")
+    _require_finite([v for row in rows for v in (row.lhs, row.rhs)], lambda i: _where(
+        rows[i // 2].axis, ("left-hand side", "majorant")[i % 2], rows[i // 2].m, rows[i // 2].n))
 
 
 def check_membership(c: CoefficientSequence, r: int, fam: MajorantFamily,

@@ -65,8 +65,6 @@ def _cell(value) -> str:
     exact = _EXACT_CELLS.get(type(value))
     if exact is not None:
         return exact(value)
-    if value is None:
-        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doublesine import builtin, cli, from_expression, ksum, majorants
+from doublesine import builtin, cli, from_expression, kernels, ksum, majorants
 from doublesine.cli import build_parser, main
 from doublesine.differences import _SUB_BLOCK_CELLS
 
@@ -321,6 +321,19 @@ class TestLibraryRefusals:
     def test_bad_argument(self, tmp_path, capsys, argv, reason):
         assert reason in self.refused(tmp_path, capsys, *argv)
 
+    @pytest.mark.parametrize("option, line", [
+        (("--table-size", "1"), "table_size must be >= 4 when cases_2d >= 1, got 1"),
+        (("--table-size", "2"), "table_size must be >= 4 when cases_2d >= 1, got 2"),
+        (("--table-size", "3"), "table_size must be >= 4 when cases_2d >= 1, got 3"),
+        (("--cases-1d", "-3"), "cases_1d must be >= 0, got -3"),
+        (("--cases-2d", "-3"), "cases_2d must be >= 0, got -3"),
+        (("--delta-grid", "-3"), "delta_grid must be >= 0, got -3"),
+    ])
+    def test_bad_identity_sweep_size_names_its_option(self, tmp_path, capsys, option, line):
+        err = self.refused(tmp_path, capsys, "verify-identities", "--cases-1d", "2",
+                           "--kernel-points", "4", "--k-max", "4", *option)
+        assert err == f"error: {line}\n"
+
     @pytest.mark.parametrize("command", [("uniform-tail", "--grid-points", "2"),
                                          ("lemma", "--which", "1"), ("lemma", "--which", "2")])
     @pytest.mark.parametrize("option, line", [
@@ -371,13 +384,18 @@ class TestCapVerdicts:
     fails it at any horizon, so the truncation note is printed only when
     every row over the cap is truncated."""
 
-    def test_cli_imports_no_private_membership_name(self):
+    def test_cli_imports_no_private_library_name(self):
+        # the handlers shape what the library returns; the grid parser's
+        # doublings and the probe rule's check are the only private names
         tree = ast.parse(Path(cli.__file__).read_text())
-        names = [alias.name for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module == "membership"
-                 for alias in node.names]
-        assert "cap_verdict" in names
-        assert [name for name in names if name.startswith("_")] == []
+        imported = {node.module: [alias.name for alias in node.names]
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.level == 1}
+        assert "cap_verdict" in imported["membership"]
+        private = {name for names in imported.values() for name in names if name.startswith("_")}
+        assert private <= {"_doublings", "_check_probe_rule"}
+        assert not any(alias.name == "numpy" for node in ast.walk(tree)
+                       if isinstance(node, ast.Import) for alias in node.names)
 
     ARGS = ("check-class", "--preset", "oscillating_quadratic", "--r", "2", "--family",
             "three", "--grid", "dyadic:16", "--sup-horizon", "16")
@@ -728,7 +746,7 @@ class TestVerifyIdentities:
         checks = load_json(tmp_path, "verify-identities.json")["results"]["checks"]
         assert checks == self.SHIPPED_CHECKS
 
-    CHUNK = _SUB_BLOCK_CELLS // cli._MAX_ROW_LENGTH
+    CHUNK = _SUB_BLOCK_CELLS // kernels._MAX_ROW_LENGTH
 
     @staticmethod
     def row_cases_one_by_one(rng, cases):
@@ -739,7 +757,7 @@ class TestVerifyIdentities:
             n = int(rng.integers(1, 21))
             m = n + int(rng.integers(1, 65)) - 1
             values = rng.uniform(-1.0, 1.0, size=m + r)
-            x = cli._sample_x(rng, r)
+            x = kernels._sample_x(rng, r)
             k = np.arange(n, m + 1, dtype=np.int64)
             direct = float(ksum(values[k - 1] * np.sin(k * x)))
             parts = float(by_parts_twin(values[n - 1:], n, m, r, x))
@@ -748,7 +766,7 @@ class TestVerifyIdentities:
     @pytest.mark.parametrize("cases", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_chunked_rows_are_the_case_by_case_rows(self, cases):
         chunked, one_by_one = np.random.default_rng(11), np.random.default_rng(11)
-        got = list(cli._row_results(chunked, cases))
+        got = list(kernels._row_results(chunked, cases))
         want = list(self.row_cases_one_by_one(one_by_one, cases))
         # floats compare by bits through their hex form; the draws leave the
         # generator where the case-by-case loop leaves it
@@ -760,13 +778,27 @@ class TestVerifyIdentities:
         def peak(cases):
             tracemalloc.start()
             try:
-                cli._identity_row_sums(np.random.default_rng(0), cases, 1e-9)
+                kernels._by_parts_check(kernels._row_results(np.random.default_rng(0), cases),
+                                        1e-9)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(100)  # warm caches
         assert peak(20_000) <= 1.1 * peak(2_000)
+
+    def test_sweep_sizes_come_from_the_shipped_config(self):
+        sizes = cli._read_config("verify-identities", str(CONFIGS / "verify-identities.cfg"))
+        checks = kernels.verify_identities(sizes.pop("seed"), **sizes)
+        assert {name: entry for name, (entry, _, _) in checks.items()} == self.SHIPPED_CHECKS
+
+    def test_check_with_nothing_to_check_reports_zero(self, tmp_path):
+        # a 0 x 0 difference grid, and no sine order at k_max 0
+        assert run(tmp_path, "verify-identities", "--cases-1d", "3", "--cases-2d", "1",
+                   "--delta-grid", "0", "--kernel-points", "4", "--k-max", "0") == 0
+        rows = load_csv(tmp_path, "verify-identities.csv")
+        assert rows[3] == ["difference_decompositions", "0", "0", "0.0"]
+        assert rows[5] == ["sine_parity", "0", "0", "0.0"]
 
     def test_negative_k_max_is_two(self, tmp_path, capsys):
         assert run(tmp_path, "verify-identities", "--cases-1d", "2", "--cases-2d", "1",

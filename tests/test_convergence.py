@@ -33,6 +33,7 @@ from doublesine import (
     lemma3_check,
     loglog_slope,
     rect_sum_direct,
+    remark2_cross_checks,
     remark2_divergence,
     scale,
     separable,
@@ -919,6 +920,17 @@ class TestRemark2:
         x0 = 2.0 * math.pi / 3.0
         direct = float(rect_sum_direct(mod3, Rect(1, 32, 1, 32), x0, x0))
         assert direct == pytest.approx(report.values[0], abs=1e-10 * (1 + abs(direct)))
+
+    def test_cross_checks_compare_direct_sums_up_to_the_largest_scale(self, mod3):
+        report = remark2_divergence(schedule=(10, 100, 1000))
+        name, x0, checks, mismatches = remark2_cross_checks(report, 100, 1e-10)
+        assert (name, x0) == ("mod3_log_product", 2.0 * math.pi / 3.0)
+        assert [check["scale"] for check in checks] == [10, 100]
+        assert checks[0]["direct"] == float(rect_sum_direct(mod3, Rect(1, 32, 1, 32), x0, x0))
+        assert checks[0]["product"] == report.values[0]
+        assert mismatches == []
+        # below zero every difference is over the tolerance
+        assert remark2_cross_checks(report, 100, -1.0)[3] == checks
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
