@@ -485,10 +485,11 @@ def verify_identities(seed: int, *, cases_1d: int, cases_2d: int, table_size: in
     """The randomized identity sweep from one generator seeded with ``seed``:
     ``name -> (entry, cases, worst)`` per check, in report order; a check
     with nothing to check reports 0 cases and worst 0.0."""
-    for name, value in (("cases_1d", cases_1d), ("cases_2d", cases_2d),
-                        ("delta_grid", delta_grid)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    for name, value, least in (("cases_1d", cases_1d, 0), ("cases_2d", cases_2d, 0),
+                               ("delta_grid", delta_grid, 0),
+                               ("kernel_points", kernel_points, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if cases_2d >= 1 and table_size < 4:
         raise ValueError(f"table_size must be >= 4 when cases_2d >= 1, got {table_size}")
     rng = np.random.default_rng(seed)

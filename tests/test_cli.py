@@ -328,6 +328,8 @@ class TestLibraryRefusals:
         (("--cases-1d", "-3"), "cases_1d must be >= 0, got -3"),
         (("--cases-2d", "-3"), "cases_2d must be >= 0, got -3"),
         (("--delta-grid", "-3"), "delta_grid must be >= 0, got -3"),
+        (("--kernel-points", "0"), "kernel_points must be >= 1, got 0"),
+        (("--kernel-points", "-1"), "kernel_points must be >= 1, got -1"),
     ])
     def test_bad_identity_sweep_size_names_its_option(self, tmp_path, capsys, option, line):
         err = self.refused(tmp_path, capsys, "verify-identities", "--cases-1d", "2",
@@ -1113,6 +1115,14 @@ class TestExitContract:
     ])
     def test_bad_flag_is_two(self, tmp_path, capsys, argv, reason):
         assert reason in self.refused(tmp_path, capsys, *argv)
+
+    def test_unfittable_class_constant_is_two(self, tmp_path, capsys):
+        # 5e-324 at (4, 4) alone: its majorants underflow to 0, so every fitted
+        # constant is infinite
+        err = self.refused(tmp_path, capsys, "lemma", "--which", "3", "--expr",
+                           "5e-324*(1-sign(abs(j-4)))*(1-sign(abs(k-4)))", "--grid",
+                           "dyadic:16", "--sup-horizon", "64")
+        assert err == "config error: cannot fit a class constant on this grid; pass --c-const\n"
 
     @pytest.mark.parametrize("single", [(), ("--single-class", "sbvs")])
     @pytest.mark.parametrize("grid", ["dyadic:abc", "dyadic:", "dyadic:2.5"])
