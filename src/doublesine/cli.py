@@ -40,17 +40,14 @@ from .convergence import (
     EtaCapError,
     ProbeConfig,
     Verdict,
-    classify_probe,
     eta_search,
     interior_grid,
-    lemma1_quantity,
-    lemma2_quantities,
     lemma3_check,
+    lemma_schedule,
     remark2_cross_checks,
     remark2_divergence,
     theorem7_bound_check,
     uniform_tail_trace,
-    _check_probe_rule,
 )
 from .differences import _doublings
 from .kernels import Rect, rect_sum_direct, rect_sum_parts, rect_sum_separable, verify_identities
@@ -61,6 +58,7 @@ from .membership import (
     check_condition_22,
     check_membership,
     check_single_membership,
+    class_constant,
 )
 from .reports import SCHEMA_VERSION, write_csv, write_json
 from .sequences import (
@@ -361,9 +359,7 @@ def _run_check_class(args):
         "grid_size": len(report.grid),
     }
     header = ["m", "n", "axis", "lhs", "rhs", "ratio", "truncated"]
-    rows = [[row.m, row.n, row.axis, row.lhs, row.rhs, row.ratio, row.truncated]
-            for row in report.rows]
-    return results, (header, rows), witness
+    return results, (header, report.rows), witness
 
 
 def _run_check_class_single(args):
@@ -504,8 +500,7 @@ def _run_uniform_tail(args):
         "rect_cap": args.rect_cap,
     }
     header = ["m0", "x", "y", "m", "M", "n", "N", "abs_sum"]
-    rows = [[t.threshold, t.x, t.y, t.m, t.M, t.n, t.N, t.abs_sum] for t in trace]
-    return results, (header, rows), witness
+    return results, (header, trace), witness
 
 
 def _run_lemma(args):
@@ -517,47 +512,26 @@ def _run_lemma(args):
 
 
 def _run_lemma_decay(args, c):
-    _check_probe_rule(args.band, args.decay_ratio)
     schedule = _parse_int_list(args.schedule, "schedule")
-    series: dict[str, list] = {}
-    if args.which == 1:
-        series["mixed_tail"] = [lemma1_quantity(c, m, m, horizon=args.sum_horizon)
-                                for m in schedule]
-    else:
-        pairs = [lemma2_quantities(c, m, m, sup_horizon=args.sup_horizon,
-                                   sum_horizon=args.sum_horizon) for m in schedule]
-        series["row_tail"] = [qa for qa, _ in pairs]
-        series["col_tail"] = [qb for _, qb in pairs]
-    upper = {name: [q.upper for q in qs] for name, qs in series.items()}
-    verdicts = {name: classify_probe(values, band=args.band, decay_ratio=args.decay_ratio)
-                for name, values in upper.items()}
+    series = lemma_schedule(c, args.which, schedule, sup_horizon=args.sup_horizon,
+                            sum_horizon=args.sum_horizon, band=args.band,
+                            decay_ratio=args.decay_ratio)
+    upper = {name: [q.upper for q in qs] for name, (qs, _) in series.items()}
     witness = [f"{name}: expected {args.expect!r}, got {verdict.value!r}; values {upper[name]}"
-               for name, verdict in verdicts.items() if _unexpected(verdict, args.expect)]
+               for name, (_, verdict) in series.items() if _unexpected(verdict, args.expect)]
     results = {
         "sequence": c.name,
         "which": args.which,
         "schedule": schedule,
         "series": upper,
-        "bounded": {name: [q.bounded for q in qs] for name, qs in series.items()},
-        "verdicts": verdicts,
+        "bounded": {name: [q.bounded for q in qs] for name, (qs, _) in series.items()},
+        "verdicts": {name: verdict for name, (_, verdict) in series.items()},
         "expect": args.expect,
     }
     header = ["scale", "value", "bounded_flag"]
     rows = [[s, q.upper, q.bounded] for name in sorted(series)
-            for s, q in zip(schedule, series[name])]
+            for s, q in zip(schedule, series[name][0])]
     return results, (header, rows), witness
-
-
-def _fit_double_class_constant(c, args, grid, table) -> float:
-    fam = MajorantFamily(Family.TWO, Axis.ROW, lam=args.lam,
-                         b1=args.b1, b2=args.b2, b3=args.b3,
-                         sup_horizon=args.sup_horizon)
-    report = check_membership(c, 2, fam, grid, table=table)
-    fitted = [v for v in (report.fitted_C_row, report.fitted_C_col,
-                          report.fitted_C_double) if v is not None]
-    if not fitted or not all(math.isfinite(v) for v in fitted):
-        raise ConfigError("cannot fit a class constant on this grid; pass --c-const")
-    return max(fitted)
 
 
 def _run_lemma3(args, c):
@@ -566,31 +540,30 @@ def _run_lemma3(args, c):
     if not grid:
         raise ConfigError(f"no grid points with m, n >= lambda = {args.lam}")
     table = DoubleScanTable(c, args.sup_horizon)  # the command's one table, fit and points
-    C = (args.c_const if args.c_const is not None
-         else _fit_double_class_constant(c, args, grid, table))
+    C = args.c_const
+    if C is None:
+        C = class_constant(c, grid, lam=args.lam, b1=args.b1, b2=args.b2, b3=args.b3,
+                           sup_horizon=args.sup_horizon, table=table)
+        if C is None:
+            raise ConfigError("cannot fit a class constant on this grid; pass --c-const")
+    checks = [lemma3_check(c, C, args.lam, m, n, b1=args.b1, b2=args.b2, b3=args.b3,
+                           sup_horizon=args.sup_horizon, table=table) for m, n in grid]
+    worst = min(checks, key=lambda res: res.slack)   # the first smallest
+    witness = [f"sandwich violated at (m, n) = ({res.m}, {res.n}): lhs {res.lhs!r} > rhs "
+               f"{res.rhs!r}" for res in checks if res.slack < 0.0]
     header = ["m", "n", "lhs", "rhs", "slack", "truncated"]
-    points = []
-    witness = []
-    min_slack, min_at = math.inf, None
-    for m, n in grid:
-        res = lemma3_check(c, C, args.lam, m, n, b1=args.b1, b2=args.b2,
-                           b3=args.b3, sup_horizon=args.sup_horizon, table=table)
-        points.append({key: getattr(res, key) for key in header})
-        if res.slack < min_slack:
-            min_slack, min_at = res.slack, (res.m, res.n)
-        if res.slack < 0.0:
-            witness.append(f"sandwich violated at (m, n) = ({res.m}, {res.n}): "
-                           f"lhs {res.lhs!r} > rhs {res.rhs!r}")
+    rows = [[getattr(res, key) for key in header] for res in checks]
     results = {
         "sequence": c.name,
         "which": 3,
         "C": C,
         "lam": args.lam,
-        "min_slack": min_slack,
-        "min_slack_at": min_at,
-        "points": points,
+        "min_slack": worst.slack,
+        # no point when every slack is +inf (a right-hand side that overflows)
+        "min_slack_at": (worst.m, worst.n) if worst.slack < math.inf else None,
+        "points": [dict(zip(header, row)) for row in rows],
     }
-    return results, (header, [[point[key] for key in header] for point in points]), witness
+    return results, (header, rows), witness
 
 
 def _run_eta(args):

@@ -6,6 +6,8 @@ The quantities here are the ones a regular-convergence argument runs on:
   the weighted tail of step-2 mixed differences;
 * :func:`lemma2_quantities` -- the two one-sided companions
   ``m sup_{k>=n} k sum_{j>=m} |d20 c_{jk}|`` and its transpose;
+* :func:`lemma_schedule` -- lemma 1 or 2 at (m, m) along a schedule of
+  scales, each series with its :func:`classify_probe` verdict;
 * :func:`lemma3_check` -- a pointwise sandwich: ``m n c_{mn}`` must stay
   below a constant multiple of block sums of the sequence;
 * :func:`uniform_tail_probe` -- evaluates the rectangle partial sums
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +56,7 @@ __all__ = [
     "loglog_slope",
     "lemma1_quantity",
     "lemma2_quantities",
+    "lemma_schedule",
     "Lemma3Result",
     "lemma3_check",
     "ProbeConfig",
@@ -307,6 +311,32 @@ def _one_sided(c: CoefficientSequence, m: int, n: int, sup_horizon: int,
     return Measurement(value=value, tail_bound=None if tail is None else m * tail)
 
 
+def lemma_schedule(c: CoefficientSequence, which: int, schedule, *,
+                   sup_horizon: int = 1 << 14, sum_horizon: int = 1 << 16,
+                   band: float = 0.05, decay_ratio: float = 4.0) -> dict:
+    """Lemma ``which`` (1 or 2) at (m, m) for each scale m of ``schedule``.
+
+    Lemma 1 gives the series ``mixed_tail`` (:func:`lemma1_quantity` to
+    ``sum_horizon``), lemma 2 the series ``row_tail`` and ``col_tail``
+    (the two :func:`lemma2_quantities`).  Each name maps to its
+    measurements in schedule order and the :func:`classify_probe` verdict
+    of their ``upper`` values.  Any other ``which``, and a ``band`` or
+    ``decay_ratio`` that :func:`classify_probe` refuses, are refused
+    before any scan.
+    """
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which!r}")
+    _check_probe_rule(band, decay_ratio)
+    if which == 1:
+        series = {"mixed_tail": [lemma1_quantity(c, m, m, horizon=sum_horizon) for m in schedule]}
+    else:
+        pairs = [lemma2_quantities(c, m, m, sup_horizon=sup_horizon, sum_horizon=sum_horizon)
+                 for m in schedule]
+        series = {"row_tail": [qa for qa, _ in pairs], "col_tail": [qb for _, qb in pairs]}
+    return {name: (qs, classify_probe([q.upper for q in qs], band=band, decay_ratio=decay_ratio))
+            for name, qs in series.items()}
+
+
 @dataclass(frozen=True)
 class Lemma3Result:
     """Pointwise sandwich check ``m n c_{mn} <= RHS`` at one (m, n)."""
@@ -550,15 +580,14 @@ def _separable_maxima(A: np.ndarray, B: np.ndarray, probe: ProbeConfig, index, t
     maxima from :func:`_factored_maxima`.  The first grid point whose
     largest product is not finite is refused through its full product.
     """
-    step = max(1, _SUB_BLOCK_CELLS // probe.rect_cap)
-
     def sums(f, axis):
         # one row per grid point, read from one column per distinct abscissa
         column = {}
         at = [column.setdefault(point[axis], len(column)) for point in probe.xy_grid]
         ts = np.array(list(column))
-        blocks = np.concatenate([_interval_sums(f, ts[i:i + step], index[2], index[3])
-                                 for i in range(0, len(ts), step)], axis=1)
+        blocks = np.concatenate([_interval_sums(f, ts[i0:i1 + 1], index[2], index[3])
+                                 for i0, i1 in _sub_blocks(0, len(ts) - 1, probe.rect_cap)],
+                                axis=1)
         return blocks[:, at].T
 
     sx, sy = sums(A, 0), sums(B, 1)
@@ -637,9 +666,9 @@ def _probe_sup(c: CoefficientSequence, probe: ProbeConfig, min_start: int):
             (x, y), int(ms.size))
 
 
-@dataclass(frozen=True)
-class ProbeTraceRow:
-    """Per-threshold, per-grid-point probe maximum with its rectangle."""
+class ProbeTraceRow(NamedTuple):
+    """Per-threshold, per-grid-point probe maximum with its rectangle; the
+    fields are the ``uniform-tail`` CSV columns, in order."""
 
     threshold: int
     x: float
@@ -661,8 +690,7 @@ def uniform_tail_trace(c: CoefficientSequence,
             raise ValueError(f"no rectangles beyond threshold {t}")
     lo, hi = index[2].tolist(), index[3].tolist()
     best, js, ks = (v.tolist() for v in _rect_maxima(c, probe, index, probe.thresholds))
-    trace = tuple(ProbeTraceRow(threshold=t, x=x, y=y, m=lo[j], M=hi[j], n=lo[k], N=hi[k],
-                                abs_sum=v)
+    trace = tuple(ProbeTraceRow(t, x, y, lo[j], hi[j], lo[k], hi[k], v)
                   for t, vt, jt, kt in zip(probe.thresholds, best, js, ks)
                   for (x, y), v, j, k in zip(probe.xy_grid, vt, jt, kt))
     values = [max(vt) for vt in best]

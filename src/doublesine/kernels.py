@@ -58,8 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differences import (_SUB_BLOCK_CELLS, _identity_differences, _mixed, _span, _sub_blocks,
-                          check_step)
+from .differences import _identity_differences, _mixed, _span, _sub_blocks, check_step
 from .sequences import CoefficientSequence, SingleSequence, from_table
 from .summing import _row_sums, ksum
 
@@ -414,15 +413,15 @@ def _draw_row_case(rng: np.random.Generator):
 def _row_results(rng: np.random.Generator, cases: int):
     """``(direct, by_parts, where)`` of each random row case, in case order.
 
-    The cases are drawn in chunks of about ``_SUB_BLOCK_CELLS`` values, in
+    The cases are drawn in chunks of about ``_SUB_BLOCK_CELLS`` values (the
+    :func:`_sub_blocks` of the cases, each ``_MAX_ROW_LENGTH`` wide at most), in
     the order a case-by-case loop draws them, and each chunk is checked
     one step r at a time: a table of every line of that step, one
     :func:`row_sums_by_parts` call and one table of direct terms
     ``a_k sin(k x)``, each case's own terms rounded once.
     """
-    chunk = _SUB_BLOCK_CELLS // _MAX_ROW_LENGTH
-    for first in range(0, cases, chunk):
-        drawn = [_draw_row_case(rng) for _ in range(min(chunk, cases - first))]
+    for first, last in _sub_blocks(0, cases - 1, _MAX_ROW_LENGTH):
+        drawn = [_draw_row_case(rng) for _ in range(last - first + 1)]
         results = [None] * len(drawn)
         for r in sorted({case[0] for case in drawn}):
             ids = [i for i, case in enumerate(drawn) if case[0] == r]

@@ -37,6 +37,8 @@ over a vanishing majorant stays an infinite ratio.
 
 :func:`cap_verdict` judges a cap ``C <= cap`` on the rows of one axis or
 of a single-sequence fit; only a certified row can fail it.
+:func:`class_constant` is the largest family-TWO fitted constant of a
+step-2 fit, the constant lemma 3's sandwich takes.
 
 :func:`check_condition_22` tracks the weighted anti-diagonal maxima
 ``T(s) = max_{j+k=s} jk |c_{jk}|``, whose decay is the zero-limit
@@ -54,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +91,7 @@ __all__ = [
     "MembershipReport",
     "check_membership",
     "cap_verdict",
+    "class_constant",
     "check_condition_22",
     "SingleClass",
     "SingleMembershipReport",
@@ -114,9 +118,9 @@ def lhs_double(c: CoefficientSequence, r: int, m: int, n: int) -> float:
     return _rect_abs_sum(c, check_step(r), m, 2 * m - 1, n, 2 * n - 1)
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    """One grid point of one axis: observed lhs, majorant rhs, ratio."""
+class RatioRow(NamedTuple):
+    """One grid point of one axis: observed lhs, majorant rhs, ratio; the
+    fields are the ``check-class`` CSV columns, in order."""
 
     m: int
     n: int
@@ -172,8 +176,7 @@ def _ratio_row(m: int, n: int, axis: str, read_lhs, read_majorant) -> RatioRow:
         ratio = lhs / majorant.value
     else:
         ratio = 0.0 if lhs == 0.0 else math.inf
-    return RatioRow(m=m, n=n, axis=axis, lhs=lhs, rhs=majorant.value, ratio=ratio,
-                    truncated=majorant.truncated and lhs > 0.0)
+    return RatioRow(m, n, axis, lhs, majorant.value, ratio, majorant.truncated and lhs > 0.0)
 
 
 def _worst(rows) -> RatioRow | None:
@@ -191,6 +194,22 @@ def cap_verdict(rows, cap: float) -> tuple[str, RatioRow | None]:
     if first is not None:
         return "fail", first
     return ("inconclusive" if not rows or any(row.ratio > cap for row in rows) else "pass"), None
+
+
+def class_constant(c: CoefficientSequence, grid, *, lam: int = 2, b1: str = "l", b2: str = "l",
+                   b3: str = "l", sup_horizon: int = 4096,
+                   table: DoubleScanTable | None = None) -> float | None:
+    """The class constant C that :func:`~doublesine.convergence.lemma3_check`
+    takes: the largest of the three fitted constants of
+    :func:`check_membership` at r = 2 against family TWO, ``table`` shared
+    as there.  None when no axis has an admissible grid point or a fitted
+    constant is not finite."""
+    fam = MajorantFamily(Family.TWO, Axis.ROW, lam=lam, b1=b1, b2=b2, b3=b3,
+                         sup_horizon=sup_horizon)
+    report = check_membership(c, 2, fam, grid, table=table)
+    fitted = [v for v in (report.fitted_C_row, report.fitted_C_col, report.fitted_C_double)
+              if v is not None]
+    return max(fitted) if fitted and all(math.isfinite(v) for v in fitted) else None
 
 
 def _axis_admissible(axis: Axis, m: int, n: int, lam: int) -> bool:

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doublesine import builtin, cli, from_expression, kernels, ksum, majorants
+from doublesine import (Axis, Family, MajorantFamily, ProbeConfig, builtin, check_membership, cli,
+                        from_expression, interior_grid, kernels, ksum, majorants,
+                        uniform_tail_trace)
 from doublesine.cli import build_parser, main
 from doublesine.differences import _SUB_BLOCK_CELLS
 
@@ -388,14 +390,18 @@ class TestCapVerdicts:
 
     def test_cli_imports_no_private_library_name(self):
         # the handlers shape what the library returns; the grid parser's
-        # doublings and the probe rule's check are the only private names
+        # doublings are the only private name, and the lemma schedule, its
+        # verdicts and lemma 3's class constant come from one library call each
         tree = ast.parse(Path(cli.__file__).read_text())
         imported = {node.module: [alias.name for alias in node.names]
                     for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     and node.level == 1}
         assert "cap_verdict" in imported["membership"]
-        private = {name for names in imported.values() for name in names if name.startswith("_")}
-        assert private <= {"_doublings", "_check_probe_rule"}
+        assert "class_constant" in imported["membership"]
+        assert "lemma_schedule" in imported["convergence"]
+        names = {name for names in imported.values() for name in names}
+        assert {name for name in names if name.startswith("_")} <= {"_doublings"}
+        assert not names & {"lemma1_quantity", "lemma2_quantities", "classify_probe"}
         assert not any(alias.name == "numpy" for node in ast.walk(tree)
                        if isinstance(node, ast.Import) for alias in node.names)
 
@@ -644,6 +650,22 @@ class TestCsvShapes:
         assert rows[0] == ["m0", "x", "y", "m", "M", "n", "N", "abs_sum"]
         assert len(rows) == 1 + 2 * 9  # header + thresholds x grid points
 
+    def test_fit_and_trace_bodies_are_the_library_rows(self, tmp_path, osc):
+        def cells(row):
+            return [("true" if v else "false") if isinstance(v, bool)
+                    else repr(v) if isinstance(v, float) else str(v) for v in row]
+
+        run(tmp_path, "check-class", *OSC, "--grid", "dyadic:64", "--sup-horizon", "256")
+        dyadic = (2, 4, 8, 16, 32, 64)
+        report = check_membership(osc, 2, MajorantFamily(Family.THREE, Axis.ROW, sup_horizon=256),
+                                  [(m, n) for m in dyadic for n in dyadic])
+        assert load_csv(tmp_path, "check-class.csv")[1:] == [cells(row) for row in report.rows]
+        run(tmp_path, "uniform-tail", *OSC, "--grid-points", "3", "--thresholds", "8,16",
+            "--rect-cap", "64", "--doublings", "2")
+        _, trace = uniform_tail_trace(osc, ProbeConfig(xy_grid=interior_grid(3), thresholds=(8, 16),
+                                                       rect_cap=64, doublings=2))
+        assert load_csv(tmp_path, "uniform-tail.csv")[1:] == [cells(row) for row in trace]
+
     def test_lemma2_series_are_concatenated(self, tmp_path):
         run(tmp_path, "lemma", "--preset", "oscillating_quadratic",
             "--which", "2", "--schedule", "4,8")
@@ -832,6 +854,16 @@ class TestLemmaAndRemark2:
         fitted = load_json(tmp_path, "lemma.json")["results"]
         assert run(tmp_path, *argv, "--c-const", repr(fitted["C"])) == code
         assert load_json(tmp_path, "lemma.json")["results"] == fitted
+
+    def test_lemma3_names_no_point_when_every_slack_is_infinite(self, tmp_path, monkeypatch):
+        # a right-hand side whose finite terms overflow in their sum
+        check = cli.lemma3_check
+        monkeypatch.setattr(cli, "lemma3_check", lambda *args, **kwargs: replace(
+            check(*args, **kwargs), rhs=math.inf, slack=math.inf))
+        assert run(tmp_path, "lemma", *OSC, "--which", "3", "--grid", "dyadic:8",
+                   "--c-const", "4") == 0
+        results = load_json(tmp_path, "lemma.json")["results"]
+        assert (results["min_slack"], results["min_slack_at"]) == ("inf", None)
 
     def test_remark2(self, tmp_path):
         assert run(tmp_path, "remark2", "--schedule", "10,100") == 0

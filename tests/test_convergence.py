@@ -31,6 +31,7 @@ from doublesine import (
     lemma1_quantity,
     lemma2_quantities,
     lemma3_check,
+    lemma_schedule,
     loglog_slope,
     rect_sum_direct,
     remark2_cross_checks,
@@ -189,6 +190,41 @@ class TestLemmaQuantities:
         c = CoefficientSequence(name="never", eval=never)
         with pytest.raises(HorizonError):
             lemma1_quantity(c, 1, 1 << 17)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("c, horizons", [
+        (builtin("oscillating_quadratic"), {}),   # the lemma command's defaults
+        (dense_twin(), dict(sup_horizon=128, sum_horizon=256)),
+    ], ids=["separable", "generic"])
+    def test_schedule_is_the_per_point_calls(self, c, horizons, which):
+        schedule = (4, 8, 16, 32, 64)   # scripts/configs/lemma1-osc.cfg and lemma2-osc.cfg
+        if which == 1:
+            per_point = {"mixed_tail": [lemma1_quantity(
+                c, m, m, horizon=horizons.get("sum_horizon", 1 << 16)) for m in schedule]}
+        else:
+            pairs = [lemma2_quantities(c, m, m, **horizons) for m in schedule]
+            per_point = {"row_tail": [qa for qa, _ in pairs], "col_tail": [qb for _, qb in pairs]}
+        assert lemma_schedule(c, which, schedule, **horizons) == {
+            name: (qs, classify_probe([q.upper for q in qs]))
+            for name, qs in per_point.items()}
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("rule, message", [
+        (dict(band=-5.0), "band must be >= 0, got -5.0"),
+        (dict(band=math.nan), "band must be >= 0, got nan"),
+        (dict(decay_ratio=0.0), "decay_ratio must be > 0, got 0.0"),
+    ])
+    def test_schedule_refuses_a_bad_rule_before_any_scan(self, rule, message, which):
+        def never(j, k):
+            raise AssertionError("scanned past a refused verdict rule")
+
+        c = CoefficientSequence(name="never", eval=never)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lemma_schedule(c, which, (4, 8), **rule)
+
+    def test_schedule_refuses_lemma_3(self, osc):
+        with pytest.raises(ValueError, match=r"^which must be 1 or 2, got 3$"):
+            lemma_schedule(osc, 3, (4, 8))
 
     def test_lemma3_terms_match_direct_evaluation(self, osc):
         C, lam, m, n = 4.0, 2, 8, 8
@@ -887,7 +923,7 @@ class TestFactoredMaxima:
         _, trace = uniform_tail_trace(osc, probe)
         assert len(trace) == 6
         for first, again in ((trace[0], trace[2]), (trace[3], trace[5])):
-            assert dataclasses.astuple(first) == dataclasses.astuple(again)
+            assert tuple(first) == tuple(again)
 
     def test_complex_factors_take_the_products(self):
         # the modulus of a complex product is not the product of the moduli,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from doublesine import (
     block_sum_double,
     block_sum_row,
     builtin,
+    compile_b,
     double_sup_scan,
     from_expression,
     delta_rr,
@@ -226,6 +228,22 @@ class TestFamilyConfig:
             MajorantFamily(Family.ONE, Axis.ROW, lam=1)
         with pytest.raises(ValueError):
             MajorantFamily(Family.TWO, Axis.ROW, lam=1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(lam=0), "lambda must be >= 1, got 0"),
+        (dict(sup_horizon=0), "sup_horizon must be >= 1"),
+    ])
+    def test_bad_family_three_setting_is_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MajorantFamily(Family.THREE, Axis.ROW, **kwargs)
+
+    def test_b_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"^b-sequence 'l\*1e308\*10' not finite at l=4$"):
+            compile_b("l*1e308*10")(4)
+
+    def test_rhs_refuses_indices_below_one(self, osc):
+        with pytest.raises(ValueError, match=r"^indices must be >= 1$"):
+            rhs(osc, MajorantFamily(Family.THREE, Axis.ROW), 0, 1)
 
     def test_bad_b_expression_rejected_early(self):
         with pytest.raises(ExpressionError):

@@ -26,6 +26,7 @@ from doublesine import (
     check_condition_22,
     check_membership,
     check_single_membership,
+    class_constant,
     builtin,
     double_sup_scan,
     from_expression,
@@ -115,6 +116,23 @@ class TestCapVerdict:
     def test_infinite_ratio_on_a_certified_row_fails(self):
         rows = [ratio_row(1, 0.5), ratio_row(2, math.inf)]
         assert cap_verdict(rows, 1e300) == ("fail", rows[1])
+
+
+class TestClassConstant:
+    def test_largest_family_two_fit(self, osc):
+        grid = [(m, n) for m in (2, 4, 8) for n in (2, 4, 8)]
+        report = check_membership(osc, 2, MajorantFamily(Family.TWO, Axis.ROW, sup_horizon=64),
+                                  grid)
+        fitted = (report.fitted_C_row, report.fitted_C_col, report.fitted_C_double)
+        assert class_constant(osc, grid, sup_horizon=64) == max(fitted) > 0.0
+
+    def test_infinite_fit_has_no_constant(self):
+        # 5e-324 at (4, 4) alone: its majorants underflow to 0
+        c = from_expression("spike", "5e-324*(1-sign(abs(j-4)))*(1-sign(abs(k-4)))")
+        assert class_constant(c, [(2, 2), (4, 4), (8, 8)], sup_horizon=64) is None
+
+    def test_no_admissible_point_has_no_constant(self, osc):
+        assert class_constant(osc, [(1, 1)], sup_horizon=64) is None
 
 
 class TestCheckMembership:
@@ -444,8 +462,24 @@ class TestCondition22:
         report = check_condition_22(c, S=32)
         assert report.verdict is Verdict.GROWING
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(S=4), "need S >= 8 for the default schedule"),
+        (dict(schedule=(1, 4)), "anti-diagonal scales must be >= 2"),
+    ])
+    def test_bad_scales_are_refused(self, osc, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_condition_22(osc, **kwargs)
+
 
 class TestSingleMembership:
+    @pytest.mark.parametrize("klass, lam, grid, message", [
+        (SingleClass.MVBVS, 1, [4], "MVBVS and SBVS need lambda >= 2"),
+        (SingleClass.GM, 2, [], "empty grid"),
+    ])
+    def test_bad_lambda_or_grid_is_refused(self, osc, klass, lam, grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_single_membership(osc.separable_parts[0], klass, grid, lam=lam)
+
     @pytest.mark.parametrize("klass, b", [(SingleClass.SBVS, "l"), (SingleClass.SBVS2, "l"),
                                           (SingleClass.SBVS2, "3*l")])
     @pytest.mark.parametrize("a", [builtin("mod3_log_product").separable_parts[0],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,10 @@ class TestTables:
         c = from_table("t", table)
         assert c(1, 1) == 1.0 and c(2, 2) == 4.0
         assert c(3, 1) == 0.0 and c(1, 3) == 0.0 and c(0, 1) == 0.0
+
+    def test_single_table_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match=r"^table must be one-dimensional$"):
+            single_from_values("a", np.ones((2, 2)))
 
     def test_from_table_complex(self):
         table = np.array([[1 + 2j]])
@@ -230,6 +235,17 @@ class TestExpressions:
             compile_expression("k.real", ("k",))
         with pytest.raises(ExpressionError):
             compile_expression("open('x')", ("k",))
+
+    @pytest.mark.parametrize("expr, message", [
+        ("'a'", "unsupported constant 'a'"),
+        ("j // k", "unsupported operator FloorDiv"),
+        ("~j", "unsupported operator Invert"),
+        ("ln(x=k)", "keyword arguments are not allowed"),
+        ("k +", "cannot parse expression 'k +': invalid syntax"),
+    ])
+    def test_refusal_names_what_is_unsupported(self, expr, message):
+        with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+            compile_expression(expr, ("j", "k"))
 
     def test_rejects_unknown_variable(self):
         with pytest.raises(ExpressionError):
@@ -472,6 +488,17 @@ class TestSequenceFile:
         assert table["c"].separable_parts is not None and table["d"].separable_parts is None
         a, b = table["c"].separable_parts
         assert float(a.eval(2) * b.eval(3)) == table["c"](2, 3) == 1.0 / 108.0
+
+    @pytest.mark.parametrize("text, message", [
+        ("1a = k\n", "1: bad sequence name '1a'"),
+        ("a = k\na = 1/k\n", "2: duplicate sequence 'a'"),
+        ("a = j*n\n", "1: mix of j and n is ambiguous"),
+    ])
+    def test_parse_file_refusal_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "seqs.txt"
+        path.write_text(text)
+        with pytest.raises(ExpressionError, match=f"^{re.escape(f'{path}:{message}')}$"):
+            parse_sequence_file(path)
 
     def test_parse_file_bad_line(self, tmp_path):
         path = tmp_path / "seqs.txt"
