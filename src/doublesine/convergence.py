@@ -367,7 +367,8 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
     double sup is a query of ``table``, a :class:`DoubleScanTable` of
     ``c`` at ``sup_horizon`` that grid points may share (a table of
     another sequence or horizon is refused); without it the call builds
-    its own.
+    its own.  A left-hand side, term or right-hand side that is not finite
+    is refused, naming (m, n): four finite terms can overflow their sum.
     """
     if m < lam or n < lam:
         raise ValueError(f"need m, n >= lambda = {lam}")
@@ -396,6 +397,7 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
     _require_finite((lhs, term1, term2, term3, term4), lambda i: "lemma 3 " + (
         "left-hand side" if i == 0 else f"term {i}") + f" at (m, n) = ({m}, {n})")
     rhs_total = term1 + term2 + term3 + term4
+    _require_finite(rhs_total, lambda _: f"lemma 3 right-hand side at (m, n) = ({m}, {n})")
     return Lemma3Result(m=m, n=n, lhs=lhs, rhs=rhs_total, slack=rhs_total - lhs,
                         terms=(term1, term2, term3, term4), truncated=scan.truncated)
 

@@ -50,11 +50,17 @@ value a masked max over the whole matrix gives, bit for bit.
 Columns run as rows of the transpose ``c.T``, whose row lines
 (:meth:`~doublesine.sequences.CoefficientSequence.row`) carry their own
 tail hints.  A line is the signed values ``v_j``, ``j = 1..reach``, of
-a row (:func:`_row_line`) or of a single sequence; :func:`_line_rhs`
+a row or of a single sequence.  Row lines are read by :func:`_row_lines`:
+consecutive lines of equal reach are the rows of one table, evaluated in
+one broadcast call of at most ``_TABLE_CELLS`` cells (1 MiB of float64)
+and at least one line, so a separable row ``a_j b_n`` evaluates ``a``
+once per table, not once per line.  The evaluators act elementwise, so
+each row is its line's own evaluation bit for bit.  :func:`_line_rhs`
 reads the majorants of every point on one line, and :func:`rhs` reads
-one point of a line of its own.  A sup scan from ``start`` computes its
-exact blocks (one cumsum from ``start``, as an exhaustive scan would) for
-``M = start..M1``, with ``M1 = 2 start`` doubling up to the horizon.
+one point of a line of its own, a table of one row.  A sup scan from
+``start`` computes its exact blocks (one cumsum from ``start``, as an
+exhaustive scan would) for ``M = start..M1``, with ``M1 = 2 start``
+doubling up to the horizon.
 ``np.cumsum`` is sequential, so these blocks are bit-identical to the
 exhaustive scan's.
 It stops once the largest exact block so far exceeds, strictly, the
@@ -88,6 +94,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterator
 
 import numpy as np
@@ -119,6 +126,8 @@ __all__ = [
 _MAX_DENSE_BYTES = 160_000_000
 # Block rows M of the dense double-scan table streamed at a time.
 _SCAN_ROWS = 16
+# Cells of one table of row or column lines (:func:`_row_lines`): 1 MiB of float64.
+_TABLE_CELLS = 1 << 17
 
 
 class Family(Enum):
@@ -205,12 +214,15 @@ class MajorantFamily:
 def compile_b(expr: str):
     """Compile a closed-form index sequence ``b(l)`` from an expression.
 
-    Values are floored to ints and must be >= 1.
+    Values must be real and finite; they are floored to ints and must be >= 1.
     """
     fn, _ = compile_expression(expr, ("l",))
 
     def b(l: int) -> int:
-        val = float(fn(l=float(l)))
+        val = fn(l=float(l))
+        if isinstance(val, (complex, np.complexfloating)):  # complex values come as scalars
+            raise ValueError(f"b-sequence {expr!r} not real at l={l}")
+        val = float(val)
         if not math.isfinite(val):
             raise ValueError(f"b-sequence {expr!r} not finite at l={l}")
         iv = int(math.floor(val))
@@ -404,14 +416,30 @@ def _row_view(c: CoefficientSequence, fam: MajorantFamily, m: int,
     return src, m, n, start, 2 * fam.sup_horizon
 
 
-def _row_line(src: CoefficientSequence, fixed: int, reach: int, fam: MajorantFamily) -> _Line:
-    """The signed line ``src_{j,fixed}`` for j = 1..reach (a column line is
-    a row line of ``c.T``), prepared for the sup scans of family THREE,
-    whose reach covers ``2 sup_horizon``."""
-    line = _Line(np.asarray(src.eval(_span(1, reach), fixed)), 1)
-    if fam.family is Family.THREE:
-        line.prepare(fam.sup_horizon, src.row(fixed).decay_hint)
-    return line
+def _row_lines(src: CoefficientSequence, lines: list[tuple[int, int]],
+               fam: MajorantFamily) -> Iterator[_Line]:
+    """Yield, in their order, the signed lines ``src_{j,fixed}`` for
+    j = 1..reach of every ``(fixed, reach)`` of ``lines`` (a column line is
+    a row line of ``c.T``), each prepared for the sup scans of family
+    THREE, whose reach covers ``2 sup_horizon``.
+
+    Consecutive lines of equal reach are the rows of one table, evaluated
+    in one broadcast call of at most ``_TABLE_CELLS`` cells and at least
+    one line.  Evaluators act elementwise, so each row is its line's own
+    evaluation bit for bit, and no index is read that a line does not read.
+    A table is dropped before the next is evaluated.
+    """
+    for reach, group in groupby(lines, key=lambda line: line[1]):
+        fixed = [n for n, _ in group]
+        per = max(1, _TABLE_CELLS // reach)
+        for at in range(0, len(fixed), per):
+            chunk = fixed[at:at + per]
+            table = np.asarray(src.eval(_span(1, reach)[None, :],
+                                        np.array(chunk, dtype=np.int64)[:, None]))
+            for n, vals in zip(chunk, table):
+                yield (_Line(vals, 1).prepare(fam.sup_horizon, src.row(n).decay_hint)
+                       if fam.family is Family.THREE else _Line(vals, 1))
+            del table, vals
 
 
 def _line_rhs(family: Family, lam: int, line: _Line,
@@ -599,8 +627,8 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
     Row majorants carry the 1/m scale, column majorants 1/n, double
     majorants 1/(m n).  Callers enforce the per-axis domain rules
     (``m >= lambda`` for rows of families ONE/TWO, and so on).  Rows and
-    columns evaluate their own line (:func:`_row_line`).  Double
-    majorants read ``table``: double sups its block table, family ONE
+    columns read their own line, a table of one row (:func:`_row_lines`).
+    Double majorants read ``table``: double sups its block table, family ONE
     double windows its step-0 factor sums.  Repeated calls on ``c`` at
     ``fam.sup_horizon`` share one :class:`DoubleScanTable` that way;
     without it each call builds its own.  A table of another sequence or
@@ -611,7 +639,8 @@ def rhs(c: CoefficientSequence, fam: MajorantFamily, m: int, n: int, *,
     table = _scan_table(c, fam.sup_horizon, table)
     if fam.axis is not Axis.DOUBLE:
         src, m, n, start, reach = _row_view(c, fam, m, n)
-        return next(_line_rhs(fam.family, fam.lam, _row_line(src, n, reach, fam), [(m, start)]))
+        line = next(_row_lines(src, [(n, reach)], fam))
+        return next(_line_rhs(fam.family, fam.lam, line, [(m, start)]))
     if fam.family is Family.ONE:
         jlo, jhi = averaging_window(m, fam.lam)
         klo, khi = averaging_window(n, fam.lam)

@@ -18,13 +18,19 @@ A fit refuses grid indices below 1, then walks each row and column axis
 line by line (columns are the lines of ``c.T``); a single-sequence fit
 reads one line, ``a`` itself.  Scan starts are taken in grid order, so
 refusals come in grid order.  Each line is evaluated once, on
-``1..reach`` for the furthest read of its points; every left-hand side
-is ``ksum`` of a slice of one ``|v_j - v_{j+r}|`` array
+``1..reach`` for the furthest read of its points.  An axis's lines, in
+order of first appearance, are read by
+:func:`~doublesine.majorants._row_lines`: each run of consecutive lines
+of equal reach is one evaluation table of at most ``_TABLE_CELLS``
+cells, whose rows are the lines bit for bit.  Every left-hand side is
+``ksum`` of a slice of one ``|v_j - v_{j+r}|`` array
 (:func:`~doublesine.differences._steps`), every majorant a read of
 :func:`~doublesine.majorants._line_rhs` (for single sequences, family
 ONE windows for the MVBVS and GM "star" averages, family THREE sups from
-``max(1, n // lam)`` or ``b(n)`` for SBVS and SBVS2), and the line is
-dropped before the next.  ``lhs_double`` is the table's
+``max(1, n // lam)`` or ``b(n)`` for SBVS and SBVS2).  A line's arrays
+are dropped before the next line is read, and a table before the next
+table is evaluated, so one table and one line's arrays are alive at a
+time.  ``lhs_double`` is the table's
 :meth:`~doublesine.majorants.DoubleScanTable.rect_abs_sum` at step r, so
 a separable sequence's factor sums are evaluated once per m and once per
 n.  A command passes one table to the fit and to the calls after it.
@@ -72,7 +78,7 @@ from .majorants import (
     _check_horizon,
     _line_rhs,
     _rect_abs_sum,
-    _row_line,
+    _row_lines,
     _row_view,
     _scan_table,
     averaging_window,
@@ -244,21 +250,23 @@ def _line_rows(c: CoefficientSequence, r: int, fam: MajorantFamily,
                points: list[tuple[int, int]]) -> list[RatioRow]:
     """The rows of the row or column axis ``fam.axis`` at ``points``, in
     their order, reading each line once (see the module docstring)."""
-    lines: dict[int, tuple[CoefficientSequence, list]] = {}
+    src, lines = c, {}
     for pos, (m, n) in enumerate(points):
         src, i, fixed, start, reach = _row_view(c, fam, m, n)
-        lines.setdefault(fixed, (src, []))[1].append((pos, i, start, reach))
+        lines.setdefault(fixed, []).append((pos, i, start, reach))
+    reaches = [(fixed, max(max(2 * i - 1 + r, reach) for _, i, _, reach in reads))
+               for fixed, reads in lines.items()]
     rows: list[RatioRow | None] = [None] * len(points)
-    for fixed, (src, reads) in lines.items():
-        line = _row_line(src, fixed, max(max(2 * i - 1 + r, reach) for _, i, _, reach in reads),
-                         fam)
+    read = _row_lines(src, reaches, fam)
+    for reads in lines.values():
+        line = next(read)  # not zip: its reused tuple would keep the last line's table alive
         steps = _steps(line.vals, r, 2 * max(i for _, i, _, _ in reads) - 1)
         majorants = _line_rhs(fam.family, fam.lam, line, [(i, start) for _, i, start, _ in reads])
         for pos, i, _, _ in reads:
             rows[pos] = _ratio_row(*points[pos], fam.axis.value,
                                   lambda: float(ksum(steps[i - 1:2 * i - 1])),
                                   lambda: next(majorants))
-        del line, steps  # one line alive at a time
+        del line, steps, majorants  # one prepared line alive at a time
     return rows
 
 

@@ -211,6 +211,14 @@ class TestLibraryRefusals:
         (("lemma", "--which", "3", "--expr", NAN_EXPR, "--c-const", "4", "--grid", "2x2",
           "--sup-horizon", "64"),
          "error: lemma 3 left-hand side at (m, n) = (2, 2) is nan, not finite"),
+        # four finite terms whose sum overflows
+        (("lemma", "--which", "3", "--expr", "1e306*(1-sign(j-8.5))*(1-sign(k-8.5))/4",
+          "--grid", "2x2", "--c-const", "1", "--sup-horizon", "64"),
+         "error: lemma 3 right-hand side at (m, n) = (2, 2) is inf, not finite"),
+        # a b-sequence whose value is complex
+        (("check-class", "--preset", "oscillating_quadratic", "--b1", "(-1)^(0.5+l-l)",
+          "--grid", "dyadic:8", "--sup-horizon", "64"),
+         "error: b-sequence '(-1)^(0.5+l-l)' not real at l=2"),
         (("eta", "--expr", NAN_EXPR, "--epsilon", "0.2", "--c-const", "16", "--cap", "64",
           "--sup-horizon", "256", "--sum-horizon", "1024", "--grid-points", "3",
           "--rect-cap", "64"),
@@ -243,6 +251,7 @@ class TestLibraryRefusals:
          "0.7853981633974483) is inf, not finite"),
     ], ids=["direct", "parts", "condition-22 nan", "condition-22 inf", "check-class nan",
             "single nan", "uniform-tail nan", "lemma 1 nan", "lemma 2 nan", "lemma 3 nan",
+            "lemma 3 overflow", "complex b",
             "eta nan", "uniform-tail nan factor", "uniform-tail overflow",
             "uniform-tail late overflow", "theorem 7 nan", "theorem 7 overflow"])
     def test_non_finite_value_is_refused(self, tmp_path, capsys, argv, line):

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import math
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -40,10 +42,11 @@ from doublesine import majorants
 from doublesine.convergence import eta_search, lemma2_quantities
 from doublesine.majorants import (
     Measurement,
+    _Line,
     _block_array,
     _line_rhs,
     _rect_abs_sum,
-    _row_line,
+    _row_lines,
     _row_view,
     _scaled,
     _sup_measurement,
@@ -52,6 +55,12 @@ from doublesine.majorants import (
 from doublesine.membership import check_condition_22
 
 from conftest import TWIN_EXPR, dense_twin, reader_line
+
+
+def row_line(src, fixed, reach, fam):
+    """The one line ``src_{j,fixed}``, j = 1..reach, as the table reader
+    gives it: a table of one row."""
+    return next(_row_lines(src, [(fixed, reach)], fam))
 
 
 _RNG = np.random.default_rng(11)
@@ -241,6 +250,11 @@ class TestFamilyConfig:
         with pytest.raises(ValueError, match=r"^b-sequence 'l\*1e308\*10' not finite at l=4$"):
             compile_b("l*1e308*10")(4)
 
+    def test_b_must_be_real(self):
+        message = "b-sequence '(-1)^(0.5+l-l)' not real at l=3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compile_b("(-1)^(0.5+l-l)")(3)
+
     def test_rhs_refuses_indices_below_one(self, osc):
         with pytest.raises(ValueError, match=r"^indices must be >= 1$"):
             rhs(osc, MajorantFamily(Family.THREE, Axis.ROW), 0, 1)
@@ -345,7 +359,7 @@ def window_scan(c, fixed, start, lam):
     ``_line_rhs`` from the line ``c_{j,fixed}``: the max over the window
     ``start..lam start``."""
     fam = MajorantFamily(Family.TWO, Axis.ROW, lam=lam)
-    line = _row_line(c, fixed, 2 * lam * start, fam)
+    line = row_line(c, fixed, 2 * lam * start, fam)
     return next(_line_rhs(fam.family, lam, line, [(1, start)])).value
 
 
@@ -434,7 +448,7 @@ class TestLineReader:
         fam = MajorantFamily(family, Axis.COLUMN if transpose else Axis.ROW, lam=lam,
                              b1=b, b2=b, sup_horizon=80)
         views = [_row_view(c, fam, *((1, m) if transpose else (m, 1))) for m in ms]
-        line = _row_line(views[0][0], 1, max(view[4] for view in views), fam)
+        line = row_line(views[0][0], 1, max(view[4] for view in views), fam)
         assert outcome(lambda: _line_rhs(family, lam, line,
                                          [(i, start) for _, i, _, start, _ in views])) \
             == outcome(lambda: [line_point_oracle(c, fam, i, start, transpose)
@@ -454,7 +468,7 @@ class TestLineReader:
         exact = [math.fsum(values[M - 1:2 * M]) for M in range(3, 13)]
         assert exact[int(np.argmax(est))] < max(exact)
         fam = MajorantFamily(Family.TWO, Axis.ROW, lam=4)
-        got = _line_rhs(fam.family, 4, _row_line(c, 1, 24, fam), [(1, s) for s in starts])
+        got = _line_rhs(fam.family, 4, row_line(c, 1, 24, fam), [(1, s) for s in starts])
         assert [mv.value for mv in got] == [per_block_max(c, 1, start, 4 * start, False)
                                             for start in starts]
 
@@ -468,7 +482,7 @@ class TestLineReader:
         c = builtin("product_power", p=p, q=p)
         fam = MajorantFamily(Family.TWO, Axis.ROW, lam=2)
         starts = [1 << e for e in range(1, 13)]
-        got = list(_line_rhs(fam.family, 2, _row_line(c, 2, 4 * starts[-1], fam),
+        got = list(_line_rhs(fam.family, 2, row_line(c, 2, 4 * starts[-1], fam),
                              [(1, s) for s in starts]))
         assert len(calls) <= 2 * len(starts)
         assert [mv.value for mv in got] == [per_block_max(c, 2, s, 2 * s, False) for s in starts]
@@ -721,8 +735,8 @@ def assert_same_sup(got, want):
 def scan_line(c, fixed, horizon, transpose=False):
     """The line at ``fixed`` prepared for sup scans up to ``horizon``, as a
     family-THREE fit builds it."""
-    return _row_line(c.T if transpose else c, fixed, 2 * horizon,
-                     MajorantFamily(Family.THREE, Axis.ROW, sup_horizon=horizon))
+    return row_line(c.T if transpose else c, fixed, 2 * horizon,
+                    MajorantFamily(Family.THREE, Axis.ROW, sup_horizon=horizon))
 
 
 def line_table(values, transpose):
@@ -843,6 +857,54 @@ class TestPrunedSupScan:
         seen.clear()
         assert _sup_scan(line, 8) == exhaustive_row_scan(osc, 2, 8, 4096, False)
         assert sum(seen) <= 64
+
+
+def line_fields(line):
+    """A line's values and prepared fields, bit for bit."""
+    suffix = None if line.suffix is None else line.suffix.tobytes()
+    return (line.lo, line.vals.dtype, line.vals.tobytes(), line.horizon, suffix,
+            repr(line.tol), repr(line.tail))
+
+
+def scalar_line(src, fixed, reach, fam):
+    """The line ``src_{j,fixed}``, j = 1..reach, from one evaluation at a
+    scalar fixed index, prepared as a fit prepares it."""
+    line = _Line(np.asarray(src.eval(np.arange(1, reach + 1), fixed)), 1)
+    if fam.family is Family.THREE:
+        line.prepare(fam.sup_horizon, src.row(fixed).decay_hint)
+    return line
+
+
+class TestLineTables:
+    """Lines read as the rows of one table are the lines read one at a time."""
+
+    @given(st.sampled_from(sorted(SUP_SEQUENCES)), st.sampled_from(list(Family)),
+           st.lists(st.tuples(st.integers(1, 60), st.sampled_from((8, 40, 96))), min_size=1,
+                    max_size=8),
+           st.sampled_from((1, 100, majorants._TABLE_CELLS)), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_one_line_reads(self, name, family, lines, cells, transpose):
+        # repeated fixed indices, runs of equal reach, and tables cut by the cap
+        c = SUP_SEQUENCES[name]
+        src = c.T if transpose else c
+        fam = MajorantFamily(family, Axis.ROW, sup_horizon=4)  # 2 sup_horizon <= every reach
+        with patch.object(majorants, "_TABLE_CELLS", cells):
+            got = [line_fields(line) for line in _row_lines(src, lines, fam)]
+        assert got == [line_fields(scalar_line(src, n, reach, fam)) for n, reach in lines]
+
+    def test_tables_group_runs_of_equal_reach_under_the_cap(self, osc):
+        shapes = []
+        c = dataclasses.replace(osc, eval=lambda j, k: shapes.append(
+            np.broadcast_shapes(np.shape(j), np.shape(k))) or osc.eval(j, k))
+        fam = MajorantFamily(Family.TWO, Axis.ROW)
+        lines = [(n, 40) for n in range(1, 6)] + [(6, 8), (7, 40), (8, 40)]
+        with patch.object(majorants, "_TABLE_CELLS", 100):  # two lines of 40
+            assert len(list(_row_lines(c, lines, fam))) == len(lines)
+        assert shapes == [(2, 40), (2, 40), (1, 40), (1, 8), (2, 40)]
+        shapes.clear()
+        with patch.object(majorants, "_TABLE_CELLS", 10):  # under one line: one line each
+            assert len(list(_row_lines(c, lines[:2], fam))) == 2
+        assert shapes == [(1, 40), (1, 40)]
 
 
 class TestComplexMagnitudes:

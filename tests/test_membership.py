@@ -5,10 +5,11 @@ import re
 import tracemalloc
 import warnings
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doublesine import (
@@ -36,7 +37,7 @@ from doublesine import (
     scale,
     single_from_values,
 )
-from doublesine import differences, majorants
+from doublesine import differences, majorants, membership
 from doublesine.differences import _variation
 from doublesine.majorants import Measurement, _scaled, compile_b, single_sup_scan
 from doublesine.convergence import loglog_slope
@@ -338,16 +339,24 @@ class TestSharedDoubleTable:
 
 
 def counted(c):
-    """``c`` with an evaluator that counts its line reads: calls with one
-    scalar index, keyed by (orientation, fixed index)."""
+    """``c`` with evaluators that count its line reads: every fixed index of
+    every table call (indices ``1..reach`` as one row against a column of
+    fixed indices), keyed by (orientation, fixed index).  Row lines are
+    read from ``c``, column lines from its transpose, which gets its own
+    counting evaluator."""
     lines = Counter()
 
-    def eval_(j, k):
-        if np.ndim(j) != np.ndim(k):
-            lines["column" if np.ndim(j) == 0 else "row", int(j if np.ndim(j) == 0 else k)] += 1
-        return c.eval(j, k)
+    def counting(seq, orientation):
+        def eval_(j, k):
+            if np.ndim(j) == np.ndim(k) == 2 and np.shape(j)[0] == 1 and np.shape(k)[1] == 1:
+                lines.update((orientation, int(n)) for n in np.ravel(k))
+            return seq.eval(j, k)
 
-    return dataclasses.replace(c, eval=eval_), lines
+        return dataclasses.replace(seq, eval=eval_)
+
+    rows, cols = counting(c, "row"), counting(c.T, "column")
+    rows.__dict__["T"], cols.__dict__["T"] = cols, rows
+    return rows, lines
 
 
 FIT_SEQUENCES = {
@@ -406,9 +415,37 @@ class TestBatchedFit:
         assert set(lines) == fixed
         assert max(lines.values()) == 1
 
+    @given(st.sampled_from(sorted(FIT_SEQUENCES)), st.sampled_from(list(Family)),
+           st.integers(1, 3),
+           st.lists(st.tuples(*[st.one_of(st.just(24), st.integers(1, 24))] * 2), min_size=2,
+                    max_size=10),
+           st.sampled_from((1, 60)))
+    @settings(max_examples=100, deadline=None)
+    def test_table_cap_changes_no_row(self, name, family, r, grid, cells):
+        # one line per table (a cap of 1 cell), or a few short lines per table,
+        # against the default cap, where lines of equal reach share a table; a
+        # family-THREE line reads past 2 sup_horizon only for m = 24 at r >= 2
+        c = FIT_SEQUENCES[name]
+        fam = MajorantFamily(family, Axis.ROW, lam=2, sup_horizon=24)
+        want = check_membership(c, r, fam, grid)
+        reaches = {"row": set(), "column": set()}
+        read_lines = majorants._row_lines
+
+        def recorded(src, lines, fam):
+            reaches["column" if src is c.T else "row"].update(reach for _, reach in lines)
+            return read_lines(src, lines, fam)
+
+        with patch.object(majorants, "_TABLE_CELLS", cells), \
+                patch.object(membership, "_row_lines", recorded):
+            got = check_membership(c, r, fam, grid)
+        assume(any(len(seen) > 1 for seen in reaches.values()))
+        assert repr(got.rows) == repr(want.rows)
+
     def test_one_line_alive_at_a_time(self, osc):
-        # the membership-osc-r2 fit: each family-THREE line at H = 4096 takes
-        # a few hundred kB; holding the grid's 24 lines at once took 2.75 MB
+        # the membership-osc-r2 fit: an axis's 12 family-THREE lines at H = 4096
+        # are one 786 kB table, and each line's prepared arrays take a few
+        # hundred kB until the next line; holding every line's arrays at once
+        # took 2.75 MB, and the fit measured 1.08 MB
         dyadic = [2 ** t for t in range(1, 13)]
         tracemalloc.start()
         try:
@@ -418,6 +455,22 @@ class TestBatchedFit:
         finally:
             tracemalloc.stop()
         assert peak <= 1_500_000
+
+    def test_family_two_table_is_capped(self, osc):
+        # family TWO at lambda 2 reads 4 b(m) = 16384 values per line at
+        # m = 4096: the grid's 12 row lines make two tables of at most
+        # _TABLE_CELLS (1 MiB) each, and the fit measured 1.52 MB; all 12
+        # in one table took 2.01 MB.  The bound is that plus 15%.
+        dyadic = [2 ** t for t in range(1, 13)]
+        fam = MajorantFamily(Family.TWO, Axis.ROW, lam=2, sup_horizon=4096)
+        check_membership(osc, 2, fam, [(2, 2)])  # caches filled on first use stay out
+        tracemalloc.start()
+        try:
+            check_membership(osc, 2, fam, [(m, n) for m in dyadic for n in dyadic])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_750_000
 
     def test_one_double_scan_per_threshold(self, osc, monkeypatch):
         thresholds = []
