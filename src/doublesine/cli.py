@@ -154,7 +154,7 @@ _OPTIONS: dict[str, dict[str, dict]] = {
         "thresholds": dict(default="8,16,32,64,128", help="comma list of thresholds"),
         "rect_cap": dict(type=int, default=4096, help="largest rectangle corner"),
         "doublings": dict(type=int, default=4, help="corner doublings per rectangle start"),
-        "min_start": dict(type=int, default=1, help="smallest rectangle start"),
+        "min_start": dict(type=int, default=1, help="first rectangle start of the probe lattice"),
         "band": dict(type=float, default=0.05,
                      help="largest relative rise per step of a decaying series"),
         "decay_ratio": dict(type=float, default=4.0,

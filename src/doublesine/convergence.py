@@ -34,7 +34,7 @@ finite is refused where it is produced, naming the first such point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -361,8 +361,8 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
         + 2C * sum_{j=m}^{2m+1} sum_{k=b2(n)}^{2 lam b2(n)} c_{jk}
         + 8  * sum_{j=m}^{2m+1} sum_{k=n}^{2n+1} c_{jk}
 
-    The sequence must be nonnegative on the touched ranges; slack is
-    RHS - m n c_{mn} and should be >= 0 for members of the step-2 class.
+    The sequence must be real and nonnegative on the touched ranges; slack
+    is RHS - m n c_{mn} and should be >= 0 for members of the step-2 class.
     Each window sum is one exactly rounded sum (:func:`_blocked_sum`).  The
     double sup is a query of ``table``, a :class:`DoubleScanTable` of
     ``c`` at ``sup_horizon`` that grid points may share (a table of
@@ -380,10 +380,11 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
 
         def block(j0, j1):
             j = np.arange(j0, j1 + 1, dtype=np.int64)
-            vals = np.asarray(c.eval(j[:, None], k[None, :]), dtype=np.float64)
-            if np.any(vals < 0.0):
-                raise ValueError("lemma3_check needs nonnegative coefficients")
-            return vals
+            vals = np.asarray(c.eval(j[:, None], k[None, :]))
+            # refused before the cast, which would drop an imaginary part
+            if np.iscomplexobj(vals) or np.any(vals < 0.0):
+                raise ValueError("lemma3_check needs real, nonnegative coefficients")
+            return vals.astype(np.float64, copy=False)
 
         return _blocked_sum(jlo, jhi, len(k), block)
 
@@ -421,7 +422,7 @@ class ProbeConfig:
     ``ceil(1/x)`` and ``ceil(1/y)`` for each grid point), and the
     corners ``M, N`` double away from the starts up to ``rect_cap``.
     ``thresholds`` is the schedule of lower bounds ``m + n > t``.
-    ``min_start`` is the smallest start kept, starts below it are
+    ``min_start`` is the lattice's first start, and starts below it are
     excluded (class domain restrictions); 1 keeps every m, n >= 1.
     ``band`` and ``decay_ratio`` are :func:`classify_probe`'s, refused
     here, before any probe, as there.
@@ -464,26 +465,23 @@ def _transition_index(x: float) -> int:
     return max(1, math.ceil(1.0 / d))
 
 
-def _probe_arrays(probe: ProbeConfig, min_start: int | None = None):
-    """Corner arrays ``m, M, n, N`` of every lattice rectangle, ordered by
-    m, n, M, N, and the interval index ``(j_iv, k_iv, lo, hi)``: rectangle
-    i spans ``lo[j_iv[i]]..hi[j_iv[i]]`` in j and likewise in k.  Starts
-    lie in ``[min_start, rect_cap]``; ``min_start`` (default the probe's)
-    is a start itself when given.  No threshold applies."""
-    first = probe.min_start if min_start is None else min_start
+def _probe_arrays(probe: ProbeConfig):
+    """The lattice's interval index ``(j_iv, k_iv, lo, hi)``: rectangle i
+    spans ``lo[j_iv[i]]..hi[j_iv[i]]`` in j and likewise in k, ordered by
+    m, n, M, N.  The starts are ``min_start`` and the dyadic and
+    structured starts in ``[min_start, rect_cap]``.  No threshold applies."""
+    first = probe.min_start
     dyadic = set(_doublings(1, probe.rect_cap))
     structured = {v for t in map(_transition_index, {v for xy in probe.xy_grid for v in xy})
                   for v in (t, t + 1, 2 * t)}
-    given = {first} if min_start is not None else set()
-    starts = sorted(v for v in dyadic | structured | given if first <= v <= probe.rect_cap)
+    starts = sorted(v for v in dyadic | structured | {first} if first <= v <= probe.rect_cap)
     lo, hi = np.array([(m, M) for m in starts
                        for M in _corners_from(m, probe.rect_cap, probe.doublings)],
                       dtype=np.int64).reshape(-1, 2).T
     j_iv, k_iv = np.divmod(np.arange(len(lo) ** 2), len(lo))
     # stable: the rectangles of one start pair keep their (M, N) order
     order = np.argsort(lo[j_iv] * (probe.rect_cap + 1) + lo[k_iv], kind="stable")
-    j_iv, k_iv = j_iv[order], k_iv[order]
-    return lo[j_iv], hi[j_iv], lo[k_iv], hi[k_iv], (j_iv, k_iv, lo, hi)
+    return j_iv[order], k_iv[order], lo, hi
 
 
 def _probe_bytes(cap: int, intervals: int, abscissae: int) -> int:
@@ -491,9 +489,9 @@ def _probe_bytes(cap: int, intervals: int, abscissae: int) -> int:
     one prefix table, the interval sums of each distinct x and y
     (``abscissae`` of them) and the two prefix gathers of the one being
     built, the ``inside`` mask, and sixteen lattice arrays of one entry
-    per rectangle (corners, interval indices, the admitted rectangles of
-    each threshold, and a grid point's product, modulus, sums and
-    selection)."""
+    per rectangle (interval indices and the keys that order them, the
+    admitted rectangles of each threshold, and a grid point's product,
+    modulus, sums and selection)."""
     return (8 * cap * (2 * cap + 1) + 8 * intervals * cap * (abscissae + 2)
             + intervals * cap + 8 * 16 * intervals ** 2)
 
@@ -650,24 +648,6 @@ def _rect_maxima(c: CoefficientSequence, probe: ProbeConfig, index, thresholds):
     return values, j, k
 
 
-def _probe_sup(c: CoefficientSequence, probe: ProbeConfig, min_start: int):
-    """Sup of |rect sum| over the probe lattice with both starts >= ``min_start``.
-
-    Returns (sup, witness_rect, witness_xy, number of rectangles); the
-    witness is the first largest in grid order, then lattice order.
-    """
-    ms, _, _, _, index = _probe_arrays(probe, min_start)
-    if ms.size == 0:
-        raise ValueError(f"no rectangles with starts >= {min_start} up to {probe.rect_cap}")
-    # min_start is applied when the lattice is built, so every pair is admitted
-    values, j, k = (v[0] for v in _rect_maxima(c, probe, index, (0,)))
-    p = int(np.argmax(values))
-    _, _, lo, hi = index
-    (x, y), wj, wk = probe.xy_grid[p], j[p], k[p]
-    return (float(values[p]), Rect(int(lo[wj]), int(hi[wj]), int(lo[wk]), int(hi[wk])),
-            (x, y), int(ms.size))
-
-
 class ProbeTraceRow(NamedTuple):
     """Per-threshold, per-grid-point probe maximum with its rectangle; the
     fields are the ``uniform-tail`` CSV columns, in order."""
@@ -685,8 +665,8 @@ class ProbeTraceRow(NamedTuple):
 def uniform_tail_trace(c: CoefficientSequence,
                        probe: ProbeConfig) -> tuple[TailReport, tuple[ProbeTraceRow, ...]]:
     """Like :func:`uniform_tail_probe`, also returning the full trace."""
-    ms, _, ns, _, index = _probe_arrays(probe)
-    most = int((ms + ns).max(initial=0))
+    index = _probe_arrays(probe)
+    most = 2 * int(index[2].max(initial=0))
     for t in probe.thresholds:
         if t >= most:
             raise ValueError(f"no rectangles beyond threshold {t}")
@@ -932,16 +912,27 @@ def theorem7_bound_check(c: CoefficientSequence, epsilon: float, eta: int, C: fl
                          probe: ProbeConfig) -> Theorem7Result:
     """Compare sampled |rectangle sums| with m, n > eta against the envelope.
 
-    The envelope is ``(1 + 2 pi C + 2 pi + 1.5 pi^2 C + pi^2) eps``.
+    The rectangles are those of the uniform-tail lattice of ``probe`` with
+    ``min_start = eta + 1`` (:func:`_probe_arrays`); the witness is the
+    first largest in grid order, then lattice order.  The envelope is
+    ``(1 + 2 pi C + 2 pi + 1.5 pi^2 C + pi^2) eps``.
     Negative slack (worst observed minus envelope) means the bound held
     on every sampled rectangle and grid point.
     """
     bound = (1.0 + 2.0 * math.pi * C + 2.0 * math.pi
              + 1.5 * math.pi ** 2 * C + math.pi ** 2) * epsilon
-    sup, wrect, wxy, n_rects = _probe_sup(c, probe, eta + 1)
+    index = _probe_arrays(replace(probe, min_start=eta + 1))
+    j_iv, _, lo, hi = index
+    if not j_iv.size:
+        raise ValueError(f"no rectangles with starts >= {eta + 1} up to {probe.rect_cap}")
+    # every start is past eta, so threshold 0 admits every rectangle
+    values, j, k = (v[0] for v in _rect_maxima(c, probe, index, (0,)))
+    p = int(np.argmax(values))
+    sup, wj, wk = float(values[p]), j[p], k[p]
     return Theorem7Result(epsilon=epsilon, C=C, eta=eta, bound=bound,
                           worst_abs=sup, slack=sup - bound,
-                          witness_rect=wrect, witness_xy=wxy, n_rects=n_rects)
+                          witness_rect=Rect(int(lo[wj]), int(hi[wj]), int(lo[wk]), int(hi[wk])),
+                          witness_xy=probe.xy_grid[p], n_rects=int(j_iv.size))
 
 
 def _remark2_squares(schedule) -> tuple[CoefficientSequence, float, list[Rect]]:

@@ -210,6 +210,16 @@ class MajorantFamily:
             compile_b(expr)  # raises early on bad expressions
 
 
+def _real(val, what: str, expr: str, var: str, index: int) -> float:
+    """``float(val)``, ``val`` the value of the expression ``expr`` at
+    ``var = index``.  Python float arithmetic gives a complex one for a
+    negative base under a fractional power; it is refused, named as
+    ``what``."""
+    if isinstance(val, (complex, np.complexfloating)):  # complex values come as scalars
+        raise ValueError(f"{what} {expr!r} not real at {var}={index}")
+    return float(val)
+
+
 @lru_cache(maxsize=None)
 def compile_b(expr: str):
     """Compile a closed-form index sequence ``b(l)`` from an expression.
@@ -219,10 +229,7 @@ def compile_b(expr: str):
     fn, _ = compile_expression(expr, ("l",))
 
     def b(l: int) -> int:
-        val = fn(l=float(l))
-        if isinstance(val, (complex, np.complexfloating)):  # complex values come as scalars
-            raise ValueError(f"b-sequence {expr!r} not real at l={l}")
-        val = float(val)
+        val = _real(fn(l=float(l)), "b-sequence", expr, "l", l)
         if not math.isfinite(val):
             raise ValueError(f"b-sequence {expr!r} not finite at l={l}")
         iv = int(math.floor(val))

@@ -77,6 +77,7 @@ from .majorants import (
     _Line,
     _check_horizon,
     _line_rhs,
+    _real,
     _rect_abs_sum,
     _row_lines,
     _row_view,
@@ -430,8 +431,8 @@ def check_single_membership(a: SingleSequence, klass: SingleClass, grid,
     if family is Family.THREE:
         line.prepare(horizon, a.decay_hint)
     steps = _steps(line.vals, r, lhs_reach)
-    majorants = ((Measurement(float(beta_fn(n=float(n))), 0.0) for n in points)
-                 if family is None else _line_rhs(family, lam, line, reads))
+    majorants = ((Measurement(_real(beta_fn(n=float(n)), "majorant beta", beta, "n", n), 0.0)
+                  for n in points) if family is None else _line_rhs(family, lam, line, reads))
     rows = [_ratio_row(n, 0, "single", lambda: float(ksum(steps[n - 1:2 * n - 1 + wide])),
                       lambda: next(majorants)) for n in points]
     _refuse_non_finite(rows)

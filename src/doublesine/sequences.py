@@ -460,7 +460,9 @@ def _parse(expr: str, variables: tuple[str, ...]) -> tuple[ast.Expression, set[s
 
 def _evaluator(tree: ast.Expression) -> Callable:
     """``fn(**variables)`` evaluating a validated tree with numpy.  Python
-    number arithmetic that divides by zero raises :class:`ExpressionError`."""
+    number arithmetic that divides by zero, and an operation that numpy
+    refuses for its operands' types (``mod`` of a complex value), raise
+    :class:`ExpressionError`."""
     code = compile(tree, "<sequence-expression>", "eval")
     env = {"__builtins__": {}}
     env.update(_FUNCTIONS)
@@ -472,6 +474,9 @@ def _evaluator(tree: ast.Expression) -> Callable:
             return eval(code, scope)  # noqa: S307 - ast-whitelisted in _validate
         except ZeroDivisionError as exc:
             raise ExpressionError(f"expression {ast.unparse(tree)!r} divides by zero: "
+                                  f"{exc}") from None
+        except TypeError as exc:
+            raise ExpressionError(f"expression {ast.unparse(tree)!r} cannot be evaluated: "
                                   f"{exc}") from None
 
     return fn

@@ -144,22 +144,17 @@ def _row_sums(table: np.ndarray, heads, tail: int = 0) -> list:
     ``table`` holds ``heads[i]`` values from its first column and ``tail``
     more in its last ``tail`` columns, summed in that order; the columns
     between are padding and enter no sum, whatever they hold (even a padded
-    zero could change the sign of a zero sum).  A float64 or complex128
-    row with fewer than ``_SMALL`` own values is ``math.fsum`` of its list,
-    per component, which is what ``ksum`` computes; any other row is
-    ``ksum`` of its own values."""
+    zero could change the sign of a zero sum).  A float64 row with fewer
+    than ``_SMALL`` own values is ``math.fsum`` of its list, which is what
+    ``ksum`` computes; any other row, complex included, is ``ksum`` of its
+    own values."""
     width = table.shape[1]
-    fast = table.dtype in (np.float64, np.complex128)
-    complex_ = table.dtype == np.complex128
+    fast = table.dtype == np.float64
     sums = []
     for row, head in zip(table, np.asarray(heads).tolist()):
         if not fast or head + tail >= _SMALL:
             sums.append(ksum(row if head + tail == width
                              else np.concatenate([row[:head], row[width - tail:]])))
-        elif complex_:
-            re, im = row.real.tolist(), row.imag.tolist()
-            sums.append(complex(math.fsum(re[:head] + re[width - tail:]),
-                                math.fsum(im[:head] + im[width - tail:])))
         else:
             values = row.tolist()
             sums.append(math.fsum(values[:head] + values[width - tail:]))

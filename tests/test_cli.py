@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from doublesine import (Axis, Family, MajorantFamily, ProbeConfig, builtin, check_membership, cli,
                         from_expression, interior_grid, kernels, ksum, majorants,
@@ -24,6 +27,9 @@ from conftest import TWIN_EXPR, by_parts_twin
 NONSEP_EXPR = "1/(j*k*(j+k))"
 # NaN at every (j, k): a negative base under a fractional power
 NAN_EXPR = "(-1)^(0.5+j-j)/(j*k)^2"
+# numpy's refusal of the remainder of a complex value
+REMAINDER = ("ufunc 'remainder' not supported for the input types, and the inputs could not be "
+             "safely coerced to any supported types according to the casting rule ''safe''")
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "scripts" / "configs"
 OSC = ("--preset", "oscillating_quadratic")
@@ -43,6 +49,90 @@ def load_json(tmp_path, name):
 def load_csv(tmp_path, name):
     with open(tmp_path / name, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def _fuzzed_expr(variables):
+    """Expressions in ``variables`` built from complex constants, ``mod``,
+    vanishing divisors and huge powers.  Every exponent is a float, so no
+    power of integer atoms builds a huge Python integer."""
+    atoms = st.sampled_from(["3", "0.5", "1e308", "5e-324", "(-2)^0.5"]
+                            + [f.format(v=v) for v in variables
+                               for f in ("{v}", "({v}-2)", "({v}-{v})", "(-1)^(0.5+{v}-{v})")])
+
+    def grow(inner):
+        return st.one_of(
+            st.builds("({}){}({})".format, inner, st.sampled_from("+-*/"), inner),
+            st.builds("({})^{}".format, inner, st.sampled_from(["2.0", "-3.0", "0.5", "400.0"])),
+            st.builds("{}({})".format, st.sampled_from(["ln", "abs", "sign", "alternating"]),
+                      inner),
+            st.builds("mod({},{})".format, inner, inner))
+
+    # a scale in front makes every value complex, huge or tiny
+    return st.builds("{}{}".format, st.sampled_from(["", "(-2)^0.5*", "1e308*", "5e-324*"]),
+                     st.recursive(atoms, grow, max_leaves=4))
+
+
+# the numeric flags a fuzzed command line may end with, each command's own
+FUZZED_FLAGS = {
+    "check-class": ("--r", "--lam", "--sup-horizon", "--max-row-c", "--max-double-c"),
+    "single-class": ("--lam", "--horizon", "--max-c"),
+    "single-class-gm": ("--r", "--lam", "--max-c"),
+    "condition-22": ("--s-max", "--decay-factor"),
+    "partial-sum": ("--r", "--x", "--y", "--tol"),
+    "uniform-tail": ("--grid-points", "--rect-cap", "--doublings", "--min-start", "--band",
+                     "--decay-ratio"),
+    "lemma": ("--sum-horizon", "--sup-horizon", "--band", "--decay-ratio"),
+    "lemma-3": ("--lam", "--sup-horizon", "--c-const"),
+    "eta": ("--epsilon", "--c-const", "--lam", "--cap", "--verify-range", "--rect-cap",
+            "--min-start"),
+}
+
+
+@st.composite
+def _fuzzed_argv(draw, command):
+    """A command line of ``command`` (a key of ``FUZZED_FLAGS``) at small
+    sizes: sup horizons and rectangle caps of at most 64, ``dyadic:8``
+    grids.  Half the double sequences are products of a factor in j and
+    one in k, which take the factored paths.  Half the lines end with one
+    of the command's numeric flags at 0, a negative, a huge or tiny float
+    or NaN; argparse keeps the last value."""
+    expr = draw(_fuzzed_expr(("j", "k"))
+                | st.builds("({})*({})".format, _fuzzed_expr(("j",)), _fuzzed_expr(("k",))))
+    block_map = st.just("l") | _fuzzed_expr(("l",))
+    horizon = draw(st.sampled_from(["16", "64"]))
+    if command == "check-class":
+        argv = ["check-class", "--expr", expr, "--grid", "dyadic:8", "--sup-horizon", horizon,
+                "--family", draw(st.sampled_from(["one", "two", "three"])),
+                "--r", draw(st.sampled_from(["1", "2"])), "--b1", draw(block_map)]
+    elif command == "single-class":
+        argv = ["check-class", "--single-class", draw(st.sampled_from(["mvbvs", "sbvs", "sbvs2"])),
+                "--expr", draw(_fuzzed_expr(("k",))), "--grid", "dyadic:8", "--horizon", horizon,
+                "--b", draw(block_map)]
+    elif command == "single-class-gm":   # the "star" majorant is MVBVS's, drawn above
+        argv = ["check-class", "--single-class", "gm", "--expr", draw(_fuzzed_expr(("k",))),
+                "--grid", "dyadic:8", "--gm-beta", draw(_fuzzed_expr(("n",)))]
+    elif command == "condition-22":
+        argv = ["condition-22", "--expr", expr, "--s-max", "64"]
+    elif command == "partial-sum":
+        argv = ["partial-sum", "--expr", expr, "--rect", "1:8x2:9", "--x", "0.5", "--y", "2.5"]
+    elif command == "uniform-tail":
+        argv = ["uniform-tail", "--expr", expr, "--grid-points", "2", "--rect-cap", horizon,
+                "--thresholds", "4,8", "--min-start", draw(st.sampled_from(["1", "3", "5"]))]
+    elif command == "lemma":
+        argv = ["lemma", "--which", draw(st.sampled_from(["1", "2"])), "--expr", expr,
+                "--schedule", "2,4,8", "--sum-horizon", "64", "--sup-horizon", horizon]
+    elif command == "lemma-3":
+        argv = ["lemma", "--which", "3", "--expr", expr, "--grid", "dyadic:8", "--sup-horizon",
+                horizon, "--b3", draw(block_map),
+                *draw(st.sampled_from([(), ("--c-const", "1")]))]
+    else:
+        argv = ["eta", "--expr", expr, "--epsilon", "0.2", "--c-const", "16", "--cap", "16",
+                "--sup-horizon", horizon, "--sum-horizon", "64", "--grid-points", "2",
+                "--rect-cap", horizon]
+    flag = draw(st.none() | st.sampled_from(FUZZED_FLAGS[command]))
+    if flag is not None:
+        argv += [flag, draw(st.sampled_from(["0", "-1", "1", "2", "1e308", "5e-324", "nan"]))]
+    return argv
 
 
 class TestPayloadShape:
@@ -219,6 +309,18 @@ class TestLibraryRefusals:
         (("check-class", "--preset", "oscillating_quadratic", "--b1", "(-1)^(0.5+l-l)",
           "--grid", "dyadic:8", "--sup-horizon", "64"),
          "error: b-sequence '(-1)^(0.5+l-l)' not real at l=2"),
+        # a complex value where a real one is required, and one numpy cannot
+        # take the remainder of
+        (("lemma", "--which", "3", "--expr", "(-2)^0.5/(j*k)^2", "--grid", "dyadic:8",
+          "--sup-horizon", "64", "--c-const", "1"),
+         "error: lemma3_check needs real, nonnegative coefficients"),
+        (("check-class", "--single-class", "gm", "--expr", "1/k^2", "--gm-beta", "(-2)^0.5*n"),
+         "error: majorant beta '(-2)^0.5*n' not real at n=2"),
+        (("condition-22", "--expr", "mod((-2)^0.5*j,3)*k"),
+         "error: expression 'mod((-2) ** 0.5 * j, 3) * k' cannot be evaluated: " + REMAINDER),
+        (("check-class", "--preset", "oscillating_quadratic", "--b1", "mod((-1)^(0.5+l-l),3)",
+          "--grid", "dyadic:8", "--sup-horizon", "64"),
+         "error: expression 'mod((-1) ** (0.5 + l - l), 3)' cannot be evaluated: " + REMAINDER),
         (("eta", "--expr", NAN_EXPR, "--epsilon", "0.2", "--c-const", "16", "--cap", "64",
           "--sup-horizon", "256", "--sum-horizon", "1024", "--grid-points", "3",
           "--rect-cap", "64"),
@@ -251,7 +353,8 @@ class TestLibraryRefusals:
          "0.7853981633974483) is inf, not finite"),
     ], ids=["direct", "parts", "condition-22 nan", "condition-22 inf", "check-class nan",
             "single nan", "uniform-tail nan", "lemma 1 nan", "lemma 2 nan", "lemma 3 nan",
-            "lemma 3 overflow", "complex b",
+            "lemma 3 overflow", "complex b", "lemma 3 complex", "complex gm majorant",
+            "complex mod", "complex mod b",
             "eta nan", "uniform-tail nan factor", "uniform-tail overflow",
             "uniform-tail late overflow", "theorem 7 nan", "theorem 7 overflow"])
     def test_non_finite_value_is_refused(self, tmp_path, capsys, argv, line):
@@ -1216,3 +1319,27 @@ class TestExitContract:
         err = self.refused(tmp_path, capsys, "check-class", "--seq-file", str(seqs),
                            "--seq-name", "b")
         assert "no sequence 'b' in file; available: ['a']" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # NaN, inf and complex casts
+    @pytest.mark.parametrize("command", sorted(FUZZED_FLAGS))
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_fuzzed_input_is_never_an_internal_error(self, tmp_path, capsys, command, data):
+        """A hostile command line exits 0, 1 or 2, never 3, and a rerun prints
+        and writes the same bytes; 15 derandomized examples per command."""
+        argv = data.draw(_fuzzed_argv(command))
+        out = tmp_path / "fuzz"
+
+        def attempt():
+            try:
+                status = main([*argv, "--out-dir", str(out)])
+            except SystemExit as exc:   # argparse refuses a value it cannot parse
+                status = exc.code
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            shutil.rmtree(out, ignore_errors=True)
+            return status, capsys.readouterr(), files
+
+        first = attempt()
+        assert first[0] in (0, 1, 2), first[1].err
+        assert attempt() == first

@@ -617,6 +617,23 @@ class TestTheorem7:
         assert res.slack < 0.0
         assert res.witness_rect.m >= 7 and res.witness_rect.n >= 7
 
+    @pytest.mark.parametrize("c", [builtin("oscillating_quadratic"), dense_twin()],
+                             ids=["factored", "dense"])
+    def test_min_start_starts_the_lattice_theorem7_probes(self, c):
+        # on interior_grid(3) the structured starts are 1..4, so 5 is neither
+        # dyadic nor structured
+        probe = ProbeConfig(xy_grid=interior_grid(3), thresholds=(12, 16, 24), rect_cap=64,
+                            min_start=5)
+        _, trace = uniform_tail_trace(c, probe)
+        assert min(min(r.m, r.n) for r in trace) == 5
+        eta = 4
+        t7 = theorem7_bound_check(c, 0.2, eta, 16.0, dataclasses.replace(probe, min_start=1))
+        tail = dataclasses.replace(probe, min_start=eta + 1, thresholds=(2,))
+        row = max(uniform_tail_trace(c, tail)[1], key=lambda r: r.abs_sum)
+        assert (t7.worst_abs, t7.witness_rect, t7.witness_xy, t7.n_rects) \
+            == (row.abs_sum, Rect(row.m, row.M, row.n, row.N), (row.x, row.y),
+                len(_probe_arrays(tail)[0]))
+
     def test_eta_at_the_rect_cap_leaves_no_rectangles(self, osc):
         with pytest.raises(ValueError, match="no rectangles with starts >= 257 up to 256"):
             theorem7_bound_check(osc, 0.2, 256, 16.0, small_probe(cap=256))
@@ -686,8 +703,8 @@ class TestProbeOracle:
     @pytest.mark.parametrize("c", _oracle_inputs(), ids=lambda c: c.name)
     def test_trace_matches_direct_sums(self, c):
         report, trace = uniform_tail_trace(c, self.PROBE)
-        ms, Ms, ns, Ns, _ = _probe_arrays(self.PROBE)
-        rects = [Rect(*map(int, r)) for r in zip(ms, Ms, ns, Ns)]
+        j_iv, k_iv, lo, hi = _probe_arrays(self.PROBE)
+        rects = [Rect(int(lo[j]), int(hi[j]), int(lo[k]), int(hi[k])) for j, k in zip(j_iv, k_iv)]
         direct = {xy: [abs(rect_sum_direct(c, r, *xy)) for r in rects]
                   for xy in self.PROBE.xy_grid}
         close = dict(rel=1e-12, abs=1e-14)
@@ -707,8 +724,8 @@ class TestProbeOracle:
 
     def test_min_start_is_the_smallest_start_kept(self):
         probe = ProbeConfig(xy_grid=((1.0, 1.0),), rect_cap=64, min_start=4)
-        ms, _, ns, _, _ = _probe_arrays(probe)
-        assert np.unique(ms).tolist() == np.unique(ns).tolist() == [4, 8, 16, 32, 64]
+        j_iv, k_iv, lo, _ = _probe_arrays(probe)
+        assert np.unique(lo[j_iv]).tolist() == np.unique(lo[k_iv]).tolist() == [4, 8, 16, 32, 64]
 
     def test_twin_matches_preset_at_cap_1024(self):
         probe = ProbeConfig(xy_grid=interior_grid(9), rect_cap=1024, doublings=3)
@@ -772,7 +789,7 @@ class TestProbeOracle:
         probe = ProbeConfig(xy_grid=interior_grid(points), rect_cap=cap)
         uniform_tail_probe(c, ProbeConfig(xy_grid=interior_grid(2), rect_cap=16,
                                           thresholds=(4, 8)))  # first-use caches stay out
-        intervals = len(_probe_arrays(probe)[4][2])
+        intervals = len(_probe_arrays(probe)[2])
         stated = _probe_bytes(cap, intervals, 2 * points)
         tracemalloc.start()
         try:
@@ -816,12 +833,12 @@ def _first_max_oracle(vals, index, t):
     return vals[i], j_iv[i], k_iv[i]
 
 
-def _probe_oracle(c, probe, thresholds, min_start=None, product=np.outer):
+def _probe_oracle(c, probe, thresholds, product=np.outer):
     """The products the factored probe stands for, grid point by grid point:
     ``(threshold, x, y, Rect, value)`` rows, threshold-major, or the text
     of the refusal of the first grid point with a product that is not finite.
     ``product`` multiplies the two columns of interval sums."""
-    index = _probe_arrays(probe, min_start)[4]
+    index = _probe_arrays(probe)
     j_iv, k_iv, lo, hi = index
     idx = np.arange(1, probe.rect_cap + 1)
     a, b = (f.eval(idx)[:, None] for f in c.separable_parts)   # one column, as the probe's
@@ -850,7 +867,7 @@ class TestFactoredMaxima:
     @given(data=st.data())
     def test_first_maxima_match_the_products(self, data):
         probe, min_start = _drawn_probe(data)
-        index = _probe_arrays(probe, min_start)[4]
+        index = _probe_arrays(dataclasses.replace(probe, min_start=min_start or 1))
         lo = index[2]
 
         def sums(axis):   # drawn per distinct abscissa, so repeated points repeat rows
@@ -884,7 +901,7 @@ class TestFactoredMaxima:
             factors.append(single_from_values(name, values))
         c = separable(*factors)
         probe = dataclasses.replace(probe, thresholds=tuple(
-            _drawn_thresholds(data, _probe_arrays(probe)[4][2], least=2)))
+            _drawn_thresholds(data, _probe_arrays(probe)[2], least=2)))
 
         expected = _probe_oracle(c, probe, probe.thresholds)
         if isinstance(expected, str):
@@ -899,7 +916,7 @@ class TestFactoredMaxima:
                                            for t in probe.thresholds]
 
         eta = (min_start or 1) - 1
-        expected = _probe_oracle(c, probe, (0,), eta + 1)
+        expected = _probe_oracle(c, dataclasses.replace(probe, min_start=eta + 1), (0,))
         if isinstance(expected, str):
             with pytest.raises(ValueError) as refused:
                 theorem7_bound_check(c, 0.2, eta, 16.0, probe)
