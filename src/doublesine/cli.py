@@ -6,8 +6,10 @@ built-in defaults.  Argparse finds ``--config`` in every spelling it
 accepts (``--config=P``, or a prefix such as ``--conf P``), and the
 file's values become the command's defaults.  The fully resolved option
 set is recorded in the JSON report so a run can be reproduced from its
-own output.  Options are declared once, in ``_OPTIONS``, under the
-config section that holds their key; ``--help`` lists them by section.
+own output.  One parser serves a call: a config file's values are set
+as the command's defaults and the same parser reads the line again.
+Options are declared once, in ``_OPTIONS``, under the config section
+that holds their key; ``--help`` lists them by section.
 
 Exit status: 0 when all asserted verdicts pass, 1 on a numerical
 verdict failure (the witness is printed), 2 on bad input.  Bad input is
@@ -16,12 +18,15 @@ NaN or infinite float (one ``config error: ...`` line on stderr), or a
 library refusal such as a scan horizon below its start, a size guard, a
 singular abscissa, a float overflow in a sum, or a rectangle sum, fit
 row, lemma, probe, eta or condition (22) value that is not finite (one
-``error: ...`` line); neither writes a report.  An output directory or
-report file that cannot be written, or a run out of memory, also exits
-2 with one ``error: ...`` line.  Any other exception is an internal
-error: status 3, with its traceback.  Warnings (numpy's ``RuntimeWarning``
-on an expression that overflows, say) are held until the status is
-known: a run with status 2 prints none of them, any other run all.
+``error: ...`` line); neither writes a report.  A usage error that
+argparse reports itself exits 2 with its usage text, and ``--help`` 0;
+:func:`main` returns these statuses too, never raising ``SystemExit``.
+An output directory or report file that cannot be written, or a run out
+of memory, also exits 2 with one ``error: ...`` line.  Any other
+exception is an internal error: status 3, with its traceback.  Warnings
+(numpy's ``RuntimeWarning`` on an expression that overflows, say) are
+held until the status is known: a run with status 2 prints none of
+them, any other run all.
 """
 
 from __future__ import annotations
@@ -705,22 +710,25 @@ _COMMANDS = {
 
 # --- parser construction and config file plumbing -----------------------------
 
-def build_parser(command: str | None = None,
-                 config: dict | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone when it names
-    one; ``config`` values replace that command's defaults."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one."""
+    return _parsers(command)[0]
+
+
+def _parsers(command: str | None) -> tuple[argparse.ArgumentParser, dict]:
+    """:func:`build_parser`'s parser and its command sub-parsers by name."""
     parser = argparse.ArgumentParser(
         prog="doublesine",
         description="Numerical checks for double sine series with "
                     "generalized-monotone coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, cmd in _COMMANDS.items():
         if command in _COMMANDS and name != command:
             continue
-        p = sub.add_parser(name, help=cmd.help,
-                           description=f"{cmd.help}; options are listed under "
-                                       "the config-file section that holds their key")
-        defaults = {**cmd.defaults, **(config or {})}
+        p = commands[name] = sub.add_parser(
+            name, help=cmd.help, description=f"{cmd.help}; options are listed under "
+                                             "the config-file section that holds their key")
         for section, options in _OPTIONS.items():
             dests = [d for d in cmd.options if d in options]
             if not dests:
@@ -729,10 +737,10 @@ def build_parser(command: str | None = None,
             for dest in dests:
                 spec = dict(options[dest])
                 flag = spec.pop("flag", "--" + dest.replace("_", "-"))
-                if dest in defaults:
-                    spec["default"] = defaults[dest]
+                if dest in cmd.defaults:
+                    spec["default"] = cmd.defaults[dest]
                 group.add_argument(flag, dest=dest, **spec)
-    return parser
+    return parser, commands
 
 
 def _coerce(dest: str, raw: str):
@@ -810,13 +818,17 @@ def _main(argv) -> int:
     # the top-level parser takes no option but --help, so the first word is the command
     command = next((tok for tok in argv if not tok.startswith("-")), None)
     try:
-        # argparse exits 2 on bad usage, matching the config-error status
-        args = build_parser(command).parse_args(argv)
+        parser, commands = _parsers(command)
+        args = parser.parse_args(argv)
         if args.config is not None:
-            config = _read_config(args.command, args.config)
-            args = build_parser(args.command, config).parse_args(argv)
+            # the file's values become the command's defaults; flags on the line still win
+            commands[args.command].set_defaults(**_read_config(args.command, args.config))
+            args = parser.parse_args(argv)
         _check_finite(args)
         results, csv_payload, witness = _COMMANDS[args.command].run(args)
+    except SystemExit as exc:
+        # argparse's status: 2 on bad usage, matching the config-error status; 0 after --help
+        return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

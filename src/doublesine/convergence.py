@@ -7,7 +7,8 @@ The quantities here are the ones a regular-convergence argument runs on:
 * :func:`lemma2_quantities` -- the two one-sided companions
   ``m sup_{k>=n} k sum_{j>=m} |d20 c_{jk}|`` and its transpose;
 * :func:`lemma_schedule` -- lemma 1 or 2 at (m, m) along a schedule of
-  scales, each series with its :func:`classify_probe` verdict;
+  scales, each series with its :func:`classify_probe` verdict; the
+  scales' ranges nest, so one pass over the largest serves them all;
 * :func:`lemma3_check` -- a pointwise sandwich: ``m n c_{mn}`` must stay
   below a constant multiple of block sums of the sequence;
 * :func:`uniform_tail_probe` -- evaluates the rectangle partial sums
@@ -33,6 +34,7 @@ finite is refused where it is produced, naming the first such point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -40,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .differences import (_SUB_BLOCK_CELLS, _blocked_sum, _doublings, _span, _steps,
-                          _sub_blocks, delta_r0_grid)
+from .differences import (_SUB_BLOCK_CELLS, _blocked_sum, _doublings, _nested_sums, _span,
+                          _steps, _sub_blocks, delta_r0_grid, delta_rr_grid)
 from .kernels import Rect, rect_sum_direct, rect_sum_separable
 from .majorants import (DoubleScanTable, Measurement, _check_horizon, _dense_cap, _rect_abs_sum,
                         _scan_table, _sup_measurement, compile_b)
@@ -196,6 +198,16 @@ def loglog_slope(schedule, values) -> float | None:
 
 # --- factor scans ----------------------------------------------------------
 
+def _d2_terms(a: SingleSequence):
+    """``block(lo, hi)``: ``|a_j - a_{j+2}|`` for ``j = lo..hi`` from one
+    evaluation of ``a`` on ``lo..hi + 2``."""
+    return lambda lo, hi: _steps(np.asarray(a.eval(_span(lo, hi + 2))), 2, hi - lo + 1)
+
+
+def _d2_tail(a: SingleSequence, H: int) -> float | None:
+    return None if a.decay_hint is None else a.decay_hint.d2_tail(H)
+
+
 def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
     """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus the hint's tail certificate past H.
 
@@ -204,19 +216,71 @@ def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
     evaluation of ``a``: the :func:`~doublesine.differences._variation`
     of one evaluation, bit for bit, in a working set of a sub-block.
     """
-    def terms(lo, hi):
-        return _steps(np.asarray(a.eval(_span(lo, hi + 2))), 2, hi - lo + 1)
+    return Measurement(_blocked_sum(m, H, 1, _d2_terms(a)), _d2_tail(a, H))
 
-    tail = None if a.decay_hint is None else a.decay_hint.d2_tail(H)
-    return Measurement(_blocked_sum(m, H, 1, terms), tail)
+
+def _d2_scans(a: SingleSequence, starts: list[int], H: int):
+    """``m -> _d2_scan(a, m, H)`` for each of the strictly increasing
+    ``starts``, bit for bit, from one pass over ``starts[0]..H``
+    (:func:`~doublesine.differences._nested_sums`).  A start the pass
+    leaves None is scanned alone when it is asked for, so a refusal comes
+    where the scan alone raises it."""
+    sums = dict(zip(starts, _nested_sums(starts, H, _d2_terms(a))))
+    tail = _d2_tail(a, H)
+    return lambda m: _d2_scan(a, m, H) if sums[m] is None else Measurement(sums[m], tail)
+
+
+def _weights(b: SingleSequence, n: int, H: int) -> np.ndarray:
+    """``k |b_k|`` for ``k = n..H``."""
+    k = np.arange(n, H + 1, dtype=np.int64)
+    return k.astype(np.float64) * np.abs(np.asarray(b.eval(k)))
+
+
+def _weight_tail(b: SingleSequence, H: int) -> float | None:
+    return None if b.decay_hint is None else b.decay_hint.weighted_sup(H)
 
 
 def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
     """``sup_{k >= n} k |b_k|`` scanned to H with a tail certificate."""
-    k = np.arange(n, H + 1, dtype=np.int64)
-    vals = k.astype(np.float64) * np.abs(np.asarray(b.eval(k)))
-    return _sup_measurement(float(np.max(vals)),
-                            None if b.decay_hint is None else b.decay_hint.weighted_sup(H))
+    return _sup_measurement(float(np.max(_weights(b, n, H))), _weight_tail(b, H))
+
+
+def _weight_sup_scans(b: SingleSequence, starts: list[int], H: int):
+    """``n -> _weight_sup_scan(b, n, H)`` for each of the strictly
+    increasing ``starts``, none past H, from one evaluation of ``b`` on
+    ``starts[0]..H`` and one reverse running maximum.  ``max`` is exact and
+    propagates NaN, so each sup is the scan's alone, bit for bit."""
+    sups = np.maximum.accumulate(_weights(b, starts[0], H)[::-1])[::-1]
+    tail = _weight_tail(b, H)
+    return lambda n: _sup_measurement(float(sups[n - starts[0]]), tail)
+
+
+def _quadrant_sums(c: CoefficientSequence, starts: list[int], H: int):
+    """``m -> sum_{j,k=m}^{H} |d22 c_{jk}|`` for each of the strictly
+    increasing ``starts`` that the cell guard lets through (it refuses the
+    others before they are asked for), bit for bit, from one pass over the
+    largest quadrant's L-shaped strips
+    (:func:`~doublesine.differences._nested_sums`).  A start the pass
+    leaves None is summed alone when it is asked for."""
+    starts = [m for m in starts if (H - m + 1) ** 2 <= _MAX_GENERIC_CELLS]
+    lo = starts[0]
+    block = lambda j0, j1: np.abs(delta_rr_grid(c, 2, j0, j1, lo, H))  # noqa: E731
+    sums = dict(zip(starts, _nested_sums(starts, H, block, square=True)))
+    return lambda m: _rect_abs_sum(c, 2, m, H, m, H) if sums[m] is None else sums[m]
+
+
+def _shared(make):
+    """``read(f, start)``: ``make(f)(start)``, with ``make(f)`` made at the
+    first read of the object ``f`` and kept: each factor object is read in
+    one pass, made where its first scan alone would run."""
+    made = {}
+
+    def read(f, start):
+        if id(f) not in made:
+            made[id(f)] = make(f)
+        return made[id(f)](start)
+
+    return read
 
 
 def _guard_generic(cells: int) -> None:
@@ -243,6 +307,25 @@ def _product(x: Measurement, y: Measurement, sx, sy) -> Measurement:
     return Measurement(value=value, tail_bound=(sx * sy) * (x.value * ty + tx * y.value + tx * ty))
 
 
+def _lemma1(c: CoefficientSequence, m: int, n: int, horizon: int, d2, quadrant) -> Measurement:
+    """:func:`lemma1_quantity` from its scans: ``d2(f, start)``, the
+    :func:`_d2_scan` of a factor, and ``quadrant(m, n)``, the dense sum of
+    ``|d22 c|`` over ``m..horizon`` by ``n..horizon``."""
+    if m < 1 or n < 1:
+        raise ValueError("indices must be >= 1")
+    _check_horizon(horizon, max(m, n))
+    if c.separable_parts is not None:
+        a, b = c.separable_parts
+        out = _product(d2(a, m), d2(b, n), m, n)
+    else:
+        _guard_generic((horizon - m + 1) * (horizon - n + 1))
+        value = m * n * quadrant(m, n)
+        tail = None if c.decay_hint is None else c.decay_hint.d22_tail(m, n, horizon)
+        out = Measurement(value=value, tail_bound=None if tail is None else m * n * tail)
+    _require_finite(out.value, lambda _: f"lemma 1 quantity at (m, n) = ({m}, {n})")
+    return out
+
+
 def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
                     horizon: int = 1 << 16) -> Measurement:
     """``m n sum_{j>=m} sum_{k>=n} |d22 c_{jk}|`` with step-2 differences.
@@ -252,18 +335,23 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
     would start past ``horizon`` raises
     :class:`~doublesine.majorants.HorizonError`.
     """
+    return _lemma1(c, m, n, horizon, lambda f, start: _d2_scan(f, start, horizon),
+                   lambda m, n: _rect_abs_sum(c, 2, m, horizon, n, horizon))
+
+
+def _lemma2(c: CoefficientSequence, m: int, n: int, sup_horizon: int, sum_horizon: int, d2,
+            weight_sup) -> tuple[Measurement, Measurement]:
+    """:func:`lemma2_quantities` from its factor scans: ``d2(f, start)``,
+    the :func:`_d2_scan` of a factor to ``sum_horizon``, and
+    ``weight_sup(f, start)``, its :func:`_weight_sup_scan` to
+    ``sup_horizon``."""
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
-    _check_horizon(horizon, max(m, n))
-    if c.separable_parts is not None:
-        a, b = c.separable_parts
-        out = _product(_d2_scan(a, m, horizon), _d2_scan(b, n, horizon), m, n)
-    else:
-        _guard_generic((horizon - m + 1) * (horizon - n + 1))
-        value = m * n * _rect_abs_sum(c, 2, m, horizon, n, horizon)
-        tail = None if c.decay_hint is None else c.decay_hint.d22_tail(m, n, horizon)
-        out = Measurement(value=value, tail_bound=None if tail is None else m * n * tail)
-    _require_finite(out.value, lambda _: f"lemma 1 quantity at (m, n) = ({m}, {n})")
+    _check_horizon(sup_horizon, max(m, n))
+    out = (_one_sided(c, m, n, sup_horizon, sum_horizon, d2, weight_sup),
+           _one_sided(c.T, n, m, sup_horizon, sum_horizon, d2, weight_sup))
+    _require_finite([q.value for q in out], lambda i: f"lemma 2 {('first', 'second')[i]} "
+                    f"quantity at (m, n) = ({m}, {n})")
     return out
 
 
@@ -278,23 +366,19 @@ def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
     a sup that would start past ``sup_horizon`` raises
     :class:`~doublesine.majorants.HorizonError`.
     """
-    if m < 1 or n < 1:
-        raise ValueError("indices must be >= 1")
-    _check_horizon(sup_horizon, max(m, n))
-    out = (_one_sided(c, m, n, sup_horizon, sum_horizon),
-           _one_sided(c.T, n, m, sup_horizon, sum_horizon))
-    _require_finite([q.value for q in out], lambda i: f"lemma 2 {('first', 'second')[i]} "
-                    f"quantity at (m, n) = ({m}, {n})")
-    return out
+    return _lemma2(c, m, n, sup_horizon, sum_horizon,
+                   lambda f, start: _d2_scan(f, start, sum_horizon),
+                   lambda f, start: _weight_sup_scan(f, start, sup_horizon))
 
 
 def _one_sided(c: CoefficientSequence, m: int, n: int, sup_horizon: int,
-               sum_horizon: int) -> Measurement:
+               sum_horizon: int, d2, weight_sup) -> Measurement:
     """``m sup_{k>=n} k sum_{j>=m} |d20 c_{jk}|``; on ``c.T`` with m and n
-    exchanged it is the second quantity of :func:`lemma2_quantities`."""
+    exchanged it is the second quantity of :func:`lemma2_quantities`.  A
+    separable sequence reads its factor scans from :func:`_lemma2`'s."""
     if c.separable_parts is not None:
         a, b = c.separable_parts
-        return _product(_d2_scan(a, m, sum_horizon), _weight_sup_scan(b, n, sup_horizon), m, 1)
+        return _product(d2(a, m), weight_sup(b, n), m, 1)
     # both orientations' sizes, so the first call refuses before any work
     _guard_generic(max((sum_horizon - m + 1) * (sup_horizon - n + 1),
                        (sum_horizon - n + 1) * (sup_horizon - m + 1)))
@@ -323,15 +407,30 @@ def lemma_schedule(c: CoefficientSequence, which: int, schedule, *,
     of their ``upper`` values.  Any other ``which``, and a ``band`` or
     ``decay_ratio`` that :func:`classify_probe` refuses, are refused
     before any scan.
+
+    The scales' ranges nest, so one pass over the largest serves every
+    scale: per distinct factor object and scan kind (:func:`_d2_scans`,
+    :func:`_weight_sup_scans`), or over a dense sequence's lemma 1
+    quadrants (:func:`_quadrant_sums`); a dense lemma 2 keeps its
+    per-point column sums, added in row order from m.  Values are the
+    per-point calls', bit for bit, for any order or repetition of scales,
+    and so are their refusals, in schedule order: a pass runs where the
+    first scan it serves would.
     """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     _check_probe_rule(band, decay_ratio)
+    schedule = list(schedule)
+    # every other scale is refused before a scan reads it
+    starts = sorted({m for m in schedule if 1 <= m <= (sum_horizon if which == 1 else sup_horizon)})
+    d2 = _shared(lambda f: _d2_scans(f, starts, sum_horizon))
     if which == 1:
-        series = {"mixed_tail": [lemma1_quantity(c, m, m, horizon=sum_horizon) for m in schedule]}
+        quadrants = functools.cache(lambda: _quadrant_sums(c, starts, sum_horizon))
+        series = {"mixed_tail": [_lemma1(c, m, m, sum_horizon, d2, lambda m, _: quadrants()(m))
+                                 for m in schedule]}
     else:
-        pairs = [lemma2_quantities(c, m, m, sup_horizon=sup_horizon, sum_horizon=sum_horizon)
-                 for m in schedule]
+        weight_sup = _shared(lambda f: _weight_sup_scans(f, starts, sup_horizon))
+        pairs = [_lemma2(c, m, m, sup_horizon, sum_horizon, d2, weight_sup) for m in schedule]
         series = {"row_tail": [qa for qa, _ in pairs], "col_tail": [qb for _, qb in pairs]}
     return {name: (qs, classify_probe([q.upper for q in qs], band=band, decay_ratio=decay_ratio))
             for name, qs in series.items()}

@@ -27,7 +27,10 @@ rectangle is read in sub-blocks of about ``_SUB_BLOCK_CELLS`` cells
 Every dense rectangle sum (block differences, lemma 1, the dense
 family-ONE and lemma 3 windows) and the lemma factor sums of ``|d2 a|``
 are one :func:`_blocked_sum`: the exactly rounded sum of the whole
-rectangle, the same float as one ``ksum`` of it.
+rectangle, the same float as one ``ksum`` of it.  A schedule of nested
+ranges, the lemma 1 quadrants ``m..H`` squared or the factor sums over
+``m..H``, is one :func:`_nested_sums`: one pass over the largest range,
+whose strips' exact parts each range's sum shares.
 """
 
 from __future__ import annotations
@@ -118,6 +121,51 @@ def _blocked_sum(lo: int, hi: int, width: int, block) -> float:
             return total
     return math.fsum(v for s0, s1 in _sub_blocks(lo, hi, width)
                      for v in np.asarray(block(s0, s1), dtype=np.float64).reshape(-1).tolist())
+
+
+def _nested_sums(starts, hi: int, block, square: bool = False) -> list[float | None]:
+    """Sums over the nested ranges from each of the strictly increasing
+    ``starts`` to ``hi``, in one pass over the largest: rows ``m..hi`` of
+    one column, or with ``square`` the quadrant ``m..hi`` squared.
+    ``block(j0, j1)`` returns rows ``j0..j1``, across the columns
+    ``starts[0]..hi`` when ``square``.
+
+    Start i's range is the union of strips i, i+1, ...: the rows from
+    ``starts[i]`` up to the next start, or with ``square`` the L-shaped
+    cells whose smaller index lies there.  Each strip's exact parts are
+    gathered once and each union is rounded once by :func:`math.fsum`:
+    for nonnegative values, the float :func:`_blocked_sum` gives the
+    range alone.  None where a strip has no exact parts (not finite, out
+    of range) or the total is zero or overflows: that range is to be read
+    alone, where ``math.fsum`` decides NaN, overflow and the sign of zero."""
+    lo = starts[0]
+    width = hi - lo + 1 if square else 1
+    ends = [min(m, hi + 1) for m in starts[1:]] + [hi + 1]
+    strips: list[list[float] | None] = [[] for _ in starts]
+    for b, (m, end) in enumerate(zip(starts, ends)):
+        # the columns of rows m..end - 1 by strip: the arms of the strips
+        # before b, then strip b's own
+        cuts = [(i, starts[i] - lo, ends[i] - lo) for i in range(b)] if square else []
+        cuts.append((b, m - lo if square else 0, width))
+        for s0, s1 in _sub_blocks(m, end - 1, width):
+            rows = np.asarray(block(s0, s1)).reshape(s1 - s0 + 1, width)
+            for i, k0, k1 in cuts:
+                if strips[i] is not None:
+                    exact = _exact_parts(rows[:, k0:k1].reshape(-1))
+                    if exact is None:
+                        strips[i] = None
+                    else:
+                        strips[i].extend(exact)
+    sums: list[float | None] = []
+    parts: list[float] | None = []
+    for strip in reversed(strips):
+        parts = None if strip is None or parts is None else strip + parts
+        try:
+            total = 0.0 if parts is None else math.fsum(parts)
+        except OverflowError:   # a long list of parts near 2^1000
+            total = 0.0
+        sums.append(total if total != 0.0 else None)
+    return sums[::-1]
 
 
 def _span(lo: int, hi: int) -> np.ndarray:

@@ -460,9 +460,9 @@ def _parse(expr: str, variables: tuple[str, ...]) -> tuple[ast.Expression, set[s
 
 def _evaluator(tree: ast.Expression) -> Callable:
     """``fn(**variables)`` evaluating a validated tree with numpy.  Python
-    number arithmetic that divides by zero, and an operation that numpy
-    refuses for its operands' types (``mod`` of a complex value), raise
-    :class:`ExpressionError`."""
+    number arithmetic that divides by zero or overflows a float, and an
+    operation that numpy refuses for its operands' types (``mod`` of a
+    complex value), raise :class:`ExpressionError`."""
     code = compile(tree, "<sequence-expression>", "eval")
     env = {"__builtins__": {}}
     env.update(_FUNCTIONS)
@@ -478,6 +478,9 @@ def _evaluator(tree: ast.Expression) -> Callable:
         except TypeError as exc:
             raise ExpressionError(f"expression {ast.unparse(tree)!r} cannot be evaluated: "
                                   f"{exc}") from None
+        except OverflowError as exc:
+            raise ExpressionError(f"expression {ast.unparse(tree)!r} overflows a float: "
+                                  f"{exc.args[-1]}") from None
 
     return fn
 

@@ -360,6 +360,18 @@ class TestLibraryRefusals:
     def test_non_finite_value_is_refused(self, tmp_path, capsys, argv, line):
         assert self.refused(tmp_path, capsys, *argv) == line + "\n"
 
+    @pytest.mark.parametrize("argv, line", [
+        (("partial-sum", "--expr", "(1e308)^2.0*j*k", "--rect", "1:4x1:4", "--x", "0.5",
+          "--y", "0.5"),
+         "error: expression '1e+308 ** 2.0 * j * k' overflows a float: "
+         "Numerical result out of range"),
+        (("check-class", "--preset", "oscillating_quadratic", "--b1", "10^(400*l)",
+          "--grid", "dyadic:8", "--sup-horizon", "64"),
+         "error: expression '10 ** (400 * l)' overflows a float: Numerical result out of range"),
+    ], ids=["expression", "b-sequence"])
+    def test_python_float_overflow_names_the_expression(self, tmp_path, capsys, argv, line):
+        assert self.refused(tmp_path, capsys, *argv) == line + "\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sup scans
     @pytest.mark.parametrize("argv, line", [
         (("--expr", "5e307*(2+alternating(j))*k^0", "--family", "two", "--r", "1", "--grid",
@@ -1118,9 +1130,7 @@ class TestResolvedConfig:
 
 class TestHelp:
     def test_options_listed_under_their_config_sections(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check-class", "--help"])
-        assert exc.value.code == 0
+        assert main(["check-class", "--help"]) == 0
         heading, listed_under = None, {}
         for line in capsys.readouterr().out.splitlines():
             if line and not line[0].isspace() and line.endswith(":"):
@@ -1132,6 +1142,12 @@ class TestHelp:
             for key in keys:
                 flag = flags.get(key, "--" + key.replace("_", "-"))
                 assert listed_under[flag] == f"[{section}]", flag
+
+    def test_usage_error_returns_two(self, tmp_path, capsys):
+        # argparse's own exit status comes back from main, not as SystemExit
+        assert main(["check-class", *OSC, "--r", "nan", "--out-dir", str(tmp_path)]) == 2
+        assert "error: argument --r: invalid int value: 'nan'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestHeldWarnings:
@@ -1332,10 +1348,7 @@ class TestExitContract:
         out = tmp_path / "fuzz"
 
         def attempt():
-            try:
-                status = main([*argv, "--out-dir", str(out)])
-            except SystemExit as exc:   # argparse refuses a value it cannot parse
-                status = exc.code
+            status = main([*argv, "--out-dir", str(out)])
             files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
             shutil.rmtree(out, ignore_errors=True)
             return status, capsys.readouterr(), files

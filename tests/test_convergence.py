@@ -43,6 +43,7 @@ from doublesine import (
     uniform_tail_probe,
     uniform_tail_trace,
 )
+from doublesine import differences
 from doublesine.convergence import (EtaCondition, EtaSearchResult, _d2_scan, _factored_maxima,
                                     _probe_arrays, _probe_bytes, _test_points, _weight_sup_scan)
 from doublesine.differences import _SUB_BLOCK_CELLS, _variation
@@ -108,6 +109,18 @@ class TestVerdicts:
     def test_tail_report_refuses_mismatched_series(self, fields, reason):
         with pytest.raises(ValueError, match=reason):
             TailReport(verdict=Verdict.INCONCLUSIVE, **fields)
+
+
+def per_point_schedule(c, which, schedule, sup_horizon=1 << 14, sum_horizon=1 << 16):
+    """``lemma_schedule`` at its default rule, one per-point call per scale."""
+    if which == 1:
+        series = {"mixed_tail": [lemma1_quantity(c, m, m, horizon=sum_horizon)
+                                 for m in schedule]}
+    else:
+        pairs = [lemma2_quantities(c, m, m, sup_horizon=sup_horizon, sum_horizon=sum_horizon)
+                 for m in schedule]
+        series = {"row_tail": [qa for qa, _ in pairs], "col_tail": [qb for _, qb in pairs]}
+    return {name: (qs, classify_probe([q.upper for q in qs])) for name, qs in series.items()}
 
 
 class TestLemmaQuantities:
@@ -198,15 +211,8 @@ class TestLemmaQuantities:
     ], ids=["separable", "generic"])
     def test_schedule_is_the_per_point_calls(self, c, horizons, which):
         schedule = (4, 8, 16, 32, 64)   # scripts/configs/lemma1-osc.cfg and lemma2-osc.cfg
-        if which == 1:
-            per_point = {"mixed_tail": [lemma1_quantity(
-                c, m, m, horizon=horizons.get("sum_horizon", 1 << 16)) for m in schedule]}
-        else:
-            pairs = [lemma2_quantities(c, m, m, **horizons) for m in schedule]
-            per_point = {"row_tail": [qa for qa, _ in pairs], "col_tail": [qb for _, qb in pairs]}
-        assert lemma_schedule(c, which, schedule, **horizons) == {
-            name: (qs, classify_probe([q.upper for q in qs]))
-            for name, qs in per_point.items()}
+        assert lemma_schedule(c, which, schedule, **horizons) == per_point_schedule(
+            c, which, schedule, **horizons)
 
     @pytest.mark.parametrize("which", [1, 2])
     @pytest.mark.parametrize("rule, message", [
@@ -320,6 +326,103 @@ class TestD2Scan:
         a = D2_FACTORS[name]
         want = _variation(np.asarray(a.eval(np.arange(m, H + 3))), 2, H - m + 1)
         assert repr(_d2_scan(a, m, H).value) == repr(want)
+
+
+# inputs of the nested-pass property: the presets, a factored expression
+# whose factors differ, dense expressions (ln and a fractional power among
+# them) and the twin without its factors
+SCHEDULE_SEQUENCES = {
+    "oscillating_quadratic": builtin("oscillating_quadratic"),
+    "mod3_log_product": builtin("mod3_log_product"),
+    "zero": builtin("zero"),
+    "pp(2,3)": builtin("product_power", p=2.0, q=3.0),
+    "expression": from_expression("expression", "(2+alternating(j))/j^2*ln(k+1)/k^3"),
+    "nonsep": from_expression("nonsep", "1/(j*k*(j+k))"),
+    "nonsep ln": from_expression("nonsep ln", "ln(1+j*k)/(j+k)^3.5"),
+    "dense twin": dense_twin(),
+}
+# drawn tables and factors, each with one kind of special value
+SPECIALS = ("none", "nan", "inf", "zeros", "overflow", "huge", "complex")
+
+
+def _with_special(values, special, rng):
+    """``values`` with a special kind of entry: NaN or an infinity at a
+    drawn place, the later half zero, entries near overflow (1e308, whose
+    differences overflow a sum) or past extraction's range (1e300), or
+    complex values."""
+    flat = values.reshape(-1)
+    spots = rng.choice(flat.size, size=min(2, flat.size), replace=False)
+    if special in ("nan", "inf", "overflow", "huge"):
+        flat[spots] = {"nan": math.nan, "inf": math.inf, "overflow": 1e308, "huge": 1e300}[special]
+    elif special == "zeros":
+        flat[flat.size // 2:] = 0.0
+    elif special == "complex":
+        values = values * np.exp(1j * rng.uniform(0.0, 6.0, values.shape))
+    return values
+
+
+def _drawn_sequence(data):
+    # half the examples draw a table or factors
+    kind = data.draw(st.one_of(st.sampled_from(sorted(SCHEDULE_SEQUENCES)),
+                               st.sampled_from(["table", "factors", "shared factor"])),
+                     label="kind")
+    if kind in SCHEDULE_SEQUENCES:
+        return SCHEDULE_SEQUENCES[kind]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    special = data.draw(st.sampled_from(SPECIALS), label="special")
+    size = data.draw(st.integers(3, 40), label="size")
+    index = np.arange(1, size + 1, dtype=np.float64)
+    if kind == "table":
+        values = rng.uniform(0.5, 1.5, (size, size)) / np.add.outer(index, index) ** 3
+        return from_table("table", _with_special(values, special, rng))
+    a, b = (single_from_values(name, _with_special(rng.uniform(0.5, 1.5, size) / index ** 2,
+                                                   special if name == "a" else "none", rng))
+            for name in ("a", "b"))
+    return separable(a, a if kind == "shared factor" else b)
+
+
+def _lemma_outcome(f, *args, **kwargs):
+    """``repr`` of the result, or the type and text of the refusal raised."""
+    try:
+        return repr(f(*args, **kwargs))
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestNestedSchedule:
+    """One pass per schedule gives the per-point calls' values and refusals."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf, complex casts
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_schedule_is_the_per_point_calls_bit_for_bit(self, data):
+        c = _drawn_sequence(data)
+        which = data.draw(st.sampled_from([1, 2]), label="which")
+        horizons = dict(sup_horizon=data.draw(st.sampled_from([9, 24, 64]), label="sup"),
+                        sum_horizon=data.draw(st.sampled_from([9, 24, 64]), label="sum"))
+        top = horizons["sum_horizon" if which == 1 else "sup_horizon"]
+        # unsorted, repeated, single scales; m = 1 and the horizon itself; past it and below 1
+        scale = st.one_of(st.sampled_from([1, 2, 3, 4, 8, top - 1, top]), st.integers(1, top),
+                          st.integers(-1, top + 3))
+        schedule = tuple(data.draw(st.lists(scale, min_size=1, max_size=6), label="schedule"))
+        saved = differences._SUB_BLOCK_CELLS
+        differences._SUB_BLOCK_CELLS = data.draw(st.sampled_from([1, 5, 64, saved]),
+                                                 label="sub-block cells")
+        try:
+            got = _lemma_outcome(lemma_schedule, c, which, schedule, **horizons)
+            want = _lemma_outcome(per_point_schedule, c, which, schedule, **horizons)
+        finally:
+            differences._SUB_BLOCK_CELLS = saved
+        assert got == want
+
+    def test_cell_guard_is_refused_at_its_scale_in_schedule_order(self):
+        # the one-cell quadrant at the horizon is scanned, then scale 1's
+        # 8000^2 cells are refused, as the per-point calls refuse them
+        c = from_expression("nonsep", "1/(j*k*(j+k))")
+        schedule, horizons = (8000, 1), dict(sum_horizon=8000)
+        got = _lemma_outcome(lemma_schedule, c, 1, schedule, **horizons)
+        assert got == _lemma_outcome(per_point_schedule, c, 1, schedule, **horizons)
+        assert got.startswith("ValueError: generic (non-separable) scan over 64000000 cells")
 
 
 class TestEtaSearch:

@@ -93,6 +93,28 @@ def test_streamed_eta_search_evaluates_each_coefficient_once():
         assert np.array_equal(read, np.arange(1, sum_horizon + 3))
 
 
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("preset", ["oscillating_quadratic", "product_power"])
+def test_lemma_schedule_evaluates_each_factor_once_over_its_range(preset, which):
+    # the nested pass reads the step-2 terms of 4..sum_horizon once, in
+    # windows that each overlap the next by the step; lemma 2 adds one read
+    # of 4..sup_horizon for the weights; the preset's two factors are one object
+    base = builtin(preset, p=2.0, q=3.0) if preset == "product_power" else builtin(preset)
+    factors = [counted(f) for f in dict.fromkeys(base.separable_parts)]
+    parts = [f for f, _ in factors]
+    c = replace(base, separable_parts=(parts[0], parts[-1]))
+    sum_horizon, sup_horizon = 2 * _SUB_BLOCK_CELLS + 3, 512
+    doublesine.lemma_schedule(c, which, (16, 4, 64, 8, 4), sup_horizon=sup_horizon,
+                              sum_horizon=sum_horizon)
+    for _, calls in factors:
+        reads = [np.ravel(idx) for idx, in calls]
+        weights = [idx for idx in reads if idx[-1] == sup_horizon]
+        terms = np.concatenate([idx[:-2] for idx in reads if idx[-1] != sup_horizon])
+        assert np.array_equal(terms, np.arange(4, sum_horizon + 1))
+        assert [idx.tolist() for idx in weights] == (
+            [list(range(4, sup_horizon + 1))] if which == 2 else [])
+
+
 @pytest.mark.parametrize("klass, beta", [(SingleClass.MVBVS, None), (SingleClass.SBVS, None),
                                          (SingleClass.SBVS2, None), (SingleClass.GM, "1/n"),
                                          (SingleClass.GM, "star")])
