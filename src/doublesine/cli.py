@@ -431,6 +431,8 @@ def _run_partial_sum(args):
     for flag, v in (("--x", args.x), ("--y", args.y)):
         if not 0.0 < v < math.pi:
             raise ConfigError(f"{flag} {v!r} outside (0, pi)")
+    if args.tol < 0:
+        raise ConfigError(f"--tol {args.tol!r} is below 0")
     c = _resolve_sequence(args)
     rect = _parse_rect(args.rect)
     methods = [args.method] if args.method != "all" else ["direct", "parts", "separable"]

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .differences import (_SUB_BLOCK_CELLS, _blocked_sum, _doublings, _nested_sums, _span,
+from .differences import (_SUB_BLOCK_CELLS, _doublings, _nested_sums, _span,
                           _steps, _sub_blocks, delta_r0_grid, delta_rr_grid)
 from .kernels import Rect, rect_sum_direct, rect_sum_separable
 from .majorants import (DoubleScanTable, Measurement, _check_horizon, _dense_cap, _rect_abs_sum,
@@ -198,75 +198,39 @@ def loglog_slope(schedule, values) -> float | None:
 
 # --- factor scans ----------------------------------------------------------
 
-def _d2_terms(a: SingleSequence):
-    """``block(lo, hi)``: ``|a_j - a_{j+2}|`` for ``j = lo..hi`` from one
-    evaluation of ``a`` on ``lo..hi + 2``."""
-    return lambda lo, hi: _steps(np.asarray(a.eval(_span(lo, hi + 2))), 2, hi - lo + 1)
-
-
-def _d2_tail(a: SingleSequence, H: int) -> float | None:
-    return None if a.decay_hint is None else a.decay_hint.d2_tail(H)
-
-
-def _d2_scan(a: SingleSequence, m: int, H: int) -> Measurement:
-    """``sum_{j=m}^{H} |a_j - a_{j+2}|`` plus the hint's tail certificate past H.
-
-    The terms are one column ``m..H`` of the exact reducer
-    :func:`~doublesine.differences._blocked_sum`, each sub-block from one
-    evaluation of ``a``: the :func:`~doublesine.differences._variation`
-    of one evaluation, bit for bit, in a working set of a sub-block.
-    """
-    return Measurement(_blocked_sum(m, H, 1, _d2_terms(a)), _d2_tail(a, H))
-
-
 def _d2_scans(a: SingleSequence, starts: list[int], H: int):
-    """``m -> _d2_scan(a, m, H)`` for each of the strictly increasing
-    ``starts``, bit for bit, from one pass over ``starts[0]..H``
-    (:func:`~doublesine.differences._nested_sums`).  A start the pass
-    leaves None is scanned alone when it is asked for, so a refusal comes
-    where the scan alone raises it."""
-    sums = dict(zip(starts, _nested_sums(starts, H, _d2_terms(a))))
-    tail = _d2_tail(a, H)
-    return lambda m: _d2_scan(a, m, H) if sums[m] is None else Measurement(sums[m], tail)
-
-
-def _weights(b: SingleSequence, n: int, H: int) -> np.ndarray:
-    """``k |b_k|`` for ``k = n..H``."""
-    k = np.arange(n, H + 1, dtype=np.int64)
-    return k.astype(np.float64) * np.abs(np.asarray(b.eval(k)))
-
-
-def _weight_tail(b: SingleSequence, H: int) -> float | None:
-    return None if b.decay_hint is None else b.decay_hint.weighted_sup(H)
-
-
-def _weight_sup_scan(b: SingleSequence, n: int, H: int) -> Measurement:
-    """``sup_{k >= n} k |b_k|`` scanned to H with a tail certificate."""
-    return _sup_measurement(float(np.max(_weights(b, n, H))), _weight_tail(b, H))
+    """``m -> sum_{j=m}^{H} |a_j - a_{j+2}|`` plus the hint's tail
+    certificate past H, for each of the strictly increasing ``starts``:
+    one pass of :func:`~doublesine.differences._nested_sums`, each sub-block
+    from one evaluation of ``a``, so each sum is the
+    :func:`~doublesine.differences._variation` of one evaluation, bit for bit."""
+    read = _nested_sums(starts, H, lambda lo, hi: _steps(
+        np.asarray(a.eval(_span(lo, hi + 2))), 2, hi - lo + 1))
+    tail = None if a.decay_hint is None else a.decay_hint.d2_tail(H)
+    return lambda m: Measurement(read(m), tail)
 
 
 def _weight_sup_scans(b: SingleSequence, starts: list[int], H: int):
-    """``n -> _weight_sup_scan(b, n, H)`` for each of the strictly
-    increasing ``starts``, none past H, from one evaluation of ``b`` on
-    ``starts[0]..H`` and one reverse running maximum.  ``max`` is exact and
-    propagates NaN, so each sup is the scan's alone, bit for bit."""
-    sups = np.maximum.accumulate(_weights(b, starts[0], H)[::-1])[::-1]
-    tail = _weight_tail(b, H)
+    """``n -> sup_{k >= n} k |b_k|`` scanned to H with a tail certificate,
+    for each of the strictly increasing ``starts``, none past H, from one
+    evaluation of ``b`` and one reverse running maximum (exact, and it
+    propagates NaN): the same bits for any set of starts."""
+    k = _span(starts[0], H)
+    weights = k.astype(np.float64) * np.abs(np.asarray(b.eval(k)))
+    sups = np.maximum.accumulate(weights[::-1])[::-1]
+    tail = None if b.decay_hint is None else b.decay_hint.weighted_sup(H)
     return lambda n: _sup_measurement(float(sups[n - starts[0]]), tail)
 
 
 def _quadrant_sums(c: CoefficientSequence, starts: list[int], H: int):
     """``m -> sum_{j,k=m}^{H} |d22 c_{jk}|`` for each of the strictly
     increasing ``starts`` that the cell guard lets through (it refuses the
-    others before they are asked for), bit for bit, from one pass over the
-    largest quadrant's L-shaped strips
-    (:func:`~doublesine.differences._nested_sums`).  A start the pass
-    leaves None is summed alone when it is asked for."""
+    others before they are asked for), from one pass over the largest
+    quadrant's L-shaped strips (:func:`~doublesine.differences._nested_sums`)."""
     starts = [m for m in starts if (H - m + 1) ** 2 <= _MAX_GENERIC_CELLS]
     lo = starts[0]
     block = lambda j0, j1: np.abs(delta_rr_grid(c, 2, j0, j1, lo, H))  # noqa: E731
-    sums = dict(zip(starts, _nested_sums(starts, H, block, square=True)))
-    return lambda m: _rect_abs_sum(c, 2, m, H, m, H) if sums[m] is None else sums[m]
+    return _nested_sums(starts, H, block, square=True)
 
 
 def _shared(make):
@@ -308,8 +272,8 @@ def _product(x: Measurement, y: Measurement, sx, sy) -> Measurement:
 
 
 def _lemma1(c: CoefficientSequence, m: int, n: int, horizon: int, d2, quadrant) -> Measurement:
-    """:func:`lemma1_quantity` from its scans: ``d2(f, start)``, the
-    :func:`_d2_scan` of a factor, and ``quadrant(m, n)``, the dense sum of
+    """:func:`lemma1_quantity` from its scans: ``d2(f, start)``, a
+    factor's :func:`_d2_scans` reading, and ``quadrant(m, n)``, the dense sum of
     ``|d22 c|`` over ``m..horizon`` by ``n..horizon``."""
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
@@ -335,15 +299,15 @@ def lemma1_quantity(c: CoefficientSequence, m: int, n: int,
     would start past ``horizon`` raises
     :class:`~doublesine.majorants.HorizonError`.
     """
-    return _lemma1(c, m, n, horizon, lambda f, start: _d2_scan(f, start, horizon),
+    return _lemma1(c, m, n, horizon, lambda f, start: _d2_scans(f, [start], horizon)(start),
                    lambda m, n: _rect_abs_sum(c, 2, m, horizon, n, horizon))
 
 
 def _lemma2(c: CoefficientSequence, m: int, n: int, sup_horizon: int, sum_horizon: int, d2,
             weight_sup) -> tuple[Measurement, Measurement]:
     """:func:`lemma2_quantities` from its factor scans: ``d2(f, start)``,
-    the :func:`_d2_scan` of a factor to ``sum_horizon``, and
-    ``weight_sup(f, start)``, its :func:`_weight_sup_scan` to
+    a factor's :func:`_d2_scans` reading to ``sum_horizon``, and
+    ``weight_sup(f, start)``, its :func:`_weight_sup_scans` reading to
     ``sup_horizon``."""
     if m < 1 or n < 1:
         raise ValueError("indices must be >= 1")
@@ -367,8 +331,8 @@ def lemma2_quantities(c: CoefficientSequence, m: int, n: int,
     :class:`~doublesine.majorants.HorizonError`.
     """
     return _lemma2(c, m, n, sup_horizon, sum_horizon,
-                   lambda f, start: _d2_scan(f, start, sum_horizon),
-                   lambda f, start: _weight_sup_scan(f, start, sup_horizon))
+                   lambda f, start: _d2_scans(f, [start], sum_horizon)(start),
+                   lambda f, start: _weight_sup_scans(f, [start], sup_horizon)(start))
 
 
 def _one_sided(c: CoefficientSequence, m: int, n: int, sup_horizon: int,
@@ -462,30 +426,33 @@ def lemma3_check(c: CoefficientSequence, C: float, lam: int, m: int, n: int,
 
     The sequence must be real and nonnegative on the touched ranges; slack
     is RHS - m n c_{mn} and should be >= 0 for members of the step-2 class.
-    Each window sum is one exactly rounded sum (:func:`_blocked_sum`).  The
+    Each window sum is one exactly rounded sum, a schedule of one start
+    (:func:`~doublesine.differences._nested_sums`).  The
     double sup is a query of ``table``, a :class:`DoubleScanTable` of
     ``c`` at ``sup_horizon`` that grid points may share (a table of
     another sequence or horizon is refused); without it the call builds
     its own.  A left-hand side, term or right-hand side that is not finite
     is refused, naming (m, n): four finite terms can overflow their sum.
+    A ``lam`` below 2, which the lemma excludes, is refused.
     """
+    if lam < 2:
+        raise ValueError(f"lemma 3 needs lambda >= 2, got {lam!r}")
     if m < lam or n < lam:
         raise ValueError(f"need m, n >= lambda = {lam}")
     table = _scan_table(c, sup_horizon, table)
     fb1, fb2, fb3 = compile_b(b1), compile_b(b2), compile_b(b3)
 
     def window_sum(jlo, jhi, klo, khi) -> float:
-        k = np.arange(klo, khi + 1, dtype=np.int64)
+        k = _span(klo, khi)
 
         def block(j0, j1):
-            j = np.arange(j0, j1 + 1, dtype=np.int64)
-            vals = np.asarray(c.eval(j[:, None], k[None, :]))
+            vals = np.asarray(c.eval(_span(j0, j1)[:, None], k[None, :]))
             # refused before the cast, which would drop an imaginary part
             if np.iscomplexobj(vals) or np.any(vals < 0.0):
                 raise ValueError("lemma3_check needs real, nonnegative coefficients")
             return vals.astype(np.float64, copy=False)
 
-        return _blocked_sum(jlo, jhi, len(k), block)
+        return _nested_sums([jlo], jhi, block, len(k))(jlo)
 
     scan = table.query(fb3(m + n))
     term1 = C * scan.value
@@ -1073,7 +1040,10 @@ def remark2_divergence(schedule: tuple[int, ...] = (10, 100, 1000, 10000)) -> Ta
 def remark2_cross_checks(report: TailReport, max_scale: int, tol: float):
     """Direct double sums against :func:`remark2_divergence`'s factored ones
     at each scale up to ``max_scale``: the preset's name, ``x = y``, one entry
-    per scale checked, and the entries off by more than ``tol (1 + |direct|)``."""
+    per scale checked, and the entries off by more than ``tol (1 + |direct|)``
+    (a ``tol`` that is not >= 0 is refused)."""
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"cross-check tol must be >= 0, got {tol!r}")
     c, x0, squares = _remark2_squares(report.schedule)
     checks, mismatches = [], []
     for M, square, product_value in zip(report.schedule, squares, report.values):

@@ -26,16 +26,15 @@ rectangle is read in sub-blocks of about ``_SUB_BLOCK_CELLS`` cells
 (:func:`_sub_blocks`), which bound the working set and change no bit.
 Every dense rectangle sum (block differences, lemma 1, the dense
 family-ONE and lemma 3 windows) and the lemma factor sums of ``|d2 a|``
-are one :func:`_blocked_sum`: the exactly rounded sum of the whole
-rectangle, the same float as one ``ksum`` of it.  A schedule of nested
-ranges, the lemma 1 quadrants ``m..H`` squared or the factor sums over
-``m..H``, is one :func:`_nested_sums`: one pass over the largest range,
-whose strips' exact parts each range's sum shares.
+come from one exact reducer, :func:`_nested_sums`: nested ranges that end
+at one horizon in one pass over the largest, a single rectangle as a
+schedule of one start, each sum the same float as ``ksum`` of its range.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -97,75 +96,57 @@ def _sub_blocks(lo: int, hi: int, width: int):
         yield j0, min(j0 + chunk, hi + 1) - 1
 
 
-def _blocked_sum(lo: int, hi: int, width: int, block) -> float:
-    """``ksum`` of rows ``lo..hi`` of a real rectangle ``width`` columns
-    wide; ``block(j0, j1)`` returns the values of rows ``j0..j1``
-    (inclusive).
-
-    The exact parts (:func:`~doublesine.summing._exact_parts`) of every
-    sub-block (:func:`_sub_blocks`) are gathered and rounded once by
-    :func:`math.fsum`: the correctly rounded sum of the rectangle, the
-    same float as ``ksum`` of it whole.  Where ``ksum`` falls back to
-    ``math.fsum`` (a sub-block that has no exact parts: not finite, out
-    of range; or a zero total), the values go to ``math.fsum`` one
-    sub-block at a time, so the working set stays a sub-block."""
-    parts: list[float] = []
-    for s0, s1 in _sub_blocks(lo, hi, width):
-        exact = _exact_parts(np.asarray(block(s0, s1)).reshape(-1))
-        if exact is None:
-            break
-        parts.extend(exact)
-    else:
-        total = math.fsum(parts)
-        if total != 0.0:
-            return total
-    return math.fsum(v for s0, s1 in _sub_blocks(lo, hi, width)
-                     for v in np.asarray(block(s0, s1), dtype=np.float64).reshape(-1).tolist())
-
-
-def _nested_sums(starts, hi: int, block, square: bool = False) -> list[float | None]:
-    """Sums over the nested ranges from each of the strictly increasing
-    ``starts`` to ``hi``, in one pass over the largest: rows ``m..hi`` of
-    one column, or with ``square`` the quadrant ``m..hi`` squared.
+def _nested_sums(starts, hi: int, block, width: int = 1, square: bool = False):
+    """``read(m)``: ``ksum`` of the range from ``m``, one of the strictly
+    increasing ``starts``, to ``hi``, all ranges read in one pass over the
+    largest.  A range is rows ``m..hi`` of a rectangle ``width`` columns
+    wide, or with ``square`` the quadrant ``m..hi`` squared;
     ``block(j0, j1)`` returns rows ``j0..j1``, across the columns
     ``starts[0]..hi`` when ``square``.
 
     Start i's range is the union of strips i, i+1, ...: the rows from
     ``starts[i]`` up to the next start, or with ``square`` the L-shaped
-    cells whose smaller index lies there.  Each strip's exact parts are
-    gathered once and each union is rounded once by :func:`math.fsum`:
-    for nonnegative values, the float :func:`_blocked_sum` gives the
-    range alone.  None where a strip has no exact parts (not finite, out
-    of range) or the total is zero or overflows: that range is to be read
-    alone, where ``math.fsum`` decides NaN, overflow and the sign of zero."""
+    cells whose smaller index lies there.  Each strip's exact parts
+    (:func:`~doublesine.summing._exact_parts`) are gathered once, a
+    sub-block (:func:`_sub_blocks`) at a time, and ``read(m)`` rounds its
+    union once by :func:`math.fsum`.  Where ``ksum`` falls back to ``math.fsum``
+    (a strip without exact parts, a total that is zero or overflows),
+    ``read(m)`` adds the range's values in row order, a sub-block at a
+    time, so NaN, overflow, the sign of zero and a refusal are
+    ``math.fsum``'s and come when ``read(m)`` is called."""
     lo = starts[0]
-    width = hi - lo + 1 if square else 1
-    ends = [min(m, hi + 1) for m in starts[1:]] + [hi + 1]
+    width = hi - lo + 1 if square else width
+    ends = [*starts[1:], hi + 1]
     strips: list[list[float] | None] = [[] for _ in starts]
     for b, (m, end) in enumerate(zip(starts, ends)):
-        # the columns of rows m..end - 1 by strip: the arms of the strips
-        # before b, then strip b's own
-        cuts = [(i, starts[i] - lo, ends[i] - lo) for i in range(b)] if square else []
-        cuts.append((b, m - lo if square else 0, width))
-        for s0, s1 in _sub_blocks(m, end - 1, width):
-            rows = np.asarray(block(s0, s1)).reshape(s1 - s0 + 1, width)
-            for i, k0, k1 in cuts:
+        # the columns of strip b's rows by strip: with square, the arms of
+        # the strips before b, then strip b's own
+        cuts = [(i, slice(starts[i] - lo, ends[i] - lo)) for i in range(b)] if square else []
+        cuts.append((b, slice(m - lo if square else 0, None)))
+        for s0, s1 in _sub_blocks(m, min(end, hi + 1) - 1, width):
+            rows = np.asarray(block(s0, s1))
+            for i, cut in cuts:
                 if strips[i] is not None:
-                    exact = _exact_parts(rows[:, k0:k1].reshape(-1))
+                    exact = _exact_parts(rows[..., cut].reshape(-1))
                     if exact is None:
                         strips[i] = None
                     else:
                         strips[i].extend(exact)
-    sums: list[float | None] = []
-    parts: list[float] | None = []
-    for strip in reversed(strips):
-        parts = None if strip is None or parts is None else strip + parts
-        try:
-            total = 0.0 if parts is None else math.fsum(parts)
-        except OverflowError:   # a long list of parts near 2^1000
-            total = 0.0
-        sums.append(total if total != 0.0 else None)
-    return sums[::-1]
+
+    def read(m: int) -> float:
+        union = strips[starts.index(m):]
+        if None not in union:
+            try:
+                total = math.fsum(chain.from_iterable(union))
+            except OverflowError:   # a long list of parts near 2^1000
+                total = 0.0
+            if total != 0.0:
+                return total
+        k0 = m - lo if square else 0
+        return math.fsum(v for s0, s1 in _sub_blocks(m, hi, width) for v in np.asarray(
+            block(s0, s1), dtype=np.float64)[..., k0:].reshape(-1).tolist())
+
+    return read
 
 
 def _span(lo: int, hi: int) -> np.ndarray:

@@ -483,7 +483,10 @@ def verify_identities(seed: int, *, cases_1d: int, cases_2d: int, table_size: in
                       delta_grid: int, kernel_points: int, k_max: int, tol: float) -> dict:
     """The randomized identity sweep from one generator seeded with ``seed``:
     ``name -> (entry, cases, worst)`` per check, in report order; a check
-    with nothing to check reports 0 cases and worst 0.0."""
+    with nothing to check reports 0 cases and worst 0.0; a ``tol`` that is
+    not >= 0 is refused."""
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     for name, value, least in (("cases_1d", cases_1d, 0), ("cases_2d", cases_2d, 0),
                                ("delta_grid", delta_grid, 0),
                                ("kernel_points", kernel_points, 1)):

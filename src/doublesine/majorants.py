@@ -99,7 +99,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .differences import _blocked_sum, _span, _variation, delta_rr_grid
+from .differences import _nested_sums, _span, _variation, delta_rr_grid
 from .sequences import CoefficientSequence, PowerDecay, SingleSequence, compile_expression
 from .summing import _cumsum_rows, ksum
 
@@ -317,7 +317,8 @@ def _rect_abs_sum(c: CoefficientSequence, r: int, jlo: int, jhi: int, klo: int, 
     ``memo``, a dict kept for one ``c`` and ``r`` (by
     :meth:`DoubleScanTable.rect_abs_sum`), holds the factor sums under
     ``(part, lo, hi)``.  Any other sequence's sum is one exactly rounded
-    sum of the rectangle (:func:`_blocked_sum`).
+    sum of the rectangle, a schedule of one start
+    (:func:`~doublesine.differences._nested_sums`).
     """
     if c.separable_parts is None:
         if r == 0:
@@ -325,7 +326,7 @@ def _rect_abs_sum(c: CoefficientSequence, r: int, jlo: int, jhi: int, klo: int, 
             block = lambda j0, j1: np.abs(c.eval(_span(j0, j1)[:, None], k[None, :]))  # noqa: E731
         else:
             block = lambda j0, j1: np.abs(delta_rr_grid(c, r, j0, j1, klo, khi))  # noqa: E731
-        return _blocked_sum(jlo, jhi, khi - klo + 1, block)
+        return _nested_sums([jlo], jhi, block, khi - klo + 1)(jlo)
     memo = {} if memo is None else memo
     for part, lo, hi in ((0, jlo, jhi), (1, klo, khi)):
         if (part, lo, hi) not in memo:

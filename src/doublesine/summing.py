@@ -33,7 +33,7 @@ are left to :func:`math.fsum` on the whole input, so NaN, infinities,
 its ``ValueError``/``OverflowError`` and the sign of zero are unchanged.
 :func:`_exact_parts` hands out those parts, so a caller can gather the
 parts of several arrays and round them once, the same float as ``ksum``
-of the arrays joined (``differences._blocked_sum``).  :func:`_row_sums`
+of the arrays joined (``differences._nested_sums``).  :func:`_row_sums`
 gives ``ksum`` of each row's own values in a padded table, one row at a
 time, so many short sums cost one table, not one array each
 (``kernels.row_sums_by_parts``).
@@ -100,7 +100,7 @@ def _exact_parts(values: np.ndarray) -> list[float] | None:
     values = values.astype(np.float64, copy=False)
     if len(values) >= _SMALL:
         return _extracted_parts(values)
-    top = float(np.max(np.abs(values), initial=0.0))
+    top = float(np.abs(values).max(initial=0.0))
     return values.tolist() if top <= math.ldexp(1.0, _SIGMA_EXP_MAX) else None
 
 

@@ -246,6 +246,19 @@ class TestLibraryRefusals:
                            "--rect-cap", "64", "--grid-points", "3")
         assert err == "error: verify_range -5 must exceed max(1, lambda) = 2\n"
 
+    @pytest.mark.parametrize("argv, line", [
+        # at lambda = 0 terms 2 and 3 would sum empty windows; without --c-const
+        # family TWO's fit refuses the same lambda
+        (("lemma", "--which", "3", *OSC, "--lam", "0", "--c-const", "1", "--grid", "dyadic:8",
+          "--sup-horizon", "64"), "error: lemma 3 needs lambda >= 2, got 0\n"),
+        (("verify-identities", "--tol", "-1", "--cases-1d", "5", "--cases-2d", "2"),
+         "error: tol must be >= 0, got -1.0\n"),
+        (("remark2", "--cross-check-tol", "-1", "--schedule", "10,100"),
+         "error: cross-check tol must be >= 0, got -1.0\n"),
+    ])
+    def test_lambda_and_tolerance_below_their_range(self, tmp_path, capsys, argv, line):
+        assert self.refused(tmp_path, capsys, *argv) == line
+
     def test_overflowing_sum(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "check-class", "--expr", "1e308", "--grid", "2x2",
                            "--sup-horizon", "8", "--family", "one")
@@ -1299,6 +1312,12 @@ class TestExitContract:
         err = self.refused(tmp_path, capsys, "partial-sum", *OSC, "--rect", "1:10x1:10",
                            *(tok for item in xy.items() for tok in item))
         assert f"{flag} {float(value)!r} outside (0, pi)" in err
+
+    def test_partial_sum_negative_tolerance_is_two(self, tmp_path, capsys):
+        # not a failed verdict: no difference can be below a negative tolerance
+        err = self.refused(tmp_path, capsys, "partial-sum", *OSC, "--rect", "1:4x1:4",
+                           "--x", "0.5", "--y", "0.5", "--tol", "-1")
+        assert err == "config error: --tol -1.0 is below 0\n"
 
     def test_partial_sum_inside_zero_pi_runs(self, tmp_path):
         assert run(tmp_path, "partial-sum", *OSC, "--rect", "1:10x1:10",

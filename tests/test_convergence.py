@@ -44,8 +44,8 @@ from doublesine import (
     uniform_tail_trace,
 )
 from doublesine import differences
-from doublesine.convergence import (EtaCondition, EtaSearchResult, _d2_scan, _factored_maxima,
-                                    _probe_arrays, _probe_bytes, _test_points, _weight_sup_scan)
+from doublesine.convergence import (EtaCondition, EtaSearchResult, _d2_scans, _factored_maxima,
+                                    _probe_arrays, _probe_bytes, _test_points, _weight_sup_scans)
 from doublesine.differences import _SUB_BLOCK_CELLS, _variation
 from doublesine.summing import sine_prefix
 
@@ -293,17 +293,17 @@ class TestTailBounds:
         a, _ = osc.separable_parts   # |a_k| <= 3 / k^2
         # sup_{k > 99} k |a_k| <= 3 / 100; sum_{j > 100} |a_j - a_{j+2}| <= 2 * 3 / 100
         assert a.decay_hint.weighted_sup(99) == pytest.approx(0.03, rel=1e-15)
-        assert _d2_scan(a, 1, 100).tail_bound == pytest.approx(0.06, rel=1e-15)
+        assert _d2_scans(a, [1], 100)(1).tail_bound == pytest.approx(0.06, rel=1e-15)
 
     def test_exponent_limits(self, pp11):
         a, _ = pp11.separable_parts  # p = 1: k |a_k| <= 1, but sum k^-1 diverges
         assert a.decay_hint.weighted_sup(99) == 1.0
-        assert a.decay_hint.integral_tail(100) is None and not _d2_scan(a, 1, 100).bounded
+        assert a.decay_hint.integral_tail(100) is None and not _d2_scans(a, [1], 100)(1).bounded
         slow = builtin("product_power", p=0.5, q=0.5).separable_parts[0]
         assert slow.decay_hint.weighted_sup(99) is None
         hintless = single_from_values("t", np.ones(8))
-        assert not _weight_sup_scan(hintless, 1, 99).bounded
-        assert not _d2_scan(hintless, 1, 100).bounded
+        assert not _weight_sup_scans(hintless, [1], 99)(1).bounded
+        assert not _d2_scans(hintless, [1], 100)(1).bounded
 
 
 _D2_LEN = 3 * _SUB_BLOCK_CELLS + 16
@@ -325,7 +325,7 @@ class TestD2Scan:
     def test_blocks_sum_like_one_evaluation(self, name, m, H):
         a = D2_FACTORS[name]
         want = _variation(np.asarray(a.eval(np.arange(m, H + 3))), 2, H - m + 1)
-        assert repr(_d2_scan(a, m, H).value) == repr(want)
+        assert repr(_d2_scans(a, [m], H)(m).value) == repr(want)
 
 
 # inputs of the nested-pass property: the presets, a factored expression
@@ -1085,8 +1085,9 @@ class TestRemark2:
         assert checks[0]["direct"] == float(rect_sum_direct(mod3, Rect(1, 32, 1, 32), x0, x0))
         assert checks[0]["product"] == report.values[0]
         assert mismatches == []
-        # below zero every difference is over the tolerance
-        assert remark2_cross_checks(report, 100, -1.0)[3] == checks
+        # a tolerance below zero is refused, not read as every check failing
+        with pytest.raises(ValueError, match=r"^cross-check tol must be >= 0, got -1.0$"):
+            remark2_cross_checks(report, 100, -1.0)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

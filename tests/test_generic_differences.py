@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublesine import (
@@ -164,27 +164,40 @@ def _sum_or_error(f):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 90),
-       st.sampled_from(["none", "nan", "inf", "both", "huge", "zeros"]))
+       st.sampled_from(["none", "nan", "inf", "both", "huge", "zeros", "tiny"]),
+       st.sampled_from(["column", "rect", "square"]),
+       st.lists(st.integers(1, 42), min_size=1, max_size=6, unique=True))
+# start 1's range holds inf and -inf: the pass is built, and only its read raises
+@example(seed=0, rows=6, width=4, special="both", shape="square", starts=[1, 3])
 @settings(max_examples=60, deadline=None)
-def test_blocked_sum_is_ksum_of_the_whole_rectangle(seed, rows, width, special):
-    # signed values over 40 binades, at every sub-block size
+def test_blocked_sum_is_ksum_of_the_whole_rectangle(seed, rows, width, special, shape, starts):
+    # signed values over 40 binades, read from drawn starts on one column, a
+    # rectangle or the square, each range against ksum of it alone, at every
+    # sub-block size
+    width = {"column": 1, "rect": width, "square": rows}[shape]
     rng = np.random.default_rng(seed)
     t = rng.normal(size=(rows, width)) * 2.0 ** rng.integers(-20, 20, size=(rows, width))
     if special == "zeros":
         t[: rows // 2] = 0.0
+    elif special == "tiny":   # sub-blocks below the range extraction handles
+        t[: rows // 2] *= 2.0 ** -1000
     elif special != "none":
         values = {"nan": [np.nan], "inf": [np.inf], "both": [np.inf, -np.inf],
                   "huge": [1e308, 1e308]}[special]
         t.reshape(-1)[rng.choice(t.size, size=min(len(values), t.size), replace=False)] = (
             values[:t.size])
-    block = lambda j0, j1: t[j0 - 1:j1]  # noqa: E731
-    want = _sum_or_error(lambda: float(ksum(t)))
+    starts = sorted(starts)
+    square = shape == "square"
+    lo = starts[0]
+    block = lambda j0, j1: t[j0 - 1:j1, lo - 1:] if square else t[j0 - 1:j1]  # noqa: E731
+    want = {m: _sum_or_error(lambda: float(ksum(t[m - 1:, m - 1:] if square else t[m - 1:])))
+            for m in starts}
     saved = differences._SUB_BLOCK_CELLS
     try:
         for sub_cells in (1, 3 * width, 600, saved):
             differences._SUB_BLOCK_CELLS = sub_cells
-            got = _sum_or_error(lambda: differences._blocked_sum(1, rows, width, block))
-            assert got == want, sub_cells
+            read = differences._nested_sums(starts, rows, block, width, square=square)
+            assert {m: _sum_or_error(lambda: read(m)) for m in starts} == want, sub_cells
     finally:
         differences._SUB_BLOCK_CELLS = saved
 

@@ -29,7 +29,7 @@ from doublesine import (
     single_from_expression,
     single_from_values,
 )
-from doublesine.convergence import _d2_scan
+from doublesine.convergence import _d2_scans
 from doublesine.differences import _SUB_BLOCK_CELLS
 
 POINTWISE = frozenset({"delta_r", "delta_r0", "delta_0r", "delta_rr"})
@@ -67,7 +67,7 @@ def test_row_sum_by_parts_evaluates_once():
 
 def test_d2_scan_evaluates_once():
     a, calls = counted(builtin("mod3_log_product").separable_parts[0])
-    _d2_scan(a, 3, 64)
+    _d2_scans(a, [3], 64)(3)
     assert len(calls) == 1
 
 
@@ -152,7 +152,7 @@ def frozen_reprs():
         for x, y in POINTS:
             out += [repr(rect_sum_parts(c, rect, x, y, r=r)) for c in doubles for rect in RECTS]
             out += [repr(row_sum_by_parts(a, n, m, r, x)) for a in singles for n, m in ROWS]
-    out += [repr(_d2_scan(a, m, 200)) for a in singles[:2] for m in (1, 3, 200)]
+    out += [repr(_d2_scans(a, [m], 200)(m)) for a in singles[:2] for m in (1, 3, 200)]
     osc = builtin("oscillating_quadratic")
     out += [repr(eta_search(osc, eps, 16.0)) for eps in (0.2, 0.05)]
     out += [repr(check_single_membership(singles[0], SingleClass.GM, (1, 2, 5, 16, 64), r=r))
